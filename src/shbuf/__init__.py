@@ -11,12 +11,10 @@ measuring prediction error and empirical competitive ratios.
 from .core import (
     ArrivalSequence,
     PacketId,
-    PacketOutcome,
     RunResult,
     SwitchConfig,
     SwitchState,
     Verdict,
-    drain_order,
     load_sequence,
     run_simulation,
     save_outcomes,
@@ -42,7 +40,6 @@ from .oracles import (
     ForestOracle,
     PerfectOracle,
     PredictionLabel,
-    PredictionUnavailable,
     ground_truth_from_run,
 )
 from .learner import (

@@ -4,7 +4,9 @@ Provides the error ratio relating push-out LongestQueueDrop throughput to
 FollowLqd throughput on the prediction-reduced sequence, its closed-form
 upper bound from the confusion counts, an exact brute-force offline optimum
 for tiny instances, flip-probability sweeps, and an event-by-event check that
-threshold-following policies really do replay LQD queue lengths.
+threshold-following policies really do replay LQD queue lengths. Every run
+here goes through ``core.run_slots``; the event-by-event check is a lockstep
+of three simulations that the loop drives as one.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .core import (
     Simulation,
     SwitchConfig,
     run_simulation,
+    run_slots,
 )
 from .learner import ConfusionCounts
 from .oracles import (
@@ -67,23 +70,14 @@ class InstanceTooLarge(RuntimeError):
 
 
 def throughput(config: SwitchConfig, sequence: ArrivalSequence, policy: Policy) -> int:
-    """Transmitted-packet count for one policy on one sequence (no per-packet records)."""
-    sequence.validate(config)
-    sim = Simulation(config, policy, record_verdicts=False)
-    for slot_index, row in enumerate(sequence.slots):
-        for pos, port in enumerate(row):
-            sim.arrive(PacketId(slot_index, pos), port)
-        sim.depart_phase()
-    while sim.state.occupancy:
-        sim.depart_phase()
-    return sim.transmitted
+    """Transmitted-packet count for one policy on one sequence."""
+    return run_simulation(config, sequence, policy).transmitted_count
 
 
 def simulate_with_prediction_log(
     config: SwitchConfig,
     sequence: ArrivalSequence,
     oracle: Oracle,
-    fallback_accept: bool = True,
     feature_window: int = 16,
 ) -> tuple[RunResult, dict[PacketId, PredictionLabel]]:
     """Run Credence while recording the oracle's label for every packet.
@@ -92,14 +86,8 @@ def simulate_with_prediction_log(
     thresholds decided, so the log covers the whole sequence and can feed
     the error ratio directly.
     """
-    policy = Credence(
-        oracle,
-        fallback_accept=fallback_accept,
-        record_predictions=True,
-        feature_window=feature_window,
-    )
-    result = run_simulation(config, sequence, policy)
-    return result, policy.prediction_log
+    policy = Credence(oracle, record_predictions=True, feature_window=feature_window)
+    return run_simulation(config, sequence, policy), policy.prediction_log
 
 
 @dataclass(frozen=True)
@@ -384,6 +372,59 @@ class ThresholdDivergence:
     lqd_queue_len: list[int]
 
 
+class _Diverged(Exception):
+    """Carries the first ``ThresholdDivergence`` out of the slot loop."""
+
+
+class _Lockstep:
+    """FollowLqd, Credence and LongestQueueDrop simulations stepped as one.
+
+    ``run_slots`` drives it like a single simulation. Each event goes to all
+    three; after it, both policies' thresholds are compared with the LQD
+    queue lengths, and the first mismatch ends the run by raising
+    ``_Diverged``.
+    """
+
+    def __init__(self, config: SwitchConfig, oracle: Oracle) -> None:
+        self.config = config
+        self.policies = (FollowLqd(), Credence(oracle))
+        self.follow_sim = Simulation(config, self.policies[0])
+        self.credence_sim = Simulation(config, self.policies[1])
+        self.lqd_sim = Simulation(config, LongestQueueDrop())
+        # the policies and the LQD state update these lists in place
+        self._follow = self.policies[0].thresholds.thresholds
+        self._credence = self.policies[1].thresholds.thresholds
+        self._lqd = self.lqd_sim.state.queue_len
+        self._last_port = config.num_ports - 1
+        self.slot = 0
+
+    @property
+    def occupancy(self) -> int:
+        return self.follow_sim.occupancy + self.credence_sim.occupancy + self.lqd_sim.occupancy
+
+    def arrive(self, packet: PacketId, port: int) -> None:
+        self.follow_sim.arrive(packet, port)
+        self.credence_sim.arrive(packet, port)
+        self.lqd_sim.arrive(packet, port)
+        self.slot = packet.slot
+        if self._follow != self._lqd or self._credence != self._lqd:
+            self._diverged("arrival", packet)
+
+    def depart_port(self, port: int) -> None:
+        self.follow_sim.depart_port(port)
+        self.credence_sim.depart_port(port)
+        self.lqd_sim.depart_port(port)
+        if self._follow != self._lqd or self._credence != self._lqd:
+            self._diverged("departure", port)
+        if port == self._last_port:
+            self.slot += 1
+
+    def _diverged(self, event: str, detail: Union[PacketId, int]) -> None:
+        policy = next(p for p in self.policies if p.thresholds.thresholds != self._lqd)
+        thresholds = list(policy.thresholds.thresholds)
+        raise _Diverged(ThresholdDivergence(policy.name, event, self.slot, detail, thresholds, list(self._lqd)))
+
+
 def find_threshold_divergence(
     config: SwitchConfig,
     sequence: ArrivalSequence,
@@ -397,51 +438,9 @@ def find_threshold_divergence(
     instance here is the complete preemptive simulation, not the threshold
     arithmetic, so the comparison is a genuine two-route check.
     """
-    sequence.validate(config)
-    follow = FollowLqd()
-    credence = Credence(oracle if oracle is not None else ConstantOracle(PredictionLabel.NEGATIVE))
-    follow_sim = Simulation(config, follow, record_verdicts=False)
-    credence_sim = Simulation(config, credence, record_verdicts=False)
-    lqd_sim = Simulation(config, LongestQueueDrop(), record_verdicts=False)
-
-    lqd_len = lqd_sim.state.queue_len
-    num_ports = config.num_ports
-
-    def mismatch(event: str, slot: int, detail) -> Optional[ThresholdDivergence]:
-        if follow.thresholds.thresholds != lqd_len:
-            return ThresholdDivergence(
-                follow.name, event, slot, detail, list(follow.thresholds.thresholds), list(lqd_len)
-            )
-        if credence.thresholds.thresholds != lqd_len:
-            return ThresholdDivergence(
-                credence.name, event, slot, detail, list(credence.thresholds.thresholds), list(lqd_len)
-            )
-        return None
-
-    slot_index = 0
-    for slot_index, row in enumerate(sequence.slots):
-        for pos, port in enumerate(row):
-            packet = PacketId(slot_index, pos)
-            follow_sim.arrive(packet, port)
-            credence_sim.arrive(packet, port)
-            lqd_sim.arrive(packet, port)
-            found = mismatch("arrival", slot_index, packet)
-            if found:
-                return found
-        for port in range(num_ports):
-            follow_sim.depart_port(port)
-            credence_sim.depart_port(port)
-            lqd_sim.depart_port(port)
-            found = mismatch("departure", slot_index, port)
-            if found:
-                return found
-    while follow_sim.state.occupancy or credence_sim.state.occupancy or lqd_sim.state.occupancy:
-        slot_index += 1
-        for port in range(num_ports):
-            follow_sim.depart_port(port)
-            credence_sim.depart_port(port)
-            lqd_sim.depart_port(port)
-            found = mismatch("departure", slot_index, port)
-            if found:
-                return found
+    lockstep = _Lockstep(config, oracle if oracle is not None else ConstantOracle(PredictionLabel.NEGATIVE))
+    try:
+        run_slots(lockstep, sequence)
+    except _Diverged as diverged:
+        return diverged.args[0]
     return None

@@ -37,11 +37,9 @@ from .core import (
     save_sequence,
 )
 from .learner import (
-    collect_trace,
     evaluate,
     load_examples,
     load_forest,
-    save_examples,
     save_forest,
     split_examples,
     train_forest,
@@ -471,6 +469,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         p_values = [float(p) for p in p_list_raw.split(",") if p.strip()]
     except ValueError:
         raise ConfigError(f"bad --p-list {p_list_raw!r}") from None
+    if not p_values:
+        raise ConfigError("--p-list names no flip probability")
     num_seeds = _setting(resolved, "seeds", default=10, convert=int)
     if num_seeds < 1:
         raise ConfigError("--seeds must be >= 1")
@@ -526,6 +526,8 @@ def _cmd_opt(args: argparse.Namespace) -> int:
     config = _switch_config(resolved)
     sequence = _sequence_for(resolved, config, seed)
     cap = _setting(resolved, "cap", default=20, convert=int)
+    if cap < 0:
+        raise ConfigError("--cap must be >= 0")
     optimum = brute_force_opt(config, sequence, cap=cap)
     print(f"opt_transmitted={optimum} packets={sequence.total_packets}")
     return EXIT_OK

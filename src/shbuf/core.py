@@ -7,6 +7,10 @@ non-empty queue transmits exactly one packet (ports processed in ascending
 index order). After the last slot of the arrival sequence the simulator keeps
 running departure-only slots until the buffer is empty, so every accepted
 packet is eventually transmitted and throughput comparisons are exact.
+
+``run_slots`` is the one loop that schedules these events; every run in the
+library goes through it. Arrivals are numbered 0, 1, 2, ... in arrival
+order, and a run's record is one ``Verdict`` per arrival in that order.
 """
 
 from __future__ import annotations
@@ -25,12 +29,11 @@ __all__ = [
     "ArrivalSequence",
     "SwitchState",
     "Verdict",
-    "PacketOutcome",
     "RunResult",
     "PolicyError",
     "Simulation",
+    "run_slots",
     "run_simulation",
-    "drain_order",
     "save_sequence",
     "load_sequence",
     "save_outcomes",
@@ -99,28 +102,26 @@ class Verdict(Enum):
     PUSHED_OUT = "pushed_out"
 
 
-@dataclass(frozen=True)
-class PacketOutcome:
-    packet: PacketId
-    port: int
-    verdict: Verdict
+# enum member lookups cost ~0.1 us each on the arrival path
+_TRANSMITTED = Verdict.TRANSMITTED
+_DROPPED_ON_ARRIVAL = Verdict.DROPPED_ON_ARRIVAL
+_PUSHED_OUT = Verdict.PUSHED_OUT
 
 
 @dataclass
 class RunResult:
-    """Everything observable from one simulation run."""
+    """Everything observable from one simulation run.
+
+    ``verdicts[i]`` is the fate of arrival ``i``: one entry per packet of
+    ``sequence``, in arrival order. The sequence supplies each packet's
+    slot, position and port.
+    """
 
     transmitted_count: int
     dropped_count: int
-    outcomes: list[PacketOutcome]
-    occupancy_series: list[int]
-
-    @property
-    def peak_occupancy(self) -> int:
-        return max(self.occupancy_series, default=0)
-
-    def verdicts(self) -> dict[PacketId, Verdict]:
-        return {outcome.packet: outcome.verdict for outcome in self.outcomes}
+    verdicts: list[Verdict]
+    peak_occupancy: int
+    sequence: ArrivalSequence
 
 
 class PolicyError(RuntimeError):
@@ -128,86 +129,86 @@ class PolicyError(RuntimeError):
 
 
 class SwitchState(object):
-    """Queue lengths, total occupancy, and per-port FIFO contents."""
+    """Queue lengths, total occupancy, and per-port FIFOs of arrival indices."""
 
     __slots__ = ("queue_len", "occupancy", "queues")
 
     def __init__(self, num_ports: int) -> None:
         self.queue_len: list[int] = [0] * num_ports
         self.occupancy: int = 0
-        self.queues: list[Deque[PacketId]] = [deque() for _ in range(num_ports)]
+        self.queues: list[Deque[int]] = [deque() for _ in range(num_ports)]
 
-    def push(self, port: int, packet: PacketId) -> None:
-        self.queues[port].append(packet)
+    def push(self, port: int, index: int) -> None:
+        self.queues[port].append(index)
         self.queue_len[port] += 1
         self.occupancy += 1
 
-    def pop_head(self, port: int) -> PacketId:
-        packet = self.queues[port].popleft()
+    def pop_head(self, port: int) -> None:
+        self.queues[port].popleft()
         self.queue_len[port] -= 1
         self.occupancy -= 1
-        return packet
 
-    def pop_tail(self, port: int) -> PacketId:
-        packet = self.queues[port].pop()
+    def pop_tail(self, port: int) -> int:
+        index = self.queues[port].pop()
         self.queue_len[port] -= 1
         self.occupancy -= 1
-        return packet
+        return index
 
 
 class Simulation:
-    """Stepwise driver: feeds arrival and departure events to one policy.
+    """One switch under one policy, stepped event by event (``run_slots`` drives it).
 
-    ``run_simulation`` wraps this in the usual slot loop; verification code
-    that needs to interleave several instances event by event drives it
-    directly. With ``record_verdicts=False`` only the counters are kept,
-    which is noticeably faster on large sweeps.
+    Queues hold arrival indices; ``verdicts[i]`` is the fate of arrival ``i``.
+    An accepted packet reads ``TRANSMITTED`` unless a push-out overwrites it.
     """
 
-    __slots__ = ("config", "policy", "state", "transmitted", "dropped", "verdicts", "_record", "_buffer")
+    __slots__ = ("config", "policy", "state", "transmitted", "dropped", "verdicts", "peak_occupancy", "_buffer")
 
-    def __init__(self, config: SwitchConfig, policy: "Policy", record_verdicts: bool = True) -> None:
+    def __init__(self, config: SwitchConfig, policy: "Policy") -> None:
         self.config = config
         self.policy = policy
         policy.reset(config)
         self.state = SwitchState(config.num_ports)
         self.transmitted = 0
         self.dropped = 0
-        self.verdicts: dict[PacketId, tuple[int, Verdict]] = {}
-        self._record = record_verdicts
+        self.verdicts: list[Verdict] = []
+        self.peak_occupancy = 0
         self._buffer = config.buffer_size
+
+    @property
+    def occupancy(self) -> int:
+        return self.state.occupancy
 
     def arrive(self, packet: PacketId, port: int) -> None:
         """Process one arrival: ask the policy, then apply its decision."""
-        decision = self.policy.on_arrival(port, packet, self.state)
         state = self.state
-        if decision.accept:
-            victim_port = decision.pushout_victim
-            if victim_port is not None:
-                if state.occupancy != self._buffer:
-                    raise PolicyError("push-out is only legal when the buffer is full")
-                if not state.queue_len[victim_port]:
-                    raise PolicyError(f"push-out victim queue {victim_port} is empty")
-                victim = state.pop_tail(victim_port)
-                self.dropped += 1
-                if self._record:
-                    self.verdicts[victim] = (victim_port, Verdict.PUSHED_OUT)
-            elif state.occupancy >= self._buffer:
-                raise PolicyError("accept would overflow the buffer")
-            state.push(port, packet)
-        else:
+        verdicts = self.verdicts
+        decision = self.policy.on_arrival(port, packet, state)
+        if not decision.accept:
             self.dropped += 1
-            if self._record:
-                self.verdicts[packet] = (port, Verdict.DROPPED_ON_ARRIVAL)
+            verdicts.append(_DROPPED_ON_ARRIVAL)
+            return
+        victim_port = decision.pushout_victim
+        if victim_port is not None:
+            if state.occupancy != self._buffer:
+                raise PolicyError("push-out is only legal when the buffer is full")
+            if not state.queue_len[victim_port]:
+                raise PolicyError(f"push-out victim queue {victim_port} is empty")
+            verdicts[state.pop_tail(victim_port)] = _PUSHED_OUT
+            self.dropped += 1
+        elif state.occupancy >= self._buffer:
+            raise PolicyError("accept would overflow the buffer")
+        state.push(port, len(verdicts))
+        verdicts.append(_TRANSMITTED)
+        if state.occupancy > self.peak_occupancy:
+            self.peak_occupancy = state.occupancy
 
     def depart_port(self, port: int) -> None:
         """One port's share of the departure phase: drain one packet, then notify the policy."""
         state = self.state
         if state.queue_len[port]:
-            packet = state.pop_head(port)
+            state.pop_head(port)
             self.transmitted += 1
-            if self._record:
-                self.verdicts[packet] = (port, Verdict.TRANSMITTED)
         self.policy.on_departure(port, state)
 
     def depart_phase(self) -> None:
@@ -215,44 +216,39 @@ class Simulation:
             self.depart_port(port)
 
 
-def drain_order(state: SwitchState) -> list[PacketId]:
-    """Apply one departure phase to ``state``: head packet of every non-empty
-    queue leaves, ports in ascending index order. Returns the drained packets."""
-    drained = []
-    for port in range(len(state.queue_len)):
-        if state.queue_len[port]:
-            drained.append(state.pop_head(port))
-    return drained
+def run_slots(sim, sequence: ArrivalSequence) -> None:
+    """Feed every event of ``sequence`` to ``sim``, slot by slot.
+
+    The only loop that schedules events. Each slot runs its arrivals in row
+    order, then one departure per port in ascending port order; after the
+    last slot, departure-only slots run until ``sim.occupancy`` is 0. ``sim``
+    is a ``Simulation`` or any object with the same ``config``, ``arrive``,
+    ``depart_port`` and ``occupancy``. The sequence is validated first.
+    """
+    sequence.validate(sim.config)
+    arrive = sim.arrive
+    depart_port = sim.depart_port
+    ports = range(sim.config.num_ports)
+    for slot_index, row in enumerate(sequence.slots):
+        for pos, port in enumerate(row):
+            arrive(PacketId(slot_index, pos), port)
+        for port in ports:
+            depart_port(port)
+    while sim.occupancy:
+        for port in ports:
+            depart_port(port)
 
 
 def run_simulation(config: SwitchConfig, sequence: ArrivalSequence, policy: "Policy") -> RunResult:
-    """Drive ``policy`` over ``sequence`` and return the complete run record.
-
-    The sequence is validated before any state is touched. After the last
-    slot, departure-only slots continue until the buffer is empty.
-    """
-    sequence.validate(config)
+    """Drive ``policy`` over ``sequence`` and return the complete run record."""
     sim = Simulation(config, policy)
-    occupancy_series: list[int] = []
-    for slot_index, row in enumerate(sequence.slots):
-        for pos, port in enumerate(row):
-            sim.arrive(PacketId(slot_index, pos), port)
-        occupancy_series.append(sim.state.occupancy)
-        sim.depart_phase()
-    while sim.state.occupancy:
-        occupancy_series.append(sim.state.occupancy)
-        sim.depart_phase()
-
-    outcomes = []
-    for packet, port in sequence.packets():
-        recorded_port, verdict = sim.verdicts[packet]
-        outcomes.append(PacketOutcome(packet, recorded_port, verdict))
+    run_slots(sim, sequence)
     total = sequence.total_packets
     if sim.transmitted + sim.dropped != total:
         raise AssertionError(
             f"conservation violated: {sim.transmitted} + {sim.dropped} != {total}"
         )
-    return RunResult(sim.transmitted, sim.dropped, outcomes, occupancy_series)
+    return RunResult(sim.transmitted, sim.dropped, sim.verdicts, sim.peak_occupancy, sequence)
 
 
 # --- trace and result files -------------------------------------------------
@@ -312,9 +308,7 @@ def load_sequence(path) -> ArrivalSequence:
 
 def save_outcomes(path, result: RunResult) -> None:
     lines = ["packet_slot,packet_pos,port,verdict"]
-    for outcome in result.outcomes:
-        lines.append(
-            f"{outcome.packet.slot},{outcome.packet.pos},{outcome.port},{outcome.verdict.value}"
-        )
+    for (packet, port), verdict in zip(result.sequence.packets(), result.verdicts):
+        lines.append(f"{packet.slot},{packet.pos},{port},{verdict.value}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import ArrivalSequence, PacketId, Simulation, SwitchConfig, Verdict
+from .core import ArrivalSequence, PacketId, SwitchConfig, SwitchState, Verdict, run_simulation
 from .oracles import FeatureTracker, FeatureVector, PredictionLabel
 from .policies import LongestQueueDrop
 
@@ -50,6 +50,23 @@ class LabeledExample(NamedTuple):
     label: PredictionLabel
 
 
+class _FeatureSampler(LongestQueueDrop):
+    """LongestQueueDrop that samples each arrival's features from the
+    pre-decision state before deciding."""
+
+    def __init__(self, window: int) -> None:
+        self.window = window
+
+    def reset(self, config: SwitchConfig) -> None:
+        super().reset(config)
+        self.tracker = FeatureTracker(config.num_ports, self.window)
+        self.features: list[FeatureVector] = []
+
+    def on_arrival(self, port: int, packet: PacketId, state: SwitchState):
+        self.features.append(self.tracker.on_arrival(port, state))
+        return super().on_arrival(port, packet, state)
+
+
 def collect_trace(config: SwitchConfig, sequence: ArrivalSequence, window: int = 16) -> list[LabeledExample]:
     """Run LongestQueueDrop over ``sequence`` and label every arrival.
 
@@ -57,26 +74,15 @@ def collect_trace(config: SwitchConfig, sequence: ArrivalSequence, window: int =
     are the packet's final fate (push-outs resolved after the run), so the
     trace has exactly one example per packet of the sequence.
     """
-    sequence.validate(config)
-    tracker = FeatureTracker(config.num_ports, window)
-    features: list[FeatureVector] = []
-
-    # replicate the simulation loop so features can be read pre-decision
-    sim = Simulation(config, LongestQueueDrop())
-    for slot_index, row in enumerate(sequence.slots):
-        for pos, port in enumerate(row):
-            features.append(tracker.on_arrival(port, sim.state))
-            sim.arrive(PacketId(slot_index, pos), port)
-        sim.depart_phase()
-    while sim.state.occupancy:
-        sim.depart_phase()
-
-    examples = []
-    for (packet, _port), feats in zip(sequence.packets(), features):
-        _, verdict = sim.verdicts[packet]
-        label = PredictionLabel.NEGATIVE if verdict is Verdict.TRANSMITTED else PredictionLabel.POSITIVE
-        examples.append(LabeledExample(feats, label))
-    return examples
+    sampler = _FeatureSampler(window)
+    result = run_simulation(config, sequence, sampler)
+    return [
+        LabeledExample(
+            features,
+            PredictionLabel.NEGATIVE if verdict is Verdict.TRANSMITTED else PredictionLabel.POSITIVE,
+        )
+        for features, verdict in zip(sampler.features, result.verdicts)
+    ]
 
 
 # --- decision trees ----------------------------------------------------------
@@ -328,16 +334,19 @@ def _node_to_obj(node: Union[TreeNode, int]):
     }
 
 
-def _node_from_obj(obj) -> Union[TreeNode, int]:
+def _node_from_obj(obj, feature_count: int) -> Union[TreeNode, int]:
     if isinstance(obj, int):
         if obj not in (0, 1):
             raise ValueError(f"leaf label must be 0 or 1, got {obj}")
         return obj
+    feature_index = int(obj["feature_index"])
+    if not 0 <= feature_index < feature_count:
+        raise ValueError(f"feature_index {feature_index} outside [0, {feature_count})")
     return TreeNode(
-        int(obj["feature_index"]),
+        feature_index,
         float(obj["threshold"]),
-        _node_from_obj(obj["left"]),
-        _node_from_obj(obj["right"]),
+        _node_from_obj(obj["left"], feature_count),
+        _node_from_obj(obj["right"], feature_count),
     )
 
 
@@ -354,13 +363,26 @@ def save_forest(model: ForestModel, path) -> None:
 
 
 def load_forest(path) -> ForestModel:
+    """Read a model file; raise ValueError for anything that is not a valid model."""
     with open(path) as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: a model file holds one JSON object")
     version = payload.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format_version {version!r}")
-    trees = [_node_from_obj(obj) for obj in payload["trees"]]
-    return ForestModel(trees, int(payload["max_depth"]), int(payload["feature_count"]))
+    try:
+        feature_count = int(payload["feature_count"])
+        max_depth = int(payload["max_depth"])
+        trees = [_node_from_obj(obj, feature_count) for obj in payload["trees"]]
+    except KeyError as exc:
+        raise ValueError(f"{path}: model is missing the {exc.args[0]!r} key") from None
+    except TypeError as exc:
+        raise ValueError(f"{path}: malformed model: {exc}") from None
+    for index, tree in enumerate(trees):
+        if _tree_depth(tree) > max_depth:
+            raise ValueError(f"{path}: tree {index} is deeper than max_depth {max_depth}")
+    return ForestModel(trees, max_depth, feature_count)
 
 
 _EXAMPLES_HEADER = "q,q_ewma,Q,Q_ewma,label"
@@ -394,6 +416,8 @@ def load_examples(path) -> list[LabeledExample]:
             features = FeatureVector(
                 int(parts[0]), float(parts[1]), int(parts[2]), float(parts[3])
             )
+            if parts[4] not in ("0", "1"):
+                raise ValueError(f"{path}:{line_no}: label must be 0 or 1, got {parts[4]!r}")
             label = PredictionLabel.POSITIVE if parts[4] == "1" else PredictionLabel.NEGATIVE
             examples.append(LabeledExample(features, label))
     return examples

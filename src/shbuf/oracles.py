@@ -20,7 +20,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "PredictionLabel",
-    "PredictionUnavailable",
     "FeatureVector",
     "FeatureTracker",
     "Oracle",
@@ -40,10 +39,6 @@ class PredictionLabel(Enum):
 
     def inverted(self) -> "PredictionLabel":
         return PredictionLabel.NEGATIVE if self is PredictionLabel.POSITIVE else PredictionLabel.POSITIVE
-
-
-class PredictionUnavailable(RuntimeError):
-    """Raised by an oracle that cannot produce a label right now."""
 
 
 class FeatureVector(NamedTuple):
@@ -105,8 +100,8 @@ class ConstantOracle:
 def ground_truth_from_run(result: RunResult) -> dict[PacketId, bool]:
     """Map every packet of a finished run to True when it was dropped or pushed out."""
     return {
-        outcome.packet: outcome.verdict is not Verdict.TRANSMITTED
-        for outcome in result.outcomes
+        packet: verdict is not Verdict.TRANSMITTED
+        for (packet, _port), verdict in zip(result.sequence.packets(), result.verdicts)
     }
 
 

@@ -14,9 +14,10 @@ Five policies over the shared-buffer model:
                              drop-prediction oracle consulted when the
                              thresholds would permit the packet.
 
-Policies never touch queue contents directly; they return a ``Decision`` and
-the simulator applies it. All tie-breaking (longest queue, largest threshold)
-is toward the lowest port index so that runs are exactly reproducible.
+Policies see each arrival's ``PacketId`` but never touch the queues (which
+hold arrival indices); they return a ``Decision`` and the simulator applies
+it. All tie-breaking (longest queue, largest threshold) is toward the lowest
+port index so that runs are exactly reproducible.
 """
 
 from __future__ import annotations
@@ -26,12 +27,7 @@ from fractions import Fraction
 from typing import Optional, Protocol, Union
 
 from .core import PacketId, SwitchConfig, SwitchState
-from .oracles import (
-    FeatureTracker,
-    Oracle,
-    PredictionLabel,
-    PredictionUnavailable,
-)
+from .oracles import FeatureTracker, Oracle, PredictionLabel
 
 __all__ = [
     "Decision",
@@ -217,10 +213,6 @@ class Credence:
        oracle and follow its verdict;
     4. otherwise drop without consulting the oracle.
 
-    An oracle that raises ``PredictionUnavailable`` falls back to a fixed
-    decision (accept by default, which degrades toward CompleteSharing
-    rather than toward starvation).
-
     With ``record_predictions=True`` the oracle is additionally queried for
     every arrival, including ones decided by the safeguard or the threshold,
     and the labels are collected in ``prediction_log``. Oracles are pure, so
@@ -232,12 +224,10 @@ class Credence:
     def __init__(
         self,
         oracle: Oracle,
-        fallback_accept: bool = True,
         record_predictions: bool = False,
         feature_window: int = 16,
     ) -> None:
         self.oracle = oracle
-        self.fallback_accept = fallback_accept
         self.record_predictions = record_predictions
         self.feature_window = feature_window
         self.prediction_log: dict[PacketId, PredictionLabel] = {}
@@ -250,10 +240,7 @@ class Credence:
         self.prediction_log = {}
 
     def _predict(self, packet: PacketId, features) -> PredictionLabel:
-        try:
-            label = self.oracle.predict(packet, features)
-        except PredictionUnavailable:
-            label = PredictionLabel.NEGATIVE if self.fallback_accept else PredictionLabel.POSITIVE
+        label = self.oracle.predict(packet, features)
         if self.record_predictions:
             self.prediction_log[packet] = label
         return label

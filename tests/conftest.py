@@ -27,6 +27,27 @@ def random_tiny_sequence(rng: random.Random, num_ports: int, max_packets: int = 
     return ArrivalSequence(slots)
 
 
+# one stump over feature 0; each case breaks it in one way
+GOOD_MODEL = {
+    "format_version": 1,
+    "feature_count": 4,
+    "max_depth": 1,
+    "trees": [{"feature_index": 0, "threshold": 1.0, "left": 0, "right": 1}],
+}
+BAD_MODELS = {
+    "no_trees": ({k: v for k, v in GOOD_MODEL.items() if k != "trees"}, "missing the 'trees' key"),
+    "feature_index": (
+        {**GOOD_MODEL, "trees": [{"feature_index": 9, "threshold": 1.0, "left": 0, "right": 1}]},
+        r"feature_index 9 outside \[0, 4\)",
+    ),
+    "too_deep": (
+        {**GOOD_MODEL, "trees": [{"feature_index": 0, "threshold": 1.0, "left": 0,
+                                  "right": {"feature_index": 1, "threshold": 2.0, "left": 0, "right": 1}}]},
+        "deeper than max_depth 1",
+    ),
+}
+
+
 @pytest.fixture
 def small_config() -> SwitchConfig:
     return SwitchConfig(num_ports=4, buffer_size=8)

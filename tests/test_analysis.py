@@ -13,16 +13,19 @@ from shbuf import (
     LongestQueueDrop,
     PerfectOracle,
     SwitchConfig,
+    ThresholdState,
     run_simulation,
 )
 from shbuf.analysis import (
     InstanceTooLarge,
     LQD_COMPETITIVE_RATIO,
+    ThresholdDivergence,
     brute_force_opt,
     competitive_estimate,
     competitive_sweep,
     compute_eta,
     eta_upper_bound,
+    find_threshold_divergence,
     simulate_with_prediction_log,
     throughput,
     write_error_report,
@@ -309,3 +312,16 @@ def test_error_report_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "eta,eta_bound,tp,fp,tn,fn,lqd_tx,flqd_reduced_tx"
     assert len(lines) == 2
+
+
+@pytest.mark.parametrize(
+    "slots, expected",
+    [
+        ([[0]], ThresholdDivergence("follow_lqd", "departure", 0, 0, [1, 0], [0, 0])),
+        ([[], [1]], ThresholdDivergence("follow_lqd", "departure", 1, 1, [0, 1], [0, 0])),
+    ],
+)
+def test_divergence_names_the_first_mismatching_event(monkeypatch, slots, expected):
+    # thresholds that never drain part from LQD's queues at the first departure
+    monkeypatch.setattr(ThresholdState, "on_departure", lambda self, port: None)
+    assert find_threshold_divergence(SwitchConfig(2, 4), ArrivalSequence(slots)) == expected

@@ -1,3 +1,4 @@
+import json
 import os
 
 import pytest
@@ -6,6 +7,8 @@ from shbuf import SwitchConfig
 from shbuf.cli import EXIT_CONFIG, EXIT_OK, EXIT_REFUSED, main
 from shbuf.learner import collect_trace, save_examples
 from shbuf.workloads import poisson_bursts
+
+from conftest import BAD_MODELS
 
 
 @pytest.fixture
@@ -172,3 +175,44 @@ def test_sidecar_reflects_effective_config(tmp_path):
     assert "command = gen" in sidecar
     assert "seed = 9" in sidecar
     assert "burst = 8" in sidecar
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MODELS))
+@pytest.mark.parametrize("command", ["evaluate", "simulate"])
+def test_bad_model_exits_2(tmp_path, capsys, trace_csv, case, command):
+    model = tmp_path / "bad.json"
+    model.write_text(json.dumps(BAD_MODELS[case][0]))
+    if command == "evaluate":
+        argv = ["evaluate", "--model", str(model), "--data", str(trace_csv),
+                "--out", str(tmp_path / "metrics.csv")]
+    else:
+        argv = ["simulate", "--ports", "8", "--buffer", "32", "--workload", "poisson_bursts",
+                "--rate", "0.03", "--horizon", "300", "--policy", "credence",
+                "--oracle", "forest", "--model", str(model)]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_bad_example_label_exits_2(tmp_path, capsys):
+    data = tmp_path / "examples.csv"
+    data.write_text("q,q_ewma,Q,Q_ewma,label\n" + "1,0.5,3,1.5,0\n" * 4 + "2,1.0,4,2.0,7\n")
+    assert main(["train", "--data", str(data), "--out", str(tmp_path / "m.json")]) == EXIT_CONFIG
+    assert "label must be 0 or 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("chart", [False, True])
+def test_sweep_empty_p_list_exits_2(tmp_path, capsys, chart):
+    out = tmp_path / "sweep.csv"
+    extra = ["--chart", str(tmp_path / "sweep.svg")] if chart else []
+    assert main(["sweep", "--ports", "4", "--buffer", "8", "--rate", "0.05", "--horizon", "50",
+                 "--p-list", "", "--seeds", "1", "--out", str(out), *extra]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_opt_negative_cap_exits_2(capsys):
+    assert main(["opt", "--ports", "2", "--buffer", "4", "--workload", "uniform_random",
+                 "--load", "1.0", "--horizon", "5", "--cap", "-1"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: --cap must be >= 0\n"

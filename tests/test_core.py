@@ -1,23 +1,26 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shbuf import (
     ArrivalSequence,
     CompleteSharing,
+    Credence,
     DynamicThresholds,
     FollowLqd,
     LongestQueueDrop,
     PacketId,
+    PerfectOracle,
     SwitchConfig,
-    SwitchState,
     Verdict,
-    drain_order,
     load_sequence,
     run_simulation,
     save_outcomes,
     save_sequence,
 )
+from shbuf.analysis import find_threshold_divergence, throughput
 from shbuf.core import PolicyError, Simulation
 from shbuf.policies import Decision
 from shbuf.workloads import single_burst
@@ -44,7 +47,7 @@ def test_empty_sequence_any_policy():
         result = run_simulation(cfg, ArrivalSequence([]), policy)
         assert result.transmitted_count == 0
         assert result.dropped_count == 0
-        assert result.outcomes == []
+        assert result.verdicts == []
 
 
 def test_single_packet_complete_sharing():
@@ -70,35 +73,6 @@ def test_sequence_validation_rejects_bad_input():
         run_simulation(cfg, ArrivalSequence([[2]]), CompleteSharing())
 
 
-def _state_with(lengths):
-    state = SwitchState(len(lengths))
-    for port, length in enumerate(lengths):
-        for i in range(length):
-            state.push(port, PacketId(0, port * 100 + i))
-    return state
-
-
-def test_drain_order_examples():
-    state = _state_with([3, 0, 1, 0])
-    drained = drain_order(state)
-    assert len(drained) == 2
-    assert state.queue_len == [2, 0, 0, 0]
-
-    assert drain_order(_state_with([0, 0, 0, 0])) == []
-
-    state = _state_with([1, 1, 1, 1])
-    assert len(drain_order(state)) == 4
-    assert state.occupancy == 0
-
-
-def test_drain_order_takes_heads_in_port_order():
-    state = SwitchState(2)
-    state.push(0, PacketId(0, 0))
-    state.push(0, PacketId(0, 1))
-    state.push(1, PacketId(0, 2))
-    assert drain_order(state) == [PacketId(0, 0), PacketId(0, 2)]
-
-
 def test_occupancy_bound_after_every_event(small_config):
     rng = random.Random(7)
     for policy in (CompleteSharing(), LongestQueueDrop(), FollowLqd(), DynamicThresholds()):
@@ -121,8 +95,8 @@ def test_conservation_and_outcome_totality(small_config):
         seq = random_sequence(rng, small_config.num_ports, 60, 0.7)
         result = run_simulation(small_config, seq, policy)
         assert result.transmitted_count + result.dropped_count == seq.total_packets
-        assert len(result.outcomes) == seq.total_packets
-        assert len({o.packet for o in result.outcomes}) == seq.total_packets
+        assert len(result.verdicts) == seq.total_packets
+        assert result.verdicts.count(Verdict.TRANSMITTED) == result.transmitted_count
 
 
 def test_drop_tail_policies_never_push_out(small_config):
@@ -130,7 +104,7 @@ def test_drop_tail_policies_never_push_out(small_config):
     for policy in (CompleteSharing(), DynamicThresholds(), FollowLqd()):
         seq = random_sequence(rng, small_config.num_ports, 60, 0.9)
         result = run_simulation(small_config, seq, policy)
-        assert all(o.verdict is not Verdict.PUSHED_OUT for o in result.outcomes)
+        assert Verdict.PUSHED_OUT not in result.verdicts
 
 
 def test_work_conservation(small_config):
@@ -160,11 +134,11 @@ def test_identical_runs_are_byte_identical(small_config, tmp_path):
     assert paths[0] == paths[1]
 
 
-def test_occupancy_series_tracks_arrival_phase():
+def test_peak_occupancy_tracks_arrival_phase():
     cfg = SwitchConfig(4, 16)
     result = run_simulation(cfg, single_burst(cfg, 16), LongestQueueDrop())
-    # 4 arrivals per slot, one departure per slot while the queue is backed up
-    assert result.occupancy_series[:4] == [4, 7, 10, 13]
+    # 4 arrivals per slot, one departure per slot while the queue is backed up:
+    # the occupancy after each arrival phase is 4, 7, 10, 13
     assert result.peak_occupancy == 13
 
 
@@ -233,3 +207,35 @@ def test_simulator_rejects_illegal_decisions():
         run_simulation(cfg, ArrivalSequence([[0, 1]]), _OverflowPolicy())
     with pytest.raises(PolicyError, match="push-out"):
         run_simulation(cfg, ArrivalSequence([[0]]), _BadPushout())
+
+
+@st.composite
+def small_instances(draw):
+    num_ports = draw(st.integers(1, 4))
+    buffer_size = draw(st.integers(1, 8))
+    row = st.lists(st.integers(0, num_ports - 1), max_size=num_ports)
+    slots = draw(st.lists(row, max_size=12))
+    return SwitchConfig(num_ports, buffer_size), ArrivalSequence(slots)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(small_instances())
+def test_every_run_records_one_verdict_per_arrival(instance):
+    config, sequence = instance
+    lqd = run_simulation(config, sequence, LongestQueueDrop())
+    makers = {
+        "complete_sharing": CompleteSharing,
+        "dynamic_thresholds": DynamicThresholds,
+        "lqd": LongestQueueDrop,
+        "follow_lqd": FollowLqd,
+        "credence": lambda: Credence(PerfectOracle.from_run(lqd)),
+    }
+    for name, make in makers.items():
+        result = run_simulation(config, sequence, make())
+        assert len(result.verdicts) == sequence.total_packets
+        assert result.verdicts.count(Verdict.TRANSMITTED) == result.transmitted_count
+        assert result.transmitted_count + result.dropped_count == sequence.total_packets
+        if name != "lqd":
+            assert Verdict.PUSHED_OUT not in result.verdicts
+        assert throughput(config, sequence, make()) == result.transmitted_count
+    assert find_threshold_divergence(config, sequence) is None

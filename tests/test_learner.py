@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -8,6 +9,7 @@ from shbuf import (
     FeatureVector,
     LongestQueueDrop,
     SwitchConfig,
+    Verdict,
     run_simulation,
 )
 from shbuf.learner import (
@@ -28,6 +30,8 @@ from shbuf.learner import (
 )
 from shbuf.oracles import PredictionLabel
 from shbuf.workloads import followlqd_adversary, poisson_bursts, uniform_random
+
+from conftest import BAD_MODELS
 
 POS = PredictionLabel.POSITIVE
 NEG = PredictionLabel.NEGATIVE
@@ -67,11 +71,9 @@ def test_collect_trace_labels_match_lqd_outcomes():
     seq = followlqd_adversary(cfg, 2)
     examples = collect_trace(cfg, seq)
     result = run_simulation(cfg, seq, LongestQueueDrop())
-    verdicts = result.verdicts()
-    for (packet, _port), example in zip(seq.packets(), examples):
-        from shbuf import Verdict
-
-        expected = NEG if verdicts[packet] is Verdict.TRANSMITTED else POS
+    assert len(examples) == len(result.verdicts)
+    for verdict, example in zip(result.verdicts, examples):
+        expected = NEG if verdict is Verdict.TRANSMITTED else POS
         assert example.label is expected
     assert any(example.label is POS for example in examples)
 
@@ -155,6 +157,22 @@ def test_examples_file_round_trip(tmp_path):
     save_examples(examples, path)
     assert path.read_text().splitlines()[0] == "q,q_ewma,Q,Q_ewma,label"
     assert load_examples(path) == examples
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MODELS))
+def test_load_forest_rejects_malformed_models(tmp_path, case):
+    payload, message = BAD_MODELS[case]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=message):
+        load_forest(path)
+
+
+def test_load_examples_rejects_labels_other_than_0_and_1(tmp_path):
+    path = tmp_path / "examples.csv"
+    path.write_text("q,q_ewma,Q,Q_ewma,label\n1,0.5,3,1.5,0\n2,1.0,4,2.0,7\n")
+    with pytest.raises(ValueError, match=":3: label must be 0 or 1, got '7'"):
+        load_examples(path)
 
 
 # --- metrics ------------------------------------------------------------------

@@ -19,12 +19,7 @@ from shbuf import (
 )
 from shbuf.analysis import find_threshold_divergence, throughput
 from shbuf.core import Simulation
-from shbuf.oracles import (
-    ConstantOracle,
-    FlipOracle,
-    PredictionLabel,
-    PredictionUnavailable,
-)
+from shbuf.oracles import ConstantOracle, FlipOracle, PredictionLabel
 from shbuf.workloads import followlqd_adversary, followlqd_adversary_fill
 
 from conftest import random_sequence
@@ -273,22 +268,6 @@ def test_credence_full_buffer_drop_skips_oracle():
     assert policy.thresholds.thresholds[1] > state.queue_len[1]
     assert not decision.accept
     assert oracle.calls == 0
-
-
-class _FailingOracle:
-    def predict(self, packet, features):
-        raise PredictionUnavailable("offline")
-
-
-def test_credence_oracle_failure_falls_back():
-    policy = Credence(_FailingOracle())
-    policy.reset(SwitchConfig(4, 16))
-    state = _state_with([4, 0, 0, 0])
-    assert policy.on_arrival(1, PID, state).accept  # default fallback accepts
-
-    policy = Credence(_FailingOracle(), fallback_accept=False)
-    policy.reset(SwitchConfig(4, 16))
-    assert not policy.on_arrival(1, PID, _state_with([4, 0, 0, 0])).accept
 
 
 def test_credence_drop_implies_long_queue():
