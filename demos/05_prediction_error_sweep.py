@@ -41,7 +41,7 @@ truth = ground_truth_from_run(run_simulation(narrow, sequence, LongestQueueDrop(
 print(f"\nerror ratio vs its ceiling at N={narrow.num_ports}, B={narrow.buffer_size}:")
 print(f"{'flip p':>6} {'eta':>7} {'bound':>8}")
 for p in (0.0, 0.01, 0.03, 0.05):
-    oracle = FlipOracle(PerfectOracle(truth), p, seed=0)
+    oracle = FlipOracle(PerfectOracle(truth), p, seed=0, sequence=sequence)
     _, predictions = simulate_with_prediction_log(narrow, sequence, oracle)
     report = compute_eta(narrow, sequence, predictions, truth)
     print(f"{p:>6.2f} {report.eta:>7.3f} {report.eta_bound:>8.3f}")

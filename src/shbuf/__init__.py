@@ -5,12 +5,12 @@ shared across all ports, together with classic buffer-sharing policies
 (CompleteSharing, DynamicThresholds, push-out LongestQueueDrop), the
 threshold-following drop-tail policies FollowLqd and Credence, drop-prediction
 oracles and a small random-forest trainer for them, and analysis tools for
-measuring prediction error and empirical competitive ratios.
+measuring prediction error and empirical competitive ratios. A packet is
+identified by its arrival index: 0, 1, 2, ... in arrival order.
 """
 
 from .core import (
     ArrivalSequence,
-    PacketId,
     RunResult,
     SwitchConfig,
     SwitchState,

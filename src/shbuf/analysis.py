@@ -18,7 +18,6 @@ from typing import Mapping, Optional, Sequence, Union
 
 from .core import (
     ArrivalSequence,
-    PacketId,
     RunResult,
     Simulation,
     SwitchConfig,
@@ -28,9 +27,10 @@ from .core import (
 from .learner import ConfusionCounts
 from .oracles import (
     ConstantOracle,
+    FlipOracle,
     Oracle,
+    PerfectOracle,
     PredictionLabel,
-    ground_truth_from_run,
 )
 from .policies import (
     CompleteSharing,
@@ -79,12 +79,12 @@ def simulate_with_prediction_log(
     sequence: ArrivalSequence,
     oracle: Oracle,
     feature_window: int = 16,
-) -> tuple[RunResult, dict[PacketId, PredictionLabel]]:
+) -> tuple[RunResult, list[PredictionLabel]]:
     """Run Credence while recording the oracle's label for every packet.
 
     The oracle is queried even for packets whose fate the safeguard or the
-    thresholds decided, so the log covers the whole sequence and can feed
-    the error ratio directly.
+    thresholds decided, so the log holds one label per arrival, in arrival
+    order, and can feed the error ratio directly.
     """
     policy = Credence(oracle, record_predictions=True, feature_window=feature_window)
     return run_simulation(config, sequence, policy), policy.prediction_log
@@ -104,12 +104,13 @@ class ErrorReport:
 def compute_eta(
     config: SwitchConfig,
     sequence: ArrivalSequence,
-    predictions: Mapping[PacketId, PredictionLabel],
-    truth: Mapping[PacketId, bool],
+    predictions: Union[Sequence[PredictionLabel], Mapping[int, PredictionLabel]],
+    truth: Union[Sequence[bool], Mapping[int, bool]],
 ) -> ErrorReport:
     """Measure prediction error as LQD(sequence) / FollowLqd(reduced sequence).
 
-    The reduced sequence deletes every packet with a POSITIVE prediction
+    ``predictions`` and ``truth`` are indexed by arrival index, as lists or
+    mappings. The reduced sequence deletes every packet with a POSITIVE prediction
     (true or false) while preserving slot timing and the within-slot order of
     the survivors. Corner cases: 0/0 is reported as 1 (a drop-free sequence,
     where every policy here coincides) and x/0 as +inf.
@@ -128,23 +129,24 @@ def compute_eta(
 
 def _classify_and_reduce(
     sequence: ArrivalSequence,
-    predictions: Mapping[PacketId, PredictionLabel],
-    truth: Mapping[PacketId, bool],
+    predictions: Union[Sequence[PredictionLabel], Mapping[int, PredictionLabel]],
+    truth: Union[Sequence[bool], Mapping[int, bool]],
 ) -> tuple[ConfusionCounts, ArrivalSequence]:
     tp = fp = tn = fn = 0
     reduced_slots: list[list[int]] = []
-    for slot_index, row in enumerate(sequence.slots):
+    index = 0
+    for row in sequence.slots:
         survivors: list[int] = []
-        for pos, port in enumerate(row):
-            packet = PacketId(slot_index, pos)
+        for port in row:
             try:
-                label = predictions[packet]
-                dropped = truth[packet]
-            except KeyError:
+                label = predictions[index]
+                dropped = truth[index]
+            except (KeyError, IndexError):
                 raise ValueError(
-                    f"packet {packet} missing from predictions or ground truth; "
+                    f"packet {index} missing from predictions or ground truth; "
                     "coverage must be total"
                 ) from None
+            index += 1
             if label is PredictionLabel.POSITIVE:
                 if dropped:
                     tp += 1
@@ -313,8 +315,6 @@ def competitive_sweep(
     DynamicThresholds, and by Credence with the recorded predictions flipped
     at each probability in ``p_values``. Rows are ordered by (p, seed).
     """
-    from .oracles import FlipOracle, PerfectOracle
-
     rows = []
     for p in p_values:
         if not 0.0 <= p <= 1.0:
@@ -323,13 +323,13 @@ def competitive_sweep(
     for seed in seeds:
         sequence = poisson_bursts(config, rate, horizon, seed)
         lqd_result = run_simulation(config, sequence, LongestQueueDrop())
-        oracle = PerfectOracle(ground_truth_from_run(lqd_result))
+        oracle = PerfectOracle.from_run(lqd_result)
         dt_tx = throughput(config, sequence, DynamicThresholds(dt_alpha))
         per_seed[seed] = (sequence, oracle, lqd_result.transmitted_count, dt_tx)
     for p in p_values:
         for seed in seeds:
             sequence, oracle, lqd_tx, dt_tx = per_seed[seed]
-            flipped = FlipOracle(oracle, p, seed)
+            flipped = FlipOracle(oracle, p, seed, sequence)
             credence_tx = throughput(config, sequence, Credence(flipped))
             rows.append(SweepRow(p, seed, lqd_tx, credence_tx, dt_tx))
     return rows
@@ -367,7 +367,7 @@ class ThresholdDivergence:
     policy_name: str
     event: str
     slot: int
-    detail: Union[PacketId, int]
+    detail: int  # the arrival index of an "arrival" event, the port of a "departure"
     thresholds: list[int]
     lqd_queue_len: list[int]
 
@@ -402,13 +402,12 @@ class _Lockstep:
     def occupancy(self) -> int:
         return self.follow_sim.occupancy + self.credence_sim.occupancy + self.lqd_sim.occupancy
 
-    def arrive(self, packet: PacketId, port: int) -> None:
-        self.follow_sim.arrive(packet, port)
-        self.credence_sim.arrive(packet, port)
-        self.lqd_sim.arrive(packet, port)
-        self.slot = packet.slot
+    def arrive(self, port: int) -> None:
+        self.follow_sim.arrive(port)
+        self.credence_sim.arrive(port)
+        self.lqd_sim.arrive(port)
         if self._follow != self._lqd or self._credence != self._lqd:
-            self._diverged("arrival", packet)
+            self._diverged("arrival", len(self.lqd_sim.verdicts) - 1)
 
     def depart_port(self, port: int) -> None:
         self.follow_sim.depart_port(port)
@@ -419,7 +418,7 @@ class _Lockstep:
         if port == self._last_port:
             self.slot += 1
 
-    def _diverged(self, event: str, detail: Union[PacketId, int]) -> None:
+    def _diverged(self, event: str, detail: int) -> None:
         policy = next(p for p in self.policies if p.thresholds.thresholds != self._lqd)
         thresholds = list(policy.thresholds.thresholds)
         raise _Diverged(ThresholdDivergence(policy.name, event, self.slot, detail, thresholds, list(self._lqd)))

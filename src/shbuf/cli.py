@@ -240,12 +240,11 @@ def _build_oracle(resolved: dict[str, str], config: SwitchConfig, sequence: Arri
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot load model: {exc}") from None
     # perfect and flip both replay a LongestQueueDrop run over the same trace
-    truth = ground_truth_from_run(run_simulation(config, sequence, LongestQueueDrop()))
-    oracle = PerfectOracle(truth)
+    oracle = PerfectOracle.from_run(run_simulation(config, sequence, LongestQueueDrop()))
     if kind == "flip":
         p = _setting(resolved, "flip_p", default=0.0, convert=float)
         try:
-            return FlipOracle(oracle, p, seed)
+            return FlipOracle(oracle, p, seed, sequence)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
     return oracle

@@ -9,8 +9,8 @@ running departure-only slots until the buffer is empty, so every accepted
 packet is eventually transmitted and throughput comparisons are exact.
 
 ``run_slots`` is the one loop that schedules these events; every run in the
-library goes through it. Arrivals are numbered 0, 1, 2, ... in arrival
-order, and a run's record is one ``Verdict`` per arrival in that order.
+library goes through it. A packet's identity is its arrival index (0, 1, 2,
+... in arrival order), and a run's record is one ``Verdict`` per arrival.
 """
 
 from __future__ import annotations
@@ -18,14 +18,13 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Deque, Iterator, NamedTuple, Optional
+from typing import TYPE_CHECKING, Deque, Optional
 
 if TYPE_CHECKING:
     from .policies import Policy
 
 __all__ = [
     "SwitchConfig",
-    "PacketId",
     "ArrivalSequence",
     "SwitchState",
     "Verdict",
@@ -54,13 +53,6 @@ class SwitchConfig:
             raise ValueError(f"buffer_size must be >= 1, got {self.buffer_size}")
 
 
-class PacketId(NamedTuple):
-    """Identity of one arrival. Lexicographic order equals arrival order."""
-
-    slot: int
-    pos: int
-
-
 @dataclass
 class ArrivalSequence:
     """Per-slot arrivals; each slot lists destination ports in processing order."""
@@ -74,12 +66,6 @@ class ArrivalSequence:
     @property
     def total_packets(self) -> int:
         return sum(len(row) for row in self.slots)
-
-    def packets(self) -> Iterator[tuple[PacketId, int]]:
-        """Yield ``(packet, port)`` pairs in arrival order."""
-        for slot_index, row in enumerate(self.slots):
-            for pos, port in enumerate(row):
-                yield PacketId(slot_index, pos), port
 
     def validate(self, config: SwitchConfig) -> None:
         """Raise ValueError if any slot exceeds the aggregate cap or names a bad port."""
@@ -179,11 +165,12 @@ class Simulation:
     def occupancy(self) -> int:
         return self.state.occupancy
 
-    def arrive(self, packet: PacketId, port: int) -> None:
-        """Process one arrival: ask the policy, then apply its decision."""
+    def arrive(self, port: int) -> None:
+        """Process arrival ``len(verdicts)``: ask the policy, then apply its decision."""
         state = self.state
         verdicts = self.verdicts
-        decision = self.policy.on_arrival(port, packet, state)
+        index = len(verdicts)
+        decision = self.policy.on_arrival(port, index, state)
         if not decision.accept:
             self.dropped += 1
             verdicts.append(_DROPPED_ON_ARRIVAL)
@@ -198,7 +185,7 @@ class Simulation:
             self.dropped += 1
         elif state.occupancy >= self._buffer:
             raise PolicyError("accept would overflow the buffer")
-        state.push(port, len(verdicts))
+        state.push(port, index)
         verdicts.append(_TRANSMITTED)
         if state.occupancy > self.peak_occupancy:
             self.peak_occupancy = state.occupancy
@@ -229,9 +216,9 @@ def run_slots(sim, sequence: ArrivalSequence) -> None:
     arrive = sim.arrive
     depart_port = sim.depart_port
     ports = range(sim.config.num_ports)
-    for slot_index, row in enumerate(sequence.slots):
-        for pos, port in enumerate(row):
-            arrive(PacketId(slot_index, pos), port)
+    for row in sequence.slots:
+        for port in row:
+            arrive(port)
         for port in ports:
             depart_port(port)
     while sim.occupancy:
@@ -266,8 +253,9 @@ def save_sequence(path, sequence: ArrivalSequence, comment: Optional[str] = None
     if comment is not None:
         lines.append(f"# {comment}")
     lines.append(_SEQUENCE_HEADER)
-    for packet, port in sequence.packets():
-        lines.append(f"{packet.slot},{port}")
+    for slot_index, row in enumerate(sequence.slots):
+        for port in row:
+            lines.append(f"{slot_index},{port}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -308,7 +296,9 @@ def load_sequence(path) -> ArrivalSequence:
 
 def save_outcomes(path, result: RunResult) -> None:
     lines = ["packet_slot,packet_pos,port,verdict"]
-    for (packet, port), verdict in zip(result.sequence.packets(), result.verdicts):
-        lines.append(f"{packet.slot},{packet.pos},{port},{verdict.value}")
+    verdicts = iter(result.verdicts)
+    for slot_index, row in enumerate(result.sequence.slots):
+        for pos, port in enumerate(row):
+            lines.append(f"{slot_index},{pos},{port},{next(verdicts).value}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -11,12 +11,13 @@ the lower threshold.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import ArrivalSequence, PacketId, SwitchConfig, SwitchState, Verdict, run_simulation
+from .core import ArrivalSequence, SwitchConfig, SwitchState, Verdict, run_simulation
 from .oracles import FeatureTracker, FeatureVector, PredictionLabel
 from .policies import LongestQueueDrop
 
@@ -62,9 +63,9 @@ class _FeatureSampler(LongestQueueDrop):
         self.tracker = FeatureTracker(config.num_ports, self.window)
         self.features: list[FeatureVector] = []
 
-    def on_arrival(self, port: int, packet: PacketId, state: SwitchState):
+    def on_arrival(self, port: int, index: int, state: SwitchState):
         self.features.append(self.tracker.on_arrival(port, state))
-        return super().on_arrival(port, packet, state)
+        return super().on_arrival(port, index, state)
 
 
 def collect_trace(config: SwitchConfig, sequence: ArrivalSequence, window: int = 16) -> list[LabeledExample]:
@@ -336,8 +337,8 @@ def _node_to_obj(node: Union[TreeNode, int]):
 
 def _node_from_obj(obj, feature_count: int) -> Union[TreeNode, int]:
     if isinstance(obj, int):
-        if obj not in (0, 1):
-            raise ValueError(f"leaf label must be 0 or 1, got {obj}")
+        if isinstance(obj, bool) or obj not in (0, 1):
+            raise ValueError(f"leaf label must be the integer 0 or 1, got {obj}")
         return obj
     feature_index = int(obj["feature_index"])
     if not 0 <= feature_index < feature_count:
@@ -374,11 +375,15 @@ def load_forest(path) -> ForestModel:
     try:
         feature_count = int(payload["feature_count"])
         max_depth = int(payload["max_depth"])
+        if feature_count != _FEATURE_COUNT:
+            raise ValueError(f"{path}: feature_count must be {_FEATURE_COUNT}, got {feature_count}")
         trees = [_node_from_obj(obj, feature_count) for obj in payload["trees"]]
     except KeyError as exc:
         raise ValueError(f"{path}: model is missing the {exc.args[0]!r} key") from None
     except TypeError as exc:
         raise ValueError(f"{path}: malformed model: {exc}") from None
+    if not 1 <= len(trees) <= MAX_TREES:
+        raise ValueError(f"{path}: a model holds 1 to {MAX_TREES} trees, got {len(trees)}")
     for index, tree in enumerate(trees):
         if _tree_depth(tree) > max_depth:
             raise ValueError(f"{path}: tree {index} is deeper than max_depth {max_depth}")
@@ -413,9 +418,14 @@ def load_examples(path) -> list[LabeledExample]:
             parts = line.split(",")
             if len(parts) != 5:
                 raise ValueError(f"{path}:{line_no}: expected 5 fields, got {len(parts)}")
-            features = FeatureVector(
-                int(parts[0]), float(parts[1]), int(parts[2]), float(parts[3])
-            )
+            try:
+                features = FeatureVector(
+                    int(parts[0]), float(parts[1]), int(parts[2]), float(parts[3])
+                )
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from None
+            if not all(math.isfinite(value) for value in features):
+                raise ValueError(f"{path}:{line_no}: non-finite feature in {line!r}")
             if parts[4] not in ("0", "1"):
                 raise ValueError(f"{path}:{line_no}: label must be 0 or 1, got {parts[4]!r}")
             label = PredictionLabel.POSITIVE if parts[4] == "1" else PredictionLabel.NEGATIVE

@@ -3,7 +3,8 @@
 An oracle forecasts, for each arriving packet, whether a push-out
 LongestQueueDrop instance serving the same arrival sequence would eventually
 drop it (label ``POSITIVE``) or transmit it (label ``NEGATIVE``); push-outs
-count as drops. Oracles are pure: predicting never mutates simulation state,
+count as drops. Packets are named by their arrival index (0, 1, 2, ... in
+arrival order). Oracles are pure: predicting never mutates simulation state,
 and two queries for the same packet and features return the same label.
 """
 
@@ -12,7 +13,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Protocol
 
-from .core import PacketId, RunResult, Verdict
+from .core import ArrivalSequence, RunResult, Verdict
 
 if TYPE_CHECKING:
     from .core import SwitchState
@@ -83,7 +84,7 @@ class FeatureTracker:
 
 
 class Oracle(Protocol):
-    def predict(self, packet: PacketId, features: FeatureVector) -> PredictionLabel:
+    def predict(self, index: int, features: FeatureVector) -> PredictionLabel:
         """Label one arriving packet."""
 
 
@@ -93,34 +94,31 @@ class ConstantOracle:
     def __init__(self, label: PredictionLabel) -> None:
         self.label = label
 
-    def predict(self, packet: PacketId, features: FeatureVector) -> PredictionLabel:
+    def predict(self, index: int, features: FeatureVector) -> PredictionLabel:
         return self.label
 
 
-def ground_truth_from_run(result: RunResult) -> dict[PacketId, bool]:
-    """Map every packet of a finished run to True when it was dropped or pushed out."""
-    return {
-        packet: verdict is not Verdict.TRANSMITTED
-        for (packet, _port), verdict in zip(result.sequence.packets(), result.verdicts)
-    }
+def ground_truth_from_run(result: RunResult) -> dict[int, bool]:
+    """Map every arrival index of a finished run to True when the packet was dropped or pushed out."""
+    return {index: verdict is not Verdict.TRANSMITTED for index, verdict in enumerate(result.verdicts)}
 
 
 class PerfectOracle:
     """Replays recorded per-packet outcomes, usually from a LongestQueueDrop run."""
 
-    def __init__(self, truth: Mapping[PacketId, bool]) -> None:
+    def __init__(self, truth: Mapping[int, bool]) -> None:
         self.truth = truth
 
     @classmethod
     def from_run(cls, result: RunResult) -> "PerfectOracle":
         return cls(ground_truth_from_run(result))
 
-    def predict(self, packet: PacketId, features: FeatureVector) -> PredictionLabel:
+    def predict(self, index: int, features: FeatureVector) -> PredictionLabel:
         try:
-            dropped = self.truth[packet]
+            dropped = self.truth[index]
         except KeyError:
             raise ValueError(
-                f"packet {packet} is not covered by the ground-truth trace; "
+                f"packet {index} is not covered by the ground-truth trace; "
                 "trace and arrival sequence do not match"
             ) from None
         return PredictionLabel.POSITIVE if dropped else PredictionLabel.NEGATIVE
@@ -139,27 +137,30 @@ def _mix64(x: int) -> int:
 class FlipOracle:
     """Inverts a base oracle's label with probability ``p``, per packet.
 
-    The coin for each packet is a pure function of ``(seed, packet)``, so the
-    set of flipped packets does not depend on query order or on how often a
-    packet is queried, and sweeps over ``p`` stay comparable across policies.
+    The coin for each packet of ``sequence`` is a pure function of
+    ``(seed, slot, pos)``, tossed up front into ``flips[i]`` for arrival
+    ``i``, so the set of flipped packets does not depend on query order or
+    on how often a packet is queried, and sweeps over ``p`` stay comparable
+    across policies.
     """
 
-    def __init__(self, base: Oracle, p: float, seed: int) -> None:
+    def __init__(self, base: Oracle, p: float, seed: int, sequence: ArrivalSequence) -> None:
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"flip probability must be in [0, 1], got {p}")
         self.base = base
-        self.p = p
-        self.seed = seed
+        x_seed = _mix64(seed & _MASK64)
+        self.flips: list[bool] = []
+        for slot_index, row in enumerate(sequence.slots):
+            if row:
+                x_slot = _mix64(x_seed ^ (slot_index * 0x9E3779B97F4A7C15 & _MASK64))
+                self.flips.extend(
+                    _mix64(x_slot ^ (pos * 0xC2B2AE3D27D4EB4F & _MASK64)) / 2.0**64 < p
+                    for pos in range(len(row))
+                )
 
-    def _unit(self, packet: PacketId) -> float:
-        x = _mix64(self.seed & _MASK64)
-        x = _mix64(x ^ (packet.slot * 0x9E3779B97F4A7C15 & _MASK64))
-        x = _mix64(x ^ (packet.pos * 0xC2B2AE3D27D4EB4F & _MASK64))
-        return x / 2.0**64
-
-    def predict(self, packet: PacketId, features: FeatureVector) -> PredictionLabel:
-        label = self.base.predict(packet, features)
-        if self._unit(packet) < self.p:
+    def predict(self, index: int, features: FeatureVector) -> PredictionLabel:
+        label = self.base.predict(index, features)
+        if self.flips[index]:
             return label.inverted()
         return label
 
@@ -170,5 +171,5 @@ class ForestOracle:
     def __init__(self, model: "ForestModel") -> None:
         self.model = model
 
-    def predict(self, packet: PacketId, features: FeatureVector) -> PredictionLabel:
+    def predict(self, index: int, features: FeatureVector) -> PredictionLabel:
         return self.model.predict_label(features)

@@ -14,10 +14,10 @@ Five policies over the shared-buffer model:
                              drop-prediction oracle consulted when the
                              thresholds would permit the packet.
 
-Policies see each arrival's ``PacketId`` but never touch the queues (which
-hold arrival indices); they return a ``Decision`` and the simulator applies
-it. All tie-breaking (longest queue, largest threshold) is toward the lowest
-port index so that runs are exactly reproducible.
+Policies see each arrival's index (its position in arrival order) but never
+touch the queues (which hold those indices); they return a ``Decision`` and
+the simulator applies it. All tie-breaking (longest queue, largest threshold)
+is toward the lowest port index so that runs are exactly reproducible.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Protocol, Union
 
-from .core import PacketId, SwitchConfig, SwitchState
+from .core import SwitchConfig, SwitchState
 from .oracles import FeatureTracker, Oracle, PredictionLabel
 
 __all__ = [
@@ -67,8 +67,8 @@ class Policy(Protocol):
     def reset(self, config: SwitchConfig) -> None:
         """Forget all run state and bind to a switch configuration."""
 
-    def on_arrival(self, port: int, packet: PacketId, state: SwitchState) -> Decision:
-        """Decide the fate of a packet arriving at ``port``."""
+    def on_arrival(self, port: int, index: int, state: SwitchState) -> Decision:
+        """Decide the fate of arrival ``index``, bound for ``port``."""
 
     def on_departure(self, port: int, state: SwitchState) -> None:
         """Observe the departure phase visiting ``port`` (after its drain)."""
@@ -82,7 +82,7 @@ class CompleteSharing:
     def reset(self, config: SwitchConfig) -> None:
         self._buffer = config.buffer_size
 
-    def on_arrival(self, port: int, packet: PacketId, state: SwitchState) -> Decision:
+    def on_arrival(self, port: int, index: int, state: SwitchState) -> Decision:
         return ACCEPT if state.occupancy < self._buffer else DROP
 
     def on_departure(self, port: int, state: SwitchState) -> None:
@@ -106,7 +106,7 @@ class DynamicThresholds:
     def reset(self, config: SwitchConfig) -> None:
         self._buffer = config.buffer_size
 
-    def on_arrival(self, port: int, packet: PacketId, state: SwitchState) -> Decision:
+    def on_arrival(self, port: int, index: int, state: SwitchState) -> Decision:
         free = self._buffer - state.occupancy
         if free <= 0:
             return DROP
@@ -133,7 +133,7 @@ class LongestQueueDrop:
     def reset(self, config: SwitchConfig) -> None:
         self._buffer = config.buffer_size
 
-    def on_arrival(self, port: int, packet: PacketId, state: SwitchState) -> Decision:
+    def on_arrival(self, port: int, index: int, state: SwitchState) -> Decision:
         if state.occupancy < self._buffer:
             return ACCEPT
         lengths = state.queue_len
@@ -190,7 +190,7 @@ class FollowLqd:
         self._buffer = config.buffer_size
         self.thresholds = ThresholdState(config.num_ports, config.buffer_size)
 
-    def on_arrival(self, port: int, packet: PacketId, state: SwitchState) -> Decision:
+    def on_arrival(self, port: int, index: int, state: SwitchState) -> Decision:
         mirror = self.thresholds
         mirror.on_arrival(port)
         if state.queue_len[port] < mirror.thresholds[port] and state.occupancy < self._buffer:
@@ -215,8 +215,8 @@ class Credence:
 
     With ``record_predictions=True`` the oracle is additionally queried for
     every arrival, including ones decided by the safeguard or the threshold,
-    and the labels are collected in ``prediction_log``. Oracles are pure, so
-    the extra queries cannot change any decision.
+    and ``prediction_log[i]`` holds the label of arrival ``i``. Oracles are
+    pure, so the extra queries cannot change any decision.
     """
 
     name = "credence"
@@ -230,35 +230,35 @@ class Credence:
         self.oracle = oracle
         self.record_predictions = record_predictions
         self.feature_window = feature_window
-        self.prediction_log: dict[PacketId, PredictionLabel] = {}
+        self.prediction_log: list[PredictionLabel] = []
 
     def reset(self, config: SwitchConfig) -> None:
         self._ports = config.num_ports
         self._buffer = config.buffer_size
         self.thresholds = ThresholdState(config.num_ports, config.buffer_size)
         self.features = FeatureTracker(config.num_ports, self.feature_window)
-        self.prediction_log = {}
+        self.prediction_log = []
 
-    def _predict(self, packet: PacketId, features) -> PredictionLabel:
-        label = self.oracle.predict(packet, features)
+    def _predict(self, index: int, features) -> PredictionLabel:
+        label = self.oracle.predict(index, features)
         if self.record_predictions:
-            self.prediction_log[packet] = label
+            self.prediction_log.append(label)
         return label
 
-    def on_arrival(self, port: int, packet: PacketId, state: SwitchState) -> Decision:
+    def on_arrival(self, port: int, index: int, state: SwitchState) -> Decision:
         features = self.features.on_arrival(port, state)
         mirror = self.thresholds
         mirror.on_arrival(port)
         lengths = state.queue_len
         if max(lengths) * self._ports < self._buffer:
             if self.record_predictions:
-                self._predict(packet, features)
+                self._predict(index, features)
             return ACCEPT
         if lengths[port] < mirror.thresholds[port] and state.occupancy < self._buffer:
-            label = self._predict(packet, features)
+            label = self._predict(index, features)
             return DROP if label is PredictionLabel.POSITIVE else ACCEPT
         if self.record_predictions:
-            self._predict(packet, features)
+            self._predict(index, features)
         return DROP
 
     def on_departure(self, port: int, state: SwitchState) -> None:

@@ -45,6 +45,16 @@ BAD_MODELS = {
                                   "right": {"feature_index": 1, "threshold": 2.0, "left": 0, "right": 1}}]},
         "deeper than max_depth 1",
     ),
+    "feature_count": ({**GOOD_MODEL, "feature_count": 3, "trees": [0]}, "feature_count must be 4, got 3"),
+    "empty_forest": ({**GOOD_MODEL, "trees": []}, "1 to 16 trees, got 0"),
+    "too_many_trees": ({**GOOD_MODEL, "trees": [0] * 17}, "1 to 16 trees, got 17"),
+    "bool_leaf": ({**GOOD_MODEL, "trees": [True, True, False]}, "integer 0 or 1, got True"),
+}
+# one bad row (after one good one) of a labeled-example file, and the error it must raise
+BAD_EXAMPLE_ROWS = {
+    "non_numeric": ("2,abc,4,2.0,1", "could not convert string to float: 'abc'"),
+    "nan": ("2,nan,4,2.0,1", "non-finite feature"),
+    "inf": ("2,1.0,4,-inf,0", "non-finite feature"),
 }
 
 

@@ -131,7 +131,7 @@ def test_criterion_03_robust_against_any_oracle():
             PerfectOracle(truth),
             ConstantOracle(POS),
             ConstantOracle(NEG),
-            FlipOracle(PerfectOracle(truth), 1.0, checked),
+            FlipOracle(PerfectOracle(truth), 1.0, checked, sequence),
         )
         for oracle in oracles:
             tx = throughput(config, sequence, Credence(oracle))
@@ -153,7 +153,7 @@ def test_criterion_04_error_scaled_bound_holds():
             PerfectOracle(truth),
             ConstantOracle(POS),
             ConstantOracle(NEG),
-            FlipOracle(PerfectOracle(truth), 1.0, checked),
+            FlipOracle(PerfectOracle(truth), 1.0, checked, sequence),
         )
         for oracle in oracles:
             result, predictions = simulate_with_prediction_log(config, sequence, oracle)
@@ -190,7 +190,7 @@ def test_criterion_05_eta_within_closed_form_bound():
         sequence = uniform_random(config, rng.choice((0.5, 0.8, 1.0)), 60, seed=600_000 + i)
         truth = ground_truth_from_run(run_simulation(config, sequence, LongestQueueDrop()))
         if i % 2 == 0:
-            oracle = FlipOracle(PerfectOracle(truth), flip_ps[i % len(flip_ps)], seed=i)
+            oracle = FlipOracle(PerfectOracle(truth), flip_ps[i % len(flip_ps)], seed=i, sequence=sequence)
         else:
             oracle = ForestOracle(model_a if i % 4 == 1 else model_b)
         _, predictions = simulate_with_prediction_log(config, sequence, oracle)

@@ -114,7 +114,7 @@ def test_flip_one_inverts_all_predictions():
     seq = ArrivalSequence([[0, 0, 1]])
     lqd = run_simulation(cfg, seq, LongestQueueDrop())
     truth = ground_truth_from_run(lqd)
-    oracle = FlipOracle(PerfectOracle(truth), 1.0, seed=0)
+    oracle = FlipOracle(PerfectOracle(truth), 1.0, seed=0, sequence=seq)
     _, predictions = simulate_with_prediction_log(cfg, seq, oracle)
     report = compute_eta(cfg, seq, predictions, truth)
     assert report.confusion.tp == 0 and report.confusion.tn == 0
@@ -149,7 +149,7 @@ def test_eta_bounded_by_formula_on_random_instances():
             continue
         lqd = run_simulation(cfg, seq, LongestQueueDrop())
         truth = ground_truth_from_run(lqd)
-        oracle = FlipOracle(PerfectOracle(truth), rng.choice((0.1, 0.3, 0.5)), seed=trial)
+        oracle = FlipOracle(PerfectOracle(truth), rng.choice((0.1, 0.3, 0.5)), seed=trial, sequence=seq)
         _, predictions = simulate_with_prediction_log(cfg, seq, oracle)
         report = compute_eta(cfg, seq, predictions, truth)
         c = report.confusion
@@ -247,7 +247,7 @@ def test_robustness_and_smoothness_bounds_hold():
             PerfectOracle(truth),
             ConstantOracle(POS),
             ConstantOracle(NEG),
-            FlipOracle(PerfectOracle(truth), 1.0, trial),
+            FlipOracle(PerfectOracle(truth), 1.0, trial, seq),
         )
         for oracle in oracles:
             result, predictions = simulate_with_prediction_log(cfg, seq, oracle)
@@ -319,9 +319,11 @@ def test_error_report_csv(tmp_path):
     [
         ([[0]], ThresholdDivergence("follow_lqd", "departure", 0, 0, [1, 0], [0, 0])),
         ([[], [1]], ThresholdDivergence("follow_lqd", "departure", 1, 1, [0, 1], [0, 0])),
+        ([[0]], ThresholdDivergence("follow_lqd", "arrival", 0, 0, [0, 0], [1, 0])),
     ],
 )
 def test_divergence_names_the_first_mismatching_event(monkeypatch, slots, expected):
-    # thresholds that never drain part from LQD's queues at the first departure
-    monkeypatch.setattr(ThresholdState, "on_departure", lambda self, port: None)
+    # thresholds that never drain (or never grow) part from LQD's queues at
+    # the first departure (or arrival); the expected event names the method
+    monkeypatch.setattr(ThresholdState, f"on_{expected.event}", lambda self, port: None)
     assert find_threshold_divergence(SwitchConfig(2, 4), ArrivalSequence(slots)) == expected

@@ -8,7 +8,7 @@ from shbuf.cli import EXIT_CONFIG, EXIT_OK, EXIT_REFUSED, main
 from shbuf.learner import collect_trace, save_examples
 from shbuf.workloads import poisson_bursts
 
-from conftest import BAD_MODELS
+from conftest import BAD_EXAMPLE_ROWS, BAD_MODELS
 
 
 @pytest.fixture
@@ -199,6 +199,15 @@ def test_bad_example_label_exits_2(tmp_path, capsys):
     data.write_text("q,q_ewma,Q,Q_ewma,label\n" + "1,0.5,3,1.5,0\n" * 4 + "2,1.0,4,2.0,7\n")
     assert main(["train", "--data", str(data), "--out", str(tmp_path / "m.json")]) == EXIT_CONFIG
     assert "label must be 0 or 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", sorted(BAD_EXAMPLE_ROWS))
+def test_bad_example_features_exit_2(tmp_path, capsys, case):
+    data = tmp_path / "examples.csv"
+    data.write_text("q,q_ewma,Q,Q_ewma,label\n" + "1,0.5,3,1.5,0\n" * 4 + BAD_EXAMPLE_ROWS[case][0] + "\n")
+    assert main(["train", "--data", str(data), "--out", str(tmp_path / "m.json")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "examples.csv:6: " in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("chart", [False, True])

@@ -11,7 +11,6 @@ from shbuf import (
     DynamicThresholds,
     FollowLqd,
     LongestQueueDrop,
-    PacketId,
     PerfectOracle,
     SwitchConfig,
     Verdict,
@@ -78,9 +77,9 @@ def test_occupancy_bound_after_every_event(small_config):
     for policy in (CompleteSharing(), LongestQueueDrop(), FollowLqd(), DynamicThresholds()):
         seq = random_sequence(rng, small_config.num_ports, 80, 0.8)
         sim = Simulation(small_config, policy)
-        for slot_index, row in enumerate(seq.slots):
-            for pos, port in enumerate(row):
-                sim.arrive(PacketId(slot_index, pos), port)
+        for row in seq.slots:
+            for port in row:
+                sim.arrive(port)
                 assert 0 <= sim.state.occupancy <= small_config.buffer_size
                 assert sim.state.occupancy == sum(sim.state.queue_len)
             sim.depart_phase()
@@ -112,9 +111,9 @@ def test_work_conservation(small_config):
     rng = random.Random(17)
     seq = random_sequence(rng, small_config.num_ports, 50, 0.8)
     sim = Simulation(small_config, LongestQueueDrop())
-    for slot_index, row in enumerate(seq.slots):
-        for pos, port in enumerate(row):
-            sim.arrive(PacketId(slot_index, pos), port)
+    for row in seq.slots:
+        for port in row:
+            sim.arrive(port)
         nonempty = sum(1 for q in sim.state.queue_len if q)
         before = sim.transmitted
         sim.depart_phase()
@@ -181,7 +180,7 @@ class _OverflowPolicy:
     def reset(self, config):
         pass
 
-    def on_arrival(self, port, packet, state):
+    def on_arrival(self, port, index, state):
         return Decision(True)
 
     def on_departure(self, port, state):
@@ -194,7 +193,7 @@ class _BadPushout:
     def reset(self, config):
         pass
 
-    def on_arrival(self, port, packet, state):
+    def on_arrival(self, port, index, state):
         return Decision(True, pushout_victim=port)
 
     def on_departure(self, port, state):

@@ -31,7 +31,7 @@ from shbuf.learner import (
 from shbuf.oracles import PredictionLabel
 from shbuf.workloads import followlqd_adversary, poisson_bursts, uniform_random
 
-from conftest import BAD_MODELS
+from conftest import BAD_EXAMPLE_ROWS, BAD_MODELS
 
 POS = PredictionLabel.POSITIVE
 NEG = PredictionLabel.NEGATIVE
@@ -172,6 +172,15 @@ def test_load_examples_rejects_labels_other_than_0_and_1(tmp_path):
     path = tmp_path / "examples.csv"
     path.write_text("q,q_ewma,Q,Q_ewma,label\n1,0.5,3,1.5,0\n2,1.0,4,2.0,7\n")
     with pytest.raises(ValueError, match=":3: label must be 0 or 1, got '7'"):
+        load_examples(path)
+
+
+@pytest.mark.parametrize("case", sorted(BAD_EXAMPLE_ROWS))
+def test_load_examples_rejects_bad_features_naming_the_line(tmp_path, case):
+    row, message = BAD_EXAMPLE_ROWS[case]
+    path = tmp_path / "examples.csv"
+    path.write_text(f"q,q_ewma,Q,Q_ewma,label\n1,0.5,3,1.5,0\n{row}\n")
+    with pytest.raises(ValueError, match=f"examples.csv:3: {message}"):
         load_examples(path)
 
 

@@ -8,7 +8,6 @@ from shbuf import (
     FeatureVector,
     FlipOracle,
     LongestQueueDrop,
-    PacketId,
     PerfectOracle,
     SwitchConfig,
     SwitchState,
@@ -41,14 +40,14 @@ def test_perfect_oracle_counts_pushout_as_drop():
     seq = ArrivalSequence([[0, 0, 1]])
     result = run_simulation(cfg, seq, LongestQueueDrop())
     truth = ground_truth_from_run(result)
-    assert truth[PacketId(0, 1)] is True
-    assert PerfectOracle(truth).predict(PacketId(0, 1), FEATURES) is PredictionLabel.POSITIVE
+    assert truth[1] is True
+    assert PerfectOracle(truth).predict(1, FEATURES) is PredictionLabel.POSITIVE
 
 
 def test_perfect_oracle_rejects_unknown_packet():
-    oracle = PerfectOracle({PacketId(0, 0): False})
+    oracle = PerfectOracle({0: False})
     with pytest.raises(ValueError, match="not covered"):
-        oracle.predict(PacketId(5, 0), FEATURES)
+        oracle.predict(5, FEATURES)
 
 
 def test_drop_free_run_is_all_negative():
@@ -61,33 +60,30 @@ def test_drop_free_run_is_all_negative():
 
 def test_flip_oracle_identity_at_zero():
     base = ConstantOracle(PredictionLabel.NEGATIVE)
-    flip = FlipOracle(base, 0.0, seed=3)
-    for i in range(200):
-        assert flip.predict(PacketId(i, i % 7), FEATURES) is PredictionLabel.NEGATIVE
+    seq = ArrivalSequence([[0] * (i % 7 + 1) for i in range(200)])
+    flip = FlipOracle(base, 0.0, seed=3, sequence=seq)
+    for i in range(seq.total_packets):
+        assert flip.predict(i, FEATURES) is PredictionLabel.NEGATIVE
 
 
 def test_flip_oracle_total_inversion_at_one():
     base = ConstantOracle(PredictionLabel.NEGATIVE)
-    flip = FlipOracle(base, 1.0, seed=3)
+    flip = FlipOracle(base, 1.0, seed=3, sequence=ArrivalSequence([[0]] * 200))
     for i in range(200):
-        assert flip.predict(PacketId(i, 0), FEATURES) is PredictionLabel.POSITIVE
+        assert flip.predict(i, FEATURES) is PredictionLabel.POSITIVE
 
 
 def test_flip_oracle_concentration():
     base = ConstantOracle(PredictionLabel.NEGATIVE)
-    flip = FlipOracle(base, 0.5, seed=99)
-    flips = sum(
-        flip.predict(PacketId(slot, pos), FEATURES) is PredictionLabel.POSITIVE
-        for slot in range(1000)
-        for pos in range(10)
-    )
+    flip = FlipOracle(base, 0.5, seed=99, sequence=ArrivalSequence([[0] * 10] * 1000))
+    flips = sum(flip.predict(i, FEATURES) is PredictionLabel.POSITIVE for i in range(10_000))
     assert abs(flips / 10_000 - 0.5) <= 0.02
 
 
 def test_flip_oracle_is_keyed_per_packet():
     base = ConstantOracle(PredictionLabel.NEGATIVE)
-    flip = FlipOracle(base, 0.5, seed=123)
-    packets = [PacketId(slot, pos) for slot in range(50) for pos in range(4)]
+    flip = FlipOracle(base, 0.5, seed=123, sequence=ArrivalSequence([[0] * 4] * 50))
+    packets = range(200)
     forward = [flip.predict(p, FEATURES) for p in packets]
     backward = [flip.predict(p, FEATURES) for p in reversed(packets)]
     assert forward == list(reversed(backward))
@@ -95,9 +91,38 @@ def test_flip_oracle_is_keyed_per_packet():
     assert forward == [flip.predict(p, FEATURES) for p in packets]
 
 
+def _reference_coin(seed, slot, pos):
+    # the splitmix64 coin of (seed, slot, pos), written out independently
+    mask = (1 << 64) - 1
+
+    def mix(x):
+        x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & mask
+        x = (x ^ (x >> 27)) * 0x94D049BB133111EB & mask
+        return x ^ (x >> 31)
+
+    x = mix(seed & mask)
+    x = mix(x ^ (slot * 0x9E3779B97F4A7C15 & mask))
+    x = mix(x ^ (pos * 0xC2B2AE3D27D4EB4F & mask))
+    return x / 2.0**64
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**64 + 3])
+def test_flip_oracle_coins_follow_slot_and_position(seed):
+    # arrival indices skip empty slots, so index i is not slot i
+    rng = random.Random(seed)
+    ragged = [[0] * rng.choice((0, 0, 1, 3, 8)) for _ in range(300)]
+    base = ConstantOracle(PredictionLabel.NEGATIVE)
+    for slots in ([[], [0, 1, 2], [], [], [1], [2, 0], []], ragged):
+        coins = [_reference_coin(seed, slot, pos) for slot, row in enumerate(slots) for pos in range(len(row))]
+        for p in (0.1, 0.5, 0.9):
+            flip = FlipOracle(base, p, seed, ArrivalSequence(slots))
+            labels = [flip.predict(i, FEATURES) for i in range(len(coins))]
+            assert labels == [PredictionLabel.POSITIVE if coin < p else PredictionLabel.NEGATIVE for coin in coins]
+
+
 def test_flip_oracle_rejects_bad_probability():
     with pytest.raises(ValueError):
-        FlipOracle(ConstantOracle(PredictionLabel.NEGATIVE), 1.5, seed=0)
+        FlipOracle(ConstantOracle(PredictionLabel.NEGATIVE), 1.5, seed=0, sequence=ArrivalSequence([]))
 
 
 def test_feature_tracker_ewma():
@@ -126,16 +151,16 @@ def test_feature_tracker_rejects_bad_window():
 def test_forest_oracle_single_leaf():
     model = ForestModel(trees=[0], max_depth=1, feature_count=4)
     oracle = ForestOracle(model)
-    assert oracle.predict(PacketId(0, 0), FEATURES) is PredictionLabel.NEGATIVE
+    assert oracle.predict(0, FEATURES) is PredictionLabel.NEGATIVE
 
 
 def test_forest_oracle_tie_votes_negative():
     drop_leaf = 1
     keep_leaf = 0
     model = ForestModel(trees=[drop_leaf, drop_leaf, keep_leaf, keep_leaf], max_depth=1, feature_count=4)
-    assert ForestOracle(model).predict(PacketId(0, 0), FEATURES) is PredictionLabel.NEGATIVE
+    assert ForestOracle(model).predict(0, FEATURES) is PredictionLabel.NEGATIVE
     model = ForestModel(trees=[drop_leaf, drop_leaf, drop_leaf, keep_leaf], max_depth=1, feature_count=4)
-    assert ForestOracle(model).predict(PacketId(0, 0), FEATURES) is PredictionLabel.POSITIVE
+    assert ForestOracle(model).predict(0, FEATURES) is PredictionLabel.POSITIVE
 
 
 def test_forest_model_rejects_feature_mismatch():
@@ -161,7 +186,7 @@ def test_oracle_purity_under_simulation():
     cfg = SwitchConfig(4, 8)
     seq = random_sequence(rng, 4, 100, 0.8)
     lqd = run_simulation(cfg, seq, LongestQueueDrop())
-    oracle = FlipOracle(PerfectOracle.from_run(lqd), 0.3, seed=5)
+    oracle = FlipOracle(PerfectOracle.from_run(lqd), 0.3, seed=5, sequence=seq)
     plain = throughput(cfg, seq, Credence(oracle))
     logged_result, log = simulate_with_prediction_log(cfg, seq, oracle)
     assert logged_result.transmitted_count == plain

@@ -10,7 +10,6 @@ from shbuf import (
     DynamicThresholds,
     FollowLqd,
     LongestQueueDrop,
-    PacketId,
     PerfectOracle,
     SwitchConfig,
     SwitchState,
@@ -29,11 +28,11 @@ def _state_with(lengths):
     state = SwitchState(len(lengths))
     for port, length in enumerate(lengths):
         for i in range(length):
-            state.push(port, PacketId(0, port * 100 + i))
+            state.push(port, port * 100 + i)
     return state
 
 
-PID = PacketId(0, 0)
+PID = 0  # arrival index
 
 
 # --- CompleteSharing ---------------------------------------------------------
@@ -92,12 +91,12 @@ def test_lqd_pushes_out_tail_of_longest_queue():
     # fill queues to [3, 1], then a packet to port 1 displaces queue 0's tail
     seq = ArrivalSequence([[0, 0], [0, 1], [1]])
     sim = Simulation(cfg, LongestQueueDrop())
-    for slot_index, row in enumerate(seq.slots[:2]):
-        for pos, port in enumerate(row):
-            sim.arrive(PacketId(slot_index, pos), port)
+    for row in seq.slots[:2]:
+        for port in row:
+            sim.arrive(port)
     assert sim.state.queue_len == [3, 1]
     tail_before = sim.state.queues[0][-1]
-    sim.arrive(PacketId(2, 0), 1)
+    sim.arrive(1)
     assert sim.state.queue_len == [2, 2]
     assert tail_before not in sim.state.queues[0]
 
@@ -186,15 +185,14 @@ def test_follow_lqd_adversary_step_drops_behind_threshold():
     fill = followlqd_adversary_fill(cfg)
     policy = FollowLqd()
     sim = Simulation(cfg, policy)
-    for slot_index, row in enumerate(fill.slots):
-        for pos, port in enumerate(row):
-            sim.arrive(PacketId(slot_index, pos), port)
+    for row in fill.slots:
+        for port in row:
+            sim.arrive(port)
         sim.depart_phase()
     assert sim.state.queue_len[0] == cfg.buffer_size - 1
-    slot = fill.num_slots
     accepted_before = sim.state.occupancy + sim.transmitted
-    for pos, port in enumerate(range(4)):
-        sim.arrive(PacketId(slot, pos), port)
+    for port in range(4):
+        sim.arrive(port)
     assert policy.thresholds.thresholds[0] == cfg.buffer_size - cfg.num_ports + 1
     accepted = sim.state.occupancy + sim.transmitted - accepted_before
     assert accepted == 1  # only one of the N incoming packets fits
@@ -217,7 +215,7 @@ class _CountingOracle:
         self.label = label
         self.calls = 0
 
-    def predict(self, packet, features):
+    def predict(self, index, features):
         self.calls += 1
         return self.label
 
@@ -281,8 +279,8 @@ def test_credence_drop_implies_long_queue():
             self.config = config
             self.inner.reset(config)
 
-        def on_arrival(self, port, packet, state):
-            decision = self.inner.on_arrival(port, packet, state)
+        def on_arrival(self, port, index, state):
+            decision = self.inner.on_arrival(port, index, state)
             if not decision.accept:
                 assert max(state.queue_len) * self.config.num_ports >= self.config.buffer_size
             return decision
@@ -309,9 +307,9 @@ def test_credence_matches_follow_lqd_rule_when_safeguard_inactive():
             self.config = config
             self.inner.reset(config)
 
-        def on_arrival(self, port, packet, state):
+        def on_arrival(self, port, index, state):
             safeguard = max(state.queue_len) * self.config.num_ports < self.config.buffer_size
-            decision = self.inner.on_arrival(port, packet, state)
+            decision = self.inner.on_arrival(port, index, state)
             if not safeguard:
                 mirror = self.inner.thresholds
                 expected = (
@@ -341,7 +339,7 @@ def test_threshold_mirror_on_random_instances():
             oracle = ConstantOracle(PredictionLabel.POSITIVE)
         elif trial % 3 == 2:
             lqd = run_simulation(cfg, seq, LongestQueueDrop())
-            oracle = FlipOracle(PerfectOracle.from_run(lqd), 0.4, trial)
+            oracle = FlipOracle(PerfectOracle.from_run(lqd), 0.4, trial, seq)
         assert find_threshold_divergence(cfg, seq, oracle) is None
 
 
