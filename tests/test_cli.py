@@ -1,3 +1,6 @@
+import contextlib
+import hashlib
+import io
 import json
 import os
 
@@ -225,3 +228,73 @@ def test_opt_negative_cap_exits_2(capsys):
     assert main(["opt", "--ports", "2", "--buffer", "4", "--workload", "uniform_random",
                  "--load", "1.0", "--horizon", "5", "--cap", "-1"]) == EXIT_CONFIG
     assert capsys.readouterr().err == "error: --cap must be >= 0\n"
+
+
+# INI key of every flag, copied from the per-command settings the CLI documents;
+# written out literally so the check does not read the CLI's own table
+INI_KEYS = {
+    "--ports": "switch.ports",
+    "--buffer": "switch.buffer",
+    "--trace": "workload.trace",
+    "--workload": "workload.kind",
+    "--burst": "workload.burst",
+    "--short-burst": "workload.short_burst",
+    "--cycles": "workload.cycles",
+    "--rate": "workload.rate",
+    "--horizon": "workload.horizon",
+    "--load": "workload.load",
+    "--policy": "policy.name",
+    "--dt-alpha": "policy.dt_alpha",
+    "--oracle": "oracle.kind",
+    "--flip-p": "oracle.flip_p",
+    "--model": "oracle.model",
+    "--data": "train.data",
+    "--trees": "train.trees",
+    "--depth": "train.depth",
+    "--split": "train.split",
+    "--tree-sweep": "train.tree_sweep",
+    "--sweep-out": "train.sweep_out",
+    "--eta-trace": "evaluate.eta_trace",
+    "--p-list": "sweep.p_list",
+    "--seeds": "sweep.seeds",
+    "--chart": "sweep.chart",
+    "--cap": "opt.cap",
+    "--seed": "run.seed",
+    "--out": "run.out",
+}
+EVALUATE_INI_KEYS = {"--model": "evaluate.model", "--data": "evaluate.data"}
+
+
+def _as_ini(argv: list[str]) -> str:
+    """Every flag of one command as an INI file; the subcommand is ``argv[0]``."""
+    keys = {**INI_KEYS, **EVALUATE_INI_KEYS} if argv[0] == "evaluate" else INI_KEYS
+    sections: dict[str, list[str]] = {}
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        section, key = keys[flag].split(".")
+        sections.setdefault(section, []).append(f"{key} = {value}")
+    return "".join(f"[{name}]\n" + "\n".join(lines) + "\n" for name, lines in sections.items())
+
+
+def test_config_file_settings_match_golden_flag_outputs(tmp_path):
+    from test_golden_outputs import COMMANDS, GOLDEN
+
+    workdir = tmp_path / "work"
+    workdir.mkdir()
+    previous = os.getcwd()
+    os.chdir(workdir)
+    digests = {}
+    try:
+        cfg = SwitchConfig(8, 32)
+        save_examples(collect_trace(cfg, poisson_bursts(cfg, 1 / 32, 1500, seed=101)), "examples.csv")
+        for name, argv in COMMANDS:
+            ini = tmp_path / f"{name}.ini"
+            ini.write_text(_as_ini(argv))
+            printed = io.StringIO()
+            with contextlib.redirect_stdout(printed):
+                assert main(["--config", str(ini), argv[0]]) == EXIT_OK, name
+            digests[f"{name}:stdout"] = hashlib.sha256(printed.getvalue().encode()).hexdigest()
+        for path in sorted(workdir.iterdir()):
+            digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    finally:
+        os.chdir(previous)
+    assert digests == GOLDEN
