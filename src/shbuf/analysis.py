@@ -110,20 +110,18 @@ def compute_eta(
     """Measure prediction error as LQD(sequence) / FollowLqd(reduced sequence).
 
     ``predictions`` and ``truth`` are indexed by arrival index, as lists or
-    mappings. The reduced sequence deletes every packet with a POSITIVE prediction
-    (true or false) while preserving slot timing and the within-slot order of
-    the survivors. Corner cases: 0/0 is reported as 1 (a drop-free sequence,
-    where every policy here coincides) and x/0 as +inf.
+    mappings. ``truth`` must be LongestQueueDrop's outcomes on ``sequence``
+    (``True`` = dropped): LQD's throughput is then the count of packets it
+    marks transmitted, so LQD is not run again. The reduced sequence deletes
+    every packet with a POSITIVE prediction (true or false) while preserving
+    slot timing and the within-slot order of the survivors. Corner cases: 0/0
+    is reported as 1 (a drop-free sequence, where every policy here
+    coincides) and x/0 as +inf.
     """
     confusion, reduced = _classify_and_reduce(sequence, predictions, truth)
-    lqd_tx = throughput(config, sequence, LongestQueueDrop())
+    lqd_tx = confusion.tn + confusion.fp
     reduced_tx = throughput(config, reduced, FollowLqd())
-    if reduced_tx > 0:
-        eta = lqd_tx / reduced_tx
-    elif lqd_tx == 0:
-        eta = 1.0
-    else:
-        eta = math.inf
+    eta = _ratio(lqd_tx, reduced_tx)
     return ErrorReport(eta, eta_upper_bound(confusion, config.num_ports), confusion, lqd_tx, reduced_tx)
 
 

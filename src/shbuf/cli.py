@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import os
 import sys
 from fractions import Fraction
@@ -37,6 +38,8 @@ from .core import (
     save_sequence,
 )
 from .learner import (
+    MAX_TREES,
+    EvalMetrics,
     evaluate,
     load_examples,
     load_forest,
@@ -60,7 +63,7 @@ from .policies import (
     FollowLqd,
     LongestQueueDrop,
 )
-from .workloads import WORKLOAD_KINDS, WorkloadSpec, generate, spec_comment
+from .workloads import WORKLOAD_KINDS, WORKLOADS, WorkloadSpec, generate, spec_comment
 
 __all__ = ["main", "ConfigError"]
 
@@ -79,31 +82,85 @@ class ConfigError(ValueError):
 # --- config file / flag merging -------------------------------------------------
 
 
+# INI key of every flag, by argparse dest; a flag means the same setting in every
+# subcommand that defines it
+INI_KEYS = {
+    "ports": "switch.ports",
+    "buffer": "switch.buffer",
+    "trace": "workload.trace",
+    "workload": "workload.kind",
+    "burst": "workload.burst",
+    "short_burst": "workload.short_burst",
+    "cycles": "workload.cycles",
+    "rate": "workload.rate",
+    "horizon": "workload.horizon",
+    "load": "workload.load",
+    "policy": "policy.name",
+    "dt_alpha": "policy.dt_alpha",
+    "oracle": "oracle.kind",
+    "flip_p": "oracle.flip_p",
+    "model": "oracle.model",
+    "data": "train.data",
+    "trees": "train.trees",
+    "depth": "train.depth",
+    "split": "train.split",
+    "tree_sweep": "train.tree_sweep",
+    "sweep_out": "train.sweep_out",
+    "eta_trace": "evaluate.eta_trace",
+    "p_list": "sweep.p_list",
+    "seeds": "sweep.seeds",
+    "chart": "sweep.chart",
+    "cap": "opt.cap",
+    "seed": "run.seed",
+    "out": "run.out",
+}
+# evaluate reads the model and data it scores from its own section
+INI_OVERRIDES = {"evaluate": {"model": "evaluate.model", "data": "evaluate.data"}}
+
+
 def _load_config_file(path: Optional[str]) -> dict[str, str]:
     """Flatten an INI file into ``section.key -> value``."""
     if path is None:
         return {}
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    flat = {}
+    try:
+        read = parser.read(path, encoding="utf-8")
+        for section in parser.sections():
+            for key, value in parser.items(section):
+                flat[f"{section}.{key}"] = value
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        detail = " ".join(str(exc).split())
+        raise ConfigError(f"malformed config file {path}: {detail}") from None
     if not read:
         raise ConfigError(f"config file not found: {path}")
-    flat = {}
-    for section in parser.sections():
-        for key, value in parser.items(section):
-            flat[f"{section}.{key}"] = value
     return flat
 
 
-def _effective(args: argparse.Namespace, file_values: dict[str, str], mapping: dict[str, str]) -> dict[str, str]:
-    """Resolve flag-vs-file precedence; returns settings as strings for the sidecar."""
+def _effective(args: argparse.Namespace, file_values: dict[str, str]) -> dict[str, str]:
+    """Resolve flag-vs-file precedence for every flag the subcommand defines.
+
+    Returns the settings as strings, as they are echoed to the sidecar.
+    """
+    keys = {**INI_KEYS, **INI_OVERRIDES.get(args.command, {})}
     resolved = {}
-    for attr, file_key in mapping.items():
-        flag_value = getattr(args, attr)
+    for attr, flag_value in vars(args).items():
+        if attr in ("config", "command", "func"):
+            continue
         if flag_value is not None:
             resolved[attr] = str(flag_value)
-        elif file_key in file_values:
-            resolved[attr] = file_values[file_key]
+        elif keys[attr] in file_values:
+            resolved[attr] = file_values[keys[attr]]
     return resolved
+
+
+@contextlib.contextmanager
+def _as_config_error(prefix: str = "", errors: tuple = (ValueError,)):
+    """Report an input the library rejects as a one-line ConfigError headed by ``prefix``."""
+    try:
+        yield
+    except errors as exc:
+        raise ConfigError(f"{prefix}{exc}") from None
 
 
 def _setting(resolved: dict[str, str], name: str, default=None, convert=str):
@@ -144,10 +201,8 @@ def _switch_config(resolved: dict[str, str]) -> SwitchConfig:
     buffer_size = _setting(resolved, "buffer", convert=int)
     if ports is None or buffer_size is None:
         raise ConfigError("both --ports and --buffer are required")
-    try:
+    with _as_config_error():
         return SwitchConfig(ports, buffer_size)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def _workload_spec(resolved: dict[str, str], seed: int) -> WorkloadSpec:
@@ -156,30 +211,17 @@ def _workload_spec(resolved: dict[str, str], seed: int) -> WorkloadSpec:
         raise ConfigError("--workload is required (or provide --trace)")
     if kind not in WORKLOAD_KINDS:
         raise ConfigError(f"unknown workload {kind!r}; choose from {', '.join(WORKLOAD_KINDS)}")
+    workload = WORKLOADS[kind]
     params: dict = {}
-    if kind == "single_burst":
-        params["burst"] = _setting(resolved, "burst", convert=int)
-        if params["burst"] is None:
-            raise ConfigError("single_burst needs --burst")
-    elif kind == "multi_burst_then_shorts":
-        short = _setting(resolved, "short_burst", convert=int)
-        if short is not None:
-            params["short_burst"] = short
-    elif kind == "followlqd_adversary":
-        params["cycles"] = _setting(resolved, "cycles", convert=int)
-        if params["cycles"] is None:
-            raise ConfigError("followlqd_adversary needs --cycles")
-    elif kind == "poisson_bursts":
-        params["rate"] = _setting(resolved, "rate", convert=float)
-        params["horizon"] = _setting(resolved, "horizon", convert=int)
-        if params["rate"] is None or params["horizon"] is None:
-            raise ConfigError("poisson_bursts needs --rate and --horizon")
-        params["seed"] = seed
-    elif kind == "uniform_random":
-        params["load"] = _setting(resolved, "load", convert=float)
-        params["horizon"] = _setting(resolved, "horizon", convert=int)
-        if params["load"] is None or params["horizon"] is None:
-            raise ConfigError("uniform_random needs --load and --horizon")
+    for name, convert, _ in workload.params:
+        value = _setting(resolved, name, convert=convert)
+        if value is not None:
+            params[name] = value
+    required = [name for name, _, needed in workload.params if needed]
+    if any(name not in params for name in required):
+        flags = " and ".join("--" + name.replace("_", "-") for name in required)
+        raise ConfigError(f"{kind} needs {flags}")
+    if workload.seeded:
         params["seed"] = seed
     return WorkloadSpec(kind, params)
 
@@ -187,20 +229,14 @@ def _workload_spec(resolved: dict[str, str], seed: int) -> WorkloadSpec:
 def _sequence_for(resolved: dict[str, str], config: SwitchConfig, seed: int) -> ArrivalSequence:
     trace = _setting(resolved, "trace")
     if trace is not None:
-        try:
+        with _as_config_error("cannot load trace: ", (OSError, ValueError)):
             sequence = load_sequence(trace)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot load trace: {exc}") from None
     else:
         spec = _workload_spec(resolved, seed)
-        try:
+        with _as_config_error():
             sequence = generate(config, spec)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-    try:
+    with _as_config_error():
         sequence.validate(config)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     return sequence
 
 
@@ -212,10 +248,8 @@ def _build_policy(resolved: dict[str, str], config: SwitchConfig, sequence: Arri
         return CompleteSharing()
     if name == "dynamic_thresholds":
         alpha = _setting(resolved, "dt_alpha", default="1/2")
-        try:
+        with _as_config_error(f"bad --dt-alpha {alpha!r}: ", (ValueError, ZeroDivisionError)):
             return DynamicThresholds(Fraction(alpha))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"bad --dt-alpha {alpha!r}: {exc}") from None
     if name == "lqd":
         return LongestQueueDrop()
     if name == "follow_lqd":
@@ -235,79 +269,34 @@ def _build_oracle(resolved: dict[str, str], config: SwitchConfig, sequence: Arri
         model_path = _setting(resolved, "model")
         if model_path is None:
             raise ConfigError("--model is required with --oracle forest")
-        try:
+        with _as_config_error("cannot load model: ", (OSError, ValueError)):
             return ForestOracle(load_forest(model_path))
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot load model: {exc}") from None
     # perfect and flip both replay a LongestQueueDrop run over the same trace
     oracle = PerfectOracle.from_run(run_simulation(config, sequence, LongestQueueDrop()))
     if kind == "flip":
         p = _setting(resolved, "flip_p", default=0.0, convert=float)
-        try:
+        with _as_config_error():
             return FlipOracle(oracle, p, seed, sequence)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
     return oracle
 
 
 # --- subcommands ---------------------------------------------------------------
 
 
-def _cmd_gen(args: argparse.Namespace) -> int:
-    file_values = _load_config_file(args.config)
-    mapping = {
-        "ports": "switch.ports",
-        "buffer": "switch.buffer",
-        "workload": "workload.kind",
-        "burst": "workload.burst",
-        "short_burst": "workload.short_burst",
-        "cycles": "workload.cycles",
-        "rate": "workload.rate",
-        "horizon": "workload.horizon",
-        "load": "workload.load",
-        "seed": "run.seed",
-        "out": "run.out",
-    }
-    resolved = _effective(args, file_values, mapping)
-    seed = _resolve_seed(resolved)
+def _cmd_gen(resolved: dict[str, str], seed: int) -> int:
     config = _switch_config(resolved)
     spec = _workload_spec(resolved, seed)
     out = _setting(resolved, "out")
     if out is None:
         raise ConfigError("--out is required")
-    try:
+    with _as_config_error():
         sequence = generate(config, spec)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     save_sequence(out, sequence, comment=spec_comment(config, spec))
-    _write_sidecar(out, "gen", resolved, seed)
     print(f"packets={sequence.total_packets} slots={sequence.num_slots} out={out}")
     return EXIT_OK
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    file_values = _load_config_file(args.config)
-    mapping = {
-        "ports": "switch.ports",
-        "buffer": "switch.buffer",
-        "trace": "workload.trace",
-        "workload": "workload.kind",
-        "burst": "workload.burst",
-        "short_burst": "workload.short_burst",
-        "cycles": "workload.cycles",
-        "rate": "workload.rate",
-        "horizon": "workload.horizon",
-        "load": "workload.load",
-        "policy": "policy.name",
-        "dt_alpha": "policy.dt_alpha",
-        "oracle": "oracle.kind",
-        "flip_p": "oracle.flip_p",
-        "model": "oracle.model",
-        "seed": "run.seed",
-        "out": "run.out",
-    }
-    resolved = _effective(args, file_values, mapping)
-    seed = _resolve_seed(resolved)
+def _cmd_simulate(resolved: dict[str, str], seed: int) -> int:
     config = _switch_config(resolved)
     sequence = _sequence_for(resolved, config, seed)
     policy = _build_policy(resolved, config, sequence, seed)
@@ -315,7 +304,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     out = _setting(resolved, "out")
     if out is not None:
         save_outcomes(out, result)
-        _write_sidecar(out, "simulate", resolved, seed)
     print(
         f"policy={policy.name} transmitted={result.transmitted_count} "
         f"dropped={result.dropped_count} peak_occupancy={result.peak_occupancy}"
@@ -323,20 +311,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_train(args: argparse.Namespace) -> int:
-    file_values = _load_config_file(args.config)
-    mapping = {
-        "data": "train.data",
-        "trees": "train.trees",
-        "depth": "train.depth",
-        "split": "train.split",
-        "tree_sweep": "train.tree_sweep",
-        "sweep_out": "train.sweep_out",
-        "seed": "run.seed",
-        "out": "run.out",
-    }
-    resolved = _effective(args, file_values, mapping)
-    seed = _resolve_seed(resolved)
+def _cmd_train(resolved: dict[str, str], seed: int) -> int:
     data = _setting(resolved, "data")
     out = _setting(resolved, "out")
     if data is None or out is None:
@@ -344,19 +319,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
     trees = _setting(resolved, "trees", default=4, convert=int)
     depth = _setting(resolved, "depth", default=4, convert=int)
     split = _setting(resolved, "split", default=0.6, convert=float)
-    try:
-        examples = load_examples(data)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot load training data: {exc}") from None
-    try:
-        train_part, _ = split_examples(examples, split, seed)
-        model = train_forest(train_part, trees=trees, max_depth=depth, seed=seed)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    save_forest(model, out)
-    _write_sidecar(out, "train", resolved, seed)
-    print(f"trained trees={trees} depth={depth} train_examples={len(train_part)} out={out}")
-
     sweep_counts = _setting(resolved, "tree_sweep")
     if sweep_counts is not None:
         sweep_out = _setting(resolved, "sweep_out")
@@ -364,99 +326,79 @@ def _cmd_train(args: argparse.Namespace) -> int:
             raise ConfigError("--sweep-out is required with --tree-sweep")
         try:
             counts = [int(c) for c in sweep_counts.split(",") if c.strip()]
+        except ValueError:
+            raise ConfigError(f"bad --tree-sweep {sweep_counts!r}") from None
+        if not counts:
+            raise ConfigError("--tree-sweep names no tree count")
+        if not all(1 <= count <= MAX_TREES for count in counts):
+            raise ConfigError(f"--tree-sweep counts must be in [1, {MAX_TREES}], got {sweep_counts!r}")
+    with _as_config_error("cannot load training data: ", (OSError, ValueError)):
+        examples = load_examples(data)
+    with _as_config_error():
+        train_part, _ = split_examples(examples, split, seed)
+        model = train_forest(train_part, trees=trees, max_depth=depth, seed=seed)
+    save_forest(model, out)
+    print(f"trained trees={trees} depth={depth} train_examples={len(train_part)} out={out}")
+
+    if sweep_counts is not None:
+        with _as_config_error():
             rows = tree_count_sweep(examples, counts, max_depth=depth, split=split, seed=seed)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
         lines = ["trees,accuracy,precision,recall,f1"]
         for count, metrics in rows:
-            lines.append(
-                f"{count},{_fmt(metrics.accuracy)},{_fmt(metrics.precision)},"
-                f"{_fmt(metrics.recall)},{_fmt(metrics.f1)}"
-            )
+            lines.append(",".join([str(count), *_scores(metrics)]))
         with open(sweep_out, "w") as fh:
             fh.write("\n".join(lines) + "\n")
         print(f"tree_sweep={sweep_counts} out={sweep_out}")
     return EXIT_OK
 
 
-def _fmt(value: Optional[float]) -> str:
-    return "undefined" if value is None else f"{value:.6f}"
+def _scores(metrics: EvalMetrics) -> list[str]:
+    """Accuracy, precision, recall and F1 as every output prints them."""
+    values = (metrics.accuracy, metrics.precision, metrics.recall, metrics.f1)
+    return ["undefined" if value is None else f"{value:.6f}" for value in values]
 
 
-def _cmd_evaluate(args: argparse.Namespace) -> int:
-    file_values = _load_config_file(args.config)
-    mapping = {
-        "model": "evaluate.model",
-        "data": "evaluate.data",
-        "split": "train.split",
-        "ports": "switch.ports",
-        "buffer": "switch.buffer",
-        "eta_trace": "evaluate.eta_trace",
-        "seed": "run.seed",
-        "out": "run.out",
-    }
-    resolved = _effective(args, file_values, mapping)
-    seed = _resolve_seed(resolved)
+def _cmd_evaluate(resolved: dict[str, str], seed: int) -> int:
     model_path = _setting(resolved, "model")
     data = _setting(resolved, "data")
     out = _setting(resolved, "out")
     if model_path is None or data is None or out is None:
         raise ConfigError("--model, --data and --out are required")
     split = _setting(resolved, "split", default=0.6, convert=float)
-    try:
+    with _as_config_error(errors=(OSError, ValueError)):
         model = load_forest(model_path)
         examples = load_examples(data)
         metrics = evaluate(model, examples, split=split, seed=seed)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
 
     inv_eta = ""
     eta_trace = _setting(resolved, "eta_trace")
     if eta_trace is not None:
         config = _switch_config(resolved)
-        try:
+        with _as_config_error("cannot load --eta-trace: ", (OSError, ValueError)):
             sequence = load_sequence(eta_trace)
             sequence.validate(config)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot load --eta-trace: {exc}") from None
         truth = ground_truth_from_run(run_simulation(config, sequence, LongestQueueDrop()))
         _, predictions = simulate_with_prediction_log(config, sequence, ForestOracle(model))
         report = compute_eta(config, sequence, predictions, truth)
         inv_eta = f"{1.0 / report.eta:.6f}" if report.eta > 0 else "0.000000"
 
+    accuracy, precision, recall, f1 = _scores(metrics)
     confusion = metrics.confusion
     lines = [
         "accuracy,precision,recall,f1,inv_eta,tp,fp,tn,fn",
-        f"{_fmt(metrics.accuracy)},{_fmt(metrics.precision)},{_fmt(metrics.recall)},"
-        f"{_fmt(metrics.f1)},{inv_eta},{confusion.tp},{confusion.fp},{confusion.tn},{confusion.fn}",
+        f"{accuracy},{precision},{recall},{f1},{inv_eta},"
+        f"{confusion.tp},{confusion.fp},{confusion.tn},{confusion.fn}",
     ]
     with open(out, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-    _write_sidecar(out, "evaluate", resolved, seed)
     print(
-        f"accuracy={_fmt(metrics.accuracy)} precision={_fmt(metrics.precision)} "
-        f"recall={_fmt(metrics.recall)} f1={_fmt(metrics.f1)}"
+        f"accuracy={accuracy} precision={precision} recall={recall} f1={f1}"
         + (f" inv_eta={inv_eta}" if inv_eta else "")
     )
     return EXIT_OK
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    file_values = _load_config_file(args.config)
-    mapping = {
-        "ports": "switch.ports",
-        "buffer": "switch.buffer",
-        "rate": "workload.rate",
-        "horizon": "workload.horizon",
-        "p_list": "sweep.p_list",
-        "seeds": "sweep.seeds",
-        "dt_alpha": "policy.dt_alpha",
-        "chart": "sweep.chart",
-        "seed": "run.seed",
-        "out": "run.out",
-    }
-    resolved = _effective(args, file_values, mapping)
-    seed = _resolve_seed(resolved)
+def _cmd_sweep(resolved: dict[str, str], seed: int) -> int:
     config = _switch_config(resolved)
     rate = _setting(resolved, "rate", convert=float)
     horizon = _setting(resolved, "horizon", convert=int)
@@ -474,7 +416,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if num_seeds < 1:
         raise ConfigError("--seeds must be >= 1")
     dt_alpha = _setting(resolved, "dt_alpha", default="1/2")
-    try:
+    with _as_config_error(errors=(ValueError, ZeroDivisionError)):
         rows = competitive_sweep(
             config,
             p_values,
@@ -483,10 +425,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             horizon,
             dt_alpha=Fraction(dt_alpha),
         )
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(str(exc)) from None
     write_sweep_rows(out, rows)
-    _write_sidecar(out, "sweep", resolved, seed)
 
     chart = _setting(resolved, "chart")
     if chart is not None:
@@ -504,24 +443,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_opt(args: argparse.Namespace) -> int:
-    file_values = _load_config_file(args.config)
-    mapping = {
-        "ports": "switch.ports",
-        "buffer": "switch.buffer",
-        "trace": "workload.trace",
-        "workload": "workload.kind",
-        "burst": "workload.burst",
-        "short_burst": "workload.short_burst",
-        "cycles": "workload.cycles",
-        "rate": "workload.rate",
-        "horizon": "workload.horizon",
-        "load": "workload.load",
-        "cap": "opt.cap",
-        "seed": "run.seed",
-    }
-    resolved = _effective(args, file_values, mapping)
-    seed = _resolve_seed(resolved)
+def _cmd_opt(resolved: dict[str, str], seed: int) -> int:
     config = _switch_config(resolved)
     sequence = _sequence_for(resolved, config, seed)
     cap = _setting(resolved, "cap", default=20, convert=int)
@@ -679,7 +601,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        resolved = _effective(args, _load_config_file(args.config))
+        seed = _resolve_seed(resolved)
+        code = args.func(resolved, seed)
+        if "out" in resolved:
+            _write_sidecar(resolved["out"], args.command, resolved, seed)
+        return code
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

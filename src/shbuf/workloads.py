@@ -11,12 +11,14 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from .core import ArrivalSequence, SwitchConfig
 
 __all__ = [
+    "WorkloadKind",
     "WorkloadSpec",
+    "WORKLOADS",
     "WORKLOAD_KINDS",
     "generate",
     "spec_comment",
@@ -121,8 +123,8 @@ def poisson_bursts(config: SwitchConfig, rate: float, horizon: int, seed: int) -
     packets share the per-slot cap first-come first-served; the excess spills
     into following slots, which may run past ``horizon``.
     """
-    if rate <= 0:
-        raise ValueError(f"rate must be positive, got {rate}")
+    if not (math.isfinite(rate) and rate > 0):
+        raise ValueError(f"rate must be positive and finite, got {rate}")
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     rng = random.Random(seed)
@@ -165,13 +167,29 @@ def uniform_random(config: SwitchConfig, load: float, horizon: int, seed: int) -
 
 # --- named workload specs for the CLI -----------------------------------------
 
-WORKLOAD_KINDS = (
-    "single_burst",
-    "multi_burst_then_shorts",
-    "followlqd_adversary",
-    "poisson_bursts",
-    "uniform_random",
-)
+
+@dataclass(frozen=True)
+class WorkloadKind:
+    """How one named workload is generated.
+
+    ``params`` lists the generator's arguments after the switch config, in
+    call order, as ``(name, type, required)``; an optional one left out is
+    passed as ``None``. A seeded generator takes ``seed`` as its last argument.
+    """
+
+    generator: Callable[..., ArrivalSequence]
+    params: tuple[tuple[str, type, bool], ...]
+    seeded: bool = False
+
+
+WORKLOADS = {
+    "single_burst": WorkloadKind(single_burst, (("burst", int, True),)),
+    "multi_burst_then_shorts": WorkloadKind(multi_burst_then_shorts, (("short_burst", int, False),)),
+    "followlqd_adversary": WorkloadKind(followlqd_adversary, (("cycles", int, True),)),
+    "poisson_bursts": WorkloadKind(poisson_bursts, (("rate", float, True), ("horizon", int, True)), seeded=True),
+    "uniform_random": WorkloadKind(uniform_random, (("load", float, True), ("horizon", int, True)), seeded=True),
+}
+WORKLOAD_KINDS = tuple(WORKLOADS)
 
 
 @dataclass
@@ -182,33 +200,19 @@ class WorkloadSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.kind not in WORKLOAD_KINDS:
+        if self.kind not in WORKLOADS:
             raise ValueError(f"unknown workload kind {self.kind!r}")
 
 
 def generate(config: SwitchConfig, spec: WorkloadSpec) -> ArrivalSequence:
-    if spec.kind == "single_burst":
-        return single_burst(config, int(spec.params["burst"]))
-    if spec.kind == "multi_burst_then_shorts":
-        short = spec.params.get("short_burst")
-        return multi_burst_then_shorts(config, None if short is None else int(short))
-    if spec.kind == "followlqd_adversary":
-        return followlqd_adversary(config, int(spec.params["cycles"]))
-    if spec.kind == "poisson_bursts":
-        return poisson_bursts(
-            config,
-            float(spec.params["rate"]),
-            int(spec.params["horizon"]),
-            int(spec.params.get("seed", 0)),
-        )
-    if spec.kind == "uniform_random":
-        return uniform_random(
-            config,
-            float(spec.params["load"]),
-            int(spec.params["horizon"]),
-            int(spec.params.get("seed", 0)),
-        )
-    raise ValueError(f"unknown workload kind {spec.kind!r}")
+    kind = WORKLOADS[spec.kind]
+    args = []
+    for name, convert, required in kind.params:
+        value = spec.params[name] if required else spec.params.get(name)
+        args.append(None if value is None else convert(value))
+    if kind.seeded:
+        args.append(int(spec.params.get("seed", 0)))
+    return kind.generator(config, *args)
 
 
 def spec_comment(config: SwitchConfig, spec: WorkloadSpec) -> str:

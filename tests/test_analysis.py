@@ -71,6 +71,20 @@ def test_eta_is_one_for_perfect_predictions():
         assert report.confusion.fp == 0 and report.confusion.fn == 0
 
 
+
+def test_eta_lqd_transmitted_equals_an_lqd_run():
+    rng = random.Random(17)
+    for trial in range(30):
+        n = rng.choice((2, 3, 4))
+        cfg = SwitchConfig(n, rng.choice((2, 4, 8)))
+        seq = random_sequence(rng, n, 60, 0.9)
+        lqd = run_simulation(cfg, seq, LongestQueueDrop())
+        truth = ground_truth_from_run(lqd)
+        oracle = FlipOracle(PerfectOracle(truth), 0.3, seed=trial, sequence=seq)
+        _, predictions = simulate_with_prediction_log(cfg, seq, oracle)
+        report = compute_eta(cfg, seq, predictions, truth)
+        assert report.lqd_transmitted == lqd.transmitted_count
+
 def test_eta_is_one_without_congestion():
     cfg = SwitchConfig(4, 64)
     seq = uniform_random(cfg, 0.4, 60, seed=5)

@@ -8,7 +8,7 @@ import pytest
 
 from shbuf import SwitchConfig
 from shbuf.cli import EXIT_CONFIG, EXIT_OK, EXIT_REFUSED, main
-from shbuf.learner import collect_trace, save_examples
+from shbuf.learner import MAX_TREES, collect_trace, save_examples
 from shbuf.workloads import poisson_bursts
 
 from conftest import BAD_EXAMPLE_ROWS, BAD_MODELS
@@ -298,3 +298,51 @@ def test_config_file_settings_match_golden_flag_outputs(tmp_path):
     finally:
         os.chdir(previous)
     assert digests == GOLDEN
+
+
+BAD_CONFIG_FILES = {
+    "no_section_header": b"ports = 4\n",
+    "duplicate_key": b"[switch]\nports = 4\nports = 8\n",
+    "lone_percent": b"[switch]\nports = 4\n[policy]\ndt_alpha = 50%\n",
+    "not_utf8": b"[switch]\nports = 4\n# caf\xe9\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIG_FILES))
+def test_malformed_config_file_exits_2(tmp_path, capsys, case):
+    config = tmp_path / "bad.ini"
+    config.write_bytes(BAD_CONFIG_FILES[case])
+    assert main(["--config", str(config), "simulate", "--buffer", "16",
+                 "--workload", "single_burst", "--burst", "4"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [["--tree-sweep", "1,2"], ["--tree-sweep", "1,0"], ["--tree-sweep", ","],
+     ["--tree-sweep", f"1,{MAX_TREES + 1}"], ["--tree-sweep", "1,two"]],
+    ids=["no_sweep_out", "zero", "empty", "too_many", "not_a_number"],
+)
+def test_bad_tree_sweep_exits_2_before_training(tmp_path, capsys, trace_csv, sweep):
+    model = tmp_path / "model.json"
+    sweep_out = ["--sweep-out", str(tmp_path / "trees.csv")] if sweep[1] != "1,2" else []
+    argv = ["train", "--data", str(trace_csv), "--out", str(model), *sweep, *sweep_out]
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["examples.csv"]
+
+
+@pytest.mark.parametrize("command", ["gen", "simulate", "sweep"])
+def test_nan_rate_exits_2(tmp_path, capsys, command):
+    out = tmp_path / "out.csv"
+    argv = [command, "--ports", "4", "--buffer", "8", "--rate", "nan", "--horizon", "50",
+            "--out", str(out)]
+    if command != "sweep":
+        argv += ["--workload", "poisson_bursts"]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()

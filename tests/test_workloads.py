@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from shbuf import (
@@ -128,6 +130,13 @@ def test_multi_burst_then_shorts_favors_pushout():
     flqd_tx = throughput(cfg, seq, FollowLqd())
     assert lqd_tx > flqd_tx
 
+
+
+@pytest.mark.parametrize("rate", [math.nan, math.inf], ids=["nan", "inf"])
+def test_poisson_bursts_rejects_non_finite_rate(rate):
+    # nan used to yield an empty trace; inf never advanced the burst clock
+    with pytest.raises(ValueError, match="rate"):
+        poisson_bursts(SwitchConfig(4, 8), rate, 10, seed=0)
 
 def test_trace_round_trip_with_spec_header(tmp_path):
     cfg = SwitchConfig(8, 32)
