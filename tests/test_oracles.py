@@ -177,17 +177,59 @@ def test_forest_tree_walk():
     assert model.predict_label(FeatureVector(0, 0.0, 3, 0.0)) is PredictionLabel.NEGATIVE
 
 
-def test_oracle_purity_under_simulation():
-    # querying the oracle never perturbs the simulation outcome
-    from shbuf import Credence
-    from shbuf.analysis import simulate_with_prediction_log, throughput
+class _CountingOracle:
+    """Counts the queries per arrival index and keeps the last label handed out."""
 
-    rng = random.Random(77)
-    cfg = SwitchConfig(4, 8)
-    seq = random_sequence(rng, 4, 100, 0.8)
-    lqd = run_simulation(cfg, seq, LongestQueueDrop())
-    oracle = FlipOracle(PerfectOracle.from_run(lqd), 0.3, seed=5, sequence=seq)
-    plain = throughput(cfg, seq, Credence(oracle))
-    logged_result, log = simulate_with_prediction_log(cfg, seq, oracle)
-    assert logged_result.transmitted_count == plain
-    assert len(log) == seq.total_packets
+    def __init__(self, base) -> None:
+        self.base = base
+        self.calls: dict[int, int] = {}
+        self.labels: dict[int, PredictionLabel] = {}
+
+    def predict(self, index, features):
+        self.calls[index] = self.calls.get(index, 0) + 1
+        label = self.labels[index] = self.base.predict(index, features)
+        return label
+
+
+def _oracle(kind, result, sequence):
+    if kind == "perfect":
+        return PerfectOracle.from_run(result)
+    if kind == "flip":
+        return FlipOracle(PerfectOracle.from_run(result), 0.3, seed=5, sequence=sequence)
+    if kind == "constant":
+        return ConstantOracle(PredictionLabel.POSITIVE)
+    # drop once occupancy (feature 2) exceeds 2, unless the port's average queue (feature 1) is short
+    tree = TreeNode(feature_index=2, threshold=2.0, left=0, right=TreeNode(1, 1.5, 0, 1))
+    return ForestOracle(ForestModel(trees=[tree], max_depth=2, feature_count=4))
+
+
+def test_oracle_purity_under_simulation():
+    # logging a label for every arrival never perturbs the run, asks the
+    # oracle once per arrival and logs the label Credence acted on
+    from shbuf import Credence
+    from shbuf.analysis import simulate_with_prediction_log
+
+    for seed, num_ports, buffer_size in [(1, 2, 4), (2, 3, 6), (3, 4, 8)]:
+        rng = random.Random(seed)
+        cfg = SwitchConfig(num_ports, buffer_size)
+        # low ports are hot, so the buffer fills and Credence asks the oracle on some arrivals only
+        seq = ArrivalSequence(
+            [
+                [min(rng.randrange(num_ports), rng.randrange(num_ports)) for _ in range(rng.randint(0, num_ports))]
+                for _ in range(60)
+            ]
+        )
+        lqd = run_simulation(cfg, seq, LongestQueueDrop())
+        for kind in ("perfect", "flip", "constant", "forest"):
+            case = f"seed {seed}, {kind} oracle"
+            oracle = _oracle(kind, lqd, seq)
+            acted = _CountingOracle(oracle)
+            plain = run_simulation(cfg, seq, Credence(acted))
+            counted = _CountingOracle(oracle)
+            logged_result, log = simulate_with_prediction_log(cfg, seq, counted)
+            assert logged_result.verdicts == plain.verdicts, case
+            assert len(log) == seq.total_packets, case
+            assert counted.calls == {index: 1 for index in range(seq.total_packets)}, case
+            assert 0 < len(acted.labels) < seq.total_packets, case
+            for index, label in acted.labels.items():
+                assert log[index] is label, case
