@@ -57,12 +57,10 @@ from .learner import (
     tree_count_sweep,
 )
 from .analysis import (
-    CompetitiveEstimate,
     ErrorReport,
     InstanceTooLarge,
     SweepRow,
     brute_force_opt,
-    competitive_estimate,
     competitive_sweep,
     compute_eta,
     eta_upper_bound,

@@ -27,6 +27,8 @@ from .core import (
 from .learner import ConfusionCounts
 from .oracles import (
     ConstantOracle,
+    FeatureSampler,
+    FeatureVector,
     FlipOracle,
     Oracle,
     PerfectOracle,
@@ -44,7 +46,6 @@ from .workloads import poisson_bursts
 
 __all__ = [
     "ErrorReport",
-    "CompetitiveEstimate",
     "SweepRow",
     "InstanceTooLarge",
     "throughput",
@@ -52,11 +53,9 @@ __all__ = [
     "compute_eta",
     "eta_upper_bound",
     "brute_force_opt",
-    "competitive_estimate",
     "competitive_sweep",
     "find_threshold_divergence",
     "write_sweep_rows",
-    "write_error_report",
     "LQD_COMPETITIVE_RATIO",
 ]
 
@@ -74,20 +73,37 @@ def throughput(config: SwitchConfig, sequence: ArrivalSequence, policy: Policy) 
     return run_simulation(config, sequence, policy).transmitted_count
 
 
+class _LabelRecorder:
+    """Oracle wrapper that keeps every label it hands out, by arrival index."""
+
+    def __init__(self, oracle: Oracle) -> None:
+        self.oracle = oracle
+        self.labels: dict[int, PredictionLabel] = {}
+
+    def predict(self, index: int, features: FeatureVector) -> PredictionLabel:
+        label = self.labels[index] = self.oracle.predict(index, features)
+        return label
+
+
 def simulate_with_prediction_log(
-    config: SwitchConfig,
-    sequence: ArrivalSequence,
-    oracle: Oracle,
-    feature_window: int = 16,
+    config: SwitchConfig, sequence: ArrivalSequence, oracle: Oracle
 ) -> tuple[RunResult, list[PredictionLabel]]:
     """Run Credence while recording the oracle's label for every packet.
 
-    The oracle is queried even for packets whose fate the safeguard or the
-    thresholds decided, so the log holds one label per arrival, in arrival
-    order, and can feed the error ratio directly.
+    Credence asks only about packets its thresholds would admit; every other
+    packet is labelled after the run from the features it arrived with, so
+    the oracle is asked once per arrival and the log holds one label per
+    arrival, in arrival order, and can feed the error ratio directly.
     """
-    policy = Credence(oracle, record_predictions=True, feature_window=feature_window)
-    return run_simulation(config, sequence, policy), policy.prediction_log
+    recorder = _LabelRecorder(oracle)
+    sampler = FeatureSampler(Credence(recorder))
+    result = run_simulation(config, sequence, sampler)
+    asked = recorder.labels
+    log = [
+        asked[index] if index in asked else oracle.predict(index, features)
+        for index, features in enumerate(sampler.features)
+    ]
+    return result, log
 
 
 @dataclass(frozen=True)
@@ -248,29 +264,6 @@ def brute_force_opt(config: SwitchConfig, sequence: ArrivalSequence, cap: int = 
     return best
 
 
-@dataclass(frozen=True)
-class CompetitiveEstimate:
-    """Brute-forced optimum versus one policy on one sequence."""
-
-    opt_throughput: int
-    alg_throughput: int
-    ratio: Union[Fraction, float]
-
-
-def competitive_estimate(
-    config: SwitchConfig, sequence: ArrivalSequence, policy: Policy, cap: int = 20
-) -> CompetitiveEstimate:
-    opt = brute_force_opt(config, sequence, cap)
-    alg = throughput(config, sequence, policy)
-    if alg > 0:
-        ratio: Union[Fraction, float] = Fraction(opt, alg)
-    elif opt == 0:
-        ratio = Fraction(1)
-    else:
-        ratio = math.inf
-    return CompetitiveEstimate(opt, alg, ratio)
-
-
 # --- flip-probability sweep ------------------------------------------------------
 
 
@@ -340,17 +333,6 @@ def write_sweep_rows(path, rows: Sequence[SweepRow]) -> None:
             f"{row.p!r},{row.lqd_throughput},{row.credence_throughput},{row.dt_throughput},"
             f"{row.ratio_credence:.6f},{row.ratio_dt:.6f},{row.seed}"
         )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def write_error_report(path, report: ErrorReport) -> None:
-    c = report.confusion
-    lines = [
-        "eta,eta_bound,tp,fp,tn,fn,lqd_tx,flqd_reduced_tx",
-        f"{report.eta!r},{report.eta_bound!r},{c.tp},{c.fp},{c.tn},{c.fn},"
-        f"{report.lqd_transmitted},{report.reduced_transmitted}",
-    ]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -134,6 +134,11 @@ def _load_config_file(path: Optional[str]) -> dict[str, str]:
         raise ConfigError(f"malformed config file {path}: {detail}") from None
     if not read:
         raise ConfigError(f"config file not found: {path}")
+    # a key of another subcommand is fine, as one file may serve several
+    known = {*INI_KEYS.values(), *(key for keys in INI_OVERRIDES.values() for key in keys.values())}
+    unknown = sorted(flat.keys() - known)
+    if unknown:
+        raise ConfigError(f"unknown key {', '.join(unknown)} in config file {path}")
     return flat
 
 

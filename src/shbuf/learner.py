@@ -17,8 +17,8 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import ArrivalSequence, SwitchConfig, SwitchState, Verdict, run_simulation
-from .oracles import FeatureTracker, FeatureVector, PredictionLabel
+from .core import ArrivalSequence, SwitchConfig, Verdict, run_simulation
+from .oracles import FeatureSampler, FeatureVector, PredictionLabel
 from .policies import LongestQueueDrop
 
 __all__ = [
@@ -51,31 +51,14 @@ class LabeledExample(NamedTuple):
     label: PredictionLabel
 
 
-class _FeatureSampler(LongestQueueDrop):
-    """LongestQueueDrop that samples each arrival's features from the
-    pre-decision state before deciding."""
-
-    def __init__(self, window: int) -> None:
-        self.window = window
-
-    def reset(self, config: SwitchConfig) -> None:
-        super().reset(config)
-        self.tracker = FeatureTracker(config.num_ports, self.window)
-        self.features: list[FeatureVector] = []
-
-    def on_arrival(self, port: int, index: int, state: SwitchState):
-        self.features.append(self.tracker.on_arrival(port, state))
-        return super().on_arrival(port, index, state)
-
-
-def collect_trace(config: SwitchConfig, sequence: ArrivalSequence, window: int = 16) -> list[LabeledExample]:
+def collect_trace(config: SwitchConfig, sequence: ArrivalSequence) -> list[LabeledExample]:
     """Run LongestQueueDrop over ``sequence`` and label every arrival.
 
     Features are sampled at arrival time, before the accept decision; labels
     are the packet's final fate (push-outs resolved after the run), so the
     trace has exactly one example per packet of the sequence.
     """
-    sampler = _FeatureSampler(window)
+    sampler = FeatureSampler(LongestQueueDrop())
     result = run_simulation(config, sequence, sampler)
     return [
         LabeledExample(

@@ -6,6 +6,8 @@ drop it (label ``POSITIVE``) or transmit it (label ``NEGATIVE``); push-outs
 count as drops. Packets are named by their arrival index (0, 1, 2, ... in
 arrival order). Oracles are pure: predicting never mutates simulation state,
 and two queries for the same packet and features return the same label.
+``FeatureSampler`` records the features an oracle would see for every
+arrival, under any policy.
 """
 
 from __future__ import annotations
@@ -16,13 +18,15 @@ from typing import TYPE_CHECKING, Mapping, NamedTuple, Protocol
 from .core import ArrivalSequence, RunResult, Verdict
 
 if TYPE_CHECKING:
-    from .core import SwitchState
+    from .core import SwitchConfig, SwitchState
     from .learner import ForestModel
+    from .policies import Decision, Policy
 
 __all__ = [
     "PredictionLabel",
     "FeatureVector",
     "FeatureTracker",
+    "FeatureSampler",
     "Oracle",
     "ConstantOracle",
     "PerfectOracle",
@@ -81,6 +85,26 @@ class FeatureTracker:
         self._queue_avg[port] = queue_avg
         self._occupancy_avg += weight * (occupancy - self._occupancy_avg)
         return FeatureVector(queue_len, queue_avg, occupancy, self._occupancy_avg)
+
+
+class FeatureSampler:
+    """Wraps any policy and records, in ``features[i]``, the features of
+    arrival ``i`` sampled from the pre-decision state."""
+
+    def __init__(self, policy: "Policy") -> None:
+        self.policy = policy
+        self.name = policy.name
+        # bound once: a forwarding method would add a call to every departure
+        self.on_departure = policy.on_departure
+
+    def reset(self, config: "SwitchConfig") -> None:
+        self.policy.reset(config)
+        self.tracker = FeatureTracker(config.num_ports)
+        self.features: list[FeatureVector] = []
+
+    def on_arrival(self, port: int, index: int, state: "SwitchState") -> "Decision":
+        self.features.append(self.tracker.on_arrival(port, state))
+        return self.policy.on_arrival(port, index, state)
 
 
 class Oracle(Protocol):

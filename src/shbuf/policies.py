@@ -212,38 +212,18 @@ class Credence:
     3. if the queue is under its threshold and the buffer has room, ask the
        oracle and follow its verdict;
     4. otherwise drop without consulting the oracle.
-
-    With ``record_predictions=True`` the oracle is additionally queried for
-    every arrival, including ones decided by the safeguard or the threshold,
-    and ``prediction_log[i]`` holds the label of arrival ``i``. Oracles are
-    pure, so the extra queries cannot change any decision.
     """
 
     name = "credence"
 
-    def __init__(
-        self,
-        oracle: Oracle,
-        record_predictions: bool = False,
-        feature_window: int = 16,
-    ) -> None:
+    def __init__(self, oracle: Oracle) -> None:
         self.oracle = oracle
-        self.record_predictions = record_predictions
-        self.feature_window = feature_window
-        self.prediction_log: list[PredictionLabel] = []
 
     def reset(self, config: SwitchConfig) -> None:
         self._ports = config.num_ports
         self._buffer = config.buffer_size
         self.thresholds = ThresholdState(config.num_ports, config.buffer_size)
-        self.features = FeatureTracker(config.num_ports, self.feature_window)
-        self.prediction_log = []
-
-    def _predict(self, index: int, features) -> PredictionLabel:
-        label = self.oracle.predict(index, features)
-        if self.record_predictions:
-            self.prediction_log.append(label)
-        return label
+        self.features = FeatureTracker(config.num_ports)
 
     def on_arrival(self, port: int, index: int, state: SwitchState) -> Decision:
         features = self.features.on_arrival(port, state)
@@ -251,14 +231,10 @@ class Credence:
         mirror.on_arrival(port)
         lengths = state.queue_len
         if max(lengths) * self._ports < self._buffer:
-            if self.record_predictions:
-                self._predict(index, features)
             return ACCEPT
         if lengths[port] < mirror.thresholds[port] and state.occupancy < self._buffer:
-            label = self._predict(index, features)
+            label = self.oracle.predict(index, features)
             return DROP if label is PredictionLabel.POSITIVE else ACCEPT
-        if self.record_predictions:
-            self._predict(index, features)
         return DROP
 
     def on_departure(self, port: int, state: SwitchState) -> None:

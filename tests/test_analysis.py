@@ -21,14 +21,12 @@ from shbuf.analysis import (
     LQD_COMPETITIVE_RATIO,
     ThresholdDivergence,
     brute_force_opt,
-    competitive_estimate,
     competitive_sweep,
     compute_eta,
     eta_upper_bound,
     find_threshold_divergence,
     simulate_with_prediction_log,
     throughput,
-    write_error_report,
     write_sweep_rows,
 )
 from shbuf.learner import ConfusionCounts
@@ -233,16 +231,6 @@ def test_opt_dominates_every_policy():
             assert throughput(cfg, seq, policy) <= opt
 
 
-def test_competitive_estimate_ratio():
-    cfg = SwitchConfig(2, 4)
-    seq = ArrivalSequence([[0, 1], [0, 1]])
-    estimate = competitive_estimate(cfg, seq, CompleteSharing())
-    assert estimate.opt_throughput >= estimate.alg_throughput
-    assert estimate.ratio == Fraction(estimate.opt_throughput, estimate.alg_throughput)
-    empty = competitive_estimate(cfg, ArrivalSequence([]), CompleteSharing())
-    assert empty.ratio == Fraction(1)
-
-
 # --- ratio bounds on tiny instances -------------------------------------------------
 
 
@@ -312,20 +300,6 @@ def test_sweep_rows_and_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "p,lqd_throughput,credence_throughput,dt_throughput,ratio_credence,ratio_dt,seed"
     assert len(lines) == 1 + len(rows)
-
-
-def test_error_report_csv(tmp_path):
-    cfg = SwitchConfig(2, 4)
-    seq = ArrivalSequence([[0, 1], [0, 1]])
-    lqd = run_simulation(cfg, seq, LongestQueueDrop())
-    truth = ground_truth_from_run(lqd)
-    predictions = {packet: NEG for packet in truth}
-    report = compute_eta(cfg, seq, predictions, truth)
-    path = tmp_path / "report.csv"
-    write_error_report(path, report)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "eta,eta_bound,tp,fp,tn,fn,lqd_tx,flqd_reduced_tx"
-    assert len(lines) == 2
 
 
 @pytest.mark.parametrize(

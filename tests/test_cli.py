@@ -319,6 +319,37 @@ def test_malformed_config_file_exits_2(tmp_path, capsys, case):
 
 
 @pytest.mark.parametrize(
+    "text, key",
+    [("[policy]\nnmae = complete_sharing\n", "policy.nmae"),
+     ("[swtich]\nports = 4\n", "swtich.ports"),
+     ("[run]\nseed = 1\n[train]\ntree = 4\n", "train.tree")],
+    ids=["misspelt_key", "misspelt_section", "misspelt_key_of_another_command"],
+)
+def test_unknown_config_key_exits_2_naming_it(tmp_path, capsys, text, key):
+    config = tmp_path / "typo.ini"
+    config.write_text(text)
+    out = tmp_path / "outcomes.csv"
+    assert main(["--config", str(config), "simulate", "--ports", "4", "--buffer", "16",
+                 "--workload", "single_burst", "--burst", "4", "--out", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert key in captured.err
+    assert not out.exists()
+
+
+def test_config_keys_of_other_commands_are_allowed(tmp_path, capsys):
+    # one config file may serve several subcommands, as README describes
+    config = tmp_path / "shared.ini"
+    config.write_text(
+        "[switch]\nports = 4\nbuffer = 16\n[workload]\nkind = single_burst\nburst = 16\n"
+        "[train]\ntrees = 4\n[evaluate]\nmodel = model.json\n[sweep]\nseeds = 3\n"
+    )
+    assert main(["--config", str(config), "simulate"]) == EXIT_OK
+    assert "transmitted=16" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
     "sweep",
     [["--tree-sweep", "1,2"], ["--tree-sweep", "1,0"], ["--tree-sweep", ","],
      ["--tree-sweep", f"1,{MAX_TREES + 1}"], ["--tree-sweep", "1,two"]],
