@@ -362,7 +362,9 @@ class _Lockstep:
     ``run_slots`` drives it like a single simulation. Each event goes to all
     three; after it, both policies' thresholds are compared with the LQD
     queue lengths, and the first mismatch ends the run by raising
-    ``_Diverged``.
+    ``_Diverged``. A departure phase visits, in ascending order, each port
+    where any of the three has a queued packet or a nonzero threshold, and
+    counts the slot even when all three are idle and it visits none.
     """
 
     def __init__(self, config: SwitchConfig, oracle: Oracle) -> None:
@@ -371,11 +373,15 @@ class _Lockstep:
         self.follow_sim = Simulation(config, self.policies[0])
         self.credence_sim = Simulation(config, self.policies[1])
         self.lqd_sim = Simulation(config, LongestQueueDrop())
+        self._sims = (self.follow_sim, self.credence_sim, self.lqd_sim)
         # the policies and the LQD state update these lists in place
         self._follow = self.policies[0].thresholds.thresholds
         self._credence = self.policies[1].thresholds.thresholds
         self._lqd = self.lqd_sim.state.queue_len
-        self._last_port = config.num_ports - 1
+        # per simulation, its queue lengths and mirrored thresholds: a port has
+        # drain work when any of the six is nonzero there
+        self._work = tuple(work for sim in self._sims for work in (sim.state.queue_len, sim.mirror.thresholds))
+        self._ports = range(config.num_ports)
         self.slot = 0
 
     @property
@@ -389,14 +395,21 @@ class _Lockstep:
         if self._follow != self._lqd or self._credence != self._lqd:
             self._diverged("arrival", len(self.lqd_sim.verdicts) - 1)
 
-    def depart_port(self, port: int) -> None:
-        self.follow_sim.depart_port(port)
-        self.credence_sim.depart_port(port)
-        self.lqd_sim.depart_port(port)
-        if self._follow != self._lqd or self._credence != self._lqd:
-            self._diverged("departure", port)
-        if port == self._last_port:
-            self.slot += 1
+    def depart_phase(self) -> None:
+        follow, credence, lqd = self._sims
+        if not (follow.idle and credence.idle and lqd.idle):
+            follow_q, follow_t, credence_q, credence_t, lqd_q, lqd_t = self._work
+            for port in self._ports:
+                if (
+                    follow_q[port] or follow_t[port] or credence_q[port] or credence_t[port]
+                    or lqd_q[port] or lqd_t[port]
+                ):
+                    follow.depart_port(port)
+                    credence.depart_port(port)
+                    lqd.depart_port(port)
+                    if self._follow != self._lqd or self._credence != self._lqd:
+                        self._diverged("departure", port)
+        self.slot += 1
 
     def _diverged(self, event: str, detail: int) -> None:
         policy = next(p for p in self.policies if p.thresholds.thresholds != self._lqd)

@@ -11,6 +11,14 @@ packet is eventually transmitted and throughput comparisons are exact.
 ``run_slots`` is the one loop that schedules these events; every run in the
 library goes through it. A packet's identity is its arrival index (0, 1, 2,
 ... in arrival order), and a run's record is one ``Verdict`` per arrival.
+
+The departure phase does only work that can change state. It visits a port
+only when the port has a queued packet or its policy's mirrored threshold
+(``Policy.thresholds``) is nonzero, and a slot whose buffer is empty and
+whose thresholds are all 0 is skipped in O(1). A visit to any other port
+would change nothing, so every output is the same as visiting all ports in
+every slot. A policy that declares no ``thresholds`` has every port visited
+in every slot.
 """
 
 from __future__ import annotations
@@ -141,14 +149,48 @@ class SwitchState(object):
         return index
 
 
+class _FixedThresholds:
+    """Stand-in mirror, ``level`` at every port, for a policy with no ``ThresholdState``."""
+
+    __slots__ = ("thresholds", "total")
+
+    def __init__(self, num_ports: int, level: int) -> None:
+        self.thresholds = [level] * num_ports
+        self.total = level * num_ports
+
+
+_UNDECLARED = object()
+
+
+def _mirror_of(policy: "Policy", num_ports: int):
+    """The threshold state the departure phase reads for ``policy``.
+
+    It is the policy's declared ``thresholds``. A declared None stands for
+    all zeros, so only queued ports are visited. A policy that declares
+    nothing may keep drain state the phase cannot see, so every port reads
+    as busy and every port is visited in every slot.
+    """
+    mirror = getattr(policy, "thresholds", _UNDECLARED)
+    if mirror is None:
+        return _FixedThresholds(num_ports, 0)
+    if mirror is _UNDECLARED:
+        return _FixedThresholds(num_ports, 1)
+    return mirror
+
+
 class Simulation:
     """One switch under one policy, stepped event by event (``run_slots`` drives it).
 
     Queues hold arrival indices; ``verdicts[i]`` is the fate of arrival ``i``.
     An accepted packet reads ``TRANSMITTED`` unless a push-out overwrites it.
+    ``mirror`` is the policy's threshold state, read after ``policy.reset``;
+    ``depart_phase`` drains it.
     """
 
-    __slots__ = ("config", "policy", "state", "transmitted", "dropped", "verdicts", "peak_occupancy", "_buffer")
+    __slots__ = (
+        "config", "policy", "state", "transmitted", "dropped", "verdicts", "peak_occupancy",
+        "mirror", "_buffer", "_ports",
+    )
 
     def __init__(self, config: SwitchConfig, policy: "Policy") -> None:
         self.config = config
@@ -159,11 +201,18 @@ class Simulation:
         self.dropped = 0
         self.verdicts: list[Verdict] = []
         self.peak_occupancy = 0
+        self.mirror = _mirror_of(policy, config.num_ports)
         self._buffer = config.buffer_size
+        self._ports = range(config.num_ports)
 
     @property
     def occupancy(self) -> int:
         return self.state.occupancy
+
+    @property
+    def idle(self) -> bool:
+        """True when a departure phase would change nothing: no queued packet, no threshold."""
+        return not self.state.occupancy and not self.mirror.total
 
     def arrive(self, port: int) -> None:
         """Process arrival ``len(verdicts)``: ask the policy, then apply its decision."""
@@ -199,31 +248,39 @@ class Simulation:
         self.policy.on_departure(port, state)
 
     def depart_phase(self) -> None:
-        for port in range(self.config.num_ports):
-            self.depart_port(port)
+        """One slot's departure phase: ``depart_port`` for each port, in
+        ascending order, whose queue or mirrored threshold is nonzero."""
+        state = self.state
+        mirror = self.mirror
+        # ``idle``, inlined: this runs once per slot
+        if not state.occupancy and not mirror.total:
+            return
+        depart_port = self.depart_port
+        queue_len = state.queue_len
+        thresholds = mirror.thresholds
+        for port in self._ports:
+            if queue_len[port] or thresholds[port]:
+                depart_port(port)
 
 
 def run_slots(sim, sequence: ArrivalSequence) -> None:
     """Feed every event of ``sequence`` to ``sim``, slot by slot.
 
     The only loop that schedules events. Each slot runs its arrivals in row
-    order, then one departure per port in ascending port order; after the
-    last slot, departure-only slots run until ``sim.occupancy`` is 0. ``sim``
-    is a ``Simulation`` or any object with the same ``config``, ``arrive``,
-    ``depart_port`` and ``occupancy``. The sequence is validated first.
+    order, then one departure phase; after the last slot, departure phases
+    run until ``sim.occupancy`` is 0. ``sim`` is a ``Simulation`` or any
+    object with the same ``config``, ``arrive``, ``depart_phase`` and
+    ``occupancy``. The sequence is validated first.
     """
     sequence.validate(sim.config)
     arrive = sim.arrive
-    depart_port = sim.depart_port
-    ports = range(sim.config.num_ports)
+    depart_phase = sim.depart_phase
     for row in sequence.slots:
         for port in row:
             arrive(port)
-        for port in ports:
-            depart_port(port)
+        depart_phase()
     while sim.occupancy:
-        for port in ports:
-            depart_port(port)
+        depart_phase()
 
 
 def run_simulation(config: SwitchConfig, sequence: ArrivalSequence, policy: "Policy") -> RunResult:

@@ -13,14 +13,14 @@ arrival, under any policy.
 from __future__ import annotations
 
 from enum import Enum
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Protocol
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Protocol
 
 from .core import ArrivalSequence, RunResult, Verdict
 
 if TYPE_CHECKING:
     from .core import SwitchConfig, SwitchState
     from .learner import ForestModel
-    from .policies import Decision, Policy
+    from .policies import Decision, Policy, ThresholdState
 
 __all__ = [
     "PredictionLabel",
@@ -65,13 +65,15 @@ class FeatureTracker:
 
     Averages fold in the observed value at every arrival with weight
     ``2 / (window + 1)``; ``window`` is measured in slots and stands in for
-    one round-trip time of the modelled network.
+    one round-trip time of the modelled network. When ``log`` is a list,
+    every vector built is appended to it.
     """
 
     def __init__(self, num_ports: int, window: int = 16) -> None:
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
         self.window = window
+        self.log: Optional[list[FeatureVector]] = None
         self._weight = 2.0 / (window + 1)
         self._queue_avg = [0.0] * num_ports
         self._occupancy_avg = 0.0
@@ -84,12 +86,20 @@ class FeatureTracker:
         queue_avg = self._queue_avg[port] + weight * (queue_len - self._queue_avg[port])
         self._queue_avg[port] = queue_avg
         self._occupancy_avg += weight * (occupancy - self._occupancy_avg)
-        return FeatureVector(queue_len, queue_avg, occupancy, self._occupancy_avg)
+        features = FeatureVector(queue_len, queue_avg, occupancy, self._occupancy_avg)
+        if self.log is not None:
+            self.log.append(features)
+        return features
 
 
 class FeatureSampler:
     """Wraps any policy and records, in ``features[i]``, the features of
-    arrival ``i`` sampled from the pre-decision state."""
+    arrival ``i`` sampled from the pre-decision state.
+
+    A wrapped policy that builds features itself (Credence, through its
+    ``features`` tracker) logs them from that tracker, so each arrival's
+    features are built once. ``thresholds`` is the wrapped policy's.
+    """
 
     def __init__(self, policy: "Policy") -> None:
         self.policy = policy
@@ -97,13 +107,24 @@ class FeatureSampler:
         # bound once: a forwarding method would add a call to every departure
         self.on_departure = policy.on_departure
 
+    @property
+    def thresholds(self) -> "Optional[ThresholdState]":
+        # raises AttributeError, as the wrapped policy does, when it declares none
+        return self.policy.thresholds
+
     def reset(self, config: "SwitchConfig") -> None:
         self.policy.reset(config)
-        self.tracker = FeatureTracker(config.num_ports)
         self.features: list[FeatureVector] = []
+        tracker = getattr(self.policy, "features", None)
+        if isinstance(tracker, FeatureTracker):
+            self._tracker = None
+        else:
+            tracker = self._tracker = FeatureTracker(config.num_ports)
+        tracker.log = self.features
 
     def on_arrival(self, port: int, index: int, state: "SwitchState") -> "Decision":
-        self.features.append(self.tracker.on_arrival(port, state))
+        if self._tracker is not None:
+            self._tracker.on_arrival(port, state)
         return self.policy.on_arrival(port, index, state)
 
 

@@ -60,9 +60,17 @@ DROP = Decision(False)
 
 
 class Policy(Protocol):
-    """Contract shared by every buffer-sharing policy."""
+    """Contract shared by every buffer-sharing policy.
+
+    ``thresholds`` declares the policy's drain state: the ``ThresholdState``
+    its ``on_departure`` drains, or None when ``on_departure`` changes
+    nothing. The departure phase reads it to skip the ports and slots where
+    no drain work can happen. A policy (or wrapper) that omits the attribute
+    has every port visited in every slot.
+    """
 
     name: str
+    thresholds: Optional[ThresholdState]
 
     def reset(self, config: SwitchConfig) -> None:
         """Forget all run state and bind to a switch configuration."""
@@ -71,13 +79,21 @@ class Policy(Protocol):
         """Decide the fate of arrival ``index``, bound for ``port``."""
 
     def on_departure(self, port: int, state: SwitchState) -> None:
-        """Observe the departure phase visiting ``port`` (after its drain)."""
+        """Observe the departure phase visiting ``port`` (after its drain).
+
+        Called only for a port whose queue or declared threshold is nonzero,
+        in ascending port order; a port with neither, and a slot whose
+        buffer is empty and whose thresholds are all 0, are not visited.
+        ``on_departure`` must change nothing at such a port, so skipping it
+        changes no output.
+        """
 
 
 class CompleteSharing:
     """Accept if and only if the buffer is not full."""
 
     name = "complete_sharing"
+    thresholds = None
 
     def reset(self, config: SwitchConfig) -> None:
         self._buffer = config.buffer_size
@@ -97,6 +113,7 @@ class DynamicThresholds:
     """
 
     name = "dynamic_thresholds"
+    thresholds = None
 
     def __init__(self, alpha: Union[Fraction, str, int] = Fraction(1, 2)) -> None:
         self.alpha = Fraction(alpha)
@@ -129,6 +146,7 @@ class LongestQueueDrop:
     """
 
     name = "lqd"
+    thresholds = None
 
     def reset(self, config: SwitchConfig) -> None:
         self._buffer = config.buffer_size

@@ -308,6 +308,8 @@ def test_sweep_rows_and_csv(tmp_path):
         ([[0]], ThresholdDivergence("follow_lqd", "departure", 0, 0, [1, 0], [0, 0])),
         ([[], [1]], ThresholdDivergence("follow_lqd", "departure", 1, 1, [0, 1], [0, 0])),
         ([[0]], ThresholdDivergence("follow_lqd", "arrival", 0, 0, [0, 0], [1, 0])),
+        # idle slots are skipped but still counted
+        ([[], [], [], [1]], ThresholdDivergence("follow_lqd", "departure", 3, 1, [0, 1], [0, 0])),
     ],
 )
 def test_divergence_names_the_first_mismatching_event(monkeypatch, slots, expected):

@@ -21,8 +21,9 @@ from shbuf import (
 )
 from shbuf.analysis import find_threshold_divergence, throughput
 from shbuf.core import PolicyError, Simulation
+from shbuf.oracles import ConstantOracle, FeatureSampler, FlipOracle, PredictionLabel
 from shbuf.policies import Decision
-from shbuf.workloads import single_burst
+from shbuf.workloads import poisson_bursts, single_burst
 
 from conftest import random_sequence
 
@@ -238,3 +239,119 @@ def test_every_run_records_one_verdict_per_arrival(instance):
             assert Verdict.PUSHED_OUT not in result.verdicts
         assert throughput(config, sequence, make()) == result.transmitted_count
     assert find_threshold_divergence(config, sequence) is None
+
+
+class _Spy:
+    """Opaque wrapper: forwards every call but declares no ``thresholds``."""
+
+    def __init__(self, policy):
+        self.policy = policy
+        self.name = policy.name
+
+    def reset(self, config):
+        self.policy.reset(config)
+
+    def on_arrival(self, port, index, state):
+        return self.policy.on_arrival(port, index, state)
+
+    def on_departure(self, port, state):
+        self.policy.on_departure(port, state)
+
+
+def _visit_every_port(config, sequence, policy):
+    """Reference schedule: ``depart_port`` for every port in every slot."""
+    sim = Simulation(config, policy)
+    ports = range(config.num_ports)
+    for row in sequence.slots:
+        for port in row:
+            sim.arrive(port)
+        for port in ports:
+            sim.depart_port(port)
+    while sim.occupancy:
+        for port in ports:
+            sim.depart_port(port)
+    return sim
+
+
+def _final_thresholds(policy):
+    mirror = getattr(getattr(policy, "policy", policy), "thresholds", None)
+    return None if mirror is None else list(mirror.thresholds)
+
+
+@st.composite
+def gappy_instances(draw):
+    # bursts of slots separated by long arrival-free gaps, so that thresholds
+    # outlive their queues and whole runs of slots are idle
+    num_ports = draw(st.integers(1, 6))
+    buffer_size = draw(st.integers(1, 12))
+    row = st.lists(st.integers(0, num_ports - 1), max_size=num_ports)
+    slots = []
+    for rows, gap in draw(st.lists(st.tuples(st.lists(row, max_size=6), st.integers(0, 40)), max_size=5)):
+        slots += rows + [[] for _ in range(gap)]
+    return SwitchConfig(num_ports, buffer_size), ArrivalSequence(slots), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(gappy_instances())
+def test_skipping_idle_ports_and_slots_changes_no_output(instance):
+    config, sequence, seed = instance
+    lqd = run_simulation(config, sequence, LongestQueueDrop())
+    oracle = FlipOracle(PerfectOracle.from_run(lqd), 0.3, seed, sequence)
+    makers = {
+        "complete_sharing": CompleteSharing,
+        "dynamic_thresholds": DynamicThresholds,
+        "lqd": LongestQueueDrop,
+        "follow_lqd": FollowLqd,
+        "credence": lambda: Credence(oracle),
+        "sampler(credence)": lambda: FeatureSampler(Credence(oracle)),
+        "spy(follow_lqd)": lambda: _Spy(FollowLqd()),
+        "spy(credence)": lambda: _Spy(Credence(oracle)),
+    }
+    for name, make in makers.items():
+        policy, reference_policy = make(), make()
+        result = run_simulation(config, sequence, policy)
+        reference = _visit_every_port(config, sequence, reference_policy)
+        assert result.verdicts == reference.verdicts, name
+        assert result.transmitted_count == reference.transmitted, name
+        assert result.dropped_count == reference.dropped, name
+        assert result.peak_occupancy == reference.peak_occupancy, name
+        assert _final_thresholds(policy) == _final_thresholds(reference_policy), name
+
+
+class _DepartureRecorder(_Spy):
+    """A spy that declares the wrapped policy's thresholds and records each port ``on_departure`` sees."""
+
+    def __init__(self, policy):
+        super().__init__(policy)
+        self.visits = []
+
+    @property
+    def thresholds(self):
+        return self.policy.thresholds
+
+    def on_departure(self, port, state):
+        self.visits.append(port)
+        super().on_departure(port, state)
+
+
+def test_departure_phase_visits_exactly_the_ports_with_drain_work():
+    # on_departure is never called for a port whose queue and threshold are
+    # both 0, and is called, in ascending order, for every other port
+    config = SwitchConfig(6, 12)
+    slots = poisson_bursts(config, 1 / 8, 200, 3).slots
+    for policy in (FollowLqd(), Credence(ConstantOracle(PredictionLabel.NEGATIVE))):
+        recorder = _DepartureRecorder(policy)
+        sim = Simulation(config, recorder)
+        drained_only_thresholds = idle_slots = 0
+        for row in slots:
+            for port in row:
+                sim.arrive(port)
+            queued = list(sim.state.queue_len)
+            thresholds = list(policy.thresholds.thresholds)
+            recorder.visits.clear()
+            sim.depart_phase()
+            assert recorder.visits == [p for p in range(6) if queued[p] or thresholds[p]]
+            drained_only_thresholds += sum(1 for p in recorder.visits if not queued[p])
+            idle_slots += not recorder.visits
+        # the sequence reaches both cases the phase skips or must not skip
+        assert drained_only_thresholds and idle_slots
