@@ -73,6 +73,31 @@ def test_sequence_validation_rejects_bad_input():
         run_simulation(cfg, ArrivalSequence([[2]]), CompleteSharing())
 
 
+@pytest.mark.parametrize(
+    "slots, message",
+    [
+        ([[0], [1], [], [0, 1, 0]], "slot 3 carries 3 arrivals; at most 2 allowed"),
+        ([[0, 1], [-1]], "slot 1: port -1 out of range [0, 2)"),
+        ([[0], [], [1, 2]], "slot 2: port 2 out of range [0, 2)"),
+        # the first bad slot is named, and a row's length is checked before its ports
+        ([[0], [5], [0, 1, 1]], "slot 1: port 5 out of range [0, 2)"),
+        ([[1], [1, 0, 7]], "slot 1 carries 3 arrivals; at most 2 allowed"),
+    ],
+    ids=["over_cap_late", "negative_port", "port_equals_n", "first_bad_slot", "length_before_ports"],
+)
+def test_sequence_validation_names_the_first_bad_slot(slots, message):
+    with pytest.raises(ValueError) as raised:
+        ArrivalSequence(slots).validate(SwitchConfig(2, 4))
+    assert str(raised.value) == message
+
+
+def test_empty_sequence_validates_and_counts_no_packets():
+    for slots in ([], [[], []]):
+        sequence = ArrivalSequence(slots)
+        sequence.validate(SwitchConfig(2, 4))
+        assert sequence.total_packets == 0
+
+
 def test_occupancy_bound_after_every_event(small_config):
     rng = random.Random(7)
     for policy in (CompleteSharing(), LongestQueueDrop(), FollowLqd(), DynamicThresholds()):

@@ -233,3 +233,17 @@ def test_oracle_purity_under_simulation():
             assert 0 < len(acted.labels) < seq.total_packets, case
             for index, label in acted.labels.items():
                 assert log[index] is label, case
+
+
+def test_prediction_log_of_a_perfect_oracle_is_the_lqd_truth():
+    from shbuf import Credence
+    from shbuf.analysis import simulate_with_prediction_log
+    from shbuf.workloads import poisson_bursts
+
+    cfg = SwitchConfig(4, 8)
+    seq = poisson_bursts(cfg, 0.1, 300, seed=4)
+    truth = ground_truth_from_run(run_simulation(cfg, seq, LongestQueueDrop()))
+    result, log = simulate_with_prediction_log(cfg, seq, PerfectOracle(truth))
+    assert any(truth.values())
+    assert log == [PredictionLabel.POSITIVE if truth[i] else PredictionLabel.NEGATIVE for i in range(len(truth))]
+    assert result.verdicts == run_simulation(cfg, seq, Credence(PerfectOracle(truth))).verdicts
