@@ -78,9 +78,10 @@ class _LabelRecorder:
 
     def __init__(self, oracle: Oracle) -> None:
         self.oracle = oracle
+        self.reads_features = getattr(oracle, "reads_features", True)
         self.labels: dict[int, PredictionLabel] = {}
 
-    def predict(self, index: int, features: FeatureVector) -> PredictionLabel:
+    def predict(self, index: int, features: Optional[FeatureVector]) -> PredictionLabel:
         label = self.labels[index] = self.oracle.predict(index, features)
         return label
 
@@ -364,7 +365,9 @@ class _Lockstep:
     queue lengths, and the first mismatch ends the run by raising
     ``_Diverged``. A departure phase visits, in ascending order, each port
     where any of the three has a queued packet or a nonzero threshold, and
-    counts the slot even when all three are idle and it visits none.
+    counts the slot even when all three are idle and it visits none. A
+    ``drain`` of many slots is that many departure phases, so a mismatch is
+    still named by its slot and port.
     """
 
     def __init__(self, config: SwitchConfig, oracle: Oracle) -> None:
@@ -385,8 +388,8 @@ class _Lockstep:
         self.slot = 0
 
     @property
-    def occupancy(self) -> int:
-        return self.follow_sim.occupancy + self.credence_sim.occupancy + self.lqd_sim.occupancy
+    def backlog(self) -> int:
+        return max(self.follow_sim.backlog, self.credence_sim.backlog, self.lqd_sim.backlog)
 
     def arrive(self, port: int) -> None:
         self.follow_sim.arrive(port)
@@ -410,6 +413,11 @@ class _Lockstep:
                     if self._follow != self._lqd or self._credence != self._lqd:
                         self._diverged("departure", port)
         self.slot += 1
+
+    def drain(self, slots: int) -> None:
+        depart_phase = self.depart_phase
+        for _ in range(slots):
+            depart_phase()
 
     def _diverged(self, event: str, detail: int) -> None:
         policy = next(p for p in self.policies if p.thresholds.thresholds != self._lqd)

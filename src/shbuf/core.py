@@ -15,10 +15,13 @@ library goes through it. A packet's identity is its arrival index (0, 1, 2,
 The departure phase does only work that can change state. It visits a port
 only when the port has a queued packet or its policy's mirrored threshold
 (``Policy.thresholds``) is nonzero, and a slot whose buffer is empty and
-whose thresholds are all 0 is skipped in O(1). A visit to any other port
-would change nothing, so every output is the same as visiting all ports in
-every slot. A policy that declares no ``thresholds`` has every port visited
-in every slot.
+whose thresholds are all 0 is skipped in O(1). A run of arrival-free slots,
+and the departure-only slots after the last arrival, are applied in one
+``Simulation.drain`` step: each queue sends ``min(length, slots)`` packets
+and each mirrored threshold falls by ``min(threshold, slots)``, in O(N +
+packets sent). Either shortcut gives the same state as visiting every port
+in every slot. A policy that declares no ``thresholds`` has every port
+visited in every slot, one departure phase per slot.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import TYPE_CHECKING, Deque, Optional
 
 if TYPE_CHECKING:
@@ -73,12 +77,19 @@ class ArrivalSequence:
 
     @property
     def total_packets(self) -> int:
-        return sum(len(row) for row in self.slots)
+        return sum(map(len, self.slots))
 
     def validate(self, config: SwitchConfig) -> None:
         """Raise ValueError if any slot exceeds the aggregate cap or names a bad port."""
         n = config.num_ports
-        for slot_index, row in enumerate(self.slots):
+        slots = self.slots
+        if not slots:
+            return
+        ports = set(chain.from_iterable(slots))
+        if max(map(len, slots)) <= n and (not ports or (min(ports) >= 0 and max(ports) < n)):
+            return
+        # something is wrong: find the first bad slot, to name it
+        for slot_index, row in enumerate(slots):
             if len(row) > n:
                 raise ValueError(
                     f"slot {slot_index} carries {len(row)} arrivals; at most {n} allowed"
@@ -184,12 +195,12 @@ class Simulation:
     Queues hold arrival indices; ``verdicts[i]`` is the fate of arrival ``i``.
     An accepted packet reads ``TRANSMITTED`` unless a push-out overwrites it.
     ``mirror`` is the policy's threshold state, read after ``policy.reset``;
-    ``depart_phase`` drains it.
+    ``depart_phase`` and ``drain`` drain it.
     """
 
     __slots__ = (
         "config", "policy", "state", "transmitted", "dropped", "verdicts", "peak_occupancy",
-        "mirror", "_buffer", "_ports",
+        "mirror", "_declared", "_buffer", "_ports",
     )
 
     def __init__(self, config: SwitchConfig, policy: "Policy") -> None:
@@ -202,12 +213,19 @@ class Simulation:
         self.verdicts: list[Verdict] = []
         self.peak_occupancy = 0
         self.mirror = _mirror_of(policy, config.num_ports)
+        # a declared mirror is all the policy's drain state, so many slots can drain at once
+        self._declared = getattr(policy, "thresholds", _UNDECLARED) is not _UNDECLARED
         self._buffer = config.buffer_size
         self._ports = range(config.num_ports)
 
     @property
     def occupancy(self) -> int:
         return self.state.occupancy
+
+    @property
+    def backlog(self) -> int:
+        """Departure-only slots left until the buffer is empty: the longest queue."""
+        return max(self.state.queue_len)
 
     @property
     def idle(self) -> bool:
@@ -262,25 +280,74 @@ class Simulation:
             if queue_len[port] or thresholds[port]:
                 depart_port(port)
 
+    def drain(self, slots: int) -> None:
+        """``slots`` arrival-free departure phases in one step.
+
+        Each queue sends ``min(length, slots)`` packets from its head and the
+        mirror lowers each threshold by ``min(threshold, slots)``, in O(N +
+        packets sent), without calling ``on_departure``. A policy that
+        declares no ``thresholds`` gets ``slots`` calls of ``depart_phase``.
+        """
+        state = self.state
+        mirror = self.mirror
+        if not state.occupancy and not mirror.total:
+            return
+        if not self._declared:
+            depart_phase = self.depart_phase
+            for _ in range(slots):
+                depart_phase()
+            return
+        if state.occupancy:
+            queue_len = state.queue_len
+            queues = state.queues
+            sent = 0
+            for port, length in enumerate(queue_len):
+                if not length:
+                    continue
+                queue = queues[port]
+                if length <= slots:
+                    queue.clear()
+                    queue_len[port] = 0
+                    sent += length
+                else:
+                    popleft = queue.popleft
+                    for _ in range(slots):
+                        popleft()
+                    queue_len[port] = length - slots
+                    sent += slots
+            state.occupancy -= sent
+            self.transmitted += sent
+        if mirror.total:
+            mirror.drain(slots)
+
 
 def run_slots(sim, sequence: ArrivalSequence) -> None:
     """Feed every event of ``sequence`` to ``sim``, slot by slot.
 
     The only loop that schedules events. Each slot runs its arrivals in row
-    order, then one departure phase; after the last slot, departure phases
-    run until ``sim.occupancy`` is 0. ``sim`` is a ``Simulation`` or any
-    object with the same ``config``, ``arrive``, ``depart_phase`` and
-    ``occupancy``. The sequence is validated first.
+    order, then one departure phase. A run of arrival-free slots is applied
+    in one ``sim.drain`` call before the next slot with arrivals; after the
+    last slot, ``sim.drain`` runs the ``sim.backlog`` departure-only slots
+    that empty the buffer. ``sim`` is a ``Simulation`` or any object with
+    the same ``config``, ``arrive``, ``depart_phase``, ``drain`` and
+    ``backlog``. The sequence is validated first.
     """
     sequence.validate(sim.config)
     arrive = sim.arrive
     depart_phase = sim.depart_phase
+    drain = sim.drain
+    gap = 0
     for row in sequence.slots:
+        if not row:
+            gap += 1
+            continue
+        if gap:
+            drain(gap)
+            gap = 0
         for port in row:
             arrive(port)
         depart_phase()
-    while sim.occupancy:
-        depart_phase()
+    drain(max(gap, sim.backlog))
 
 
 def run_simulation(config: SwitchConfig, sequence: ArrivalSequence, policy: "Policy") -> RunResult:

@@ -5,7 +5,8 @@ small bagged ensemble of depth-limited decision trees on them, and computes
 the usual binary-classification scores. The trainer is written for exact
 reproducibility: given the same examples and seed it produces byte-identical
 model files, with Gini ties broken toward the lower feature index and then
-the lower threshold.
+the lower threshold. numpy is imported only by the functions that train and
+split, so importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -13,13 +14,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Union
 
 from .core import ArrivalSequence, SwitchConfig, Verdict, run_simulation
 from .oracles import FeatureSampler, FeatureVector, PredictionLabel
 from .policies import LongestQueueDrop
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "LabeledExample",
@@ -94,6 +96,8 @@ def _leaf(positives: int, total: int) -> int:
 
 
 def _grow_tree(X: np.ndarray, y: np.ndarray, indices: np.ndarray, depth_left: int) -> Union[TreeNode, int]:
+    import numpy as np
+
     labels = y[indices]
     total = len(indices)
     positives = int(labels.sum())
@@ -160,6 +164,8 @@ class ForestModel:
 
 
 def _as_arrays(examples: Sequence[LabeledExample]) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
+
     width = len(examples[0].features)
     for example in examples:
         if len(example.features) != width:
@@ -191,6 +197,8 @@ def train_forest(
         raise ValueError(f"trees must be in [1, {MAX_TREES}], got {trees}")
     if max_depth < 1:
         raise ValueError(f"max_depth must be >= 1, got {max_depth}")
+    import numpy as np
+
     X, y = _as_arrays(examples)
     rng = np.random.Generator(np.random.PCG64(seed))
     grown: list[Union[TreeNode, int]] = []
@@ -246,6 +254,8 @@ def split_examples(
     """Deterministic shuffled split; the first ``split`` fraction is the training part."""
     if not 0.0 < split < 1.0:
         raise ValueError(f"split must be strictly between 0 and 1, got {split}")
+    import numpy as np
+
     rng = np.random.Generator(np.random.PCG64(seed))
     order = rng.permutation(len(examples))
     cut = int(len(examples) * split)

@@ -97,8 +97,9 @@ class FeatureSampler:
     arrival ``i`` sampled from the pre-decision state.
 
     A wrapped policy that builds features itself (Credence, through its
-    ``features`` tracker) logs them from that tracker, so each arrival's
-    features are built once. ``thresholds`` is the wrapped policy's.
+    ``features`` tracker, when its oracle reads them) logs them from that
+    tracker, so each arrival's features are built once; for any other
+    policy the sampler builds them. ``thresholds`` is the wrapped policy's.
     """
 
     def __init__(self, policy: "Policy") -> None:
@@ -129,17 +130,29 @@ class FeatureSampler:
 
 
 class Oracle(Protocol):
-    def predict(self, index: int, features: FeatureVector) -> PredictionLabel:
+    """Contract shared by every oracle.
+
+    ``reads_features`` says whether ``predict`` looks at its ``features``
+    argument. When it is False, callers may pass None instead, and
+    ``Credence`` builds no features for the oracle. An oracle that omits
+    the attribute is taken to read them.
+    """
+
+    reads_features: bool
+
+    def predict(self, index: int, features: Optional[FeatureVector]) -> PredictionLabel:
         """Label one arriving packet."""
 
 
 class ConstantOracle:
     """Always returns the same label; the degenerate ends of the error spectrum."""
 
+    reads_features = False
+
     def __init__(self, label: PredictionLabel) -> None:
         self.label = label
 
-    def predict(self, index: int, features: FeatureVector) -> PredictionLabel:
+    def predict(self, index: int, features: Optional[FeatureVector]) -> PredictionLabel:
         return self.label
 
 
@@ -151,6 +164,8 @@ def ground_truth_from_run(result: RunResult) -> dict[int, bool]:
 class PerfectOracle:
     """Replays recorded per-packet outcomes, usually from a LongestQueueDrop run."""
 
+    reads_features = False
+
     def __init__(self, truth: Mapping[int, bool]) -> None:
         self.truth = truth
 
@@ -158,7 +173,7 @@ class PerfectOracle:
     def from_run(cls, result: RunResult) -> "PerfectOracle":
         return cls(ground_truth_from_run(result))
 
-    def predict(self, index: int, features: FeatureVector) -> PredictionLabel:
+    def predict(self, index: int, features: Optional[FeatureVector]) -> PredictionLabel:
         try:
             dropped = self.truth[index]
         except KeyError:
@@ -186,13 +201,14 @@ class FlipOracle:
     ``(seed, slot, pos)``, tossed up front into ``flips[i]`` for arrival
     ``i``, so the set of flipped packets does not depend on query order or
     on how often a packet is queried, and sweeps over ``p`` stay comparable
-    across policies.
+    across policies. It reads features when ``base`` does.
     """
 
     def __init__(self, base: Oracle, p: float, seed: int, sequence: ArrivalSequence) -> None:
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"flip probability must be in [0, 1], got {p}")
         self.base = base
+        self.reads_features = getattr(base, "reads_features", True)
         x_seed = _mix64(seed & _MASK64)
         self.flips: list[bool] = []
         for slot_index, row in enumerate(sequence.slots):
@@ -203,7 +219,7 @@ class FlipOracle:
                     for pos in range(len(row))
                 )
 
-    def predict(self, index: int, features: FeatureVector) -> PredictionLabel:
+    def predict(self, index: int, features: Optional[FeatureVector]) -> PredictionLabel:
         label = self.base.predict(index, features)
         if self.flips[index]:
             return label.inverted()
@@ -212,6 +228,8 @@ class FlipOracle:
 
 class ForestOracle:
     """Labels packets with a trained decision-tree ensemble over the features."""
+
+    reads_features = True
 
     def __init__(self, model: "ForestModel") -> None:
         self.model = model

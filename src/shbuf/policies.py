@@ -65,7 +65,9 @@ class Policy(Protocol):
     ``thresholds`` declares the policy's drain state: the ``ThresholdState``
     its ``on_departure`` drains, or None when ``on_departure`` changes
     nothing. The departure phase reads it to skip the ports and slots where
-    no drain work can happen. A policy (or wrapper) that omits the attribute
+    no drain work can happen, and a run of arrival-free slots drains a
+    declared mirror many slots at once (``ThresholdState.drain``) without
+    calling ``on_departure``. A policy (or wrapper) that omits the attribute
     has every port visited in every slot.
     """
 
@@ -85,7 +87,9 @@ class Policy(Protocol):
         in ascending port order; a port with neither, and a slot whose
         buffer is empty and whose thresholds are all 0, are not visited.
         ``on_departure`` must change nothing at such a port, so skipping it
-        changes no output.
+        changes no output. It may change nothing but the declared mirror,
+        because arrival-free slots drain that mirror many slots at once
+        without calling ``on_departure`` at all.
         """
 
 
@@ -198,6 +202,13 @@ class ThresholdState:
             self.thresholds[port] -= 1
             self.total -= 1
 
+    def drain(self, slots: int) -> None:
+        """``slots`` departure phases at every port: each threshold falls by ``min(threshold, slots)``."""
+        thresholds = self.thresholds
+        # in place: other holders keep a reference to this list
+        thresholds[:] = [level - slots if level > slots else 0 for level in thresholds]
+        self.total = sum(thresholds)
+
 
 class FollowLqd:
     """Drop-tail policy accepting while the queue is under its mirrored threshold."""
@@ -241,10 +252,14 @@ class Credence:
         self._ports = config.num_ports
         self._buffer = config.buffer_size
         self.thresholds = ThresholdState(config.num_ports, config.buffer_size)
-        self.features = FeatureTracker(config.num_ports)
+        # None when the oracle ignores features: nothing is built for it
+        self.features = (
+            FeatureTracker(config.num_ports) if getattr(self.oracle, "reads_features", True) else None
+        )
 
     def on_arrival(self, port: int, index: int, state: SwitchState) -> Decision:
-        features = self.features.on_arrival(port, state)
+        tracker = self.features
+        features = tracker.on_arrival(port, state) if tracker is not None else None
         mirror = self.thresholds
         mirror.on_arrival(port)
         lengths = state.queue_len

@@ -343,6 +343,76 @@ def test_skipping_idle_ports_and_slots_changes_no_output(instance):
         assert _final_thresholds(policy) == _final_thresholds(reference_policy), name
 
 
+def test_the_last_drain_runs_until_the_buffer_is_empty_and_no_further():
+    # a Credence whose oracle always says drop leaves thresholds above its
+    # queues, so the final thresholds show how many departure-only slots ran
+    rng = random.Random(5)
+    outlived = 0
+    for _ in range(100):
+        num_ports = rng.randint(2, 4)
+        config = SwitchConfig(num_ports, rng.randint(2, 12))
+        slots = [[rng.randrange(num_ports) for _ in range(rng.randint(0, num_ports))] for _ in range(rng.randint(1, 12))]
+        # trailing empty rows shorter than the backlog: the tail must not add them to it
+        sequence = ArrivalSequence(slots + [[] for _ in range(rng.randint(0, 2))])
+        for make in (FollowLqd, lambda: Credence(ConstantOracle(PredictionLabel.POSITIVE))):
+            policy, reference_policy = make(), make()
+            run_simulation(config, sequence, policy)
+            _visit_every_port(config, sequence, reference_policy)
+            assert policy.thresholds.thresholds == reference_policy.thresholds.thresholds, sequence.slots
+            outlived += policy.thresholds.total > 0
+    assert outlived
+
+
+@st.composite
+def drain_instances(draw):
+    # a state reached by a random arrival prefix, and a number of slots to drain from it
+    num_ports = draw(st.integers(1, 6))
+    buffer_size = draw(st.integers(1, 12))
+    row = st.lists(st.integers(0, num_ports - 1), max_size=num_ports)
+    prefix = ArrivalSequence(draw(st.lists(row, max_size=12)))
+    return SwitchConfig(num_ports, buffer_size), prefix, draw(st.integers(0, 16)), draw(st.integers(0, 2**32 - 1))
+
+
+def _drain_state(sim):
+    mirror = getattr(getattr(sim.policy, "policy", sim.policy), "thresholds", None)
+    return (
+        [list(queue) for queue in sim.state.queues],
+        list(sim.state.queue_len),
+        sim.state.occupancy,
+        sim.transmitted,
+        None if mirror is None else (list(mirror.thresholds), mirror.total),
+    )
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(drain_instances())
+def test_drain_equals_that_many_departure_phases(instance):
+    config, prefix, slots, seed = instance
+    lqd = run_simulation(config, prefix, LongestQueueDrop())
+    oracle = FlipOracle(PerfectOracle.from_run(lqd), 0.3, seed, prefix)
+    makers = {
+        "complete_sharing": CompleteSharing,
+        "dynamic_thresholds": DynamicThresholds,
+        "lqd": LongestQueueDrop,
+        "follow_lqd": FollowLqd,
+        "credence": lambda: Credence(oracle),
+        "sampler(credence)": lambda: FeatureSampler(Credence(oracle)),
+        "spy(follow_lqd)": lambda: _Spy(FollowLqd()),
+        "spy(credence)": lambda: _Spy(Credence(oracle)),
+    }
+    for name, make in makers.items():
+        bulk, stepped = Simulation(config, make()), Simulation(config, make())
+        for sim in (bulk, stepped):
+            for row in prefix.slots:
+                for port in row:
+                    sim.arrive(port)
+                sim.depart_phase()
+        bulk.drain(slots)
+        for _ in range(slots):
+            stepped.depart_phase()
+        assert _drain_state(bulk) == _drain_state(stepped), name
+
+
 class _DepartureRecorder(_Spy):
     """A spy that declares the wrapped policy's thresholds and records each port ``on_departure`` sees."""
 

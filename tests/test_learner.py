@@ -1,9 +1,14 @@
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import shbuf
 from shbuf import (
     ArrivalSequence,
     FeatureVector,
@@ -278,3 +283,14 @@ def test_tree_count_sweep_schema():
     assert [count for count, _ in rows] == [1, 2, 4]
     for _, metrics in rows:
         assert 0.0 <= metrics.accuracy <= 1.0
+
+
+def test_importing_the_package_does_not_load_numpy():
+    # numpy is imported by the training path only, so start-up does not pay for it
+    src = Path(shbuf.__file__).resolve().parent.parent
+    code = "import sys, shbuf, shbuf.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.stdout.strip() == "[]"

@@ -14,7 +14,7 @@ from shbuf import (
     run_simulation,
 )
 from shbuf.learner import ForestModel, TreeNode
-from shbuf.oracles import ConstantOracle, ForestOracle, PredictionLabel, ground_truth_from_run
+from shbuf.oracles import ConstantOracle, FeatureSampler, ForestOracle, PredictionLabel, ground_truth_from_run
 
 from conftest import random_sequence
 
@@ -247,3 +247,54 @@ def test_prediction_log_of_a_perfect_oracle_is_the_lqd_truth():
     assert any(truth.values())
     assert log == [PredictionLabel.POSITIVE if truth[i] else PredictionLabel.NEGATIVE for i in range(len(truth))]
     assert result.verdicts == run_simulation(cfg, seq, Credence(PerfectOracle(truth))).verdicts
+
+
+@pytest.mark.parametrize(
+    "kind, reads",
+    [
+        ("perfect", False),
+        ("flip", False),
+        ("constant", False),
+        ("forest", True),
+        ("flip(forest)", True),
+        ("undeclared", True),
+    ],
+)
+def test_credence_builds_features_only_for_an_oracle_that_reads_them(monkeypatch, kind, reads):
+    from shbuf import Credence
+
+    built = []
+    build = FeatureTracker.on_arrival
+
+    def counting(self, port, state):
+        built.append(port)
+        return build(self, port, state)
+
+    monkeypatch.setattr(FeatureTracker, "on_arrival", counting)
+    cfg = SwitchConfig(3, 6)
+    seq = random_sequence(random.Random(8), 3, 80, 0.6)
+    lqd = run_simulation(cfg, seq, LongestQueueDrop())
+    if kind == "flip(forest)":
+        oracle = FlipOracle(_oracle("forest", lqd, seq), 0.3, seed=5, sequence=seq)
+    elif kind == "undeclared":
+        oracle = _CountingOracle(PerfectOracle.from_run(lqd))
+    else:
+        oracle = _oracle(kind, lqd, seq)
+    built.clear()
+    run_simulation(cfg, seq, Credence(oracle))
+    assert len(built) == (seq.total_packets if reads else 0)
+
+
+def test_sampler_records_the_same_features_whoever_builds_them():
+    # with a perfect oracle Credence builds no features, so the sampler builds
+    # its own; they equal the ones Credence builds for an oracle that reads them
+    from shbuf import Credence
+
+    cfg = SwitchConfig(3, 6)
+    seq = random_sequence(random.Random(9), 3, 80, 0.6)
+    truth = PerfectOracle.from_run(run_simulation(cfg, seq, LongestQueueDrop()))
+    own, shared = FeatureSampler(Credence(truth)), FeatureSampler(Credence(_CountingOracle(truth)))
+    assert run_simulation(cfg, seq, own).verdicts == run_simulation(cfg, seq, shared).verdicts
+    assert own.policy.features is None and shared.policy.features is not None
+    assert len(own.features) == seq.total_packets
+    assert own.features == shared.features
