@@ -83,10 +83,8 @@ class ArrivalSequence:
         """Raise ValueError if any slot exceeds the aggregate cap or names a bad port."""
         n = config.num_ports
         slots = self.slots
-        if not slots:
-            return
         ports = set(chain.from_iterable(slots))
-        if max(map(len, slots)) <= n and (not ports or (min(ports) >= 0 and max(ports) < n)):
+        if max(map(len, slots), default=0) <= n and min(ports, default=0) >= 0 and max(ports, default=0) < n:
             return
         # something is wrong: find the first bad slot, to name it
         for slot_index, row in enumerate(slots):
