@@ -33,6 +33,7 @@ from .oracles import (
     Oracle,
     PerfectOracle,
     PredictionLabel,
+    _flip_draws,
 )
 from .policies import (
     CompleteSharing,
@@ -305,25 +306,29 @@ def competitive_sweep(
     For each seed, one burst workload is generated and served by
     LongestQueueDrop (whose outcomes double as the perfect predictions), by
     DynamicThresholds, and by Credence with the recorded predictions flipped
-    at each probability in ``p_values``. Rows are ordered by (p, seed).
+    at each probability in ``p_values``. Each seed's flip coins are drawn
+    once and shared by every ``p``, and its runs finish before the next
+    seed's sequence is generated. Rows are ordered by (p, seed).
     """
-    rows = []
     for p in p_values:
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"flip probability must be in [0, 1], got {p}")
-    per_seed: dict[int, tuple[ArrivalSequence, PerfectOracle, int, int]] = {}
+    per_seed: dict[int, tuple[int, list[int], int]] = {}
     for seed in seeds:
         sequence = poisson_bursts(config, rate, horizon, seed)
         lqd_result = run_simulation(config, sequence, LongestQueueDrop())
         oracle = PerfectOracle.from_run(lqd_result)
         dt_tx = throughput(config, sequence, DynamicThresholds(dt_alpha))
-        per_seed[seed] = (sequence, oracle, lqd_result.transmitted_count, dt_tx)
-    for p in p_values:
+        draws = list(_flip_draws(seed, sequence))
+        credence_tx = [
+            throughput(config, sequence, Credence(FlipOracle.from_draws(oracle, p, draws))) for p in p_values
+        ]
+        per_seed[seed] = (lqd_result.transmitted_count, credence_tx, dt_tx)
+    rows = []
+    for column, p in enumerate(p_values):
         for seed in seeds:
-            sequence, oracle, lqd_tx, dt_tx = per_seed[seed]
-            flipped = FlipOracle(oracle, p, seed, sequence)
-            credence_tx = throughput(config, sequence, Credence(flipped))
-            rows.append(SweepRow(p, seed, lqd_tx, credence_tx, dt_tx))
+            lqd_tx, credence_tx, dt_tx = per_seed[seed]
+            rows.append(SweepRow(p, seed, lqd_tx, credence_tx[column], dt_tx))
     return rows
 
 

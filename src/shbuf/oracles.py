@@ -13,7 +13,7 @@ arrival, under any policy.
 from __future__ import annotations
 
 from enum import Enum
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Protocol
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Optional, Protocol
 
 from .core import ArrivalSequence, RunResult, Verdict
 
@@ -194,6 +194,16 @@ def _mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
+def _flip_draws(seed: int, sequence: ArrivalSequence) -> Iterator[float]:
+    """Yield one draw in [0, 1) per arrival of ``sequence``, a pure function of ``(seed, slot, pos)``."""
+    x_seed = _mix64(seed & _MASK64)
+    for slot_index, row in enumerate(sequence.slots):
+        if row:
+            x_slot = _mix64(x_seed ^ (slot_index * 0x9E3779B97F4A7C15 & _MASK64))
+            for pos in range(len(row)):
+                yield _mix64(x_slot ^ (pos * 0xC2B2AE3D27D4EB4F & _MASK64)) / 2.0**64
+
+
 class FlipOracle:
     """Inverts a base oracle's label with probability ``p``, per packet.
 
@@ -202,25 +212,33 @@ class FlipOracle:
     ``i``, so the set of flipped packets does not depend on query order or
     on how often a packet is queried, and sweeps over ``p`` stay comparable
     across policies. It reads features when ``base`` does.
+
+    ``FlipOracle.from_draws(base, p, draws)`` builds the same oracle from
+    the coins' uniform draws (``list(oracles._flip_draws(seed, sequence))``),
+    so a sweep over ``p`` draws each sequence's coins once; arrival ``i`` is
+    flipped when ``draws[i] < p``, the comparison this constructor makes.
     """
 
     def __init__(self, base: Oracle, p: float, seed: int, sequence: ArrivalSequence) -> None:
+        self._bind(base, p, _flip_draws(seed, sequence))
+
+    @classmethod
+    def from_draws(cls, base: Oracle, p: float, draws: Iterable[float]) -> "FlipOracle":
+        oracle = cls.__new__(cls)
+        oracle._bind(base, p, draws)
+        return oracle
+
+    def _bind(self, base: Oracle, p: float, draws: Iterable[float]) -> None:
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"flip probability must be in [0, 1], got {p}")
         self.base = base
         self.reads_features = getattr(base, "reads_features", True)
-        x_seed = _mix64(seed & _MASK64)
-        self.flips: list[bool] = []
-        for slot_index, row in enumerate(sequence.slots):
-            if row:
-                x_slot = _mix64(x_seed ^ (slot_index * 0x9E3779B97F4A7C15 & _MASK64))
-                self.flips.extend(
-                    _mix64(x_slot ^ (pos * 0xC2B2AE3D27D4EB4F & _MASK64)) / 2.0**64 < p
-                    for pos in range(len(row))
-                )
+        # bound once: the base is asked on every query
+        self._base_predict = base.predict
+        self.flips: list[bool] = [draw < p for draw in draws]
 
     def predict(self, index: int, features: Optional[FeatureVector]) -> PredictionLabel:
-        label = self.base.predict(index, features)
+        label = self._base_predict(index, features)
         if self.flips[index]:
             return label.inverted()
         return label

@@ -236,11 +236,18 @@ class Credence:
     Arrival handling, in order:
 
     1. update the mirrored threshold for the arriving port;
-    2. safeguard: if the longest queue is strictly below ``B / N`` (checked
-       as ``longest * N < B`` in integers), accept unconditionally;
+    2. safeguard: if the longest queue is strictly below ``B / N`` (that is,
+       below ``ceil(B / N)``), accept unconditionally;
     3. if the queue is under its threshold and the buffer has room, ask the
        oracle and follow its verdict;
     4. otherwise drop without consulting the oracle.
+
+    The safeguard is decided from bounds on the longest queue, which lies in
+    ``[max(q, ceil(Q / N)), Q]`` for the arriving port's queue ``q`` and the
+    occupancy ``Q``. It accepts at once when ``Q`` is below ``B / N`` and is
+    skipped when ``q`` or ``ceil(Q / N)`` already reaches it; only when the
+    range straddles ``B / N`` is the longest queue found with ``max``, in
+    O(N). With ``N >= B`` the range never straddles it.
     """
 
     name = "credence"
@@ -249,9 +256,12 @@ class Credence:
         self.oracle = oracle
 
     def reset(self, config: SwitchConfig) -> None:
-        self._ports = config.num_ports
         self._buffer = config.buffer_size
         self.thresholds = ThresholdState(config.num_ports, config.buffer_size)
+        # the safeguard accepts while the longest queue is below ``_safe``
+        self._safe = -(-config.buffer_size // config.num_ports)
+        # by pigeonhole, an occupancy above ``_crowded`` puts some queue at ``_safe``
+        self._crowded = config.num_ports * (self._safe - 1)
         # None when the oracle ignores features: nothing is built for it
         self.features = (
             FeatureTracker(config.num_ports) if getattr(self.oracle, "reads_features", True) else None
@@ -262,10 +272,14 @@ class Credence:
         features = tracker.on_arrival(port, state) if tracker is not None else None
         mirror = self.thresholds
         mirror.on_arrival(port)
+        occupancy = state.occupancy
         lengths = state.queue_len
-        if max(lengths) * self._ports < self._buffer:
+        queue = lengths[port]
+        safe = self._safe
+        # the longest queue lies in [max(queue, ceil(occupancy / N)), occupancy]
+        if occupancy < safe or (queue < safe and occupancy <= self._crowded and max(lengths) < safe):
             return ACCEPT
-        if lengths[port] < mirror.thresholds[port] and state.occupancy < self._buffer:
+        if queue < mirror.thresholds[port] and occupancy < self._buffer:
             label = self.oracle.predict(index, features)
             return DROP if label is PredictionLabel.POSITIVE else ACCEPT
         return DROP

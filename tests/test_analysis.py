@@ -16,9 +16,11 @@ from shbuf import (
     ThresholdState,
     run_simulation,
 )
+from shbuf import analysis, oracles
 from shbuf.analysis import (
     InstanceTooLarge,
     LQD_COMPETITIVE_RATIO,
+    SweepRow,
     ThresholdDivergence,
     brute_force_opt,
     competitive_sweep,
@@ -34,6 +36,7 @@ from shbuf.oracles import (
     ConstantOracle,
     FlipOracle,
     PredictionLabel,
+    _flip_draws,
     ground_truth_from_run,
 )
 from shbuf.workloads import (
@@ -288,6 +291,33 @@ def test_sweep_perfect_predictions_match_lqd():
     for row in rows:
         assert row.credence_throughput == row.lqd_throughput
         assert row.ratio_credence == 1.0
+
+
+def test_sweep_draws_each_seeds_coins_once_and_matches_a_flip_oracle_per_row(monkeypatch):
+    cfg = SwitchConfig(8, 32)
+    p_values = [0.0, 0.1, 0.5, 1.0]
+    seeds = [4, 0, 9]
+    drawn = []
+
+    def counting_draws(seed, sequence):
+        drawn.append(seed)
+        return _flip_draws(seed, sequence)
+
+    # FlipOracle's own constructor draws through the oracles module's name
+    monkeypatch.setattr(analysis, "_flip_draws", counting_draws)
+    monkeypatch.setattr(oracles, "_flip_draws", counting_draws)
+    rows = competitive_sweep(cfg, p_values, seeds, rate=1 / 64, horizon=300)
+    assert drawn == seeds
+    expected = []
+    for p in p_values:
+        for seed in seeds:
+            sequence = poisson_bursts(cfg, 1 / 64, 300, seed)
+            lqd = run_simulation(cfg, sequence, LongestQueueDrop())
+            oracle = PerfectOracle.from_run(lqd)
+            credence_tx = throughput(cfg, sequence, Credence(FlipOracle(oracle, p, seed, sequence)))
+            dt_tx = throughput(cfg, sequence, DynamicThresholds(Fraction(1, 2)))
+            expected.append(SweepRow(p, seed, lqd.transmitted_count, credence_tx, dt_tx))
+    assert rows == expected
 
 
 def test_sweep_rows_and_csv(tmp_path):

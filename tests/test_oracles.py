@@ -14,7 +14,14 @@ from shbuf import (
     run_simulation,
 )
 from shbuf.learner import ForestModel, TreeNode
-from shbuf.oracles import ConstantOracle, FeatureSampler, ForestOracle, PredictionLabel, ground_truth_from_run
+from shbuf.oracles import (
+    ConstantOracle,
+    FeatureSampler,
+    ForestOracle,
+    PredictionLabel,
+    _flip_draws,
+    ground_truth_from_run,
+)
 
 from conftest import random_sequence
 
@@ -120,9 +127,30 @@ def test_flip_oracle_coins_follow_slot_and_position(seed):
             assert labels == [PredictionLabel.POSITIVE if coin < p else PredictionLabel.NEGATIVE for coin in coins]
 
 
+@pytest.mark.parametrize("seed", [0, 7, 2**64 + 3])
+def test_flip_oracle_from_shared_draws_flips_the_same_packets(seed):
+    rng = random.Random(seed)
+    ragged = [[0] * rng.choice((0, 0, 1, 3, 8)) for _ in range(300)]
+    base = ConstantOracle(PredictionLabel.NEGATIVE)
+    for slots in ([], [[], []], [[], [0, 1, 2], [], [], [1], [2, 0], []], ragged):
+        sequence = ArrivalSequence(slots)
+        draws = list(_flip_draws(seed, sequence))
+        assert len(draws) == sequence.total_packets
+        for p in (0.0, 0.1, 0.5, 1.0):
+            shared = FlipOracle.from_draws(base, p, draws)
+            assert shared.flips == FlipOracle(base, p, seed, sequence).flips
+            assert [shared.predict(i, FEATURES) for i in range(len(draws))] == [
+                PredictionLabel.POSITIVE if flip else PredictionLabel.NEGATIVE for flip in shared.flips
+            ]
+
+
 def test_flip_oracle_rejects_bad_probability():
-    with pytest.raises(ValueError):
-        FlipOracle(ConstantOracle(PredictionLabel.NEGATIVE), 1.5, seed=0, sequence=ArrivalSequence([]))
+    base = ConstantOracle(PredictionLabel.NEGATIVE)
+    for p in (-0.1, 1.5):
+        with pytest.raises(ValueError):
+            FlipOracle(base, p, seed=0, sequence=ArrivalSequence([]))
+        with pytest.raises(ValueError):
+            FlipOracle.from_draws(base, p, [])
 
 
 def test_feature_tracker_ewma():

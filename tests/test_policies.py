@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shbuf import (
     ArrivalSequence,
@@ -19,6 +21,7 @@ from shbuf import (
 from shbuf.analysis import find_threshold_divergence, throughput
 from shbuf.core import Simulation
 from shbuf.oracles import ConstantOracle, FlipOracle, PredictionLabel
+from shbuf.policies import ACCEPT, DROP
 from shbuf.workloads import followlqd_adversary, followlqd_adversary_fill
 
 from conftest import random_sequence
@@ -325,6 +328,79 @@ def test_credence_matches_follow_lqd_rule_when_safeguard_inactive():
     rng = random.Random(9)
     cfg = SwitchConfig(4, 8)
     run_simulation(cfg, random_sequence(rng, 4, 150, 0.8), Check())
+
+
+class _LiteralSafeguardCredence(Credence):
+    """Credence whose safeguard finds the longest queue with ``max`` on every arrival."""
+
+    def reset(self, config):
+        super().reset(config)
+        self._ports = config.num_ports
+
+    def on_arrival(self, port, index, state):
+        tracker = self.features
+        features = tracker.on_arrival(port, state) if tracker is not None else None
+        mirror = self.thresholds
+        mirror.on_arrival(port)
+        lengths = state.queue_len
+        if max(lengths) * self._ports < self._buffer:
+            return ACCEPT
+        if lengths[port] < mirror.thresholds[port] and state.occupancy < self._buffer:
+            label = self.oracle.predict(index, features)
+            return DROP if label is PredictionLabel.POSITIVE else ACCEPT
+        return DROP
+
+
+class _SafeguardCheck:
+    """Feeds every arrival to Credence and to the literal-safeguard reference on the same state."""
+
+    name = "safeguard_check"
+
+    def __init__(self, oracle):
+        self.credence = Credence(oracle)
+        self.reference = _LiteralSafeguardCredence(oracle)
+        self.decisions = 0
+
+    def reset(self, config):
+        self.credence.reset(config)
+        self.reference.reset(config)
+
+    def on_arrival(self, port, index, state):
+        decision = self.credence.on_arrival(port, index, state)
+        assert decision == self.reference.on_arrival(port, index, state), (port, index, state.queue_len)
+        self.decisions += 1
+        return decision
+
+    def on_departure(self, port, state):
+        self.credence.on_departure(port, state)
+        self.reference.on_departure(port, state)
+
+
+@st.composite
+def safeguard_instances(draw):
+    # N > B, N == B and B not divisible by N all occur
+    num_ports = draw(st.integers(1, 6))
+    buffer_size = draw(st.integers(1, 20))
+    row = st.lists(st.integers(0, num_ports - 1), max_size=num_ports)
+    slots = draw(st.lists(row, max_size=24))
+    oracle = draw(st.sampled_from(("drop", "accept", "perfect", "flip")))
+    p = draw(st.sampled_from((0.1, 0.5, 0.9)))
+    return SwitchConfig(num_ports, buffer_size), ArrivalSequence(slots), oracle, p, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(safeguard_instances())
+def test_credence_safeguard_from_bounds_matches_the_longest_queue(instance):
+    config, sequence, kind, p, seed = instance
+    if kind in ("drop", "accept"):
+        oracle = ConstantOracle(PredictionLabel.POSITIVE if kind == "drop" else PredictionLabel.NEGATIVE)
+    else:
+        oracle = PerfectOracle.from_run(run_simulation(config, sequence, LongestQueueDrop()))
+        if kind == "flip":
+            oracle = FlipOracle(oracle, p, seed, sequence)
+    check = _SafeguardCheck(oracle)
+    run_simulation(config, sequence, check)
+    assert check.decisions == sequence.total_packets
 
 
 def test_threshold_mirror_on_random_instances():
