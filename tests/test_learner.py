@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import shbuf
 from shbuf import (
@@ -19,7 +21,9 @@ from shbuf import (
 )
 from shbuf.learner import (
     ConfusionCounts,
+    ForestModel,
     LabeledExample,
+    TreeNode,
     collect_trace,
     evaluate,
     evaluate_on,
@@ -31,6 +35,7 @@ from shbuf.learner import (
     split_examples,
     train_forest,
     tree_count_sweep,
+    _node_to_obj,
     _tree_depth,
 )
 from shbuf.oracles import PredictionLabel
@@ -137,6 +142,157 @@ def test_train_validation():
     ragged = examples + [LabeledExample((1.0, 2.0), NEG)]
     with pytest.raises(ValueError, match="arity"):
         train_forest(ragged, trees=1, max_depth=1, seed=0)
+
+
+# --- references: the per-node argsort trainer and the node-walking predictor ---------
+
+
+def _reference_grow(X, y, indices, depth_left):
+    # re-sorts every feature at every node; the trainer must build the same trees
+    import numpy as np
+
+    labels = y[indices]
+    total = len(indices)
+    positives = int(labels.sum())
+    if positives == 0 or positives == total or depth_left == 0:
+        return 1 if 2 * positives > total else 0
+    best_cost = np.inf
+    best_feature = -1
+    best_threshold = 0.0
+    for feature in range(X.shape[1]):
+        column = X[indices, feature]
+        order = np.argsort(column, kind="stable")
+        values = column[order]
+        ordered_labels = labels[order]
+        boundaries = np.nonzero(values[:-1] < values[1:])[0]
+        if boundaries.size == 0:
+            continue
+        left_pos = np.cumsum(ordered_labels)[boundaries]
+        left_n = boundaries + 1
+        right_n = total - left_n
+        right_pos = positives - left_pos
+        cost = (
+            2.0 * left_pos * (left_n - left_pos) / left_n
+            + 2.0 * right_pos * (right_n - right_pos) / right_n
+        )
+        at = int(np.argmin(cost))
+        if cost[at] < best_cost:
+            best_cost = float(cost[at])
+            best_feature = feature
+            best_threshold = float((values[boundaries[at]] + values[boundaries[at] + 1]) / 2.0)
+    if best_feature < 0:
+        return 1 if 2 * positives > total else 0
+    mask = X[indices, best_feature] <= best_threshold
+    left = _reference_grow(X, y, indices[mask], depth_left - 1)
+    right = _reference_grow(X, y, indices[~mask], depth_left - 1)
+    return TreeNode(best_feature, best_threshold, left, right)
+
+
+def _reference_forest(examples, trees, max_depth, seed):
+    import numpy as np
+
+    X = np.array([tuple(example.features) for example in examples], dtype=np.float64)
+    y = np.array([1 if example.label is POS else 0 for example in examples], dtype=np.int64)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    grown = []
+    for _ in range(trees):
+        sample = rng.integers(0, len(examples), size=len(examples))
+        grown.append(_reference_grow(X, y, np.asarray(sample), max_depth))
+    return ForestModel(grown, max_depth, X.shape[1])
+
+
+def _reference_predict(trees, features):
+    votes = 0
+    for node in trees:
+        while not isinstance(node, int):
+            node = node.left if features[node.feature_index] <= node.threshold else node.right
+        votes += node
+    return 1 if 2 * votes > len(trees) else 0
+
+
+def _assert_same_forest(model, reference):
+    # compared as model-file JSON, which tells -0.0 from 0.0 and matches NaN thresholds
+    def as_json(forest):
+        return json.dumps([forest.max_depth, forest.feature_count, [_node_to_obj(tree) for tree in forest.trees]])
+
+    assert as_json(model) == as_json(reference)
+
+
+@st.composite
+def tied_example_sets(draw):
+    # few distinct values per feature, so most split candidates tie; the signed
+    # zeros, infinities and NaN check that presorting orders them as argsort does
+    queue = st.sampled_from((0, 1, 2, 3))
+    average = st.one_of(
+        st.sampled_from((0.0, 0.25, 0.5, 1.5, 3.0)),
+        st.sampled_from((-0.0, math.nan, math.inf, -math.inf)),
+    )
+    occupancy = st.sampled_from((0, 4, 8, 9, 16))
+    example = st.builds(
+        lambda q, qa, o, oa, drop: LabeledExample(FeatureVector(q, qa, o, oa), POS if drop else NEG),
+        queue, average, occupancy, average, st.booleans(),
+    )
+    return draw(st.lists(example, min_size=1, max_size=80))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    tied_example_sets(),
+    st.integers(1, 4),
+    st.integers(1, 6),
+    st.integers(0, 2**32 - 1),
+)
+def test_trainer_matches_the_per_node_argsort_reference(examples, trees, depth, seed):
+    model = train_forest(examples, trees=trees, max_depth=depth, seed=seed)
+    _assert_same_forest(model, _reference_forest(examples, trees, depth, seed))
+
+
+def test_trainer_matches_the_reference_on_a_congested_trace():
+    cfg = SwitchConfig(8, 32)
+    examples = collect_trace(cfg, poisson_bursts(cfg, 1 / 32, 1500, seed=9))
+    model = train_forest(examples, trees=16, max_depth=8, seed=3)
+    _assert_same_forest(model, _reference_forest(examples, 16, 8, seed=3))
+    assert any(_tree_depth(tree) == 8 for tree in model.trees)
+
+
+_SPECIAL_VALUES = (
+    0, 0.0, -0.0, 1, 1.0, -1, 2.5, 2**53 + 1, float(2**53), 1e308, -1e-308,
+    math.inf, -math.inf, math.nan,
+)
+
+
+@st.composite
+def forests_and_probes(draw):
+    value = st.one_of(
+        st.sampled_from(_SPECIAL_VALUES),
+        st.integers(-4, 4),
+        st.floats(allow_nan=True, allow_infinity=True),
+    )
+    probes = draw(st.lists(st.tuples(value, value, value, value), min_size=1, max_size=6))
+    # thresholds are mostly the probes' own values, so == ties decide the branch
+    seen = [x for probe in probes for x in probe]
+    threshold = st.one_of(st.sampled_from(seen), st.sampled_from(_SPECIAL_VALUES), value)
+
+    def node(depth):
+        if depth == 0 or draw(st.integers(0, 2)) == 0:
+            return draw(st.integers(0, 1))
+        return TreeNode(
+            draw(st.integers(0, 3)), draw(threshold), node(depth - 1), node(depth - 1)
+        )
+
+    depth = draw(st.integers(0, 8))
+    trees = [node(depth) for _ in range(draw(st.integers(1, 16)))]
+    return trees, depth, probes
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(forests_and_probes())
+def test_predict_one_matches_the_node_walk(case):
+    trees, depth, probes = case
+    model = ForestModel(trees, max(depth, 1), 4)
+    for probe in probes:
+        assert model.predict_one(probe) == _reference_predict(trees, probe)
+        assert model.predict_one(list(probe)) == _reference_predict(trees, probe)
 
 
 def test_model_file_round_trip(tmp_path):
