@@ -5,16 +5,18 @@ small bagged ensemble of depth-limited decision trees on them, and computes
 the usual binary-classification scores. The trainer is written for exact
 reproducibility: given the same examples and seed it produces byte-identical
 model files, with Gini ties broken toward the lower feature index and then
-the lower threshold. numpy is imported only by the functions that train and
-split, so importing the package does not load it.
+the lower threshold. A model compiles each of its trees into a small Python
+function of nested comparisons when it is made, and predicts through them.
+numpy is imported only by the functions that train and split, so importing
+the package does not load it.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Union
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence, Union
 
 from .core import ArrivalSequence, SwitchConfig, Verdict, run_simulation
 from .oracles import FeatureSampler, FeatureVector, PredictionLabel
@@ -95,27 +97,36 @@ def _leaf(positives: int, total: int) -> int:
     return 1 if 2 * positives > total else 0
 
 
-def _grow_tree(X: np.ndarray, y: np.ndarray, indices: np.ndarray, depth_left: int) -> Union[TreeNode, int]:
+def _grow_tree(
+    columns: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    total: int,
+    positives: int,
+    depth_left: int,
+    goes_left: np.ndarray,
+) -> Union[TreeNode, int]:
+    """Grow a subtree over one node's part of a bootstrap sample.
+
+    ``columns`` holds, per feature, the node's sample positions, feature
+    values and labels in stable sorted order of that feature. Filtering a
+    parent's column keeps that order, so each column equals a stable
+    ``argsort`` of the node's own sample and every split is computed exactly
+    as if the node were sorted afresh. The list is emptied once the node is
+    split, so an ancestor's columns do not stay alive under its subtrees.
+    ``goes_left`` is scratch space over the sample positions.
+    """
     import numpy as np
 
-    labels = y[indices]
-    total = len(indices)
-    positives = int(labels.sum())
     if positives == 0 or positives == total or depth_left == 0:
         return _leaf(positives, total)
 
     best_cost = np.inf
     best_feature = -1
     best_threshold = 0.0
-    for feature in range(X.shape[1]):
-        column = X[indices, feature]
-        order = np.argsort(column, kind="stable")
-        values = column[order]
-        ordered_labels = labels[order]
+    for feature, (_, values, labels) in enumerate(columns):
         boundaries = np.nonzero(values[:-1] < values[1:])[0]
         if boundaries.size == 0:
             continue
-        left_pos = np.cumsum(ordered_labels)[boundaries]
+        left_pos = np.cumsum(labels, dtype=np.int64)[boundaries]
         left_n = boundaries + 1
         right_n = total - left_n
         right_pos = positives - left_pos
@@ -132,32 +143,141 @@ def _grow_tree(X: np.ndarray, y: np.ndarray, indices: np.ndarray, depth_left: in
 
     if best_feature < 0:
         return _leaf(positives, total)
-    mask = X[indices, best_feature] <= best_threshold
-    left = _grow_tree(X, y, indices[mask], depth_left - 1)
-    right = _grow_tree(X, y, indices[~mask], depth_left - 1)
+    ids, values, labels = columns[best_feature]
+    goes_left[ids] = values <= best_threshold
+    lefts, rights = [], []
+    for ids, values, labels in columns:
+        # positions then take(): much faster than boolean indexing on a scattered mask
+        mask = goes_left[ids]
+        for side, where in ((lefts, np.flatnonzero(mask)), (rights, np.flatnonzero(~mask))):
+            side.append((ids.take(where), values.take(where), labels.take(where)))
+    del ids, values, labels, mask, where
+    columns.clear()
+    left_labels = lefts[best_feature][2]
+    left_total = len(left_labels)
+    left_positives = int(left_labels.sum(dtype=np.int64))
+    del left_labels
+    left = _grow_tree(lefts, left_total, left_positives, depth_left - 1, goes_left)
+    del lefts
+    right = _grow_tree(rights, total - left_total, positives - left_positives, depth_left - 1, goes_left)
     return TreeNode(best_feature, best_threshold, left, right)
 
 
-@dataclass
-class ForestModel:
-    """Bagged ensemble of depth-limited trees over the four switch features."""
+# CPython's parser allows 100 indentation levels; deeper left spines move into helper functions
+_MAX_NESTING = 48
 
-    trees: list[Union[TreeNode, int]]
+
+def _threshold_source(threshold) -> Optional[str]:
+    """A literal that compares exactly as ``threshold`` does; None for NaN, which nothing is <=."""
+    if isinstance(threshold, bool) or not isinstance(threshold, (int, float)):
+        raise ValueError(f"threshold must be a number, got {threshold!r}")
+    if isinstance(threshold, int):
+        return repr(int(threshold))
+    value = float(threshold)
+    if math.isnan(value):
+        return None
+    if math.isinf(value):
+        return "1e999" if value > 0 else "-1e999"
+    return repr(value)
+
+
+class _TreeSource:
+    """Writes one tree as Python functions of ``x0, x1, ...`` that return its leaf.
+
+    The left branch of each test returns, so the right one follows it
+    unindented; only left turns nest, and a spine deeper than
+    ``_MAX_NESTING`` continues in a helper function.
+    """
+
+    def __init__(self, name: str, feature_count: int) -> None:
+        self.name = name
+        self.feature_count = feature_count
+        self.params = ", ".join(f"x{index}" for index in range(feature_count))
+        self.functions: list[str] = []
+
+    def function(self, name: str, root: Union[TreeNode, int]) -> None:
+        slot = len(self.functions)
+        self.functions.append("")
+        lines = [f"def {name}({self.params}):"]
+        self.node(root, 1, lines)
+        self.functions[slot] = "\n".join(lines)
+
+    def node(self, node: Union[TreeNode, int], depth: int, lines: list[str]) -> None:
+        pad = "    " * depth
+        if not isinstance(node, TreeNode):
+            if isinstance(node, bool) or not isinstance(node, int) or node not in (0, 1):
+                raise ValueError(f"leaf label must be the integer 0 or 1, got {node!r}")
+            lines.append(f"{pad}return {int(node)}")
+        elif depth > _MAX_NESTING:
+            helper = f"{self.name}_{len(self.functions)}"
+            self.function(helper, node)
+            lines.append(f"{pad}return {helper}({self.params})")
+        else:
+            feature = node.feature_index
+            if isinstance(feature, bool) or not isinstance(feature, int):
+                raise ValueError(f"feature_index must be an integer, got {feature!r}")
+            if not 0 <= feature < self.feature_count:
+                raise ValueError(f"feature_index {feature} outside [0, {self.feature_count})")
+            bound = _threshold_source(node.threshold)
+            if bound is not None:
+                lines.append(f"{pad}if x{int(feature)} <= {bound}:")
+                self.node(node.left, depth + 1, lines)
+            self.node(node.right, depth, lines)
+
+
+def _compile_votes(trees: Sequence[Union[TreeNode, int]], feature_count: int) -> Callable[[Sequence[float]], int]:
+    """Compile ``votes(features)``: how many of ``trees`` predict a drop for ``features``.
+
+    Each tree becomes its own small function of nested ``if`` tests, compiled
+    separately so that the compiler never holds the whole forest at once.
+    Each function is taken out of the namespace it was defined in, so no
+    function and namespace refer to each other and a dropped model is freed
+    at once rather than by the cycle collector.
+    """
+    namespace: dict = {}
+    for index, tree in enumerate(trees):
+        writer = _TreeSource(f"tree{index}", feature_count)
+        writer.function(writer.name, tree)
+        scope: dict = {}
+        exec(compile("\n\n".join(writer.functions), f"<forest tree {index}>", "exec"), scope)
+        namespace[writer.name] = scope.pop(writer.name)
+    params = ", ".join(f"x{index}" for index in range(feature_count))
+    calls = " + ".join(f"tree{index}({params})" for index in range(len(trees))) or "0"
+    unpack = f"    {params}, = features\n" if feature_count else ""
+    source = f"def votes(features):\n{unpack}    return {calls}\n"
+    exec(compile(source, "<forest votes>", "exec"), namespace)
+    return namespace.pop("votes")
+
+
+@dataclass(frozen=True)
+class ForestModel:
+    """Bagged ensemble of depth-limited trees over the four switch features.
+
+    ``trees`` is kept as a tuple and compiled into a vote-counting function
+    when the model is made; the model is frozen, so the two never disagree.
+    """
+
+    trees: tuple[Union[TreeNode, int], ...]
     max_depth: int
     feature_count: int
+    _votes: Callable[[Sequence[float]], int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        trees = tuple(self.trees)
+        object.__setattr__(self, "trees", trees)
+        object.__setattr__(self, "_votes", _compile_votes(trees, self.feature_count))
+
+    def __reduce__(self):
+        # a compiled function does not pickle; the trees do, and compile again on load
+        return (ForestModel, (self.trees, self.max_depth, self.feature_count))
 
     def predict_one(self, features: Sequence[float]) -> int:
         if len(features) != self.feature_count:
             raise ValueError(
                 f"expected {self.feature_count} features, got {len(features)}"
             )
-        votes = 0
-        for node in self.trees:
-            while not isinstance(node, int):
-                node = node.left if features[node.feature_index] <= node.threshold else node.right
-            votes += node
         # strict majority votes drop; ties fall to accept
-        return 1 if 2 * votes > len(self.trees) else 0
+        return 1 if 2 * self._votes(features) > len(self.trees) else 0
 
     def predict_label(self, features: Sequence[float]) -> PredictionLabel:
         return PredictionLabel.POSITIVE if self.predict_one(features) else PredictionLabel.NEGATIVE
@@ -173,7 +293,7 @@ def _as_arrays(examples: Sequence[LabeledExample]) -> tuple[np.ndarray, np.ndarr
     X = np.array([tuple(example.features) for example in examples], dtype=np.float64)
     y = np.array(
         [1 if example.label is PredictionLabel.POSITIVE else 0 for example in examples],
-        dtype=np.int64,
+        dtype=np.int8,
     )
     return X, y
 
@@ -200,11 +320,27 @@ def train_forest(
     import numpy as np
 
     X, y = _as_arrays(examples)
+    # dense ranks of each feature's values (-0.0 equal to 0.0, NaN last) sort
+    # stably exactly as the values do, and numpy radix-sorts ranks that fit in
+    # 16 bits, as they do for up to 65,535 examples
+    ranks = [
+        np.unique(X[:, feature], return_inverse=True)[1].astype(np.min_scalar_type(len(X)))
+        for feature in range(X.shape[1])
+    ]
     rng = np.random.Generator(np.random.PCG64(seed))
     grown: list[Union[TreeNode, int]] = []
     for _ in range(trees):
         sample = rng.integers(0, len(examples), size=len(examples))
-        grown.append(_grow_tree(X, y, np.asarray(sample), max_depth))
+        sample_X, sample_y = X[sample], y[sample]
+        columns = []
+        for feature in range(X.shape[1]):
+            order = np.argsort(ranks[feature][sample], kind="stable")
+            columns.append((order, sample_X[order, feature], sample_y[order]))
+        del sample_X, order
+        goes_left = np.zeros(len(sample), dtype=bool)
+        positives = int(sample_y.sum(dtype=np.int64))
+        del sample_y
+        grown.append(_grow_tree(columns, len(sample), positives, max_depth, goes_left))
     return ForestModel(grown, max_depth, X.shape[1])
 
 
@@ -328,20 +464,25 @@ def _node_to_obj(node: Union[TreeNode, int]):
     }
 
 
-def _node_from_obj(obj, feature_count: int) -> Union[TreeNode, int]:
-    if isinstance(obj, int):
-        if isinstance(obj, bool) or obj not in (0, 1):
-            raise ValueError(f"leaf label must be the integer 0 or 1, got {obj}")
+def _node_from_obj(obj) -> Union[TreeNode, int]:
+    # ForestModel checks the leaves, feature indices and threshold types
+    if not isinstance(obj, dict):
         return obj
-    feature_index = int(obj["feature_index"])
-    if not 0 <= feature_index < feature_count:
-        raise ValueError(f"feature_index {feature_index} outside [0, {feature_count})")
+    threshold = obj["threshold"]
+    if isinstance(threshold, (int, float)) and not isinstance(threshold, bool):
+        threshold = float(threshold)
+        if math.isnan(threshold):
+            raise ValueError("threshold must not be NaN")
     return TreeNode(
-        feature_index,
-        float(obj["threshold"]),
-        _node_from_obj(obj["left"], feature_count),
-        _node_from_obj(obj["right"], feature_count),
+        obj["feature_index"], threshold, _node_from_obj(obj["left"]), _node_from_obj(obj["right"])
     )
+
+
+def _integer(payload: dict, key: str) -> int:
+    value = payload[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
 
 
 def save_forest(model: ForestModel, path) -> None:
@@ -357,30 +498,33 @@ def save_forest(model: ForestModel, path) -> None:
 
 
 def load_forest(path) -> ForestModel:
-    """Read a model file; raise ValueError for anything that is not a valid model."""
-    with open(path) as fh:
-        payload = json.load(fh)
-    if not isinstance(payload, dict):
-        raise ValueError(f"{path}: a model file holds one JSON object")
-    version = payload.get("format_version")
-    if version != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model format_version {version!r}")
+    """Read a model file; raise ValueError naming ``path`` for anything that is not a valid model."""
     try:
-        feature_count = int(payload["feature_count"])
-        max_depth = int(payload["max_depth"])
+        with open(path) as fh:
+            payload = json.load(fh)
+        if not isinstance(payload, dict):
+            raise ValueError("a model file holds one JSON object")
+        version = payload.get("format_version")
+        if type(version) is not int or version != MODEL_FORMAT_VERSION:
+            raise ValueError(f"unsupported model format_version {version!r}")
+        feature_count = _integer(payload, "feature_count")
+        max_depth = _integer(payload, "max_depth")
         if feature_count != _FEATURE_COUNT:
-            raise ValueError(f"{path}: feature_count must be {_FEATURE_COUNT}, got {feature_count}")
-        trees = [_node_from_obj(obj, feature_count) for obj in payload["trees"]]
+            raise ValueError(f"feature_count must be {_FEATURE_COUNT}, got {feature_count}")
+        trees = [_node_from_obj(obj) for obj in payload["trees"]]
+        if not 1 <= len(trees) <= MAX_TREES:
+            raise ValueError(f"a model holds 1 to {MAX_TREES} trees, got {len(trees)}")
+        model = ForestModel(trees, max_depth, feature_count)
+        for index, tree in enumerate(model.trees):
+            if _tree_depth(tree) > max_depth:
+                raise ValueError(f"tree {index} is deeper than max_depth {max_depth}")
+        return model
     except KeyError as exc:
         raise ValueError(f"{path}: model is missing the {exc.args[0]!r} key") from None
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:
         raise ValueError(f"{path}: malformed model: {exc}") from None
-    if not 1 <= len(trees) <= MAX_TREES:
-        raise ValueError(f"{path}: a model holds 1 to {MAX_TREES} trees, got {len(trees)}")
-    for index, tree in enumerate(trees):
-        if _tree_depth(tree) > max_depth:
-            raise ValueError(f"{path}: tree {index} is deeper than max_depth {max_depth}")
-    return ForestModel(trees, max_depth, feature_count)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 _EXAMPLES_HEADER = "q,q_ewma,Q,Q_ewma,label"

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -34,6 +35,12 @@ GOOD_MODEL = {
     "max_depth": 1,
     "trees": [{"feature_index": 0, "threshold": 1.0, "left": 0, "right": 1}],
 }
+
+
+def _stump(**fields) -> dict:
+    return {**GOOD_MODEL, "trees": [{**GOOD_MODEL["trees"][0], **fields}]}
+
+
 BAD_MODELS = {
     "no_trees": ({k: v for k, v in GOOD_MODEL.items() if k != "trees"}, "missing the 'trees' key"),
     "feature_index": (
@@ -49,6 +56,13 @@ BAD_MODELS = {
     "empty_forest": ({**GOOD_MODEL, "trees": []}, "1 to 16 trees, got 0"),
     "too_many_trees": ({**GOOD_MODEL, "trees": [0] * 17}, "1 to 16 trees, got 17"),
     "bool_leaf": ({**GOOD_MODEL, "trees": [True, True, False]}, "integer 0 or 1, got True"),
+    "nan_threshold": (_stump(threshold=math.nan), "threshold must not be NaN"),
+    "string_threshold": (_stump(threshold="0.5"), "threshold must be a number, got '0.5'"),
+    "float_feature_index": (_stump(feature_index=1.7), "feature_index must be an integer, got 1.7"),
+    "bool_feature_index": (_stump(feature_index=True), "feature_index must be an integer, got True"),
+    "float_feature_count": ({**GOOD_MODEL, "feature_count": 4.0}, "feature_count must be an integer, got 4.0"),
+    "bool_max_depth": ({**GOOD_MODEL, "max_depth": True}, "max_depth must be an integer, got True"),
+    "string_max_depth": ({**GOOD_MODEL, "max_depth": "1"}, "max_depth must be an integer, got '1'"),
 }
 # one bad row (after one good one) of a labeled-example file, and the error it must raise
 BAD_EXAMPLE_ROWS = {

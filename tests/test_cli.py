@@ -197,6 +197,18 @@ def test_bad_model_exits_2(tmp_path, capsys, trace_csv, case, command):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_simulate_with_a_nan_threshold_model_exits_2_with_one_line(tmp_path, capsys):
+    # json reads NaN; a NaN threshold would send every packet right, so the model is refused
+    model = tmp_path / "bad.json"
+    model.write_text(json.dumps(BAD_MODELS["nan_threshold"][0]))
+    assert "NaN" in model.read_text()
+    argv = ["simulate", "--ports", "8", "--buffer", "32", "--workload", "poisson_bursts",
+            "--rate", "0.03", "--horizon", "300", "--policy", "credence",
+            "--oracle", "forest", "--model", str(model)]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: cannot load model: {model}: threshold must not be NaN\n"
+
+
 def test_bad_example_label_exits_2(tmp_path, capsys):
     data = tmp_path / "examples.csv"
     data.write_text("q,q_ewma,Q,Q_ewma,label\n" + "1,0.5,3,1.5,0\n" * 4 + "2,1.0,4,2.0,7\n")

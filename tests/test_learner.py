@@ -1,7 +1,10 @@
+import dataclasses
 import json
 import math
 import os
+import pickle
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -94,7 +97,7 @@ def test_collect_trace_labels_match_lqd_outcomes():
 def test_all_negative_examples_give_leaf_trees():
     examples = [LabeledExample(FeatureVector(i, 0.0, i, 0.0), NEG) for i in range(10)]
     model = train_forest(examples, trees=3, max_depth=4, seed=1)
-    assert model.trees == [0, 0, 0]
+    assert model.trees == (0, 0, 0)
 
 
 def test_toy_cutoff_learns_single_split():
@@ -255,6 +258,19 @@ def test_trainer_matches_the_reference_on_a_congested_trace():
     assert any(_tree_depth(tree) == 8 for tree in model.trees)
 
 
+def test_trainer_matches_the_reference_beyond_16_bit_ranks():
+    # more examples than a 16-bit rank can number, so the presort takes wider ranks
+    rng = random.Random(12)
+    examples = [
+        LabeledExample(
+            FeatureVector(rng.randrange(4), rng.randrange(50) / 4, rng.randrange(33), rng.random()),
+            POS if rng.random() < 0.3 else NEG,
+        )
+        for _ in range(70_000)
+    ]
+    _assert_same_forest(train_forest(examples, trees=1, max_depth=3, seed=4), _reference_forest(examples, 1, 3, 4))
+
+
 _SPECIAL_VALUES = (
     0, 0.0, -0.0, 1, 1.0, -1, 2.5, 2**53 + 1, float(2**53), 1e308, -1e-308,
     math.inf, -math.inf, math.nan,
@@ -295,6 +311,45 @@ def test_predict_one_matches_the_node_walk(case):
         assert model.predict_one(list(probe)) == _reference_predict(trees, probe)
 
 
+def test_predict_one_handles_a_left_spine_deeper_than_the_parser_nests():
+    # CPython's parser nests at most 100 blocks; a 150-split left spine still compiles
+    tree = 1
+    for level in range(150):
+        tree = TreeNode(0, float(level), tree, level % 2)
+    model = ForestModel([tree], 150, 4)
+    for x in range(-1, 152):
+        probe = (x, 0.0, 0, 0.0)
+        assert model.predict_one(probe) == _reference_predict(model.trees, probe)
+
+
+def test_forest_model_is_frozen_so_its_compiled_votes_cannot_go_stale():
+    trees = [TreeNode(0, 1.0, 0, 1)]
+    model = ForestModel(trees, 1, 4)
+    trees[0] = 1  # the model keeps its own tuple
+    assert model.trees == (TreeNode(0, 1.0, 0, 1),)
+    assert model.predict_one((0, 0, 0, 0)) == 0 and model.predict_one((2, 0, 0, 0)) == 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.trees = (1,)
+    assert model == ForestModel((TreeNode(0, 1.0, 0, 1),), 1, 4)
+    assert "_votes" not in repr(model)
+    copied = pickle.loads(pickle.dumps(model))
+    assert copied == model and copied.predict_one((2, 0, 0, 0)) == 1
+
+
+@pytest.mark.parametrize(
+    "tree, message",
+    [
+        (TreeNode(4, 1.0, 0, 1), r"feature_index 4 outside \[0, 4\)"),
+        (TreeNode(1.0, 1.0, 0, 1), "feature_index must be an integer, got 1.0"),
+        (TreeNode(0, "1.0", 0, 1), "threshold must be a number, got '1.0'"),
+        (TreeNode(0, 1.0, 0, 2), "leaf label must be the integer 0 or 1, got 2"),
+    ],
+)
+def test_forest_model_rejects_trees_it_cannot_compile(tree, message):
+    with pytest.raises(ValueError, match=message):
+        ForestModel([tree], 1, 4)
+
+
 def test_model_file_round_trip(tmp_path):
     model = train_forest(_toy_examples(), trees=4, max_depth=3, seed=3)
     path = tmp_path / "model.json"
@@ -325,8 +380,21 @@ def test_load_forest_rejects_malformed_models(tmp_path, case):
     payload, message = BAD_MODELS[case]
     path = tmp_path / "model.json"
     path.write_text(json.dumps(payload))
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{message}"):
         load_forest(path)
+
+
+def test_infinite_thresholds_round_trip(tmp_path):
+    # a midpoint can overflow to infinity, so save_forest writes it and load_forest reads it back
+    tree = TreeNode(0, math.inf, TreeNode(1, -math.inf, 1, 0), 1)
+    model = ForestModel([tree], 2, 4)
+    path = tmp_path / "model.json"
+    save_forest(model, path)
+    assert "Infinity" in path.read_text()
+    loaded = load_forest(path)
+    assert loaded == model
+    for probe in [(0, -math.inf, 0, 0.0), (5, 0.0, 1, 0.0), (math.inf, 1.0, 0, 0.0)]:
+        assert loaded.predict_one(probe) == _reference_predict(model.trees, probe)
 
 
 def test_load_examples_rejects_labels_other_than_0_and_1(tmp_path):
