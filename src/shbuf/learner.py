@@ -153,10 +153,9 @@ def _grow_tree(
             side.append((ids.take(where), values.take(where), labels.take(where)))
     del ids, values, labels, mask, where
     columns.clear()
-    left_labels = lefts[best_feature][2]
-    left_total = len(left_labels)
-    left_positives = int(left_labels.sum(dtype=np.int64))
-    del left_labels
+    # every column holds the same examples; the first one's labels give the left counts
+    left_total = len(lefts[0][2])
+    left_positives = int(lefts[0][2].sum(dtype=np.int64))
     left = _grow_tree(lefts, left_total, left_positives, depth_left - 1, goes_left)
     del lefts
     right = _grow_tree(rights, total - left_total, positives - left_positives, depth_left - 1, goes_left)
@@ -332,14 +331,12 @@ def train_forest(
     for _ in range(trees):
         sample = rng.integers(0, len(examples), size=len(examples))
         sample_X, sample_y = X[sample], y[sample]
-        columns = []
-        for feature in range(X.shape[1]):
-            order = np.argsort(ranks[feature][sample], kind="stable")
-            columns.append((order, sample_X[order, feature], sample_y[order]))
-        del sample_X, order
-        goes_left = np.zeros(len(sample), dtype=bool)
+        orders = (np.argsort(ranks[feature][sample], kind="stable") for feature in range(X.shape[1]))
+        columns = [(order, sample_X[order, feature], sample_y[order]) for feature, order in enumerate(orders)]
         positives = int(sample_y.sum(dtype=np.int64))
-        del sample_y
+        # only the columns stay alive while the tree grows
+        del sample_X, sample_y
+        goes_left = np.zeros(len(sample), dtype=bool)
         grown.append(_grow_tree(columns, len(sample), positives, max_depth, goes_left))
     return ForestModel(grown, max_depth, X.shape[1])
 
@@ -523,6 +520,8 @@ def load_forest(path) -> ForestModel:
         raise ValueError(f"{path}: model is missing the {exc.args[0]!r} key") from None
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"{path}: malformed model: {exc}") from None
+    except RecursionError:
+        raise ValueError(f"{path}: model is nested too deeply") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

@@ -384,6 +384,16 @@ def test_load_forest_rejects_malformed_models(tmp_path, case):
         load_forest(path)
 
 
+def test_load_forest_rejects_models_nested_too_deeply(tmp_path):
+    # deeper than the interpreter's recursion limit: one line, not a RecursionError traceback
+    depth = 3000
+    tree = '{"feature_index":0,"threshold":1.0,"left":' * depth + "0" + ',"right":1}' * depth
+    path = tmp_path / "model.json"
+    path.write_text(f'{{"format_version":1,"feature_count":4,"max_depth":{depth},"trees":[{tree}]}}')
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: model is nested too deeply$"):
+        load_forest(path)
+
+
 def test_infinite_thresholds_round_trip(tmp_path):
     # a midpoint can overflow to infinity, so save_forest writes it and load_forest reads it back
     tree = TreeNode(0, math.inf, TreeNode(1, -math.inf, 1, 0), 1)
