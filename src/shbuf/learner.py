@@ -112,7 +112,7 @@ def _grow_tree(
     ``argsort`` of the node's own sample and every split is computed exactly
     as if the node were sorted afresh. The list is emptied once the node is
     split, so an ancestor's columns do not stay alive under its subtrees.
-    ``goes_left`` is scratch space over the sample positions.
+    ``goes_left`` is a reusable mask over the sample positions.
     """
     import numpy as np
 
