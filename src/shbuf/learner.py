@@ -99,23 +99,25 @@ def _leaf(positives: int, total: int) -> int:
 
 def _grow_tree(
     columns: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
-    total: int,
+    lo: int,
+    hi: int,
     positives: int,
     depth_left: int,
     goes_left: np.ndarray,
 ) -> Union[TreeNode, int]:
-    """Grow a subtree over one node's part of a bootstrap sample.
+    """Grow a subtree over the node that holds ``[lo, hi)`` of every column.
 
-    ``columns`` holds, per feature, the node's sample positions, feature
-    values and labels in stable sorted order of that feature. Filtering a
-    parent's column keeps that order, so each column equals a stable
-    ``argsort`` of the node's own sample and every split is computed exactly
-    as if the node were sorted afresh. The list is emptied once the node is
-    split, so an ancestor's columns do not stay alive under its subtrees.
-    ``goes_left`` is a reusable mask over the sample positions.
+    ``columns`` holds, per feature, one tree's sample positions, feature
+    values and labels. Within ``[lo, hi)`` each column lists the node's
+    examples in stable sorted order of that feature. A split partitions
+    every column's range stably, left examples first, which keeps that
+    order, so each range equals a stable ``argsort`` of the node's own
+    sample and every split is computed exactly as if the node were sorted
+    afresh. ``goes_left`` is a reusable mask over the sample positions.
     """
     import numpy as np
 
+    total = hi - lo
     if positives == 0 or positives == total or depth_left == 0:
         return _leaf(positives, total)
 
@@ -123,10 +125,11 @@ def _grow_tree(
     best_feature = -1
     best_threshold = 0.0
     for feature, (_, values, labels) in enumerate(columns):
+        values = values[lo:hi]
         boundaries = np.nonzero(values[:-1] < values[1:])[0]
         if boundaries.size == 0:
             continue
-        left_pos = np.cumsum(labels, dtype=np.int64)[boundaries]
+        left_pos = np.cumsum(labels[lo:hi], dtype=np.int64)[boundaries]
         left_n = boundaries + 1
         right_n = total - left_n
         right_pos = positives - left_pos
@@ -144,21 +147,18 @@ def _grow_tree(
     if best_feature < 0:
         return _leaf(positives, total)
     ids, values, labels = columns[best_feature]
-    goes_left[ids] = values <= best_threshold
-    lefts, rights = [], []
+    goes_left[ids[lo:hi]] = values[lo:hi] <= best_threshold
     for ids, values, labels in columns:
         # positions then take(): much faster than boolean indexing on a scattered mask
-        mask = goes_left[ids]
-        for side, where in ((lefts, np.flatnonzero(mask)), (rights, np.flatnonzero(~mask))):
-            side.append((ids.take(where), values.take(where), labels.take(where)))
-    del ids, values, labels, mask, where
-    columns.clear()
-    # every column holds the same examples; the first one's labels give the left counts
-    left_total = len(lefts[0][2])
-    left_positives = int(lefts[0][2].sum(dtype=np.int64))
-    left = _grow_tree(lefts, left_total, left_positives, depth_left - 1, goes_left)
-    del lefts
-    right = _grow_tree(rights, total - left_total, positives - left_positives, depth_left - 1, goes_left)
+        mask = goes_left[ids[lo:hi]]
+        order = np.concatenate((np.flatnonzero(mask), np.flatnonzero(~mask)))
+        for column in (ids, values, labels):
+            column[lo:hi] = column[lo:hi].take(order)
+    # every column holds the same examples, so the last one gives the left counts
+    middle = lo + int(np.count_nonzero(mask))
+    left_positives = int(labels[lo:middle].sum(dtype=np.int64))
+    left = _grow_tree(columns, lo, middle, left_positives, depth_left - 1, goes_left)
+    right = _grow_tree(columns, middle, hi, positives - left_positives, depth_left - 1, goes_left)
     return TreeNode(best_feature, best_threshold, left, right)
 
 
@@ -334,10 +334,8 @@ def train_forest(
         orders = (np.argsort(ranks[feature][sample], kind="stable") for feature in range(X.shape[1]))
         columns = [(order, sample_X[order, feature], sample_y[order]) for feature, order in enumerate(orders)]
         positives = int(sample_y.sum(dtype=np.int64))
-        # only the columns stay alive while the tree grows
-        del sample_X, sample_y
         goes_left = np.zeros(len(sample), dtype=bool)
-        grown.append(_grow_tree(columns, len(sample), positives, max_depth, goes_left))
+        grown.append(_grow_tree(columns, 0, len(sample), positives, max_depth, goes_left))
     return ForestModel(grown, max_depth, X.shape[1])
 
 

@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -392,6 +393,45 @@ def test_load_forest_rejects_models_nested_too_deeply(tmp_path):
     path.write_text(f'{{"format_version":1,"feature_count":4,"max_depth":{depth},"trees":[{tree}]}}')
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: model is nested too deeply$"):
         load_forest(path)
+
+
+_JSON_VALUES = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(-2, 5), st.sampled_from((10**400, -(10**400))),
+        st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=3),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.sampled_from(("feature_index", "threshold", "left", "right", "trees")), inner, max_size=4),
+    ),
+    max_leaves=10,
+)
+
+
+@st.composite
+def fuzzed_models(draw):
+    # a one-tree model with some fields, in the file or in the tree, swapped for any JSON value
+    tree = {"feature_index": 0, "threshold": 1.0, "left": 0, "right": 1}
+    payload = {"format_version": 1, "feature_count": 4, "max_depth": 1, "trees": [tree]}
+    for key in draw(st.lists(st.sampled_from(sorted(tree)), max_size=2, unique=True)):
+        tree[key] = draw(_JSON_VALUES)
+    for key in draw(st.lists(st.sampled_from(sorted(payload)), max_size=1, unique=True)):
+        payload[key] = draw(_JSON_VALUES)
+    return payload
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(fuzzed_models())
+def test_load_forest_raises_only_value_errors_naming_the_file(payload):
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "model.json"
+        path.write_text(json.dumps(payload))
+        try:
+            model = load_forest(path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}: ")
+        else:
+            assert model.predict_one((0, 0.0, 0, 0.0)) in (0, 1)
 
 
 def test_infinite_thresholds_round_trip(tmp_path):
