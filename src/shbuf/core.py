@@ -22,6 +22,12 @@ and each mirrored threshold falls by ``min(threshold, slots)``, in O(N +
 packets sent). Either shortcut gives the same state as visiting every port
 in every slot. A policy that declares no ``thresholds`` has every port
 visited in every slot, one departure phase per slot.
+
+A run visits only the slots with arrivals. ``run_slots`` steps from one
+such slot to the next, and an ``ArrivalSequence`` summarises its rows once,
+on first use, so validating a sequence and counting its packets do not
+rescan its slots; a run costs O(arrivals + slots with arrivals) on top of
+the drains.
 """
 
 from __future__ import annotations
@@ -29,7 +35,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
+from functools import cached_property
+from itertools import chain, compress, count
 from typing import TYPE_CHECKING, Deque, Optional
 
 if TYPE_CHECKING:
@@ -65,9 +72,16 @@ class SwitchConfig:
             raise ValueError(f"buffer_size must be >= 1, got {self.buffer_size}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ArrivalSequence:
-    """Per-slot arrivals; each slot lists destination ports in processing order."""
+    """Per-slot arrivals; each slot lists destination ports in processing order.
+
+    A sequence is a value: ``slots`` cannot be reassigned, and its rows must
+    not be changed after the sequence is made. Its packet count, widest row
+    and lowest and highest port are computed once, on first use, from the
+    rows with arrivals; after that ``total_packets`` and a passing
+    ``validate`` cost O(1). Equality compares ``slots`` only.
+    """
 
     slots: list[list[int]]
 
@@ -75,19 +89,25 @@ class ArrivalSequence:
     def num_slots(self) -> int:
         return len(self.slots)
 
+    @cached_property
+    def _summary(self) -> tuple[int, int, int, int]:
+        """Packets, widest row, lowest port and highest port; all 0 without arrivals."""
+        rows = list(filter(None, self.slots))
+        ports = set(chain.from_iterable(rows))
+        return sum(map(len, rows)), max(map(len, rows), default=0), min(ports, default=0), max(ports, default=0)
+
     @property
     def total_packets(self) -> int:
-        return sum(map(len, self.slots))
+        return self._summary[0]
 
     def validate(self, config: SwitchConfig) -> None:
         """Raise ValueError if any slot exceeds the aggregate cap or names a bad port."""
         n = config.num_ports
-        slots = self.slots
-        ports = set(chain.from_iterable(slots))
-        if max(map(len, slots), default=0) <= n and min(ports, default=0) >= 0 and max(ports, default=0) < n:
+        _, widest, lowest, highest = self._summary
+        if widest <= n and lowest >= 0 and highest < n:
             return
         # something is wrong: find the first bad slot, to name it
-        for slot_index, row in enumerate(slots):
+        for slot_index, row in enumerate(self.slots):
             if len(row) > n:
                 raise ValueError(
                     f"slot {slot_index} carries {len(row)} arrivals; at most {n} allowed"
@@ -250,10 +270,13 @@ class Simulation:
             self.dropped += 1
         elif state.occupancy >= self._buffer:
             raise PolicyError("accept would overflow the buffer")
-        state.push(port, index)
+        # ``state.push``, inlined: this runs once per accepted packet
+        state.queues[port].append(index)
+        state.queue_len[port] += 1
+        occupancy = state.occupancy = state.occupancy + 1
         verdicts.append(_TRANSMITTED)
-        if state.occupancy > self.peak_occupancy:
-            self.peak_occupancy = state.occupancy
+        if occupancy > self.peak_occupancy:
+            self.peak_occupancy = occupancy
 
     def depart_port(self, port: int) -> None:
         """One port's share of the departure phase: drain one packet, then notify the policy."""
@@ -322,30 +345,29 @@ class Simulation:
 def run_slots(sim, sequence: ArrivalSequence) -> None:
     """Feed every event of ``sequence`` to ``sim``, slot by slot.
 
-    The only loop that schedules events. Each slot runs its arrivals in row
-    order, then one departure phase. A run of arrival-free slots is applied
-    in one ``sim.drain`` call before the next slot with arrivals; after the
-    last slot, ``sim.drain`` runs the ``sim.backlog`` departure-only slots
-    that empty the buffer. ``sim`` is a ``Simulation`` or any object with
-    the same ``config``, ``arrive``, ``depart_phase``, ``drain`` and
-    ``backlog``. The sequence is validated first.
+    The only loop that schedules events. It visits only the slots with
+    arrivals: each runs its arrivals in row order, then one departure phase.
+    The run of arrival-free slots before each of them is applied in one
+    ``sim.drain`` call; after the last one, a final ``sim.drain`` runs the
+    trailing arrival-free slots or the ``sim.backlog`` departure-only slots
+    that empty the buffer, whichever is more. ``sim`` is a ``Simulation`` or
+    any object with the same ``config``, ``arrive``, ``depart_phase``,
+    ``drain`` and ``backlog``. The sequence is validated first.
     """
     sequence.validate(sim.config)
+    slots = sequence.slots
     arrive = sim.arrive
     depart_phase = sim.depart_phase
     drain = sim.drain
-    gap = 0
-    for row in sequence.slots:
-        if not row:
-            gap += 1
-            continue
-        if gap:
-            drain(gap)
-            gap = 0
-        for port in row:
+    last = -1  # the last slot visited
+    for slot_index in compress(count(), slots):
+        if slot_index - last > 1:
+            drain(slot_index - last - 1)
+        for port in slots[slot_index]:
             arrive(port)
         depart_phase()
-    drain(max(gap, sim.backlog))
+        last = slot_index
+    drain(max(len(slots) - 1 - last, sim.backlog))
 
 
 def run_simulation(config: SwitchConfig, sequence: ArrivalSequence, policy: "Policy") -> RunResult:

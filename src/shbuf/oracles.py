@@ -46,6 +46,11 @@ class PredictionLabel(Enum):
         return PredictionLabel.NEGATIVE if self is PredictionLabel.POSITIVE else PredictionLabel.POSITIVE
 
 
+# enum member lookups cost ~0.1 us each on the query path
+_POSITIVE = PredictionLabel.POSITIVE
+_NEGATIVE = PredictionLabel.NEGATIVE
+
+
 class FeatureVector(NamedTuple):
     """Switch statistics visible to a predictor at one arrival.
 
@@ -181,7 +186,7 @@ class PerfectOracle:
                 f"packet {index} is not covered by the ground-truth trace; "
                 "trace and arrival sequence do not match"
             ) from None
-        return PredictionLabel.POSITIVE if dropped else PredictionLabel.NEGATIVE
+        return _POSITIVE if dropped else _NEGATIVE
 
 
 _MASK64 = (1 << 64) - 1
@@ -240,7 +245,8 @@ class FlipOracle:
     def predict(self, index: int, features: Optional[FeatureVector]) -> PredictionLabel:
         label = self._base_predict(index, features)
         if self.flips[index]:
-            return label.inverted()
+            # ``label.inverted()``, inlined: this runs once per query
+            return _NEGATIVE if label is _POSITIVE else _POSITIVE
         return label
 
 

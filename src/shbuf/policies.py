@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Optional, Protocol, Union
 
 from .core import SwitchConfig, SwitchState
-from .oracles import FeatureTracker, Oracle, PredictionLabel
+from .oracles import _POSITIVE, FeatureTracker, Oracle
 
 __all__ = [
     "Decision",
@@ -258,6 +258,8 @@ class Credence:
     def reset(self, config: SwitchConfig) -> None:
         self._buffer = config.buffer_size
         self.thresholds = ThresholdState(config.num_ports, config.buffer_size)
+        # bound once: the oracle is asked on every admitted arrival past the safeguard
+        self._predict = self.oracle.predict
         # the safeguard accepts while the longest queue is below ``_safe``
         self._safe = -(-config.buffer_size // config.num_ports)
         # by pigeonhole, an occupancy above ``_crowded`` puts some queue at ``_safe``
@@ -280,8 +282,7 @@ class Credence:
         if occupancy < safe or (queue < safe and occupancy <= self._crowded and max(lengths) < safe):
             return ACCEPT
         if queue < mirror.thresholds[port] and occupancy < self._buffer:
-            label = self.oracle.predict(index, features)
-            return DROP if label is PredictionLabel.POSITIVE else ACCEPT
+            return DROP if self._predict(index, features) is _POSITIVE else ACCEPT
         return DROP
 
     def on_departure(self, port: int, state: SwitchState) -> None:

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import random
 
 import pytest
@@ -19,9 +21,16 @@ from shbuf import (
     save_outcomes,
     save_sequence,
 )
-from shbuf.analysis import find_threshold_divergence, throughput
+from shbuf.analysis import (
+    brute_force_opt,
+    compute_eta,
+    find_threshold_divergence,
+    simulate_with_prediction_log,
+    throughput,
+)
 from shbuf.core import PolicyError, Simulation
-from shbuf.oracles import ConstantOracle, FeatureSampler, FlipOracle, PredictionLabel
+from shbuf.learner import collect_trace
+from shbuf.oracles import ConstantOracle, FeatureSampler, FlipOracle, PredictionLabel, ground_truth_from_run
 from shbuf.policies import Decision
 from shbuf.workloads import poisson_bursts, single_burst
 
@@ -96,6 +105,87 @@ def test_empty_sequence_validates_and_counts_no_packets():
         sequence = ArrivalSequence(slots)
         sequence.validate(SwitchConfig(2, 4))
         assert sequence.total_packets == 0
+
+
+def _walk_and_name_the_first_bad_slot(slots, num_ports):
+    """Reference check: the message a walk over every slot raises first, or None."""
+    for slot_index, row in enumerate(slots):
+        if len(row) > num_ports:
+            return f"slot {slot_index} carries {len(row)} arrivals; at most {num_ports} allowed"
+        for port in row:
+            if not 0 <= port < num_ports:
+                return f"slot {slot_index}: port {port} out of range [0, {num_ports})"
+    return None
+
+
+def _validation_message(sequence, config):
+    try:
+        sequence.validate(config)
+    except ValueError as error:
+        return str(error)
+    return None
+
+
+@st.composite
+def validation_instances(draw):
+    # two port counts, and rows up to two over the larger one, with ports up
+    # to two outside [0, N), between runs of empty rows at both ends
+    ports = draw(st.lists(st.integers(1, 5), min_size=2, max_size=2))
+    port = st.integers(-2, max(ports) + 1)
+    row = st.one_of(st.just([]), st.lists(port, max_size=max(ports) + 2))
+    empty = st.lists(st.just([]), max_size=3)
+    return draw(empty) + draw(st.lists(row, max_size=8)) + draw(empty), ports
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(validation_instances())
+def test_validate_raises_what_a_walk_over_every_slot_raises(instance):
+    slots, ports = instance
+    for order in (ports, ports[::-1]):
+        # one sequence, validated against both configs: its summary must not depend on either
+        sequence = ArrivalSequence(slots)
+        for num_ports in order:
+            expected = _walk_and_name_the_first_bad_slot(slots, num_ports)
+            assert _validation_message(sequence, SwitchConfig(num_ports, 4)) == expected
+        assert sequence.total_packets == sum(map(len, slots))
+
+
+def test_a_sequence_is_a_value():
+    slots = [[0, 1], [], [1]]
+    sequence = ArrivalSequence(slots)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sequence.slots = [[0]]
+    twin = ArrivalSequence(copy.deepcopy(slots))
+    assert sequence == twin
+    # equality compares slots only, whether or not either side has its summary
+    sequence.validate(SwitchConfig(2, 4))
+    assert sequence == twin and twin == sequence
+    assert twin.total_packets == 3
+    assert sequence == twin
+    assert sequence != ArrivalSequence([[0, 1], [1]])
+    assert ArrivalSequence([[0, 1], [1]]) != sequence
+
+
+def test_no_entry_point_changes_the_rows_it_is_given():
+    config = SwitchConfig(3, 3)
+    sequence = ArrivalSequence([[], [0, 0, 1], [], [2, 2], [], [], [0, 1, 2], [0], []])
+    before = copy.deepcopy(sequence.slots)
+    lqd = run_simulation(config, sequence, LongestQueueDrop())
+    oracle = PerfectOracle.from_run(lqd)
+    flip = FlipOracle(oracle, 0.5, 3, sequence)
+    _, log = simulate_with_prediction_log(config, sequence, flip)
+    policies = (CompleteSharing(), DynamicThresholds(), LongestQueueDrop(), FollowLqd(), Credence(flip))
+    entry_points = [(policy.name, lambda policy=policy: run_simulation(config, sequence, policy)) for policy in policies]
+    entry_points += [
+        ("find_threshold_divergence", lambda: find_threshold_divergence(config, sequence, flip)),
+        ("simulate_with_prediction_log", lambda: simulate_with_prediction_log(config, sequence, flip)),
+        ("compute_eta", lambda: compute_eta(config, sequence, log, ground_truth_from_run(lqd))),
+        ("collect_trace", lambda: collect_trace(config, sequence)),
+        ("brute_force_opt", lambda: brute_force_opt(config, sequence)),
+    ]
+    for name, call in entry_points:
+        call()
+        assert sequence.slots == before, name
 
 
 def test_occupancy_bound_after_every_event(small_config):
@@ -310,7 +400,7 @@ def gappy_instances(draw):
     num_ports = draw(st.integers(1, 6))
     buffer_size = draw(st.integers(1, 12))
     row = st.lists(st.integers(0, num_ports - 1), max_size=num_ports)
-    slots = []
+    slots = [[] for _ in range(draw(st.integers(0, 40)))]
     for rows, gap in draw(st.lists(st.tuples(st.lists(row, max_size=6), st.integers(0, 40)), max_size=5)):
         slots += rows + [[] for _ in range(gap)]
     return SwitchConfig(num_ports, buffer_size), ArrivalSequence(slots), draw(st.integers(0, 2**32 - 1))
@@ -328,6 +418,8 @@ def test_skipping_idle_ports_and_slots_changes_no_output(instance):
         "lqd": LongestQueueDrop,
         "follow_lqd": FollowLqd,
         "credence": lambda: Credence(oracle),
+        # its thresholds outlive its queues, so the final thresholds count the trailing slots drained
+        "credence(always drop)": lambda: Credence(ConstantOracle(PredictionLabel.POSITIVE)),
         "sampler(credence)": lambda: FeatureSampler(Credence(oracle)),
         "spy(follow_lqd)": lambda: _Spy(FollowLqd()),
         "spy(credence)": lambda: _Spy(Credence(oracle)),

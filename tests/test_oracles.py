@@ -80,6 +80,22 @@ def test_flip_oracle_total_inversion_at_one():
         assert flip.predict(i, FEATURES) is PredictionLabel.POSITIVE
 
 
+@pytest.mark.parametrize("label", list(PredictionLabel), ids=lambda label: label.value)
+def test_flip_oracle_inverts_each_label_at_one_and_keeps_it_at_zero(label):
+    seq = ArrivalSequence([[0, 1], [], [1]])
+    perfect = PerfectOracle({index: label is PredictionLabel.POSITIVE for index in range(2)})
+    for base in (ConstantOracle(label), perfect):
+        always = FlipOracle(base, 1.0, seed=5, sequence=seq)
+        never = FlipOracle(base, 0.0, seed=5, sequence=seq)
+        for index in range(2):
+            assert always.predict(index, FEATURES) is label.inverted()
+            assert never.predict(index, FEATURES) is label
+    # the perfect base still rejects an arrival its truth does not cover
+    for p in (0.0, 1.0):
+        with pytest.raises(ValueError, match="packet 2 is not covered"):
+            FlipOracle(perfect, p, seed=5, sequence=seq).predict(2, FEATURES)
+
+
 def test_flip_oracle_concentration():
     base = ConstantOracle(PredictionLabel.NEGATIVE)
     flip = FlipOracle(base, 0.5, seed=99, sequence=ArrivalSequence([[0] * 10] * 1000))
