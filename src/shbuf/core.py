@@ -32,11 +32,14 @@ the drains.
 
 from __future__ import annotations
 
+import re
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import chain, compress, count
+from itertools import chain, compress, count, islice, repeat
+from operator import attrgetter, lt, ne
 from typing import TYPE_CHECKING, Deque, Optional
 
 if TYPE_CHECKING:
@@ -384,12 +387,51 @@ def run_simulation(config: SwitchConfig, sequence: ArrivalSequence, policy: "Pol
 
 # --- trace and result files -------------------------------------------------
 #
-# Arrival traces are line-oriented text: optional '#' comment lines, a
-# 'slot,port' header, then one 'slot,port' row per packet, sorted by slot
-# with within-slot order equal to row order. Slots mentioned by no row are
-# empty (arrival-free); trailing empty slots are not representable.
+# Arrival traces are UTF-8 text: a 'slot,port' header, then one 'slot,port'
+# row per packet, sorted by slot, with within-slot order equal to row order.
+# Blank lines and '#' comment lines may appear anywhere, spaces around a
+# field are allowed, and a field is read as ``int()`` reads it. Slots
+# mentioned by no row are empty (arrival-free); trailing empty slots are not
+# representable. A file that cannot be loaded raises ValueError naming
+# ``path:line``, or only the path for a missing or wrong header or bytes that
+# are not UTF-8.
+#
+# ``save_sequence`` writes the canonical form: optional '#' comment lines, the
+# header, then 'digits,digits' lines. ``load_sequence`` parses that form in
+# blocks of whole lines with C-level string and list operations; any other
+# file, and any file with an error, goes through the line parser, which alone
+# accepts the other forms and words every error.
 
 _SEQUENCE_HEADER = "slot,port"
+# the canonical form: the head up to the header line, then blocks of rows
+_CANONICAL_HEAD = re.compile(rf"(?:#[^\n]*\n)*{_SEQUENCE_HEADER}\n")
+_CANONICAL_ROWS = re.compile(r"(?:[0-9]+,[0-9]+\n)*")
+# a block is the whole lines that reach this many characters past its start;
+# one list of field strings per block keeps the parse's memory this small
+_BLOCK_CHARS = 1 << 16
+
+
+class _Memo(dict):
+    """``make(key)`` for each key, made on the key's first lookup."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make) -> None:
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+@contextmanager
+def _utf8_errors_name(path):
+    """Re-raise a ``UnicodeDecodeError`` inside the block as a ValueError naming ``path``."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def save_sequence(path, sequence: ArrivalSequence, comment: Optional[str] = None) -> None:
@@ -405,30 +447,84 @@ def save_sequence(path, sequence: ArrivalSequence, comment: Optional[str] = None
 
 
 def load_sequence(path) -> ArrivalSequence:
+    """Read a trace file; raise ValueError naming ``path`` for anything that is not a valid trace."""
+    with _utf8_errors_name(path), open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    sequence = _parse_canonical(text)
+    if sequence is None:
+        sequence = _parse_lines(path, text)
+    return sequence
+
+
+def _parse_canonical(text: str) -> Optional[ArrivalSequence]:
+    """The sequence in ``text`` if it is in the canonical form and valid, else None.
+
+    Each block's slot fields are compared as strings to find where a row
+    starts, and only those are converted; ports are converted through a
+    cache of the port fields seen. The rows' slots must then increase, so a
+    slot spelt two ways ('7' and '07') in a row's lines falls back.
+    """
+    head = _CANONICAL_HEAD.match(text)
+    if head is None:
+        return None
+    port_of = _Memo(int)
+    ports: list[int] = []
+    row_slots: list[int] = []
+    row_starts: list[int] = []  # the index in ``ports`` of each row's first packet
+    last_field = None  # the slot field of the previous block's last line
+    start, end = head.end(), len(text)
+    while start < end:
+        stop = text.find("\n", start + _BLOCK_CHARS - 1) + 1 or end
+        block = text[start:stop]
+        if _CANONICAL_ROWS.fullmatch(block) is None:
+            return None
+        fields = block[:-1].replace("\n", ",").split(",")
+        slot_fields = fields[::2]
+        firsts = list(compress(count(), map(ne, slot_fields, chain((last_field,), slot_fields))))
+        try:
+            row_slots += map(int, map(slot_fields.__getitem__, firsts))
+            row_starts += map(len(ports).__add__, firsts)
+            ports += map(port_of.__getitem__, fields[1::2])
+        except ValueError:  # more digits than int() converts
+            return None
+        last_field = slot_fields[-1]
+        start = stop
+    if not all(map(lt, row_slots, islice(row_slots, 1, None))):
+        return None
+    if not row_slots:
+        return ArrivalSequence([])
+    slots: list[list[int]] = [[] for _ in repeat(None, row_slots[-1] + 1)]
+    row_starts.append(len(ports))
+    for slot, first, last in zip(row_slots, row_starts, islice(row_starts, 1, None)):
+        slots[slot] = ports[first:last]
+    return ArrivalSequence(slots)
+
+
+def _parse_lines(path, text: str) -> ArrivalSequence:
+    """Parse ``text`` line by line, raising ValueError naming ``path:line`` at the first error."""
     rows: list[tuple[int, int]] = []
-    with open(path) as fh:
-        header_seen = False
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if not header_seen:
-                if line != _SEQUENCE_HEADER:
-                    raise ValueError(f"{path}: expected header {_SEQUENCE_HEADER!r}, got {line!r}")
-                header_seen = True
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{line_no}: expected 'slot,port', got {line!r}")
-            try:
-                slot, port = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ValueError(f"{path}:{line_no}: non-integer field in {line!r}") from None
-            if slot < 0 or port < 0:
-                raise ValueError(f"{path}:{line_no}: negative field in {line!r}")
-            if rows and slot < rows[-1][0]:
-                raise ValueError(f"{path}:{line_no}: rows not sorted by slot")
-            rows.append((slot, port))
+    header_seen = False
+    for line_no, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if not header_seen:
+            if line != _SEQUENCE_HEADER:
+                raise ValueError(f"{path}: expected header {_SEQUENCE_HEADER!r}, got {line!r}")
+            header_seen = True
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise ValueError(f"{path}:{line_no}: expected 'slot,port', got {line!r}")
+        try:
+            slot, port = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ValueError(f"{path}:{line_no}: non-integer field in {line!r}") from None
+        if slot < 0 or port < 0:
+            raise ValueError(f"{path}:{line_no}: negative field in {line!r}")
+        if rows and slot < rows[-1][0]:
+            raise ValueError(f"{path}:{line_no}: rows not sorted by slot")
+        rows.append((slot, port))
     if not header_seen:
         raise ValueError(f"{path}: missing {_SEQUENCE_HEADER!r} header")
     num_slots = rows[-1][0] + 1 if rows else 0
@@ -438,11 +534,19 @@ def load_sequence(path) -> ArrivalSequence:
     return ArrivalSequence(slots)
 
 
+_OUTCOMES_HEADER = "packet_slot,packet_pos,port,verdict"
+
+
 def save_outcomes(path, result: RunResult) -> None:
-    lines = ["packet_slot,packet_pos,port,verdict"]
-    verdicts = iter(result.verdicts)
-    for slot_index, row in enumerate(result.sequence.slots):
-        for pos, port in enumerate(row):
-            lines.append(f"{slot_index},{pos},{port},{next(verdicts).value}")
+    slots = result.sequence.slots
+    # ``_value_`` is the plain attribute behind the ``Verdict.value`` descriptor
+    values = map(attrgetter("_value_"), result.verdicts)
+    # "pos,port,verdict\n", a line after its slot, by (pos, port, verdict value)
+    line = _Memo(lambda key: f"{key[0]},{key[1]},{key[2]}\n").__getitem__
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        write = fh.write
+        write(f"{_OUTCOMES_HEADER}\n")
+        for slot_index in compress(count(), slots):
+            prefix = f"{slot_index},"
+            # zip stops at the row's end before it takes a value past it
+            write(prefix + prefix.join(map(line, zip(count(), slots[slot_index], values))))

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence, Union
 
-from .core import ArrivalSequence, SwitchConfig, Verdict, run_simulation
+from .core import ArrivalSequence, SwitchConfig, Verdict, _utf8_errors_name, run_simulation
 from .oracles import FeatureSampler, FeatureVector, PredictionLabel
 from .policies import LongestQueueDrop
 
@@ -541,7 +541,7 @@ def save_examples(examples: Sequence[LabeledExample], path) -> None:
 
 def load_examples(path) -> list[LabeledExample]:
     examples: list[LabeledExample] = []
-    with open(path) as fh:
+    with _utf8_errors_name(path), open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != _EXAMPLES_HEADER:
             raise ValueError(f"{path}: expected header {_EXAMPLES_HEADER!r}, got {header!r}")

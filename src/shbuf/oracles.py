@@ -13,6 +13,8 @@ arrival, under any policy.
 from __future__ import annotations
 
 from enum import Enum
+from itertools import repeat
+from operator import is_not
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Optional, Protocol
 
 from .core import ArrivalSequence, RunResult, Verdict
@@ -163,7 +165,7 @@ class ConstantOracle:
 
 def ground_truth_from_run(result: RunResult) -> dict[int, bool]:
     """Map every arrival index of a finished run to True when the packet was dropped or pushed out."""
-    return {index: verdict is not Verdict.TRANSMITTED for index, verdict in enumerate(result.verdicts)}
+    return dict(enumerate(map(is_not, result.verdicts, repeat(Verdict.TRANSMITTED))))
 
 
 class PerfectOracle:

@@ -126,13 +126,16 @@ class DynamicThresholds:
 
     def reset(self, config: SwitchConfig) -> None:
         self._buffer = config.buffer_size
+        # ``Fraction`` properties cost a call each; read them once per run
+        self._numerator = self.alpha.numerator
+        self._denominator = self.alpha.denominator
 
     def on_arrival(self, port: int, index: int, state: SwitchState) -> Decision:
         free = self._buffer - state.occupancy
         if free <= 0:
             return DROP
         # cross-multiplied: q * denominator < numerator * free
-        if state.queue_len[port] * self.alpha.denominator < self.alpha.numerator * free:
+        if state.queue_len[port] * self._denominator < self._numerator * free:
             return ACCEPT
         return DROP
 

@@ -225,6 +225,20 @@ def test_bad_example_features_exit_2(tmp_path, capsys, case):
     assert "examples.csv:6: " in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command, flag, message", [
+    ("simulate", "--trace", "cannot load trace"),
+    ("train", "--data", "cannot load training data"),
+])
+def test_a_file_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys, command, flag, message):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"slot,port\n0,\xff\n")
+    argv = [command, flag, str(bad), "--out", str(tmp_path / "out")]
+    if command == "simulate":
+        argv += ["--ports", "4", "--buffer", "16"]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {message}: {bad}: not UTF-8 text (invalid start byte)\n"
+
+
 @pytest.mark.parametrize("chart", [False, True])
 def test_sweep_empty_p_list_exits_2(tmp_path, capsys, chart):
     out = tmp_path / "sweep.csv"

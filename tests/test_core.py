@@ -1,9 +1,10 @@
 import copy
 import dataclasses
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from shbuf import (
@@ -21,6 +22,7 @@ from shbuf import (
     save_outcomes,
     save_sequence,
 )
+from shbuf import core
 from shbuf.analysis import (
     brute_force_opt,
     compute_eta,
@@ -29,7 +31,7 @@ from shbuf.analysis import (
     throughput,
 )
 from shbuf.core import PolicyError, Simulation
-from shbuf.learner import collect_trace
+from shbuf.learner import collect_trace, load_examples
 from shbuf.oracles import ConstantOracle, FeatureSampler, FlipOracle, PredictionLabel, ground_truth_from_run
 from shbuf.policies import Decision
 from shbuf.workloads import poisson_bursts, single_burst
@@ -278,6 +280,164 @@ def test_sequence_file_rejects_malformed(tmp_path):
     path.write_text("0,0\n")
     with pytest.raises(ValueError, match="header"):
         load_sequence(path)
+
+
+def _reference_load_sequence(path) -> ArrivalSequence:
+    """The line-by-line trace parser that ``load_sequence`` must agree with."""
+    rows: list[tuple[int, int]] = []
+    with open(path, encoding="utf-8") as fh:
+        header_seen = False
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if not header_seen:
+                if line != "slot,port":
+                    raise ValueError(f"{path}: expected header 'slot,port', got {line!r}")
+                header_seen = True
+                continue
+            parts = line.split(",")
+            if len(parts) != 2:
+                raise ValueError(f"{path}:{line_no}: expected 'slot,port', got {line!r}")
+            try:
+                slot, port = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise ValueError(f"{path}:{line_no}: non-integer field in {line!r}") from None
+            if slot < 0 or port < 0:
+                raise ValueError(f"{path}:{line_no}: negative field in {line!r}")
+            if rows and slot < rows[-1][0]:
+                raise ValueError(f"{path}:{line_no}: rows not sorted by slot")
+            rows.append((slot, port))
+    if not header_seen:
+        raise ValueError(f"{path}: missing 'slot,port' header")
+    num_slots = rows[-1][0] + 1 if rows else 0
+    slots: list[list[int]] = [[] for _ in range(num_slots)]
+    for slot, port in rows:
+        slots[slot].append(port)
+    return ArrivalSequence(slots)
+
+
+def _loaded(load, path):
+    """What ``load`` makes of ``path``: the rows, or the ValueError's message."""
+    try:
+        return load(path).slots
+    except ValueError as exc:
+        return str(exc)
+
+
+_ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+# trace lines other than the canonical f"{slot},{port}" that save_sequence writes
+_TRACE_LINES = {
+    "leading_zero": lambda slot, port: f"0{slot},{port}",
+    "spaces": lambda slot, port: f" {slot} , {port}\t",
+    "plus": lambda slot, port: f"+{slot},{port}",
+    "underscore": lambda slot, port: f"{slot},1_{port}",
+    "non_ascii_digits": lambda slot, port: f"{slot},{port}".translate(_ARABIC_INDIC),
+    "one_field": lambda slot, port: f"{slot}",
+    "three_fields": lambda slot, port: f"{slot},{port},0",
+    "empty_field": lambda slot, port: f"{slot},",
+    "negative_slot": lambda slot, port: f"-{slot},{port}",
+    "negative_port": lambda slot, port: f"{slot},-{port}",
+    "decimal": lambda slot, port: f"{slot}.0,{port}",
+    "word": lambda slot, port: f"{slot},port",
+    "huge_port": lambda slot, port: f"{slot},{'9' * 4400}",
+    "comment_after": lambda slot, port: f"{slot},{port}\n# after",
+    "blank_after": lambda slot, port: f"{slot},{port}\n  ",
+}
+
+
+@st.composite
+def trace_texts(draw):
+    """A trace file's text: canonical lines, then up to three lines in any of the forms above."""
+    head = draw(st.lists(st.sampled_from(["# spec: kind=test", "#"] * 3 + ["", "  # indented"]), max_size=2))
+    header = draw(st.sampled_from(["slot,port"] * 12 + [" slot,port ", "slot, port", "port,slot", None]))
+    slots = sorted(draw(st.lists(st.integers(0, 25), max_size=40)))
+    if len(slots) > 1 and draw(st.integers(0, 5)) == 0:
+        i = draw(st.integers(0, len(slots) - 2))
+        slots[i], slots[i + 1] = slots[i + 1] + 1, slots[i]
+    lines = [f"{slot},{draw(st.integers(0, 12))}" for slot in slots]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2, 3])) if lines else 0):
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i] = _TRACE_LINES[draw(st.sampled_from(sorted(_TRACE_LINES)))](slots[i], draw(st.integers(0, 12)))
+    newline = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+    last = newline if draw(st.integers(0, 5)) else ""
+    text = "\n".join(head + ([header] if header is not None else []) + lines) + last
+    return text.replace("\n", newline)
+
+
+@settings(derandomize=True, max_examples=600, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=trace_texts(), block=st.sampled_from([1, 2, 9, 40, 1 << 16]))
+def test_load_sequence_agrees_with_the_line_parser(tmp_path, text, block):
+    # ``block`` is the block size in characters: small ones split rows across blocks
+    path = tmp_path / "trace.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with mock.patch.object(core, "_BLOCK_CHARS", block):
+        assert _loaded(load_sequence, path) == _loaded(_reference_load_sequence, path)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    rows=st.lists(st.lists(st.integers(0, 11), max_size=12), max_size=30).map(
+        lambda rows: rows + [[0]] if rows and not rows[-1] else rows
+    ),
+    comment=st.sampled_from([None, "spec: kind=test"]),
+    block=st.sampled_from([1, 5, 1 << 16]),
+)
+def test_load_sequence_reads_back_what_save_sequence_writes(tmp_path, rows, comment, block):
+    path = tmp_path / "trace.csv"
+    sequence = ArrivalSequence(rows)
+    save_sequence(path, sequence, comment=comment)
+    with mock.patch.object(core, "_BLOCK_CHARS", block):
+        loaded = load_sequence(path)
+    assert loaded == sequence
+    # no two rows share one list
+    assert len(set(map(id, loaded.slots))) == len(loaded.slots)
+
+
+@pytest.mark.parametrize("load", [load_sequence, load_examples])
+def test_a_file_that_is_not_utf8_is_an_error_naming_it(tmp_path, load):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"slot,port\n0,\xff\n")
+    with pytest.raises(ValueError) as caught:
+        load(path)
+    assert type(caught.value) is ValueError
+    assert str(caught.value) == f"{path}: not UTF-8 text (invalid start byte)"
+
+
+def _reference_save_outcomes(path, result) -> None:
+    """The per-packet outcome writer that ``save_outcomes`` must match byte for byte."""
+    lines = ["packet_slot,packet_pos,port,verdict"]
+    verdicts = iter(result.verdicts)
+    for slot_index, row in enumerate(result.sequence.slots):
+        for pos, port in enumerate(row):
+            lines.append(f"{slot_index},{pos},{port},{next(verdicts).value}")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def test_save_outcomes_writes_what_the_per_packet_writer_writes(tmp_path):
+    pairs = set()  # (pos, port) of every packet written
+    verdicts = set()
+    for seed in range(48):
+        rng = random.Random(seed)
+        num_ports = seed % 12 + 1
+        config = SwitchConfig(num_ports, rng.choice([1, 4, 16, 64]))
+        # rows of 0 to N packets in any port order, so that at N=12 both
+        # (pos, port) = (1, 11) and (11, 1) occur
+        rows = [rng.choices(range(num_ports), k=rng.randint(0, num_ports)) for _ in range(60)]
+        sequence = ArrivalSequence(rows)
+        pairs.update((pos, port) for row in rows for pos, port in enumerate(row))
+        for policy in (LongestQueueDrop(), CompleteSharing()):
+            result = run_simulation(config, sequence, policy)
+            verdicts.update(result.verdicts)
+            save_outcomes(tmp_path / "out.csv", result)
+            _reference_save_outcomes(tmp_path / "reference.csv", result)
+            assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    assert {(1, 11), (11, 1), (1, 10), (11, 0)} <= pairs
+    assert verdicts == set(Verdict)
 
 
 def test_outcomes_csv_schema(tmp_path):
