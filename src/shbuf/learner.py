@@ -6,9 +6,14 @@ the usual binary-classification scores. The trainer is written for exact
 reproducibility: given the same examples and seed it produces byte-identical
 model files, with Gini ties broken toward the lower feature index and then
 the lower threshold. A model compiles each of its trees into a small Python
-function of nested comparisons when it is made, and predicts through them.
-numpy is imported only by the functions that train and split, so importing
-the package does not load it.
+function of nested comparisons when it is made, and predicts through one
+compiled decision that runs the trees in index order and stops as soon as
+the majority is settled. Before the trees run, it turns each feature that
+is exactly an ``int`` within ±2**53 into the equal ``float``, so that its
+tests against float thresholds compare two floats; such ints are exact as
+floats, and the result is the same as comparing the int. numpy is
+imported only by the functions that train and split, so importing the
+package does not load it.
 """
 
 from __future__ import annotations
@@ -16,6 +21,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import chain, repeat
+from operator import is_, itemgetter
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence, Union
 
 from .core import ArrivalSequence, SwitchConfig, Verdict, _utf8_errors_name, run_simulation
@@ -55,6 +63,14 @@ class LabeledExample(NamedTuple):
     label: PredictionLabel
 
 
+# builds a LabeledExample from one (features, label) pair without the Python-level __new__
+_new_example = partial(tuple.__new__, LabeledExample)
+_LABEL_OF_VERDICT = {
+    verdict: PredictionLabel.NEGATIVE if verdict is Verdict.TRANSMITTED else PredictionLabel.POSITIVE
+    for verdict in Verdict
+}
+
+
 def collect_trace(config: SwitchConfig, sequence: ArrivalSequence) -> list[LabeledExample]:
     """Run LongestQueueDrop over ``sequence`` and label every arrival.
 
@@ -64,13 +80,8 @@ def collect_trace(config: SwitchConfig, sequence: ArrivalSequence) -> list[Label
     """
     sampler = FeatureSampler(LongestQueueDrop())
     result = run_simulation(config, sequence, sampler)
-    return [
-        LabeledExample(
-            features,
-            PredictionLabel.NEGATIVE if verdict is Verdict.TRANSMITTED else PredictionLabel.POSITIVE,
-        )
-        for features, verdict in zip(sampler.features, result.verdicts)
-    ]
+    labels = map(_LABEL_OF_VERDICT.__getitem__, result.verdicts)
+    return list(map(_new_example, zip(sampler.features, labels)))
 
 
 # --- decision trees ----------------------------------------------------------
@@ -97,6 +108,71 @@ def _leaf(positives: int, total: int) -> int:
     return 1 if 2 * positives > total else 0
 
 
+def _split_node(
+    columns: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    lo: int,
+    hi: int,
+    positives: int,
+    children_are_leaves: bool,
+    goes_left: np.ndarray,
+) -> Optional[tuple[int, float, int, int]]:
+    """Split the node that holds ``[lo, hi)`` at its least weighted Gini impurity.
+
+    Returns ``(feature, threshold, middle, left positives)``, where the left
+    child holds ``[lo, middle)``, or None when no feature varies. Every
+    column's range is partitioned stably, left examples first, unless the
+    children are leaves, which need only their counts. Its arrays are freed
+    on return, before the children grow.
+    """
+    import numpy as np
+
+    total = hi - lo
+    best_cost = np.inf
+    best_feature = -1
+    best_threshold = 0.0
+    for feature, (_, values, labels) in enumerate(columns):
+        values = values[lo:hi]
+        # ndarray methods, not the np.* wrappers: this loop runs once per feature and node
+        boundaries = (values[:-1] < values[1:]).nonzero()[0]
+        if boundaries.size == 0:
+            continue
+        left_pos = labels[lo:hi].cumsum(dtype=np.int64)[boundaries]
+        left_n = boundaries + 1
+        right_n = total - left_n
+        right_pos = positives - left_pos
+        # weighted Gini: sum over children of 2 * p * (1 - p) * n_child
+        cost = (
+            2.0 * left_pos * (left_n - left_pos) / left_n
+            + 2.0 * right_pos * (right_n - right_pos) / right_n
+        )
+        at = int(cost.argmin())
+        if cost[at] < best_cost:
+            best_cost = float(cost[at])
+            best_feature = feature
+            best_threshold = float((values[boundaries[at]] + values[boundaries[at] + 1]) / 2.0)
+
+    if best_feature < 0:
+        return None
+    ids, values, labels = columns[best_feature]
+    if children_are_leaves:
+        # the midpoint of two adjacent doubles can round up to the larger one, so
+        # the split is found by searching for the threshold, not taken from the
+        # boundary between the two values
+        middle = lo + int(values[lo:hi].searchsorted(best_threshold, side="right"))
+    else:
+        goes_left[ids[lo:hi]] = values[lo:hi] <= best_threshold
+        for ids, values, labels in columns:
+            # positions then take(): much faster than boolean indexing on a scattered mask
+            mask = goes_left[ids[lo:hi]]
+            left_at = mask.nonzero()[0]
+            order = np.concatenate((left_at, (~mask).nonzero()[0]))
+            for column in (ids, values, labels):
+                column[lo:hi] = column[lo:hi].take(order)
+        middle = lo + left_at.size
+    # the left examples come first in ``labels`` either way
+    return best_feature, best_threshold, middle, int(labels[lo:middle].sum(dtype=np.int64))
+
+
 def _grow_tree(
     columns: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
     lo: int,
@@ -115,51 +191,16 @@ def _grow_tree(
     sample and every split is computed exactly as if the node were sorted
     afresh. ``goes_left`` is a reusable mask over the sample positions.
     """
-    import numpy as np
-
     total = hi - lo
     if positives == 0 or positives == total or depth_left == 0:
         return _leaf(positives, total)
-
-    best_cost = np.inf
-    best_feature = -1
-    best_threshold = 0.0
-    for feature, (_, values, labels) in enumerate(columns):
-        values = values[lo:hi]
-        boundaries = np.nonzero(values[:-1] < values[1:])[0]
-        if boundaries.size == 0:
-            continue
-        left_pos = np.cumsum(labels[lo:hi], dtype=np.int64)[boundaries]
-        left_n = boundaries + 1
-        right_n = total - left_n
-        right_pos = positives - left_pos
-        # weighted Gini: sum over children of 2 * p * (1 - p) * n_child
-        cost = (
-            2.0 * left_pos * (left_n - left_pos) / left_n
-            + 2.0 * right_pos * (right_n - right_pos) / right_n
-        )
-        at = int(np.argmin(cost))
-        if cost[at] < best_cost:
-            best_cost = float(cost[at])
-            best_feature = feature
-            best_threshold = float((values[boundaries[at]] + values[boundaries[at] + 1]) / 2.0)
-
-    if best_feature < 0:
+    split = _split_node(columns, lo, hi, positives, depth_left == 1, goes_left)
+    if split is None:
         return _leaf(positives, total)
-    ids, values, labels = columns[best_feature]
-    goes_left[ids[lo:hi]] = values[lo:hi] <= best_threshold
-    for ids, values, labels in columns:
-        # positions then take(): much faster than boolean indexing on a scattered mask
-        mask = goes_left[ids[lo:hi]]
-        order = np.concatenate((np.flatnonzero(mask), np.flatnonzero(~mask)))
-        for column in (ids, values, labels):
-            column[lo:hi] = column[lo:hi].take(order)
-    # every column holds the same examples, so the last one gives the left counts
-    middle = lo + int(np.count_nonzero(mask))
-    left_positives = int(labels[lo:middle].sum(dtype=np.int64))
+    feature, threshold, middle, left_positives = split
     left = _grow_tree(columns, lo, middle, left_positives, depth_left - 1, goes_left)
     right = _grow_tree(columns, middle, hi, positives - left_positives, depth_left - 1, goes_left)
-    return TreeNode(best_feature, best_threshold, left, right)
+    return TreeNode(feature, threshold, left, right)
 
 
 # CPython's parser allows 100 indentation levels; deeper left spines move into helper functions
@@ -224,14 +265,20 @@ class _TreeSource:
             self.node(node.right, depth, lines)
 
 
-def _compile_votes(trees: Sequence[Union[TreeNode, int]], feature_count: int) -> Callable[[Sequence[float]], int]:
-    """Compile ``votes(features)``: how many of ``trees`` predict a drop for ``features``.
+# ints in [-2**53, 2**53] are exact as floats, so converting them changes no comparison
+_EXACT_INT = 2**53
+
+
+def _compile_decide(trees: Sequence[Union[TreeNode, int]], feature_count: int) -> Callable[[Sequence[float]], int]:
+    """Compile ``decide(features)``: 1 when a strict majority of ``trees`` predicts a drop, else 0.
 
     Each tree becomes its own small function of nested ``if`` tests, compiled
     separately so that the compiler never holds the whole forest at once.
-    Each function is taken out of the namespace it was defined in, so no
-    function and namespace refer to each other and a dropped model is freed
-    at once rather than by the cycle collector.
+    ``decide`` turns exact ints into floats as ``ForestModel`` describes, then
+    runs the trees in index order and returns after the first one that
+    settles the majority. Each function is taken out of the namespace it was
+    defined in, so no function and namespace refer to each other and a
+    dropped model is freed at once rather than by the cycle collector.
     """
     namespace: dict = {}
     for index, tree in enumerate(trees):
@@ -241,60 +288,79 @@ def _compile_votes(trees: Sequence[Union[TreeNode, int]], feature_count: int) ->
         exec(compile("\n\n".join(writer.functions), f"<forest tree {index}>", "exec"), scope)
         namespace[writer.name] = scope.pop(writer.name)
     params = ", ".join(f"x{index}" for index in range(feature_count))
-    calls = " + ".join(f"tree{index}({params})" for index in range(len(trees))) or "0"
-    unpack = f"    {params}, = features\n" if feature_count else ""
-    source = f"def votes(features):\n{unpack}    return {calls}\n"
-    exec(compile(source, "<forest votes>", "exec"), namespace)
-    return namespace.pop("votes")
+    lines = ["def decide(features):"]
+    if feature_count:
+        lines.append(f"    {params}, = features")
+    for index in range(feature_count):
+        lines.append(f"    if x{index}.__class__ is int and {-_EXACT_INT} <= x{index} <= {_EXACT_INT}:")
+        lines.append(f"        x{index} = float(x{index})")
+    count = len(trees)
+    half = count // 2
+    lines.append("    votes = 0")
+    for index in range(count):
+        lines.append(f"    votes += tree{index}({params})")
+        # drop once a strict majority is in; accept once the trees left cannot make one
+        done, left = index + 1, count - index - 1
+        if done > half:
+            lines.append(f"    if votes > {half}:\n        return 1")
+        if left <= half:
+            lines.append(f"    if votes <= {half - left}:\n        return 0")
+    lines.append("    return 0")
+    exec(compile("\n".join(lines) + "\n", "<forest decide>", "exec"), namespace)
+    return namespace.pop("decide")
 
 
 @dataclass(frozen=True)
 class ForestModel:
     """Bagged ensemble of depth-limited trees over the four switch features.
 
-    ``trees`` is kept as a tuple and compiled into a vote-counting function
-    when the model is made; the model is frozen, so the two never disagree.
+    ``trees`` is kept as a tuple and compiled into one decision function when
+    the model is made; the model is frozen, so the two never disagree. A
+    strict majority of drop votes predicts a drop and a tie accepts. The
+    decision stops at the first tree after which the majority is settled:
+    a drop once the drop votes exceed half the trees, an accept once the
+    trees left cannot get them there. Before the trees run, each feature
+    whose class is exactly ``int`` and that lies within ±2**53 becomes the
+    equal float, so a float threshold is compared with a float; bools,
+    larger ints and other numbers keep their own exact comparisons. Both
+    steps give the answer that running every tree on the features as given
+    would.
     """
 
     trees: tuple[Union[TreeNode, int], ...]
     max_depth: int
     feature_count: int
-    _votes: Callable[[Sequence[float]], int] = field(init=False, repr=False, compare=False)
+    _decide: Callable[[Sequence[float]], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         trees = tuple(self.trees)
         object.__setattr__(self, "trees", trees)
-        object.__setattr__(self, "_votes", _compile_votes(trees, self.feature_count))
+        object.__setattr__(self, "_decide", _compile_decide(trees, self.feature_count))
 
     def __reduce__(self):
         # a compiled function does not pickle; the trees do, and compile again on load
         return (ForestModel, (self.trees, self.max_depth, self.feature_count))
 
     def predict_one(self, features: Sequence[float]) -> int:
+        """1 when a strict majority of the trees predicts a drop for ``features``, else 0."""
         if len(features) != self.feature_count:
             raise ValueError(
                 f"expected {self.feature_count} features, got {len(features)}"
             )
-        # strict majority votes drop; ties fall to accept
-        return 1 if 2 * self._votes(features) > len(self.trees) else 0
-
-    def predict_label(self, features: Sequence[float]) -> PredictionLabel:
-        return PredictionLabel.POSITIVE if self.predict_one(features) else PredictionLabel.NEGATIVE
+        return self._decide(features)
 
 
 def _as_arrays(examples: Sequence[LabeledExample]) -> tuple[np.ndarray, np.ndarray]:
     import numpy as np
 
-    width = len(examples[0].features)
-    for example in examples:
-        if len(example.features) != width:
-            raise ValueError("examples have inconsistent feature arity")
-    X = np.array([tuple(example.features) for example in examples], dtype=np.float64)
-    y = np.array(
-        [1 if example.label is PredictionLabel.POSITIVE else 0 for example in examples],
-        dtype=np.int8,
-    )
-    return X, y
+    features = list(map(itemgetter(0), examples))
+    width = len(features[0])
+    if set(map(len, features)) != {width}:
+        raise ValueError("examples have inconsistent feature arity")
+    X = np.fromiter(chain.from_iterable(features), dtype=np.float64, count=len(features) * width)
+    drops = map(is_, map(itemgetter(1), examples), repeat(PredictionLabel.POSITIVE))
+    y = np.fromiter(drops, dtype=np.int8, count=len(examples))
+    return X.reshape(len(features), width), y
 
 
 def train_forest(

@@ -222,6 +222,11 @@ def _assert_same_forest(model, reference):
     assert as_json(model) == as_json(reference)
 
 
+# adjacent doubles whose midpoint rounds up to the larger one, so a split between
+# them sends both to the left child
+_ADJACENT_DOUBLES = (1 + 2**-52, 1 + 2**-51)
+
+
 @st.composite
 def tied_example_sets(draw):
     # few distinct values per feature, so most split candidates tie; the signed
@@ -230,6 +235,7 @@ def tied_example_sets(draw):
     average = st.one_of(
         st.sampled_from((0.0, 0.25, 0.5, 1.5, 3.0)),
         st.sampled_from((-0.0, math.nan, math.inf, -math.inf)),
+        st.sampled_from(_ADJACENT_DOUBLES),
     )
     occupancy = st.sampled_from((0, 4, 8, 9, 16))
     example = st.builds(
@@ -312,6 +318,43 @@ def test_predict_one_matches_the_node_walk(case):
         assert model.predict_one(list(probe)) == _reference_predict(trees, probe)
 
 
+# ints are exact as floats up to 2**53: ints on both sides of it, the floats beside them
+_EXACT_EDGE = (
+    2**53, -(2**53), 2**53 - 1, 2**53 + 1, -(2**53 + 1), float(2**53), -float(2**53), float(2**53 + 2), 0.5, 3,
+)
+
+
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(
+    st.tuples(*[st.sampled_from(_EXACT_EDGE + (True, False))] * 4),
+    st.lists(st.sampled_from(_EXACT_EDGE), min_size=1, max_size=6),
+    st.integers(0, 2**32 - 1),
+)
+def test_predict_one_matches_the_reference_at_every_vote_count(probe, thresholds, seed):
+    # each tree is a stump whose leaves are placed so the probe lands on the vote it
+    # is meant to cast; bools and ints just past 2**53 stay exact, and every vote
+    # count of every forest size is decided as the full count decides it
+    rng = random.Random(seed)
+    pool = list(thresholds) + [x for x in probe if not isinstance(x, bool)]
+    for count in range(1, 17):
+        for votes in range(count + 1):
+            drops = set(rng.sample(range(count), votes))
+            trees = []
+            for index in range(count):
+                vote = int(index in drops)
+                feature = rng.randrange(4)
+                threshold = rng.choice(pool)
+                if probe[feature] <= threshold:
+                    trees.append(TreeNode(feature, threshold, vote, 1 - vote))
+                else:
+                    trees.append(TreeNode(feature, threshold, 1 - vote, vote))
+            model = ForestModel(trees, 1, 4)
+            expected = 1 if 2 * votes > count else 0
+            assert _reference_predict(trees, probe) == expected
+            assert model.predict_one(probe) == expected
+            assert model.predict_one(FeatureVector(*probe)) == expected
+
+
 def test_predict_one_handles_a_left_spine_deeper_than_the_parser_nests():
     # CPython's parser nests at most 100 blocks; a 150-split left spine still compiles
     tree = 1
@@ -332,7 +375,7 @@ def test_forest_model_is_frozen_so_its_compiled_votes_cannot_go_stale():
     with pytest.raises(dataclasses.FrozenInstanceError):
         model.trees = (1,)
     assert model == ForestModel((TreeNode(0, 1.0, 0, 1),), 1, 4)
-    assert "_votes" not in repr(model)
+    assert "_decide" not in repr(model)
     copied = pickle.loads(pickle.dumps(model))
     assert copied == model and copied.predict_one((2, 0, 0, 0)) == 1
 

@@ -87,8 +87,9 @@ def test_flip_oracle_inverts_each_label_at_one_and_keeps_it_at_zero(label):
     for base in (ConstantOracle(label), perfect):
         always = FlipOracle(base, 1.0, seed=5, sequence=seq)
         never = FlipOracle(base, 0.0, seed=5, sequence=seq)
+        other = PredictionLabel.NEGATIVE if label is PredictionLabel.POSITIVE else PredictionLabel.POSITIVE
         for index in range(2):
-            assert always.predict(index, FEATURES) is label.inverted()
+            assert always.predict(index, FEATURES) is other
             assert never.predict(index, FEATURES) is label
     # the perfect base still rejects an arrival its truth does not cover
     for p in (0.0, 1.0):
@@ -217,8 +218,11 @@ def test_forest_tree_walk():
     # drop once occupancy (feature 2) exceeds 8
     tree = TreeNode(feature_index=2, threshold=8.0, left=0, right=1)
     model = ForestModel(trees=[tree], max_depth=1, feature_count=4)
-    assert model.predict_label(FeatureVector(0, 0.0, 12, 0.0)) is PredictionLabel.POSITIVE
-    assert model.predict_label(FeatureVector(0, 0.0, 3, 0.0)) is PredictionLabel.NEGATIVE
+    assert model.predict_one(FeatureVector(0, 0.0, 12, 0.0)) == 1
+    assert model.predict_one(FeatureVector(0, 0.0, 3, 0.0)) == 0
+    oracle = ForestOracle(model)
+    assert oracle.predict(0, FeatureVector(0, 0.0, 12, 0.0)) is PredictionLabel.POSITIVE
+    assert oracle.predict(1, FeatureVector(0, 0.0, 3, 0.0)) is PredictionLabel.NEGATIVE
 
 
 class _CountingOracle:
