@@ -4,7 +4,7 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from shbuf import (
@@ -395,6 +395,36 @@ def test_load_sequence_reads_back_what_save_sequence_writes(tmp_path, rows, comm
     assert loaded == sequence
     # no two rows share one list
     assert len(set(map(id, loaded.slots))) == len(loaded.slots)
+
+
+def _reference_save_sequence(path, sequence, comment=None) -> None:
+    """The line-by-line trace writer that ``save_sequence`` must match byte for byte."""
+    lines = []
+    if comment is not None:
+        lines.append(f"# {comment}")
+    lines.append("slot,port")
+    for slot_index, row in enumerate(sequence.slots):
+        for port in row:
+            lines.append(f"{slot_index},{port}")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+@settings(derandomize=True, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    rows=st.lists(st.lists(st.integers(0, 23), max_size=12), max_size=40),
+    comment=st.sampled_from([None, "spec: kind=test", ""]),
+)
+@example(rows=[], comment=None)
+@example(rows=[], comment="spec: kind=test")
+@example(rows=[[], [], [3, 10], [], [12, 0, 12], [], []], comment=None)
+def test_save_sequence_writes_what_the_line_writer_writes(tmp_path, rows, comment):
+    # leading and trailing empty slots, empty sequences, and ports of two digits
+    sequence = ArrivalSequence(rows)
+    save_sequence(tmp_path / "trace.csv", sequence, comment=comment)
+    _reference_save_sequence(tmp_path / "reference.csv", sequence, comment=comment)
+    assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 @pytest.mark.parametrize("load", [load_sequence, load_examples])

@@ -40,6 +40,8 @@ COMMANDS = (
                  "--rate", "0.03", "--horizon", "1500", "--seed", "7", "--out", "trace.csv"]),
         ("gen_adversary", ["gen", "--ports", "4", "--buffer", "16", "--workload",
                            "followlqd_adversary", "--cycles", "3", "--out", "adversary.csv"]),
+        ("gen_uniform", ["gen", "--ports", "4", "--buffer", "16", "--workload", "uniform_random",
+                         "--load", "0.6", "--horizon", "300", "--seed", "7", "--out", "uniform.csv"]),
         ("train", ["train", "--data", "examples.csv", "--trees", "4", "--depth", "4",
                    "--split", "0.6", "--seed", "7", "--out", "model.json",
                    "--tree-sweep", "1,2,4", "--sweep-out", "trees.csv"]),
@@ -82,6 +84,7 @@ GOLDEN = {
     'examples.csv': '7aced0a40c6cc79930e6b9a91116f9acb2a239b4dcc5c90b1f42a47d494f7da3',
     'gen:stdout': '2041385eb3e643e732927781e6f5840124da5fd7bd0cb65a821a551e9fd1ce6e',
     'gen_adversary:stdout': '4b441dd13341c1f75ff7fa4bb76b63315440c0b8adf2a04478160b0aeeb2ab78',
+    'gen_uniform:stdout': '931ee57d79801c4d4f05e2875ab8de5c6fa0d78a0ca7ae117c1eca5105e91b64',
     'metrics.csv': '616801c547f71eed40b1b0204c8a4994e9b61b457d000c0150cf7c28ddb88365',
     'metrics.csv.config.txt': '66a9e5b9f419f680c2c6cd6dad777acfd487fcb0e350e99ad343473e4ea18850',
     'metrics_eta.csv': 'feed34b901bdb3f6254a40b5722ab85d8d1830998417cd2e6065ad29129df73e',
@@ -133,6 +136,8 @@ GOLDEN = {
     'trace.csv.config.txt': '374c1f8197aca52f3b08a15f52584057c7659eab80aee0b08ed3db572c6dfe0f',
     'train:stdout': '60f946a13c99ddc285ed727d2b8b59e1e4b9efc1013fc3b5ab568c56d2116db5',
     'trees.csv': '4c1c314e58d3173bd1f55f05cd152258ef4691159d53835b0a4c7c5e7222bf8e',
+    'uniform.csv': '3b9ce1673a515a74647a2b53981ba851d29a8511aeeac95f0df417fca864a52b',
+    'uniform.csv.config.txt': '909da3b02fdee13472e570482e6c405ee7d1e98f7d7486ee2cb841f842cdf515',
 }
 
 

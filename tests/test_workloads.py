@@ -1,6 +1,11 @@
 import math
+import random
+from collections import deque
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from shbuf import (
     FollowLqd,
@@ -167,3 +172,76 @@ def test_generate_dispatch():
         generate(cfg, WorkloadSpec("uniform_random", {"load": 1.0, "horizon": 5, "seed": 0})).total_packets
         == 20
     )
+
+
+# --- the generators against test-local copies of their first, loop-by-loop versions
+
+
+def _reference_uniform_random(config, load, horizon, seed):
+    """One ``rng.random() < load`` per port, ports in order, slot after slot."""
+    rng = random.Random(seed)
+    n = config.num_ports
+    return [[port for port in range(n) if rng.random() < load] for _ in range(horizon)]
+
+
+def _reference_poisson_bursts(config, rate, horizon, seed):
+    """Every burst start first; then one packet at a time from a first-come first-served backlog."""
+    rng = random.Random(seed)
+    starts = []
+    t = rng.expovariate(rate)
+    while t < horizon:
+        starts.append((int(t), rng.randrange(config.num_ports)))
+        t += rng.expovariate(rate)
+    slots = []
+    backlog = deque()
+    upcoming = 0
+    slot = 0
+    while upcoming < len(starts) or backlog:
+        if not backlog and upcoming < len(starts) and starts[upcoming][0] > slot:
+            while slot < starts[upcoming][0]:
+                slots.append([])
+                slot += 1
+        while upcoming < len(starts) and starts[upcoming][0] <= slot:
+            backlog.extend([starts[upcoming][1]] * config.buffer_size)
+            upcoming += 1
+        slots.append([backlog.popleft() for _ in range(min(config.num_ports, len(backlog)))])
+        slot += 1
+    return slots
+
+
+def _rows_are_distinct_lists(sequence):
+    return len(set(map(id, sequence.slots))) == len(sequence.slots)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 10),
+    load=st.sampled_from([0.0, 0, 1.0, 1, Fraction(1, 3), 0.5]),
+    horizon=st.integers(1, 300),
+    seed=st.integers(0, 2**32),
+)
+@example(n=10, load=Fraction(1, 3), horizon=1, seed=0)
+def test_uniform_random_matches_the_reference(n, load, horizon, seed):
+    config = SwitchConfig(n, 4)
+    sequence = uniform_random(config, load, horizon, seed)
+    assert sequence.slots == _reference_uniform_random(config, load, horizon, seed)
+    assert _rows_are_distinct_lists(sequence)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 10),
+    b=st.integers(1, 40),
+    rate=st.sampled_from([0.005, 0.05, 0.3, 1.0, 4.0]),
+    horizon=st.integers(1, 200),
+    seed=st.integers(0, 2**32),
+)
+@example(n=8, b=32, rate=0.03, horizon=400, seed=1)  # N < B: each burst spans four full rows
+@example(n=8, b=3, rate=4.0, horizon=30, seed=2)  # N > B: several bursts share each row
+@example(n=3, b=7, rate=1.0, horizon=60, seed=3)  # bursts overlap and rows mix their ports
+@example(n=4, b=16, rate=4.0, horizon=1, seed=4)  # every burst starts in slot 0
+def test_poisson_bursts_matches_the_reference(n, b, rate, horizon, seed):
+    config = SwitchConfig(n, b)
+    sequence = poisson_bursts(config, rate, horizon, seed)
+    assert sequence.slots == _reference_poisson_bursts(config, rate, horizon, seed)
+    assert _rows_are_distinct_lists(sequence)
