@@ -164,11 +164,6 @@ class SwitchState(object):
         self.occupancy: int = 0
         self.queues: list[Deque[int]] = [deque() for _ in range(num_ports)]
 
-    def push(self, port: int, index: int) -> None:
-        self.queues[port].append(index)
-        self.queue_len[port] += 1
-        self.occupancy += 1
-
     def pop_head(self, port: int) -> None:
         self.queues[port].popleft()
         self.queue_len[port] -= 1
@@ -273,7 +268,7 @@ class Simulation:
             self.dropped += 1
         elif state.occupancy >= self._buffer:
             raise PolicyError("accept would overflow the buffer")
-        # ``state.push``, inlined: this runs once per accepted packet
+        # queue the packet at its port's tail: this runs once per accepted packet
         state.queues[port].append(index)
         state.queue_len[port] += 1
         occupancy = state.occupancy = state.occupancy + 1
@@ -435,15 +430,17 @@ def _utf8_errors_name(path):
 
 
 def save_sequence(path, sequence: ArrivalSequence, comment: Optional[str] = None) -> None:
-    lines = []
-    if comment is not None:
-        lines.append(f"# {comment}")
-    lines.append(_SEQUENCE_HEADER)
-    for slot_index, row in enumerate(sequence.slots):
-        for port in row:
-            lines.append(f"{slot_index},{port}")
+    """Write a trace file: ``# comment`` if given, the header, then ``slot,port`` per packet."""
+    slots = sequence.slots
+    line = _Memo("{}\n".format).__getitem__  # "port\n", a line after its slot
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        write = fh.write
+        if comment is not None:
+            write(f"# {comment}\n")
+        write(f"{_SEQUENCE_HEADER}\n")
+        for slot_index in compress(count(), slots):
+            prefix = f"{slot_index},"
+            write(prefix + prefix.join(map(line, slots[slot_index])))
 
 
 def load_sequence(path) -> ArrivalSequence:

@@ -454,7 +454,7 @@ def split_examples(
     import numpy as np
 
     rng = np.random.Generator(np.random.PCG64(seed))
-    order = rng.permutation(len(examples))
+    order = rng.permutation(len(examples)).tolist()  # ints: indexing with numpy scalars is slower
     cut = int(len(examples) * split)
     train = [examples[i] for i in order[:cut]]
     test = [examples[i] for i in order[cut:]]

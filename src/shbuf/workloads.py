@@ -3,6 +3,21 @@
 Every generator is a pure function of its parameters: the same arguments
 always produce the same sequence. Bursts larger than the per-slot aggregate
 cap of ``num_ports`` packets are serialized over consecutive slots.
+
+A seeded generator draws from one ``random.Random(seed)``, in an order that
+is part of its contract: a trace file made from the same arguments stays the
+same byte for byte as long as the order does.
+
+- ``uniform_random`` takes ``num_ports * horizon`` draws of ``random()``,
+  slot by slot and, within a slot, port by port from port 0. Port ``p``
+  receives a packet in slot ``t`` when draw ``t * num_ports + p`` is below
+  ``load``.
+- ``poisson_bursts`` takes ``expovariate(rate)`` for the first burst start,
+  then, for each start below ``horizon``, ``randrange(num_ports)`` for its
+  port and ``expovariate(rate)`` for the gap to the next start. The draw
+  that reaches ``horizon`` is the last.
+
+The other generators draw nothing.
 """
 
 from __future__ import annotations
@@ -11,9 +26,11 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import compress, repeat, starmap
+from operator import gt
 from typing import Callable, Optional
 
-from .core import ArrivalSequence, SwitchConfig
+from .core import ArrivalSequence, SwitchConfig, _Memo
 
 __all__ = [
     "WorkloadKind",
@@ -82,15 +99,15 @@ def multi_burst_then_shorts(
 
 def adversary_fill_slot_count(config: SwitchConfig) -> int:
     """Slots of ``num_ports`` packets needed to grow one queue to the full buffer."""
+    if config.num_ports < 2:
+        raise ValueError("the adversarial pattern needs at least 2 ports")
+    if config.buffer_size < config.num_ports:
+        raise ValueError("the adversarial pattern needs buffer_size >= num_ports")
     return math.ceil((config.buffer_size - 1) / (config.num_ports - 1))
 
 
 def followlqd_adversary_fill(config: SwitchConfig) -> ArrivalSequence:
     """The fill prefix of the adversarial pattern: hammer port 0 until its queue hits the buffer size."""
-    if config.num_ports < 2:
-        raise ValueError("the adversarial pattern needs at least 2 ports")
-    if config.buffer_size < config.num_ports:
-        raise ValueError("the adversarial pattern needs buffer_size >= num_ports")
     n = config.num_ports
     return ArrivalSequence([[0] * n for _ in range(adversary_fill_slot_count(config))])
 
@@ -128,28 +145,37 @@ def poisson_bursts(config: SwitchConfig, rate: float, horizon: int, seed: int) -
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     rng = random.Random(seed)
-    starts: list[tuple[int, int]] = []
+    n, b = config.num_ports, config.buffer_size
+    bursts: deque[tuple[int, int]] = deque()  # (start slot, port), in start order
     t = rng.expovariate(rate)
     while t < horizon:
-        starts.append((int(t), rng.randrange(config.num_ports)))
+        bursts.append((int(t), rng.randrange(n)))
         t += rng.expovariate(rate)
 
     slots: list[list[int]] = []
-    backlog: deque[int] = deque()
-    upcoming = 0
-    slot = 0
-    while upcoming < len(starts) or backlog:
-        if not backlog and upcoming < len(starts) and starts[upcoming][0] > slot:
-            # idle gap: emit empty slots up to the next burst
-            while slot < starts[upcoming][0]:
-                slots.append([])
-                slot += 1
-        while upcoming < len(starts) and starts[upcoming][0] <= slot:
-            backlog.extend([starts[upcoming][1]] * config.buffer_size)
-            upcoming += 1
-        row = [backlog.popleft() for _ in range(min(config.num_ports, len(backlog)))]
+    runs: deque[list[int]] = deque()  # pending bursts as [port, packets left], first come first served
+    while bursts or runs:
+        if not runs and bursts[0][0] > len(slots):
+            slots += map(list, repeat((), bursts[0][0] - len(slots)))  # idle gap
+        while bursts and bursts[0][0] <= len(slots):
+            runs.append([bursts.popleft()[1], b])
+        head = runs[0]
+        if head[1] >= n:
+            # the head burst fills whole rows whatever starts behind it
+            rows, head[1] = divmod(head[1], n)
+            slots += map(list, repeat([head[0]] * n, rows))
+            if not head[1]:
+                runs.popleft()
+            continue
+        row: list[int] = []
+        while runs and len(row) < n:
+            run = runs[0]
+            take = min(run[1], n - len(row))
+            row += [run[0]] * take
+            run[1] -= take
+            if not run[1]:
+                runs.popleft()
         slots.append(row)
-        slot += 1
     return ArrivalSequence(slots)
 
 
@@ -161,8 +187,11 @@ def uniform_random(config: SwitchConfig, load: float, horizon: int, seed: int) -
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     rng = random.Random(seed)
     n = config.num_ports
-    slots = [[port for port in range(n) if rng.random() < load] for _ in range(horizon)]
-    return ArrivalSequence(slots)
+    # ``load > draw`` is ``draw < load`` for a float, int or Fraction load
+    hits = map(gt, repeat(load), starmap(rng.random, repeat((), n * horizon)))
+    # each slot's n-tuple of hits to its ports, made once per distinct tuple
+    ports = _Memo(lambda mask: tuple(compress(range(n), mask)))
+    return ArrivalSequence(list(map(list, map(ports.__getitem__, zip(*[hits] * n)))))
 
 
 # --- named workload specs for the CLI -----------------------------------------

@@ -1,4 +1,5 @@
 import random
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -29,9 +30,9 @@ from conftest import random_sequence
 
 def _state_with(lengths):
     state = SwitchState(len(lengths))
-    for port, length in enumerate(lengths):
-        for i in range(length):
-            state.push(port, port * 100 + i)
+    state.queues = [deque(range(port * 100, port * 100 + length)) for port, length in enumerate(lengths)]
+    state.queue_len = list(lengths)
+    state.occupancy = sum(lengths)
     return state
 
 

@@ -64,6 +64,15 @@ def test_adversary_fill_reaches_buffer_size():
         followlqd_adversary_fill(SwitchConfig(4, 3))
 
 
+def test_adversary_fill_slot_count_rejects_switches_the_pattern_cannot_fill():
+    # one port used to divide by zero, and B < N used to count one slot
+    with pytest.raises(ValueError, match="at least 2 ports"):
+        adversary_fill_slot_count(SwitchConfig(1, 4))
+    with pytest.raises(ValueError, match="buffer_size >= num_ports"):
+        adversary_fill_slot_count(SwitchConfig(4, 2))
+    assert adversary_fill_slot_count(SwitchConfig(4, 4)) == 1
+
+
 def test_adversary_cycle_structure():
     cfg = SwitchConfig(4, 8)
     seq = followlqd_adversary(cfg, 2)
