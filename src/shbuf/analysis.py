@@ -79,7 +79,7 @@ class _LabelRecorder:
 
     def __init__(self, oracle: Oracle) -> None:
         self.oracle = oracle
-        self.reads_features = getattr(oracle, "reads_features", True)
+        self.reads_features = oracle.reads_features
         self.labels: dict[int, PredictionLabel] = {}
 
     def predict(self, index: int, features: Optional[FeatureVector]) -> PredictionLabel:

@@ -20,8 +20,7 @@ and the departure-only slots after the last arrival, are applied in one
 ``Simulation.drain`` step: each queue sends ``min(length, slots)`` packets
 and each mirrored threshold falls by ``min(threshold, slots)``, in O(N +
 packets sent). Either shortcut gives the same state as visiting every port
-in every slot. A policy that declares no ``thresholds`` has every port
-visited in every slot, one departure phase per slot.
+in every slot.
 
 A run visits only the slots with arrivals. ``run_slots`` steps from one
 such slot to the next, and an ``ArrivalSequence`` summarises its rows once,
@@ -93,21 +92,30 @@ class ArrivalSequence:
         return len(self.slots)
 
     @cached_property
-    def _summary(self) -> tuple[int, int, int, int]:
-        """Packets, widest row, lowest port and highest port; all 0 without arrivals."""
+    def _summary(self) -> tuple[int, int, int, int, bool]:
+        """Packets, widest row, lowest and highest port, and whether every port
+        is exactly an ``int``; 0, 0, 0, 0, True without arrivals.
+
+        The type test sees every port, as a set of ports would not: ``{1,
+        True, 1.0}`` is ``{1}``. When it fails, the lowest and highest read 0.
+        """
         rows = list(filter(None, self.slots))
+        packets, widest = sum(map(len, rows)), max(map(len, rows), default=0)
+        if not set(map(type, chain.from_iterable(rows))) <= {int}:
+            return packets, widest, 0, 0, False
         ports = set(chain.from_iterable(rows))
-        return sum(map(len, rows)), max(map(len, rows), default=0), min(ports, default=0), max(ports, default=0)
+        return packets, widest, min(ports, default=0), max(ports, default=0), True
 
     @property
     def total_packets(self) -> int:
         return self._summary[0]
 
     def validate(self, config: SwitchConfig) -> None:
-        """Raise ValueError if any slot exceeds the aggregate cap or names a bad port."""
+        """Raise ValueError if any slot exceeds the aggregate cap or names a bad
+        port: one that is not exactly an ``int`` (a bool is not), or out of range."""
         n = config.num_ports
-        _, widest, lowest, highest = self._summary
-        if widest <= n and lowest >= 0 and highest < n:
+        _, widest, lowest, highest, ints = self._summary
+        if ints and widest <= n and lowest >= 0 and highest < n:
             return
         # something is wrong: find the first bad slot, to name it
         for slot_index, row in enumerate(self.slots):
@@ -116,6 +124,8 @@ class ArrivalSequence:
                     f"slot {slot_index} carries {len(row)} arrivals; at most {n} allowed"
                 )
             for port in row:
+                if type(port) is not int:
+                    raise ValueError(f"slot {slot_index}: port {port!r} is not an int")
                 if not 0 <= port < n:
                     raise ValueError(f"slot {slot_index}: port {port} out of range [0, {n})")
 
@@ -176,33 +186,14 @@ class SwitchState(object):
         return index
 
 
-class _FixedThresholds:
-    """Stand-in mirror, ``level`` at every port, for a policy with no ``ThresholdState``."""
+class _NoThresholds:
+    """All-zero stand-in mirror for a policy that declares ``thresholds = None``."""
 
     __slots__ = ("thresholds", "total")
 
-    def __init__(self, num_ports: int, level: int) -> None:
-        self.thresholds = [level] * num_ports
-        self.total = level * num_ports
-
-
-_UNDECLARED = object()
-
-
-def _mirror_of(policy: "Policy", num_ports: int):
-    """The threshold state the departure phase reads for ``policy``.
-
-    It is the policy's declared ``thresholds``. A declared None stands for
-    all zeros, so only queued ports are visited. A policy that declares
-    nothing may keep drain state the phase cannot see, so every port reads
-    as busy and every port is visited in every slot.
-    """
-    mirror = getattr(policy, "thresholds", _UNDECLARED)
-    if mirror is None:
-        return _FixedThresholds(num_ports, 0)
-    if mirror is _UNDECLARED:
-        return _FixedThresholds(num_ports, 1)
-    return mirror
+    def __init__(self, num_ports: int) -> None:
+        self.thresholds = [0] * num_ports
+        self.total = 0
 
 
 class Simulation:
@@ -210,13 +201,13 @@ class Simulation:
 
     Queues hold arrival indices; ``verdicts[i]`` is the fate of arrival ``i``.
     An accepted packet reads ``TRANSMITTED`` unless a push-out overwrites it.
-    ``mirror`` is the policy's threshold state, read after ``policy.reset``;
-    ``depart_phase`` and ``drain`` drain it.
+    ``mirror`` is the policy's ``thresholds``, read after ``policy.reset``
+    (all zeros for None); ``depart_phase`` and ``drain`` drain it.
     """
 
     __slots__ = (
         "config", "policy", "state", "transmitted", "dropped", "verdicts", "peak_occupancy",
-        "mirror", "_declared", "_buffer", "_ports",
+        "mirror", "_buffer", "_ports",
     )
 
     def __init__(self, config: SwitchConfig, policy: "Policy") -> None:
@@ -228,15 +219,11 @@ class Simulation:
         self.dropped = 0
         self.verdicts: list[Verdict] = []
         self.peak_occupancy = 0
-        self.mirror = _mirror_of(policy, config.num_ports)
-        # a declared mirror is all the policy's drain state, so many slots can drain at once
-        self._declared = getattr(policy, "thresholds", _UNDECLARED) is not _UNDECLARED
+        # the declared mirror is all the policy's drain state, so many slots can drain at once
+        mirror = policy.thresholds
+        self.mirror = _NoThresholds(config.num_ports) if mirror is None else mirror
         self._buffer = config.buffer_size
         self._ports = range(config.num_ports)
-
-    @property
-    def occupancy(self) -> int:
-        return self.state.occupancy
 
     @property
     def backlog(self) -> int:
@@ -304,17 +291,11 @@ class Simulation:
 
         Each queue sends ``min(length, slots)`` packets from its head and the
         mirror lowers each threshold by ``min(threshold, slots)``, in O(N +
-        packets sent), without calling ``on_departure``. A policy that
-        declares no ``thresholds`` gets ``slots`` calls of ``depart_phase``.
+        packets sent), without calling ``on_departure``.
         """
         state = self.state
         mirror = self.mirror
         if not state.occupancy and not mirror.total:
-            return
-        if not self._declared:
-            depart_phase = self.depart_phase
-            for _ in range(slots):
-                depart_phase()
             return
         if state.occupancy:
             queue_len = state.queue_len

@@ -117,13 +117,9 @@ class FeatureSampler:
         # bound once: a forwarding method would add a call to every departure
         self.on_departure = policy.on_departure
 
-    @property
-    def thresholds(self) -> "Optional[ThresholdState]":
-        # raises AttributeError, as the wrapped policy does, when it declares none
-        return self.policy.thresholds
-
     def reset(self, config: "SwitchConfig") -> None:
         self.policy.reset(config)
+        self.thresholds: "Optional[ThresholdState]" = self.policy.thresholds
         self.features: list[FeatureVector] = []
         tracker = getattr(self.policy, "features", None)
         if isinstance(tracker, FeatureTracker):
@@ -143,8 +139,7 @@ class Oracle(Protocol):
 
     ``reads_features`` says whether ``predict`` looks at its ``features``
     argument. When it is False, callers may pass None instead, and
-    ``Credence`` builds no features for the oracle. An oracle that omits
-    the attribute is taken to read them.
+    ``Credence`` builds no features for the oracle.
     """
 
     reads_features: bool
@@ -241,7 +236,7 @@ class FlipOracle:
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"flip probability must be in [0, 1], got {p}")
         self.base = base
-        self.reads_features = getattr(base, "reads_features", True)
+        self.reads_features = base.reads_features
         # bound once: the base is asked on every query
         self._base_predict = base.predict
         self.flips: list[bool] = [draw < p for draw in draws]

@@ -67,8 +67,7 @@ class Policy(Protocol):
     nothing. The departure phase reads it to skip the ports and slots where
     no drain work can happen, and a run of arrival-free slots drains a
     declared mirror many slots at once (``ThresholdState.drain``) without
-    calling ``on_departure``. A policy (or wrapper) that omits the attribute
-    has every port visited in every slot.
+    calling ``on_departure``.
     """
 
     name: str
@@ -268,9 +267,7 @@ class Credence:
         # by pigeonhole, an occupancy above ``_crowded`` puts some queue at ``_safe``
         self._crowded = config.num_ports * (self._safe - 1)
         # None when the oracle ignores features: nothing is built for it
-        self.features = (
-            FeatureTracker(config.num_ports) if getattr(self.oracle, "reads_features", True) else None
-        )
+        self.features = FeatureTracker(config.num_ports) if self.oracle.reads_features else None
 
     def on_arrival(self, port: int, index: int, state: SwitchState) -> Decision:
         tracker = self.features

@@ -82,6 +82,8 @@ def test_sequence_validation_rejects_bad_input():
         run_simulation(cfg, ArrivalSequence([[0, 1, 0]]), CompleteSharing())
     with pytest.raises(ValueError):
         run_simulation(cfg, ArrivalSequence([[2]]), CompleteSharing())
+    with pytest.raises(ValueError):
+        run_simulation(cfg, ArrivalSequence([[1, True], [1.0]]), CompleteSharing())
 
 
 @pytest.mark.parametrize(
@@ -93,8 +95,15 @@ def test_sequence_validation_rejects_bad_input():
         # the first bad slot is named, and a row's length is checked before its ports
         ([[0], [5], [0, 1, 1]], "slot 1: port 5 out of range [0, 2)"),
         ([[1], [1, 0, 7]], "slot 1 carries 3 arrivals; at most 2 allowed"),
+        # every port must be exactly an int, though {1, True, 1.0} == {1}
+        ([[1, True], [1.0]], "slot 0: port True is not an int"),
+        ([[0], [1.0]], "slot 1: port 1.0 is not an int"),
+        ([[0], ["1"]], "slot 1: port '1' is not an int"),
     ],
-    ids=["over_cap_late", "negative_port", "port_equals_n", "first_bad_slot", "length_before_ports"],
+    ids=[
+        "over_cap_late", "negative_port", "port_equals_n", "first_bad_slot", "length_before_ports",
+        "bool_port", "float_port", "str_port",
+    ],
 )
 def test_sequence_validation_names_the_first_bad_slot(slots, message):
     with pytest.raises(ValueError) as raised:
@@ -482,6 +491,7 @@ def test_outcomes_csv_schema(tmp_path):
 
 class _OverflowPolicy:
     name = "broken"
+    thresholds = None
 
     def reset(self, config):
         pass
@@ -495,6 +505,7 @@ class _OverflowPolicy:
 
 class _BadPushout:
     name = "broken_pushout"
+    thresholds = None
 
     def reset(self, config):
         pass
@@ -512,6 +523,20 @@ def test_simulator_rejects_illegal_decisions():
         run_simulation(cfg, ArrivalSequence([[0, 1]]), _OverflowPolicy())
     with pytest.raises(PolicyError, match="push-out"):
         run_simulation(cfg, ArrivalSequence([[0]]), _BadPushout())
+
+
+class _Undeclared:
+    """A policy that declares no ``thresholds``; ``Simulation`` reads nothing else of it."""
+
+    name = "undeclared"
+
+    def reset(self, config):
+        pass
+
+
+def test_a_policy_must_declare_its_thresholds():
+    with pytest.raises(AttributeError, match="thresholds"):
+        Simulation(SwitchConfig(2, 2), _Undeclared())
 
 
 @st.composite
@@ -547,11 +572,15 @@ def test_every_run_records_one_verdict_per_arrival(instance):
 
 
 class _Spy:
-    """Opaque wrapper: forwards every call but declares no ``thresholds``."""
+    """Forwarding wrapper: forwards every call, and the wrapped policy's ``thresholds``."""
 
     def __init__(self, policy):
         self.policy = policy
         self.name = policy.name
+
+    @property
+    def thresholds(self):
+        return self.policy.thresholds
 
     def reset(self, config):
         self.policy.reset(config)
@@ -572,14 +601,14 @@ def _visit_every_port(config, sequence, policy):
             sim.arrive(port)
         for port in ports:
             sim.depart_port(port)
-    while sim.occupancy:
+    while sim.state.occupancy:
         for port in ports:
             sim.depart_port(port)
     return sim
 
 
 def _final_thresholds(policy):
-    mirror = getattr(getattr(policy, "policy", policy), "thresholds", None)
+    mirror = policy.thresholds
     return None if mirror is None else list(mirror.thresholds)
 
 
@@ -656,7 +685,7 @@ def drain_instances(draw):
 
 
 def _drain_state(sim):
-    mirror = getattr(getattr(sim.policy, "policy", sim.policy), "thresholds", None)
+    mirror = sim.policy.thresholds
     return (
         [list(queue) for queue in sim.state.queues],
         list(sim.state.queue_len),
@@ -696,15 +725,11 @@ def test_drain_equals_that_many_departure_phases(instance):
 
 
 class _DepartureRecorder(_Spy):
-    """A spy that declares the wrapped policy's thresholds and records each port ``on_departure`` sees."""
+    """A spy that records each port ``on_departure`` sees."""
 
     def __init__(self, policy):
         super().__init__(policy)
         self.visits = []
-
-    @property
-    def thresholds(self):
-        return self.policy.thresholds
 
     def on_departure(self, port, state):
         self.visits.append(port)

@@ -1,6 +1,8 @@
-"""Every demo script runs to completion against the library in ``src``."""
+"""Every demo script, and every Python block of README.md, runs to completion
+against the library in ``src``."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +11,13 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(), re.M | re.S)
+
+
+def _run(args, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
 
 
 def test_demos_exist():
@@ -17,9 +26,12 @@ def test_demos_exist():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
 def test_demo_runs(demo, tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    completed = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
-    )
+    completed = _run([str(demo)], tmp_path)
     assert completed.returncode == 0, completed.stderr
+
+
+def test_readme_python_blocks_run(tmp_path):
+    assert README_BLOCKS
+    for block in README_BLOCKS:
+        completed = _run(["-c", block], tmp_path)
+        assert completed.returncode == 0, f"{completed.stderr}\nin README block:\n{block}"

@@ -228,6 +228,8 @@ def test_forest_tree_walk():
 class _CountingOracle:
     """Counts the queries per arrival index and keeps the last label handed out."""
 
+    reads_features = True
+
     def __init__(self, base) -> None:
         self.base = base
         self.calls: dict[int, int] = {}
@@ -305,7 +307,6 @@ def test_prediction_log_of_a_perfect_oracle_is_the_lqd_truth():
         ("constant", False),
         ("forest", True),
         ("flip(forest)", True),
-        ("undeclared", True),
     ],
 )
 def test_credence_builds_features_only_for_an_oracle_that_reads_them(monkeypatch, kind, reads):
@@ -324,13 +325,38 @@ def test_credence_builds_features_only_for_an_oracle_that_reads_them(monkeypatch
     lqd = run_simulation(cfg, seq, LongestQueueDrop())
     if kind == "flip(forest)":
         oracle = FlipOracle(_oracle("forest", lqd, seq), 0.3, seed=5, sequence=seq)
-    elif kind == "undeclared":
-        oracle = _CountingOracle(PerfectOracle.from_run(lqd))
     else:
         oracle = _oracle(kind, lqd, seq)
     built.clear()
     run_simulation(cfg, seq, Credence(oracle))
     assert len(built) == (seq.total_packets if reads else 0)
+
+
+class _UndeclaredOracle:
+    """An oracle that declares no ``reads_features``."""
+
+    def predict(self, index, features):
+        return PredictionLabel.NEGATIVE
+
+
+def test_credence_requires_its_oracle_to_declare_reads_features():
+    from shbuf import Credence
+    from shbuf.analysis import simulate_with_prediction_log
+
+    cfg = SwitchConfig(2, 4)
+    seq = ArrivalSequence([[0, 1], [0]])
+    with pytest.raises(AttributeError, match="reads_features"):
+        run_simulation(cfg, seq, Credence(_UndeclaredOracle()))
+    with pytest.raises(AttributeError, match="reads_features"):
+        simulate_with_prediction_log(cfg, seq, _UndeclaredOracle())
+
+
+def test_flip_oracle_requires_its_base_to_declare_reads_features():
+    seq = ArrivalSequence([[0, 1], [0]])
+    with pytest.raises(AttributeError, match="reads_features"):
+        FlipOracle(_UndeclaredOracle(), 0.3, seed=5, sequence=seq)
+    with pytest.raises(AttributeError, match="reads_features"):
+        FlipOracle.from_draws(_UndeclaredOracle(), 0.3, [0.5, 0.5, 0.5])
 
 
 def test_sampler_records_the_same_features_whoever_builds_them():

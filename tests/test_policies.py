@@ -215,6 +215,8 @@ def test_follow_lqd_transmits_two_per_adversary_cycle():
 
 
 class _CountingOracle:
+    reads_features = True
+
     def __init__(self, label):
         self.label = label
         self.calls = 0
@@ -279,6 +281,10 @@ def test_credence_drop_implies_long_queue():
             self.inner = inner
             self.name = inner.name
 
+        @property
+        def thresholds(self):
+            return self.inner.thresholds
+
         def reset(self, config):
             self.config = config
             self.inner.reset(config)
@@ -306,6 +312,10 @@ def test_credence_matches_follow_lqd_rule_when_safeguard_inactive():
         def __init__(self):
             self.inner = Credence(ConstantOracle(PredictionLabel.NEGATIVE))
             self.name = "check"
+
+        @property
+        def thresholds(self):
+            return self.inner.thresholds
 
         def reset(self, config):
             self.config = config
@@ -352,31 +362,6 @@ class _LiteralSafeguardCredence(Credence):
         return DROP
 
 
-class _SafeguardCheck:
-    """Feeds every arrival to Credence and to the literal-safeguard reference on the same state."""
-
-    name = "safeguard_check"
-
-    def __init__(self, oracle):
-        self.credence = Credence(oracle)
-        self.reference = _LiteralSafeguardCredence(oracle)
-        self.decisions = 0
-
-    def reset(self, config):
-        self.credence.reset(config)
-        self.reference.reset(config)
-
-    def on_arrival(self, port, index, state):
-        decision = self.credence.on_arrival(port, index, state)
-        assert decision == self.reference.on_arrival(port, index, state), (port, index, state.queue_len)
-        self.decisions += 1
-        return decision
-
-    def on_departure(self, port, state):
-        self.credence.on_departure(port, state)
-        self.reference.on_departure(port, state)
-
-
 @st.composite
 def safeguard_instances(draw):
     # N > B, N == B and B not divisible by N all occur
@@ -399,9 +384,10 @@ def test_credence_safeguard_from_bounds_matches_the_longest_queue(instance):
         oracle = PerfectOracle.from_run(run_simulation(config, sequence, LongestQueueDrop()))
         if kind == "flip":
             oracle = FlipOracle(oracle, p, seed, sequence)
-    check = _SafeguardCheck(oracle)
-    run_simulation(config, sequence, check)
-    assert check.decisions == sequence.total_packets
+    # a drop-tail policy's verdict for each arrival is its decision there
+    credence = run_simulation(config, sequence, Credence(oracle))
+    reference = run_simulation(config, sequence, _LiteralSafeguardCredence(oracle))
+    assert credence.verdicts == reference.verdicts
 
 
 def test_threshold_mirror_on_random_instances():
