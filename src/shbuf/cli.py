@@ -19,7 +19,7 @@ import contextlib
 import os
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .analysis import (
     InstanceTooLarge,
@@ -82,40 +82,60 @@ class ConfigError(ValueError):
 # --- config file / flag merging -------------------------------------------------
 
 
-# INI key of every flag, by argparse dest; a flag means the same setting in every
-# subcommand that defines it
-INI_KEYS = {
-    "ports": "switch.ports",
-    "buffer": "switch.buffer",
-    "trace": "workload.trace",
-    "workload": "workload.kind",
-    "burst": "workload.burst",
-    "short_burst": "workload.short_burst",
-    "cycles": "workload.cycles",
-    "rate": "workload.rate",
-    "horizon": "workload.horizon",
-    "load": "workload.load",
-    "policy": "policy.name",
-    "dt_alpha": "policy.dt_alpha",
-    "oracle": "oracle.kind",
-    "flip_p": "oracle.flip_p",
-    "model": "oracle.model",
-    "data": "train.data",
-    "trees": "train.trees",
-    "depth": "train.depth",
-    "split": "train.split",
-    "tree_sweep": "train.tree_sweep",
-    "sweep_out": "train.sweep_out",
-    "eta_trace": "evaluate.eta_trace",
-    "p_list": "sweep.p_list",
-    "seeds": "sweep.seeds",
-    "chart": "sweep.chart",
-    "cap": "opt.cap",
-    "seed": "run.seed",
-    "out": "run.out",
+class Setting(NamedTuple):
+    """One flag: its INI ``section.key``, the type of its value, its value when
+    neither a flag nor the config file sets it, its help line, and the values
+    it may take when they are a fixed set."""
+
+    key: str
+    type: Callable = str
+    default: object = None
+    help: str = ""
+    choices: Optional[tuple[str, ...]] = None
+
+
+# every setting by argparse dest; a flag means the same setting in every
+# subcommand that takes it
+SETTINGS = {
+    "ports": Setting("switch.ports", int, help="number of switch ports (N)"),
+    "buffer": Setting("switch.buffer", int, help="shared buffer size in packets (B)"),
+    "trace": Setting("workload.trace", help="existing trace file (overrides --workload)"),
+    "workload": Setting("workload.kind", help="workload generator", choices=WORKLOAD_KINDS),
+    "burst": Setting("workload.burst", int, help="burst size for single_burst"),
+    "short_burst": Setting("workload.short_burst", int, help="short-burst size for multi_burst_then_shorts"),
+    "cycles": Setting("workload.cycles", int, help="cycles for followlqd_adversary"),
+    "rate": Setting("workload.rate", float, help="bursts per slot for poisson_bursts and sweep"),
+    "horizon": Setting("workload.horizon", int, help="slots for poisson_bursts, uniform_random and sweep"),
+    "load": Setting("workload.load", float, help="per-port arrival probability for uniform_random"),
+    "policy": Setting("policy.name", default="lqd", help="buffer-sharing policy", choices=POLICY_NAMES),
+    "dt_alpha": Setting("policy.dt_alpha", default="1/2", help="rational alpha for dynamic_thresholds"),
+    "oracle": Setting("oracle.kind", default="perfect", help="credence's drop predictor", choices=ORACLE_NAMES),
+    "flip_p": Setting("oracle.flip_p", float, 0.0, "flip probability for --oracle flip"),
+    "model": Setting("oracle.model", help="forest model file"),
+    "data": Setting("train.data", help="labeled example CSV (q,q_ewma,Q,Q_ewma,label)"),
+    "trees": Setting("train.trees", int, 4, "trees in the forest"),
+    "depth": Setting("train.depth", int, 4, "maximum tree depth"),
+    "split": Setting("train.split", float, 0.6, "fraction of the examples to train on"),
+    "tree_sweep": Setting("train.tree_sweep", help="comma list of tree counts to sweep"),
+    "sweep_out": Setting("train.sweep_out", help="CSV for the tree-count sweep"),
+    "eta_trace": Setting("evaluate.eta_trace", help="trace file for the error-score column"),
+    "p_list": Setting(
+        "sweep.p_list", default="0,0.001,0.01,0.1,0.3,0.5,0.7", help="comma list of flip probabilities"
+    ),
+    "seeds": Setting("sweep.seeds", int, 10, "number of workload seeds to average"),
+    "chart": Setting("sweep.chart", help="optional SVG chart file"),
+    "cap": Setting("opt.cap", int, 20, "refuse instances above this many packets"),
+    "seed": Setting("run.seed", int, 0, "random seed, else $SHBUF_SEED"),
+    "out": Setting("run.out", help="output file"),
 }
-# evaluate reads the model and data it scores from its own section
-INI_OVERRIDES = {"evaluate": {"model": "evaluate.model", "data": "evaluate.data"}}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _ini_key(command: str, name: str) -> str:
+    return f"{command}.{name}" if name in COMMANDS[command].own_keys else SETTINGS[name].key
 
 
 def _load_config_file(path: Optional[str]) -> dict[str, str]:
@@ -135,27 +155,25 @@ def _load_config_file(path: Optional[str]) -> dict[str, str]:
     if not read:
         raise ConfigError(f"config file not found: {path}")
     # a key of another subcommand is fine, as one file may serve several
-    known = {*INI_KEYS.values(), *(key for keys in INI_OVERRIDES.values() for key in keys.values())}
+    known = {_ini_key(command, name) for command in COMMANDS for name in COMMANDS[command].settings}
     unknown = sorted(flat.keys() - known)
     if unknown:
         raise ConfigError(f"unknown key {', '.join(unknown)} in config file {path}")
     return flat
 
 
-def _effective(args: argparse.Namespace, file_values: dict[str, str]) -> dict[str, str]:
-    """Resolve flag-vs-file precedence for every flag the subcommand defines.
+def _effective(command: str, args: argparse.Namespace, file_values: dict[str, str]) -> dict[str, str]:
+    """Resolve flag-vs-file precedence for every setting the subcommand takes.
 
     Returns the settings as strings, as they are echoed to the sidecar.
     """
-    keys = {**INI_KEYS, **INI_OVERRIDES.get(args.command, {})}
     resolved = {}
-    for attr, flag_value in vars(args).items():
-        if attr in ("config", "command", "func"):
-            continue
+    for name in COMMANDS[command].settings:
+        flag_value = getattr(args, name)
         if flag_value is not None:
-            resolved[attr] = str(flag_value)
-        elif keys[attr] in file_values:
-            resolved[attr] = file_values[keys[attr]]
+            resolved[name] = str(flag_value)
+        elif _ini_key(command, name) in file_values:
+            resolved[name] = file_values[_ini_key(command, name)]
     return resolved
 
 
@@ -168,32 +186,45 @@ def _as_config_error(prefix: str = "", errors: tuple = (ValueError,)):
         raise ConfigError(f"{prefix}{exc}") from None
 
 
-def _setting(resolved: dict[str, str], name: str, default=None, convert=str):
-    if name in resolved:
-        try:
-            return convert(resolved[name])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad value for {name}: {resolved[name]!r} ({exc})") from None
-    return default
+def _setting(resolved: dict[str, str], name: str):
+    """The typed value of one setting, or its default when it is not set."""
+    setting = SETTINGS[name]
+    if name not in resolved:
+        return setting.default
+    try:
+        value = setting.type(resolved[name])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad value for {name}: {resolved[name]!r} ({exc})") from None
+    if setting.choices is not None and value not in setting.choices:
+        raise ConfigError(f"unknown {name} {value!r}; choose from {', '.join(setting.choices)}")
+    return value
+
+
+def _comma_list(resolved: dict[str, str], name: str, convert: Callable, noun: str) -> list:
+    """A comma-separated setting as a list of ``convert``-ed items; one item is a ``noun``."""
+    raw = _setting(resolved, name)
+    try:
+        values = [convert(value) for value in raw.split(",") if value.strip()]
+    except ValueError:
+        raise ConfigError(f"bad {_flag(name)} {raw!r}") from None
+    if not values:
+        raise ConfigError(f"{_flag(name)} names no {noun}")
+    return values
 
 
 def _resolve_seed(resolved: dict[str, str]) -> int:
-    if "seed" in resolved:
-        return _setting(resolved, "seed", convert=int)
     env = os.environ.get("SHBUF_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"SHBUF_SEED must be an integer, got {env!r}") from None
-    return 0
+    if "seed" in resolved or env is None:
+        return _setting(resolved, "seed")
+    try:
+        return int(env)
+    except ValueError:
+        raise ConfigError(f"SHBUF_SEED must be an integer, got {env!r}") from None
 
 
 def _write_sidecar(primary_output: str, command: str, resolved: dict[str, str], seed: int) -> None:
     lines = [f"command = {command}", f"seed = {seed}"]
-    for key in sorted(resolved):
-        if key != "seed":
-            lines.append(f"{key} = {resolved[key]}")
+    lines += [f"{key} = {resolved[key]}" for key in sorted(resolved) if key != "seed"]
     with open(primary_output + ".config.txt", "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -202,8 +233,8 @@ def _write_sidecar(primary_output: str, command: str, resolved: dict[str, str], 
 
 
 def _switch_config(resolved: dict[str, str]) -> SwitchConfig:
-    ports = _setting(resolved, "ports", convert=int)
-    buffer_size = _setting(resolved, "buffer", convert=int)
+    ports = _setting(resolved, "ports")
+    buffer_size = _setting(resolved, "buffer")
     if ports is None or buffer_size is None:
         raise ConfigError("both --ports and --buffer are required")
     with _as_config_error():
@@ -214,17 +245,11 @@ def _workload_spec(resolved: dict[str, str], seed: int) -> WorkloadSpec:
     kind = _setting(resolved, "workload")
     if kind is None:
         raise ConfigError("--workload is required (or provide --trace)")
-    if kind not in WORKLOAD_KINDS:
-        raise ConfigError(f"unknown workload {kind!r}; choose from {', '.join(WORKLOAD_KINDS)}")
     workload = WORKLOADS[kind]
-    params: dict = {}
-    for name, convert, _ in workload.params:
-        value = _setting(resolved, name, convert=convert)
-        if value is not None:
-            params[name] = value
-    required = [name for name, _, needed in workload.params if needed]
+    params = {name: _setting(resolved, name) for name, _ in workload.params if name in resolved}
+    required = [name for name, needed in workload.params if needed]
     if any(name not in params for name in required):
-        flags = " and ".join("--" + name.replace("_", "-") for name in required)
+        flags = " and ".join(map(_flag, required))
         raise ConfigError(f"{kind} needs {flags}")
     if workload.seeded:
         params["seed"] = seed
@@ -246,13 +271,11 @@ def _sequence_for(resolved: dict[str, str], config: SwitchConfig, seed: int) -> 
 
 
 def _build_policy(resolved: dict[str, str], config: SwitchConfig, sequence: ArrivalSequence, seed: int):
-    name = _setting(resolved, "policy", default="lqd")
-    if name not in POLICY_NAMES:
-        raise ConfigError(f"unknown policy {name!r}; choose from {', '.join(POLICY_NAMES)}")
+    name = _setting(resolved, "policy")
     if name == "complete_sharing":
         return CompleteSharing()
     if name == "dynamic_thresholds":
-        alpha = _setting(resolved, "dt_alpha", default="1/2")
+        alpha = _setting(resolved, "dt_alpha")
         with _as_config_error(f"bad --dt-alpha {alpha!r}: ", (ValueError, ZeroDivisionError)):
             return DynamicThresholds(Fraction(alpha))
     if name == "lqd":
@@ -263,9 +286,7 @@ def _build_policy(resolved: dict[str, str], config: SwitchConfig, sequence: Arri
 
 
 def _build_oracle(resolved: dict[str, str], config: SwitchConfig, sequence: ArrivalSequence, seed: int):
-    kind = _setting(resolved, "oracle", default="perfect")
-    if kind not in ORACLE_NAMES:
-        raise ConfigError(f"unknown oracle {kind!r}; choose from {', '.join(ORACLE_NAMES)}")
+    kind = _setting(resolved, "oracle")
     if kind == "constant_accept":
         return ConstantOracle(PredictionLabel.NEGATIVE)
     if kind == "constant_drop":
@@ -279,7 +300,7 @@ def _build_oracle(resolved: dict[str, str], config: SwitchConfig, sequence: Arri
     # perfect and flip both replay a LongestQueueDrop run over the same trace
     oracle = PerfectOracle.from_run(run_simulation(config, sequence, LongestQueueDrop()))
     if kind == "flip":
-        p = _setting(resolved, "flip_p", default=0.0, convert=float)
+        p = _setting(resolved, "flip_p")
         with _as_config_error():
             return FlipOracle(oracle, p, seed, sequence)
     return oracle
@@ -321,20 +342,15 @@ def _cmd_train(resolved: dict[str, str], seed: int) -> int:
     out = _setting(resolved, "out")
     if data is None or out is None:
         raise ConfigError("--data and --out are required")
-    trees = _setting(resolved, "trees", default=4, convert=int)
-    depth = _setting(resolved, "depth", default=4, convert=int)
-    split = _setting(resolved, "split", default=0.6, convert=float)
+    trees = _setting(resolved, "trees")
+    depth = _setting(resolved, "depth")
+    split = _setting(resolved, "split")
     sweep_counts = _setting(resolved, "tree_sweep")
     if sweep_counts is not None:
         sweep_out = _setting(resolved, "sweep_out")
         if sweep_out is None:
             raise ConfigError("--sweep-out is required with --tree-sweep")
-        try:
-            counts = [int(c) for c in sweep_counts.split(",") if c.strip()]
-        except ValueError:
-            raise ConfigError(f"bad --tree-sweep {sweep_counts!r}") from None
-        if not counts:
-            raise ConfigError("--tree-sweep names no tree count")
+        counts = _comma_list(resolved, "tree_sweep", int, "tree count")
         if not all(1 <= count <= MAX_TREES for count in counts):
             raise ConfigError(f"--tree-sweep counts must be in [1, {MAX_TREES}], got {sweep_counts!r}")
     with _as_config_error("cannot load training data: ", (OSError, ValueError)):
@@ -369,7 +385,7 @@ def _cmd_evaluate(resolved: dict[str, str], seed: int) -> int:
     out = _setting(resolved, "out")
     if model_path is None or data is None or out is None:
         raise ConfigError("--model, --data and --out are required")
-    split = _setting(resolved, "split", default=0.6, convert=float)
+    split = _setting(resolved, "split")
     with _as_config_error(errors=(OSError, ValueError)):
         model = load_forest(model_path)
         examples = load_examples(data)
@@ -405,31 +421,19 @@ def _cmd_evaluate(resolved: dict[str, str], seed: int) -> int:
 
 def _cmd_sweep(resolved: dict[str, str], seed: int) -> int:
     config = _switch_config(resolved)
-    rate = _setting(resolved, "rate", convert=float)
-    horizon = _setting(resolved, "horizon", convert=int)
+    rate = _setting(resolved, "rate")
+    horizon = _setting(resolved, "horizon")
     out = _setting(resolved, "out")
     if rate is None or horizon is None or out is None:
         raise ConfigError("--rate, --horizon and --out are required")
-    p_list_raw = _setting(resolved, "p_list", default="0,0.001,0.01,0.1,0.3,0.5,0.7")
-    try:
-        p_values = [float(p) for p in p_list_raw.split(",") if p.strip()]
-    except ValueError:
-        raise ConfigError(f"bad --p-list {p_list_raw!r}") from None
-    if not p_values:
-        raise ConfigError("--p-list names no flip probability")
-    num_seeds = _setting(resolved, "seeds", default=10, convert=int)
+    p_values = _comma_list(resolved, "p_list", float, "flip probability")
+    num_seeds = _setting(resolved, "seeds")
     if num_seeds < 1:
         raise ConfigError("--seeds must be >= 1")
-    dt_alpha = _setting(resolved, "dt_alpha", default="1/2")
+    seeds = list(range(seed, seed + num_seeds))
+    dt_alpha = _setting(resolved, "dt_alpha")
     with _as_config_error(errors=(ValueError, ZeroDivisionError)):
-        rows = competitive_sweep(
-            config,
-            p_values,
-            [seed + i for i in range(num_seeds)],
-            rate,
-            horizon,
-            dt_alpha=Fraction(dt_alpha),
-        )
+        rows = competitive_sweep(config, p_values, seeds, rate, horizon, dt_alpha=Fraction(dt_alpha))
     write_sweep_rows(out, rows)
 
     chart = _setting(resolved, "chart")
@@ -442,16 +446,14 @@ def _cmd_sweep(resolved: dict[str, str], seed: int) -> int:
                 sum(row.ratio_dt for row in at_p) / len(at_p),
             )
         _write_ratio_chart(chart, averaged)
-        print(f"rows={len(rows)} out={out} chart={chart}")
-    else:
-        print(f"rows={len(rows)} out={out}")
+    print(f"rows={len(rows)} out={out}" + ("" if chart is None else f" chart={chart}"))
     return EXIT_OK
 
 
 def _cmd_opt(resolved: dict[str, str], seed: int) -> int:
     config = _switch_config(resolved)
     sequence = _sequence_for(resolved, config, seed)
-    cap = _setting(resolved, "cap", default=20, convert=int)
+    cap = _setting(resolved, "cap")
     if cap < 0:
         raise ConfigError("--cap must be >= 0")
     optimum = brute_force_opt(config, sequence, cap=cap)
@@ -518,102 +520,64 @@ def _write_ratio_chart(path: str, averaged: dict[float, tuple[float, float]]) ->
 # --- argument parsing -------------------------------------------------------------
 
 
-def _add_switch_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--ports", type=int, help="number of switch ports (N)")
-    parser.add_argument("--buffer", type=int, help="shared buffer size in packets (B)")
+class Command(NamedTuple):
+    """One subcommand: its help line, its handler, the settings it takes in
+    ``--help`` order, and those it reads from its own INI section as
+    ``<command>.<dest>`` rather than from their usual key."""
+
+    help: str
+    run: Callable[[dict[str, str], int], int]
+    settings: tuple[str, ...]
+    own_keys: tuple[str, ...] = ()
 
 
-def _add_workload_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--workload", choices=WORKLOAD_KINDS, help="workload generator")
-    parser.add_argument("--burst", type=int, help="burst size for single_burst")
-    parser.add_argument("--short-burst", dest="short_burst", type=int, help="short-burst size for multi_burst_then_shorts")
-    parser.add_argument("--cycles", type=int, help="cycles for followlqd_adversary")
-    parser.add_argument("--rate", type=float, help="bursts per slot for poisson_bursts")
-    parser.add_argument("--horizon", type=int, help="slots for poisson_bursts/uniform_random")
-    parser.add_argument("--load", type=float, help="per-port arrival probability for uniform_random")
+_SWITCH = ("ports", "buffer")
+_WORKLOAD = (*_SWITCH, "workload", "burst", "short_burst", "cycles", "rate", "horizon", "load")
+
+COMMANDS = {
+    "gen": Command("generate a workload trace file", _cmd_gen, (*_WORKLOAD, "seed", "out")),
+    "simulate": Command("run one policy over one trace", _cmd_simulate,
+                        (*_WORKLOAD, "trace", "policy", "dt_alpha", "oracle", "flip_p", "model", "seed", "out")),
+    "train": Command("train a drop predictor from a labeled trace CSV", _cmd_train,
+                     ("data", "trees", "depth", "split", "tree_sweep", "sweep_out", "seed", "out")),
+    "evaluate": Command("score a model on held-out examples", _cmd_evaluate,
+                        ("model", "data", "split", *_SWITCH, "eta_trace", "seed", "out"), ("model", "data")),
+    "sweep": Command("flip-probability competitive sweep", _cmd_sweep,
+                     (*_SWITCH, "rate", "horizon", "p_list", "seeds", "dt_alpha", "chart", "seed", "out")),
+    "opt": Command("exact offline optimum (tiny instances only)", _cmd_opt, (*_WORKLOAD, "trace", "cap", "seed")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="shbuf", description=__doc__)
     parser.add_argument("--config", help="INI config file; flags override its values")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen", help="generate a workload trace file")
-    _add_switch_flags(p)
-    _add_workload_flags(p)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", help="trace file to write")
-    p.set_defaults(func=_cmd_gen)
-
-    p = sub.add_parser("simulate", help="run one policy over one trace")
-    _add_switch_flags(p)
-    _add_workload_flags(p)
-    p.add_argument("--trace", help="existing trace file (overrides --workload)")
-    p.add_argument("--policy", choices=POLICY_NAMES)
-    p.add_argument("--dt-alpha", dest="dt_alpha", help="rational alpha for dynamic_thresholds, e.g. 1/2")
-    p.add_argument("--oracle", choices=ORACLE_NAMES)
-    p.add_argument("--flip-p", dest="flip_p", type=float, help="flip probability for --oracle flip")
-    p.add_argument("--model", help="forest model file for --oracle forest")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", help="outcomes CSV to write")
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("train", help="train a drop predictor from a labeled trace CSV")
-    p.add_argument("--data", help="labeled example CSV (q,q_ewma,Q,Q_ewma,label)")
-    p.add_argument("--trees", type=int)
-    p.add_argument("--depth", type=int)
-    p.add_argument("--split", type=float)
-    p.add_argument("--tree-sweep", dest="tree_sweep", help="comma list of tree counts to sweep")
-    p.add_argument("--sweep-out", dest="sweep_out", help="CSV for the tree-count sweep")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", help="model file to write")
-    p.set_defaults(func=_cmd_train)
-
-    p = sub.add_parser("evaluate", help="score a model on held-out examples")
-    p.add_argument("--model")
-    p.add_argument("--data")
-    p.add_argument("--split", type=float)
-    _add_switch_flags(p)
-    p.add_argument("--eta-trace", dest="eta_trace", help="trace file for the error-score column")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", help="metrics CSV to write")
-    p.set_defaults(func=_cmd_evaluate)
-
-    p = sub.add_parser("sweep", help="flip-probability competitive sweep")
-    _add_switch_flags(p)
-    p.add_argument("--rate", type=float)
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--p-list", dest="p_list", help="comma list of flip probabilities")
-    p.add_argument("--seeds", type=int, help="number of workload seeds to average")
-    p.add_argument("--dt-alpha", dest="dt_alpha")
-    p.add_argument("--chart", help="optional SVG chart file")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", help="sweep CSV to write")
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("opt", help="exact offline optimum (tiny instances only)")
-    _add_switch_flags(p)
-    _add_workload_flags(p)
-    p.add_argument("--trace")
-    p.add_argument("--cap", type=int, help="refuse instances above this many packets")
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=_cmd_opt)
-
+    for command_name, command in COMMANDS.items():
+        p = sub.add_parser(command_name, help=command.help)
+        for name in command.settings:
+            setting = SETTINGS[name]
+            default = "" if setting.default is None else f" (default {setting.default})"
+            p.add_argument(
+                _flag(name), dest=name, type=setting.type, choices=setting.choices, help=setting.help + default
+            )
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        resolved = _effective(args, _load_config_file(args.config))
+        resolved = _effective(args.command, args, _load_config_file(args.config))
         seed = _resolve_seed(resolved)
-        code = args.func(resolved, seed)
+        code = COMMANDS[args.command].run(resolved, seed)
         if "out" in resolved:
             _write_sidecar(resolved["out"], args.command, resolved, seed)
         return code
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        # every input file is read under _as_config_error, so this is an output
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except InstanceTooLarge as exc:
         print(f"refused: {exc}", file=sys.stderr)

@@ -68,10 +68,11 @@ class SwitchConfig:
     buffer_size: int
 
     def __post_init__(self) -> None:
-        if self.num_ports < 1:
-            raise ValueError(f"num_ports must be >= 1, got {self.num_ports}")
-        if self.buffer_size < 1:
-            raise ValueError(f"buffer_size must be >= 1, got {self.buffer_size}")
+        for name, size in (("num_ports", self.num_ports), ("buffer_size", self.buffer_size)):
+            if type(size) is not int:
+                raise ValueError(f"{name} must be an int, got {size!r}")
+            if size < 1:
+                raise ValueError(f"{name} must be >= 1, got {size}")
 
 
 @dataclass(frozen=True)

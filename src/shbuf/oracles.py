@@ -69,27 +69,27 @@ class FeatureVector(NamedTuple):
 _new_features = partial(tuple.__new__, FeatureVector)
 
 
+# weight of each new value in the moving averages: 2 / (window + 1) for a
+# window of 16 slots, which stands in for one round-trip time of the modelled network
+_EWMA_WEIGHT = 2 / 17
+
+
 class FeatureTracker:
     """Maintains the moving averages behind ``FeatureVector``.
 
     Averages fold in the observed value at every arrival with weight
-    ``2 / (window + 1)``; ``window`` is measured in slots and stands in for
-    one round-trip time of the modelled network. When ``log`` is a list,
-    every vector built is appended to it.
+    ``_EWMA_WEIGHT``. When ``log`` is a list, every vector built is appended
+    to it.
     """
 
-    def __init__(self, num_ports: int, window: int = 16) -> None:
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
-        self.window = window
+    def __init__(self, num_ports: int) -> None:
         self.log: Optional[list[FeatureVector]] = None
-        self._weight = 2.0 / (window + 1)
         self._queue_avg = [0.0] * num_ports
         self._occupancy_avg = 0.0
 
     def on_arrival(self, port: int, state: "SwitchState") -> FeatureVector:
         """Fold the pre-decision state into the averages and return the features."""
-        weight = self._weight
+        weight = _EWMA_WEIGHT
         queue_len = state.queue_len[port]
         occupancy = state.occupancy
         queue_avg = self._queue_avg[port] + weight * (queue_len - self._queue_avg[port])

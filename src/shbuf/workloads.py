@@ -202,28 +202,28 @@ class WorkloadKind:
     """How one named workload is generated.
 
     ``params`` lists the generator's arguments after the switch config, in
-    call order, as ``(name, type, required)``; an optional one left out is
-    passed as ``None``. A seeded generator takes ``seed`` as its last argument.
+    call order, as ``(name, required)``; an optional one left out is passed
+    as ``None``. A seeded generator takes ``seed`` as its last argument.
     """
 
     generator: Callable[..., ArrivalSequence]
-    params: tuple[tuple[str, type, bool], ...]
+    params: tuple[tuple[str, bool], ...]
     seeded: bool = False
 
 
 WORKLOADS = {
-    "single_burst": WorkloadKind(single_burst, (("burst", int, True),)),
-    "multi_burst_then_shorts": WorkloadKind(multi_burst_then_shorts, (("short_burst", int, False),)),
-    "followlqd_adversary": WorkloadKind(followlqd_adversary, (("cycles", int, True),)),
-    "poisson_bursts": WorkloadKind(poisson_bursts, (("rate", float, True), ("horizon", int, True)), seeded=True),
-    "uniform_random": WorkloadKind(uniform_random, (("load", float, True), ("horizon", int, True)), seeded=True),
+    "single_burst": WorkloadKind(single_burst, (("burst", True),)),
+    "multi_burst_then_shorts": WorkloadKind(multi_burst_then_shorts, (("short_burst", False),)),
+    "followlqd_adversary": WorkloadKind(followlqd_adversary, (("cycles", True),)),
+    "poisson_bursts": WorkloadKind(poisson_bursts, (("rate", True), ("horizon", True)), seeded=True),
+    "uniform_random": WorkloadKind(uniform_random, (("load", True), ("horizon", True)), seeded=True),
 }
 WORKLOAD_KINDS = tuple(WORKLOADS)
 
 
 @dataclass
 class WorkloadSpec:
-    """A generator name plus its keyword parameters."""
+    """A generator name plus its parameters, typed as the generator takes them."""
 
     kind: str
     params: dict = field(default_factory=dict)
@@ -235,12 +235,9 @@ class WorkloadSpec:
 
 def generate(config: SwitchConfig, spec: WorkloadSpec) -> ArrivalSequence:
     kind = WORKLOADS[spec.kind]
-    args = []
-    for name, convert, required in kind.params:
-        value = spec.params[name] if required else spec.params.get(name)
-        args.append(None if value is None else convert(value))
+    args = [spec.params[name] if required else spec.params.get(name) for name, required in kind.params]
     if kind.seeded:
-        args.append(int(spec.params.get("seed", 0)))
+        args.append(spec.params.get("seed", 0))
     return kind.generator(config, *args)
 
 

@@ -3,11 +3,12 @@ import hashlib
 import io
 import json
 import os
+from pathlib import Path
 
 import pytest
 
 from shbuf import SwitchConfig
-from shbuf.cli import EXIT_CONFIG, EXIT_OK, EXIT_REFUSED, main
+from shbuf.cli import COMMANDS, EXIT_CONFIG, EXIT_OK, EXIT_REFUSED, SETTINGS, main
 from shbuf.learner import MAX_TREES, collect_trace, save_examples
 from shbuf.workloads import poisson_bursts
 
@@ -403,3 +404,60 @@ def test_nan_rate_exits_2(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+SWEEP = ["sweep", "--ports", "4", "--buffer", "8", "--rate", "0.05", "--horizon", "50",
+         "--p-list", "0", "--seeds", "1"]
+# every file-writing flag: the command's other arguments, with {data}, {model}
+# and {dir} standing for paths it can read or write
+OUTPUT_FLAGS = {
+    "gen --out": ["gen", "--ports", "4", "--buffer", "16", "--workload", "single_burst", "--burst", "4"],
+    "simulate --out": ["simulate", "--ports", "4", "--buffer", "16", "--workload", "single_burst",
+                       "--burst", "4"],
+    "train --out": ["train", "--data", "{data}"],
+    "train --sweep-out": ["train", "--data", "{data}", "--out", "{dir}/model.json", "--tree-sweep", "1,2"],
+    "evaluate --out": ["evaluate", "--model", "{model}", "--data", "{data}"],
+    "sweep --out": SWEEP,
+    "sweep --chart": [*SWEEP, "--out", "{dir}/sweep.csv"],
+}
+
+
+@pytest.mark.parametrize(
+    "case, target",
+    [(case, target) for case in OUTPUT_FLAGS for target in ("in_a_missing_directory", "a_directory")]
+    # a sidecar sits beside its output, whose directory exists
+    + [("sidecar", "a_directory")],
+)
+def test_an_output_that_cannot_be_written_exits_2_naming_it(tmp_path, capsys, trace_csv, case, target):
+    model = tmp_path / "model.json"
+    assert main(["train", "--data", str(trace_csv), "--trees", "1", "--out", str(model)]) == EXIT_OK
+    capsys.readouterr()
+    if target == "in_a_missing_directory":
+        path = tmp_path / "missing" / "x"
+    else:
+        path = tmp_path / ("x.csv.config.txt" if case == "sidecar" else "dir")
+        path.mkdir()
+    if case == "sidecar":
+        argv = [*OUTPUT_FLAGS["gen --out"], "--out", str(path).removesuffix(".config.txt")]
+    else:
+        fields = {"data": str(trace_csv), "model": str(model), "dir": str(tmp_path)}
+        argv = [arg.format(**fields) for arg in OUTPUT_FLAGS[case]] + [case.split()[1], str(path)]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err
+
+
+def test_readme_flag_table_lists_every_setting():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    start = readme.index("| flag | INI key |")
+    table, exception = readme[start:].split("\n\n")[:2]
+    cells = [cell.strip(" `") for line in table.splitlines()[2:] for cell in line.strip("|").split("|")]
+    listed = {flag: key for flag, key in zip(cells[::2], cells[1::2]) if flag}
+    assert listed == {"--" + name.replace("_", "-"): setting.key for name, setting in SETTINGS.items()}
+    # the paragraph after the table names every command that reads some settings from its own section
+    own = {name: command.own_keys for name, command in COMMANDS.items() if command.own_keys}
+    assert own == {"evaluate": ("model", "data")}
+    assert exception.startswith("`evaluate` is the one exception")
+    for name in own["evaluate"]:
+        assert f"`--{name}`" in exception and f"`evaluate.{name}`" in exception

@@ -52,6 +52,16 @@ def test_config_validation():
     assert result.dropped_count == 2
 
 
+@pytest.mark.parametrize(
+    "ports, buffer_size, field",
+    [(True, 4, "num_ports"), (2, 4.0, "buffer_size"), (2.5, 4, "num_ports"), (2, "4", "buffer_size")],
+    ids=["bool_ports", "float_buffer", "fractional_ports", "str_buffer"],
+)
+def test_config_sizes_must_be_ints(ports, buffer_size, field):
+    with pytest.raises(ValueError, match=f"^{field} must be an int, got "):
+        SwitchConfig(ports, buffer_size)
+
+
 def test_empty_sequence_any_policy():
     cfg = SwitchConfig(2, 4)
     for policy in (CompleteSharing(), LongestQueueDrop(), FollowLqd()):

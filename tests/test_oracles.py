@@ -171,26 +171,22 @@ def test_flip_oracle_rejects_bad_probability():
 
 
 def test_feature_tracker_ewma():
-    cfg = SwitchConfig(2, 8)
-    tracker = FeatureTracker(cfg.num_ports, window=3)  # weight 1/2
+    # weight 2/17; each average is the float the tracker's fold gives, near the
+    # exact values 8/17, 12/17, 188/289 and 248/289
+    tracker = FeatureTracker(2)
     state = SwitchState(2)
     state.queue_len[0] = 4
     state.occupancy = 6
     first = tracker.on_arrival(0, state)
-    assert first == FeatureVector(4, 2.0, 6, 3.0)
+    assert first == FeatureVector(4, 0.47058823529411764, 6, 0.7058823529411764)
     state.queue_len[0] = 2
     state.occupancy = 2
     second = tracker.on_arrival(0, state)
-    assert second == FeatureVector(2, 2.0, 2, 2.5)
+    assert second == FeatureVector(2, 0.6505190311418685, 2, 0.8581314878892733)
     # port 1's average is untouched by port 0 arrivals
     state.queue_len[1] = 4
     third = tracker.on_arrival(1, state)
-    assert third.queue_len_avg == 2.0
-
-
-def test_feature_tracker_rejects_bad_window():
-    with pytest.raises(ValueError):
-        FeatureTracker(2, window=0)
+    assert third.queue_len_avg == 0.47058823529411764
 
 
 def test_forest_oracle_single_leaf():
