@@ -21,6 +21,7 @@ from .core import (
     RunResult,
     Simulation,
     SwitchConfig,
+    _write_lines,
     run_simulation,
     run_slots,
 )
@@ -48,6 +49,7 @@ from .workloads import poisson_bursts
 __all__ = [
     "ErrorReport",
     "SweepRow",
+    "ThresholdDivergence",
     "InstanceTooLarge",
     "throughput",
     "simulate_with_prediction_log",
@@ -339,8 +341,7 @@ def write_sweep_rows(path, rows: Sequence[SweepRow]) -> None:
             f"{row.p!r},{row.lqd_throughput},{row.credence_throughput},{row.dt_throughput},"
             f"{row.ratio_credence:.6f},{row.ratio_dt:.6f},{row.seed}"
         )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 # --- threshold mirror verification ------------------------------------------------

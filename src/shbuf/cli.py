@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import contextlib
+import errno
 import os
 import sys
 from fractions import Fraction
@@ -32,6 +33,7 @@ from .analysis import (
 from .core import (
     ArrivalSequence,
     SwitchConfig,
+    _write_lines,
     load_sequence,
     run_simulation,
     save_outcomes,
@@ -84,15 +86,19 @@ class ConfigError(ValueError):
 
 class Setting(NamedTuple):
     """One flag: its INI ``section.key``, the type of its value, its value when
-    neither a flag nor the config file sets it, its help line, and the values
-    it may take when they are a fixed set."""
+    neither a flag nor the config file sets it, its help line, the values it
+    may take when they are a fixed set, and, for a flag that names an output,
+    the suffix that each file it writes adds to that name."""
 
     key: str
     type: Callable = str
     default: object = None
     help: str = ""
     choices: Optional[tuple[str, ...]] = None
+    outputs: tuple[str, ...] = ()
 
+
+_SIDECAR = ".config.txt"  # the effective settings of a run, beside its --out
 
 # every setting by argparse dest; a flag means the same setting in every
 # subcommand that takes it
@@ -117,16 +123,16 @@ SETTINGS = {
     "depth": Setting("train.depth", int, 4, "maximum tree depth"),
     "split": Setting("train.split", float, 0.6, "fraction of the examples to train on"),
     "tree_sweep": Setting("train.tree_sweep", help="comma list of tree counts to sweep"),
-    "sweep_out": Setting("train.sweep_out", help="CSV for the tree-count sweep"),
+    "sweep_out": Setting("train.sweep_out", help="CSV for the tree-count sweep", outputs=("",)),
     "eta_trace": Setting("evaluate.eta_trace", help="trace file for the error-score column"),
     "p_list": Setting(
         "sweep.p_list", default="0,0.001,0.01,0.1,0.3,0.5,0.7", help="comma list of flip probabilities"
     ),
     "seeds": Setting("sweep.seeds", int, 10, "number of workload seeds to average"),
-    "chart": Setting("sweep.chart", help="optional SVG chart file"),
+    "chart": Setting("sweep.chart", help="optional SVG chart file", outputs=("",)),
     "cap": Setting("opt.cap", int, 20, "refuse instances above this many packets"),
     "seed": Setting("run.seed", int, 0, "random seed, else $SHBUF_SEED"),
-    "out": Setting("run.out", help="output file"),
+    "out": Setting("run.out", help="output file", outputs=("", _SIDECAR)),
 }
 
 
@@ -222,11 +228,13 @@ def _resolve_seed(resolved: dict[str, str]) -> int:
         raise ConfigError(f"SHBUF_SEED must be an integer, got {env!r}") from None
 
 
-def _write_sidecar(primary_output: str, command: str, resolved: dict[str, str], seed: int) -> None:
-    lines = [f"command = {command}", f"seed = {seed}"]
-    lines += [f"{key} = {resolved[key]}" for key in sorted(resolved) if key != "seed"]
-    with open(primary_output + ".config.txt", "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _check_outputs(resolved: dict[str, str]) -> None:
+    """Raise now the error that writing an output over a directory, or where its parent is none, would raise later."""
+    for path in (resolved[name] + suffix for name in resolved for suffix in SETTINGS[name].outputs):
+        parent = os.path.dirname(os.path.abspath(path))
+        if os.path.isdir(path) or not os.path.isdir(parent):
+            error = errno.EISDIR if os.path.isdir(path) else errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+            raise OSError(error, os.strerror(error), path)
 
 
 # --- shared builders --------------------------------------------------------------
@@ -364,11 +372,8 @@ def _cmd_train(resolved: dict[str, str], seed: int) -> int:
     if sweep_counts is not None:
         with _as_config_error():
             rows = tree_count_sweep(examples, counts, max_depth=depth, split=split, seed=seed)
-        lines = ["trees,accuracy,precision,recall,f1"]
-        for count, metrics in rows:
-            lines.append(",".join([str(count), *_scores(metrics)]))
-        with open(sweep_out, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        lines = [",".join([str(count), *_scores(metrics)]) for count, metrics in rows]
+        _write_lines(sweep_out, ["trees,accuracy,precision,recall,f1", *lines])
         print(f"tree_sweep={sweep_counts} out={sweep_out}")
     return EXIT_OK
 
@@ -405,13 +410,11 @@ def _cmd_evaluate(resolved: dict[str, str], seed: int) -> int:
 
     accuracy, precision, recall, f1 = _scores(metrics)
     confusion = metrics.confusion
-    lines = [
+    _write_lines(out, [
         "accuracy,precision,recall,f1,inv_eta,tp,fp,tn,fn",
         f"{accuracy},{precision},{recall},{f1},{inv_eta},"
         f"{confusion.tp},{confusion.fp},{confusion.tn},{confusion.fn}",
-    ]
-    with open(out, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    ])
     print(
         f"accuracy={accuracy} precision={precision} recall={recall} f1={f1}"
         + (f" inv_eta={inv_eta}" if inv_eta else "")
@@ -438,13 +441,9 @@ def _cmd_sweep(resolved: dict[str, str], seed: int) -> int:
 
     chart = _setting(resolved, "chart")
     if chart is not None:
-        averaged: dict[float, tuple[float, float]] = {}
-        for p in p_values:
-            at_p = [row for row in rows if row.p == p]
-            averaged[p] = (
-                sum(row.ratio_credence for row in at_p) / len(at_p),
-                sum(row.ratio_dt for row in at_p) / len(at_p),
-            )
+        by_p = {p: [row for row in rows if row.p == p] for p in p_values}
+        averaged = {p: (sum(r.ratio_credence for r in at) / len(at), sum(r.ratio_dt for r in at) / len(at))
+                    for p, at in by_p.items()}
         _write_ratio_chart(chart, averaged)
     print(f"rows={len(rows)} out={out}" + ("" if chart is None else f" chart={chart}"))
     return EXIT_OK
@@ -513,8 +512,7 @@ def _write_ratio_chart(path: str, averaged: dict[float, tuple[float, float]]) ->
         )
         legend_y += 18
     parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
+    _write_lines(path, parts)
 
 
 # --- argument parsing -------------------------------------------------------------
@@ -568,9 +566,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         resolved = _effective(args.command, args, _load_config_file(args.config))
         seed = _resolve_seed(resolved)
+        _check_outputs(resolved)
         code = COMMANDS[args.command].run(resolved, seed)
         if "out" in resolved:
-            _write_sidecar(resolved["out"], args.command, resolved, seed)
+            settings = [f"{key} = {resolved[key]}" for key in sorted(resolved) if key != "seed"]
+            _write_lines(resolved["out"] + _SIDECAR, [f"command = {args.command}", f"seed = {seed}", *settings])
         return code
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

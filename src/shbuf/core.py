@@ -31,6 +31,7 @@ the drains.
 
 from __future__ import annotations
 
+import os
 import re
 from collections import deque
 from contextlib import contextmanager
@@ -39,6 +40,7 @@ from enum import Enum
 from functools import cached_property
 from itertools import chain, compress, count, islice, repeat
 from operator import attrgetter, lt, ne
+from stat import S_ISREG
 from typing import TYPE_CHECKING, Deque, Optional
 
 if TYPE_CHECKING:
@@ -411,11 +413,36 @@ def _utf8_errors_name(path):
         raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
+def _open_output(path):
+    """Open the output ``path`` for writing text; every file the library writes is opened here.
+
+    An existing regular file with one link that this process may write is
+    removed first, since truncating a file written moments ago can wait for
+    its data to reach the disk (ext4's ``auto_da_alloc``), and a new file
+    does not. Any other path opens in place, as ``open(path, "w")`` does: a
+    symlink is written through, a hard-linked file keeps its other names,
+    and a file this process may not write fails as before.
+    """
+    try:
+        info = os.lstat(path)
+        if S_ISREG(info.st_mode) and info.st_nlink == 1 and os.access(path, os.W_OK):
+            os.unlink(path)
+    except OSError:  # no file there yet, or one that cannot be unlinked: open in place
+        pass
+    return open(path, "w")
+
+
+def _write_lines(path, lines) -> None:
+    """Write each of ``lines`` and a newline after it to the output ``path``."""
+    with _open_output(path) as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def save_sequence(path, sequence: ArrivalSequence, comment: Optional[str] = None) -> None:
     """Write a trace file: ``# comment`` if given, the header, then ``slot,port`` per packet."""
     slots = sequence.slots
     line = _Memo("{}\n".format).__getitem__  # "port\n", a line after its slot
-    with open(path, "w") as fh:
+    with _open_output(path) as fh:
         write = fh.write
         if comment is not None:
             write(f"# {comment}\n")
@@ -522,7 +549,7 @@ def save_outcomes(path, result: RunResult) -> None:
     values = map(attrgetter("_value_"), result.verdicts)
     # "pos,port,verdict\n", a line after its slot, by (pos, port, verdict value)
     line = _Memo(lambda key: f"{key[0]},{key[1]},{key[2]}\n").__getitem__
-    with open(path, "w") as fh:
+    with _open_output(path) as fh:
         write = fh.write
         write(f"{_OUTCOMES_HEADER}\n")
         for slot_index in compress(count(), slots):

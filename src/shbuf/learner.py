@@ -26,7 +26,7 @@ from itertools import chain, repeat
 from operator import is_, itemgetter
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence, Union
 
-from .core import ArrivalSequence, SwitchConfig, Verdict, _utf8_errors_name, run_simulation
+from .core import ArrivalSequence, SwitchConfig, Verdict, _utf8_errors_name, _write_lines, run_simulation
 from .oracles import FeatureSampler, FeatureVector, PredictionLabel
 from .policies import LongestQueueDrop
 
@@ -553,9 +553,7 @@ def save_forest(model: ForestModel, path) -> None:
         "max_depth": model.max_depth,
         "trees": [_node_to_obj(tree) for tree in model.trees],
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    _write_lines(path, [json.dumps(payload, sort_keys=True, separators=(",", ":"))])
 
 
 def load_forest(path) -> ForestModel:
@@ -601,8 +599,7 @@ def save_examples(examples: Sequence[LabeledExample], path) -> None:
             f"{features.queue_len},{features.queue_len_avg!r},"
             f"{features.occupancy},{features.occupancy_avg!r},{flag}"
         )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def load_examples(path) -> list[LabeledExample]:

@@ -448,6 +448,69 @@ def test_an_output_that_cannot_be_written_exits_2_naming_it(tmp_path, capsys, tr
     assert str(path) in err
 
 
+def test_a_sweep_whose_chart_cannot_be_written_writes_nothing(tmp_path, capsys):
+    argv = [*SWEEP, "--out", str(tmp_path / "s.csv"), "--chart", str(tmp_path / "missing" / "c.svg")]
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_tree_sweep_that_cannot_be_written_trains_nothing(tmp_path, capsys, trace_csv):
+    argv = ["train", "--data", str(trace_csv), "--out", str(tmp_path / "model.json"),
+            "--tree-sweep", "1,2", "--sweep-out", str(tmp_path / "missing" / "t.csv")]
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["examples.csv"]
+
+
+def test_an_output_under_a_file_exits_2_with_the_error_opening_it_gives(tmp_path, capsys):
+    (tmp_path / "f").touch()
+    path = tmp_path / "f" / "x.csv"
+    assert main([*OUTPUT_FLAGS["gen --out"], "--out", str(path)]) == EXIT_CONFIG
+    with pytest.raises(NotADirectoryError) as caught:
+        open(path, "w")
+    assert capsys.readouterr().err == f"error: cannot write output: {caught.value}\n"
+
+
+def _simulate_to(path) -> bytes:
+    assert main([*OUTPUT_FLAGS["simulate --out"], "--out", str(path)]) == EXIT_OK
+    return Path(path).read_bytes()
+
+
+def test_rerunning_a_command_writes_the_same_bytes_to_a_new_file(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    first = _simulate_to(out)
+    with open(out, "rb") as old:
+        assert _simulate_to(out) == first
+        # the old file is gone from the directory, and its reader still sees its bytes
+        assert os.fstat(old.fileno()).st_nlink == 0
+        assert os.fstat(old.fileno()).st_ino != out.stat().st_ino
+        assert old.read() == first
+
+
+def test_an_output_given_as_a_symlink_is_written_through(tmp_path, capsys):
+    expected = _simulate_to(tmp_path / "plain.csv")
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_text("old\n")
+    link.symlink_to(target)
+    assert _simulate_to(link) == expected
+    assert link.is_symlink()
+    assert target.read_bytes() == expected
+
+
+def test_a_hard_linked_output_is_written_in_place(tmp_path, capsys):
+    expected = _simulate_to(tmp_path / "plain.csv")
+    out, other = tmp_path / "out.csv", tmp_path / "other.csv"
+    out.write_text("old\n")
+    os.link(out, other)
+    inode = out.stat().st_ino
+    assert _simulate_to(out) == expected
+    assert out.stat().st_ino == inode
+    assert other.read_bytes() == expected
+
+
 def test_readme_flag_table_lists_every_setting():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     start = readme.index("| flag | INI key |")

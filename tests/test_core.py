@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import os
 import random
 from unittest import mock
 
@@ -385,12 +386,19 @@ def trace_texts(draw):
     return text.replace("\n", newline)
 
 
+def _unlink(*paths) -> None:
+    """Remove the files an earlier example wrote, since truncating one can wait on the disk."""
+    for path in paths:
+        path.unlink(missing_ok=True)
+
+
 @settings(derandomize=True, max_examples=600, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(text=trace_texts(), block=st.sampled_from([1, 2, 9, 40, 1 << 16]))
 def test_load_sequence_agrees_with_the_line_parser(tmp_path, text, block):
     # ``block`` is the block size in characters: small ones split rows across blocks
     path = tmp_path / "trace.csv"
+    _unlink(path)
     path.write_bytes(text.encode("utf-8"))
     with mock.patch.object(core, "_BLOCK_CHARS", block):
         assert _loaded(load_sequence, path) == _loaded(_reference_load_sequence, path)
@@ -407,6 +415,7 @@ def test_load_sequence_agrees_with_the_line_parser(tmp_path, text, block):
 )
 def test_load_sequence_reads_back_what_save_sequence_writes(tmp_path, rows, comment, block):
     path = tmp_path / "trace.csv"
+    _unlink(path)
     sequence = ArrivalSequence(rows)
     save_sequence(path, sequence, comment=comment)
     with mock.patch.object(core, "_BLOCK_CHARS", block):
@@ -441,6 +450,7 @@ def _reference_save_sequence(path, sequence, comment=None) -> None:
 def test_save_sequence_writes_what_the_line_writer_writes(tmp_path, rows, comment):
     # leading and trailing empty slots, empty sequences, and ports of two digits
     sequence = ArrivalSequence(rows)
+    _unlink(tmp_path / "trace.csv", tmp_path / "reference.csv")
     save_sequence(tmp_path / "trace.csv", sequence, comment=comment)
     _reference_save_sequence(tmp_path / "reference.csv", sequence, comment=comment)
     assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
@@ -482,6 +492,7 @@ def test_save_outcomes_writes_what_the_per_packet_writer_writes(tmp_path):
         for policy in (LongestQueueDrop(), CompleteSharing()):
             result = run_simulation(config, sequence, policy)
             verdicts.update(result.verdicts)
+            _unlink(tmp_path / "out.csv", tmp_path / "reference.csv")
             save_outcomes(tmp_path / "out.csv", result)
             _reference_save_outcomes(tmp_path / "reference.csv", result)
             assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
@@ -497,6 +508,26 @@ def test_outcomes_csv_schema(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "packet_slot,packet_pos,port,verdict"
     assert len(lines) == 1 + 4
+
+
+@pytest.mark.parametrize("name, error", [("dir", IsADirectoryError), ("missing/out.csv", FileNotFoundError)])
+def test_an_output_that_cannot_be_opened_raises_naming_it(tmp_path, name, error):
+    (tmp_path / "dir").mkdir()
+    result = run_simulation(SwitchConfig(1, 1), ArrivalSequence([[0]]), LongestQueueDrop())
+    with pytest.raises(error) as caught:
+        save_outcomes(tmp_path / name, result)
+    assert str(caught.value.filename) == str(tmp_path / name)
+    assert (tmp_path / "dir").is_dir()
+
+
+def test_an_output_the_process_may_not_write_is_opened_in_place(tmp_path):
+    # the writer leaves such a file for ``open`` to refuse, so the error stays the one it gives
+    path = tmp_path / "out.csv"
+    path.write_text("old\n")
+    with open(path) as old, mock.patch.object(core.os, "access", return_value=False):
+        save_sequence(path, ArrivalSequence([[0]]))
+        assert os.fstat(old.fileno()).st_ino == path.stat().st_ino
+    assert path.read_text() == "slot,port\n0,0\n"
 
 
 class _OverflowPolicy:
