@@ -2,11 +2,12 @@
 
 Provides the error ratio relating push-out LongestQueueDrop throughput to
 FollowLqd throughput on the prediction-reduced sequence, its closed-form
-upper bound from the confusion counts, an exact brute-force offline optimum
-for tiny instances, flip-probability sweeps, and an event-by-event check that
-threshold-following policies really do replay LQD queue lengths. Every run
-here goes through ``core.run_slots``; the event-by-event check is a lockstep
-of three simulations that the loop drives as one.
+upper bound from the confusion counts, the exact offline optimum over a
+frontier of drop-tail queue vectors pruned against LQD, flip-probability
+sweeps, and an event-by-event check that threshold-following policies really
+do replay LQD queue lengths. Every run here goes through ``core.run_slots``;
+the optimum's frontier and the event-by-event check, a lockstep of three
+simulations, are each driven by the loop as one simulation.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .oracles import (
     _flip_draws,
 )
 from .policies import (
-    CompleteSharing,
     Credence,
     DynamicThresholds,
     FollowLqd,
@@ -68,7 +68,8 @@ LQD_COMPETITIVE_RATIO = Fraction(1707, 1000)
 
 
 class InstanceTooLarge(RuntimeError):
-    """The exhaustive search refuses instances beyond its packet cap."""
+    """The exact optimum refuses instances beyond its packet cap: its frontier
+    of queue vectors can grow exponentially with the packet count."""
 
 
 def throughput(config: SwitchConfig, sequence: ArrivalSequence, policy: Policy) -> int:
@@ -199,73 +200,66 @@ def eta_upper_bound(confusion: ConfusionCounts, num_ports: int) -> float:
 # --- exact offline optimum ------------------------------------------------------
 
 
+class _Frontier:
+    """The drop-tail queue-length vectors a run can reach, each with the most
+    packets accepted on the way to it, stepped by ``run_slots`` like a
+    simulation. Unit packets and work-conserving departures make a run's
+    future depend on that vector alone. A vector whose count plus the
+    arrivals still to come cannot exceed a known throughput, the floor, is
+    discarded; ``least`` is the floor less the arrivals still to come.
+    """
+
+    backlog = 0
+
+    def __init__(self, config: SwitchConfig, least: int) -> None:
+        self.config = config
+        self.least = least
+        self.vectors = {(0,) * config.num_ports: 0}
+
+    def arrive(self, port: int) -> None:
+        self.least += 1
+        least = self.least
+        room = self.config.buffer_size
+        vectors = self.vectors
+        # the drop branch of each vector, then the accept branch where there is room
+        after = {vector: accepted for vector, accepted in vectors.items() if accepted > least}
+        for vector, accepted in vectors.items():
+            if accepted >= least and sum(vector) < room:
+                grown = vector[:port] + (vector[port] + 1,) + vector[port + 1 :]
+                if after.get(grown, -1) <= accepted:
+                    after[grown] = accepted + 1
+        self.vectors = after
+
+    def depart_phase(self) -> None:
+        self.drain(1)
+
+    def drain(self, slots: int) -> None:
+        after: dict[tuple[int, ...], int] = {}
+        for vector, accepted in self.vectors.items():
+            vector = tuple([q - slots if q > slots else 0 for q in vector])
+            if after.get(vector, -1) < accepted:
+                after[vector] = accepted
+        self.vectors = after
+
+
 def brute_force_opt(config: SwitchConfig, sequence: ArrivalSequence, cap: int = 20) -> int:
     """Exact clairvoyant throughput over all accept/drop decision vectors.
 
     Only drop-tail vectors are searched: any push-out schedule transmits the
     same set of packets as the drop-tail twin that rejects, on arrival,
-    exactly the packets it would later evict. Branch-and-bound with the bound
-    ``transmitted + buffered + remaining arrivals``; instances above ``cap``
-    packets are refused.
+    exactly the packets it would later evict. Every accepted packet is sent,
+    so the optimum is the best count left in a ``_Frontier`` pruned against
+    LongestQueueDrop's throughput, or that throughput when none beats it.
+    Instances above ``cap`` packets are refused.
     """
     sequence.validate(config)
     total = sequence.total_packets
     if total > cap:
-        raise InstanceTooLarge(
-            f"instance has {total} packets; the exhaustive search caps at {cap}"
-        )
-
-    slots = sequence.slots
-    num_slots = len(slots)
-    n = config.num_ports
-    buffer_size = config.buffer_size
-
-    # greedy lower bounds to seed pruning; both are feasible drop-tail vectors
-    best = max(
-        throughput(config, sequence, CompleteSharing()),
-        throughput(config, sequence, LongestQueueDrop()),
-    )
-    queue = [0] * n
-
-    def search(slot_index: int, pos: int, transmitted: int, occupancy: int, remaining: int) -> None:
-        nonlocal best
-        if transmitted + occupancy + remaining <= best:
-            return
-        if slot_index == num_slots:
-            best = transmitted + occupancy
-            return
-        row = slots[slot_index]
-        if pos == len(row):
-            # departure phase, then fast-forward over arrival-free slots
-            saved = queue[:]
-            next_slot = slot_index
-            while True:
-                drained = 0
-                for port in range(n):
-                    if queue[port]:
-                        queue[port] -= 1
-                        drained += 1
-                transmitted += drained
-                occupancy -= drained
-                next_slot += 1
-                if next_slot == num_slots or slots[next_slot]:
-                    break
-                if occupancy == 0:
-                    while next_slot < num_slots and not slots[next_slot]:
-                        next_slot += 1
-                    break
-            search(next_slot, 0, transmitted, occupancy, remaining)
-            queue[:] = saved
-            return
-        port = row[pos]
-        if occupancy < buffer_size:
-            queue[port] += 1
-            search(slot_index, pos + 1, transmitted, occupancy + 1, remaining - 1)
-            queue[port] -= 1
-        search(slot_index, pos + 1, transmitted, occupancy, remaining - 1)
-
-    search(0, 0, 0, 0, total)
-    return best
+        raise InstanceTooLarge(f"instance has {total} packets; the exhaustive search caps at {cap}")
+    floor = throughput(config, sequence, LongestQueueDrop())
+    frontier = _Frontier(config, floor - total)
+    run_slots(frontier, sequence)
+    return max(frontier.vectors.values(), default=floor)
 
 
 # --- flip-probability sweep ------------------------------------------------------

@@ -354,8 +354,10 @@ def _cmd_train(resolved: dict[str, str], seed: int) -> int:
     depth = _setting(resolved, "depth")
     split = _setting(resolved, "split")
     sweep_counts = _setting(resolved, "tree_sweep")
+    sweep_out = _setting(resolved, "sweep_out")
+    if sweep_counts is None and sweep_out is not None:
+        raise ConfigError("--sweep-out needs --tree-sweep")
     if sweep_counts is not None:
-        sweep_out = _setting(resolved, "sweep_out")
         if sweep_out is None:
             raise ConfigError("--sweep-out is required with --tree-sweep")
         counts = _comma_list(resolved, "tree_sweep", int, "tree count")

@@ -213,17 +213,69 @@ def test_criterion_05_eta_within_closed_form_bound():
 def test_criterion_06_threshold_follower_lower_bound():
     config = SwitchConfig(8, 32)
     cycles = 200
-    fill_tx = throughput(config, followlqd_adversary_fill(config), FollowLqd())
-    total_tx = throughput(config, followlqd_adversary(config, cycles), FollowLqd())
+    fill = followlqd_adversary_fill(config)
+    adversary = followlqd_adversary(config, cycles)
+    fill_tx = throughput(config, fill, FollowLqd())
+    total_tx = throughput(config, adversary, FollowLqd())
     cycle_tx = total_tx - fill_tx
     assert cycle_tx == 2 * cycles  # exactly two packets per cycle
     opt_cycle_total = (config.num_ports + 1) * cycles  # clairvoyant gain per cycle
+    opt_gain = (
+        brute_force_opt(config, adversary, cap=adversary.total_packets)
+        - brute_force_opt(config, fill, cap=fill.total_packets)
+    )
+    assert opt_gain == opt_cycle_total, f"exact OPT gains {opt_gain}, not {opt_cycle_total}"
     ratio = opt_cycle_total / cycle_tx
     target = 0.95 * (config.num_ports + 1) / 2
     assert ratio >= target, f"measured {ratio:.3f} < {target}"
     print(
         f"criterion 6: PASS - adversary ratio {ratio:.3f} >= {target} "
-        f"(FollowLqd {cycle_tx} over {cycles} cycles after fill correction {fill_tx})"
+        f"(FollowLqd {cycle_tx} over {cycles} cycles after fill correction {fill_tx}; exact OPT gain {opt_gain})"
+    )
+
+
+def test_criterion_11_opt_bounds_at_corpus_scale():
+    # both OPT bounds of criteria 03 and 04, with exact OPT, on the full-horizon
+    # poisson_bursts sequences among the first 108 of the corpus
+    checked = sequences = 0
+    opt_beats_lqd = []
+    for i, config, sequence in corpus():
+        if i == 108:
+            break
+        if (i // len(GRID)) % 2 == 0:
+            continue  # uniform_random, drop-free at N <= B
+        n = config.num_ports
+        opt = brute_force_opt(config, sequence, cap=sequence.total_packets)
+        lqd = run_simulation(config, sequence, LongestQueueDrop())
+        if opt > lqd.transmitted_count:
+            opt_beats_lqd.append((i, opt, lqd.transmitted_count))
+        truth = ground_truth_from_run(lqd)
+        oracles = (
+            PerfectOracle(truth),
+            ConstantOracle(POS),
+            ConstantOracle(NEG),
+            FlipOracle(PerfectOracle(truth), 1.0, i, sequence),
+            FlipOracle(PerfectOracle(truth), 0.1, i, sequence),
+        )
+        for oracle in oracles:
+            result, predictions = simulate_with_prediction_log(config, sequence, oracle)
+            tx = result.transmitted_count
+            assert opt <= n * tx, f"sequence {i}: OPT {opt} > N * {tx}"
+            report = compute_eta(config, sequence, predictions, truth)
+            if report.reduced_transmitted > 0:
+                eta = Fraction(report.lqd_transmitted, report.reduced_transmitted)
+                bound = min(LQD_COMPETITIVE_RATIO * eta, Fraction(n))
+            else:
+                bound = Fraction(n)
+            assert Fraction(opt) <= bound * tx, f"sequence {i}: OPT {opt} > {bound} * {tx}"
+            checked += 1
+        sequences += 1
+    assert sequences == 54
+    # OPT is not LQD under another name
+    assert opt_beats_lqd, "OPT equals LQD on every sequence"
+    print(
+        f"criterion 11: PASS - OPT <= N * Credence and OPT <= min(1.707*eta, N) * Credence on "
+        f"{checked} pairs over {sequences} sequences; OPT > LQD on {len(opt_beats_lqd)}: {opt_beats_lqd}"
     )
 
 

@@ -1,8 +1,11 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shbuf import (
     ArrivalSequence,
@@ -17,6 +20,7 @@ from shbuf import (
     run_simulation,
 )
 from shbuf import analysis, oracles
+from shbuf.core import run_slots
 from shbuf.analysis import (
     InstanceTooLarge,
     LQD_COMPETITIVE_RATIO,
@@ -215,6 +219,100 @@ def test_opt_refuses_large_instances():
     with pytest.raises(InstanceTooLarge):
         brute_force_opt(cfg, seq)
     assert brute_force_opt(cfg, seq, cap=22) > 0
+
+
+def _branch_and_bound_opt(config, sequence):
+    """The optimum by exhaustive branch-and-bound over drop-tail decision
+    vectors, with the bound ``transmitted + buffered + remaining arrivals``
+    and its own departure phases: the reference for ``brute_force_opt``."""
+    slots = sequence.slots
+    num_slots = len(slots)
+    n = config.num_ports
+    best = max(throughput(config, sequence, CompleteSharing()), throughput(config, sequence, LongestQueueDrop()))
+    queue = [0] * n
+
+    def search(slot_index, pos, transmitted, occupancy, remaining):
+        nonlocal best
+        if transmitted + occupancy + remaining <= best:
+            return
+        if slot_index == num_slots:
+            best = transmitted + occupancy
+            return
+        row = slots[slot_index]
+        if pos == len(row):
+            # departure phase, then fast-forward over arrival-free slots
+            saved = queue[:]
+            next_slot = slot_index
+            while True:
+                drained = 0
+                for port in range(n):
+                    if queue[port]:
+                        queue[port] -= 1
+                        drained += 1
+                transmitted += drained
+                occupancy -= drained
+                next_slot += 1
+                if next_slot == num_slots or slots[next_slot]:
+                    break
+                if occupancy == 0:
+                    while next_slot < num_slots and not slots[next_slot]:
+                        next_slot += 1
+                    break
+            search(next_slot, 0, transmitted, occupancy, remaining)
+            queue[:] = saved
+            return
+        port = row[pos]
+        if occupancy < config.buffer_size:
+            queue[port] += 1
+            search(slot_index, pos + 1, transmitted, occupancy + 1, remaining - 1)
+            queue[port] -= 1
+        search(slot_index, pos + 1, transmitted, occupancy, remaining - 1)
+
+    search(0, 0, 0, 0, sequence.total_packets)
+    return best
+
+
+@st.composite
+def opt_instances(draw):
+    # N in 2..4, B in 1..8, at most 14 packets; rows are empty, mixed, or a
+    # burst to one port, so that a queue can outlast a run of empty slots
+    num_ports = draw(st.integers(2, 4))
+    buffer_size = draw(st.integers(1, 8))
+    port = st.integers(0, num_ports - 1)
+    burst = st.builds(lambda p, k: [p] * k, port, st.integers(1, num_ports))
+    row = st.one_of(st.just([]), st.lists(port, max_size=num_ports), burst)
+    slots, budget = [], 14
+    for ports in draw(st.lists(row, max_size=12)):
+        slots.append(ports[:budget])
+        budget -= len(slots[-1])
+    return SwitchConfig(num_ports, buffer_size), ArrivalSequence(slots)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(opt_instances())
+def test_opt_equals_the_branch_and_bound_reference(instance):
+    config, sequence = instance
+    expected = _branch_and_bound_opt(config, sequence)
+    assert brute_force_opt(config, sequence) == expected
+    # the LQD floor settles most tiny instances, so also step a frontier with none
+    unpruned = analysis._Frontier(config, -sequence.total_packets)
+    run_slots(unpruned, sequence)
+    assert max(unpruned.vectors.values()) == expected
+
+
+def test_opt_floor_keeps_one_wide_slot_small():
+    # 16 packets to 16 ports in one slot fit a 16-packet buffer: LQD's floor
+    # already equals the packet count, so no accept/drop vector survives it.
+    # Without the floor all 2**16 vectors would be kept.
+    cfg = SwitchConfig(16, 16)
+    seq = ArrivalSequence([list(range(16))])
+    tracemalloc.start()
+    try:
+        assert brute_force_opt(cfg, seq) == 16
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, f"peak {peak} bytes"
 
 
 def test_opt_dominates_every_policy():

@@ -80,6 +80,16 @@ def test_opt_cap_refusal_exits_3(tmp_path, capsys):
     assert "opt_transmitted=10" in capsys.readouterr().out
 
 
+def test_train_sweep_out_without_tree_sweep_exits_2(tmp_path, trace_csv, capsys):
+    model = tmp_path / "model.json"
+    sweep = tmp_path / "trees.csv"
+    assert main([
+        "train", "--data", str(trace_csv), "--trees", "1", "--out", str(model), "--sweep-out", str(sweep),
+    ]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: --sweep-out needs --tree-sweep\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["examples.csv"]
+
+
 def test_train_evaluate_pipeline(tmp_path, trace_csv, capsys):
     model = tmp_path / "model.json"
     sweep = tmp_path / "trees.csv"
