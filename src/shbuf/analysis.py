@@ -68,8 +68,8 @@ LQD_COMPETITIVE_RATIO = Fraction(1707, 1000)
 
 
 class InstanceTooLarge(RuntimeError):
-    """The exact optimum refuses instances beyond its packet cap: its frontier
-    of queue vectors can grow exponentially with the packet count."""
+    """The exact optimum's frontier of queue vectors outgrew ``_MAX_VECTORS``;
+    it can grow exponentially with the packets that contend for the buffer."""
 
 
 def throughput(config: SwitchConfig, sequence: ArrivalSequence, policy: Policy) -> int:
@@ -200,25 +200,32 @@ def eta_upper_bound(confusion: ConfusionCounts, num_ports: int) -> float:
 # --- exact offline optimum ------------------------------------------------------
 
 
+# Live vectors a frontier may hold after an arrival: 155-225 B each at N=8-16
+# (tracemalloc), and an arrival's old and new maps hold at most three times
+# the bound. It is 6.9 times the largest frontier a test solves (19,059, at
+# N=8, B=64); 160 packets to random ports of N=16, B=32 pass it at arrival 45.
+_MAX_VECTORS = 1 << 17
+
+
 class _Frontier:
     """The drop-tail queue-length vectors a run can reach, each with the most
     packets accepted on the way to it, stepped by ``run_slots`` like a
     simulation. Unit packets and work-conserving departures make a run's
     future depend on that vector alone. A vector whose count plus the
     arrivals still to come cannot exceed a known throughput, the floor, is
-    discarded; ``least`` is the floor less the arrivals still to come.
+    discarded, and more than ``_MAX_VECTORS`` raise ``InstanceTooLarge``.
     """
 
     backlog = 0
 
-    def __init__(self, config: SwitchConfig, least: int) -> None:
+    def __init__(self, config: SwitchConfig, floor: int, total: int) -> None:
         self.config = config
-        self.least = least
+        self.floor, self.total, self.left = floor, total, total  # left: the arrivals still to come
         self.vectors = {(0,) * config.num_ports: 0}
 
     def arrive(self, port: int) -> None:
-        self.least += 1
-        least = self.least
+        self.left -= 1
+        least = self.floor - self.left
         room = self.config.buffer_size
         vectors = self.vectors
         # the drop branch of each vector, then the accept branch where there is room
@@ -228,6 +235,9 @@ class _Frontier:
                 grown = vector[:port] + (vector[port] + 1,) + vector[port + 1 :]
                 if after.get(grown, -1) <= accepted:
                     after[grown] = accepted + 1
+        if len(after) > _MAX_VECTORS:
+            arrival = f"arrival {self.total - self.left} of {self.total} packets"
+            raise InstanceTooLarge(f"{len(after)} queue vectors after {arrival}; exact OPT refuses above {_MAX_VECTORS}")
         self.vectors = after
 
     def depart_phase(self) -> None:
@@ -242,7 +252,7 @@ class _Frontier:
         self.vectors = after
 
 
-def brute_force_opt(config: SwitchConfig, sequence: ArrivalSequence, cap: int = 20) -> int:
+def brute_force_opt(config: SwitchConfig, sequence: ArrivalSequence) -> int:
     """Exact clairvoyant throughput over all accept/drop decision vectors.
 
     Only drop-tail vectors are searched: any push-out schedule transmits the
@@ -250,14 +260,11 @@ def brute_force_opt(config: SwitchConfig, sequence: ArrivalSequence, cap: int = 
     exactly the packets it would later evict. Every accepted packet is sent,
     so the optimum is the best count left in a ``_Frontier`` pruned against
     LongestQueueDrop's throughput, or that throughput when none beats it.
-    Instances above ``cap`` packets are refused.
+    Raises ``InstanceTooLarge`` when the frontier outgrows ``_MAX_VECTORS``.
     """
     sequence.validate(config)
-    total = sequence.total_packets
-    if total > cap:
-        raise InstanceTooLarge(f"instance has {total} packets; the exhaustive search caps at {cap}")
     floor = throughput(config, sequence, LongestQueueDrop())
-    frontier = _Frontier(config, floor - total)
+    frontier = _Frontier(config, floor, sequence.total_packets)
     run_slots(frontier, sequence)
     return max(frontier.vectors.values(), default=floor)
 

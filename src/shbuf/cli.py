@@ -2,12 +2,12 @@
 
 Subcommands: ``gen`` (emit a workload trace), ``simulate`` (one policy over
 one trace), ``train`` / ``evaluate`` (drop predictors), ``sweep``
-(flip-probability competitive sweep), and ``opt`` (exact offline optimum for
-tiny instances). Every command is a pure function of its flags plus the
-seed, so reruns produce byte-identical outputs. Settings may come from an
-INI-style config file (``--config``); explicit flags always win. The
-``SHBUF_SEED`` environment variable supplies the seed when neither a flag
-nor the config file does. The effective settings of each run are echoed to
+(flip-probability competitive sweep), and ``opt`` (exact offline optimum).
+Every command is a pure function of its flags plus the seed, so reruns
+produce byte-identical outputs. Settings may come from an INI-style config
+file (``--config``); explicit flags always win. The ``SHBUF_SEED``
+environment variable supplies the seed when neither a flag nor the config
+file does. The effective settings of each run are echoed to
 ``<output>.config.txt``.
 """
 
@@ -73,7 +73,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_REFUSED = 3
 
-POLICY_NAMES = ("complete_sharing", "dynamic_thresholds", "lqd", "follow_lqd", "credence")
+# every policy class by its name, in ``--policy`` choices order
+_POLICIES = {cls.name: cls for cls in (CompleteSharing, DynamicThresholds, LongestQueueDrop, FollowLqd, Credence)}
 ORACLE_NAMES = ("perfect", "flip", "forest", "constant_accept", "constant_drop")
 
 
@@ -113,7 +114,7 @@ SETTINGS = {
     "rate": Setting("workload.rate", float, help="bursts per slot for poisson_bursts and sweep"),
     "horizon": Setting("workload.horizon", int, help="slots for poisson_bursts, uniform_random and sweep"),
     "load": Setting("workload.load", float, help="per-port arrival probability for uniform_random"),
-    "policy": Setting("policy.name", default="lqd", help="buffer-sharing policy", choices=POLICY_NAMES),
+    "policy": Setting("policy.name", default="lqd", help="buffer-sharing policy", choices=tuple(_POLICIES)),
     "dt_alpha": Setting("policy.dt_alpha", default="1/2", help="rational alpha for dynamic_thresholds"),
     "oracle": Setting("oracle.kind", default="perfect", help="credence's drop predictor", choices=ORACLE_NAMES),
     "flip_p": Setting("oracle.flip_p", float, 0.0, "flip probability for --oracle flip"),
@@ -130,7 +131,6 @@ SETTINGS = {
     ),
     "seeds": Setting("sweep.seeds", int, 10, "number of workload seeds to average"),
     "chart": Setting("sweep.chart", help="optional SVG chart file", outputs=("",)),
-    "cap": Setting("opt.cap", int, 20, "refuse instances above this many packets"),
     "seed": Setting("run.seed", int, 0, "random seed, else $SHBUF_SEED"),
     "out": Setting("run.out", help="output file", outputs=("", _SIDECAR)),
 }
@@ -280,17 +280,13 @@ def _sequence_for(resolved: dict[str, str], config: SwitchConfig, seed: int) -> 
 
 def _build_policy(resolved: dict[str, str], config: SwitchConfig, sequence: ArrivalSequence, seed: int):
     name = _setting(resolved, "policy")
-    if name == "complete_sharing":
-        return CompleteSharing()
-    if name == "dynamic_thresholds":
+    if name == DynamicThresholds.name:
         alpha = _setting(resolved, "dt_alpha")
         with _as_config_error(f"bad --dt-alpha {alpha!r}: ", (ValueError, ZeroDivisionError)):
             return DynamicThresholds(Fraction(alpha))
-    if name == "lqd":
-        return LongestQueueDrop()
-    if name == "follow_lqd":
-        return FollowLqd()
-    return Credence(_build_oracle(resolved, config, sequence, seed))
+    if name == Credence.name:
+        return Credence(_build_oracle(resolved, config, sequence, seed))
+    return _POLICIES[name]()
 
 
 def _build_oracle(resolved: dict[str, str], config: SwitchConfig, sequence: ArrivalSequence, seed: int):
@@ -454,11 +450,7 @@ def _cmd_sweep(resolved: dict[str, str], seed: int) -> int:
 def _cmd_opt(resolved: dict[str, str], seed: int) -> int:
     config = _switch_config(resolved)
     sequence = _sequence_for(resolved, config, seed)
-    cap = _setting(resolved, "cap")
-    if cap < 0:
-        raise ConfigError("--cap must be >= 0")
-    optimum = brute_force_opt(config, sequence, cap=cap)
-    print(f"opt_transmitted={optimum} packets={sequence.total_packets}")
+    print(f"opt_transmitted={brute_force_opt(config, sequence)} packets={sequence.total_packets}")
     return EXIT_OK
 
 
@@ -544,7 +536,7 @@ COMMANDS = {
                         ("model", "data", "split", *_SWITCH, "eta_trace", "seed", "out"), ("model", "data")),
     "sweep": Command("flip-probability competitive sweep", _cmd_sweep,
                      (*_SWITCH, "rate", "horizon", "p_list", "seeds", "dt_alpha", "chart", "seed", "out")),
-    "opt": Command("exact offline optimum (tiny instances only)", _cmd_opt, (*_WORKLOAD, "trace", "cap", "seed")),
+    "opt": Command("exact offline optimum", _cmd_opt, (*_WORKLOAD, "trace", "seed")),
 }
 
 

@@ -28,6 +28,13 @@ def random_tiny_sequence(rng: random.Random, num_ports: int, max_packets: int = 
     return ArrivalSequence(slots)
 
 
+def contended_instance() -> tuple[SwitchConfig, ArrivalSequence]:
+    """160 packets to random ports of N=16, B=32, whose exact-OPT frontier
+    holds 160,310 queue vectors after arrival 45: too large to solve."""
+    rng = random.Random(1)
+    return SwitchConfig(16, 32), ArrivalSequence([[rng.randrange(16) for _ in range(16)] for _ in range(10)])
+
+
 # one stump over feature 0; each case breaks it in one way
 GOOD_MODEL = {
     "format_version": 1,

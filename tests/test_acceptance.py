@@ -220,10 +220,7 @@ def test_criterion_06_threshold_follower_lower_bound():
     cycle_tx = total_tx - fill_tx
     assert cycle_tx == 2 * cycles  # exactly two packets per cycle
     opt_cycle_total = (config.num_ports + 1) * cycles  # clairvoyant gain per cycle
-    opt_gain = (
-        brute_force_opt(config, adversary, cap=adversary.total_packets)
-        - brute_force_opt(config, fill, cap=fill.total_packets)
-    )
+    opt_gain = brute_force_opt(config, adversary) - brute_force_opt(config, fill)
     assert opt_gain == opt_cycle_total, f"exact OPT gains {opt_gain}, not {opt_cycle_total}"
     ratio = opt_cycle_total / cycle_tx
     target = 0.95 * (config.num_ports + 1) / 2
@@ -245,7 +242,7 @@ def test_criterion_11_opt_bounds_at_corpus_scale():
         if (i // len(GRID)) % 2 == 0:
             continue  # uniform_random, drop-free at N <= B
         n = config.num_ports
-        opt = brute_force_opt(config, sequence, cap=sequence.total_packets)
+        opt = brute_force_opt(config, sequence)
         lqd = run_simulation(config, sequence, LongestQueueDrop())
         if opt > lqd.transmitted_count:
             opt_beats_lqd.append((i, opt, lqd.transmitted_count))

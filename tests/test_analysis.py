@@ -51,7 +51,7 @@ from shbuf.workloads import (
     uniform_random,
 )
 
-from conftest import random_sequence, random_tiny_sequence
+from conftest import contended_instance, random_sequence, random_tiny_sequence
 
 POS = PredictionLabel.POSITIVE
 NEG = PredictionLabel.NEGATIVE
@@ -214,11 +214,12 @@ def test_opt_adversary_minimal_ports():
 
 
 def test_opt_refuses_large_instances():
-    cfg = SwitchConfig(2, 4)
-    seq = ArrivalSequence([[0, 1]] * 11)
-    with pytest.raises(InstanceTooLarge):
+    cfg, seq = contended_instance()
+    message = f"^160310 queue vectors after arrival 45 of 160 packets; exact OPT refuses above {1 << 17}$"
+    with pytest.raises(InstanceTooLarge, match=message):
         brute_force_opt(cfg, seq)
-    assert brute_force_opt(cfg, seq, cap=22) > 0
+    # packets alone do not make an instance large: 22 to 2 ports build no vector
+    assert brute_force_opt(SwitchConfig(2, 4), ArrivalSequence([[0, 1]] * 11)) == 22
 
 
 def _branch_and_bound_opt(config, sequence):
@@ -295,7 +296,7 @@ def test_opt_equals_the_branch_and_bound_reference(instance):
     expected = _branch_and_bound_opt(config, sequence)
     assert brute_force_opt(config, sequence) == expected
     # the LQD floor settles most tiny instances, so also step a frontier with none
-    unpruned = analysis._Frontier(config, -sequence.total_packets)
+    unpruned = analysis._Frontier(config, 0, sequence.total_packets)
     run_slots(unpruned, sequence)
     assert max(unpruned.vectors.values()) == expected
 

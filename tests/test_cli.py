@@ -3,16 +3,21 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from shbuf import SwitchConfig
 from shbuf.cli import COMMANDS, EXIT_CONFIG, EXIT_OK, EXIT_REFUSED, SETTINGS, main
+from shbuf.core import save_sequence
 from shbuf.learner import MAX_TREES, collect_trace, save_examples
 from shbuf.workloads import poisson_bursts
 
-from conftest import BAD_EXAMPLE_ROWS, BAD_MODELS
+from conftest import BAD_EXAMPLE_ROWS, BAD_MODELS, contended_instance
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -72,12 +77,45 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
-def test_opt_cap_refusal_exits_3(tmp_path, capsys):
+@pytest.fixture
+def contended_opt(tmp_path):
+    """``shbuf opt`` arguments for the contended instance, written as a trace."""
+    config, sequence = contended_instance()
+    trace = tmp_path / "contended.csv"
+    save_sequence(trace, sequence)
+    return ["opt", "--ports", str(config.num_ports), "--buffer", str(config.buffer_size), "--trace", str(trace)]
+
+
+def test_opt_cap_refusal_exits_3(contended_opt, capsys):
+    assert main(contended_opt) == EXIT_REFUSED
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("refused: ") and captured.err.count("\n") == 1
+    assert "after arrival 45 of 160 packets" in captured.err
+    # the packet count alone refuses nothing: 120 packets to 2 ports build no queue vector
     assert main(["opt", "--ports", "2", "--buffer", "4", "--workload",
-                 "uniform_random", "--load", "1.0", "--horizon", "60"]) == EXIT_REFUSED
-    assert main(["opt", "--ports", "2", "--buffer", "4", "--workload",
-                 "uniform_random", "--load", "1.0", "--horizon", "5"]) == EXIT_OK
-    assert "opt_transmitted=10" in capsys.readouterr().out
+                 "uniform_random", "--load", "1.0", "--horizon", "60"]) == EXIT_OK
+    assert capsys.readouterr().out == "opt_transmitted=120 packets=120\n"
+
+
+# run the CLI, then print this process image's peak RSS; getrusage would also
+# count the memory of the test process that forked it
+_PEAK_RSS_AFTER_MAIN = (
+    "import sys; from shbuf.cli import main; code = main(sys.argv[1:]); "
+    "print(next(line for line in open('/proc/self/status') if line.startswith('VmHWM:'))); sys.exit(code)"
+)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads the peak RSS from /proc")
+def test_a_refused_opt_stays_under_100_mb(contended_opt):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _PEAK_RSS_AFTER_MAIN, *contended_opt], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == EXIT_REFUSED and done.stderr.count("\n") == 1, done.stderr
+    name, kilobytes, unit = done.stdout.split()
+    assert (name, unit) == ("VmHWM:", "kB")
+    assert int(kilobytes) < 100 * 1024, f"peak RSS {kilobytes} kB"
 
 
 def test_train_sweep_out_without_tree_sweep_exits_2(tmp_path, trace_csv, capsys):
@@ -261,10 +299,87 @@ def test_sweep_empty_p_list_exits_2(tmp_path, capsys, chart):
     assert not out.exists()
 
 
-def test_opt_negative_cap_exits_2(capsys):
-    assert main(["opt", "--ports", "2", "--buffer", "4", "--workload", "uniform_random",
-                 "--load", "1.0", "--horizon", "5", "--cap", "-1"]) == EXIT_CONFIG
-    assert capsys.readouterr().err == "error: --cap must be >= 0\n"
+BURST = ["--ports", "4", "--buffer", "16", "--workload", "single_burst", "--burst", "4"]
+# each case: the command line ({dir} is a scratch directory), the environment,
+# the config file, and the flag or key its one-line error must name
+BAD_SETTINGS = {
+    "gen_without_out": (["gen", *BURST], {}, None, "--out"),
+    "train_without_data": (["train", "--out", "{dir}/m.json"], {}, None, "--data"),
+    "evaluate_without_model": (["evaluate", "--data", "{dir}/e.csv", "--out", "{dir}/m.csv"], {}, None, "--model"),
+    "sweep_without_rate": (["sweep", "--ports", "4", "--buffer", "8", "--horizon", "50", "--out", "{dir}/s.csv"],
+                           {}, None, "--rate"),
+    "simulate_without_ports": (["simulate", *BURST[2:]], {}, None, "--ports"),
+    "single_burst_without_burst": (["simulate", *BURST[:-2]], {}, None, "--burst"),
+    "forest_without_model": (["simulate", *BURST, "--policy", "credence", "--oracle", "forest"], {}, None, "--model"),
+    "zero_seeds": (["sweep", "--ports", "4", "--buffer", "8", "--rate", "0.05", "--horizon", "50", "--seeds", "0",
+                    "--out", "{dir}/s.csv"], {}, None, "--seeds"),
+    "seed_env_not_an_int": (["gen", *BURST, "--out", "{dir}/t.csv"], {"SHBUF_SEED": "x"}, None, "SHBUF_SEED"),
+    "load_above_one": (["gen", "--ports", "4", "--buffer", "16", "--workload", "uniform_random", "--load", "1.5",
+                        "--horizon", "10", "--out", "{dir}/t.csv"], {}, None, "load"),
+    "zero_uniform_horizon": (["gen", "--ports", "4", "--buffer", "16", "--workload", "uniform_random", "--load",
+                              "0.5", "--horizon", "0", "--out", "{dir}/t.csv"], {}, None, "horizon"),
+    "zero_burst_horizon": (["gen", "--ports", "4", "--buffer", "16", "--workload", "poisson_bursts", "--rate",
+                            "0.05", "--horizon", "0", "--out", "{dir}/t.csv"], {}, None, "horizon"),
+    "zero_short_burst": (["gen", "--ports", "8", "--buffer", "16", "--workload", "multi_burst_then_shorts",
+                          "--short-burst", "0", "--out", "{dir}/t.csv"], {}, None, "short_burst"),
+    "ports_not_an_int": (["simulate", *BURST[2:]], {}, "[switch]\nports = four\n", "ports"),
+    "unknown_policy": (["simulate", *BURST], {}, "[policy]\nname = nope\n", "policy"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_SETTINGS)
+def test_a_missing_or_bad_setting_exits_2_naming_it(tmp_path, capsys, monkeypatch, case):
+    argv, env, ini, named = BAD_SETTINGS[case]
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    if ini is not None:
+        (tmp_path / "bad.ini").write_text(ini)
+        argv = ["--config", str(tmp_path / "bad.ini"), *argv]
+    assert main([arg.format(dir=tmp_path) for arg in argv]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert named in captured.err
+    assert [path.name for path in tmp_path.iterdir()] == ([] if ini is None else ["bad.ini"])
+
+
+EXAMPLES = "q,q_ewma,Q,Q_ewma,label\n" + "1,0.5,3,1.5,0\n2,1.0,4,2.0,1\n" * 4
+
+
+# each case: the examples file, the model file (None to train instead of
+# evaluate), and the error after the name of the bad file
+BAD_FILES = {
+    "wrong_header": (EXAMPLES.replace("q_ewma", "qewma", 1), None, ": expected header"),
+    "four_fields": (EXAMPLES + "1,0.5,3,1.5\n", None, ":10: expected 5 fields, got 4"),
+    "model_is_an_array": (EXAMPLES, "[]", ": a model file holds one JSON object"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_FILES)
+def test_a_bad_examples_or_model_file_exits_2_naming_it(tmp_path, capsys, case):
+    examples, model, error = BAD_FILES[case]
+    data = tmp_path / "examples.csv"
+    data.write_text(examples)
+    if model is None:
+        bad = data
+        argv = ["train", "--data", str(data), "--out", str(tmp_path / "m.json")]
+    else:
+        bad = tmp_path / "m.json"
+        bad.write_text(model)
+        argv = ["evaluate", "--model", str(bad), "--data", str(data), "--out", str(tmp_path / "e.csv")]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{bad}{error}" in err
+
+
+def test_an_examples_file_with_blank_lines_trains_the_same_model(tmp_path, capsys):
+    plain, spaced = tmp_path / "plain.csv", tmp_path / "spaced.csv"
+    plain.write_text(EXAMPLES)
+    spaced.write_text(EXAMPLES.replace("\n", "\n\n").replace(",0\n", ",0\n  \n"))
+    for data in (plain, spaced):
+        assert main(["train", "--data", str(data), "--trees", "2", "--out", f"{data}.json"]) == EXIT_OK
+    assert Path(f"{plain}.json").read_bytes() == Path(f"{spaced}.json").read_bytes()
 
 
 # INI key of every flag, copied from the per-command settings the CLI documents;
@@ -295,7 +410,6 @@ INI_KEYS = {
     "--p-list": "sweep.p_list",
     "--seeds": "sweep.seeds",
     "--chart": "sweep.chart",
-    "--cap": "opt.cap",
     "--seed": "run.seed",
     "--out": "run.out",
 }
@@ -522,7 +636,7 @@ def test_a_hard_linked_output_is_written_in_place(tmp_path, capsys):
 
 
 def test_readme_flag_table_lists_every_setting():
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text()
     start = readme.index("| flag | INI key |")
     table, exception = readme[start:].split("\n\n")[:2]
     cells = [cell.strip(" `") for line in table.splitlines()[2:] for cell in line.strip("|").split("|")]
