@@ -210,8 +210,9 @@ _MAX_VECTORS = 1 << 17
 class _Frontier:
     """The drop-tail queue-length vectors a run can reach, each with the most
     packets accepted on the way to it, stepped by ``run_slots`` like a
-    simulation. Unit packets and work-conserving departures make a run's
-    future depend on that vector alone. A vector whose count plus the
+    simulation: ``arrive`` branches every vector, and ``drain(k)`` runs ``k``
+    departure phases on each. Unit packets and work-conserving departures
+    make a run's future depend on that vector alone. A vector whose count plus the
     arrivals still to come cannot exceed a known throughput, the floor, is
     discarded, and more than ``_MAX_VECTORS`` raise ``InstanceTooLarge``.
     """
@@ -239,9 +240,6 @@ class _Frontier:
             arrival = f"arrival {self.total - self.left} of {self.total} packets"
             raise InstanceTooLarge(f"{len(after)} queue vectors after {arrival}; exact OPT refuses above {_MAX_VECTORS}")
         self.vectors = after
-
-    def depart_phase(self) -> None:
-        self.drain(1)
 
     def drain(self, slots: int) -> None:
         after: dict[tuple[int, ...], int] = {}
@@ -370,11 +368,13 @@ class _Lockstep:
     ``run_slots`` drives it like a single simulation. Each event goes to all
     three; after it, both policies' thresholds are compared with the LQD
     queue lengths, and the first mismatch ends the run by raising
-    ``_Diverged``. A departure phase visits, in ascending order, each port
-    where any of the three has a queued packet or a nonzero threshold, and
-    counts the slot even when all three are idle and it visits none. A
-    ``drain`` of many slots is that many departure phases, so a mismatch is
-    still named by its slot and port.
+    ``_Diverged``. It departs port by port, through ``depart_port`` and each
+    policy's ``on_departure``, not through the bulk ``Simulation.drain``, so
+    it checks the mirror independently of the route runs take. A ``drain``
+    of ``k`` slots is ``k`` departure phases, each visiting, in ascending
+    order, every port where any of the three has a queued packet or a
+    nonzero threshold, so a mismatch is named by its slot and port. Once all
+    three are idle, the slots left are counted without being visited.
     """
 
     def __init__(self, config: SwitchConfig, oracle: Oracle) -> None:
@@ -405,26 +405,25 @@ class _Lockstep:
         if self._follow != self._lqd or self._credence != self._lqd:
             self._diverged("arrival", len(self.lqd_sim.verdicts) - 1)
 
-    def depart_phase(self) -> None:
-        follow, credence, lqd = self._sims
-        if not (follow.idle and credence.idle and lqd.idle):
-            follow_q, follow_t, credence_q, credence_t, lqd_q, lqd_t = self._work
-            for port in self._ports:
-                if (
-                    follow_q[port] or follow_t[port] or credence_q[port] or credence_t[port]
-                    or lqd_q[port] or lqd_t[port]
-                ):
-                    follow.depart_port(port)
-                    credence.depart_port(port)
-                    lqd.depart_port(port)
-                    if self._follow != self._lqd or self._credence != self._lqd:
-                        self._diverged("departure", port)
-        self.slot += 1
-
     def drain(self, slots: int) -> None:
-        depart_phase = self.depart_phase
-        for _ in range(slots):
-            depart_phase()
+        follow, credence, lqd = self._sims
+        end = self.slot + slots
+        while self.slot < end and not (follow.idle and credence.idle and lqd.idle):
+            self._depart_phase()
+            self.slot += 1
+        self.slot = end
+
+    def _depart_phase(self) -> None:
+        """One departure phase of slot ``self.slot``, compared port by port."""
+        follow, credence, lqd = self._sims
+        follow_q, follow_t, credence_q, credence_t, lqd_q, lqd_t = self._work
+        for port in self._ports:
+            if follow_q[port] or follow_t[port] or credence_q[port] or credence_t[port] or lqd_q[port] or lqd_t[port]:
+                follow.depart_port(port)
+                credence.depart_port(port)
+                lqd.depart_port(port)
+                if self._follow != self._lqd or self._credence != self._lqd:
+                    self._diverged("departure", port)
 
     def _diverged(self, event: str, detail: int) -> None:
         policy = next(p for p in self.policies if p.thresholds.thresholds != self._lqd)

@@ -264,15 +264,26 @@ def _workload_spec(resolved: dict[str, str], seed: int) -> WorkloadSpec:
     return WorkloadSpec(kind, params)
 
 
+def _generate(config: SwitchConfig, spec: WorkloadSpec) -> ArrivalSequence:
+    """The sequence ``spec`` describes; a generator's error that starts with
+    one of its parameter names is reported under that parameter's flag."""
+    try:
+        return generate(config, spec)
+    except ValueError as exc:
+        message = str(exc)
+        name = message.split(" ", 1)[0]
+        if name in dict(WORKLOADS[spec.kind].params):
+            message = _flag(name) + message[len(name):]
+        raise ConfigError(message) from None
+
+
 def _sequence_for(resolved: dict[str, str], config: SwitchConfig, seed: int) -> ArrivalSequence:
     trace = _setting(resolved, "trace")
     if trace is not None:
         with _as_config_error("cannot load trace: ", (OSError, ValueError)):
             sequence = load_sequence(trace)
     else:
-        spec = _workload_spec(resolved, seed)
-        with _as_config_error():
-            sequence = generate(config, spec)
+        sequence = _generate(config, _workload_spec(resolved, seed))
     with _as_config_error():
         sequence.validate(config)
     return sequence
@@ -319,8 +330,7 @@ def _cmd_gen(resolved: dict[str, str], seed: int) -> int:
     out = _setting(resolved, "out")
     if out is None:
         raise ConfigError("--out is required")
-    with _as_config_error():
-        sequence = generate(config, spec)
+    sequence = _generate(config, spec)
     save_sequence(out, sequence, comment=spec_comment(config, spec))
     print(f"packets={sequence.total_packets} slots={sequence.num_slots} out={out}")
     return EXIT_OK

@@ -3,30 +3,29 @@
 Time advances in unit slots. Each slot has an arrival phase, in which up to
 ``num_ports`` unit-size packets arrive and the active policy accepts or
 rejects each one in order, followed by a departure phase, in which every
-non-empty queue transmits exactly one packet (ports processed in ascending
-index order). After the last slot of the arrival sequence the simulator keeps
-running departure-only slots until the buffer is empty, so every accepted
-packet is eventually transmitted and throughput comparisons are exact.
+non-empty queue transmits exactly one packet. After the last slot of the
+arrival sequence the simulator keeps running departure-only slots until the
+buffer is empty, so every accepted packet is eventually transmitted and
+throughput comparisons are exact.
 
 ``run_slots`` is the one loop that schedules these events; every run in the
 library goes through it. A packet's identity is its arrival index (0, 1, 2,
 ... in arrival order), and a run's record is one ``Verdict`` per arrival.
 
-The departure phase does only work that can change state. It visits a port
-only when the port has a queued packet or its policy's mirrored threshold
-(``Policy.thresholds``) is nonzero, and a slot whose buffer is empty and
-whose thresholds are all 0 is skipped in O(1). A run of arrival-free slots,
-and the departure-only slots after the last arrival, are applied in one
-``Simulation.drain`` step: each queue sends ``min(length, slots)`` packets
-and each mirrored threshold falls by ``min(threshold, slots)``, in O(N +
-packets sent). Either shortcut gives the same state as visiting every port
-in every slot.
+Every departure phase of a run is applied by ``Simulation.drain``: ``k``
+phases in one step, in which each queue sends ``min(length, k)`` packets and
+each mirrored threshold (``Policy.thresholds``) falls by ``min(threshold,
+k)``, in O(N + packets sent). A policy's drain state is its declared mirror,
+so a run never calls ``on_departure``; ``Simulation.depart_port`` is the
+per-port route, one port's share of one phase, that tests and the lockstep
+divergence check compare the bulk route against.
 
-A run visits only the slots with arrivals. ``run_slots`` steps from one
-such slot to the next, and an ``ArrivalSequence`` summarises its rows once,
-on first use, so validating a sequence and counting its packets do not
-rescan its slots; a run costs O(arrivals + slots with arrivals) on top of
-the drains.
+A run visits only the slots with arrivals. ``run_slots`` calls one ``drain``
+before each of them, covering the previous slot's departure phase and the
+arrival-free slots after it, and one after the last; an ``ArrivalSequence``
+summarises its rows once, on first use, so validating a sequence and
+counting its packets do not rescan its slots. A run costs O(arrivals + slots
+with arrivals) on top of the drains.
 """
 
 from __future__ import annotations
@@ -205,12 +204,12 @@ class Simulation:
     Queues hold arrival indices; ``verdicts[i]`` is the fate of arrival ``i``.
     An accepted packet reads ``TRANSMITTED`` unless a push-out overwrites it.
     ``mirror`` is the policy's ``thresholds``, read after ``policy.reset``
-    (all zeros for None); ``depart_phase`` and ``drain`` drain it.
+    (all zeros for None); ``drain`` drains it.
     """
 
     __slots__ = (
         "config", "policy", "state", "transmitted", "dropped", "verdicts", "peak_occupancy",
-        "mirror", "_buffer", "_ports",
+        "mirror", "_buffer",
     )
 
     def __init__(self, config: SwitchConfig, policy: "Policy") -> None:
@@ -226,7 +225,6 @@ class Simulation:
         mirror = policy.thresholds
         self.mirror = _NoThresholds(config.num_ports) if mirror is None else mirror
         self._buffer = config.buffer_size
-        self._ports = range(config.num_ports)
 
     @property
     def backlog(self) -> int:
@@ -267,46 +265,31 @@ class Simulation:
             self.peak_occupancy = occupancy
 
     def depart_port(self, port: int) -> None:
-        """One port's share of the departure phase: drain one packet, then notify the policy."""
+        """One port's share of one departure phase, step by step: drain one
+        packet, then notify the policy. Runs use ``drain``; this is the
+        per-port route it is checked against."""
         state = self.state
         if state.queue_len[port]:
             state.pop_head(port)
             self.transmitted += 1
         self.policy.on_departure(port, state)
 
-    def depart_phase(self) -> None:
-        """One slot's departure phase: ``depart_port`` for each port, in
-        ascending order, whose queue or mirrored threshold is nonzero."""
-        state = self.state
-        mirror = self.mirror
-        # ``idle``, inlined: this runs once per slot
-        if not state.occupancy and not mirror.total:
-            return
-        depart_port = self.depart_port
-        queue_len = state.queue_len
-        thresholds = mirror.thresholds
-        for port in self._ports:
-            if queue_len[port] or thresholds[port]:
-                depart_port(port)
-
     def drain(self, slots: int) -> None:
-        """``slots`` arrival-free departure phases in one step.
+        """``slots`` departure phases in one step, the first right after the
+        arrivals of the slot before, if any, and the rest arrival-free.
 
         Each queue sends ``min(length, slots)`` packets from its head and the
         mirror lowers each threshold by ``min(threshold, slots)``, in O(N +
-        packets sent), without calling ``on_departure``.
+        packets sent), without calling ``on_departure``. It is ``depart_port``
+        at every port, ``slots`` times over.
         """
         state = self.state
-        mirror = self.mirror
-        if not state.occupancy and not mirror.total:
-            return
         if state.occupancy:
             queue_len = state.queue_len
             queues = state.queues
             sent = 0
-            for port, length in enumerate(queue_len):
-                if not length:
-                    continue
+            for port in compress(count(), queue_len):  # the ports with a queued packet
+                length = queue_len[port]
                 queue = queues[port]
                 if length <= slots:
                     queue.clear()
@@ -320,36 +303,34 @@ class Simulation:
                     sent += slots
             state.occupancy -= sent
             self.transmitted += sent
-        if mirror.total:
-            mirror.drain(slots)
+        if self.mirror.total:
+            self.mirror.drain(slots)
 
 
 def run_slots(sim, sequence: ArrivalSequence) -> None:
     """Feed every event of ``sequence`` to ``sim``, slot by slot.
 
     The only loop that schedules events. It visits only the slots with
-    arrivals: each runs its arrivals in row order, then one departure phase.
-    The run of arrival-free slots before each of them is applied in one
-    ``sim.drain`` call; after the last one, a final ``sim.drain`` runs the
-    trailing arrival-free slots or the ``sim.backlog`` departure-only slots
-    that empty the buffer, whichever is more. ``sim`` is a ``Simulation`` or
-    any object with the same ``config``, ``arrive``, ``depart_phase``,
+    arrivals and runs each one's arrivals in row order. Before each, one
+    ``sim.drain`` runs the departure phases not yet run: the previous
+    visited slot's and those of the arrival-free slots after it, or the
+    leading arrival-free slots. After the last, a final ``sim.drain`` runs
+    its phase and the trailing arrival-free slots, or the ``sim.backlog``
+    phases that empty the buffer, whichever is more. ``sim`` is a
+    ``Simulation`` or any object with the same ``config``, ``arrive``,
     ``drain`` and ``backlog``. The sequence is validated first.
     """
     sequence.validate(sim.config)
     slots = sequence.slots
     arrive = sim.arrive
-    depart_phase = sim.depart_phase
     drain = sim.drain
-    last = -1  # the last slot visited
+    done = 0  # the slots whose departure phase has run
     for slot_index in compress(count(), slots):
-        if slot_index - last > 1:
-            drain(slot_index - last - 1)
+        drain(slot_index - done)
         for port in slots[slot_index]:
             arrive(port)
-        depart_phase()
-        last = slot_index
-    drain(max(len(slots) - 1 - last, sim.backlog))
+        done = slot_index
+    drain(max(len(slots) - done, sim.backlog))
 
 
 def run_simulation(config: SwitchConfig, sequence: ArrivalSequence, policy: "Policy") -> RunResult:
@@ -429,7 +410,7 @@ def _open_output(path):
             os.unlink(path)
     except OSError:  # no file there yet, or one that cannot be unlinked: open in place
         pass
-    return open(path, "w")
+    return open(path, "w", encoding="utf-8")
 
 
 def _write_lines(path, lines) -> None:

@@ -558,9 +558,10 @@ def save_forest(model: ForestModel, path) -> None:
 
 def load_forest(path) -> ForestModel:
     """Read a model file; raise ValueError naming ``path`` for anything that is not a valid model."""
+    with _utf8_errors_name(path), open(path, encoding="utf-8") as fh:
+        text = fh.read()
     try:
-        with open(path) as fh:
-            payload = json.load(fh)
+        payload = json.loads(text)
         if not isinstance(payload, dict):
             raise ValueError("a model file holds one JSON object")
         version = payload.get("format_version")

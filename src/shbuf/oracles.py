@@ -114,7 +114,7 @@ class FeatureSampler:
     def __init__(self, policy: "Policy") -> None:
         self.policy = policy
         self.name = policy.name
-        # bound once: a forwarding method would add a call to every departure
+        # the wrapped policy's, for the per-port departure route (``Simulation.depart_port``)
         self.on_departure = policy.on_departure
 
     def reset(self, config: "SwitchConfig") -> None:

@@ -64,10 +64,8 @@ class Policy(Protocol):
 
     ``thresholds`` declares the policy's drain state: the ``ThresholdState``
     its ``on_departure`` drains, or None when ``on_departure`` changes
-    nothing. The departure phase reads it to skip the ports and slots where
-    no drain work can happen, and a run of arrival-free slots drains a
-    declared mirror many slots at once (``ThresholdState.drain``) without
-    calling ``on_departure``.
+    nothing. A run's departure phases never call ``on_departure``: they
+    drain the declared mirror many slots at once (``ThresholdState.drain``).
     """
 
     name: str
@@ -80,15 +78,13 @@ class Policy(Protocol):
         """Decide the fate of arrival ``index``, bound for ``port``."""
 
     def on_departure(self, port: int, state: SwitchState) -> None:
-        """Observe the departure phase visiting ``port`` (after its drain).
+        """Observe one port's share of a departure phase (after its drain).
 
-        Called only for a port whose queue or declared threshold is nonzero,
-        in ascending port order; a port with neither, and a slot whose
-        buffer is empty and whose thresholds are all 0, are not visited.
-        ``on_departure`` must change nothing at such a port, so skipping it
-        changes no output. It may change nothing but the declared mirror,
-        because arrival-free slots drain that mirror many slots at once
-        without calling ``on_departure`` at all.
+        The per-port route of ``Simulation.depart_port``, which tests and
+        the lockstep divergence check step; runs drain the declared mirror
+        instead. It may change nothing but the declared mirror, and only as
+        one slot of ``ThresholdState.drain`` changes it at ``port``, so that
+        both routes reach the same state.
         """
 
 

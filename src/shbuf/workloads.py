@@ -49,12 +49,12 @@ __all__ = [
 ]
 
 
-def single_burst(config: SwitchConfig, burst_size: int) -> ArrivalSequence:
-    """One burst of ``burst_size`` packets to port 0, arriving as fast as the model allows."""
-    if burst_size < 1:
-        raise ValueError(f"burst_size must be >= 1, got {burst_size}")
+def single_burst(config: SwitchConfig, burst: int) -> ArrivalSequence:
+    """One burst of ``burst`` packets to port 0, arriving as fast as the model allows."""
+    if burst < 1:
+        raise ValueError(f"burst must be >= 1, got {burst}")
     slots = []
-    remaining = burst_size
+    remaining = burst
     while remaining:
         take = min(config.num_ports, remaining)
         slots.append([0] * take)
@@ -62,9 +62,7 @@ def single_burst(config: SwitchConfig, burst_size: int) -> ArrivalSequence:
     return ArrivalSequence(slots)
 
 
-def multi_burst_then_shorts(
-    config: SwitchConfig, short_burst_size: Optional[int] = None
-) -> ArrivalSequence:
+def multi_burst_then_shorts(config: SwitchConfig, short_burst: Optional[int] = None) -> ArrivalSequence:
     """Four simultaneous buffer-sized bursts to ports 0-3, then short bursts everywhere else.
 
     The four large bursts interleave at the per-slot cap so the buffer fills
@@ -75,10 +73,10 @@ def multi_burst_then_shorts(
     n = config.num_ports
     if n < 5:
         raise ValueError(f"multi_burst_then_shorts needs at least 5 ports, got {n}")
-    if short_burst_size is None:
-        short_burst_size = max(1, config.buffer_size // 8)
-    if short_burst_size < 1:
-        raise ValueError(f"short_burst_size must be >= 1, got {short_burst_size}")
+    if short_burst is None:
+        short_burst = max(1, config.buffer_size // 8)
+    if short_burst < 1:
+        raise ValueError(f"short_burst must be >= 1, got {short_burst}")
 
     slots: list[list[int]] = []
     remaining = {port: config.buffer_size for port in range(4)}
@@ -92,7 +90,7 @@ def multi_burst_then_shorts(
                     if len(row) == n:
                         break
         slots.append(row)
-    for _ in range(short_burst_size):
+    for _ in range(short_burst):
         slots.append(list(range(4, n)))
     return ArrivalSequence(slots)
 

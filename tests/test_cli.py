@@ -274,18 +274,30 @@ def test_bad_example_features_exit_2(tmp_path, capsys, case):
     assert "examples.csv:6: " in err and err.count("\n") == 1
 
 
+# the flags each command line below needs besides the bad file and --out
+NOT_UTF8_OTHER_FLAGS = {
+    ("simulate", "--trace"): ["--ports", "4", "--buffer", "16"],
+    ("train", "--data"): [],
+    ("simulate", "--model"): ["--ports", "4", "--buffer", "16", "--workload", "single_burst", "--burst", "4",
+                              "--policy", "credence", "--oracle", "forest"],
+    ("evaluate", "--model"): ["--data", "{bad}"],
+}
+
+
 @pytest.mark.parametrize("command, flag, message", [
     ("simulate", "--trace", "cannot load trace"),
     ("train", "--data", "cannot load training data"),
+    ("simulate", "--model", "cannot load model"),
+    ("evaluate", "--model", ""),
 ])
 def test_a_file_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys, command, flag, message):
     bad = tmp_path / "bad.csv"
     bad.write_bytes(b"slot,port\n0,\xff\n")
-    argv = [command, flag, str(bad), "--out", str(tmp_path / "out")]
-    if command == "simulate":
-        argv += ["--ports", "4", "--buffer", "16"]
+    other = [arg.format(bad=bad) for arg in NOT_UTF8_OTHER_FLAGS[command, flag]]
+    argv = [command, flag, str(bad), "--out", str(tmp_path / "out"), *other]
     assert main(argv) == EXIT_CONFIG
-    assert capsys.readouterr().err == f"error: {message}: {bad}: not UTF-8 text (invalid start byte)\n"
+    head = f"{message}: " if message else ""
+    assert capsys.readouterr().err == f"error: {head}{bad}: not UTF-8 text (invalid start byte)\n"
 
 
 @pytest.mark.parametrize("chart", [False, True])
@@ -315,13 +327,14 @@ BAD_SETTINGS = {
                     "--out", "{dir}/s.csv"], {}, None, "--seeds"),
     "seed_env_not_an_int": (["gen", *BURST, "--out", "{dir}/t.csv"], {"SHBUF_SEED": "x"}, None, "SHBUF_SEED"),
     "load_above_one": (["gen", "--ports", "4", "--buffer", "16", "--workload", "uniform_random", "--load", "1.5",
-                        "--horizon", "10", "--out", "{dir}/t.csv"], {}, None, "load"),
+                        "--horizon", "10", "--out", "{dir}/t.csv"], {}, None, "--load must be in [0, 1], got 1.5"),
     "zero_uniform_horizon": (["gen", "--ports", "4", "--buffer", "16", "--workload", "uniform_random", "--load",
                               "0.5", "--horizon", "0", "--out", "{dir}/t.csv"], {}, None, "horizon"),
     "zero_burst_horizon": (["gen", "--ports", "4", "--buffer", "16", "--workload", "poisson_bursts", "--rate",
                             "0.05", "--horizon", "0", "--out", "{dir}/t.csv"], {}, None, "horizon"),
     "zero_short_burst": (["gen", "--ports", "8", "--buffer", "16", "--workload", "multi_burst_then_shorts",
-                          "--short-burst", "0", "--out", "{dir}/t.csv"], {}, None, "short_burst"),
+                          "--short-burst", "0", "--out", "{dir}/t.csv"], {}, None, "--short-burst must be >= 1, got 0"),
+    "zero_burst": (["gen", *BURST[:-1], "0", "--out", "{dir}/t.csv"], {}, None, "--burst must be >= 1, got 0"),
     "ports_not_an_int": (["simulate", *BURST[2:]], {}, "[switch]\nports = four\n", "ports"),
     "unknown_policy": (["simulate", *BURST], {}, "[policy]\nname = nope\n", "policy"),
 }

@@ -2,6 +2,8 @@ import copy
 import dataclasses
 import os
 import random
+import subprocess
+import sys
 from unittest import mock
 
 import pytest
@@ -32,10 +34,10 @@ from shbuf.analysis import (
     throughput,
 )
 from shbuf.core import PolicyError, Simulation
-from shbuf.learner import collect_trace, load_examples
+from shbuf.learner import collect_trace, load_examples, load_forest
 from shbuf.oracles import ConstantOracle, FeatureSampler, FlipOracle, PredictionLabel, ground_truth_from_run
 from shbuf.policies import Decision
-from shbuf.workloads import poisson_bursts, single_burst
+from shbuf.workloads import single_burst
 
 from conftest import random_sequence
 
@@ -220,10 +222,10 @@ def test_occupancy_bound_after_every_event(small_config):
                 sim.arrive(port)
                 assert 0 <= sim.state.occupancy <= small_config.buffer_size
                 assert sim.state.occupancy == sum(sim.state.queue_len)
-            sim.depart_phase()
+            sim.drain(1)
             assert sim.state.occupancy == sum(sim.state.queue_len)
         while sim.state.occupancy:
-            sim.depart_phase()
+            sim.drain(1)
 
 
 def test_conservation_and_outcome_totality(small_config):
@@ -254,7 +256,7 @@ def test_work_conservation(small_config):
             sim.arrive(port)
         nonempty = sum(1 for q in sim.state.queue_len if q)
         before = sim.transmitted
-        sim.depart_phase()
+        sim.drain(1)
         assert sim.transmitted - before == nonempty
 
 
@@ -456,7 +458,7 @@ def test_save_sequence_writes_what_the_line_writer_writes(tmp_path, rows, commen
     assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
-@pytest.mark.parametrize("load", [load_sequence, load_examples])
+@pytest.mark.parametrize("load", [load_sequence, load_examples, load_forest])
 def test_a_file_that_is_not_utf8_is_an_error_naming_it(tmp_path, load):
     path = tmp_path / "bad.csv"
     path.write_bytes(b"slot,port\n0,\xff\n")
@@ -464,6 +466,27 @@ def test_a_file_that_is_not_utf8_is_an_error_naming_it(tmp_path, load):
         load(path)
     assert type(caught.value) is ValueError
     assert str(caught.value) == f"{path}: not UTF-8 text (invalid start byte)"
+
+
+# write a trace with a comment that is not ASCII, read it back, and print the locale's encoding
+_TRACE_ROUND_TRIP = (
+    "import locale, sys; from shbuf import ArrivalSequence, load_sequence, save_sequence; "
+    "save_sequence(sys.argv[1], ArrivalSequence([[0]]), comment='caf\\u00e9 run'); "
+    "print(locale.getpreferredencoding(False), load_sequence(sys.argv[1]).slots)"
+)
+
+
+def test_files_are_written_as_utf8_whatever_the_locale(tmp_path):
+    path = tmp_path / "trace.csv"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(core.__file__)))
+    # the C locale, with neither UTF-8 mode nor locale coercion to stand in for it
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}
+    done = subprocess.run([sys.executable, "-c", _TRACE_ROUND_TRIP, str(path)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    encoding, slots = done.stdout.split(" ", 1)
+    assert encoding.lower().replace("-", "") != "utf8" and slots == "[[0]]\n"
+    assert path.read_bytes() == "# café run\nslot,port\n0,0\n".encode("utf-8")
 
 
 def _reference_save_outcomes(path, result) -> None:
@@ -613,11 +636,13 @@ def test_every_run_records_one_verdict_per_arrival(instance):
 
 
 class _Spy:
-    """Forwarding wrapper: forwards every call, and the wrapped policy's ``thresholds``."""
+    """Forwarding wrapper: forwards every call, and the wrapped policy's
+    ``thresholds``, and records in ``departures`` each port ``on_departure`` sees."""
 
     def __init__(self, policy):
         self.policy = policy
         self.name = policy.name
+        self.departures = []
 
     @property
     def thresholds(self):
@@ -630,21 +655,25 @@ class _Spy:
         return self.policy.on_arrival(port, index, state)
 
     def on_departure(self, port, state):
+        self.departures.append(port)
         self.policy.on_departure(port, state)
+
+
+def _depart_every_port(sim):
+    """One departure phase by the per-port route: ``depart_port`` at every port."""
+    for port in range(sim.config.num_ports):
+        sim.depart_port(port)
 
 
 def _visit_every_port(config, sequence, policy):
     """Reference schedule: ``depart_port`` for every port in every slot."""
     sim = Simulation(config, policy)
-    ports = range(config.num_ports)
     for row in sequence.slots:
         for port in row:
             sim.arrive(port)
-        for port in ports:
-            sim.depart_port(port)
+        _depart_every_port(sim)
     while sim.state.occupancy:
-        for port in ports:
-            sim.depart_port(port)
+        _depart_every_port(sim)
     return sim
 
 
@@ -693,6 +722,10 @@ def test_skipping_idle_ports_and_slots_changes_no_output(instance):
         assert result.dropped_count == reference.dropped, name
         assert result.peak_occupancy == reference.peak_occupancy, name
         assert _final_thresholds(policy) == _final_thresholds(reference_policy), name
+        if isinstance(policy, _Spy):
+            # a run departs only through ``drain``; the per-port reference visits every port in every slot
+            assert policy.departures == [], name
+            assert len(reference_policy.departures) >= config.num_ports * sequence.num_slots, name
 
 
 def test_the_last_drain_runs_until_the_buffer_is_empty_and_no_further():
@@ -758,43 +791,8 @@ def test_drain_equals_that_many_departure_phases(instance):
             for row in prefix.slots:
                 for port in row:
                     sim.arrive(port)
-                sim.depart_phase()
+                _depart_every_port(sim)
         bulk.drain(slots)
         for _ in range(slots):
-            stepped.depart_phase()
+            _depart_every_port(stepped)
         assert _drain_state(bulk) == _drain_state(stepped), name
-
-
-class _DepartureRecorder(_Spy):
-    """A spy that records each port ``on_departure`` sees."""
-
-    def __init__(self, policy):
-        super().__init__(policy)
-        self.visits = []
-
-    def on_departure(self, port, state):
-        self.visits.append(port)
-        super().on_departure(port, state)
-
-
-def test_departure_phase_visits_exactly_the_ports_with_drain_work():
-    # on_departure is never called for a port whose queue and threshold are
-    # both 0, and is called, in ascending order, for every other port
-    config = SwitchConfig(6, 12)
-    slots = poisson_bursts(config, 1 / 8, 200, 3).slots
-    for policy in (FollowLqd(), Credence(ConstantOracle(PredictionLabel.NEGATIVE))):
-        recorder = _DepartureRecorder(policy)
-        sim = Simulation(config, recorder)
-        drained_only_thresholds = idle_slots = 0
-        for row in slots:
-            for port in row:
-                sim.arrive(port)
-            queued = list(sim.state.queue_len)
-            thresholds = list(policy.thresholds.thresholds)
-            recorder.visits.clear()
-            sim.depart_phase()
-            assert recorder.visits == [p for p in range(6) if queued[p] or thresholds[p]]
-            drained_only_thresholds += sum(1 for p in recorder.visits if not queued[p])
-            idle_slots += not recorder.visits
-        # the sequence reaches both cases the phase skips or must not skip
-        assert drained_only_thresholds and idle_slots

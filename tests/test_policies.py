@@ -192,7 +192,7 @@ def test_follow_lqd_adversary_step_drops_behind_threshold():
     for row in fill.slots:
         for port in row:
             sim.arrive(port)
-        sim.depart_phase()
+        sim.drain(1)
     assert sim.state.queue_len[0] == cfg.buffer_size - 1
     accepted_before = sim.state.occupancy + sim.transmitted
     for port in range(4):
