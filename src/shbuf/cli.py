@@ -399,8 +399,9 @@ def _cmd_evaluate(resolved: dict[str, str], seed: int) -> int:
     if model_path is None or data is None or out is None:
         raise ConfigError("--model, --data and --out are required")
     split = _setting(resolved, "split")
-    with _as_config_error(errors=(OSError, ValueError)):
+    with _as_config_error("cannot load model: ", (OSError, ValueError)):
         model = load_forest(model_path)
+    with _as_config_error(errors=(OSError, ValueError)):
         examples = load_examples(data)
         metrics = evaluate(model, examples, split=split, seed=seed)
 

@@ -174,26 +174,48 @@ class ThresholdState:
     unit from the largest entry when the vector already sums to the buffer
     size. ``on_departure`` mirrors the per-port drain. The mirrored
     instance's accept decisions never matter here, only its lengths.
+
+    The largest threshold is kept on hand, so a steal is one C-level scan to
+    the first largest entry (plus one membership scan when the steal may
+    have removed the last of them), and a ``drain`` that outlasts every
+    threshold is a zero-fill.
     """
 
-    __slots__ = ("thresholds", "total", "_buffer")
+    __slots__ = ("thresholds", "total", "_buffer", "_largest")
 
     def __init__(self, num_ports: int, buffer_size: int) -> None:
         self.thresholds: list[int] = [0] * num_ports
         self.total = 0
         self._buffer = buffer_size
+        # never below the largest threshold; equal to it after on_arrival and
+        # drain, which are the only mirror operations a run makes
+        self._largest = 0
 
     def on_arrival(self, port: int) -> None:
         thresholds = self.thresholds
         if self.total == self._buffer:
-            largest = thresholds.index(max(thresholds))
+            largest = self._largest
+            try:
+                victim = thresholds.index(largest)
+            except ValueError:
+                # on_departure lowered the largest threshold below the bound
+                largest = self._largest = max(thresholds)
+                victim = thresholds.index(largest)
             # no-op when the arriving port already holds the largest
             # threshold, mirroring a push-out of the newcomer itself
-            thresholds[largest] -= 1
-            thresholds[port] += 1
+            thresholds[victim] = largest - 1
+            level = thresholds[port] + 1
+            thresholds[port] = level
+            if level > largest:
+                self._largest = level
+            elif level < largest and largest not in thresholds:
+                self._largest = largest - 1
         else:
-            thresholds[port] += 1
+            level = thresholds[port] + 1
+            thresholds[port] = level
             self.total += 1
+            if level > self._largest:
+                self._largest = level
 
     def on_departure(self, port: int) -> None:
         if self.thresholds[port] > 0:
@@ -204,8 +226,14 @@ class ThresholdState:
         """``slots`` departure phases at every port: each threshold falls by ``min(threshold, slots)``."""
         thresholds = self.thresholds
         # in place: other holders keep a reference to this list
-        thresholds[:] = [level - slots if level > slots else 0 for level in thresholds]
-        self.total = sum(thresholds)
+        if slots >= self._largest:
+            thresholds[:] = [0] * len(thresholds)
+            self.total = 0
+            self._largest = 0
+        else:
+            thresholds[:] = [level - slots if level > slots else 0 for level in thresholds]
+            self.total = sum(thresholds)
+            self._largest -= slots
 
 
 class FollowLqd:

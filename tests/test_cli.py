@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -243,7 +244,9 @@ def test_bad_model_exits_2(tmp_path, capsys, trace_csv, case, command):
                 "--oracle", "forest", "--model", str(model)]
     assert main(argv) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    # both commands head a model they cannot load the same way
+    assert err.startswith(f"error: cannot load model: {model}: ") and err.count("\n") == 1
+    assert re.search(BAD_MODELS[case][1], err)
 
 
 def test_simulate_with_a_nan_threshold_model_exits_2_with_one_line(tmp_path, capsys):
@@ -288,7 +291,7 @@ NOT_UTF8_OTHER_FLAGS = {
     ("simulate", "--trace", "cannot load trace"),
     ("train", "--data", "cannot load training data"),
     ("simulate", "--model", "cannot load model"),
-    ("evaluate", "--model", ""),
+    ("evaluate", "--model", "cannot load model"),
 ])
 def test_a_file_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys, command, flag, message):
     bad = tmp_path / "bad.csv"
@@ -296,8 +299,7 @@ def test_a_file_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys, command, fl
     other = [arg.format(bad=bad) for arg in NOT_UTF8_OTHER_FLAGS[command, flag]]
     argv = [command, flag, str(bad), "--out", str(tmp_path / "out"), *other]
     assert main(argv) == EXIT_CONFIG
-    head = f"{message}: " if message else ""
-    assert capsys.readouterr().err == f"error: {head}{bad}: not UTF-8 text (invalid start byte)\n"
+    assert capsys.readouterr().err == f"error: {message}: {bad}: not UTF-8 text (invalid start byte)\n"
 
 
 @pytest.mark.parametrize("chart", [False, True])

@@ -23,7 +23,7 @@ from shbuf.analysis import find_threshold_divergence, throughput
 from shbuf.core import Simulation
 from shbuf.oracles import ConstantOracle, FlipOracle, PredictionLabel
 from shbuf.policies import ACCEPT, DROP
-from shbuf.workloads import followlqd_adversary, followlqd_adversary_fill
+from shbuf.workloads import followlqd_adversary, followlqd_adversary_fill, poisson_bursts
 
 from conftest import random_sequence
 
@@ -163,6 +163,69 @@ def test_threshold_redistribution_is_noop_for_own_largest():
     assert thresholds.thresholds == [3, 1]
     thresholds.on_arrival(0)  # decrement-then-increment of the same entry
     assert thresholds.thresholds == [3, 1] and thresholds.total == 4
+
+
+class _ScanningMirror:
+    """Reference mirror: each steal scans for the largest threshold with ``max``, each drain rebuilds the list."""
+
+    def __init__(self, num_ports, buffer_size):
+        self.thresholds = [0] * num_ports
+        self.total = 0
+        self._buffer = buffer_size
+
+    def on_arrival(self, port):
+        thresholds = self.thresholds
+        if self.total == self._buffer:
+            largest = thresholds.index(max(thresholds))
+            thresholds[largest] -= 1
+            thresholds[port] += 1
+        else:
+            thresholds[port] += 1
+            self.total += 1
+
+    def on_departure(self, port):
+        if self.thresholds[port] > 0:
+            self.thresholds[port] -= 1
+            self.total -= 1
+
+    def drain(self, slots):
+        thresholds = self.thresholds
+        thresholds[:] = [level - slots if level > slots else 0 for level in thresholds]
+        self.total = sum(thresholds)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.data())
+def test_threshold_state_matches_the_scanning_mirror(data):
+    num_ports = data.draw(st.integers(1, 48))
+    buffer_size = data.draw(st.integers(1, 64))
+    mirror = ThresholdState(num_ports, buffer_size)
+    reference = _ScanningMirror(num_ports, buffer_size)
+    held = mirror.thresholds
+    # mostly arrivals, to a few low ports or to ports at or just below the
+    # largest threshold, keep the mirror full with ties at its maximum; drains
+    # are short or end near the largest threshold
+    few = st.integers(0, min(num_ports, 3) - 1)
+    for _ in range(data.draw(st.integers(0, 120))):
+        levels = reference.thresholds
+        top = max(levels)
+        step = data.draw(st.sampled_from(("arrival",) * 6 + ("departure", "drain")))
+        if step == "drain":
+            slots = data.draw(st.one_of(st.integers(0, 2), st.integers(max(top - 1, 0), top + 1)))
+            mirror.drain(slots)
+            reference.drain(slots)
+        else:
+            near_top = [port for port, level in enumerate(levels) if level >= top - 1]
+            port = data.draw(st.one_of(few, st.sampled_from(near_top), st.integers(0, num_ports - 1)))
+            if step == "arrival":
+                mirror.on_arrival(port)
+                reference.on_arrival(port)
+            else:
+                mirror.on_departure(port)
+                reference.on_departure(port)
+        assert mirror.thresholds == reference.thresholds
+        assert mirror.total == reference.total
+    assert mirror.thresholds is held
 
 
 # --- FollowLqd ---------------------------------------------------------------
@@ -404,6 +467,14 @@ def test_threshold_mirror_on_random_instances():
             lqd = run_simulation(cfg, seq, LongestQueueDrop())
             oracle = FlipOracle(PerfectOracle.from_run(lqd), 0.4, trial, seq)
         assert find_threshold_divergence(cfg, seq, oracle) is None
+    # the sweep shape, where a full mirror steals among 48 thresholds
+    wide = SwitchConfig(48, 48)
+    for seed in range(1000, 1005):
+        seq = poisson_bursts(wide, 0.00833, 1000, seed)
+        lqd = run_simulation(wide, seq, LongestQueueDrop())
+        assert find_threshold_divergence(wide, seq, None) is None
+        assert find_threshold_divergence(wide, seq, FlipOracle(PerfectOracle.from_run(lqd), 0.3, seed, seq)) is None
+    assert find_threshold_divergence(wide, followlqd_adversary(wide, 8), None) is None
 
 
 def test_credence_with_perfect_oracle_matches_lqd():
