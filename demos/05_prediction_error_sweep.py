@@ -32,6 +32,11 @@ for p in p_values:
         f"{p:>6.1f} {mean(r.ratio_credence for r in at_p):>13.3f} "
         f"{mean(r.ratio_dt for r in at_p):>8.3f}"
     )
+# clean predictions: Credence transmits exactly what LQD does, seed by seed
+assert all(r.credence_throughput == r.lqd_throughput for r in rows if r.p == 0.0)
+# 70% flipped: still ahead of DynamicThresholds on average (a seed may trail it)
+at_07 = [r for r in rows if r.p == 0.7]
+assert mean(r.ratio_credence for r in at_07) < mean(r.ratio_dt for r in at_07)
 
 # the error ratio and its closed-form ceiling on one run; a narrow switch
 # keeps the ceiling finite, since every false negative is charged N - 1 times
@@ -45,6 +50,7 @@ for p in (0.0, 0.01, 0.03, 0.05):
     _, predictions = simulate_with_prediction_log(narrow, sequence, oracle)
     report = compute_eta(narrow, sequence, predictions, truth)
     print(f"{p:>6.2f} {report.eta:>7.3f} {report.eta_bound:>8.3f}")
+    assert report.eta_bound >= report.eta
 
 if len(sys.argv) > 1:
     write_sweep_rows(sys.argv[1], rows)

@@ -31,6 +31,7 @@ from .policies import (
     LongestQueueDrop,
     Policy,
     ThresholdState,
+    threshold_levels,
 )
 from .oracles import (
     ConstantOracle,

@@ -43,6 +43,7 @@ from .policies import (
     FollowLqd,
     LongestQueueDrop,
     Policy,
+    threshold_levels,
 )
 from .workloads import poisson_bursts
 
@@ -308,8 +309,11 @@ def competitive_sweep(
     LongestQueueDrop (whose outcomes double as the perfect predictions), by
     DynamicThresholds, and by Credence with the recorded predictions flipped
     at each probability in ``p_values``. Each seed's flip coins are drawn
-    once and shared by every ``p``, and its runs finish before the next
-    seed's sequence is generated. Rows are ordered by (p, seed).
+    once and shared by every ``p``, and so is its threshold trajectory
+    (``threshold_levels``), which depends on the sequence alone: every
+    Credence run of a seed replays one recorded column. A seed's runs finish
+    before the next seed's sequence is generated. Rows are ordered by (p,
+    seed).
     """
     for p in p_values:
         if not 0.0 <= p <= 1.0:
@@ -321,8 +325,10 @@ def competitive_sweep(
         oracle = PerfectOracle.from_run(lqd_result)
         dt_tx = throughput(config, sequence, DynamicThresholds(dt_alpha))
         draws = list(_flip_draws(seed, sequence))
+        levels = threshold_levels(config, sequence)
         credence_tx = [
-            throughput(config, sequence, Credence(FlipOracle.from_draws(oracle, p, draws))) for p in p_values
+            throughput(config, sequence, Credence(FlipOracle.from_draws(oracle, p, draws), levels))
+            for p in p_values
         ]
         per_seed[seed] = (lqd_result.transmitted_count, credence_tx, dt_tx)
     rows = []

@@ -22,16 +22,20 @@ divergence check compare the bulk route against.
 
 A run visits only the slots with arrivals. ``run_slots`` calls one ``drain``
 before each of them, covering the previous slot's departure phase and the
-arrival-free slots after it, and one after the last; an ``ArrivalSequence``
-summarises its rows once, on first use, so validating a sequence and
-counting its packets do not rescan its slots. A run costs O(arrivals + slots
-with arrivals) on top of the drains.
+arrival-free slots after it, and one after the last. An ``ArrivalSequence``
+scans its rows once, on first use, and keeps what it found: the indices of
+its slots with arrivals (``arrival_slots``) and a summary (packets, widest
+row, port range). Validating a sequence, counting its packets and finding
+the slots a run visits then cost O(1) per run, so every run after the first
+on one sequence costs O(arrivals + slots with arrivals) on top of the
+drains, whatever the horizon; the first pays one O(slots) scan.
 """
 
 from __future__ import annotations
 
 import os
 import re
+from array import array
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -81,10 +85,11 @@ class ArrivalSequence:
     """Per-slot arrivals; each slot lists destination ports in processing order.
 
     A sequence is a value: ``slots`` cannot be reassigned, and its rows must
-    not be changed after the sequence is made. Its packet count, widest row
-    and lowest and highest port are computed once, on first use, from the
-    rows with arrivals; after that ``total_packets`` and a passing
-    ``validate`` cost O(1). Equality compares ``slots`` only.
+    not be changed after the sequence is made. The indices of its slots with
+    arrivals, its packet count, widest row and lowest and highest port are
+    computed once, on first use; after that ``arrival_slots``,
+    ``total_packets`` and a passing ``validate`` cost O(1). Equality
+    compares ``slots`` only.
     """
 
     slots: list[list[int]]
@@ -94,6 +99,15 @@ class ArrivalSequence:
         return len(self.slots)
 
     @cached_property
+    def arrival_slots(self) -> array:
+        """The indices of the slots with arrivals, ascending.
+
+        Four bytes an index: a sequence with 2**32 slots would hold over
+        200 GB of row lists.
+        """
+        return array("I", compress(count(), self.slots))
+
+    @cached_property
     def _summary(self) -> tuple[int, int, int, int, bool]:
         """Packets, widest row, lowest and highest port, and whether every port
         is exactly an ``int``; 0, 0, 0, 0, True without arrivals.
@@ -101,7 +115,7 @@ class ArrivalSequence:
         The type test sees every port, as a set of ports would not: ``{1,
         True, 1.0}`` is ``{1}``. When it fails, the lowest and highest read 0.
         """
-        rows = list(filter(None, self.slots))
+        rows = list(map(self.slots.__getitem__, self.arrival_slots))
         packets, widest = sum(map(len, rows)), max(map(len, rows), default=0)
         if not set(map(type, chain.from_iterable(rows))) <= {int}:
             return packets, widest, 0, 0, False
@@ -325,7 +339,7 @@ def run_slots(sim, sequence: ArrivalSequence) -> None:
     arrive = sim.arrive
     drain = sim.drain
     done = 0  # the slots whose departure phase has run
-    for slot_index in compress(count(), slots):
+    for slot_index in sequence.arrival_slots:
         drain(slot_index - done)
         for port in slots[slot_index]:
             arrive(port)
@@ -428,7 +442,7 @@ def save_sequence(path, sequence: ArrivalSequence, comment: Optional[str] = None
         if comment is not None:
             write(f"# {comment}\n")
         write(f"{_SEQUENCE_HEADER}\n")
-        for slot_index in compress(count(), slots):
+        for slot_index in sequence.arrival_slots:
             prefix = f"{slot_index},"
             write(prefix + prefix.join(map(line, slots[slot_index])))
 
@@ -533,7 +547,7 @@ def save_outcomes(path, result: RunResult) -> None:
     with _open_output(path) as fh:
         write = fh.write
         write(f"{_OUTCOMES_HEADER}\n")
-        for slot_index in compress(count(), slots):
+        for slot_index in result.sequence.arrival_slots:
             prefix = f"{slot_index},"
             # zip stops at the row's end before it takes a value past it
             write(prefix + prefix.join(map(line, zip(count(), slots[slot_index], values))))

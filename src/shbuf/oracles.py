@@ -201,11 +201,11 @@ def _mix64(x: int) -> int:
 def _flip_draws(seed: int, sequence: ArrivalSequence) -> Iterator[float]:
     """Yield one draw in [0, 1) per arrival of ``sequence``, a pure function of ``(seed, slot, pos)``."""
     x_seed = _mix64(seed & _MASK64)
-    for slot_index, row in enumerate(sequence.slots):
-        if row:
-            x_slot = _mix64(x_seed ^ (slot_index * 0x9E3779B97F4A7C15 & _MASK64))
-            for pos in range(len(row)):
-                yield _mix64(x_slot ^ (pos * 0xC2B2AE3D27D4EB4F & _MASK64)) / 2.0**64
+    slots = sequence.slots
+    for slot_index in sequence.arrival_slots:
+        x_slot = _mix64(x_seed ^ (slot_index * 0x9E3779B97F4A7C15 & _MASK64))
+        for pos in range(len(slots[slot_index])):
+            yield _mix64(x_slot ^ (pos * 0xC2B2AE3D27D4EB4F & _MASK64)) / 2.0**64
 
 
 class FlipOracle:

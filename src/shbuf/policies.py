@@ -18,15 +18,24 @@ Policies see each arrival's index (its position in arrival order) but never
 touch the queues (which hold those indices); they return a ``Decision`` and
 the simulator applies it. All tie-breaking (longest queue, largest threshold)
 is toward the lowest port index so that runs are exactly reproducible.
+
+The mirrored thresholds of FollowLqd and Credence depend on the switch
+config and the arrival sequence alone, not on what the policy admits or what
+an oracle predicts. ``threshold_levels`` records that trajectory once, as
+the arriving port's threshold right after each arrival's mirror step, and
+``Credence(oracle, levels)`` replays the column instead of stepping a
+mirror of its own, so many Credence runs on one sequence (a sweep over flip
+probabilities) step one mirror between them. A recorded column is valid only
+for the config and sequence it was recorded from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Protocol, Union
+from typing import Optional, Protocol, Sequence, Union
 
-from .core import SwitchConfig, SwitchState
+from .core import ArrivalSequence, SwitchConfig, SwitchState, run_slots
 from .oracles import _POSITIVE, FeatureTracker, Oracle
 
 __all__ = [
@@ -38,6 +47,7 @@ __all__ = [
     "DynamicThresholds",
     "LongestQueueDrop",
     "ThresholdState",
+    "threshold_levels",
     "FollowLqd",
     "Credence",
 ]
@@ -191,7 +201,8 @@ class ThresholdState:
         # drain, which are the only mirror operations a run makes
         self._largest = 0
 
-    def on_arrival(self, port: int) -> None:
+    def on_arrival(self, port: int) -> int:
+        """Mirror one arrival at ``port``; return ``port``'s threshold after it."""
         thresholds = self.thresholds
         if self.total == self._buffer:
             largest = self._largest
@@ -216,6 +227,7 @@ class ThresholdState:
             self.total += 1
             if level > self._largest:
                 self._largest = level
+        return level
 
     def on_departure(self, port: int) -> None:
         if self.thresholds[port] > 0:
@@ -236,6 +248,34 @@ class ThresholdState:
             self._largest -= slots
 
 
+class _LevelRecorder:
+    """A ``ThresholdState`` stepped by ``run_slots`` like a simulation, keeping
+    each arrival's level in ``levels``."""
+
+    backlog = 0  # drains after the last arrival change no recorded level
+
+    def __init__(self, config: SwitchConfig) -> None:
+        self.config = config
+        self.mirror = ThresholdState(config.num_ports, config.buffer_size)
+        self.drain = self.mirror.drain
+        self.levels: list[int] = []
+
+    def arrive(self, port: int) -> None:
+        self.levels.append(self.mirror.on_arrival(port))
+
+
+def threshold_levels(config: SwitchConfig, sequence: ArrivalSequence) -> list[int]:
+    """The mirrored threshold of each arrival's port right after its mirror
+    step, in arrival order: the column ``Credence(oracle, levels)`` replays.
+
+    One ``ThresholdState`` pass through ``run_slots``. The column is valid
+    only for this ``config`` and ``sequence``.
+    """
+    recorder = _LevelRecorder(config)
+    run_slots(recorder, sequence)
+    return recorder.levels
+
+
 class FollowLqd:
     """Drop-tail policy accepting while the queue is under its mirrored threshold."""
 
@@ -246,9 +286,7 @@ class FollowLqd:
         self.thresholds = ThresholdState(config.num_ports, config.buffer_size)
 
     def on_arrival(self, port: int, index: int, state: SwitchState) -> Decision:
-        mirror = self.thresholds
-        mirror.on_arrival(port)
-        if state.queue_len[port] < mirror.thresholds[port] and state.occupancy < self._buffer:
+        if state.queue_len[port] < self.thresholds.on_arrival(port) and state.occupancy < self._buffer:
             return ACCEPT
         return DROP
 
@@ -274,16 +312,22 @@ class Credence:
     skipped when ``q`` or ``ceil(Q / N)`` already reaches it; only when the
     range straddles ``B / N`` is the longest queue found with ``max``, in
     O(N). With ``N >= B`` the range never straddles it.
+
+    Built over ``levels``, the column ``threshold_levels(config, sequence)``
+    recorded, step 1 reads ``levels[index]`` in place of stepping a mirror,
+    and ``thresholds`` is None: there is no mirror to drain. Such a Credence
+    may run only on that config and sequence.
     """
 
     name = "credence"
 
-    def __init__(self, oracle: Oracle) -> None:
+    def __init__(self, oracle: Oracle, levels: Optional[Sequence[int]] = None) -> None:
         self.oracle = oracle
+        self.levels = levels
 
     def reset(self, config: SwitchConfig) -> None:
         self._buffer = config.buffer_size
-        self.thresholds = ThresholdState(config.num_ports, config.buffer_size)
+        self.thresholds = ThresholdState(config.num_ports, config.buffer_size) if self.levels is None else None
         # bound once: the oracle is asked on every admitted arrival past the safeguard
         self._predict = self.oracle.predict
         # the safeguard accepts while the longest queue is below ``_safe``
@@ -296,8 +340,8 @@ class Credence:
     def on_arrival(self, port: int, index: int, state: SwitchState) -> Decision:
         tracker = self.features
         features = tracker.on_arrival(port, state) if tracker is not None else None
-        mirror = self.thresholds
-        mirror.on_arrival(port)
+        levels = self.levels
+        level = self.thresholds.on_arrival(port) if levels is None else levels[index]
         occupancy = state.occupancy
         lengths = state.queue_len
         queue = lengths[port]
@@ -305,9 +349,10 @@ class Credence:
         # the longest queue lies in [max(queue, ceil(occupancy / N)), occupancy]
         if occupancy < safe or (queue < safe and occupancy <= self._crowded and max(lengths) < safe):
             return ACCEPT
-        if queue < mirror.thresholds[port] and occupancy < self._buffer:
+        if queue < level and occupancy < self._buffer:
             return DROP if self._predict(index, features) is _POSITIVE else ACCEPT
         return DROP
 
     def on_departure(self, port: int, state: SwitchState) -> None:
-        self.thresholds.on_departure(port)
+        if self.thresholds is not None:
+            self.thresholds.on_departure(port)

@@ -43,6 +43,7 @@ from shbuf.oracles import (
     _flip_draws,
     ground_truth_from_run,
 )
+from shbuf.policies import threshold_levels
 from shbuf.workloads import (
     followlqd_adversary,
     followlqd_adversary_fill,
@@ -397,16 +398,26 @@ def test_sweep_draws_each_seeds_coins_once_and_matches_a_flip_oracle_per_row(mon
     p_values = [0.0, 0.1, 0.5, 1.0]
     seeds = [4, 0, 9]
     drawn = []
+    recorded = []
 
     def counting_draws(seed, sequence):
         drawn.append(seed)
         return _flip_draws(seed, sequence)
 
+    def counting_levels(config, sequence):
+        recorded.append(sequence)
+        return threshold_levels(config, sequence)
+
     # FlipOracle's own constructor draws through the oracles module's name
     monkeypatch.setattr(analysis, "_flip_draws", counting_draws)
     monkeypatch.setattr(oracles, "_flip_draws", counting_draws)
+    monkeypatch.setattr(analysis, "threshold_levels", counting_levels)
     rows = competitive_sweep(cfg, p_values, seeds, rate=1 / 64, horizon=300)
     assert drawn == seeds
+    # one threshold trajectory per seed, shared by its Credence runs
+    assert recorded == [poisson_bursts(cfg, 1 / 64, 300, seed) for seed in seeds]
+    monkeypatch.undo()
+    # the expected rows come from live Credence runs, each stepping its own mirror
     expected = []
     for p in p_values:
         for seed in seeds:
@@ -443,6 +454,7 @@ def test_sweep_rows_and_csv(tmp_path):
 )
 def test_divergence_names_the_first_mismatching_event(monkeypatch, slots, expected):
     # thresholds that never drain (or never grow) part from LQD's queues at
-    # the first departure (or arrival); the expected event names the method
-    monkeypatch.setattr(ThresholdState, f"on_{expected.event}", lambda self, port: None)
+    # the first departure (or arrival); the expected event names the method,
+    # and the stub returns the unchanged level, as on_arrival returns its level
+    monkeypatch.setattr(ThresholdState, f"on_{expected.event}", lambda self, port: self.thresholds[port])
     assert find_threshold_divergence(SwitchConfig(2, 4), ArrivalSequence(slots)) == expected

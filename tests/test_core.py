@@ -172,6 +172,7 @@ def test_validate_raises_what_a_walk_over_every_slot_raises(instance):
             expected = _walk_and_name_the_first_bad_slot(slots, num_ports)
             assert _validation_message(sequence, SwitchConfig(num_ports, 4)) == expected
         assert sequence.total_packets == sum(map(len, slots))
+        assert list(sequence.arrival_slots) == [index for index, row in enumerate(slots) if row]
 
 
 def test_a_sequence_is_a_value():

@@ -71,6 +71,10 @@ COMMANDS = (
         ("sweep_chart", ["sweep", "--ports", "8", "--buffer", "32", "--rate", "0.0156",
                          "--horizon", "300", "--p-list", "0,0.001,0.3,0.7", "--seeds", "2",
                          "--seed", "4", "--out", "sweep_chart.csv", "--chart", "sweep.svg"]),
+        # README's sweep shape: at N = B the safeguard never straddles B/N
+        ("sweep_n48", ["sweep", "--ports", "48", "--buffer", "48", "--rate", "0.00833",
+                       "--horizon", "1000", "--p-list", "0,0.1,0.3,0.5,0.7", "--seeds", "4",
+                       "--seed", "11", "--out", "sweep_n48.csv", "--chart", "sweep_n48.svg"]),
         ("opt", ["opt", "--ports", "2", "--buffer", "4", "--workload", "uniform_random",
                  "--load", "1.0", "--horizon", "6", "--seed", "21"]),
     ]
@@ -132,6 +136,10 @@ GOLDEN = {
     'sweep_chart.csv': '595b3be3e1dfe61903dc76537cf33223631765ce76d447d79bdf637a94295e53',
     'sweep_chart.csv.config.txt': 'b20cfb0acfee429828a9e7d5a5f65cd2f115ad4ddc77aa0b26b16aaaf6ae5711',
     'sweep_chart:stdout': 'a815fca17ebf52e6cf25d6d59b9bbd93b397abb541b586890cb6ab70a91f5686',
+    'sweep_n48.csv': '87a045dbcc19f48bfb76512915f093e63d4102d27da7efa17a62628c08fb33dc',
+    'sweep_n48.csv.config.txt': '87df047f0afefb0b570e7c2ec365d66a6e38d0bcdcd783ee198d70f227ea49e6',
+    'sweep_n48.svg': '5e1132ff1840176feedb328e57f6231239b2830ebfec572de9186c67d027b8d3',
+    'sweep_n48:stdout': '30d94cd8299e253c05622203442bcad0ed758fa4d1d8741e64960baa0b7329cb',
     'trace.csv': '10a90951754c847be4ca24fdbad818b32c54a7f9bea8c46fe8a26438e8acfa7f',
     'trace.csv.config.txt': '374c1f8197aca52f3b08a15f52584057c7659eab80aee0b08ed3db572c6dfe0f',
     'train:stdout': '60f946a13c99ddc285ed727d2b8b59e1e4b9efc1013fc3b5ab568c56d2116db5',

@@ -22,7 +22,7 @@ from shbuf import (
 from shbuf.analysis import find_threshold_divergence, throughput
 from shbuf.core import Simulation
 from shbuf.oracles import ConstantOracle, FlipOracle, PredictionLabel
-from shbuf.policies import ACCEPT, DROP
+from shbuf.policies import ACCEPT, DROP, threshold_levels
 from shbuf.workloads import followlqd_adversary, followlqd_adversary_fill, poisson_bursts
 
 from conftest import random_sequence
@@ -451,6 +451,34 @@ def test_credence_safeguard_from_bounds_matches_the_longest_queue(instance):
     credence = run_simulation(config, sequence, Credence(oracle))
     reference = run_simulation(config, sequence, _LiteralSafeguardCredence(oracle))
     assert credence.verdicts == reference.verdicts
+    # the same decisions from the recorded trajectory, with no mirror of its own
+    replay = run_simulation(config, sequence, Credence(oracle, threshold_levels(config, sequence)))
+    assert replay.verdicts == credence.verdicts
+
+
+def _contended_sequences():
+    yield SwitchConfig(8, 32), poisson_bursts(SwitchConfig(8, 32), 1 / 32, 2000, 7)
+    for seed in (1000, 1007):
+        yield SwitchConfig(48, 48), poisson_bursts(SwitchConfig(48, 48), 0.00833, 1000, seed)
+    yield SwitchConfig(4, 16), followlqd_adversary(SwitchConfig(4, 16), 6)
+
+
+@pytest.mark.parametrize("config, sequence", list(_contended_sequences()))
+def test_credence_replaying_recorded_levels_matches_the_live_mirror(config, sequence):
+    # random small sequences with N <= B never drop a packet; these do
+    lqd = run_simulation(config, sequence, LongestQueueDrop())
+    assert lqd.dropped_count > 0
+    levels = threshold_levels(config, sequence)
+    assert len(levels) == sequence.total_packets
+    perfect = PerfectOracle.from_run(lqd)
+    oracles = [ConstantOracle(PredictionLabel.POSITIVE), ConstantOracle(PredictionLabel.NEGATIVE), perfect]
+    oracles += [FlipOracle(perfect, p, 3, sequence) for p in (0.1, 0.5)]
+    for oracle in oracles:
+        live = Credence(oracle)
+        replay = Credence(oracle, levels)
+        expected = run_simulation(config, sequence, live)
+        assert run_simulation(config, sequence, replay).verdicts == expected.verdicts
+        assert live.thresholds is not None and replay.thresholds is None
 
 
 def test_threshold_mirror_on_random_instances():
