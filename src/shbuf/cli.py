@@ -19,7 +19,6 @@ import contextlib
 import errno
 import os
 import sys
-from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .analysis import (
@@ -264,17 +263,24 @@ def _workload_spec(resolved: dict[str, str], seed: int) -> WorkloadSpec:
     return WorkloadSpec(kind, params)
 
 
-def _generate(config: SwitchConfig, spec: WorkloadSpec) -> ArrivalSequence:
-    """The sequence ``spec`` describes; a generator's error that starts with
-    one of its parameter names is reported under that parameter's flag."""
+@contextlib.contextmanager
+def _as_flag_error(kind: str):
+    """Report a ValueError as a one-line ConfigError; one that starts with a
+    parameter name of the ``kind`` generator is reported under its flag."""
     try:
-        return generate(config, spec)
+        yield
     except ValueError as exc:
         message = str(exc)
         name = message.split(" ", 1)[0]
-        if name in dict(WORKLOADS[spec.kind].params):
+        if name in dict(WORKLOADS[kind].params):
             message = _flag(name) + message[len(name):]
         raise ConfigError(message) from None
+
+
+def _generate(config: SwitchConfig, spec: WorkloadSpec) -> ArrivalSequence:
+    """The sequence ``spec`` describes."""
+    with _as_flag_error(spec.kind):
+        return generate(config, spec)
 
 
 def _sequence_for(resolved: dict[str, str], config: SwitchConfig, seed: int) -> ArrivalSequence:
@@ -292,12 +298,20 @@ def _sequence_for(resolved: dict[str, str], config: SwitchConfig, seed: int) -> 
 def _build_policy(resolved: dict[str, str], config: SwitchConfig, sequence: ArrivalSequence, seed: int):
     name = _setting(resolved, "policy")
     if name == DynamicThresholds.name:
-        alpha = _setting(resolved, "dt_alpha")
-        with _as_config_error(f"bad --dt-alpha {alpha!r}: ", (ValueError, ZeroDivisionError)):
-            return DynamicThresholds(Fraction(alpha))
+        return _dynamic_thresholds(resolved)
     if name == Credence.name:
         return Credence(_build_oracle(resolved, config, sequence, seed))
     return _POLICIES[name]()
+
+
+def _dynamic_thresholds(resolved: dict[str, str]) -> DynamicThresholds:
+    alpha = _setting(resolved, "dt_alpha")
+    try:
+        return DynamicThresholds(alpha)
+    except ZeroDivisionError:
+        raise ConfigError(f"bad --dt-alpha {alpha!r}: zero denominator") from None
+    except ValueError as exc:
+        raise ConfigError(f"bad --dt-alpha {alpha!r}: {exc}") from None
 
 
 def _build_oracle(resolved: dict[str, str], config: SwitchConfig, sequence: ArrivalSequence, seed: int):
@@ -443,9 +457,10 @@ def _cmd_sweep(resolved: dict[str, str], seed: int) -> int:
     if num_seeds < 1:
         raise ConfigError("--seeds must be >= 1")
     seeds = list(range(seed, seed + num_seeds))
-    dt_alpha = _setting(resolved, "dt_alpha")
-    with _as_config_error(errors=(ValueError, ZeroDivisionError)):
-        rows = competitive_sweep(config, p_values, seeds, rate, horizon, dt_alpha=Fraction(dt_alpha))
+    dt_alpha = _dynamic_thresholds(resolved).alpha
+    # each seed's sequence is a poisson_bursts workload of --rate and --horizon
+    with _as_flag_error("poisson_bursts"):
+        rows = competitive_sweep(config, p_values, seeds, rate, horizon, dt_alpha=dt_alpha)
     write_sweep_rows(out, rows)
 
     chart = _setting(resolved, "chart")

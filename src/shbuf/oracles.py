@@ -12,10 +12,11 @@ arrival, under any policy.
 
 from __future__ import annotations
 
+import struct
 from enum import Enum
 from functools import partial
 from itertools import repeat
-from operator import is_not
+from operator import gt, is_not, mul
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Optional, Protocol
 
 from .core import ArrivalSequence, RunResult, Verdict
@@ -198,14 +199,73 @@ def _mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
+# the coins pack many 64-bit values into one int, one per 16-byte lane,
+# little-endian: a lane has room for the 128-bit product of its value and a
+# 64-bit constant, so a multiply never carries into the next lane
+_LANE = 16
+_LANE_MASK = b"\xff" * 8 + bytes(8)
+# slots with arrivals per chunk; bounds the packed ints, and so the memory a
+# chunk holds, to a few tens of kilobytes on dense traces
+_CHUNK_SLOTS = 256
+# a chunk's slot keys, one bytes object each; a short chunk's are padded
+# with zero lanes to the full width
+_SPLIT_LANES = struct.Struct(f"{_LANE}s" * _CHUNK_SLOTS)
+
+
+def _mix_lanes(x: int, mask: int) -> int:
+    """``_mix64`` of every lane of ``x``; ``mask`` covers at least as many
+    lanes, each with its low 64 bits set."""
+    # a right shift leaves the next lane's low bits in a lane's upper half,
+    # so every multiply's operand is masked back to 64 bits first
+    x = ((x ^ (x >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
+    x = ((x ^ (x >> 27)) & mask) * 0x94D049BB133111EB & mask
+    return (x ^ (x >> 31)) & mask
+
+
 def _flip_draws(seed: int, sequence: ArrivalSequence) -> Iterator[float]:
-    """Yield one draw in [0, 1) per arrival of ``sequence``, a pure function of ``(seed, slot, pos)``."""
-    x_seed = _mix64(seed & _MASK64)
+    """Yield one draw in [0, 1) per arrival of ``sequence``, in arrival order.
+
+    The draw of the packet at position ``pos`` of slot ``slot`` is
+    ``mix(mix(mix(seed) ^ slot·G1) ^ pos·G2) / 2**64``, where ``mix`` is the
+    splitmix64 finalizer ``_mix64``, ``G1`` and ``G2`` are
+    0x9E3779B97F4A7C15 and 0xC2B2AE3D27D4EB4F, and the seed and each product
+    are taken modulo 2**64. The draws are computed ``_CHUNK_SLOTS`` slots
+    with arrivals at a time, each ``mix`` as a few operations on one int
+    that packs a 64-bit value per 16-byte lane: first every slot's key, then
+    every packet's draw, from its slot's key repeated once per packet of the
+    row and XORed with a table of ``pos·G2`` that grows with the widest row
+    seen.
+    """
+    seed_lane = _mix64(seed & _MASK64).to_bytes(_LANE, "little")
     slots = sequence.slots
-    for slot_index in sequence.arrival_slots:
-        x_slot = _mix64(x_seed ^ (slot_index * 0x9E3779B97F4A7C15 & _MASK64))
-        for pos in range(len(slots[slot_index])):
-            yield _mix64(x_slot ^ (pos * 0xC2B2AE3D27D4EB4F & _MASK64)) / 2.0**64
+    arrival_slots = sequence.arrival_slots
+    mask, mask_lanes = 0, 0
+    # positions[w] is the position table's first w lanes
+    positions = [b""]
+    for start in range(0, len(arrival_slots), _CHUNK_SLOTS):
+        chunk = arrival_slots[start:start + _CHUNK_SLOTS]
+        widths = list(map(len, map(slots.__getitem__, chunk)))
+        widest = max(widths)
+        if widest >= len(positions):
+            table = memoryview(
+                b"".join((pos * 0xC2B2AE3D27D4EB4F & _MASK64).to_bytes(_LANE, "little") for pos in range(widest))
+            )
+            positions = [table[:_LANE * width] for width in range(widest + 1)]
+        lanes = sum(widths)
+        if lanes > mask_lanes:
+            mask, mask_lanes = int.from_bytes(_LANE_MASK * lanes, "little"), lanes
+        slot_lanes = int.from_bytes(b"".join(map(int.to_bytes, chunk, repeat(_LANE), repeat("little"))), "little")
+        seed_lanes = int.from_bytes(seed_lane * len(chunk), "little")
+        keys = _mix_lanes((slot_lanes * 0x9E3779B97F4A7C15 & mask) ^ seed_lanes, mask)
+        # each slot's key once per packet of its row; map stops at the chunk's
+        # last width, before any padding
+        rows = b"".join(map(mul, _SPLIT_LANES.unpack(keys.to_bytes(_LANE * _CHUNK_SLOTS, "little")), widths))
+        row_positions = b"".join(map(positions.__getitem__, widths))
+        inputs = int.from_bytes(rows, "little") ^ int.from_bytes(row_positions, "little")
+        # every lane's upper word is zero
+        values = struct.unpack(f"<{2 * lanes}Q", _mix_lanes(inputs, mask).to_bytes(_LANE * lanes, "little"))[::2]
+        # scaling by a power of two is exact: value * 2**-64 == value / 2**64
+        yield from map(mul, values, repeat(2.0**-64))
 
 
 class FlipOracle:
@@ -215,7 +275,10 @@ class FlipOracle:
     ``(seed, slot, pos)``, tossed up front into ``flips[i]`` for arrival
     ``i``, so the set of flipped packets does not depend on query order or
     on how often a packet is queried, and sweeps over ``p`` stay comparable
-    across policies. It reads features when ``base`` does.
+    across policies. It reads features when ``base`` does. The coins are
+    ``_flip_draws``': a chunk of slots at a time, each splitmix64 step is a
+    few operations on one int packing a 64-bit lane per packet, so tossing
+    costs about a third of a per-packet loop and loads no numpy.
 
     ``FlipOracle.from_draws(base, p, draws)`` builds the same oracle from
     the coins' uniform draws (``list(oracles._flip_draws(seed, sequence))``),
@@ -239,7 +302,7 @@ class FlipOracle:
         self.reads_features = base.reads_features
         # bound once: the base is asked on every query
         self._base_predict = base.predict
-        self.flips: list[bool] = [draw < p for draw in draws]
+        self.flips: list[bool] = list(map(gt, repeat(p), draws))
 
     def predict(self, index: int, features: Optional[FeatureVector]) -> PredictionLabel:
         label = self._base_predict(index, features)

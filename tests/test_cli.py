@@ -119,6 +119,21 @@ def test_a_refused_opt_stays_under_100_mb(contended_opt):
     assert int(kilobytes) < 100 * 1024, f"peak RSS {kilobytes} kB"
 
 
+def test_a_flip_run_does_not_load_numpy(tmp_path):
+    # the flip coins are packed into Python ints; numpy would add about 11 MB to a simulate run's peak memory
+    code = ("import sys; from shbuf.cli import main; code = main(sys.argv[1:]); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy')); sys.exit(code)")
+    argv = ["simulate", "--ports", "8", "--buffer", "32", "--workload", "poisson_bursts", "--rate", "0.03",
+            "--horizon", "2000", "--policy", "credence", "--oracle", "flip", "--flip-p", "0.1",
+            "--out", str(tmp_path / "out.csv")]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == EXIT_OK, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "out.csv").stat().st_size > 0
+
+
 def test_train_sweep_out_without_tree_sweep_exits_2(tmp_path, trace_csv, capsys):
     model = tmp_path / "model.json"
     sweep = tmp_path / "trees.csv"
@@ -314,6 +329,7 @@ def test_sweep_empty_p_list_exits_2(tmp_path, capsys, chart):
 
 
 BURST = ["--ports", "4", "--buffer", "16", "--workload", "single_burst", "--burst", "4"]
+SWEEP = ["sweep", "--ports", "4", "--buffer", "8", "--rate", "0.05", "--horizon", "50", "--out", "{dir}/s.csv"]
 # each case: the command line ({dir} is a scratch directory), the environment,
 # the config file, and the flag or key its one-line error must name
 BAD_SETTINGS = {
@@ -337,6 +353,15 @@ BAD_SETTINGS = {
     "zero_short_burst": (["gen", "--ports", "8", "--buffer", "16", "--workload", "multi_burst_then_shorts",
                           "--short-burst", "0", "--out", "{dir}/t.csv"], {}, None, "--short-burst must be >= 1, got 0"),
     "zero_burst": (["gen", *BURST[:-1], "0", "--out", "{dir}/t.csv"], {}, None, "--burst must be >= 1, got 0"),
+    "sweep_alpha_not_a_fraction": ([*SWEEP, "--dt-alpha", "abc"], {}, None, "bad --dt-alpha 'abc': "),
+    "sweep_zero_alpha": ([*SWEEP, "--dt-alpha", "0"], {}, None, "bad --dt-alpha '0': alpha must be positive"),
+    "sweep_zero_denominator": ([*SWEEP, "--dt-alpha", "1/0"], {}, None, "bad --dt-alpha '1/0': zero denominator"),
+    "simulate_zero_denominator": (["simulate", *BURST, "--policy", "dynamic_thresholds", "--dt-alpha", "1/0",
+                                   "--out", "{dir}/o.csv"], {}, None, "bad --dt-alpha '1/0': zero denominator"),
+    "sweep_negative_rate": (["sweep", "--ports", "4", "--buffer", "8", "--rate", "-1", "--horizon", "50",
+                             "--out", "{dir}/s.csv"], {}, None, "--rate must be positive and finite, got -1.0"),
+    "sweep_zero_horizon": (["sweep", "--ports", "4", "--buffer", "8", "--rate", "0.05", "--horizon", "0",
+                            "--out", "{dir}/s.csv"], {}, None, "--horizon must be >= 1, got 0"),
     "ports_not_an_int": (["simulate", *BURST[2:]], {}, "[switch]\nports = four\n", "ports"),
     "unknown_policy": (["simulate", *BURST], {}, "[policy]\nname = nope\n", "policy"),
 }

@@ -1,6 +1,11 @@
+import math
 import random
+from array import array
+from typing import NamedTuple
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from shbuf import (
     ArrivalSequence,
@@ -19,6 +24,7 @@ from shbuf.oracles import (
     FeatureSampler,
     ForestOracle,
     PredictionLabel,
+    _CHUNK_SLOTS,
     _flip_draws,
     ground_truth_from_run,
 )
@@ -159,6 +165,66 @@ def test_flip_oracle_from_shared_draws_flips_the_same_packets(seed):
             assert [shared.predict(i, FEATURES) for i in range(len(draws))] == [
                 PredictionLabel.POSITIVE if flip else PredictionLabel.NEGATIVE for flip in shared.flips
             ]
+
+
+class _FarSequence(NamedTuple):
+    """The two attributes the coins read, for rows that start at slot
+    ``offset``: a list could not hold rows near slot 2**32 - 1."""
+
+    slots: dict
+    arrival_slots: array
+
+    @classmethod
+    def of(cls, widths, offset):
+        slots = {slot: [0] * width for slot, width in enumerate(widths, offset)}
+        return cls(slots, array("I", [slot for slot, row in slots.items() if row]))
+
+
+@st.composite
+def coin_instances(draw):
+    # a seed anywhere, including negative and >= 2**64; a head of ragged
+    # rows, a run of narrow rows that may carry the slots with arrivals over
+    # several chunks, and a tail whose rows may be wider than every earlier
+    # one; rows start at slot 0 or end at slot 2**32 - 1
+    seed = draw(st.one_of(st.integers(0, 3), st.integers(-(2**70), -1), st.integers(2**64 - 2, 2**70)))
+    head = draw(st.lists(st.integers(0, 6), max_size=12))
+    pattern = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+    narrow = draw(st.integers(0, 3 * _CHUNK_SLOTS))
+    tail = draw(st.lists(st.integers(0, 40), max_size=6))
+    widths = head + [pattern[i % len(pattern)] for i in range(narrow)] + tail
+    far = draw(st.booleans())
+    return seed, widths, 2**32 - len(widths) if far else 0
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(coin_instances())
+@example((5, [], 0))
+@example((-1, [0, 3, 0, 0, 1, 2], 2**32 - 6))
+@example((2**64 + 5, [1] * (2 * _CHUNK_SLOTS) + [0, 9, 0], 0))
+def test_packed_flip_draws_equal_the_reference_coins(instance):
+    seed, widths, offset = instance
+    sequence = _FarSequence.of(widths, offset) if offset else ArrivalSequence([[0] * width for width in widths])
+    expected = [_reference_coin(seed, slot, pos) for slot, width in enumerate(widths, offset) for pos in range(width)]
+    assert list(_flip_draws(seed, sequence)) == expected
+
+
+def test_flips_at_the_edge_probabilities():
+    rng = random.Random(17)
+    sequence = ArrivalSequence([[0] * rng.choice((0, 1, 2, 5)) for _ in range(400)])
+    draws = list(_flip_draws(11, sequence))
+    base = ConstantOracle(PredictionLabel.NEGATIVE)
+    middle = draws[len(draws) // 2]
+    edges = [0.0, 1.0, 0, 1, 5e-324, 1 - 2**-53, middle, math.nextafter(middle, 0.0), math.nextafter(middle, 1.0)]
+    for p in edges:
+        expected = [draw < p for draw in draws]
+        assert FlipOracle(base, p, 11, sequence).flips == expected, p
+        assert FlipOracle.from_draws(base, p, draws).flips == expected, p
+    # the draw equal to p is not flipped; one ulp above it, it is
+    index = draws.index(middle)
+    assert not FlipOracle.from_draws(base, middle, draws).flips[index]
+    assert FlipOracle.from_draws(base, math.nextafter(middle, 1.0), draws).flips[index]
+    assert not any(FlipOracle.from_draws(base, 0, draws).flips)
+    assert all(FlipOracle.from_draws(base, 1, draws).flips)
 
 
 def test_flip_oracle_rejects_bad_probability():
