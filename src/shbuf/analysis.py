@@ -4,10 +4,12 @@ Provides the error ratio relating push-out LongestQueueDrop throughput to
 FollowLqd throughput on the prediction-reduced sequence, its closed-form
 upper bound from the confusion counts, the exact offline optimum over a
 frontier of drop-tail queue vectors pruned against LQD, flip-probability
-sweeps, and an event-by-event check that threshold-following policies really
-do replay LQD queue lengths. Every run here goes through ``core.run_slots``;
-the optimum's frontier and the event-by-event check, a lockstep of three
-simulations, are each driven by the loop as one simulation.
+sweeps, and an event-by-event check that the threshold mirror, drained
+port by port and in bulk as FollowLqd's and Credence's recorded thresholds
+are, really does replay LQD queue lengths. Every run here goes through
+``core.run_slots``; the optimum's frontier and the event-by-event check, a
+lockstep of one LQD simulation and two mirrors, are each driven by the loop
+as one simulation.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from operator import ne
 from typing import Mapping, Optional, Sequence, Union
 
 from .core import (
@@ -28,7 +32,6 @@ from .core import (
 )
 from .learner import ConfusionCounts
 from .oracles import (
-    ConstantOracle,
     FeatureSampler,
     FeatureVector,
     FlipOracle,
@@ -43,6 +46,7 @@ from .policies import (
     FollowLqd,
     LongestQueueDrop,
     Policy,
+    ThresholdState,
     threshold_levels,
 )
 from .workloads import poisson_bursts
@@ -354,9 +358,14 @@ def write_sweep_rows(path, rows: Sequence[SweepRow]) -> None:
 
 @dataclass(frozen=True)
 class ThresholdDivergence:
-    """First event at which a policy's thresholds stopped matching LQD queues."""
+    """First event after which a mirror route's thresholds stopped matching LQD's queues.
 
-    policy_name: str
+    ``route`` names the mirror: ``"per_port"``, stepped by ``on_departure``
+    at each port, or ``"bulk"``, stepped by ``drain(k)``, the route
+    ``threshold_levels`` records for every FollowLqd and Credence run.
+    """
+
+    route: str
     event: str
     slot: int
     detail: int  # the arrival index of an "arrival" event, the port of a "departure"
@@ -369,72 +378,65 @@ class _Diverged(Exception):
 
 
 class _Lockstep:
-    """FollowLqd, Credence and LongestQueueDrop simulations stepped as one.
+    """A LongestQueueDrop simulation and two threshold mirrors stepped as one.
 
-    ``run_slots`` drives it like a single simulation. Each event goes to all
-    three; after it, both policies' thresholds are compared with the LQD
-    queue lengths, and the first mismatch ends the run by raising
-    ``_Diverged``. It departs port by port, through ``depart_port`` and each
-    policy's ``on_departure``, not through the bulk ``Simulation.drain``, so
-    it checks the mirror independently of the route runs take. A ``drain``
-    of ``k`` slots is ``k`` departure phases, each visiting, in ascending
-    order, every port where any of the three has a queued packet or a
-    nonzero threshold, so a mismatch is named by its slot and port. Once all
-    three are idle, the slots left are counted without being visited.
+    ``run_slots`` drives it like a single simulation. Each arrival goes to
+    the simulation and to both mirrors, which are then compared with its
+    queue lengths. The simulation departs port by port, through
+    ``depart_port``: a ``drain`` of ``k`` slots is ``k`` departure phases,
+    each visiting, in ascending order, the ports with a queued packet, until
+    the buffer is empty; the slots left are counted without being visited.
+    The per-port mirror follows each port's departure with ``on_departure``
+    and is compared after it, so its mismatch is named by slot and port. The
+    bulk mirror takes the ``drain(k)`` whole, as ``threshold_levels`` does,
+    and is compared after the ``k`` phases; its mismatch is named by the
+    drain's last slot and the first port that differs. The first mismatch
+    ends the run by raising ``_Diverged``.
     """
 
-    def __init__(self, config: SwitchConfig, oracle: Oracle) -> None:
+    def __init__(self, config: SwitchConfig, sequence: ArrivalSequence) -> None:
         self.config = config
-        self.policies = (FollowLqd(), Credence(oracle))
-        self.follow_sim = Simulation(config, self.policies[0])
-        self.credence_sim = Simulation(config, self.policies[1])
-        self.lqd_sim = Simulation(config, LongestQueueDrop())
-        self._sims = (self.follow_sim, self.credence_sim, self.lqd_sim)
-        # the policies and the LQD state update these lists in place
-        self._follow = self.policies[0].thresholds.thresholds
-        self._credence = self.policies[1].thresholds.thresholds
-        self._lqd = self.lqd_sim.state.queue_len
-        # per simulation, its queue lengths and mirrored thresholds: a port has
-        # drain work when any of the six is nonzero there
-        self._work = tuple(work for sim in self._sims for work in (sim.state.queue_len, sim.mirror.thresholds))
+        self.lqd = Simulation(config, LongestQueueDrop(), sequence)
+        self.per_port = ThresholdState(config.num_ports, config.buffer_size)
+        self.bulk = ThresholdState(config.num_ports, config.buffer_size)
         self._ports = range(config.num_ports)
         self.slot = 0
 
     @property
     def backlog(self) -> int:
-        return max(self.follow_sim.backlog, self.credence_sim.backlog, self.lqd_sim.backlog)
+        return self.lqd.backlog
 
     def arrive(self, port: int) -> None:
-        self.follow_sim.arrive(port)
-        self.credence_sim.arrive(port)
-        self.lqd_sim.arrive(port)
-        if self._follow != self._lqd or self._credence != self._lqd:
-            self._diverged("arrival", len(self.lqd_sim.verdicts) - 1)
+        self.lqd.arrive(port)
+        self.per_port.on_arrival(port)
+        self.bulk.on_arrival(port)
+        queues = self.lqd.state.queue_len
+        if self.per_port.thresholds != queues or self.bulk.thresholds != queues:
+            self._diverged("arrival", self.slot, len(self.lqd.verdicts) - 1)
 
     def drain(self, slots: int) -> None:
-        follow, credence, lqd = self._sims
+        # the simulation and the mirrors update these lists in place
+        lqd, queues = self.lqd, self.lqd.state.queue_len
+        per_port, on_departure = self.per_port.thresholds, self.per_port.on_departure
         end = self.slot + slots
-        while self.slot < end and not (follow.idle and credence.idle and lqd.idle):
-            self._depart_phase()
+        while self.slot < end and lqd.state.occupancy:
+            # the ports with a queued packet when the phase reaches them
+            for port in compress(self._ports, queues):
+                lqd.depart_port(port)
+                on_departure(port)
+                if per_port != queues:
+                    self._diverged("departure", self.slot, port)
             self.slot += 1
         self.slot = end
+        self.bulk.drain(slots)
+        bulk = self.bulk.thresholds
+        if bulk != queues:
+            self._diverged("departure", end - 1 if slots else end, next(compress(self._ports, map(ne, bulk, queues))))
 
-    def _depart_phase(self) -> None:
-        """One departure phase of slot ``self.slot``, compared port by port."""
-        follow, credence, lqd = self._sims
-        follow_q, follow_t, credence_q, credence_t, lqd_q, lqd_t = self._work
-        for port in self._ports:
-            if follow_q[port] or follow_t[port] or credence_q[port] or credence_t[port] or lqd_q[port] or lqd_t[port]:
-                follow.depart_port(port)
-                credence.depart_port(port)
-                lqd.depart_port(port)
-                if self._follow != self._lqd or self._credence != self._lqd:
-                    self._diverged("departure", port)
-
-    def _diverged(self, event: str, detail: int) -> None:
-        policy = next(p for p in self.policies if p.thresholds.thresholds != self._lqd)
-        thresholds = list(policy.thresholds.thresholds)
-        raise _Diverged(ThresholdDivergence(policy.name, event, self.slot, detail, thresholds, list(self._lqd)))
+    def _diverged(self, event: str, slot: int, detail: int) -> None:
+        queues = self.lqd.state.queue_len
+        route, mirror = ("per_port", self.per_port) if self.per_port.thresholds != queues else ("bulk", self.bulk)
+        raise _Diverged(ThresholdDivergence(route, event, slot, detail, list(mirror.thresholds), list(queues)))
 
 
 def find_threshold_divergence(
@@ -442,15 +444,20 @@ def find_threshold_divergence(
     sequence: ArrivalSequence,
     oracle: Optional[Oracle] = None,
 ) -> Optional[ThresholdDivergence]:
-    """Drive FollowLqd, Credence, and a push-out LongestQueueDrop instance in
-    lockstep over the same events and compare after every single event.
+    """Step a push-out LongestQueueDrop simulation and two threshold mirrors,
+    one drained port by port and one in bulk, in lockstep over the events of
+    ``sequence``, and compare each mirror with LQD's queue lengths after
+    every event.
 
-    Returns None when both policies' threshold vectors equal the LQD queue
-    lengths throughout, otherwise a record of the first mismatch. The LQD
-    instance here is the complete preemptive simulation, not the threshold
-    arithmetic, so the comparison is a genuine two-route check.
+    Returns None when both mirrors equal the LQD queue lengths throughout,
+    otherwise a record of the first mismatch. The LQD instance here is the
+    complete preemptive simulation, not the threshold arithmetic, so the
+    comparison is a genuine two-route check. FollowLqd and Credence run on
+    the bulk route's recording (``threshold_levels``), whatever their
+    oracle, so ``oracle`` is unused; it stays because ``bench/shapes.py``
+    passes it.
     """
-    lockstep = _Lockstep(config, oracle if oracle is not None else ConstantOracle(PredictionLabel.NEGATIVE))
+    lockstep = _Lockstep(config, sequence)
     try:
         run_slots(lockstep, sequence)
     except _Diverged as diverged:

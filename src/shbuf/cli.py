@@ -326,12 +326,14 @@ def _build_oracle(resolved: dict[str, str], config: SwitchConfig, sequence: Arri
             raise ConfigError("--model is required with --oracle forest")
         with _as_config_error("cannot load model: ", (OSError, ValueError)):
             return ForestOracle(load_forest(model_path))
+    if kind == "flip":
+        p = _setting(resolved, "flip_p")
+        if not 0.0 <= p <= 1.0:  # NaN fails too
+            raise ConfigError(f"--flip-p must be in [0, 1], got {p}")
     # perfect and flip both replay a LongestQueueDrop run over the same trace
     oracle = PerfectOracle.from_run(run_simulation(config, sequence, LongestQueueDrop()))
     if kind == "flip":
-        p = _setting(resolved, "flip_p")
-        with _as_config_error():
-            return FlipOracle(oracle, p, seed, sequence)
+        return FlipOracle(oracle, p, seed, sequence)
     return oracle
 
 
@@ -453,6 +455,9 @@ def _cmd_sweep(resolved: dict[str, str], seed: int) -> int:
     if rate is None or horizon is None or out is None:
         raise ConfigError("--rate, --horizon and --out are required")
     p_values = _comma_list(resolved, "p_list", float, "flip probability")
+    for p in p_values:
+        if not 0.0 <= p <= 1.0:  # NaN fails too
+            raise ConfigError(f"--p-list flip probabilities must be in [0, 1], got {p}")
     num_seeds = _setting(resolved, "seeds")
     if num_seeds < 1:
         raise ConfigError("--seeds must be >= 1")

@@ -13,22 +13,25 @@ library goes through it. A packet's identity is its arrival index (0, 1, 2,
 ... in arrival order), and a run's record is one ``Verdict`` per arrival.
 
 Every departure phase of a run is applied by ``Simulation.drain``: ``k``
-phases in one step, in which each queue sends ``min(length, k)`` packets and
-each mirrored threshold (``Policy.thresholds``) falls by ``min(threshold,
-k)``, in O(N + packets sent). A policy's drain state is its declared mirror,
-so a run never calls ``on_departure``; ``Simulation.depart_port`` is the
-per-port route, one port's share of one phase, that tests and the lockstep
-divergence check compare the bulk route against.
+phases in one step, in which each queue sends ``min(length, k)`` packets, in
+O(N + packets sent). A policy keeps no departure state, so a run never calls
+``on_departure``: FollowLqd and Credence replay mirrored thresholds recorded
+from the sequence before the run (``policies.threshold_levels``), which is
+why a ``Simulation`` binds its policy to the sequence it will run.
+``Simulation.depart_port`` is the per-port route, one port's share of one
+phase, that tests and the lockstep divergence check compare the bulk route
+against.
 
 A run visits only the slots with arrivals. ``run_slots`` calls one ``drain``
 before each of them, covering the previous slot's departure phase and the
-arrival-free slots after it, and one after the last. An ``ArrivalSequence``
-scans its rows once, on first use, and keeps what it found: the indices of
-its slots with arrivals (``arrival_slots``) and a summary (packets, widest
-row, port range). Validating a sequence, counting its packets and finding
-the slots a run visits then cost O(1) per run, so every run after the first
-on one sequence costs O(arrivals + slots with arrivals) on top of the
-drains, whatever the horizon; the first pays one O(slots) scan.
+arrival-free slots after it, and one after the last, which empties the
+buffer. An ``ArrivalSequence`` scans its rows once, on first use, and keeps
+what it found: the indices of its slots with arrivals (``arrival_slots``)
+and a summary (packets, widest row, port range). Validating a sequence,
+counting its packets and finding the slots a run visits then cost O(1) per
+run, so every run after the first on one sequence costs O(arrivals + slots
+with arrivals) on top of the drains, whatever the horizon; the first pays
+one O(slots) scan.
 """
 
 from __future__ import annotations
@@ -202,53 +205,32 @@ class SwitchState(object):
         return index
 
 
-class _NoThresholds:
-    """All-zero stand-in mirror for a policy that declares ``thresholds = None``."""
-
-    __slots__ = ("thresholds", "total")
-
-    def __init__(self, num_ports: int) -> None:
-        self.thresholds = [0] * num_ports
-        self.total = 0
-
-
 class Simulation:
     """One switch under one policy, stepped event by event (``run_slots`` drives it).
 
     Queues hold arrival indices; ``verdicts[i]`` is the fate of arrival ``i``.
     An accepted packet reads ``TRANSMITTED`` unless a push-out overwrites it.
-    ``mirror`` is the policy's ``thresholds``, read after ``policy.reset``
-    (all zeros for None); ``drain`` drains it.
+    ``policy.reset`` binds the policy to ``config`` and to ``sequence``, the
+    arrivals the simulation will be fed.
     """
 
-    __slots__ = (
-        "config", "policy", "state", "transmitted", "dropped", "verdicts", "peak_occupancy",
-        "mirror", "_buffer",
-    )
+    __slots__ = ("config", "policy", "state", "transmitted", "dropped", "verdicts", "peak_occupancy", "_buffer")
 
-    def __init__(self, config: SwitchConfig, policy: "Policy") -> None:
+    def __init__(self, config: SwitchConfig, policy: "Policy", sequence: ArrivalSequence) -> None:
         self.config = config
         self.policy = policy
-        policy.reset(config)
+        policy.reset(config, sequence)
         self.state = SwitchState(config.num_ports)
         self.transmitted = 0
         self.dropped = 0
         self.verdicts: list[Verdict] = []
         self.peak_occupancy = 0
-        # the declared mirror is all the policy's drain state, so many slots can drain at once
-        mirror = policy.thresholds
-        self.mirror = _NoThresholds(config.num_ports) if mirror is None else mirror
         self._buffer = config.buffer_size
 
     @property
     def backlog(self) -> int:
         """Departure-only slots left until the buffer is empty: the longest queue."""
         return max(self.state.queue_len)
-
-    @property
-    def idle(self) -> bool:
-        """True when a departure phase would change nothing: no queued packet, no threshold."""
-        return not self.state.occupancy and not self.mirror.total
 
     def arrive(self, port: int) -> None:
         """Process arrival ``len(verdicts)``: ask the policy, then apply its decision."""
@@ -292,8 +274,7 @@ class Simulation:
         """``slots`` departure phases in one step, the first right after the
         arrivals of the slot before, if any, and the rest arrival-free.
 
-        Each queue sends ``min(length, slots)`` packets from its head and the
-        mirror lowers each threshold by ``min(threshold, slots)``, in O(N +
+        Each queue sends ``min(length, slots)`` packets from its head, in O(N +
         packets sent), without calling ``on_departure``. It is ``depart_port``
         at every port, ``slots`` times over.
         """
@@ -317,8 +298,6 @@ class Simulation:
                     sent += slots
             state.occupancy -= sent
             self.transmitted += sent
-        if self.mirror.total:
-            self.mirror.drain(slots)
 
 
 def run_slots(sim, sequence: ArrivalSequence) -> None:
@@ -329,8 +308,8 @@ def run_slots(sim, sequence: ArrivalSequence) -> None:
     ``sim.drain`` runs the departure phases not yet run: the previous
     visited slot's and those of the arrival-free slots after it, or the
     leading arrival-free slots. After the last, a final ``sim.drain`` runs
-    its phase and the trailing arrival-free slots, or the ``sim.backlog``
-    phases that empty the buffer, whichever is more. ``sim`` is a
+    the ``sim.backlog`` phases that empty the buffer; the trailing
+    arrival-free slots after that change nothing. ``sim`` is a
     ``Simulation`` or any object with the same ``config``, ``arrive``,
     ``drain`` and ``backlog``. The sequence is validated first.
     """
@@ -344,12 +323,12 @@ def run_slots(sim, sequence: ArrivalSequence) -> None:
         for port in slots[slot_index]:
             arrive(port)
         done = slot_index
-    drain(max(len(slots) - done, sim.backlog))
+    drain(sim.backlog)
 
 
 def run_simulation(config: SwitchConfig, sequence: ArrivalSequence, policy: "Policy") -> RunResult:
     """Drive ``policy`` over ``sequence`` and return the complete run record."""
-    sim = Simulation(config, policy)
+    sim = Simulation(config, policy, sequence)
     run_slots(sim, sequence)
     total = sequence.total_packets
     if sim.transmitted + sim.dropped != total:

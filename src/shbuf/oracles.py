@@ -24,7 +24,7 @@ from .core import ArrivalSequence, RunResult, Verdict
 if TYPE_CHECKING:
     from .core import SwitchConfig, SwitchState
     from .learner import ForestModel
-    from .policies import Decision, Policy, ThresholdState
+    from .policies import Decision, Policy
 
 __all__ = [
     "PredictionLabel",
@@ -109,7 +109,7 @@ class FeatureSampler:
     A wrapped policy that builds features itself (Credence, through its
     ``features`` tracker, when its oracle reads them) logs them from that
     tracker, so each arrival's features are built once; for any other
-    policy the sampler builds them. ``thresholds`` is the wrapped policy's.
+    policy the sampler builds them.
     """
 
     def __init__(self, policy: "Policy") -> None:
@@ -118,9 +118,8 @@ class FeatureSampler:
         # the wrapped policy's, for the per-port departure route (``Simulation.depart_port``)
         self.on_departure = policy.on_departure
 
-    def reset(self, config: "SwitchConfig") -> None:
-        self.policy.reset(config)
-        self.thresholds: "Optional[ThresholdState]" = self.policy.thresholds
+    def reset(self, config: "SwitchConfig", sequence: ArrivalSequence) -> None:
+        self.policy.reset(config, sequence)
         self.features: list[FeatureVector] = []
         tracker = getattr(self.policy, "features", None)
         if isinstance(tracker, FeatureTracker):

@@ -21,12 +21,15 @@ is toward the lowest port index so that runs are exactly reproducible.
 
 The mirrored thresholds of FollowLqd and Credence depend on the switch
 config and the arrival sequence alone, not on what the policy admits or what
-an oracle predicts. ``threshold_levels`` records that trajectory once, as
-the arriving port's threshold right after each arrival's mirror step, and
-``Credence(oracle, levels)`` replays the column instead of stepping a
-mirror of its own, so many Credence runs on one sequence (a sweep over flip
-probabilities) step one mirror between them. A recorded column is valid only
-for the config and sequence it was recorded from.
+an oracle predicts. ``threshold_levels`` records that trajectory, as the
+arriving port's threshold right after each arrival's mirror step, and both
+policies replay it: ``reset(config, sequence)`` takes the column, and each
+arrival reads its own entry. Neither steps a mirror during a run, so no
+policy keeps departure state and a run drains only its queues. A column is
+recorded in ``reset`` unless ``Credence(oracle, levels)`` was given one, so
+many Credence runs on one sequence (a sweep over flip probabilities) can
+share one recording. A column is valid only for the config and sequence it
+was recorded from.
 """
 
 from __future__ import annotations
@@ -70,19 +73,13 @@ DROP = Decision(False)
 
 
 class Policy(Protocol):
-    """Contract shared by every buffer-sharing policy.
-
-    ``thresholds`` declares the policy's drain state: the ``ThresholdState``
-    its ``on_departure`` drains, or None when ``on_departure`` changes
-    nothing. A run's departure phases never call ``on_departure``: they
-    drain the declared mirror many slots at once (``ThresholdState.drain``).
-    """
+    """Contract shared by every buffer-sharing policy."""
 
     name: str
-    thresholds: Optional[ThresholdState]
 
-    def reset(self, config: SwitchConfig) -> None:
-        """Forget all run state and bind to a switch configuration."""
+    def reset(self, config: SwitchConfig, sequence: ArrivalSequence) -> None:
+        """Forget all run state and bind to a switch configuration and to the
+        arrival sequence the run will feed ``on_arrival``."""
 
     def on_arrival(self, port: int, index: int, state: SwitchState) -> Decision:
         """Decide the fate of arrival ``index``, bound for ``port``."""
@@ -90,11 +87,10 @@ class Policy(Protocol):
     def on_departure(self, port: int, state: SwitchState) -> None:
         """Observe one port's share of a departure phase (after its drain).
 
-        The per-port route of ``Simulation.depart_port``, which tests and
-        the lockstep divergence check step; runs drain the declared mirror
-        instead. It may change nothing but the declared mirror, and only as
-        one slot of ``ThresholdState.drain`` changes it at ``port``, so that
-        both routes reach the same state.
+        Only the per-port route, ``Simulation.depart_port``, calls it; runs
+        drain in bulk. It must change nothing a later decision reads, so
+        that both routes reach the same state. Every policy here keeps it
+        as a no-op, because ``bench/tracing.py`` wraps it by name.
         """
 
 
@@ -102,16 +98,15 @@ class CompleteSharing:
     """Accept if and only if the buffer is not full."""
 
     name = "complete_sharing"
-    thresholds = None
 
-    def reset(self, config: SwitchConfig) -> None:
+    def reset(self, config: SwitchConfig, sequence: ArrivalSequence) -> None:
         self._buffer = config.buffer_size
 
     def on_arrival(self, port: int, index: int, state: SwitchState) -> Decision:
         return ACCEPT if state.occupancy < self._buffer else DROP
 
     def on_departure(self, port: int, state: SwitchState) -> None:
-        pass
+        pass  # kept for bench/tracing.py, which wraps it by name
 
 
 class DynamicThresholds:
@@ -122,14 +117,13 @@ class DynamicThresholds:
     """
 
     name = "dynamic_thresholds"
-    thresholds = None
 
     def __init__(self, alpha: Union[Fraction, str, int] = Fraction(1, 2)) -> None:
         self.alpha = Fraction(alpha)
         if self.alpha <= 0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
 
-    def reset(self, config: SwitchConfig) -> None:
+    def reset(self, config: SwitchConfig, sequence: ArrivalSequence) -> None:
         self._buffer = config.buffer_size
         # ``Fraction`` properties cost a call each; read them once per run
         self._numerator = self.alpha.numerator
@@ -145,7 +139,7 @@ class DynamicThresholds:
         return DROP
 
     def on_departure(self, port: int, state: SwitchState) -> None:
-        pass
+        pass  # kept for bench/tracing.py, which wraps it by name
 
 
 class LongestQueueDrop:
@@ -158,9 +152,8 @@ class LongestQueueDrop:
     """
 
     name = "lqd"
-    thresholds = None
 
-    def reset(self, config: SwitchConfig) -> None:
+    def reset(self, config: SwitchConfig, sequence: ArrivalSequence) -> None:
         self._buffer = config.buffer_size
 
     def on_arrival(self, port: int, index: int, state: SwitchState) -> Decision:
@@ -173,7 +166,7 @@ class LongestQueueDrop:
         return Decision(True, longest)
 
     def on_departure(self, port: int, state: SwitchState) -> None:
-        pass
+        pass  # kept for bench/tracing.py, which wraps it by name
 
 
 class ThresholdState:
@@ -182,8 +175,11 @@ class ThresholdState:
     ``on_arrival`` mirrors how an LQD instance fed the same arrivals would
     change its queue-length vector: grow the arriving entry, stealing one
     unit from the largest entry when the vector already sums to the buffer
-    size. ``on_departure`` mirrors the per-port drain. The mirrored
-    instance's accept decisions never matter here, only its lengths.
+    size. ``drain`` mirrors departure phases at every port, the route
+    ``threshold_levels`` records, and ``on_departure`` one port's share of
+    one phase, the per-port route the lockstep divergence check steps
+    beside it. The mirrored instance's accept decisions never matter here,
+    only its lengths.
 
     The largest threshold is kept on hand, so a steal is one C-level scan to
     the first largest entry (plus one membership scan when the steal may
@@ -191,18 +187,19 @@ class ThresholdState:
     threshold is a zero-fill.
     """
 
-    __slots__ = ("thresholds", "total", "_buffer", "_largest")
+    __slots__ = ("thresholds", "total", "levels", "_buffer", "_largest")
 
     def __init__(self, num_ports: int, buffer_size: int) -> None:
         self.thresholds: list[int] = [0] * num_ports
+        self.levels: list[int] = []  # each arrival's level, as on_arrival returns it
         self.total = 0
         self._buffer = buffer_size
         # never below the largest threshold; equal to it after on_arrival and
-        # drain, which are the only mirror operations a run makes
+        # drain, the only mirror operations ``threshold_levels`` makes
         self._largest = 0
 
     def on_arrival(self, port: int) -> int:
-        """Mirror one arrival at ``port``; return ``port``'s threshold after it."""
+        """Mirror one arrival at ``port``; append ``port``'s threshold after it to ``levels`` and return it."""
         thresholds = self.thresholds
         if self.total == self._buffer:
             largest = self._largest
@@ -227,9 +224,11 @@ class ThresholdState:
             self.total += 1
             if level > self._largest:
                 self._largest = level
+        self.levels.append(level)
         return level
 
     def on_departure(self, port: int) -> None:
+        # bench/test_bench.py breaks this body by its exact text: keep it as written
         if self.thresholds[port] > 0:
             self.thresholds[port] -= 1
             self.total -= 1
@@ -248,28 +247,29 @@ class ThresholdState:
             self._largest -= slots
 
 
-class _LevelRecorder:
-    """A ``ThresholdState`` stepped by ``run_slots`` like a simulation, keeping
-    each arrival's level in ``levels``."""
+class _LevelRecorder(ThresholdState):
+    """A ``ThresholdState`` stepped by ``run_slots`` like a simulation."""
 
+    __slots__ = ("config",)
     backlog = 0  # drains after the last arrival change no recorded level
 
     def __init__(self, config: SwitchConfig) -> None:
+        super().__init__(config.num_ports, config.buffer_size)
         self.config = config
-        self.mirror = ThresholdState(config.num_ports, config.buffer_size)
-        self.drain = self.mirror.drain
-        self.levels: list[int] = []
 
-    def arrive(self, port: int) -> None:
-        self.levels.append(self.mirror.on_arrival(port))
+    @property
+    def arrive(self):
+        # ``on_arrival`` itself, so each arrival is one call; a property, not
+        # an attribute, so the recorder holds no reference cycle to outlive its run
+        return self.on_arrival
 
 
 def threshold_levels(config: SwitchConfig, sequence: ArrivalSequence) -> list[int]:
     """The mirrored threshold of each arrival's port right after its mirror
-    step, in arrival order: the column ``Credence(oracle, levels)`` replays.
+    step, in arrival order: the column FollowLqd and Credence replay.
 
-    One ``ThresholdState`` pass through ``run_slots``. The column is valid
-    only for this ``config`` and ``sequence``.
+    One ``ThresholdState`` pass through ``run_slots``, draining in bulk.
+    The column is valid only for this ``config`` and ``sequence``.
     """
     recorder = _LevelRecorder(config)
     run_slots(recorder, sequence)
@@ -277,21 +277,22 @@ def threshold_levels(config: SwitchConfig, sequence: ArrivalSequence) -> list[in
 
 
 class FollowLqd:
-    """Drop-tail policy accepting while the queue is under its mirrored threshold."""
+    """Drop-tail policy accepting while the queue is under its mirrored
+    threshold, read from the column ``threshold_levels`` records in ``reset``."""
 
     name = "follow_lqd"
 
-    def reset(self, config: SwitchConfig) -> None:
+    def reset(self, config: SwitchConfig, sequence: ArrivalSequence) -> None:
         self._buffer = config.buffer_size
-        self.thresholds = ThresholdState(config.num_ports, config.buffer_size)
+        self._levels = threshold_levels(config, sequence)
 
     def on_arrival(self, port: int, index: int, state: SwitchState) -> Decision:
-        if state.queue_len[port] < self.thresholds.on_arrival(port) and state.occupancy < self._buffer:
+        if state.queue_len[port] < self._levels[index] and state.occupancy < self._buffer:
             return ACCEPT
         return DROP
 
     def on_departure(self, port: int, state: SwitchState) -> None:
-        self.thresholds.on_departure(port)
+        pass  # kept for bench/tracing.py, which wraps it by name
 
 
 class Credence:
@@ -299,7 +300,7 @@ class Credence:
 
     Arrival handling, in order:
 
-    1. update the mirrored threshold for the arriving port;
+    1. read the arriving port's mirrored threshold;
     2. safeguard: if the longest queue is strictly below ``B / N`` (that is,
        below ``ceil(B / N)``), accept unconditionally;
     3. if the queue is under its threshold and the buffer has room, ask the
@@ -313,10 +314,9 @@ class Credence:
     range straddles ``B / N`` is the longest queue found with ``max``, in
     O(N). With ``N >= B`` the range never straddles it.
 
-    Built over ``levels``, the column ``threshold_levels(config, sequence)``
-    recorded, step 1 reads ``levels[index]`` in place of stepping a mirror,
-    and ``thresholds`` is None: there is no mirror to drain. Such a Credence
-    may run only on that config and sequence.
+    Step 1 reads arrival ``index``'s entry of a ``threshold_levels`` column:
+    ``levels`` when given, which must be the column of the config and
+    sequence the policy runs on, or else the one ``reset`` records.
     """
 
     name = "credence"
@@ -325,9 +325,14 @@ class Credence:
         self.oracle = oracle
         self.levels = levels
 
-    def reset(self, config: SwitchConfig) -> None:
+    def reset(self, config: SwitchConfig, sequence: ArrivalSequence) -> None:
+        levels = self.levels
+        if levels is None:
+            levels = threshold_levels(config, sequence)
+        elif len(levels) != sequence.total_packets:
+            raise ValueError(f"levels holds {len(levels)} entries for a sequence of {sequence.total_packets} packets")
+        self._levels = levels
         self._buffer = config.buffer_size
-        self.thresholds = ThresholdState(config.num_ports, config.buffer_size) if self.levels is None else None
         # bound once: the oracle is asked on every admitted arrival past the safeguard
         self._predict = self.oracle.predict
         # the safeguard accepts while the longest queue is below ``_safe``
@@ -340,8 +345,7 @@ class Credence:
     def on_arrival(self, port: int, index: int, state: SwitchState) -> Decision:
         tracker = self.features
         features = tracker.on_arrival(port, state) if tracker is not None else None
-        levels = self.levels
-        level = self.thresholds.on_arrival(port) if levels is None else levels[index]
+        level = self._levels[index]
         occupancy = state.occupancy
         lengths = state.queue_len
         queue = lengths[port]
@@ -354,5 +358,4 @@ class Credence:
         return DROP
 
     def on_departure(self, port: int, state: SwitchState) -> None:
-        if self.thresholds is not None:
-            self.thresholds.on_departure(port)
+        pass  # kept for bench/tracing.py, which wraps it by name

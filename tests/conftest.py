@@ -3,7 +3,10 @@ import random
 
 import pytest
 
-from shbuf import ArrivalSequence, SwitchConfig
+from shbuf import ArrivalSequence, SwitchConfig, ThresholdState
+from shbuf.core import Simulation
+from shbuf.oracles import FeatureTracker, PredictionLabel
+from shbuf.policies import ACCEPT, DROP
 
 
 def random_sequence(rng: random.Random, num_ports: int, num_slots: int, load: float) -> ArrivalSequence:
@@ -33,6 +36,71 @@ def contended_instance() -> tuple[SwitchConfig, ArrivalSequence]:
     holds 160,310 queue vectors after arrival 45: too large to solve."""
     rng = random.Random(1)
     return SwitchConfig(16, 32), ArrivalSequence([[rng.randrange(16) for _ in range(16)] for _ in range(10)])
+
+
+class LiveFollowLqd:
+    """Reference FollowLqd that steps a ``ThresholdState`` of its own, the
+    route runs took before they replayed ``threshold_levels``: ``on_arrival``
+    steps it and ``on_departure`` drains one port's share. Runs drain no
+    mirror, so drive it with ``visit_every_port``."""
+
+    name = "live_follow_lqd"
+
+    def reset(self, config, sequence):
+        self._buffer = config.buffer_size
+        self.mirror = ThresholdState(config.num_ports, config.buffer_size)
+
+    def on_arrival(self, port, index, state):
+        if state.queue_len[port] < self.mirror.on_arrival(port) and state.occupancy < self._buffer:
+            return ACCEPT
+        return DROP
+
+    def on_departure(self, port, state):
+        self.mirror.on_departure(port)
+
+
+class LiveCredence(LiveFollowLqd):
+    """Reference Credence on a live mirror, as ``LiveFollowLqd``, whose
+    safeguard finds the longest queue with ``max`` on every arrival."""
+
+    name = "live_credence"
+
+    def __init__(self, oracle):
+        self.oracle = oracle
+
+    def reset(self, config, sequence):
+        super().reset(config, sequence)
+        self._ports = config.num_ports
+        self.features = FeatureTracker(config.num_ports) if self.oracle.reads_features else None
+
+    def on_arrival(self, port, index, state):
+        features = self.features.on_arrival(port, state) if self.features is not None else None
+        level = self.mirror.on_arrival(port)
+        lengths = state.queue_len
+        if max(lengths) * self._ports < self._buffer:
+            return ACCEPT
+        if lengths[port] < level and state.occupancy < self._buffer:
+            return DROP if self.oracle.predict(index, features) is PredictionLabel.POSITIVE else ACCEPT
+        return DROP
+
+
+def depart_every_port(sim):
+    """One departure phase by the per-port route: ``depart_port`` at every port."""
+    for port in range(sim.config.num_ports):
+        sim.depart_port(port)
+
+
+def visit_every_port(config, sequence, policy):
+    """Reference schedule: ``depart_port`` for every port in every slot, and
+    after the last until the buffer is empty; returns the ``Simulation``."""
+    sim = Simulation(config, policy, sequence)
+    for row in sequence.slots:
+        for port in row:
+            sim.arrive(port)
+        depart_every_port(sim)
+    while sim.state.occupancy:
+        depart_every_port(sim)
+    return sim
 
 
 # one stump over feature 0; each case breaks it in one way

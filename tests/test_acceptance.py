@@ -96,11 +96,10 @@ def tiny_instances(count=500):
 def test_criterion_01_threshold_mirror_is_exact():
     checked = 0
     for i, config, sequence in corpus():
-        oracle = ConstantOracle(POS if i % 2 else NEG)
-        divergence = find_threshold_divergence(config, sequence, oracle)
+        divergence = find_threshold_divergence(config, sequence)
         assert divergence is None, f"sequence {i}: {divergence}"
         checked += 1
-    print(f"criterion 1: PASS - thresholds equal shadow LQD queues on {checked} sequences")
+    print(f"criterion 1: PASS - per-port and bulk thresholds equal shadow LQD queues on {checked} sequences")
 
 
 def test_criterion_02_perfect_predictions_match_lqd():

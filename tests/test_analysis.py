@@ -52,7 +52,7 @@ from shbuf.workloads import (
     uniform_random,
 )
 
-from conftest import contended_instance, random_sequence, random_tiny_sequence
+from conftest import LiveCredence, contended_instance, random_sequence, random_tiny_sequence, visit_every_port
 
 POS = PredictionLabel.POSITIVE
 NEG = PredictionLabel.NEGATIVE
@@ -424,7 +424,7 @@ def test_sweep_draws_each_seeds_coins_once_and_matches_a_flip_oracle_per_row(mon
             sequence = poisson_bursts(cfg, 1 / 64, 300, seed)
             lqd = run_simulation(cfg, sequence, LongestQueueDrop())
             oracle = PerfectOracle.from_run(lqd)
-            credence_tx = throughput(cfg, sequence, Credence(FlipOracle(oracle, p, seed, sequence)))
+            credence_tx = visit_every_port(cfg, sequence, LiveCredence(FlipOracle(oracle, p, seed, sequence))).transmitted
             dt_tx = throughput(cfg, sequence, DynamicThresholds(Fraction(1, 2)))
             expected.append(SweepRow(p, seed, lqd.transmitted_count, credence_tx, dt_tx))
     assert rows == expected
@@ -445,16 +445,34 @@ def test_sweep_rows_and_csv(tmp_path):
 @pytest.mark.parametrize(
     "slots, expected",
     [
-        ([[0]], ThresholdDivergence("follow_lqd", "departure", 0, 0, [1, 0], [0, 0])),
-        ([[], [1]], ThresholdDivergence("follow_lqd", "departure", 1, 1, [0, 1], [0, 0])),
-        ([[0]], ThresholdDivergence("follow_lqd", "arrival", 0, 0, [0, 0], [1, 0])),
+        ([[0]], ThresholdDivergence("per_port", "departure", 0, 0, [1, 0], [0, 0])),
+        ([[], [1]], ThresholdDivergence("per_port", "departure", 1, 1, [0, 1], [0, 0])),
+        # both routes grow through on_arrival; the per-port route is named first
+        ([[0]], ThresholdDivergence("per_port", "arrival", 0, 0, [0, 0], [1, 0])),
         # idle slots are skipped but still counted
-        ([[], [], [], [1]], ThresholdDivergence("follow_lqd", "departure", 3, 1, [0, 1], [0, 0])),
+        ([[], [], [], [1]], ThresholdDivergence("per_port", "departure", 3, 1, [0, 1], [0, 0])),
     ],
 )
 def test_divergence_names_the_first_mismatching_event(monkeypatch, slots, expected):
-    # thresholds that never drain (or never grow) part from LQD's queues at
-    # the first departure (or arrival); the expected event names the method,
-    # and the stub returns the unchanged level, as on_arrival returns its level
+    # thresholds that never drain port by port (or never grow) part from
+    # LQD's queues at the first departure (or arrival); the expected event
+    # names the method, and the stub returns the unchanged level, as
+    # on_arrival returns its level
     monkeypatch.setattr(ThresholdState, f"on_{expected.event}", lambda self, port: self.thresholds[port])
+    assert find_threshold_divergence(SwitchConfig(2, 4), ArrivalSequence(slots)) == expected
+
+
+@pytest.mark.parametrize(
+    "slots, expected",
+    [
+        # the last drain, of one slot, leaves port 0's threshold behind
+        ([[0]], ThresholdDivergence("bulk", "departure", 0, 0, [1, 0], [0, 0])),
+        # the drain of slots 0 and 1, before slot 2's arrival, leaves port 0 one behind
+        ([[0, 0], [], [1]], ThresholdDivergence("bulk", "departure", 1, 0, [1, 0], [0, 0])),
+    ],
+)
+def test_divergence_names_the_bulk_route_when_drain_falls_short(monkeypatch, slots, expected):
+    # ``threshold_levels`` drains its mirror in bulk; one slot too few must show
+    drain = ThresholdState.drain
+    monkeypatch.setattr(ThresholdState, "drain", lambda self, slots: drain(self, max(slots - 1, 0)))
     assert find_threshold_divergence(SwitchConfig(2, 4), ArrivalSequence(slots)) == expected

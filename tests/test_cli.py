@@ -362,6 +362,13 @@ BAD_SETTINGS = {
                              "--out", "{dir}/s.csv"], {}, None, "--rate must be positive and finite, got -1.0"),
     "sweep_zero_horizon": (["sweep", "--ports", "4", "--buffer", "8", "--rate", "0.05", "--horizon", "0",
                             "--out", "{dir}/s.csv"], {}, None, "--horizon must be >= 1, got 0"),
+    "sweep_p_above_one": ([*SWEEP, "--p-list", "0,1.5"], {}, None,
+                          "--p-list flip probabilities must be in [0, 1], got 1.5"),
+    "sweep_p_nan": ([*SWEEP, "--p-list", "nan"], {}, None, "--p-list flip probabilities must be in [0, 1], got nan"),
+    "flip_p_above_one": (["simulate", *BURST, "--policy", "credence", "--oracle", "flip", "--flip-p", "1.5",
+                          "--out", "{dir}/o.csv"], {}, None, "--flip-p must be in [0, 1], got 1.5"),
+    "flip_p_nan": (["simulate", *BURST, "--policy", "credence", "--oracle", "flip", "--flip-p", "nan",
+                    "--out", "{dir}/o.csv"], {}, None, "--flip-p must be in [0, 1], got nan"),
     "ports_not_an_int": (["simulate", *BURST[2:]], {}, "[switch]\nports = four\n", "ports"),
     "unknown_policy": (["simulate", *BURST], {}, "[policy]\nname = nope\n", "policy"),
 }

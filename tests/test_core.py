@@ -39,7 +39,7 @@ from shbuf.oracles import ConstantOracle, FeatureSampler, FlipOracle, Prediction
 from shbuf.policies import Decision
 from shbuf.workloads import single_burst
 
-from conftest import random_sequence
+from conftest import LiveCredence, LiveFollowLqd, depart_every_port, random_sequence, visit_every_port
 
 
 def test_config_validation():
@@ -217,7 +217,7 @@ def test_occupancy_bound_after_every_event(small_config):
     rng = random.Random(7)
     for policy in (CompleteSharing(), LongestQueueDrop(), FollowLqd(), DynamicThresholds()):
         seq = random_sequence(rng, small_config.num_ports, 80, 0.8)
-        sim = Simulation(small_config, policy)
+        sim = Simulation(small_config, policy, seq)
         for row in seq.slots:
             for port in row:
                 sim.arrive(port)
@@ -251,7 +251,7 @@ def test_work_conservation(small_config):
     # each departure phase transmits exactly the number of non-empty queues
     rng = random.Random(17)
     seq = random_sequence(rng, small_config.num_ports, 50, 0.8)
-    sim = Simulation(small_config, LongestQueueDrop())
+    sim = Simulation(small_config, LongestQueueDrop(), seq)
     for row in seq.slots:
         for port in row:
             sim.arrive(port)
@@ -556,9 +556,8 @@ def test_an_output_the_process_may_not_write_is_opened_in_place(tmp_path):
 
 class _OverflowPolicy:
     name = "broken"
-    thresholds = None
 
-    def reset(self, config):
+    def reset(self, config, sequence):
         pass
 
     def on_arrival(self, port, index, state):
@@ -570,9 +569,8 @@ class _OverflowPolicy:
 
 class _BadPushout:
     name = "broken_pushout"
-    thresholds = None
 
-    def reset(self, config):
+    def reset(self, config, sequence):
         pass
 
     def on_arrival(self, port, index, state):
@@ -590,18 +588,14 @@ def test_simulator_rejects_illegal_decisions():
         run_simulation(cfg, ArrivalSequence([[0]]), _BadPushout())
 
 
-class _Undeclared:
-    """A policy that declares no ``thresholds``; ``Simulation`` reads nothing else of it."""
-
-    name = "undeclared"
-
-    def reset(self, config):
-        pass
-
-
-def test_a_policy_must_declare_its_thresholds():
-    with pytest.raises(AttributeError, match="thresholds"):
-        Simulation(SwitchConfig(2, 2), _Undeclared())
+def test_no_policy_keeps_a_mirror_of_its_own():
+    # FollowLqd and Credence replay a recorded column, so a run drains only its queues
+    config, sequence = SwitchConfig(2, 4), ArrivalSequence([[0, 1], [0]])
+    for policy in (CompleteSharing(), DynamicThresholds(), LongestQueueDrop(), FollowLqd(),
+                   Credence(ConstantOracle(PredictionLabel.NEGATIVE))):
+        run_simulation(config, sequence, policy)
+        assert not hasattr(policy, "thresholds"), policy.name
+    assert not hasattr(Simulation(config, FollowLqd(), sequence), "mirror")
 
 
 @st.composite
@@ -637,20 +631,16 @@ def test_every_run_records_one_verdict_per_arrival(instance):
 
 
 class _Spy:
-    """Forwarding wrapper: forwards every call, and the wrapped policy's
-    ``thresholds``, and records in ``departures`` each port ``on_departure`` sees."""
+    """Forwarding wrapper: forwards every call, and records in ``departures``
+    each port ``on_departure`` sees."""
 
     def __init__(self, policy):
         self.policy = policy
         self.name = policy.name
         self.departures = []
 
-    @property
-    def thresholds(self):
-        return self.policy.thresholds
-
-    def reset(self, config):
-        self.policy.reset(config)
+    def reset(self, config, sequence):
+        self.policy.reset(config, sequence)
 
     def on_arrival(self, port, index, state):
         return self.policy.on_arrival(port, index, state)
@@ -658,29 +648,6 @@ class _Spy:
     def on_departure(self, port, state):
         self.departures.append(port)
         self.policy.on_departure(port, state)
-
-
-def _depart_every_port(sim):
-    """One departure phase by the per-port route: ``depart_port`` at every port."""
-    for port in range(sim.config.num_ports):
-        sim.depart_port(port)
-
-
-def _visit_every_port(config, sequence, policy):
-    """Reference schedule: ``depart_port`` for every port in every slot."""
-    sim = Simulation(config, policy)
-    for row in sequence.slots:
-        for port in row:
-            sim.arrive(port)
-        _depart_every_port(sim)
-    while sim.state.occupancy:
-        _depart_every_port(sim)
-    return sim
-
-
-def _final_thresholds(policy):
-    mirror = policy.thresholds
-    return None if mirror is None else list(mirror.thresholds)
 
 
 @st.composite
@@ -702,51 +669,72 @@ def test_skipping_idle_ports_and_slots_changes_no_output(instance):
     config, sequence, seed = instance
     lqd = run_simulation(config, sequence, LongestQueueDrop())
     oracle = FlipOracle(PerfectOracle.from_run(lqd), 0.3, seed, sequence)
+    drop = ConstantOracle(PredictionLabel.POSITIVE)
+    # each policy, and the reference it must match when every port departs in every slot;
+    # FollowLqd and Credence replay recorded thresholds, their references step a live mirror
     makers = {
-        "complete_sharing": CompleteSharing,
-        "dynamic_thresholds": DynamicThresholds,
-        "lqd": LongestQueueDrop,
-        "follow_lqd": FollowLqd,
-        "credence": lambda: Credence(oracle),
-        # its thresholds outlive its queues, so the final thresholds count the trailing slots drained
-        "credence(always drop)": lambda: Credence(ConstantOracle(PredictionLabel.POSITIVE)),
-        "sampler(credence)": lambda: FeatureSampler(Credence(oracle)),
-        "spy(follow_lqd)": lambda: _Spy(FollowLqd()),
-        "spy(credence)": lambda: _Spy(Credence(oracle)),
+        "complete_sharing": (CompleteSharing, CompleteSharing),
+        "dynamic_thresholds": (DynamicThresholds, DynamicThresholds),
+        "lqd": (LongestQueueDrop, LongestQueueDrop),
+        "follow_lqd": (FollowLqd, LiveFollowLqd),
+        "credence": (lambda: Credence(oracle), lambda: LiveCredence(oracle)),
+        "credence(always drop)": (lambda: Credence(drop), lambda: LiveCredence(drop)),
+        "sampler(credence)": (lambda: FeatureSampler(Credence(oracle)), lambda: FeatureSampler(LiveCredence(oracle))),
+        "spy(follow_lqd)": (lambda: _Spy(FollowLqd()), lambda: _Spy(LiveFollowLqd())),
+        "spy(credence)": (lambda: _Spy(Credence(oracle)), lambda: _Spy(LiveCredence(oracle))),
     }
-    for name, make in makers.items():
-        policy, reference_policy = make(), make()
+    for name, (make, make_reference) in makers.items():
+        policy, reference_policy = make(), make_reference()
         result = run_simulation(config, sequence, policy)
-        reference = _visit_every_port(config, sequence, reference_policy)
+        reference = visit_every_port(config, sequence, reference_policy)
         assert result.verdicts == reference.verdicts, name
         assert result.transmitted_count == reference.transmitted, name
         assert result.dropped_count == reference.dropped, name
         assert result.peak_occupancy == reference.peak_occupancy, name
-        assert _final_thresholds(policy) == _final_thresholds(reference_policy), name
         if isinstance(policy, _Spy):
             # a run departs only through ``drain``; the per-port reference visits every port in every slot
             assert policy.departures == [], name
             assert len(reference_policy.departures) >= config.num_ports * sequence.num_slots, name
 
 
+class _DrainLog:
+    """A ``Simulation`` driven by ``run_slots`` that logs each drain as (slots, backlog before it)."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.config = sim.config
+        self.arrive = sim.arrive
+        self.drains = []
+
+    @property
+    def backlog(self):
+        return self.sim.backlog
+
+    def drain(self, slots):
+        self.drains.append((slots, self.sim.backlog))
+        self.sim.drain(slots)
+
+
 def test_the_last_drain_runs_until_the_buffer_is_empty_and_no_further():
-    # a Credence whose oracle always says drop leaves thresholds above its
-    # queues, so the final thresholds show how many departure-only slots ran
     rng = random.Random(5)
-    outlived = 0
+    trailing = 0
     for _ in range(100):
         num_ports = rng.randint(2, 4)
         config = SwitchConfig(num_ports, rng.randint(2, 12))
-        slots = [[rng.randrange(num_ports) for _ in range(rng.randint(0, num_ports))] for _ in range(rng.randint(1, 12))]
-        # trailing empty rows shorter than the backlog: the tail must not add them to it
-        sequence = ArrivalSequence(slots + [[] for _ in range(rng.randint(0, 2))])
-        for make in (FollowLqd, lambda: Credence(ConstantOracle(PredictionLabel.POSITIVE))):
-            policy, reference_policy = make(), make()
-            run_simulation(config, sequence, policy)
-            _visit_every_port(config, sequence, reference_policy)
-            assert policy.thresholds.thresholds == reference_policy.thresholds.thresholds, sequence.slots
-            outlived += policy.thresholds.total > 0
-    assert outlived
+        slots = [[rng.randrange(num_ports) for _ in range(rng.randint(1, num_ports))] for _ in range(rng.randint(1, 12))]
+        # trailing empty rows, shorter or longer than the backlog, change nothing
+        sequence = ArrivalSequence(slots + [[] for _ in range(rng.randint(0, 6))])
+        for make in (LongestQueueDrop, FollowLqd, lambda: Credence(ConstantOracle(PredictionLabel.POSITIVE))):
+            log = _DrainLog(Simulation(config, make(), sequence))
+            core.run_slots(log, sequence)
+            assert log.sim.state.occupancy == 0
+            # every drain but the last ends at a slot with arrivals; the last is the longest queue
+            assert sum(drained for drained, _ in log.drains[:-1]) == len(slots) - 1
+            last, backlog = log.drains[-1]
+            assert last == backlog
+            # a drain to the end of the sequence would run more phases than this one
+            trailing += sequence.num_slots - (len(slots) - 1) > last
+    assert trailing
 
 
 @st.composite
@@ -760,14 +748,7 @@ def drain_instances(draw):
 
 
 def _drain_state(sim):
-    mirror = sim.policy.thresholds
-    return (
-        [list(queue) for queue in sim.state.queues],
-        list(sim.state.queue_len),
-        sim.state.occupancy,
-        sim.transmitted,
-        None if mirror is None else (list(mirror.thresholds), mirror.total),
-    )
+    return [list(queue) for queue in sim.state.queues], list(sim.state.queue_len), sim.state.occupancy, sim.transmitted
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -787,13 +768,13 @@ def test_drain_equals_that_many_departure_phases(instance):
         "spy(credence)": lambda: _Spy(Credence(oracle)),
     }
     for name, make in makers.items():
-        bulk, stepped = Simulation(config, make()), Simulation(config, make())
+        bulk, stepped = Simulation(config, make(), prefix), Simulation(config, make(), prefix)
         for sim in (bulk, stepped):
             for row in prefix.slots:
                 for port in row:
                     sim.arrive(port)
-                _depart_every_port(sim)
+                depart_every_port(sim)
         bulk.drain(slots)
         for _ in range(slots):
-            _depart_every_port(stepped)
+            depart_every_port(stepped)
         assert _drain_state(bulk) == _drain_state(stepped), name

@@ -17,15 +17,16 @@ from shbuf import (
     SwitchConfig,
     SwitchState,
     ThresholdState,
+    Verdict,
     run_simulation,
 )
 from shbuf.analysis import find_threshold_divergence, throughput
 from shbuf.core import Simulation
 from shbuf.oracles import ConstantOracle, FlipOracle, PredictionLabel
-from shbuf.policies import ACCEPT, DROP, threshold_levels
+from shbuf.policies import threshold_levels
 from shbuf.workloads import followlqd_adversary, followlqd_adversary_fill, poisson_bursts
 
-from conftest import random_sequence
+from conftest import LiveCredence, LiveFollowLqd, random_sequence, visit_every_port
 
 
 def _state_with(lengths):
@@ -37,6 +38,12 @@ def _state_with(lengths):
 
 
 PID = 0  # arrival index
+NONE = ArrivalSequence([])  # the sequence a policy that ignores it is bound to
+
+
+def _one_arrival(port):
+    """A sequence whose arrival ``PID`` goes to ``port``: its recorded level is 1."""
+    return ArrivalSequence([[port]])
 
 
 # --- CompleteSharing ---------------------------------------------------------
@@ -44,7 +51,7 @@ PID = 0  # arrival index
 
 def test_complete_sharing_rule():
     policy = CompleteSharing()
-    policy.reset(SwitchConfig(2, 4))
+    policy.reset(SwitchConfig(2, 4), NONE)
     assert policy.on_arrival(0, PID, _state_with([0, 0])).accept
     assert not policy.on_arrival(0, PID, _state_with([2, 2])).accept
     assert policy.on_arrival(0, PID, _state_with([2, 1])).accept
@@ -55,7 +62,7 @@ def test_complete_sharing_rule():
 
 def test_dynamic_thresholds_rule():
     policy = DynamicThresholds(Fraction(1, 2))
-    policy.reset(SwitchConfig(2, 16))
+    policy.reset(SwitchConfig(2, 16), NONE)
     # hand-built state: q_0 = 8 with free space 16, so the threshold is
     # exactly 8 and the strict comparison fails
     state = SwitchState(2)
@@ -68,7 +75,7 @@ def test_dynamic_thresholds_rule():
 
 def test_dynamic_thresholds_accepts_string_alpha():
     policy = DynamicThresholds("1/3")
-    policy.reset(SwitchConfig(2, 10))
+    policy.reset(SwitchConfig(2, 10), NONE)
     # free space 9, threshold exactly 3: q=2 accepted, q=3 dropped
     state = SwitchState(2)
     state.queue_len[0] = 2
@@ -85,7 +92,7 @@ def test_dynamic_thresholds_accepts_string_alpha():
 
 def test_lqd_accepts_when_room():
     policy = LongestQueueDrop()
-    policy.reset(SwitchConfig(2, 4))
+    policy.reset(SwitchConfig(2, 4), NONE)
     decision = policy.on_arrival(1, PID, _state_with([2, 1]))
     assert decision.accept and decision.pushout_victim is None
 
@@ -94,7 +101,7 @@ def test_lqd_pushes_out_tail_of_longest_queue():
     cfg = SwitchConfig(2, 4)
     # fill queues to [3, 1], then a packet to port 1 displaces queue 0's tail
     seq = ArrivalSequence([[0, 0], [0, 1], [1]])
-    sim = Simulation(cfg, LongestQueueDrop())
+    sim = Simulation(cfg, LongestQueueDrop(), seq)
     for row in seq.slots[:2]:
         for port in row:
             sim.arrive(port)
@@ -107,7 +114,7 @@ def test_lqd_pushes_out_tail_of_longest_queue():
 
 def test_lqd_drops_arrival_to_its_own_longest_queue():
     policy = LongestQueueDrop()
-    policy.reset(SwitchConfig(2, 4))
+    policy.reset(SwitchConfig(2, 4), NONE)
     state = _state_with([3, 1])
     assert not policy.on_arrival(0, PID, state).accept
     decision = policy.on_arrival(1, PID, state)
@@ -116,7 +123,7 @@ def test_lqd_drops_arrival_to_its_own_longest_queue():
 
 def test_lqd_tie_breaks_to_lowest_port():
     policy = LongestQueueDrop()
-    policy.reset(SwitchConfig(2, 4))
+    policy.reset(SwitchConfig(2, 4), NONE)
     state = _state_with([2, 2])
     # arriving at port 1: the tie goes to queue 0, which gives up a packet
     decision = policy.on_arrival(1, PID, state)
@@ -233,14 +240,14 @@ def test_threshold_state_matches_the_scanning_mirror(data):
 
 def test_follow_lqd_basic_accept():
     policy = FollowLqd()
-    policy.reset(SwitchConfig(2, 4))
+    policy.reset(SwitchConfig(2, 4), _one_arrival(0))
     decision = policy.on_arrival(0, PID, _state_with([0, 0]))
     assert decision.accept  # threshold became 1, queue is 0
 
 
 def test_follow_lqd_drops_when_buffer_full():
     policy = FollowLqd()
-    policy.reset(SwitchConfig(2, 4))
+    policy.reset(SwitchConfig(2, 4), _one_arrival(0))
     state = _state_with([2, 2])
     assert not policy.on_arrival(0, PID, state).accept
 
@@ -250,8 +257,8 @@ def test_follow_lqd_adversary_step_drops_behind_threshold():
     # B - N + 1 while the real queue still holds B - 1 packets
     cfg = SwitchConfig(4, 16)
     fill = followlqd_adversary_fill(cfg)
-    policy = FollowLqd()
-    sim = Simulation(cfg, policy)
+    sequence = ArrivalSequence(fill.slots + [list(range(4)), [0]])
+    sim = Simulation(cfg, FollowLqd(), sequence)
     for row in fill.slots:
         for port in row:
             sim.arrive(port)
@@ -260,9 +267,15 @@ def test_follow_lqd_adversary_step_drops_behind_threshold():
     accepted_before = sim.state.occupancy + sim.transmitted
     for port in range(4):
         sim.arrive(port)
-    assert policy.thresholds.thresholds[0] == cfg.buffer_size - cfg.num_ports + 1
     accepted = sim.state.occupancy + sim.transmitted - accepted_before
     assert accepted == 1  # only one of the N incoming packets fits
+    # one slot later port 0's threshold, drained and stepped once, is still
+    # B - N + 1, below its queue, so the next packet there is dropped
+    sim.drain(1)
+    assert threshold_levels(cfg, sequence)[-1] == cfg.buffer_size - cfg.num_ports + 1
+    assert sim.state.queue_len[0] > cfg.buffer_size - cfg.num_ports + 1
+    sim.arrive(0)
+    assert sim.verdicts[-1] is Verdict.DROPPED_ON_ARRIVAL
 
 
 def test_follow_lqd_transmits_two_per_adversary_cycle():
@@ -293,7 +306,7 @@ def test_credence_safeguard_bypasses_oracle():
     # all queues at 3 < 16/4, so even a drop-everything oracle cannot matter
     oracle = _CountingOracle(PredictionLabel.POSITIVE)
     policy = Credence(oracle)
-    policy.reset(SwitchConfig(4, 16))
+    policy.reset(SwitchConfig(4, 16), _one_arrival(0))
     decision = policy.on_arrival(0, PID, _state_with([3, 3, 3, 3]))
     assert decision.accept
     assert oracle.calls == 0
@@ -304,7 +317,7 @@ def test_credence_consults_oracle_when_safeguard_inactive():
     # prediction is honored
     oracle = _CountingOracle(PredictionLabel.POSITIVE)
     policy = Credence(oracle)
-    policy.reset(SwitchConfig(4, 16))
+    policy.reset(SwitchConfig(4, 16), _one_arrival(1))
     state = _state_with([4, 0, 0, 0])
     decision = policy.on_arrival(1, PID, state)
     assert not decision.accept
@@ -314,7 +327,7 @@ def test_credence_consults_oracle_when_safeguard_inactive():
 def test_credence_threshold_drop_skips_oracle():
     oracle = _CountingOracle(PredictionLabel.NEGATIVE)
     policy = Credence(oracle)
-    policy.reset(SwitchConfig(4, 16))
+    policy.reset(SwitchConfig(4, 16), _one_arrival(0))
     state = _state_with([4, 4, 0, 0])
     # port 0: queue 4 >= threshold 1 after the update; dropped unheard
     decision = policy.on_arrival(0, PID, state)
@@ -325,14 +338,10 @@ def test_credence_threshold_drop_skips_oracle():
 def test_credence_full_buffer_drop_skips_oracle():
     # queue below threshold but buffer full: drop without asking the oracle
     oracle = _CountingOracle(PredictionLabel.NEGATIVE)
-    policy = Credence(oracle)
-    policy.reset(SwitchConfig(2, 4))
-    for port in (0, 0, 1, 1):
-        policy.thresholds.on_arrival(port)  # thresholds [2, 2], total 4
-    state = _state_with([3, 1])
-    decision = policy.on_arrival(1, PID, state)
-    # after the update the arriving threshold is 3 > q_1 = 1, yet Q = B
-    assert policy.thresholds.thresholds[1] > state.queue_len[1]
+    # the arriving threshold is 3 > q_1 = 1, yet Q = B
+    policy = Credence(oracle, [3])
+    policy.reset(SwitchConfig(2, 4), _one_arrival(1))
+    decision = policy.on_arrival(1, PID, _state_with([3, 1]))
     assert not decision.accept
     assert oracle.calls == 0
 
@@ -344,13 +353,9 @@ def test_credence_drop_implies_long_queue():
             self.inner = inner
             self.name = inner.name
 
-        @property
-        def thresholds(self):
-            return self.inner.thresholds
-
-        def reset(self, config):
+        def reset(self, config, sequence):
             self.config = config
-            self.inner.reset(config)
+            self.inner.reset(config, sequence)
 
         def on_arrival(self, port, index, state):
             decision = self.inner.on_arrival(port, index, state)
@@ -376,21 +381,17 @@ def test_credence_matches_follow_lqd_rule_when_safeguard_inactive():
             self.inner = Credence(ConstantOracle(PredictionLabel.NEGATIVE))
             self.name = "check"
 
-        @property
-        def thresholds(self):
-            return self.inner.thresholds
-
-        def reset(self, config):
+        def reset(self, config, sequence):
             self.config = config
-            self.inner.reset(config)
+            self.levels = threshold_levels(config, sequence)
+            self.inner.reset(config, sequence)
 
         def on_arrival(self, port, index, state):
             safeguard = max(state.queue_len) * self.config.num_ports < self.config.buffer_size
             decision = self.inner.on_arrival(port, index, state)
             if not safeguard:
-                mirror = self.inner.thresholds
                 expected = (
-                    state.queue_len[port] < mirror.thresholds[port]
+                    state.queue_len[port] < self.levels[index]
                     and state.occupancy < self.config.buffer_size
                 )
                 assert decision.accept == expected
@@ -402,27 +403,6 @@ def test_credence_matches_follow_lqd_rule_when_safeguard_inactive():
     rng = random.Random(9)
     cfg = SwitchConfig(4, 8)
     run_simulation(cfg, random_sequence(rng, 4, 150, 0.8), Check())
-
-
-class _LiteralSafeguardCredence(Credence):
-    """Credence whose safeguard finds the longest queue with ``max`` on every arrival."""
-
-    def reset(self, config):
-        super().reset(config)
-        self._ports = config.num_ports
-
-    def on_arrival(self, port, index, state):
-        tracker = self.features
-        features = tracker.on_arrival(port, state) if tracker is not None else None
-        mirror = self.thresholds
-        mirror.on_arrival(port)
-        lengths = state.queue_len
-        if max(lengths) * self._ports < self._buffer:
-            return ACCEPT
-        if lengths[port] < mirror.thresholds[port] and state.occupancy < self._buffer:
-            label = self.oracle.predict(index, features)
-            return DROP if label is PredictionLabel.POSITIVE else ACCEPT
-        return DROP
 
 
 @st.composite
@@ -447,11 +427,12 @@ def test_credence_safeguard_from_bounds_matches_the_longest_queue(instance):
         oracle = PerfectOracle.from_run(run_simulation(config, sequence, LongestQueueDrop()))
         if kind == "flip":
             oracle = FlipOracle(oracle, p, seed, sequence)
-    # a drop-tail policy's verdict for each arrival is its decision there
+    # a drop-tail policy's verdict for each arrival is its decision there; the
+    # reference steps a live mirror and finds the longest queue with ``max``
     credence = run_simulation(config, sequence, Credence(oracle))
-    reference = run_simulation(config, sequence, _LiteralSafeguardCredence(oracle))
+    reference = visit_every_port(config, sequence, LiveCredence(oracle))
     assert credence.verdicts == reference.verdicts
-    # the same decisions from the recorded trajectory, with no mirror of its own
+    # the same decisions from a column recorded beforehand
     replay = run_simulation(config, sequence, Credence(oracle, threshold_levels(config, sequence)))
     assert replay.verdicts == credence.verdicts
 
@@ -474,11 +455,18 @@ def test_credence_replaying_recorded_levels_matches_the_live_mirror(config, sequ
     oracles = [ConstantOracle(PredictionLabel.POSITIVE), ConstantOracle(PredictionLabel.NEGATIVE), perfect]
     oracles += [FlipOracle(perfect, p, 3, sequence) for p in (0.1, 0.5)]
     for oracle in oracles:
-        live = Credence(oracle)
-        replay = Credence(oracle, levels)
-        expected = run_simulation(config, sequence, live)
-        assert run_simulation(config, sequence, replay).verdicts == expected.verdicts
-        assert live.thresholds is not None and replay.thresholds is None
+        expected = visit_every_port(config, sequence, LiveCredence(oracle)).verdicts
+        assert run_simulation(config, sequence, Credence(oracle)).verdicts == expected
+        assert run_simulation(config, sequence, Credence(oracle, levels)).verdicts == expected
+    expected = visit_every_port(config, sequence, LiveFollowLqd()).verdicts
+    assert run_simulation(config, sequence, FollowLqd()).verdicts == expected
+
+
+def test_credence_refuses_a_column_of_another_length():
+    config, sequence = SwitchConfig(2, 4), ArrivalSequence([[0, 1], [1]])
+    policy = Credence(ConstantOracle(PredictionLabel.NEGATIVE), [1, 1])
+    with pytest.raises(ValueError, match="2 entries for a sequence of 3 packets"):
+        run_simulation(config, sequence, policy)
 
 
 def test_threshold_mirror_on_random_instances():
@@ -488,21 +476,12 @@ def test_threshold_mirror_on_random_instances():
         b = rng.choice((4, 8, 16))
         cfg = SwitchConfig(n, b)
         seq = random_sequence(rng, n, 120, rng.choice((0.4, 0.7, 1.0)))
-        oracle = None
-        if trial % 3 == 1:
-            oracle = ConstantOracle(PredictionLabel.POSITIVE)
-        elif trial % 3 == 2:
-            lqd = run_simulation(cfg, seq, LongestQueueDrop())
-            oracle = FlipOracle(PerfectOracle.from_run(lqd), 0.4, trial, seq)
-        assert find_threshold_divergence(cfg, seq, oracle) is None
+        assert find_threshold_divergence(cfg, seq) is None
     # the sweep shape, where a full mirror steals among 48 thresholds
     wide = SwitchConfig(48, 48)
     for seed in range(1000, 1005):
-        seq = poisson_bursts(wide, 0.00833, 1000, seed)
-        lqd = run_simulation(wide, seq, LongestQueueDrop())
-        assert find_threshold_divergence(wide, seq, None) is None
-        assert find_threshold_divergence(wide, seq, FlipOracle(PerfectOracle.from_run(lqd), 0.3, seed, seq)) is None
-    assert find_threshold_divergence(wide, followlqd_adversary(wide, 8), None) is None
+        assert find_threshold_divergence(wide, poisson_bursts(wide, 0.00833, 1000, seed)) is None
+    assert find_threshold_divergence(wide, followlqd_adversary(wide, 8)) is None
 
 
 def test_credence_with_perfect_oracle_matches_lqd():
