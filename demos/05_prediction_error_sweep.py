@@ -15,7 +15,13 @@ import sys
 from statistics import mean
 
 from shbuf import LongestQueueDrop, SwitchConfig, run_simulation
-from shbuf.analysis import compute_eta, competitive_sweep, simulate_with_prediction_log, write_sweep_rows
+from shbuf.analysis import (
+    compute_eta,
+    competitive_sweep,
+    simulate_with_prediction_log,
+    write_sweep_chart,
+    write_sweep_rows,
+)
 from shbuf.oracles import FlipOracle, PerfectOracle, ground_truth_from_run
 from shbuf.workloads import poisson_bursts
 
@@ -56,14 +62,5 @@ if len(sys.argv) > 1:
     write_sweep_rows(sys.argv[1], rows)
     print(f"\nwrote {sys.argv[1]}")
 if len(sys.argv) > 2:
-    from shbuf.cli import _write_ratio_chart
-
-    averaged = {
-        p: (
-            mean(r.ratio_credence for r in rows if r.p == p),
-            mean(r.ratio_dt for r in rows if r.p == p),
-        )
-        for p in p_values
-    }
-    _write_ratio_chart(sys.argv[2], averaged)
+    write_sweep_chart(sys.argv[2], rows)
     print(f"wrote {sys.argv[2]}")

@@ -4,12 +4,12 @@ Provides the error ratio relating push-out LongestQueueDrop throughput to
 FollowLqd throughput on the prediction-reduced sequence, its closed-form
 upper bound from the confusion counts, the exact offline optimum over a
 frontier of drop-tail queue vectors pruned against LQD, flip-probability
-sweeps, and an event-by-event check that the threshold mirror, drained
-port by port and in bulk as FollowLqd's and Credence's recorded thresholds
-are, really does replay LQD queue lengths. Every run here goes through
-``core.run_slots``; the optimum's frontier and the event-by-event check, a
-lockstep of one LQD simulation and two mirrors, are each driven by the loop
-as one simulation.
+sweeps with their CSV and SVG chart, and an event-by-event check that the
+threshold mirror, drained port by port and in bulk as FollowLqd's and
+Credence's recorded thresholds are, really does replay LQD queue lengths.
+Every run here goes through ``core.run_slots``; the optimum's frontier
+and the event-by-event check, a lockstep of one LQD simulation and two
+mirrors, are each driven by the loop as one simulation.
 """
 
 from __future__ import annotations
@@ -64,6 +64,7 @@ __all__ = [
     "competitive_sweep",
     "find_threshold_divergence",
     "write_sweep_rows",
+    "write_sweep_chart",
     "LQD_COMPETITIVE_RATIO",
 ]
 
@@ -351,6 +352,54 @@ def write_sweep_rows(path, rows: Sequence[SweepRow]) -> None:
             f"{row.ratio_credence:.6f},{row.ratio_dt:.6f},{row.seed}"
         )
     _write_lines(path, lines)
+
+
+def write_sweep_chart(path, rows: Sequence[SweepRow]) -> None:
+    """Minimal self-contained SVG line chart: each policy's ratio, averaged over
+    the seeds, versus flip probability."""
+    width, height = 640, 420
+    margin = 60
+    ps = sorted({row.p for row in rows})
+    at = {p: [row for row in rows if row.p == p] for p in ps}
+    series = {
+        "Credence": ([sum(r.ratio_credence for r in at[p]) / len(at[p]) for p in ps], "#1f77b4"),
+        "DT": ([sum(r.ratio_dt for r in at[p]) / len(at[p]) for p in ps], "#ff7f0e"),
+    }
+    x_max = max(ps) if ps and max(ps) > 0 else 1.0
+    y_max = max(max(values) for values, _ in series.values())
+    y_max = max(1.0, y_max) * 1.1
+
+    def sx(p: float) -> float:
+        return margin + (width - 2 * margin) * (p / x_max)
+
+    def sy(v: float) -> float:
+        return height - margin - (height - 2 * margin) * (v / y_max)
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" y2="{height - margin}" stroke="black"/>',
+        f'<line x1="{margin}" y1="{margin}" x2="{margin}" y2="{height - margin}" stroke="black"/>',
+        f'<text x="{width / 2:.1f}" y="{height - 15}" text-anchor="middle" font-size="14">false-prediction probability</text>',
+        f'<text x="18" y="{height / 2:.1f}" text-anchor="middle" font-size="14" transform="rotate(-90 18 {height / 2:.1f})">LQD/ALG ratio</text>',
+    ]
+    for p in ps:
+        parts.append(f'<text x="{sx(p):.1f}" y="{height - margin + 18}" text-anchor="middle" font-size="11">{p:g}</text>')
+    ticks = 5
+    for i in range(ticks + 1):
+        v = y_max * i / ticks
+        parts.append(f'<text x="{margin - 8}" y="{sy(v) + 4:.1f}" text-anchor="end" font-size="11">{v:.1f}</text>')
+    legend_y = margin
+    for label, (values, color) in series.items():
+        points = " ".join(f"{sx(p):.1f},{sy(v):.1f}" for p, v in zip(ps, values))
+        parts.append(f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="2"/>')
+        parts.append(
+            f'<line x1="{width - margin - 120}" y1="{legend_y}" x2="{width - margin - 95}" y2="{legend_y}" stroke="{color}" stroke-width="2"/>'
+        )
+        parts.append(f'<text x="{width - margin - 88}" y="{legend_y + 4}" font-size="12">{label}</text>')
+        legend_y += 18
+    parts.append("</svg>")
+    _write_lines(path, parts)
 
 
 # --- threshold mirror verification ------------------------------------------------

@@ -3,12 +3,16 @@
 Subcommands: ``gen`` (emit a workload trace), ``simulate`` (one policy over
 one trace), ``train`` / ``evaluate`` (drop predictors), ``sweep``
 (flip-probability competitive sweep), and ``opt`` (exact offline optimum).
-Every command is a pure function of its flags plus the seed, so reruns
+Every command is a pure function of its settings plus the seed, so reruns
 produce byte-identical outputs. Settings may come from an INI-style config
 file (``--config``); explicit flags always win. The ``SHBUF_SEED``
 environment variable supplies the seed when neither a flag nor the config
-file does. The effective settings of each run are echoed to
-``<output>.config.txt``.
+file does. A setting's value is checked the same way whether a flag or the
+file gives it. A malformed command line (an unknown flag or subcommand, a
+flag without a value, a value of the wrong type or not among its choices),
+a missing setting and an input or output file that cannot be used each exit
+2 with one ``error:`` line. The effective settings of each run are echoed,
+each as its text was given, to ``<output>.config.txt``.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import contextlib
 import errno
 import os
 import sys
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .analysis import (
     InstanceTooLarge,
@@ -27,6 +31,7 @@ from .analysis import (
     competitive_sweep,
     compute_eta,
     simulate_with_prediction_log,
+    write_sweep_chart,
     write_sweep_rows,
 )
 from .core import (
@@ -168,59 +173,80 @@ def _load_config_file(path: Optional[str]) -> dict[str, str]:
 
 
 def _effective(command: str, args: argparse.Namespace, file_values: dict[str, str]) -> dict[str, str]:
-    """Resolve flag-vs-file precedence for every setting the subcommand takes.
+    """The text of every setting of the subcommand that a flag, or else the config file, gives.
 
-    Returns the settings as strings, as they are echoed to the sidecar.
+    Each text is kept as given, and the sidecar echoes it so.
     """
     resolved = {}
     for name in COMMANDS[command].settings:
-        flag_value = getattr(args, name)
-        if flag_value is not None:
-            resolved[name] = str(flag_value)
-        elif _ini_key(command, name) in file_values:
-            resolved[name] = file_values[_ini_key(command, name)]
+        text = getattr(args, name)
+        if text is None:
+            text = file_values.get(_ini_key(command, name))
+        if text is not None:
+            resolved[name] = text
     return resolved
 
 
 @contextlib.contextmanager
-def _as_config_error(prefix: str = "", errors: tuple = (ValueError,)):
-    """Report an input the library rejects as a one-line ConfigError headed by ``prefix``."""
+def _as_config_error(prefix: str = "", errors: tuple = (ValueError,), params: Mapping[str, str] = {}):
+    """Report an input the library rejects as a one-line ConfigError headed by ``prefix``; a
+    message that starts with a library parameter in ``params`` is reported under its setting's flag."""
     try:
         yield
     except errors as exc:
-        raise ConfigError(f"{prefix}{exc}") from None
+        message = str(exc)
+        name = message.split(" ", 1)[0]
+        if name in params:
+            message = _flag(params[name]) + message[len(name):]
+        raise ConfigError(f"{prefix}{message}") from None
 
 
-def _setting(resolved: dict[str, str], name: str):
-    """The typed value of one setting, or its default when it is not set."""
+def _setting(command: str, name: str, text: Optional[str]):
+    """The value of one setting of ``command`` from its text, or its default when it is not set.
+
+    This is the only place a setting's text is converted and checked, whether
+    a flag or the config file gave it; an error names both.
+    """
     setting = SETTINGS[name]
-    if name not in resolved:
+    if text is None:
         return setting.default
+    where = f"{_flag(name)} ({_ini_key(command, name)})"
     try:
-        value = setting.type(resolved[name])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad value for {name}: {resolved[name]!r} ({exc})") from None
+        value = setting.type(text)
+    except ValueError as exc:
+        raise ConfigError(f"bad {where} {text!r}: {exc}") from None
     if setting.choices is not None and value not in setting.choices:
-        raise ConfigError(f"unknown {name} {value!r}; choose from {', '.join(setting.choices)}")
+        raise ConfigError(f"unknown {where} {value!r}; choose from {', '.join(setting.choices)}")
     return value
 
 
-def _comma_list(resolved: dict[str, str], name: str, convert: Callable, noun: str) -> list:
+def _require(values: dict, *names: str, needed_by: str = "") -> None:
+    """Raise a ConfigError naming the flag of each of ``names`` that is not set, and what needs it."""
+    missing = [_flag(name) for name in names if values[name] is None]
+    if not missing:
+        return
+    flags = missing[0] if len(missing) == 1 else f"{', '.join(missing[:-1])} and {missing[-1]}"
+    if needed_by:
+        raise ConfigError(f"{needed_by} needs {flags}")
+    raise ConfigError(f"{flags} {'is' if len(missing) == 1 else 'are'} required")
+
+
+def _comma_list(values: dict, name: str, convert: Callable, noun: str) -> list:
     """A comma-separated setting as a list of ``convert``-ed items; one item is a ``noun``."""
-    raw = _setting(resolved, name)
+    raw = values[name]
     try:
-        values = [convert(value) for value in raw.split(",") if value.strip()]
+        items = [convert(item) for item in raw.split(",") if item.strip()]
     except ValueError:
         raise ConfigError(f"bad {_flag(name)} {raw!r}") from None
-    if not values:
+    if not items:
         raise ConfigError(f"{_flag(name)} names no {noun}")
-    return values
+    return items
 
 
-def _resolve_seed(resolved: dict[str, str]) -> int:
+def _resolve_seed(resolved: dict[str, str], values: dict) -> int:
     env = os.environ.get("SHBUF_SEED")
     if "seed" in resolved or env is None:
-        return _setting(resolved, "seed")
+        return values["seed"]
     try:
         return int(env)
     except ValueError:
@@ -239,73 +265,59 @@ def _check_outputs(resolved: dict[str, str]) -> None:
 # --- shared builders --------------------------------------------------------------
 
 
-def _switch_config(resolved: dict[str, str]) -> SwitchConfig:
-    ports = _setting(resolved, "ports")
-    buffer_size = _setting(resolved, "buffer")
-    if ports is None or buffer_size is None:
-        raise ConfigError("both --ports and --buffer are required")
-    with _as_config_error():
-        return SwitchConfig(ports, buffer_size)
+# the setting of each library parameter that an error message may start with;
+# a generator's parameters are settings of the same names
+_SWITCH_PARAMS = {"num_ports": "ports", "buffer_size": "buffer"}
+_TRAINER_PARAMS = {"trees": "trees", "max_depth": "depth", "split": "split"}
+_GENERATOR_PARAMS = {kind: {name: name for name, _ in workload.params} for kind, workload in WORKLOADS.items()}
 
 
-def _workload_spec(resolved: dict[str, str], seed: int) -> WorkloadSpec:
-    kind = _setting(resolved, "workload")
-    if kind is None:
-        raise ConfigError("--workload is required (or provide --trace)")
+def _switch_config(values: dict) -> SwitchConfig:
+    _require(values, "ports", "buffer")
+    with _as_config_error(params=_SWITCH_PARAMS):
+        return SwitchConfig(values["ports"], values["buffer"])
+
+
+def _workload_spec(values: dict, seed: int) -> WorkloadSpec:
+    kind = values["workload"]
     workload = WORKLOADS[kind]
-    params = {name: _setting(resolved, name) for name, _ in workload.params if name in resolved}
-    required = [name for name, needed in workload.params if needed]
-    if any(name not in params for name in required):
-        flags = " and ".join(map(_flag, required))
-        raise ConfigError(f"{kind} needs {flags}")
+    _require(values, *(name for name, needed in workload.params if needed), needed_by=kind)
+    params = {name: values[name] for name, _ in workload.params if values[name] is not None}
     if workload.seeded:
         params["seed"] = seed
     return WorkloadSpec(kind, params)
 
 
-@contextlib.contextmanager
-def _as_flag_error(kind: str):
-    """Report a ValueError as a one-line ConfigError; one that starts with a
-    parameter name of the ``kind`` generator is reported under its flag."""
-    try:
-        yield
-    except ValueError as exc:
-        message = str(exc)
-        name = message.split(" ", 1)[0]
-        if name in dict(WORKLOADS[kind].params):
-            message = _flag(name) + message[len(name):]
-        raise ConfigError(message) from None
-
-
 def _generate(config: SwitchConfig, spec: WorkloadSpec) -> ArrivalSequence:
     """The sequence ``spec`` describes."""
-    with _as_flag_error(spec.kind):
+    with _as_config_error(params=_GENERATOR_PARAMS[spec.kind]):
         return generate(config, spec)
 
 
-def _sequence_for(resolved: dict[str, str], config: SwitchConfig, seed: int) -> ArrivalSequence:
-    trace = _setting(resolved, "trace")
+def _sequence_for(values: dict, config: SwitchConfig, seed: int) -> ArrivalSequence:
+    trace = values["trace"]
     if trace is not None:
         with _as_config_error("cannot load trace: ", (OSError, ValueError)):
             sequence = load_sequence(trace)
     else:
-        sequence = _generate(config, _workload_spec(resolved, seed))
+        _require(values, "workload", needed_by="a run without --trace")
+        sequence = _generate(config, _workload_spec(values, seed))
     with _as_config_error():
         sequence.validate(config)
     return sequence
 
 
-def _build_policy(resolved: dict[str, str], config: SwitchConfig, sequence: ArrivalSequence, seed: int):
-    name = _setting(resolved, "policy")
+def _build_policy(values: dict, config: SwitchConfig, sequence: ArrivalSequence, seed: int):
+    name = values["policy"]
     if name == DynamicThresholds.name:
-        return _dynamic_thresholds(resolved)
+        return _dynamic_thresholds(values)
     if name == Credence.name:
-        return Credence(_build_oracle(resolved, config, sequence, seed))
+        return Credence(_build_oracle(values, config, sequence, seed))
     return _POLICIES[name]()
 
 
-def _dynamic_thresholds(resolved: dict[str, str]) -> DynamicThresholds:
-    alpha = _setting(resolved, "dt_alpha")
+def _dynamic_thresholds(values: dict) -> DynamicThresholds:
+    alpha = values["dt_alpha"]
     try:
         return DynamicThresholds(alpha)
     except ZeroDivisionError:
@@ -314,20 +326,18 @@ def _dynamic_thresholds(resolved: dict[str, str]) -> DynamicThresholds:
         raise ConfigError(f"bad --dt-alpha {alpha!r}: {exc}") from None
 
 
-def _build_oracle(resolved: dict[str, str], config: SwitchConfig, sequence: ArrivalSequence, seed: int):
-    kind = _setting(resolved, "oracle")
+def _build_oracle(values: dict, config: SwitchConfig, sequence: ArrivalSequence, seed: int):
+    kind = values["oracle"]
     if kind == "constant_accept":
         return ConstantOracle(PredictionLabel.NEGATIVE)
     if kind == "constant_drop":
         return ConstantOracle(PredictionLabel.POSITIVE)
     if kind == "forest":
-        model_path = _setting(resolved, "model")
-        if model_path is None:
-            raise ConfigError("--model is required with --oracle forest")
+        _require(values, "model", needed_by="--oracle forest")
         with _as_config_error("cannot load model: ", (OSError, ValueError)):
-            return ForestOracle(load_forest(model_path))
+            return ForestOracle(load_forest(values["model"]))
     if kind == "flip":
-        p = _setting(resolved, "flip_p")
+        p = values["flip_p"]
         if not 0.0 <= p <= 1.0:  # NaN fails too
             raise ConfigError(f"--flip-p must be in [0, 1], got {p}")
     # perfect and flip both replay a LongestQueueDrop run over the same trace
@@ -340,24 +350,23 @@ def _build_oracle(resolved: dict[str, str], config: SwitchConfig, sequence: Arri
 # --- subcommands ---------------------------------------------------------------
 
 
-def _cmd_gen(resolved: dict[str, str], seed: int) -> int:
-    config = _switch_config(resolved)
-    spec = _workload_spec(resolved, seed)
-    out = _setting(resolved, "out")
-    if out is None:
-        raise ConfigError("--out is required")
+def _cmd_gen(values: dict, seed: int) -> int:
+    config = _switch_config(values)
+    _require(values, "workload", "out")
+    spec = _workload_spec(values, seed)
+    out = values["out"]
     sequence = _generate(config, spec)
     save_sequence(out, sequence, comment=spec_comment(config, spec))
     print(f"packets={sequence.total_packets} slots={sequence.num_slots} out={out}")
     return EXIT_OK
 
 
-def _cmd_simulate(resolved: dict[str, str], seed: int) -> int:
-    config = _switch_config(resolved)
-    sequence = _sequence_for(resolved, config, seed)
-    policy = _build_policy(resolved, config, sequence, seed)
+def _cmd_simulate(values: dict, seed: int) -> int:
+    config = _switch_config(values)
+    sequence = _sequence_for(values, config, seed)
+    policy = _build_policy(values, config, sequence, seed)
     result = run_simulation(config, sequence, policy)
-    out = _setting(resolved, "out")
+    out = values["out"]
     if out is not None:
         save_outcomes(out, result)
     print(
@@ -367,34 +376,28 @@ def _cmd_simulate(resolved: dict[str, str], seed: int) -> int:
     return EXIT_OK
 
 
-def _cmd_train(resolved: dict[str, str], seed: int) -> int:
-    data = _setting(resolved, "data")
-    out = _setting(resolved, "out")
-    if data is None or out is None:
-        raise ConfigError("--data and --out are required")
-    trees = _setting(resolved, "trees")
-    depth = _setting(resolved, "depth")
-    split = _setting(resolved, "split")
-    sweep_counts = _setting(resolved, "tree_sweep")
-    sweep_out = _setting(resolved, "sweep_out")
-    if sweep_counts is None and sweep_out is not None:
-        raise ConfigError("--sweep-out needs --tree-sweep")
+def _cmd_train(values: dict, seed: int) -> int:
+    _require(values, "data", "out")
+    out = values["out"]
+    trees, depth, split = values["trees"], values["depth"], values["split"]
+    sweep_counts, sweep_out = values["tree_sweep"], values["sweep_out"]
+    if sweep_out is not None:
+        _require(values, "tree_sweep", needed_by="--sweep-out")
     if sweep_counts is not None:
-        if sweep_out is None:
-            raise ConfigError("--sweep-out is required with --tree-sweep")
-        counts = _comma_list(resolved, "tree_sweep", int, "tree count")
+        _require(values, "sweep_out", needed_by="--tree-sweep")
+        counts = _comma_list(values, "tree_sweep", int, "tree count")
         if not all(1 <= count <= MAX_TREES for count in counts):
             raise ConfigError(f"--tree-sweep counts must be in [1, {MAX_TREES}], got {sweep_counts!r}")
     with _as_config_error("cannot load training data: ", (OSError, ValueError)):
-        examples = load_examples(data)
-    with _as_config_error():
+        examples = load_examples(values["data"])
+    with _as_config_error(params=_TRAINER_PARAMS):
         train_part, _ = split_examples(examples, split, seed)
         model = train_forest(train_part, trees=trees, max_depth=depth, seed=seed)
     save_forest(model, out)
     print(f"trained trees={trees} depth={depth} train_examples={len(train_part)} out={out}")
 
     if sweep_counts is not None:
-        with _as_config_error():
+        with _as_config_error(params=_TRAINER_PARAMS):
             rows = tree_count_sweep(examples, counts, max_depth=depth, split=split, seed=seed)
         lines = [",".join([str(count), *_scores(metrics)]) for count, metrics in rows]
         _write_lines(sweep_out, ["trees,accuracy,precision,recall,f1", *lines])
@@ -408,23 +411,19 @@ def _scores(metrics: EvalMetrics) -> list[str]:
     return ["undefined" if value is None else f"{value:.6f}" for value in values]
 
 
-def _cmd_evaluate(resolved: dict[str, str], seed: int) -> int:
-    model_path = _setting(resolved, "model")
-    data = _setting(resolved, "data")
-    out = _setting(resolved, "out")
-    if model_path is None or data is None or out is None:
-        raise ConfigError("--model, --data and --out are required")
-    split = _setting(resolved, "split")
+def _cmd_evaluate(values: dict, seed: int) -> int:
+    _require(values, "model", "data", "out")
     with _as_config_error("cannot load model: ", (OSError, ValueError)):
-        model = load_forest(model_path)
+        model = load_forest(values["model"])
     with _as_config_error(errors=(OSError, ValueError)):
-        examples = load_examples(data)
-        metrics = evaluate(model, examples, split=split, seed=seed)
+        examples = load_examples(values["data"])
+    with _as_config_error(params=_TRAINER_PARAMS):
+        metrics = evaluate(model, examples, split=values["split"], seed=seed)
 
     inv_eta = ""
-    eta_trace = _setting(resolved, "eta_trace")
+    eta_trace = values["eta_trace"]
     if eta_trace is not None:
-        config = _switch_config(resolved)
+        config = _switch_config(values)
         with _as_config_error("cannot load --eta-trace: ", (OSError, ValueError)):
             sequence = load_sequence(eta_trace)
             sequence.validate(config)
@@ -435,7 +434,7 @@ def _cmd_evaluate(resolved: dict[str, str], seed: int) -> int:
 
     accuracy, precision, recall, f1 = _scores(metrics)
     confusion = metrics.confusion
-    _write_lines(out, [
+    _write_lines(values["out"], [
         "accuracy,precision,recall,f1,inv_eta,tp,fp,tn,fn",
         f"{accuracy},{precision},{recall},{f1},{inv_eta},"
         f"{confusion.tp},{confusion.fp},{confusion.tn},{confusion.fn}",
@@ -447,97 +446,36 @@ def _cmd_evaluate(resolved: dict[str, str], seed: int) -> int:
     return EXIT_OK
 
 
-def _cmd_sweep(resolved: dict[str, str], seed: int) -> int:
-    config = _switch_config(resolved)
-    rate = _setting(resolved, "rate")
-    horizon = _setting(resolved, "horizon")
-    out = _setting(resolved, "out")
-    if rate is None or horizon is None or out is None:
-        raise ConfigError("--rate, --horizon and --out are required")
-    p_values = _comma_list(resolved, "p_list", float, "flip probability")
+def _cmd_sweep(values: dict, seed: int) -> int:
+    config = _switch_config(values)
+    _require(values, "rate", "horizon", "out")
+    out = values["out"]
+    p_values = _comma_list(values, "p_list", float, "flip probability")
     for p in p_values:
         if not 0.0 <= p <= 1.0:  # NaN fails too
             raise ConfigError(f"--p-list flip probabilities must be in [0, 1], got {p}")
-    num_seeds = _setting(resolved, "seeds")
+    num_seeds = values["seeds"]
     if num_seeds < 1:
         raise ConfigError("--seeds must be >= 1")
     seeds = list(range(seed, seed + num_seeds))
-    dt_alpha = _dynamic_thresholds(resolved).alpha
+    dt_alpha = _dynamic_thresholds(values).alpha
     # each seed's sequence is a poisson_bursts workload of --rate and --horizon
-    with _as_flag_error("poisson_bursts"):
-        rows = competitive_sweep(config, p_values, seeds, rate, horizon, dt_alpha=dt_alpha)
+    with _as_config_error(params=_GENERATOR_PARAMS["poisson_bursts"]):
+        rows = competitive_sweep(config, p_values, seeds, values["rate"], values["horizon"], dt_alpha=dt_alpha)
     write_sweep_rows(out, rows)
 
-    chart = _setting(resolved, "chart")
+    chart = values["chart"]
     if chart is not None:
-        by_p = {p: [row for row in rows if row.p == p] for p in p_values}
-        averaged = {p: (sum(r.ratio_credence for r in at) / len(at), sum(r.ratio_dt for r in at) / len(at))
-                    for p, at in by_p.items()}
-        _write_ratio_chart(chart, averaged)
+        write_sweep_chart(chart, rows)
     print(f"rows={len(rows)} out={out}" + ("" if chart is None else f" chart={chart}"))
     return EXIT_OK
 
 
-def _cmd_opt(resolved: dict[str, str], seed: int) -> int:
-    config = _switch_config(resolved)
-    sequence = _sequence_for(resolved, config, seed)
+def _cmd_opt(values: dict, seed: int) -> int:
+    config = _switch_config(values)
+    sequence = _sequence_for(values, config, seed)
     print(f"opt_transmitted={brute_force_opt(config, sequence)} packets={sequence.total_packets}")
     return EXIT_OK
-
-
-# --- chart ---------------------------------------------------------------------
-
-
-def _write_ratio_chart(path: str, averaged: dict[float, tuple[float, float]]) -> None:
-    """Minimal self-contained SVG line chart: ratio versus flip probability."""
-    width, height = 640, 420
-    margin = 60
-    ps = sorted(averaged)
-    series = {
-        "Credence": ([averaged[p][0] for p in ps], "#1f77b4"),
-        "DT": ([averaged[p][1] for p in ps], "#ff7f0e"),
-    }
-    x_max = max(ps) if ps and max(ps) > 0 else 1.0
-    y_max = max(max(values) for values, _ in series.values())
-    y_max = max(1.0, y_max) * 1.1
-
-    def sx(p: float) -> float:
-        return margin + (width - 2 * margin) * (p / x_max)
-
-    def sy(v: float) -> float:
-        return height - margin - (height - 2 * margin) * (v / y_max)
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" y2="{height - margin}" stroke="black"/>',
-        f'<line x1="{margin}" y1="{margin}" x2="{margin}" y2="{height - margin}" stroke="black"/>',
-        f'<text x="{width / 2:.1f}" y="{height - 15}" text-anchor="middle" font-size="14">false-prediction probability</text>',
-        f'<text x="18" y="{height / 2:.1f}" text-anchor="middle" font-size="14" transform="rotate(-90 18 {height / 2:.1f})">LQD/ALG ratio</text>',
-    ]
-    for p in ps:
-        parts.append(
-            f'<text x="{sx(p):.1f}" y="{height - margin + 18}" text-anchor="middle" font-size="11">{p:g}</text>'
-        )
-    ticks = 5
-    for i in range(ticks + 1):
-        v = y_max * i / ticks
-        parts.append(
-            f'<text x="{margin - 8}" y="{sy(v) + 4:.1f}" text-anchor="end" font-size="11">{v:.1f}</text>'
-        )
-    legend_y = margin
-    for label, (values, color) in series.items():
-        points = " ".join(f"{sx(p):.1f},{sy(v):.1f}" for p, v in zip(ps, values))
-        parts.append(f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="2"/>')
-        parts.append(
-            f'<line x1="{width - margin - 120}" y1="{legend_y}" x2="{width - margin - 95}" y2="{legend_y}" stroke="{color}" stroke-width="2"/>'
-        )
-        parts.append(
-            f'<text x="{width - margin - 88}" y="{legend_y + 4}" font-size="12">{label}</text>'
-        )
-        legend_y += 18
-    parts.append("</svg>")
-    _write_lines(path, parts)
 
 
 # --- argument parsing -------------------------------------------------------------
@@ -549,7 +487,7 @@ class Command(NamedTuple):
     ``<command>.<dest>`` rather than from their usual key."""
 
     help: str
-    run: Callable[[dict[str, str], int], int]
+    run: Callable[[dict, int], int]
     settings: tuple[str, ...]
     own_keys: tuple[str, ...] = ()
 
@@ -571,8 +509,16 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as a one-line ConfigError; its subcommand parsers are _Parsers too."""
+
+    def error(self, message: str):
+        raise ConfigError(" ".join(message.split()))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="shbuf", description=__doc__)
+    """A parser that splits a command line into the text of each flag; ``_setting`` converts it."""
+    parser = _Parser(prog="shbuf", description=__doc__)
     parser.add_argument("--config", help="INI config file; flags override its values")
     sub = parser.add_subparsers(dest="command", required=True)
     for command_name, command in COMMANDS.items():
@@ -580,19 +526,21 @@ def build_parser() -> argparse.ArgumentParser:
         for name in command.settings:
             setting = SETTINGS[name]
             default = "" if setting.default is None else f" (default {setting.default})"
-            p.add_argument(
-                _flag(name), dest=name, type=setting.type, choices=setting.choices, help=setting.help + default
-            )
+            # the choices as argparse would show them, were it to check them
+            metavar = None if setting.choices is None else "{" + ",".join(setting.choices) + "}"
+            p.add_argument(_flag(name), dest=name, metavar=metavar, help=setting.help + default)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
+        command = COMMANDS[args.command]
         resolved = _effective(args.command, args, _load_config_file(args.config))
-        seed = _resolve_seed(resolved)
+        values = {name: _setting(args.command, name, resolved.get(name)) for name in command.settings}
+        seed = _resolve_seed(resolved, values)
         _check_outputs(resolved)
-        code = COMMANDS[args.command].run(resolved, seed)
+        code = command.run(values, seed)
         if "out" in resolved:
             settings = [f"{key} = {resolved[key]}" for key in sorted(resolved) if key != "seed"]
             _write_lines(resolved["out"] + _SIDECAR, [f"command = {args.command}", f"seed = {seed}", *settings])

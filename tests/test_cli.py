@@ -13,7 +13,7 @@ import pytest
 from shbuf import SwitchConfig
 from shbuf.cli import COMMANDS, EXIT_CONFIG, EXIT_OK, EXIT_REFUSED, SETTINGS, main
 from shbuf.core import save_sequence
-from shbuf.learner import MAX_TREES, collect_trace, save_examples
+from shbuf.learner import MAX_TREES, collect_trace, load_examples, save_examples, save_forest, train_forest
 from shbuf.workloads import poisson_bursts
 
 from conftest import BAD_EXAMPLE_ROWS, BAD_MODELS, contended_instance
@@ -371,23 +371,125 @@ BAD_SETTINGS = {
                     "--out", "{dir}/o.csv"], {}, None, "--flip-p must be in [0, 1], got nan"),
     "ports_not_an_int": (["simulate", *BURST[2:]], {}, "[switch]\nports = four\n", "ports"),
     "unknown_policy": (["simulate", *BURST], {}, "[policy]\nname = nope\n", "policy"),
+    "zero_ports": (["simulate", "--ports", "0", *BURST[2:]], {}, None, "--ports must be >= 1, got 0"),
+    # trainer parameters are named by their flags; {data} and {model} are files in another directory
+    "zero_depth": (["train", "--data", "{data}", "--depth", "0", "--out", "{dir}/m.json"], {}, None,
+                   "--depth must be >= 1, got 0"),
+    "zero_trees": (["train", "--data", "{data}", "--trees", "0", "--out", "{dir}/m.json"], {}, None,
+                   f"--trees must be in [1, {MAX_TREES}], got 0"),
+    "train_zero_split": (["train", "--data", "{data}", "--split", "0", "--out", "{dir}/m.json"], {}, None,
+                         "--split must be strictly between 0 and 1, got 0.0"),
+    "evaluate_zero_split": (["evaluate", "--model", "{model}", "--data", "{data}", "--split", "0",
+                             "--out", "{dir}/e.csv"], {}, None, "--split must be strictly between 0 and 1, got 0.0"),
 }
 
 
+@pytest.fixture(scope="module")
+def learned(tmp_path_factory):
+    """An examples file and a forest trained on it, in a directory of their own."""
+    base = tmp_path_factory.mktemp("learned")
+    data, model = base / "examples.csv", base / "model.json"
+    data.write_text(EXAMPLES)
+    save_forest(train_forest(load_examples(data), trees=1, max_depth=2), model)
+    return {"data": str(data), "model": str(model)}
+
+
 @pytest.mark.parametrize("case", BAD_SETTINGS)
-def test_a_missing_or_bad_setting_exits_2_naming_it(tmp_path, capsys, monkeypatch, case):
+def test_a_missing_or_bad_setting_exits_2_naming_it(tmp_path, capsys, monkeypatch, learned, case):
     argv, env, ini, named = BAD_SETTINGS[case]
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     if ini is not None:
         (tmp_path / "bad.ini").write_text(ini)
         argv = ["--config", str(tmp_path / "bad.ini"), *argv]
+    assert main([arg.format(dir=tmp_path, **learned) for arg in argv]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert named in captured.err
+    assert [path.name for path in tmp_path.iterdir()] == ([] if ini is None else ["bad.ini"])
+
+
+# each case: the command line ({dir} is a scratch directory), the config
+# file, and the flag, argument or key its one-line error must name
+MALFORMED = {
+    "ports_not_an_int": (["simulate", "--ports", "x", "--buffer", "4", "--out", "{dir}/o.csv"], None,
+                         "bad --ports (switch.ports) 'x'"),
+    "rate_not_a_number": (["sweep", "--ports", "4", "--buffer", "8", "--rate", "abc", "--horizon", "50",
+                           "--out", "{dir}/s.csv"], None, "bad --rate (workload.rate) 'abc'"),
+    "unknown_policy": (["simulate", *BURST, "--policy", "nope", "--out", "{dir}/o.csv"], None,
+                       "unknown --policy (policy.name) 'nope'"),
+    # every setting given is checked, also one the run would not read
+    "unknown_oracle": (["simulate", *BURST, "--oracle", "nope", "--out", "{dir}/o.csv"], None,
+                       "unknown --oracle (oracle.kind) 'nope'"),
+    "unknown_workload": (["gen", "--ports", "4", "--buffer", "16", "--workload", "nope", "--out", "{dir}/t.csv"],
+                         None, "unknown --workload (workload.kind) 'nope'"),
+    "unknown_flag": (["simulate", *BURST, "--nope", "1", "--out", "{dir}/o.csv"], None, "--nope"),
+    "unknown_flag_with_a_line_break": (["simulate", *BURST, "--no\npe", "--out", "{dir}/o.csv"], None, "--no pe"),
+    "flag_without_value": (["simulate", *BURST, "--out", "{dir}/o.csv", "--ports"], None, "--ports"),
+    "config_without_value": (["--config"], None, "--config"),
+    "no_subcommand": ([], None, "command"),
+    "unknown_subcommand": (["frobnicate", "--out", "{dir}/o.csv"], None, "frobnicate"),
+    "ini_ports_not_an_int": (["simulate", *BURST[2:], "--out", "{dir}/o.csv"], "[switch]\nports = four\n",
+                             "bad --ports (switch.ports) 'four'"),
+    "ini_unknown_oracle": (["simulate", *BURST, "--out", "{dir}/o.csv"], "[oracle]\nkind = nope\n",
+                           "unknown --oracle (oracle.kind) 'nope'"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_a_malformed_command_line_exits_2_with_one_line(tmp_path, capsys, case):
+    argv, ini, named = MALFORMED[case]
+    if ini is not None:
+        (tmp_path / "bad.ini").write_text(ini)
+        argv = ["--config", str(tmp_path / "bad.ini"), *argv]
+    # main returns; it raises no SystemExit
     assert main([arg.format(dir=tmp_path) for arg in argv]) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert named in captured.err
     assert [path.name for path in tmp_path.iterdir()] == ([] if ini is None else ["bad.ini"])
+
+
+GOOD_SIMULATE = {"--ports": "4", "--buffer": "16", "--workload": "poisson_bursts", "--rate": "0.05",
+                 "--horizon": "50", "--policy": "lqd", "--oracle": "perfect"}
+
+
+@pytest.mark.parametrize("flag, text", [("--ports", "x"), ("--rate", "abc"), ("--policy", "nope"),
+                                        ("--oracle", "nope"), ("--workload", "nope")])
+def test_a_bad_value_gives_one_error_from_a_flag_or_the_config_file(tmp_path, capsys, flag, text):
+    flags = {**GOOD_SIMULATE, flag: text}
+    assert main(["simulate", *(arg for item in flags.items() for arg in item)]) == EXIT_CONFIG
+    from_flag = capsys.readouterr().err
+    del flags[flag]
+    section, key = INI_KEYS[flag].split(".")
+    (tmp_path / "bad.ini").write_text(f"[{section}]\n{key} = {text}\n")
+    assert main(["--config", str(tmp_path / "bad.ini"), "simulate",
+                 *(arg for item in flags.items() for arg in item)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == from_flag
+    assert flag in from_flag and INI_KEYS[flag] in from_flag
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_help_lists_every_choice_and_exits_0(capsys, command):
+    with pytest.raises(SystemExit) as exited:
+        main([command, "--help"])
+    assert exited.value.code == 0
+    printed = capsys.readouterr().out
+    for name in COMMANDS[command].settings:
+        flag = "--" + name.replace("_", "-")
+        assert flag in printed
+        if SETTINGS[name].choices is not None:
+            assert f"{flag} {{{','.join(SETTINGS[name].choices)}}}" in printed
+
+
+def test_sidecar_echoes_each_flag_as_given(tmp_path):
+    out = tmp_path / "t.csv"
+    assert main(["gen", "--ports", "04", "--buffer", "16", "--workload", "poisson_bursts", "--rate", ".05",
+                 "--horizon", "50", "--out", str(out)]) == EXIT_OK
+    sidecar = (tmp_path / "t.csv.config.txt").read_text().splitlines()
+    assert "ports = 04" in sidecar and "rate = .05" in sidecar
 
 
 EXAMPLES = "q,q_ewma,Q,Q_ewma,label\n" + "1,0.5,3,1.5,0\n2,1.0,4,2.0,1\n" * 4

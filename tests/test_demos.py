@@ -24,10 +24,16 @@ def test_demos_exist():
     assert DEMOS
 
 
+# the files a demo writes when it is given their names
+DEMO_OUTPUTS = {"05_prediction_error_sweep": ["sweep.csv", "sweep.svg"]}
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
 def test_demo_runs(demo, tmp_path):
-    completed = _run([str(demo)], tmp_path)
+    outputs = DEMO_OUTPUTS.get(demo.stem, [])
+    completed = _run([str(demo), *outputs], tmp_path)
     assert completed.returncode == 0, completed.stderr
+    assert all((tmp_path / name).stat().st_size > 0 for name in outputs)
 
 
 def test_readme_python_blocks_run(tmp_path):
