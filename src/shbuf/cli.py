@@ -1,7 +1,8 @@
 """Experiment runner.
 
 Subcommands: ``gen`` (emit a workload trace), ``simulate`` (one policy over
-one trace), ``train`` / ``evaluate`` (drop predictors), ``sweep``
+one trace), ``label`` (a trace's packets as labeled training examples),
+``train`` / ``evaluate`` (drop predictors), ``sweep``
 (flip-probability competitive sweep), and ``opt`` (exact offline optimum).
 Every command is a pure function of its settings plus the seed, so reruns
 produce byte-identical outputs. Settings may come from an INI-style config
@@ -23,6 +24,7 @@ import contextlib
 import errno
 import os
 import sys
+from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .analysis import (
@@ -46,9 +48,11 @@ from .core import (
 from .learner import (
     MAX_TREES,
     EvalMetrics,
+    collect_trace,
     evaluate,
     load_examples,
     load_forest,
+    save_examples,
     save_forest,
     split_examples,
     train_forest,
@@ -89,11 +93,30 @@ class ConfigError(ValueError):
 # --- config file / flag merging -------------------------------------------------
 
 
+# converters that check more than a type raise their own ConfigError, which names the flag
+
+
+def _flip_probability(text: str) -> float:
+    p = float(text)
+    if not 0.0 <= p <= 1.0:  # NaN fails too
+        raise ConfigError(f"--flip-p must be in [0, 1], got {p}")
+    return p
+
+
+def _dt_alpha(text: str) -> Fraction:
+    try:
+        return DynamicThresholds(text).alpha
+    except ZeroDivisionError:
+        raise ConfigError(f"bad --dt-alpha {text!r}: zero denominator") from None
+    except ValueError as exc:
+        raise ConfigError(f"bad --dt-alpha {text!r}: {exc}") from None
+
+
 class Setting(NamedTuple):
-    """One flag: its INI ``section.key``, the type of its value, its value when
-    neither a flag nor the config file sets it, its help line, the values it
-    may take when they are a fixed set, and, for a flag that names an output,
-    the suffix that each file it writes adds to that name."""
+    """One flag: its INI ``section.key``, the function that converts its text,
+    its value when neither a flag nor the config file sets it, its help line,
+    the values it may take when they are a fixed set, and, for a flag that
+    names an output, the suffix that each file it writes adds to that name."""
 
     key: str
     type: Callable = str
@@ -119,9 +142,9 @@ SETTINGS = {
     "horizon": Setting("workload.horizon", int, help="slots for poisson_bursts, uniform_random and sweep"),
     "load": Setting("workload.load", float, help="per-port arrival probability for uniform_random"),
     "policy": Setting("policy.name", default="lqd", help="buffer-sharing policy", choices=tuple(_POLICIES)),
-    "dt_alpha": Setting("policy.dt_alpha", default="1/2", help="rational alpha for dynamic_thresholds"),
+    "dt_alpha": Setting("policy.dt_alpha", _dt_alpha, Fraction(1, 2), "rational alpha for dynamic_thresholds"),
     "oracle": Setting("oracle.kind", default="perfect", help="credence's drop predictor", choices=ORACLE_NAMES),
-    "flip_p": Setting("oracle.flip_p", float, 0.0, "flip probability for --oracle flip"),
+    "flip_p": Setting("oracle.flip_p", _flip_probability, 0.0, "flip probability for --oracle flip"),
     "model": Setting("oracle.model", help="forest model file"),
     "data": Setting("train.data", help="labeled example CSV (q,q_ewma,Q,Q_ewma,label)"),
     "trees": Setting("train.trees", int, 4, "trees in the forest"),
@@ -205,7 +228,9 @@ def _setting(command: str, name: str, text: Optional[str]):
     """The value of one setting of ``command`` from its text, or its default when it is not set.
 
     This is the only place a setting's text is converted and checked, whether
-    a flag or the config file gave it; an error names both.
+    a flag or the config file gave it, and whether or not the run reads it.
+    An error names both the flag and the key, except a converter's own
+    ConfigError, which names the flag as the run would.
     """
     setting = SETTINGS[name]
     if text is None:
@@ -213,6 +238,8 @@ def _setting(command: str, name: str, text: Optional[str]):
     where = f"{_flag(name)} ({_ini_key(command, name)})"
     try:
         value = setting.type(text)
+    except ConfigError:
+        raise  # a converter's own message, which names the flag
     except ValueError as exc:
         raise ConfigError(f"bad {where} {text!r}: {exc}") from None
     if setting.choices is not None and value not in setting.choices:
@@ -310,20 +337,10 @@ def _sequence_for(values: dict, config: SwitchConfig, seed: int) -> ArrivalSeque
 def _build_policy(values: dict, config: SwitchConfig, sequence: ArrivalSequence, seed: int):
     name = values["policy"]
     if name == DynamicThresholds.name:
-        return _dynamic_thresholds(values)
+        return DynamicThresholds(values["dt_alpha"])
     if name == Credence.name:
         return Credence(_build_oracle(values, config, sequence, seed))
     return _POLICIES[name]()
-
-
-def _dynamic_thresholds(values: dict) -> DynamicThresholds:
-    alpha = values["dt_alpha"]
-    try:
-        return DynamicThresholds(alpha)
-    except ZeroDivisionError:
-        raise ConfigError(f"bad --dt-alpha {alpha!r}: zero denominator") from None
-    except ValueError as exc:
-        raise ConfigError(f"bad --dt-alpha {alpha!r}: {exc}") from None
 
 
 def _build_oracle(values: dict, config: SwitchConfig, sequence: ArrivalSequence, seed: int):
@@ -336,14 +353,10 @@ def _build_oracle(values: dict, config: SwitchConfig, sequence: ArrivalSequence,
         _require(values, "model", needed_by="--oracle forest")
         with _as_config_error("cannot load model: ", (OSError, ValueError)):
             return ForestOracle(load_forest(values["model"]))
-    if kind == "flip":
-        p = values["flip_p"]
-        if not 0.0 <= p <= 1.0:  # NaN fails too
-            raise ConfigError(f"--flip-p must be in [0, 1], got {p}")
     # perfect and flip both replay a LongestQueueDrop run over the same trace
     oracle = PerfectOracle.from_run(run_simulation(config, sequence, LongestQueueDrop()))
     if kind == "flip":
-        return FlipOracle(oracle, p, seed, sequence)
+        return FlipOracle(oracle, values["flip_p"], seed, sequence)
     return oracle
 
 
@@ -373,6 +386,16 @@ def _cmd_simulate(values: dict, seed: int) -> int:
         f"policy={policy.name} transmitted={result.transmitted_count} "
         f"dropped={result.dropped_count} peak_occupancy={result.peak_occupancy}"
     )
+    return EXIT_OK
+
+
+def _cmd_label(values: dict, seed: int) -> int:
+    config = _switch_config(values)
+    _require(values, "out")
+    examples = collect_trace(config, _sequence_for(values, config, seed))
+    save_examples(examples, values["out"])
+    drops = sum(label is PredictionLabel.POSITIVE for _, label in examples)
+    print(f"examples={len(examples)} drops={drops} out={values['out']}")
     return EXIT_OK
 
 
@@ -458,10 +481,11 @@ def _cmd_sweep(values: dict, seed: int) -> int:
     if num_seeds < 1:
         raise ConfigError("--seeds must be >= 1")
     seeds = list(range(seed, seed + num_seeds))
-    dt_alpha = _dynamic_thresholds(values).alpha
     # each seed's sequence is a poisson_bursts workload of --rate and --horizon
     with _as_config_error(params=_GENERATOR_PARAMS["poisson_bursts"]):
-        rows = competitive_sweep(config, p_values, seeds, values["rate"], values["horizon"], dt_alpha=dt_alpha)
+        rows = competitive_sweep(
+            config, p_values, seeds, values["rate"], values["horizon"], dt_alpha=values["dt_alpha"]
+        )
     write_sweep_rows(out, rows)
 
     chart = values["chart"]
@@ -499,6 +523,8 @@ COMMANDS = {
     "gen": Command("generate a workload trace file", _cmd_gen, (*_WORKLOAD, "seed", "out")),
     "simulate": Command("run one policy over one trace", _cmd_simulate,
                         (*_WORKLOAD, "trace", "policy", "dt_alpha", "oracle", "flip_p", "model", "seed", "out")),
+    "label": Command("label every packet of a trace with its fate under LQD", _cmd_label,
+                     (*_WORKLOAD, "trace", "seed", "out")),
     "train": Command("train a drop predictor from a labeled trace CSV", _cmd_train,
                      ("data", "trees", "depth", "split", "tree_sweep", "sweep_out", "seed", "out")),
     "evaluate": Command("score a model on held-out examples", _cmd_evaluate,

@@ -5,15 +5,20 @@ small bagged ensemble of depth-limited decision trees on them, and computes
 the usual binary-classification scores. The trainer is written for exact
 reproducibility: given the same examples and seed it produces byte-identical
 model files, with Gini ties broken toward the lower feature index and then
-the lower threshold. A model compiles each of its trees into a small Python
-function of nested comparisons when it is made, and predicts through one
-compiled decision that runs the trees in index order and stops as soon as
-the majority is settled. Before the trees run, it turns each feature that
-is exactly an ``int`` within ±2**53 into the equal ``float``, so that its
-tests against float thresholds compare two floats; such ints are exact as
-floats, and the result is the same as comparing the int. numpy is
-imported only by the functions that train and split, so importing the
-package does not load it.
+the lower threshold. Each tree is grown over three (features x examples)
+blocks, example indices, values and labels, whose row ``f`` holds the
+bootstrap sample in stable sorted order of feature ``f``. A node owns the
+same column range of every row, and its split is found in one pass over all
+rows: the first least cost in the row-major flattening is the one that tie
+rule picks. A model compiles each of its trees into a small Python function
+of nested comparisons when it is made, and predicts through one compiled
+decision that runs the trees in index order and stops as soon as the
+majority is settled. Before the trees run, it turns each feature that is
+exactly an ``int`` within ±2**53 into the equal ``float``, so that its tests
+against float thresholds compare two floats; such ints are exact as floats,
+and the result is the same as comparing the int. numpy is imported only by
+the functions that train and split, so importing the package does not load
+it.
 """
 
 from __future__ import annotations
@@ -109,7 +114,7 @@ def _leaf(positives: int, total: int) -> int:
 
 
 def _split_node(
-    columns: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    block: tuple[np.ndarray, np.ndarray, np.ndarray],
     lo: int,
     hi: int,
     positives: int,
@@ -120,86 +125,85 @@ def _split_node(
 
     Returns ``(feature, threshold, middle, left positives)``, where the left
     child holds ``[lo, middle)``, or None when no feature varies. Every
-    column's range is partitioned stably, left examples first, unless the
+    candidate of every feature is scored at once: the boundaries between
+    adjacent distinct values are the nonzero positions of the row-major
+    flattened comparison of the node's value block, and the first least cost
+    among them belongs to the lowest feature and then to the lowest
+    boundary. That is the tie rule of scoring one feature at a time, taking
+    its first least cost, and moving to a later feature only when it costs
+    strictly less. The cost is half the weighted Gini impurity,
+    ``sum(pos * (n - pos) / n)`` over the two children, with each numerator
+    an exact int64 product; halving every cost changes no comparison. Then
+    every row's range is partitioned stably, left examples first, unless the
     children are leaves, which need only their counts. Its arrays are freed
     on return, before the children grow.
     """
     import numpy as np
 
+    ids, values, labels = block
     total = hi - lo
-    best_cost = np.inf
-    best_feature = -1
-    best_threshold = 0.0
-    for feature, (_, values, labels) in enumerate(columns):
-        values = values[lo:hi]
-        # ndarray methods, not the np.* wrappers: this loop runs once per feature and node
-        boundaries = (values[:-1] < values[1:]).nonzero()[0]
-        if boundaries.size == 0:
-            continue
-        left_pos = labels[lo:hi].cumsum(dtype=np.int64)[boundaries]
-        left_n = boundaries + 1
-        right_n = total - left_n
-        right_pos = positives - left_pos
-        # weighted Gini: sum over children of 2 * p * (1 - p) * n_child
-        cost = (
-            2.0 * left_pos * (left_n - left_pos) / left_n
-            + 2.0 * right_pos * (right_n - right_pos) / right_n
-        )
-        at = int(cost.argmin())
-        if cost[at] < best_cost:
-            best_cost = float(cost[at])
-            best_feature = feature
-            best_threshold = float((values[boundaries[at]] + values[boundaries[at] + 1]) / 2.0)
-
-    if best_feature < 0:
+    width = total - 1
+    node = values[:, lo:hi]
+    candidates = (node[:, :-1] < node[:, 1:]).ravel().nonzero()[0]
+    if candidates.size == 0:
         return None
-    ids, values, labels = columns[best_feature]
+    left_pos = labels[:, lo : hi - 1].cumsum(axis=1, dtype=np.int64).ravel().take(candidates)
+    left_n = candidates % width + 1
+    right_n = total - left_n
+    right_pos = positives - left_pos
+    cost = left_pos * (left_n - left_pos) / left_n + right_pos * (right_n - right_pos) / right_n
+    feature, at = divmod(int(candidates[int(cost.argmin())]), width)
+    row = values[feature]
+    threshold = float((row[lo + at] + row[lo + at + 1]) / 2.0)
     if children_are_leaves:
         # the midpoint of two adjacent doubles can round up to the larger one, so
         # the split is found by searching for the threshold, not taken from the
         # boundary between the two values
-        middle = lo + int(values[lo:hi].searchsorted(best_threshold, side="right"))
+        middle = lo + int(row[lo:hi].searchsorted(threshold, side="right"))
     else:
-        goes_left[ids[lo:hi]] = values[lo:hi] <= best_threshold
-        for ids, values, labels in columns:
+        goes_left[ids[feature, lo:hi]] = row[lo:hi] <= threshold
+        mask = goes_left[ids[:, lo:hi]]
+        # row by row: one take over the flattened block makes temporaries four
+        # times as large, and big nodes slower
+        for index in range(len(mask)):
             # positions then take(): much faster than boolean indexing on a scattered mask
-            mask = goes_left[ids[lo:hi]]
-            left_at = mask.nonzero()[0]
-            order = np.concatenate((left_at, (~mask).nonzero()[0]))
-            for column in (ids, values, labels):
-                column[lo:hi] = column[lo:hi].take(order)
+            left_at = mask[index].nonzero()[0]
+            order = np.concatenate((left_at, (~mask[index]).nonzero()[0]))
+            for rows in block:
+                rows[index, lo:hi] = rows[index, lo:hi].take(order)
         middle = lo + left_at.size
     # the left examples come first in ``labels`` either way
-    return best_feature, best_threshold, middle, int(labels[lo:middle].sum(dtype=np.int64))
+    return feature, threshold, middle, int(labels[feature, lo:middle].sum(dtype=np.int64))
 
 
 def _grow_tree(
-    columns: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    block: tuple[np.ndarray, np.ndarray, np.ndarray],
     lo: int,
     hi: int,
     positives: int,
     depth_left: int,
     goes_left: np.ndarray,
 ) -> Union[TreeNode, int]:
-    """Grow a subtree over the node that holds ``[lo, hi)`` of every column.
+    """Grow a subtree over the node that holds columns ``[lo, hi)`` of every row.
 
-    ``columns`` holds, per feature, one tree's sample positions, feature
-    values and labels. Within ``[lo, hi)`` each column lists the node's
-    examples in stable sorted order of that feature. A split partitions
-    every column's range stably, left examples first, which keeps that
-    order, so each range equals a stable ``argsort`` of the node's own
-    sample and every split is computed exactly as if the node were sorted
-    afresh. ``goes_left`` is a reusable mask over the sample positions.
+    ``block`` holds one tree's example indices, feature values and labels,
+    each a (features x samples) array whose row ``f`` lists the bootstrap
+    sample in stable sorted order of feature ``f``. A split partitions every
+    row's range stably, left examples first, which keeps that order, so each
+    range equals a stable ``argsort`` of the node's own sample and every
+    split is computed exactly as if the node were sorted afresh. An example
+    drawn twice has the same values in both places, so ``goes_left``, a
+    reusable mask over the example indices, sends both copies the same way.
     """
     total = hi - lo
     if positives == 0 or positives == total or depth_left == 0:
         return _leaf(positives, total)
-    split = _split_node(columns, lo, hi, positives, depth_left == 1, goes_left)
+    split = _split_node(block, lo, hi, positives, depth_left == 1, goes_left)
     if split is None:
         return _leaf(positives, total)
     feature, threshold, middle, left_positives = split
-    left = _grow_tree(columns, lo, middle, left_positives, depth_left - 1, goes_left)
-    right = _grow_tree(columns, middle, hi, positives - left_positives, depth_left - 1, goes_left)
+    left = _grow_tree(block, lo, middle, left_positives, depth_left - 1, goes_left)
+    right = _grow_tree(block, middle, hi, positives - left_positives, depth_left - 1, goes_left)
     return TreeNode(feature, threshold, left, right)
 
 
@@ -351,6 +355,7 @@ class ForestModel:
 
 
 def _as_arrays(examples: Sequence[LabeledExample]) -> tuple[np.ndarray, np.ndarray]:
+    """The examples as a (features x examples) float64 block and an int8 label per example."""
     import numpy as np
 
     features = list(map(itemgetter(0), examples))
@@ -360,7 +365,7 @@ def _as_arrays(examples: Sequence[LabeledExample]) -> tuple[np.ndarray, np.ndarr
     X = np.fromiter(chain.from_iterable(features), dtype=np.float64, count=len(features) * width)
     drops = map(is_, map(itemgetter(1), examples), repeat(PredictionLabel.POSITIVE))
     y = np.fromiter(drops, dtype=np.int8, count=len(examples))
-    return X.reshape(len(features), width), y
+    return X.reshape(len(features), width).T.copy(), y
 
 
 def train_forest(
@@ -384,25 +389,28 @@ def train_forest(
         raise ValueError(f"max_depth must be >= 1, got {max_depth}")
     import numpy as np
 
-    X, y = _as_arrays(examples)
+    columns, y = _as_arrays(examples)
     # dense ranks of each feature's values (-0.0 equal to 0.0, NaN last) sort
     # stably exactly as the values do, and numpy radix-sorts ranks that fit in
-    # 16 bits, as they do for up to 65,535 examples
-    ranks = [
-        np.unique(X[:, feature], return_inverse=True)[1].astype(np.min_scalar_type(len(X)))
-        for feature in range(X.shape[1])
-    ]
+    # 16 bits, as they do for up to 65,535 examples; the blocks are built with
+    # np.array and reshape, not np.stack, so examples without features still
+    # give (0 x examples) blocks and one-leaf trees
+    ranks = np.array(
+        [np.unique(column, return_inverse=True)[1] for column in columns],
+        dtype=np.min_scalar_type(len(y)),
+    ).reshape(columns.shape)
     rng = np.random.Generator(np.random.PCG64(seed))
+    goes_left = np.zeros(len(y), dtype=bool)
     grown: list[Union[TreeNode, int]] = []
     for _ in range(trees):
-        sample = rng.integers(0, len(examples), size=len(examples))
-        sample_X, sample_y = X[sample], y[sample]
-        orders = (np.argsort(ranks[feature][sample], kind="stable") for feature in range(X.shape[1]))
-        columns = [(order, sample_X[order, feature], sample_y[order]) for feature, order in enumerate(orders)]
-        positives = int(sample_y.sum(dtype=np.int64))
-        goes_left = np.zeros(len(sample), dtype=bool)
-        grown.append(_grow_tree(columns, 0, len(sample), positives, max_depth, goes_left))
-    return ForestModel(grown, max_depth, X.shape[1])
+        sample = rng.integers(0, len(y), size=len(y))
+        ids = sample.take(ranks.take(sample, axis=1).argsort(axis=1, kind="stable"))
+        labels = y.take(ids)
+        values = np.array([column.take(row) for column, row in zip(columns, ids)]).reshape(ids.shape)
+        block = (ids, values, labels)
+        positives = int(y.take(sample).sum(dtype=np.int64))
+        grown.append(_grow_tree(block, 0, len(sample), positives, max_depth, goes_left))
+    return ForestModel(grown, max_depth, len(columns))
 
 
 # --- evaluation ---------------------------------------------------------------
@@ -620,9 +628,10 @@ def load_examples(path) -> list[LabeledExample]:
                 features = FeatureVector(
                     int(parts[0]), float(parts[1]), int(parts[2]), float(parts[3])
                 )
-            except ValueError as exc:
+                finite = all(math.isfinite(value) for value in features)
+            except (ValueError, OverflowError) as exc:  # isfinite overflows on an int beyond a double
                 raise ValueError(f"{path}:{line_no}: {exc}") from None
-            if not all(math.isfinite(value) for value in features):
+            if not finite:
                 raise ValueError(f"{path}:{line_no}: non-finite feature in {line!r}")
             if parts[4] not in ("0", "1"):
                 raise ValueError(f"{path}:{line_no}: label must be 0 or 1, got {parts[4]!r}")

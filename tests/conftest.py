@@ -144,6 +144,7 @@ BAD_EXAMPLE_ROWS = {
     "non_numeric": ("2,abc,4,2.0,1", "could not convert string to float: 'abc'"),
     "nan": ("2,nan,4,2.0,1", "non-finite feature"),
     "inf": ("2,1.0,4,-inf,0", "non-finite feature"),
+    "int_beyond_a_double": ("1" + "0" * 400 + ",1.0,4,2.0,0", "int too large to convert to float"),
 }
 
 

@@ -369,6 +369,13 @@ BAD_SETTINGS = {
                           "--out", "{dir}/o.csv"], {}, None, "--flip-p must be in [0, 1], got 1.5"),
     "flip_p_nan": (["simulate", *BURST, "--policy", "credence", "--oracle", "flip", "--flip-p", "nan",
                     "--out", "{dir}/o.csv"], {}, None, "--flip-p must be in [0, 1], got nan"),
+    # a setting the run does not read is checked all the same, from a flag or the config file
+    "unread_flip_p": (["simulate", *BURST, "--flip-p", "5"], {}, None, "--flip-p must be in [0, 1], got 5.0"),
+    "unread_dt_alpha": (["simulate", *BURST, "--flip-p", "5", "--dt-alpha", "abc"], {}, None, "bad --dt-alpha 'abc': "),
+    "ini_unread_flip_p": (["simulate", *BURST], {}, "[oracle]\nflip_p = 2\n", "--flip-p must be in [0, 1], got 2.0"),
+    "ini_unread_dt_alpha": (["simulate", *BURST], {}, "[policy]\ndt_alpha = 1/0\n",
+                            "bad --dt-alpha '1/0': zero denominator"),
+    "label_without_out": (["label", *BURST], {}, None, "--out"),
     "ports_not_an_int": (["simulate", *BURST[2:]], {}, "[switch]\nports = four\n", "ports"),
     "unknown_policy": (["simulate", *BURST], {}, "[policy]\nname = nope\n", "policy"),
     "zero_ports": (["simulate", "--ports", "0", *BURST[2:]], {}, None, "--ports must be >= 1, got 0"),
@@ -584,8 +591,6 @@ def test_config_file_settings_match_golden_flag_outputs(tmp_path):
     os.chdir(workdir)
     digests = {}
     try:
-        cfg = SwitchConfig(8, 32)
-        save_examples(collect_trace(cfg, poisson_bursts(cfg, 1 / 32, 1500, seed=101)), "examples.csv")
         for name, argv in COMMANDS:
             ini = tmp_path / f"{name}.ini"
             ini.write_text(_as_ini(argv))

@@ -18,10 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from shbuf import SwitchConfig
 from shbuf.cli import main
-from shbuf.learner import collect_trace, save_examples
-from shbuf.workloads import poisson_bursts
 
 TRACE = ["--ports", "8", "--buffer", "32", "--trace", "trace.csv", "--seed", "7"]
 POLICIES = ("complete_sharing", "dynamic_thresholds", "lqd", "follow_lqd", "credence")
@@ -36,6 +33,10 @@ ORACLES = {
 # (name, argv); the commands run in this order, and every file they leave is hashed
 COMMANDS = (
     [
+        # the training examples come from the CLI pipeline: gen, then label
+        ("gen_learn", ["gen", "--ports", "8", "--buffer", "32", "--workload", "poisson_bursts",
+                       "--rate", "0.03125", "--horizon", "1500", "--seed", "101", "--out", "learn.csv"]),
+        ("label", ["label", "--ports", "8", "--buffer", "32", "--trace", "learn.csv", "--out", "examples.csv"]),
         ("gen", ["gen", "--ports", "8", "--buffer", "32", "--workload", "poisson_bursts",
                  "--rate", "0.03", "--horizon", "1500", "--seed", "7", "--out", "trace.csv"]),
         ("gen_adversary", ["gen", "--ports", "4", "--buffer", "16", "--workload",
@@ -86,9 +87,14 @@ GOLDEN = {
     'evaluate:stdout': '8bea9897221e1abbe578560c456b5d9e5db806ac817661c5e991878fc265bbb8',
     'evaluate_eta:stdout': '77d1ce9d15faa959d30f69827a0d0bf0ed06f43fc59696674a65fc419096954d',
     'examples.csv': '7aced0a40c6cc79930e6b9a91116f9acb2a239b4dcc5c90b1f42a47d494f7da3',
+    'examples.csv.config.txt': 'e7a0d889f32ab9893537bc06bcd93b5ec364a8e6aa5be78aa115e5004fe5dab7',
     'gen:stdout': '2041385eb3e643e732927781e6f5840124da5fd7bd0cb65a821a551e9fd1ce6e',
     'gen_adversary:stdout': '4b441dd13341c1f75ff7fa4bb76b63315440c0b8adf2a04478160b0aeeb2ab78',
+    'gen_learn:stdout': 'abff1b282e45120115d73b80115a227ccc283a954b97cbd004457c530d25aefe',
     'gen_uniform:stdout': '931ee57d79801c4d4f05e2875ab8de5c6fa0d78a0ca7ae117c1eca5105e91b64',
+    'label:stdout': '75b7412abb0524bcc611ba6370d5593d1f84fc280f267f4214b45095628ba204',
+    'learn.csv': 'fddb0d32e4034873794f969ac9e326baf787a29183f38d92b7263ea0131186ca',
+    'learn.csv.config.txt': '7e520b59d536b59ba3ffd8f327d74c6ca964d04fbc2ebc6b752eaf285916f4f6',
     'metrics.csv': '616801c547f71eed40b1b0204c8a4994e9b61b457d000c0150cf7c28ddb88365',
     'metrics.csv.config.txt': '66a9e5b9f419f680c2c6cd6dad777acfd487fcb0e350e99ad343473e4ea18850',
     'metrics_eta.csv': 'feed34b901bdb3f6254a40b5722ab85d8d1830998417cd2e6065ad29129df73e',
@@ -159,8 +165,6 @@ def produce(workdir: Path) -> dict[str, str]:
     previous = Path.cwd()
     os.chdir(workdir)
     try:
-        config = SwitchConfig(8, 32)
-        save_examples(collect_trace(config, poisson_bursts(config, 1 / 32, 1500, seed=101)), "examples.csv")
         for name, argv in COMMANDS:
             printed = io.StringIO()
             with contextlib.redirect_stdout(printed):

@@ -148,6 +148,14 @@ def test_train_validation():
         train_forest(ragged, trees=1, max_depth=1, seed=0)
 
 
+def test_examples_without_features_train_one_leaf_trees():
+    examples = [LabeledExample((), POS), LabeledExample((), POS), LabeledExample((), NEG)]
+    model = train_forest(examples, trees=2, max_depth=3, seed=0)
+    assert model.feature_count == 0
+    assert all(tree in (0, 1) for tree in model.trees)
+    assert model.predict_one(()) == _reference_predict(model.trees, ())
+
+
 # --- references: the per-node argsort trainer and the node-walking predictor ---------
 
 
@@ -276,6 +284,16 @@ def test_trainer_matches_the_reference_beyond_16_bit_ranks():
         for _ in range(70_000)
     ]
     _assert_same_forest(train_forest(examples, trees=1, max_depth=3, seed=4), _reference_forest(examples, 1, 3, 4))
+
+
+def test_a_cost_tie_between_features_goes_to_the_lower_feature_index():
+    # q and Q each separate the labels exactly, so both splits cost 0; Q's
+    # boundary comes earlier in its sorted order (after the negatives, which
+    # are fewer), yet the split is on q, the lower feature index
+    drop = LabeledExample(FeatureVector(0, 0.0, 1, 0.0), POS)
+    accept = LabeledExample(FeatureVector(1, 0.0, 0, 0.0), NEG)
+    model = train_forest([drop] * 150 + [accept] * 50, trees=3, max_depth=2, seed=0)
+    assert model.trees == (TreeNode(0, 0.5, 1, 0),) * 3
 
 
 _SPECIAL_VALUES = (
@@ -504,6 +522,57 @@ def test_load_examples_rejects_bad_features_naming_the_line(tmp_path, case):
     path.write_text(f"q,q_ewma,Q,Q_ewma,label\n1,0.5,3,1.5,0\n{row}\n")
     with pytest.raises(ValueError, match=f"examples.csv:3: {message}"):
         load_examples(path)
+
+
+_JUNK_FIELDS = st.one_of(
+    st.integers(-5, 40).map(str),
+    st.floats().map(repr),
+    st.sampled_from(("", " 1 ", "nan", "-inf", "1e999", "0x10", "1_0", "\u0663", "1" * 400, "2")),
+    st.text(max_size=3),
+)
+
+
+@st.composite
+def example_rows(draw):
+    # a valid row, with one field swapped for junk or not, or any number of junk fields
+    if draw(st.booleans()):
+        return ",".join(draw(st.lists(_JUNK_FIELDS, max_size=6)))
+    number = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    fields = [str(draw(st.integers(0, 40))), draw(number), str(draw(st.integers(0, 99))), draw(number),
+              draw(st.sampled_from("01"))]
+    if draw(st.booleans()):
+        fields[draw(st.integers(0, 4))] = draw(_JUNK_FIELDS)
+    return ",".join(fields)
+
+
+@st.composite
+def examples_files(draw):
+    # the header or not, then rows, as text or with bytes that may not be UTF-8
+    header = "q,q_ewma,Q,Q_ewma,label"
+    if draw(st.integers(0, 3)) == 0:
+        header = draw(st.sampled_from((" q,q_ewma,Q,Q_ewma,label ", "q,q_ewma", "")))
+    text = "\n".join([header, *draw(st.lists(example_rows(), max_size=4))])
+    data = text.encode("utf-8")
+    if draw(st.integers(0, 3)) == 0:
+        cut = draw(st.integers(0, len(data)))
+        data = data[:cut] + draw(st.binary(min_size=1, max_size=4)) + data[cut:]
+    return data
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(examples_files())
+def test_load_examples_returns_examples_or_raises_a_value_error_naming_the_file(data):
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "examples.csv"
+        path.write_bytes(data)
+        try:
+            examples = load_examples(path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}:")
+        else:
+            for features, label in examples:
+                assert all(math.isfinite(value) for value in features)
+                assert label in (POS, NEG)
 
 
 # --- metrics ------------------------------------------------------------------
