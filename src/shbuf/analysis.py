@@ -22,6 +22,7 @@ from operator import ne
 from typing import Mapping, Optional, Sequence, Union
 
 from .core import (
+    NUM_PORTS,
     ArrivalSequence,
     RunResult,
     Simulation,
@@ -32,6 +33,7 @@ from .core import (
 )
 from .learner import ConfusionCounts
 from .oracles import (
+    FLIP_PROBABILITY,
     FeatureSampler,
     FeatureVector,
     FlipOracle,
@@ -194,8 +196,7 @@ def eta_upper_bound(confusion: ConfusionCounts, num_ports: int) -> float:
     the denominator is not positive. False negatives are the expensive
     mistakes: each can cost up to ``N`` extra drops.
     """
-    if num_ports < 1:
-        raise ValueError(f"num_ports must be >= 1, got {num_ports}")
+    NUM_PORTS.check(num_ports)
     numerator = confusion.tn + confusion.fp
     denominator = confusion.tn - min((num_ports - 1) * confusion.fn, confusion.tn)
     if denominator <= 0:
@@ -321,8 +322,7 @@ def competitive_sweep(
     seed).
     """
     for p in p_values:
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"flip probability must be in [0, 1], got {p}")
+        FLIP_PROBABILITY.check(p)
     per_seed: dict[int, tuple[int, list[int], int]] = {}
     for seed in seeds:
         sequence = poisson_bursts(config, rate, horizon, seed)

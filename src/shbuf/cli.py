@@ -9,10 +9,12 @@ produce byte-identical outputs. Settings may come from an INI-style config
 file (``--config``); explicit flags always win. The ``SHBUF_SEED``
 environment variable supplies the seed when neither a flag nor the config
 file does. A setting's value is checked the same way whether a flag or the
-file gives it. A malformed command line (an unknown flag or subcommand, a
-flag without a value, a value of the wrong type or not among its choices),
-a missing setting and an input or output file that cannot be used each exit
-2 with one ``error:`` line. The effective settings of each run are echoed,
+file gives it, and whether or not the run reads it; a number is read and
+checked by the ``core.Bound`` that the library code taking it declares. A
+malformed command line (an unknown flag or subcommand, a flag without a
+value, a value of the wrong type, out of range or not among its choices), a
+missing setting and an input or output file that cannot be used each exit 2
+with one ``error:`` line. The effective settings of each run are echoed,
 each as its text was given, to ``<output>.config.txt``.
 """
 
@@ -22,11 +24,13 @@ import argparse
 import configparser
 import contextlib
 import errno
+import math
 import os
 import sys
 from fractions import Fraction
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
+from . import core, learner, oracles, workloads
 from .analysis import (
     InstanceTooLarge,
     brute_force_opt,
@@ -38,15 +42,16 @@ from .analysis import (
 )
 from .core import (
     ArrivalSequence,
+    Bound,
     SwitchConfig,
     _write_lines,
     load_sequence,
+    read_number,
     run_simulation,
     save_outcomes,
     save_sequence,
 )
 from .learner import (
-    MAX_TREES,
     EvalMetrics,
     collect_trace,
     evaluate,
@@ -93,17 +98,8 @@ class ConfigError(ValueError):
 # --- config file / flag merging -------------------------------------------------
 
 
-# converters that check more than a type raise their own ConfigError, which names the flag
-
-
-def _flip_probability(text: str) -> float:
-    p = float(text)
-    if not 0.0 <= p <= 1.0:  # NaN fails too
-        raise ConfigError(f"--flip-p must be in [0, 1], got {p}")
-    return p
-
-
 def _dt_alpha(text: str) -> Fraction:
+    """``--dt-alpha``'s fraction, else a ConfigError that names the flag."""
     try:
         return DynamicThresholds(text).alpha
     except ZeroDivisionError:
@@ -113,13 +109,14 @@ def _dt_alpha(text: str) -> Fraction:
 
 
 class Setting(NamedTuple):
-    """One flag: its INI ``section.key``, the function that converts its text,
-    its value when neither a flag nor the config file sets it, its help line,
-    the values it may take when they are a fixed set, and, for a flag that
-    names an output, the suffix that each file it writes adds to that name."""
+    """One flag: its INI ``section.key``, the function that converts its text
+    (or a number's Bound), its value when neither a flag nor the config file
+    sets it, its help line, the values it may take when they are a fixed set,
+    and, for a flag that names an output, the suffix that each file it
+    writes adds to that name."""
 
     key: str
-    type: Callable = str
+    type: Union[Callable, Bound] = str
     default: object = None
     help: str = ""
     choices: Optional[tuple[str, ...]] = None
@@ -131,34 +128,39 @@ _SIDECAR = ".config.txt"  # the effective settings of a run, beside its --out
 # every setting by argparse dest; a flag means the same setting in every
 # subcommand that takes it
 SETTINGS = {
-    "ports": Setting("switch.ports", int, help="number of switch ports (N)"),
-    "buffer": Setting("switch.buffer", int, help="shared buffer size in packets (B)"),
+    "ports": Setting("switch.ports", core.NUM_PORTS, help="number of switch ports (N)"),
+    "buffer": Setting("switch.buffer", core.BUFFER_SIZE, help="shared buffer size in packets (B)"),
     "trace": Setting("workload.trace", help="existing trace file (overrides --workload)"),
     "workload": Setting("workload.kind", help="workload generator", choices=WORKLOAD_KINDS),
-    "burst": Setting("workload.burst", int, help="burst size for single_burst"),
-    "short_burst": Setting("workload.short_burst", int, help="short-burst size for multi_burst_then_shorts"),
-    "cycles": Setting("workload.cycles", int, help="cycles for followlqd_adversary"),
-    "rate": Setting("workload.rate", float, help="bursts per slot for poisson_bursts and sweep"),
-    "horizon": Setting("workload.horizon", int, help="slots for poisson_bursts, uniform_random and sweep"),
-    "load": Setting("workload.load", float, help="per-port arrival probability for uniform_random"),
+    "burst": Setting("workload.burst", workloads.BURST, help="burst size for single_burst"),
+    "short_burst": Setting(
+        "workload.short_burst", workloads.SHORT_BURST, help="short-burst size for multi_burst_then_shorts"
+    ),
+    "cycles": Setting("workload.cycles", workloads.CYCLES, help="cycles for followlqd_adversary"),
+    "rate": Setting("workload.rate", workloads.RATE, help="bursts per slot for poisson_bursts and sweep"),
+    "horizon": Setting(
+        "workload.horizon", workloads.HORIZON, help="slots for poisson_bursts, uniform_random and sweep"
+    ),
+    "load": Setting("workload.load", workloads.LOAD, help="per-port arrival probability for uniform_random"),
     "policy": Setting("policy.name", default="lqd", help="buffer-sharing policy", choices=tuple(_POLICIES)),
     "dt_alpha": Setting("policy.dt_alpha", _dt_alpha, Fraction(1, 2), "rational alpha for dynamic_thresholds"),
     "oracle": Setting("oracle.kind", default="perfect", help="credence's drop predictor", choices=ORACLE_NAMES),
-    "flip_p": Setting("oracle.flip_p", _flip_probability, 0.0, "flip probability for --oracle flip"),
+    "flip_p": Setting("oracle.flip_p", oracles.FLIP_PROBABILITY, 0.0, "flip probability for --oracle flip"),
     "model": Setting("oracle.model", help="forest model file"),
     "data": Setting("train.data", help="labeled example CSV (q,q_ewma,Q,Q_ewma,label)"),
-    "trees": Setting("train.trees", int, 4, "trees in the forest"),
-    "depth": Setting("train.depth", int, 4, "maximum tree depth"),
-    "split": Setting("train.split", float, 0.6, "fraction of the examples to train on"),
+    "trees": Setting("train.trees", learner.TREES, 4, "trees in the forest"),
+    "depth": Setting("train.depth", learner.MAX_DEPTH, 4, "maximum tree depth"),
+    "split": Setting("train.split", learner.SPLIT, 0.6, "fraction of the examples to train on"),
     "tree_sweep": Setting("train.tree_sweep", help="comma list of tree counts to sweep"),
     "sweep_out": Setting("train.sweep_out", help="CSV for the tree-count sweep", outputs=("",)),
     "eta_trace": Setting("evaluate.eta_trace", help="trace file for the error-score column"),
     "p_list": Setting(
         "sweep.p_list", default="0,0.001,0.01,0.1,0.3,0.5,0.7", help="comma list of flip probabilities"
     ),
-    "seeds": Setting("sweep.seeds", int, 10, "number of workload seeds to average"),
+    # the workload seeds of a sweep, and a run's seed, are ranges no library code takes
+    "seeds": Setting("sweep.seeds", Bound("seeds", int, 1), 10, "number of workload seeds to average"),
     "chart": Setting("sweep.chart", help="optional SVG chart file", outputs=("",)),
-    "seed": Setting("run.seed", int, 0, "random seed, else $SHBUF_SEED"),
+    "seed": Setting("run.seed", Bound("seed", int, -math.inf), 0, "random seed, else $SHBUF_SEED"),
     "out": Setting("run.out", help="output file", outputs=("", _SIDECAR)),
 }
 
@@ -211,17 +213,12 @@ def _effective(command: str, args: argparse.Namespace, file_values: dict[str, st
 
 
 @contextlib.contextmanager
-def _as_config_error(prefix: str = "", errors: tuple = (ValueError,), params: Mapping[str, str] = {}):
-    """Report an input the library rejects as a one-line ConfigError headed by ``prefix``; a
-    message that starts with a library parameter in ``params`` is reported under its setting's flag."""
+def _as_config_error(prefix: str = "", errors: tuple = (ValueError,)):
+    """Report an input the library rejects as a one-line ConfigError headed by ``prefix``."""
     try:
         yield
     except errors as exc:
-        message = str(exc)
-        name = message.split(" ", 1)[0]
-        if name in params:
-            message = _flag(params[name]) + message[len(name):]
-        raise ConfigError(f"{prefix}{message}") from None
+        raise ConfigError(f"{prefix}{exc}") from None
 
 
 def _setting(command: str, name: str, text: Optional[str]):
@@ -230,18 +227,23 @@ def _setting(command: str, name: str, text: Optional[str]):
     This is the only place a setting's text is converted and checked, whether
     a flag or the config file gave it, and whether or not the run reads it.
     An error names both the flag and the key, except a converter's own
-    ConfigError, which names the flag as the run would.
+    ConfigError and a number out of its range, which name the flag as the
+    library names its parameter.
     """
     setting = SETTINGS[name]
     if text is None:
         return setting.default
     where = f"{_flag(name)} ({_ini_key(command, name)})"
+    bound = setting.type if isinstance(setting.type, Bound) else None
     try:
-        value = setting.type(text)
+        value = setting.type(text) if bound is None else read_number(text, bound.kind)
     except ConfigError:
         raise  # a converter's own message, which names the flag
     except ValueError as exc:
         raise ConfigError(f"bad {where} {text!r}: {exc}") from None
+    if bound is not None:
+        with _as_config_error():
+            bound.check(value, _flag(name))
     if setting.choices is not None and value not in setting.choices:
         raise ConfigError(f"unknown {where} {value!r}; choose from {', '.join(setting.choices)}")
     return value
@@ -258,15 +260,19 @@ def _require(values: dict, *names: str, needed_by: str = "") -> None:
     raise ConfigError(f"{flags} {'is' if len(missing) == 1 else 'are'} required")
 
 
-def _comma_list(values: dict, name: str, convert: Callable, noun: str) -> list:
-    """A comma-separated setting as a list of ``convert``-ed items; one item is a ``noun``."""
+def _comma_list(values: dict, name: str, bound: Bound, noun: str) -> list:
+    """A comma-separated setting as a list of numbers, each read and checked
+    as ``bound`` says; the items are ``noun``, and spaces around one are allowed."""
     raw = values[name]
     try:
-        items = [convert(item) for item in raw.split(",") if item.strip()]
+        items = [read_number(item.strip(), bound.kind) for item in raw.split(",") if item.strip()]
     except ValueError:
         raise ConfigError(f"bad {_flag(name)} {raw!r}") from None
     if not items:
         raise ConfigError(f"{_flag(name)} names no {noun}")
+    with _as_config_error():
+        for item in items:
+            bound.check(item, f"{_flag(name)} {noun}")
     return items
 
 
@@ -275,7 +281,7 @@ def _resolve_seed(resolved: dict[str, str], values: dict) -> int:
     if "seed" in resolved or env is None:
         return values["seed"]
     try:
-        return int(env)
+        return read_number(env, int)
     except ValueError:
         raise ConfigError(f"SHBUF_SEED must be an integer, got {env!r}") from None
 
@@ -292,17 +298,9 @@ def _check_outputs(resolved: dict[str, str]) -> None:
 # --- shared builders --------------------------------------------------------------
 
 
-# the setting of each library parameter that an error message may start with;
-# a generator's parameters are settings of the same names
-_SWITCH_PARAMS = {"num_ports": "ports", "buffer_size": "buffer"}
-_TRAINER_PARAMS = {"trees": "trees", "max_depth": "depth", "split": "split"}
-_GENERATOR_PARAMS = {kind: {name: name for name, _ in workload.params} for kind, workload in WORKLOADS.items()}
-
-
 def _switch_config(values: dict) -> SwitchConfig:
     _require(values, "ports", "buffer")
-    with _as_config_error(params=_SWITCH_PARAMS):
-        return SwitchConfig(values["ports"], values["buffer"])
+    return SwitchConfig(values["ports"], values["buffer"])
 
 
 def _workload_spec(values: dict, seed: int) -> WorkloadSpec:
@@ -315,12 +313,6 @@ def _workload_spec(values: dict, seed: int) -> WorkloadSpec:
     return WorkloadSpec(kind, params)
 
 
-def _generate(config: SwitchConfig, spec: WorkloadSpec) -> ArrivalSequence:
-    """The sequence ``spec`` describes."""
-    with _as_config_error(params=_GENERATOR_PARAMS[spec.kind]):
-        return generate(config, spec)
-
-
 def _sequence_for(values: dict, config: SwitchConfig, seed: int) -> ArrivalSequence:
     trace = values["trace"]
     if trace is not None:
@@ -328,7 +320,8 @@ def _sequence_for(values: dict, config: SwitchConfig, seed: int) -> ArrivalSeque
             sequence = load_sequence(trace)
     else:
         _require(values, "workload", needed_by="a run without --trace")
-        sequence = _generate(config, _workload_spec(values, seed))
+        with _as_config_error():
+            sequence = generate(config, _workload_spec(values, seed))
     with _as_config_error():
         sequence.validate(config)
     return sequence
@@ -368,7 +361,8 @@ def _cmd_gen(values: dict, seed: int) -> int:
     _require(values, "workload", "out")
     spec = _workload_spec(values, seed)
     out = values["out"]
-    sequence = _generate(config, spec)
+    with _as_config_error():
+        sequence = generate(config, spec)
     save_sequence(out, sequence, comment=spec_comment(config, spec))
     print(f"packets={sequence.total_packets} slots={sequence.num_slots} out={out}")
     return EXIT_OK
@@ -408,19 +402,17 @@ def _cmd_train(values: dict, seed: int) -> int:
         _require(values, "tree_sweep", needed_by="--sweep-out")
     if sweep_counts is not None:
         _require(values, "sweep_out", needed_by="--tree-sweep")
-        counts = _comma_list(values, "tree_sweep", int, "tree count")
-        if not all(1 <= count <= MAX_TREES for count in counts):
-            raise ConfigError(f"--tree-sweep counts must be in [1, {MAX_TREES}], got {sweep_counts!r}")
+        counts = _comma_list(values, "tree_sweep", learner.TREES, "tree counts")
     with _as_config_error("cannot load training data: ", (OSError, ValueError)):
         examples = load_examples(values["data"])
-    with _as_config_error(params=_TRAINER_PARAMS):
+    with _as_config_error():
         train_part, _ = split_examples(examples, split, seed)
         model = train_forest(train_part, trees=trees, max_depth=depth, seed=seed)
     save_forest(model, out)
     print(f"trained trees={trees} depth={depth} train_examples={len(train_part)} out={out}")
 
     if sweep_counts is not None:
-        with _as_config_error(params=_TRAINER_PARAMS):
+        with _as_config_error():
             rows = tree_count_sweep(examples, counts, max_depth=depth, split=split, seed=seed)
         lines = [",".join([str(count), *_scores(metrics)]) for count, metrics in rows]
         _write_lines(sweep_out, ["trees,accuracy,precision,recall,f1", *lines])
@@ -440,7 +432,7 @@ def _cmd_evaluate(values: dict, seed: int) -> int:
         model = load_forest(values["model"])
     with _as_config_error(errors=(OSError, ValueError)):
         examples = load_examples(values["data"])
-    with _as_config_error(params=_TRAINER_PARAMS):
+    with _as_config_error():
         metrics = evaluate(model, examples, split=values["split"], seed=seed)
 
     inv_eta = ""
@@ -473,19 +465,10 @@ def _cmd_sweep(values: dict, seed: int) -> int:
     config = _switch_config(values)
     _require(values, "rate", "horizon", "out")
     out = values["out"]
-    p_values = _comma_list(values, "p_list", float, "flip probability")
-    for p in p_values:
-        if not 0.0 <= p <= 1.0:  # NaN fails too
-            raise ConfigError(f"--p-list flip probabilities must be in [0, 1], got {p}")
-    num_seeds = values["seeds"]
-    if num_seeds < 1:
-        raise ConfigError("--seeds must be >= 1")
-    seeds = list(range(seed, seed + num_seeds))
+    p_values = _comma_list(values, "p_list", oracles.FLIP_PROBABILITY, "flip probabilities")
+    seeds = list(range(seed, seed + values["seeds"]))
     # each seed's sequence is a poisson_bursts workload of --rate and --horizon
-    with _as_config_error(params=_GENERATOR_PARAMS["poisson_bursts"]):
-        rows = competitive_sweep(
-            config, p_values, seeds, values["rate"], values["horizon"], dt_alpha=values["dt_alpha"]
-        )
+    rows = competitive_sweep(config, p_values, seeds, values["rate"], values["horizon"], dt_alpha=values["dt_alpha"])
     write_sweep_rows(out, rows)
 
     chart = values["chart"]

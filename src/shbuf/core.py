@@ -36,6 +36,7 @@ one O(slots) scan.
 
 from __future__ import annotations
 
+import math
 import os
 import re
 from array import array
@@ -47,12 +48,16 @@ from functools import cached_property
 from itertools import chain, compress, count, islice, repeat
 from operator import attrgetter, lt, ne
 from stat import S_ISREG
-from typing import TYPE_CHECKING, Deque, Optional
+from typing import TYPE_CHECKING, Deque, NamedTuple, Optional
 
 if TYPE_CHECKING:
     from .policies import Policy
 
 __all__ = [
+    "read_number",
+    "Bound",
+    "NUM_PORTS",
+    "BUFFER_SIZE",
     "SwitchConfig",
     "ArrivalSequence",
     "SwitchState",
@@ -68,6 +73,53 @@ __all__ = [
 ]
 
 
+_GRAMMAR = {int: re.compile(r"-?[0-9]+"), float: re.compile(r"[0-9A-Za-z.+-]+")}
+
+
+def read_number(text: str, kind: type):
+    """``text`` as a ``kind``, int or float, else a ValueError; every number read from text is read here.
+
+    An int is ASCII ``-?[0-9]+``. A float is what ``float()`` makes of ASCII
+    letters, digits, '.', '+' and '-', so ``nan``, ``inf`` and ``1e-05`` read,
+    and a range check rejects them where it must. Python's ``int()`` and
+    ``float()`` would also take '_', non-ASCII digits and surrounding spaces.
+    """
+    if _GRAMMAR[kind].fullmatch(text) is None:
+        raise ValueError(f"could not convert string to {kind.__name__}: {text!r}")
+    return kind(text)
+
+
+class Bound(NamedTuple):
+    """The range of numeric parameter ``name``, declared once beside the library code
+    that takes it: ``low <= value <= high``, or ``low < value < high`` when ``strict``,
+    which without a ``high`` is the positive and finite numbers. NaN is never in range.
+    The CLI reads the parameter's setting as a ``kind`` and checks it here too."""
+
+    name: str
+    kind: type
+    low: float
+    high: float = math.inf
+    strict: bool = False
+
+    def holds(self, value) -> bool:
+        return self.low < value < self.high if self.strict else self.low <= value <= self.high
+
+    def check(self, value, name: Optional[str] = None) -> None:
+        """Raise a ValueError naming ``name``, or else the parameter, if ``value`` is out of range."""
+        if not self.holds(value):
+            if not self.strict:
+                rule = f">= {self.low}" if self.high == math.inf else f"in [{self.low}, {self.high}]"
+            elif self.high == math.inf:
+                rule = "positive and finite"
+            else:
+                rule = f"strictly between {self.low} and {self.high}"
+            raise ValueError(f"{name or self.name} must be {rule}, got {value}")
+
+
+NUM_PORTS = Bound("num_ports", int, 1)
+BUFFER_SIZE = Bound("buffer_size", int, 1)
+
+
 @dataclass(frozen=True)
 class SwitchConfig:
     """Switch dimensions: ``num_ports`` output queues sharing ``buffer_size`` packet slots."""
@@ -76,11 +128,10 @@ class SwitchConfig:
     buffer_size: int
 
     def __post_init__(self) -> None:
-        for name, size in (("num_ports", self.num_ports), ("buffer_size", self.buffer_size)):
+        for bound, size in ((NUM_PORTS, self.num_ports), (BUFFER_SIZE, self.buffer_size)):
             if type(size) is not int:
-                raise ValueError(f"{name} must be an int, got {size!r}")
-            if size < 1:
-                raise ValueError(f"{name} must be >= 1, got {size}")
+                raise ValueError(f"{bound.name} must be an int, got {size!r}")
+            bound.check(size)
 
 
 @dataclass(frozen=True)
@@ -343,7 +394,7 @@ def run_simulation(config: SwitchConfig, sequence: ArrivalSequence, policy: "Pol
 # Arrival traces are UTF-8 text: a 'slot,port' header, then one 'slot,port'
 # row per packet, sorted by slot, with within-slot order equal to row order.
 # Blank lines and '#' comment lines may appear anywhere, spaces around a
-# field are allowed, and a field is read as ``int()`` reads it. Slots
+# field are allowed, and a field is an int of the one grammar. Slots
 # mentioned by no row are empty (arrival-free); trailing empty slots are not
 # representable. A file that cannot be loaded raises ValueError naming
 # ``path:line``, or only the path for a missing or wrong header or bytes that
@@ -497,7 +548,7 @@ def _parse_lines(path, text: str) -> ArrivalSequence:
         if len(parts) != 2:
             raise ValueError(f"{path}:{line_no}: expected 'slot,port', got {line!r}")
         try:
-            slot, port = int(parts[0]), int(parts[1])
+            slot, port = read_number(parts[0].strip(), int), read_number(parts[1].strip(), int)
         except ValueError:
             raise ValueError(f"{path}:{line_no}: non-integer field in {line!r}") from None
         if slot < 0 or port < 0:

@@ -31,7 +31,9 @@ from itertools import chain, repeat
 from operator import is_, itemgetter
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence, Union
 
-from .core import ArrivalSequence, SwitchConfig, Verdict, _utf8_errors_name, _write_lines, run_simulation
+from .core import (
+    ArrivalSequence, Bound, SwitchConfig, Verdict, _utf8_errors_name, _write_lines, read_number, run_simulation,
+)
 from .oracles import FeatureSampler, FeatureVector, PredictionLabel
 from .policies import LongestQueueDrop
 
@@ -56,10 +58,16 @@ __all__ = [
     "load_examples",
     "MODEL_FORMAT_VERSION",
     "MAX_TREES",
+    "TREES",
+    "MAX_DEPTH",
+    "SPLIT",
 ]
 
 MODEL_FORMAT_VERSION = 1
 MAX_TREES = 16
+TREES = Bound("trees", int, 1, MAX_TREES)
+MAX_DEPTH = Bound("max_depth", int, 1)
+SPLIT = Bound("split", float, 0, 1, strict=True)
 _FEATURE_COUNT = len(FeatureVector._fields)
 
 
@@ -383,10 +391,8 @@ def train_forest(
     """
     if not examples:
         raise ValueError("cannot train on an empty example list")
-    if not 1 <= trees <= MAX_TREES:
-        raise ValueError(f"trees must be in [1, {MAX_TREES}], got {trees}")
-    if max_depth < 1:
-        raise ValueError(f"max_depth must be >= 1, got {max_depth}")
+    TREES.check(trees)
+    MAX_DEPTH.check(max_depth)
     import numpy as np
 
     columns, y = _as_arrays(examples)
@@ -457,8 +463,7 @@ def split_examples(
     examples: Sequence[LabeledExample], split: float, seed: int
 ) -> tuple[list[LabeledExample], list[LabeledExample]]:
     """Deterministic shuffled split; the first ``split`` fraction is the training part."""
-    if not 0.0 < split < 1.0:
-        raise ValueError(f"split must be strictly between 0 and 1, got {split}")
+    SPLIT.check(split)
     import numpy as np
 
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -580,8 +585,8 @@ def load_forest(path) -> ForestModel:
         if feature_count != _FEATURE_COUNT:
             raise ValueError(f"feature_count must be {_FEATURE_COUNT}, got {feature_count}")
         trees = [_node_from_obj(obj) for obj in payload["trees"]]
-        if not 1 <= len(trees) <= MAX_TREES:
-            raise ValueError(f"a model holds 1 to {MAX_TREES} trees, got {len(trees)}")
+        if not TREES.holds(len(trees)):
+            raise ValueError(f"a model holds {TREES.low} to {TREES.high} trees, got {len(trees)}")
         model = ForestModel(trees, max_depth, feature_count)
         for index, tree in enumerate(model.trees):
             if _tree_depth(tree) > max_depth:
@@ -625,9 +630,7 @@ def load_examples(path) -> list[LabeledExample]:
             if len(parts) != 5:
                 raise ValueError(f"{path}:{line_no}: expected 5 fields, got {len(parts)}")
             try:
-                features = FeatureVector(
-                    int(parts[0]), float(parts[1]), int(parts[2]), float(parts[3])
-                )
+                features = FeatureVector(*map(read_number, parts[:4], (int, float, int, float)))
                 finite = all(math.isfinite(value) for value in features)
             except (ValueError, OverflowError) as exc:  # isfinite overflows on an int beyond a double
                 raise ValueError(f"{path}:{line_no}: {exc}") from None

@@ -19,7 +19,7 @@ from itertools import repeat
 from operator import gt, is_not, mul
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Optional, Protocol
 
-from .core import ArrivalSequence, RunResult, Verdict
+from .core import ArrivalSequence, Bound, RunResult, Verdict
 
 if TYPE_CHECKING:
     from .core import SwitchConfig, SwitchState
@@ -35,6 +35,7 @@ __all__ = [
     "ConstantOracle",
     "PerfectOracle",
     "FlipOracle",
+    "FLIP_PROBABILITY",
     "ForestOracle",
     "ground_truth_from_run",
 ]
@@ -267,6 +268,9 @@ def _flip_draws(seed: int, sequence: ArrivalSequence) -> Iterator[float]:
         yield from map(mul, values, repeat(2.0**-64))
 
 
+FLIP_PROBABILITY = Bound("flip probability", float, 0, 1)
+
+
 class FlipOracle:
     """Inverts a base oracle's label with probability ``p``, per packet.
 
@@ -295,8 +299,7 @@ class FlipOracle:
         return oracle
 
     def _bind(self, base: Oracle, p: float, draws: Iterable[float]) -> None:
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"flip probability must be in [0, 1], got {p}")
+        FLIP_PROBABILITY.check(p)
         self.base = base
         self.reads_features = base.reads_features
         # bound once: the base is asked on every query

@@ -30,9 +30,15 @@ from itertools import compress, repeat, starmap
 from operator import gt
 from typing import Callable, Optional
 
-from .core import ArrivalSequence, SwitchConfig, _Memo
+from .core import ArrivalSequence, Bound, SwitchConfig, _Memo
 
 __all__ = [
+    "BURST",
+    "SHORT_BURST",
+    "CYCLES",
+    "RATE",
+    "HORIZON",
+    "LOAD",
     "WorkloadKind",
     "WorkloadSpec",
     "WORKLOADS",
@@ -48,11 +54,18 @@ __all__ = [
     "uniform_random",
 ]
 
+# the range of each generator parameter
+BURST = Bound("burst", int, 1)
+SHORT_BURST = Bound("short_burst", int, 1)
+CYCLES = Bound("cycles", int, 1)
+RATE = Bound("rate", float, 0, strict=True)
+HORIZON = Bound("horizon", int, 1)
+LOAD = Bound("load", float, 0, 1)
+
 
 def single_burst(config: SwitchConfig, burst: int) -> ArrivalSequence:
     """One burst of ``burst`` packets to port 0, arriving as fast as the model allows."""
-    if burst < 1:
-        raise ValueError(f"burst must be >= 1, got {burst}")
+    BURST.check(burst)
     slots = []
     remaining = burst
     while remaining:
@@ -75,8 +88,7 @@ def multi_burst_then_shorts(config: SwitchConfig, short_burst: Optional[int] = N
         raise ValueError(f"multi_burst_then_shorts needs at least 5 ports, got {n}")
     if short_burst is None:
         short_burst = max(1, config.buffer_size // 8)
-    if short_burst < 1:
-        raise ValueError(f"short_burst must be >= 1, got {short_burst}")
+    SHORT_BURST.check(short_burst)
 
     slots: list[list[int]] = []
     remaining = {port: config.buffer_size for port in range(4)}
@@ -119,8 +131,7 @@ def followlqd_adversary(config: SwitchConfig, cycles: int) -> ArrivalSequence:
     queue 0 (restoring them). A threshold follower accepts exactly two
     packets per cycle while a clairvoyant schedule accepts ``num_ports + 1``.
     """
-    if cycles < 1:
-        raise ValueError(f"cycles must be >= 1, got {cycles}")
+    CYCLES.check(cycles)
     fill = followlqd_adversary_fill(config)
     n = config.num_ports
     slots = list(fill.slots)
@@ -138,10 +149,8 @@ def poisson_bursts(config: SwitchConfig, rate: float, horizon: int, seed: int) -
     packets share the per-slot cap first-come first-served; the excess spills
     into following slots, which may run past ``horizon``.
     """
-    if not (math.isfinite(rate) and rate > 0):
-        raise ValueError(f"rate must be positive and finite, got {rate}")
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    RATE.check(rate)
+    HORIZON.check(horizon)
     rng = random.Random(seed)
     n, b = config.num_ports, config.buffer_size
     bursts: deque[tuple[int, int]] = deque()  # (start slot, port), in start order
@@ -179,10 +188,8 @@ def poisson_bursts(config: SwitchConfig, rate: float, horizon: int, seed: int) -
 
 def uniform_random(config: SwitchConfig, load: float, horizon: int, seed: int) -> ArrivalSequence:
     """Independent per-port arrivals: each port receives a packet with probability ``load`` each slot."""
-    if not 0.0 <= load <= 1.0:
-        raise ValueError(f"load must be in [0, 1], got {load}")
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    LOAD.check(load)
+    HORIZON.check(horizon)
     rng = random.Random(seed)
     n = config.num_ports
     # ``load > draw`` is ``draw < load`` for a float, int or Fraction load

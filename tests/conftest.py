@@ -145,6 +145,8 @@ BAD_EXAMPLE_ROWS = {
     "nan": ("2,nan,4,2.0,1", "non-finite feature"),
     "inf": ("2,1.0,4,-inf,0", "non-finite feature"),
     "int_beyond_a_double": ("1" + "0" * 400 + ",1.0,4,2.0,0", "int too large to convert to float"),
+    "underscore": ("1_0,0.5,3,1.5,0", "could not convert string to int: '1_0'"),
+    "arabic_indic_digit": ("\u0663,0.5,3,1.5,1", "could not convert string to int: '\u0663'"),
 }
 
 

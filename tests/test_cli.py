@@ -2,18 +2,33 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from shbuf import SwitchConfig
-from shbuf.cli import COMMANDS, EXIT_CONFIG, EXIT_OK, EXIT_REFUSED, SETTINGS, main
+from shbuf import SwitchConfig, workloads
+from shbuf.analysis import competitive_sweep
+from shbuf.cli import COMMANDS, EXIT_CONFIG, EXIT_OK, EXIT_REFUSED, SETTINGS, ConfigError, _setting, main
 from shbuf.core import save_sequence
-from shbuf.learner import MAX_TREES, collect_trace, load_examples, save_examples, save_forest, train_forest
+from shbuf.learner import (
+    MAX_TREES,
+    LabeledExample,
+    collect_trace,
+    load_examples,
+    save_examples,
+    save_forest,
+    split_examples,
+    train_forest,
+)
+from shbuf.oracles import ConstantOracle, FeatureVector, FlipOracle, PredictionLabel
 from shbuf.workloads import poisson_bursts
 
 from conftest import BAD_EXAMPLE_ROWS, BAD_MODELS, contended_instance
@@ -388,6 +403,26 @@ BAD_SETTINGS = {
                          "--split must be strictly between 0 and 1, got 0.0"),
     "evaluate_zero_split": (["evaluate", "--model", "{model}", "--data", "{data}", "--split", "0",
                              "--out", "{dir}/e.csv"], {}, None, "--split must be strictly between 0 and 1, got 0.0"),
+    # a number is ASCII digits, with no digit-group underscore and no space around it
+    "ports_with_an_underscore": (["gen", "--ports", "1_0", *BURST[2:], "--out", "{dir}/t.csv"], {}, None,
+                                 "bad --ports (switch.ports) '1_0'"),
+    "ports_in_arabic_indic_digits": (["simulate", "--ports", "\u0664", *BURST[2:]], {}, None,
+                                     "bad --ports (switch.ports) '\u0664'"),
+    "ini_ports_with_an_underscore": (["simulate", *BURST[2:]], {}, "[switch]\nports = 1_6\n",
+                                     "bad --ports (switch.ports) '1_6'"),
+    "horizon_with_an_underscore": (["simulate", *BURST[:4], "--workload", "poisson_bursts", "--rate", "0.1",
+                                    "--horizon", "1_000"], {}, None, "bad --horizon (workload.horizon) '1_000'"),
+    "rate_with_spaces": (["simulate", *BURST[:4], "--workload", "poisson_bursts", "--rate", " 0.1 ",
+                          "--horizon", "100"], {}, None, "bad --rate (workload.rate) ' 0.1 '"),
+    "seed_in_arabic_indic_digits": (["simulate", *BURST, "--seed", "\u0663"], {}, None,
+                                    "bad --seed (run.seed) '\u0663'"),
+    "seed_env_in_arabic_indic_digits": (["simulate", *BURST], {"SHBUF_SEED": "\u0663"}, None,
+                                        "SHBUF_SEED must be an integer, got '\u0663'"),
+    # a range is checked wherever the value is given, like a type
+    "unread_load_and_horizon": (["simulate", *BURST, "--load", "5", "--horizon", "0"], {}, None,
+                                "--horizon must be >= 1, got 0"),
+    "unread_burst_and_rate_beside_a_trace": (["simulate", *BURST[:4], "--trace", "{dir}/t.csv", "--burst", "0",
+                                              "--rate", "-1"], {}, None, "--burst must be >= 1, got 0"),
 }
 
 
@@ -802,3 +837,82 @@ def test_readme_flag_table_lists_every_setting():
     assert exception.startswith("`evaluate` is the one exception")
     for name in own["evaluate"]:
         assert f"`--{name}`" in exception and f"`evaluate.{name}`" in exception
+
+
+# --- one range per number: the CLI takes a value exactly when its library owner does ------
+
+
+class _Drew(Exception):
+    """Raised where a seeded generator makes its random source: it has accepted its arguments."""
+
+
+def _to_the_first_draw(generator, *args) -> None:
+    """Call ``generator`` on a 5-port switch with seed 0, stopping once its arguments pass."""
+    def drew(seed):
+        raise _Drew
+    with mock.patch.object(workloads.random, "Random", drew):
+        try:
+            generator(SwitchConfig(5, 8), *args, 0)
+        except _Drew:
+            pass
+
+
+_OWNED_EXAMPLES = [
+    LabeledExample(
+        FeatureVector(q, q / 2, 2 * q, q / 3), PredictionLabel.POSITIVE if q % 3 else PredictionLabel.NEGATIVE
+    )
+    for q in range(10)
+]
+# each numeric setting that library code takes: the calls that take it, each
+# raising ValueError when it rejects the value
+NUMBER_OWNERS = {
+    "ports": (lambda value: SwitchConfig(value, 8),),
+    "buffer": (lambda value: SwitchConfig(5, value),),
+    "burst": (lambda value: workloads.single_burst(SwitchConfig(5, 8), value),),
+    "short_burst": (lambda value: workloads.multi_burst_then_shorts(SwitchConfig(5, 8), value),),
+    "cycles": (lambda value: workloads.followlqd_adversary(SwitchConfig(5, 8), value),),
+    "rate": (lambda value: _to_the_first_draw(workloads.poisson_bursts, value, 1),),
+    "horizon": (lambda value: _to_the_first_draw(workloads.poisson_bursts, 0.5, value),
+                lambda value: _to_the_first_draw(workloads.uniform_random, 0.5, value)),
+    "load": (lambda value: _to_the_first_draw(workloads.uniform_random, value, 1),),
+    "flip_p": (lambda value: FlipOracle.from_draws(ConstantOracle(PredictionLabel.NEGATIVE), value, [0.5]),
+               lambda value: competitive_sweep(SwitchConfig(5, 8), [value], [], 0.5, 1)),
+    "trees": (lambda value: train_forest(_OWNED_EXAMPLES, trees=value, max_depth=1),),
+    "depth": (lambda value: train_forest(_OWNED_EXAMPLES, trees=1, max_depth=value),),
+    "split": (lambda value: split_examples(_OWNED_EXAMPLES, value, 0),),
+}
+_SPECIAL_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf]
+
+
+def _numbers(name: str):
+    """Values of setting ``name``: each finite end of its range and the numbers
+    next to it, 0, -0.0, NaN, ±inf, and others; an int setting's ints are small."""
+    bound = SETTINGS[name].type
+    ends = [end for end in (bound.low, bound.high) if math.isfinite(end)]
+    if bound.kind is int:
+        near = [end + step for end in ends for step in (-1, 0, 1)]
+        return st.sampled_from(near + [0] + _SPECIAL_FLOATS) | st.integers(-3, 40)
+    near = [math.nextafter(end, toward) for end in (bound.low, bound.high) for toward in (-math.inf, end, math.inf)]
+    return st.sampled_from(near + _SPECIAL_FLOATS) | st.floats() | st.floats(-2, 2)
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(data=st.data())
+def test_a_number_is_accepted_by_the_cli_exactly_when_its_library_owner_accepts_it(data):
+    name = data.draw(st.sampled_from(sorted(NUMBER_OWNERS)))
+    value = data.draw(_numbers(name))
+    command = next(command for command in COMMANDS if name in COMMANDS[command].settings)
+    try:
+        read = _setting(command, name, repr(value))
+    except ConfigError:
+        read = None
+    if isinstance(value, float) and SETTINGS[name].type.kind is int:
+        assert read is None  # an int's text has no point, exponent or letter
+        return
+    for owner in NUMBER_OWNERS[name]:
+        try:
+            owner(value)
+        except ValueError:
+            assert read is None, (name, value)
+        else:
+            assert read is not None and (read == value or math.isnan(value)), (name, value)

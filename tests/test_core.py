@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import os
 import random
+import re
 import subprocess
 import sys
 from unittest import mock
@@ -305,6 +306,35 @@ def test_sequence_file_rejects_malformed(tmp_path):
         load_sequence(path)
 
 
+@pytest.mark.parametrize("row", ["0,1_0", "0,\u0663", "+0,3", "0,1.0"])
+def test_a_trace_field_outside_the_int_grammar_is_an_error_naming_its_line(tmp_path, row):
+    path = tmp_path / "trace.csv"
+    path.write_text(f"slot,port\n0,0\n{row}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:3: non-integer field in {row!r}')}$"):
+        load_sequence(path)
+
+
+@pytest.mark.parametrize("text, kind", [
+    *((text, int) for text in ["0", "-0", "007", "-12", "9" * 30]),
+    *((text, float) for text in ["0.5", ".05", "+0.5", "-1", "1e-05", "1E3", "nan", "inf", "-Infinity"]),
+])
+def test_a_number_in_the_grammar_reads_as_its_kind_reads_it(text, kind):
+    assert repr(core.read_number(text, kind)) == repr(kind(text))
+
+
+@pytest.mark.parametrize("text, kind", [
+    *((text, int) for text in ["", "-", "+3", "1_0", " 1", "1 ", "\u0663", "1.0", "1e3", "0x10", "--1"]),
+    *((text, float) for text in ["", "1_0.5", " 0.1 ", "0.1\n", "\u0663.5", "0.\u0665", "1e", "abc", "0x10"]),
+])
+def test_any_other_text_is_not_a_number(text, kind):
+    with pytest.raises(ValueError, match=f"^could not convert string to {kind.__name__}: {re.escape(repr(text))}$"):
+        core.read_number(text, kind)
+
+
+# a trace field, spaces around it aside: ASCII digits after an optional minus
+_REFERENCE_FIELD = re.compile(r"-?[0-9]+")
+
+
 def _reference_load_sequence(path) -> ArrivalSequence:
     """The line-by-line trace parser that ``load_sequence`` must agree with."""
     rows: list[tuple[int, int]] = []
@@ -323,7 +353,9 @@ def _reference_load_sequence(path) -> ArrivalSequence:
             if len(parts) != 2:
                 raise ValueError(f"{path}:{line_no}: expected 'slot,port', got {line!r}")
             try:
-                slot, port = int(parts[0]), int(parts[1])
+                if not all(_REFERENCE_FIELD.fullmatch(part.strip()) for part in parts):
+                    raise ValueError
+                slot, port = int(parts[0]), int(parts[1])  # ValueError past int()'s digit limit
             except ValueError:
                 raise ValueError(f"{path}:{line_no}: non-integer field in {line!r}") from None
             if slot < 0 or port < 0:
@@ -426,6 +458,28 @@ def test_load_sequence_reads_back_what_save_sequence_writes(tmp_path, rows, comm
     assert loaded == sequence
     # no two rows share one list
     assert len(set(map(id, loaded.slots))) == len(loaded.slots)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(
+    head=st.sampled_from(["slot,port\n", "# c\nslot,port\n", ""]),
+    body=st.lists(st.from_regex(r"[0-9]{1,3},[0-9]{1,2}", fullmatch=True)
+                  | st.text(st.sampled_from("0123456789,\r\t -+_.#x\u0663\u00a0"), max_size=8), max_size=6).map("\n".join),
+    block=st.sampled_from([1, 5, 1 << 16]),
+)
+def test_both_trace_parsers_agree_on_any_text_and_read_only_the_int_grammar(head, body, block):
+    text = head + body
+    with mock.patch.object(core, "_BLOCK_CHARS", block):
+        canonical = core._parse_canonical(text)
+    try:
+        parsed = core._parse_lines("trace.csv", text)
+    except ValueError:
+        parsed = None
+    assert canonical is None or canonical == parsed
+    if parsed is not None:
+        lines = [line.strip() for line in text.split("\n")]
+        rows = [line for line in lines if line and not line.startswith("#") and line != "slot,port"]
+        assert all(_REFERENCE_FIELD.fullmatch(field.strip()) for row in rows for field in row.split(","))
 
 
 def _reference_save_sequence(path, sequence, comment=None) -> None:
