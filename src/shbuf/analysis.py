@@ -15,6 +15,7 @@ mirrors, are each driven by the loop as one simulation.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
@@ -160,9 +161,10 @@ def _classify_and_reduce(
     truth: Union[Sequence[bool], Mapping[int, bool]],
 ) -> tuple[ConfusionCounts, ArrivalSequence]:
     tp = fp = tn = fn = 0
-    reduced_slots: list[list[int]] = []
+    reduced_slots = array("I")
+    reduced_rows: list[list[int]] = []
     index = 0
-    for row in sequence.slots:
+    for slot_index, row in zip(sequence.arrival_slots, sequence.rows):
         survivors: list[int] = []
         for port in row:
             try:
@@ -185,8 +187,11 @@ def _classify_and_reduce(
                     fn += 1
                 else:
                     tn += 1
-        reduced_slots.append(survivors)
-    return ConfusionCounts(tp, fp, tn, fn), ArrivalSequence(reduced_slots)
+        if survivors:
+            reduced_slots.append(slot_index)
+            reduced_rows.append(survivors)
+    reduced = ArrivalSequence._from_rows(sequence.num_slots, reduced_slots, reduced_rows)
+    return ConfusionCounts(tp, fp, tn, fn), reduced
 
 
 def eta_upper_bound(confusion: ConfusionCounts, num_ports: int) -> float:

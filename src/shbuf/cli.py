@@ -99,7 +99,8 @@ class ConfigError(ValueError):
 
 
 def _dt_alpha(text: str) -> Fraction:
-    """``--dt-alpha``'s fraction, else a ConfigError that names the flag."""
+    """``--dt-alpha``'s fraction, read as ``DynamicThresholds`` reads a string alpha
+    (through ``core.read_number``), else a ConfigError that names the flag."""
     try:
         return DynamicThresholds(text).alpha
     except ZeroDivisionError:

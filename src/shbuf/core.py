@@ -25,13 +25,13 @@ against.
 A run visits only the slots with arrivals. ``run_slots`` calls one ``drain``
 before each of them, covering the previous slot's departure phase and the
 arrival-free slots after it, and one after the last, which empties the
-buffer. An ``ArrivalSequence`` scans its rows once, on first use, and keeps
-what it found: the indices of its slots with arrivals (``arrival_slots``)
-and a summary (packets, widest row, port range). Validating a sequence,
-counting its packets and finding the slots a run visits then cost O(1) per
-run, so every run after the first on one sequence costs O(arrivals + slots
-with arrivals) on top of the drains, whatever the horizon; the first pays
-one O(slots) scan.
+buffer. An ``ArrivalSequence`` stores only those slots: their indices
+(``arrival_slots``) and their rows, beside the slot count; the trace
+parsers and the generators build it so, without a list per arrival-free
+slot. Its summary (packets, widest row, port range) is computed on first
+use, so validating a sequence and counting its packets cost O(1) per run
+after the first, and every run costs O(arrivals + slots with arrivals) on
+top of the drains, whatever the horizon.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from functools import cached_property
 from itertools import chain, compress, count, islice, repeat
 from operator import attrgetter, lt, ne
@@ -59,6 +60,7 @@ __all__ = [
     "NUM_PORTS",
     "BUFFER_SIZE",
     "SwitchConfig",
+    "SLOT",
     "ArrivalSequence",
     "SwitchState",
     "Verdict",
@@ -73,16 +75,24 @@ __all__ = [
 ]
 
 
-_GRAMMAR = {int: re.compile(r"-?[0-9]+"), float: re.compile(r"[0-9A-Za-z.+-]+")}
+_GRAMMAR = {
+    int: re.compile(r"-?[0-9]+"),
+    float: re.compile(r"[0-9A-Za-z.+-]+"),
+    Fraction: re.compile(r"[0-9.+/-]+"),
+}
 
 
 def read_number(text: str, kind: type):
-    """``text`` as a ``kind``, int or float, else a ValueError; every number read from text is read here.
+    """``text`` as a ``kind``, int, float or Fraction, else a ValueError; every number read from text is read here.
 
     An int is ASCII ``-?[0-9]+``. A float is what ``float()`` makes of ASCII
     letters, digits, '.', '+' and '-', so ``nan``, ``inf`` and ``1e-05`` read,
-    and a range check rejects them where it must. Python's ``int()`` and
-    ``float()`` would also take '_', non-ASCII digits and surrounding spaces.
+    and a range check rejects them where it must. A Fraction is what
+    ``Fraction()`` makes of ASCII digits, '.', '+', '/' and '-', such as
+    ``3/4`` or ``0.75``, and ``1/0`` raises its ZeroDivisionError; it takes
+    no exponent, since ``Fraction('1e999999999')`` computes 10**999999999.
+    Python's ``int()``, ``float()`` and ``Fraction()`` would also take '_',
+    non-ASCII digits and surrounding spaces.
     """
     if _GRAMMAR[kind].fullmatch(text) is None:
         raise ValueError(f"could not convert string to {kind.__name__}: {text!r}")
@@ -134,32 +144,57 @@ class SwitchConfig:
             bound.check(size)
 
 
-@dataclass(frozen=True)
-class ArrivalSequence:
-    """Per-slot arrivals; each slot lists destination ports in processing order.
+# the largest slot a sequence holds: ``arrival_slots`` stores each as a C unsigned int
+SLOT = Bound("slot", int, 0, 2 ** (8 * array("I").itemsize) - 1)
 
-    A sequence is a value: ``slots`` cannot be reassigned, and its rows must
-    not be changed after the sequence is made. The indices of its slots with
-    arrivals, its packet count, widest row and lowest and highest port are
-    computed once, on first use; after that ``arrival_slots``,
-    ``total_packets`` and a passing ``validate`` cost O(1). Equality
-    compares ``slots`` only.
+
+@dataclass(frozen=True, init=False)
+class ArrivalSequence:
+    """Arrivals slot by slot, stored only where there are any.
+
+    ``num_slots`` slots, of which those in ``arrival_slots`` (ascending) carry
+    the row of ``rows`` at the same index: the destination ports of the
+    slot's packets, in processing order. No row is empty, and every other
+    slot is arrival-free, so a sequence holds O(slots with arrivals +
+    packets) whatever its horizon.
+
+    ``ArrivalSequence(slots)`` makes one from one list of ports per slot, and
+    ``slots`` rebuilds that dense view, a fresh list per slot; no library
+    path reads it. A sequence is a value: no field can be reassigned, and its
+    rows must not be changed after it is made. Its packet count, widest row
+    and lowest and highest port are computed once, on first use; after that
+    ``total_packets`` and a passing ``validate`` cost O(1). Two sequences are
+    equal when their ``slots`` are.
     """
 
-    slots: list[list[int]]
+    num_slots: int
+    arrival_slots: array
+    rows: list[list[int]]
+
+    def __init__(self, slots: list[list[int]]) -> None:
+        self._store(len(slots), array("I", compress(count(), slots)), list(map(list, filter(None, slots))))
+
+    @classmethod
+    def _from_rows(cls, num_slots: int, arrival_slots: array, rows: list[list[int]]) -> "ArrivalSequence":
+        """The sequence the fields describe, made without a list per slot: ``arrival_slots``
+        ascending and below ``num_slots``, and ``rows`` one non-empty row each, not shared."""
+        sequence = cls.__new__(cls)
+        sequence._store(num_slots, arrival_slots, rows)
+        return sequence
+
+    def _store(self, num_slots: int, arrival_slots: array, rows: list[list[int]]) -> None:
+        # a frozen dataclass's own __setattr__ refuses every assignment
+        object.__setattr__(self, "num_slots", num_slots)
+        object.__setattr__(self, "arrival_slots", arrival_slots)
+        object.__setattr__(self, "rows", rows)
 
     @property
-    def num_slots(self) -> int:
-        return len(self.slots)
-
-    @cached_property
-    def arrival_slots(self) -> array:
-        """The indices of the slots with arrivals, ascending.
-
-        Four bytes an index: a sequence with 2**32 slots would hold over
-        200 GB of row lists.
-        """
-        return array("I", compress(count(), self.slots))
+    def slots(self) -> list[list[int]]:
+        """One list of ports per slot, [] for an arrival-free one, each made afresh."""
+        slots: list[list[int]] = [[] for _ in repeat(None, self.num_slots)]
+        for slot_index, row in zip(self.arrival_slots, self.rows):
+            slots[slot_index] = list(row)
+        return slots
 
     @cached_property
     def _summary(self) -> tuple[int, int, int, int, bool]:
@@ -169,7 +204,7 @@ class ArrivalSequence:
         The type test sees every port, as a set of ports would not: ``{1,
         True, 1.0}`` is ``{1}``. When it fails, the lowest and highest read 0.
         """
-        rows = list(map(self.slots.__getitem__, self.arrival_slots))
+        rows = self.rows
         packets, widest = sum(map(len, rows)), max(map(len, rows), default=0)
         if not set(map(type, chain.from_iterable(rows))) <= {int}:
             return packets, widest, 0, 0, False
@@ -188,7 +223,7 @@ class ArrivalSequence:
         if ints and widest <= n and lowest >= 0 and highest < n:
             return
         # something is wrong: find the first bad slot, to name it
-        for slot_index, row in enumerate(self.slots):
+        for slot_index, row in zip(self.arrival_slots, self.rows):
             if len(row) > n:
                 raise ValueError(
                     f"slot {slot_index} carries {len(row)} arrivals; at most {n} allowed"
@@ -365,13 +400,12 @@ def run_slots(sim, sequence: ArrivalSequence) -> None:
     ``drain`` and ``backlog``. The sequence is validated first.
     """
     sequence.validate(sim.config)
-    slots = sequence.slots
     arrive = sim.arrive
     drain = sim.drain
     done = 0  # the slots whose departure phase has run
-    for slot_index in sequence.arrival_slots:
+    for slot_index, row in zip(sequence.arrival_slots, sequence.rows):
         drain(slot_index - done)
-        for port in slots[slot_index]:
+        for port in row:
             arrive(port)
         done = slot_index
     drain(sim.backlog)
@@ -465,16 +499,15 @@ def _write_lines(path, lines) -> None:
 
 def save_sequence(path, sequence: ArrivalSequence, comment: Optional[str] = None) -> None:
     """Write a trace file: ``# comment`` if given, the header, then ``slot,port`` per packet."""
-    slots = sequence.slots
     line = _Memo("{}\n".format).__getitem__  # "port\n", a line after its slot
     with _open_output(path) as fh:
         write = fh.write
         if comment is not None:
             write(f"# {comment}\n")
         write(f"{_SEQUENCE_HEADER}\n")
-        for slot_index in sequence.arrival_slots:
+        for slot_index, row in zip(sequence.arrival_slots, sequence.rows):
             prefix = f"{slot_index},"
-            write(prefix + prefix.join(map(line, slots[slot_index])))
+            write(prefix + prefix.join(map(line, row)))
 
 
 def load_sequence(path) -> ArrivalSequence:
@@ -492,15 +525,16 @@ def _parse_canonical(text: str) -> Optional[ArrivalSequence]:
 
     Each block's slot fields are compared as strings to find where a row
     starts, and only those are converted; ports are converted through a
-    cache of the port fields seen. The rows' slots must then increase, so a
-    slot spelt two ways ('7' and '07') in a row's lines falls back.
+    cache of the port fields seen. The rows' slots must fit ``SLOT`` and
+    increase, so a slot past it, or one spelt two ways ('7' and '07') in a
+    row's lines, falls back to the line parser.
     """
     head = _CANONICAL_HEAD.match(text)
     if head is None:
         return None
     port_of = _Memo(int)
     ports: list[int] = []
-    row_slots: list[int] = []
+    row_slots = array("I")
     row_starts: list[int] = []  # the index in ``ports`` of each row's first packet
     last_field = None  # the slot field of the previous block's last line
     start, end = head.end(), len(text)
@@ -513,27 +547,24 @@ def _parse_canonical(text: str) -> Optional[ArrivalSequence]:
         slot_fields = fields[::2]
         firsts = list(compress(count(), map(ne, slot_fields, chain((last_field,), slot_fields))))
         try:
-            row_slots += map(int, map(slot_fields.__getitem__, firsts))
+            row_slots.extend(map(int, map(slot_fields.__getitem__, firsts)))
             row_starts += map(len(ports).__add__, firsts)
             ports += map(port_of.__getitem__, fields[1::2])
-        except ValueError:  # more digits than int() converts
+        except (ValueError, OverflowError):  # more digits than int() converts, or a slot an array('I') cannot hold
             return None
         last_field = slot_fields[-1]
         start = stop
     if not all(map(lt, row_slots, islice(row_slots, 1, None))):
         return None
-    if not row_slots:
-        return ArrivalSequence([])
-    slots: list[list[int]] = [[] for _ in repeat(None, row_slots[-1] + 1)]
     row_starts.append(len(ports))
-    for slot, first, last in zip(row_slots, row_starts, islice(row_starts, 1, None)):
-        slots[slot] = ports[first:last]
-    return ArrivalSequence(slots)
+    rows = list(map(ports.__getitem__, map(slice, row_starts, islice(row_starts, 1, None))))
+    return ArrivalSequence._from_rows(row_slots[-1] + 1 if row_slots else 0, row_slots, rows)
 
 
 def _parse_lines(path, text: str) -> ArrivalSequence:
     """Parse ``text`` line by line, raising ValueError naming ``path:line`` at the first error."""
-    rows: list[tuple[int, int]] = []
+    arrival_slots = array("I")
+    rows: list[list[int]] = []
     header_seen = False
     for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
@@ -553,23 +584,25 @@ def _parse_lines(path, text: str) -> ArrivalSequence:
             raise ValueError(f"{path}:{line_no}: non-integer field in {line!r}") from None
         if slot < 0 or port < 0:
             raise ValueError(f"{path}:{line_no}: negative field in {line!r}")
-        if rows and slot < rows[-1][0]:
-            raise ValueError(f"{path}:{line_no}: rows not sorted by slot")
-        rows.append((slot, port))
+        if not SLOT.holds(slot):
+            raise ValueError(f"{path}:{line_no}: slot {slot} is past {SLOT.high}, the last a sequence holds")
+        if rows and slot <= arrival_slots[-1]:
+            if slot < arrival_slots[-1]:
+                raise ValueError(f"{path}:{line_no}: rows not sorted by slot")
+            rows[-1].append(port)
+        else:
+            arrival_slots.append(slot)
+            rows.append([port])
     if not header_seen:
         raise ValueError(f"{path}: missing {_SEQUENCE_HEADER!r} header")
-    num_slots = rows[-1][0] + 1 if rows else 0
-    slots: list[list[int]] = [[] for _ in range(num_slots)]
-    for slot, port in rows:
-        slots[slot].append(port)
-    return ArrivalSequence(slots)
+    return ArrivalSequence._from_rows(arrival_slots[-1] + 1 if rows else 0, arrival_slots, rows)
 
 
 _OUTCOMES_HEADER = "packet_slot,packet_pos,port,verdict"
 
 
 def save_outcomes(path, result: RunResult) -> None:
-    slots = result.sequence.slots
+    sequence = result.sequence
     # ``_value_`` is the plain attribute behind the ``Verdict.value`` descriptor
     values = map(attrgetter("_value_"), result.verdicts)
     # "pos,port,verdict\n", a line after its slot, by (pos, port, verdict value)
@@ -577,7 +610,7 @@ def save_outcomes(path, result: RunResult) -> None:
     with _open_output(path) as fh:
         write = fh.write
         write(f"{_OUTCOMES_HEADER}\n")
-        for slot_index in result.sequence.arrival_slots:
+        for slot_index, row in zip(sequence.arrival_slots, sequence.rows):
             prefix = f"{slot_index},"
             # zip stops at the row's end before it takes a value past it
-            write(prefix + prefix.join(map(line, zip(count(), slots[slot_index], values))))
+            write(prefix + prefix.join(map(line, zip(count(), row, values))))

@@ -391,8 +391,8 @@ def train_forest(
     """
     if not examples:
         raise ValueError("cannot train on an empty example list")
-    TREES.check(trees)
-    MAX_DEPTH.check(max_depth)
+    TREES.check(_integer("trees", trees))
+    MAX_DEPTH.check(_integer("max_depth", max_depth))
     import numpy as np
 
     columns, y = _as_arrays(examples)
@@ -552,10 +552,10 @@ def _node_from_obj(obj) -> Union[TreeNode, int]:
     )
 
 
-def _integer(payload: dict, key: str) -> int:
-    value = payload[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
+def _integer(name: str, value) -> int:
+    """``value`` if it is exactly an ``int`` (a bool is not), else a ValueError naming ``name``."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     return value
 
 
@@ -580,8 +580,8 @@ def load_forest(path) -> ForestModel:
         version = payload.get("format_version")
         if type(version) is not int or version != MODEL_FORMAT_VERSION:
             raise ValueError(f"unsupported model format_version {version!r}")
-        feature_count = _integer(payload, "feature_count")
-        max_depth = _integer(payload, "max_depth")
+        feature_count = _integer("feature_count", payload["feature_count"])
+        max_depth = _integer("max_depth", payload["max_depth"])
         if feature_count != _FEATURE_COUNT:
             raise ValueError(f"feature_count must be {_FEATURE_COUNT}, got {feature_count}")
         trees = [_node_from_obj(obj) for obj in payload["trees"]]

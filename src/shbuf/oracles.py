@@ -237,14 +237,13 @@ def _flip_draws(seed: int, sequence: ArrivalSequence) -> Iterator[float]:
     seen.
     """
     seed_lane = _mix64(seed & _MASK64).to_bytes(_LANE, "little")
-    slots = sequence.slots
-    arrival_slots = sequence.arrival_slots
+    arrival_slots, slot_rows = sequence.arrival_slots, sequence.rows
     mask, mask_lanes = 0, 0
     # positions[w] is the position table's first w lanes
     positions = [b""]
     for start in range(0, len(arrival_slots), _CHUNK_SLOTS):
         chunk = arrival_slots[start:start + _CHUNK_SLOTS]
-        widths = list(map(len, map(slots.__getitem__, chunk)))
+        widths = list(map(len, slot_rows[start:start + _CHUNK_SLOTS]))
         widest = max(widths)
         if widest >= len(positions):
             table = memoryview(

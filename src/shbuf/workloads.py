@@ -24,13 +24,14 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import compress, repeat, starmap
 from operator import gt
 from typing import Callable, Optional
 
-from .core import ArrivalSequence, Bound, SwitchConfig, _Memo
+from .core import SLOT, ArrivalSequence, Bound, SwitchConfig, _Memo
 
 __all__ = [
     "BURST",
@@ -134,7 +135,7 @@ def followlqd_adversary(config: SwitchConfig, cycles: int) -> ArrivalSequence:
     CYCLES.check(cycles)
     fill = followlqd_adversary_fill(config)
     n = config.num_ports
-    slots = list(fill.slots)
+    slots = fill.slots
     for _ in range(cycles):
         slots.append(list(range(n)))
         slots.append([0] * n)
@@ -147,7 +148,8 @@ def poisson_bursts(config: SwitchConfig, rate: float, horizon: int, seed: int) -
     ``rate`` is the expected number of bursts per slot; each burst sends
     ``buffer_size`` packets to one uniformly chosen port. All pending burst
     packets share the per-slot cap first-come first-served; the excess spills
-    into following slots, which may run past ``horizon``.
+    into following slots, which may run past ``horizon``, but not past
+    ``core.SLOT``: a sequence that would is a ValueError.
     """
     RATE.check(rate)
     HORIZON.check(horizon)
@@ -159,31 +161,38 @@ def poisson_bursts(config: SwitchConfig, rate: float, horizon: int, seed: int) -
         bursts.append((int(t), rng.randrange(n)))
         t += rng.expovariate(rate)
 
-    slots: list[list[int]] = []
+    arrival_slots = array("I")
+    rows: list[list[int]] = []
+    slot = 0  # the first slot not yet filled
     runs: deque[list[int]] = deque()  # pending bursts as [port, packets left], first come first served
     while bursts or runs:
-        if not runs and bursts[0][0] > len(slots):
-            slots += map(list, repeat((), bursts[0][0] - len(slots)))  # idle gap
-        while bursts and bursts[0][0] <= len(slots):
+        if not runs and bursts[0][0] > slot:
+            slot = bursts[0][0]  # skip the idle gap
+        while bursts and bursts[0][0] <= slot:
             runs.append([bursts.popleft()[1], b])
         head = runs[0]
         if head[1] >= n:
             # the head burst fills whole rows whatever starts behind it
-            rows, head[1] = divmod(head[1], n)
-            slots += map(list, repeat([head[0]] * n, rows))
+            filled, head[1] = divmod(head[1], n)
+            new_rows = map(list, repeat([head[0]] * n, filled))
             if not head[1]:
                 runs.popleft()
-            continue
-        row: list[int] = []
-        while runs and len(row) < n:
-            run = runs[0]
-            take = min(run[1], n - len(row))
-            row += [run[0]] * take
-            run[1] -= take
-            if not run[1]:
-                runs.popleft()
-        slots.append(row)
-    return ArrivalSequence(slots)
+        else:
+            row: list[int] = []
+            while runs and len(row) < n:
+                run = runs[0]
+                take = min(run[1], n - len(row))
+                row += [run[0]] * take
+                run[1] -= take
+                if not run[1]:
+                    runs.popleft()
+            filled, new_rows = 1, (row,)
+        if not SLOT.holds(slot + filled - 1):
+            raise ValueError(f"poisson_bursts needs slot {slot + filled - 1}; a sequence holds slots up to {SLOT.high}")
+        arrival_slots.extend(range(slot, slot + filled))
+        rows += new_rows
+        slot += filled
+    return ArrivalSequence._from_rows(slot, arrival_slots, rows)
 
 
 def uniform_random(config: SwitchConfig, load: float, horizon: int, seed: int) -> ArrivalSequence:
@@ -194,9 +203,10 @@ def uniform_random(config: SwitchConfig, load: float, horizon: int, seed: int) -
     n = config.num_ports
     # ``load > draw`` is ``draw < load`` for a float, int or Fraction load
     hits = map(gt, repeat(load), starmap(rng.random, repeat((), n * horizon)))
-    # each slot's n-tuple of hits to its ports, made once per distinct tuple
+    # each slot's n-tuple of hits to its ports, made once per distinct tuple;
+    # the sequence copies only the non-empty ones into rows
     ports = _Memo(lambda mask: tuple(compress(range(n), mask)))
-    return ArrivalSequence(list(map(list, map(ports.__getitem__, zip(*[hits] * n)))))
+    return ArrivalSequence(list(map(ports.__getitem__, zip(*[hits] * n))))
 
 
 # --- named workload specs for the CLI -----------------------------------------

@@ -387,6 +387,18 @@ BAD_SETTINGS = {
     # a setting the run does not read is checked all the same, from a flag or the config file
     "unread_flip_p": (["simulate", *BURST, "--flip-p", "5"], {}, None, "--flip-p must be in [0, 1], got 5.0"),
     "unread_dt_alpha": (["simulate", *BURST, "--flip-p", "5", "--dt-alpha", "abc"], {}, None, "bad --dt-alpha 'abc': "),
+    # --dt-alpha's fraction is read in the one grammar too
+    "dt_alpha_with_an_underscore_and_spaces": (["simulate", *BURST, "--dt-alpha", " 1_0 "], {}, None,
+                                               "bad --dt-alpha ' 1_0 ': "),
+    "dt_alpha_in_arabic_indic_digits": (["simulate", *BURST, "--dt-alpha", "\u0663/4"], {}, None,
+                                        "bad --dt-alpha '\u0663/4': "),
+    # an exponent would make Fraction() compute 10**999999999
+    "dt_alpha_with_an_exponent": (["simulate", *BURST, "--dt-alpha", "1e999999999"], {}, None,
+                                  "bad --dt-alpha '1e999999999': "),
+    # a generator that would need a slot past the last a sequence holds
+    "burst_past_the_last_slot": (["gen", *BURST[:4], "--workload", "poisson_bursts", "--rate", "1e-10",
+                                  "--horizon", "10000000000000", "--out", "{dir}/t.csv"], {}, None,
+                                 "a sequence holds slots up to 4294967295"),
     "ini_unread_flip_p": (["simulate", *BURST], {}, "[oracle]\nflip_p = 2\n", "--flip-p must be in [0, 1], got 2.0"),
     "ini_unread_dt_alpha": (["simulate", *BURST], {}, "[policy]\ndt_alpha = 1/0\n",
                             "bad --dt-alpha '1/0': zero denominator"),
@@ -562,6 +574,26 @@ def test_a_bad_examples_or_model_file_exits_2_naming_it(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"{bad}{error}" in err
+
+
+# each case: a trace file that cannot be loaded, and the error after its name
+BAD_TRACES = {
+    "slot_past_the_last": ("slot,port\n0,1\n4294967296,0\n", ":3: slot 4294967296 is past 4294967295"),
+    "slot_past_64_bits": ("slot,port\n18446744073709551616,0\n", ":2: slot 18446744073709551616 is past 4294967295"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_TRACES)
+def test_a_bad_trace_exits_2_naming_its_line(tmp_path, capsys, case):
+    text, error = BAD_TRACES[case]
+    trace = tmp_path / "t.csv"
+    trace.write_text(text)
+    out = tmp_path / "o.csv"
+    assert main(["simulate", "--ports", "4", "--buffer", "16", "--trace", str(trace), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{trace}{error}" in err
+    assert not out.exists()
 
 
 def test_an_examples_file_with_blank_lines_trains_the_same_model(tmp_path, capsys):

@@ -5,6 +5,9 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
+from itertools import islice
+from operator import lt
 from unittest import mock
 
 import pytest
@@ -26,7 +29,7 @@ from shbuf import (
     save_outcomes,
     save_sequence,
 )
-from shbuf import core
+from shbuf import analysis, core
 from shbuf.analysis import (
     brute_force_opt,
     compute_eta,
@@ -38,7 +41,7 @@ from shbuf.core import PolicyError, Simulation
 from shbuf.learner import collect_trace, load_examples, load_forest
 from shbuf.oracles import ConstantOracle, FeatureSampler, FlipOracle, PredictionLabel, ground_truth_from_run
 from shbuf.policies import Decision
-from shbuf.workloads import single_burst
+from shbuf.workloads import poisson_bursts, single_burst, uniform_random
 
 from conftest import LiveCredence, LiveFollowLqd, depart_every_port, random_sequence, visit_every_port
 
@@ -480,6 +483,110 @@ def test_both_trace_parsers_agree_on_any_text_and_read_only_the_int_grammar(head
         lines = [line.strip() for line in text.split("\n")]
         rows = [line for line in lines if line and not line.startswith("#") and line != "slot,port"]
         assert all(_REFERENCE_FIELD.fullmatch(field.strip()) for row in rows for field in row.split(","))
+
+
+# a trace whose one packet is at ``slot``: the form save_sequence writes, and
+# one with spaces around the fields, which only the line parser reads
+_ONE_PACKET_TRACES = {
+    "canonical": "slot,port\n{slot},0\n",
+    "line_form": "slot,port\n {slot} , 0\n",
+}
+
+
+@pytest.mark.parametrize("form", _ONE_PACKET_TRACES)
+@pytest.mark.parametrize("slot", [2**32, 2**64])
+def test_a_slot_past_the_last_a_sequence_holds_is_an_error_naming_its_line(tmp_path, form, slot):
+    path = tmp_path / "trace.csv"
+    path.write_text(_ONE_PACKET_TRACES[form].format(slot=slot))
+    with pytest.raises(ValueError) as caught:
+        load_sequence(path)
+    assert str(caught.value) == f"{path}:2: slot {slot} is past 4294967295, the last a sequence holds"
+
+
+@pytest.mark.parametrize("form", _ONE_PACKET_TRACES)
+def test_a_packet_at_the_last_slot_a_sequence_holds_loads_runs_and_saves(tmp_path, form):
+    path = tmp_path / "trace.csv"
+    path.write_text(_ONE_PACKET_TRACES[form].format(slot=2**32 - 1))
+    sequence = load_sequence(path)
+    assert (sequence.num_slots, list(sequence.arrival_slots), sequence.rows) == (2**32, [2**32 - 1], [[0]])
+    save_outcomes(tmp_path / "out.csv", run_simulation(SwitchConfig(1, 1), sequence, LongestQueueDrop()))
+    assert (tmp_path / "out.csv").read_text().splitlines()[1] == "4294967295,0,0,transmitted"
+    save_sequence(tmp_path / "again.csv", sequence)
+    assert load_sequence(tmp_path / "again.csv") == sequence
+
+
+@pytest.mark.parametrize("form", _ONE_PACKET_TRACES)
+def test_a_late_packet_costs_no_memory_per_idle_slot(tmp_path, form):
+    # a million idle slots before the packet: a list per slot would be tens of MB
+    path = tmp_path / "trace.csv"
+    path.write_text(_ONE_PACKET_TRACES[form].format(slot=10**6))
+    config = SwitchConfig(2, 4)
+    tracemalloc.start()
+    try:
+        sequence = load_sequence(path)
+        result = run_simulation(config, sequence, LongestQueueDrop())
+        credence = run_simulation(config, sequence, Credence(FlipOracle(PerfectOracle.from_run(result), 0.5, 1, sequence)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sequence.num_slots == 10**6 + 1 and credence.transmitted_count == 1
+    assert peak < 1 << 20, peak
+
+
+@st.composite
+def dense_rows(draw):
+    """One list of ports per slot, with runs of arrival-free slots anywhere."""
+    row = st.one_of(st.just([]), st.lists(st.integers(0, 5), min_size=1, max_size=6))
+    rows = draw(st.lists(row, max_size=40))
+    return [[] for _ in range(draw(st.integers(0, 3)))] + rows + [[] for _ in range(draw(st.integers(0, 3)))]
+
+
+def _assert_stores_only_its_slots_with_arrivals(sequence, others):
+    slots = sequence.slots
+    arrival_slots = sequence.arrival_slots
+    assert arrival_slots.typecode == "I"
+    assert all(map(lt, arrival_slots, islice(arrival_slots, 1, None)))
+    assert len(arrival_slots) == len(sequence.rows) and all(type(row) is list and row for row in sequence.rows)
+    assert sequence.num_slots == len(slots) and all(slot < sequence.num_slots for slot in arrival_slots)
+    assert ArrivalSequence(slots) == sequence
+    for other in others:
+        assert (sequence == other) == (slots == other.slots)
+    # ``slots`` makes a fresh list per slot; no two stored rows share one list either
+    assert len(set(map(id, slots))) == len(slots)
+    assert not set(map(id, slots)) & set(map(id, sequence.rows))
+    assert len(set(map(id, sequence.rows))) == len(sequence.rows)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    rows=dense_rows(),
+    ports=st.integers(1, 6),
+    buffer=st.integers(1, 12),
+    rate=st.sampled_from([0.01, 0.1, 0.5, 2.0]),
+    load=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+    horizon=st.integers(1, 120),
+    seed=st.integers(0, 2**32),
+)
+def test_every_way_to_make_a_sequence_stores_only_its_slots_with_arrivals(rows, ports, buffer, rate, load, horizon, seed):
+    dense = ArrivalSequence(rows)
+    assert dense.slots == rows
+    text = "slot,port\n" + "".join(f"{slot},{port}\n" for slot, row in enumerate(rows) for port in row)
+    canonical = core._parse_canonical(text)
+    lines = core._parse_lines("trace.csv", text)
+    # a trace cannot name the arrival-free slots after its last packet
+    trimmed = ArrivalSequence(rows[:max(dense.arrival_slots, default=-1) + 1])
+    assert canonical == lines == trimmed
+    config = SwitchConfig(ports, buffer)
+    rng = random.Random(seed)
+    predictions = [rng.choice(list(PredictionLabel)) for _ in range(dense.total_packets)]
+    truth = [rng.random() < 0.5 for _ in range(dense.total_packets)]
+    _, reduced = analysis._classify_and_reduce(dense, predictions, truth)
+    labels = iter(predictions)
+    assert reduced.slots == [[port for port in row if next(labels) is PredictionLabel.NEGATIVE] for row in rows]
+    made = [dense, canonical, lines, reduced, poisson_bursts(config, rate, horizon, seed),
+            uniform_random(config, load, horizon, seed), ArrivalSequence(rows + [[]])]
+    for sequence in made:
+        _assert_stores_only_its_slots_with_arrivals(sequence, made)
 
 
 def _reference_save_sequence(path, sequence, comment=None) -> None:

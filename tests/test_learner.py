@@ -427,6 +427,18 @@ def test_model_file_round_trip(tmp_path):
         load_forest(path)
 
 
+@pytest.mark.parametrize("name, value", [("trees", 2.0), ("trees", True), ("max_depth", 2.0), ("max_depth", True)])
+def test_train_forest_takes_only_an_int_so_the_model_file_it_writes_loads_back(tmp_path, name, value):
+    # a max_depth of 2.0 used to train, and save_forest wrote a file that load_forest refused
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+        train_forest(_toy_examples(), **{name: value})
+    model = train_forest(_toy_examples(), **{name: int(value)})
+    path = tmp_path / "model.json"
+    save_forest(model, path)
+    loaded = load_forest(path)
+    assert (loaded.max_depth, len(loaded.trees)) == (model.max_depth, len(model.trees))
+
+
 def test_examples_file_round_trip(tmp_path):
     cfg = SwitchConfig(4, 8)
     seq = followlqd_adversary(cfg, 1)

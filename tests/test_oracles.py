@@ -169,15 +169,15 @@ def test_flip_oracle_from_shared_draws_flips_the_same_packets(seed):
 
 class _FarSequence(NamedTuple):
     """The two attributes the coins read, for rows that start at slot
-    ``offset``: a list could not hold rows near slot 2**32 - 1."""
+    ``offset``: a list of slots could not reach slot 2**32 - 1."""
 
-    slots: dict
+    rows: list
     arrival_slots: array
 
     @classmethod
     def of(cls, widths, offset):
-        slots = {slot: [0] * width for slot, width in enumerate(widths, offset)}
-        return cls(slots, array("I", [slot for slot, row in slots.items() if row]))
+        rows = {slot: [0] * width for slot, width in enumerate(widths, offset) if width}
+        return cls(list(rows.values()), array("I", rows))
 
 
 @st.composite

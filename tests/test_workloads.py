@@ -2,6 +2,7 @@ import math
 import random
 from collections import deque
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,7 +16,9 @@ from shbuf import (
     run_simulation,
     save_sequence,
 )
+from shbuf import workloads
 from shbuf.analysis import throughput
+from shbuf.core import Bound
 from shbuf.workloads import (
     WorkloadSpec,
     adversary_fill_slot_count,
@@ -254,3 +257,30 @@ def test_poisson_bursts_matches_the_reference(n, b, rate, horizon, seed):
     sequence = poisson_bursts(config, rate, horizon, seed)
     assert sequence.slots == _reference_poisson_bursts(config, rate, horizon, seed)
     assert _rows_are_distinct_lists(sequence)
+
+
+def test_poisson_bursts_refuses_a_burst_that_starts_past_the_last_slot_a_sequence_holds():
+    # one burst per 2**33 slots on average, over 2**40 slots: the first starts past 2**32 - 1
+    with pytest.raises(ValueError, match="^poisson_bursts needs slot [0-9]+; a sequence holds slots up to 4294967295$"):
+        poisson_bursts(SwitchConfig(2, 4), 2.0**-33, 2**40, seed=1)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    b=st.integers(1, 30),
+    rate=st.sampled_from([0.05, 0.3, 1.0, 4.0]),
+    horizon=st.integers(1, 60),
+    seed=st.integers(0, 2**32),
+    last=st.integers(0, 80),
+)
+def test_poisson_bursts_refuses_exactly_the_sequences_that_need_a_slot_past_the_last(n, b, rate, horizon, seed, last):
+    # with the last slot lowered to ``last``, a burst may start past it or spill over it
+    config = SwitchConfig(n, b)
+    expected = _reference_poisson_bursts(config, rate, horizon, seed)
+    with mock.patch.object(workloads, "SLOT", Bound("slot", int, 0, last)):
+        if len(expected) - 1 > last:
+            with pytest.raises(ValueError, match=f"a sequence holds slots up to {last}$"):
+                poisson_bursts(config, rate, horizon, seed)
+        else:
+            assert poisson_bursts(config, rate, horizon, seed).slots == expected
