@@ -12,10 +12,11 @@ file does. A setting's value is checked the same way whether a flag or the
 file gives it, and whether or not the run reads it; a number is read and
 checked by the ``core.Bound`` that the library code taking it declares. A
 malformed command line (an unknown flag or subcommand, a flag without a
-value, a value of the wrong type, out of range or not among its choices), a
-missing setting and an input or output file that cannot be used each exit 2
-with one ``error:`` line. The effective settings of each run are echoed,
-each as its text was given, to ``<output>.config.txt``.
+value, a value of the wrong type, ``--dt-alpha 1/0``'s zero denominator
+among them, out of range or not among its choices), a missing setting, an
+input or output file that cannot be used and a run that runs out of memory
+each exit 2 with one ``error:`` line. The effective settings of each run
+are echoed, each as its text was given, to ``<output>.config.txt``.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ import math
 import os
 import sys
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence
 
-from . import core, learner, oracles, workloads
+from . import core, learner, oracles, policies, workloads
 from .analysis import (
     InstanceTooLarge,
     brute_force_opt,
@@ -98,26 +99,15 @@ class ConfigError(ValueError):
 # --- config file / flag merging -------------------------------------------------
 
 
-def _dt_alpha(text: str) -> Fraction:
-    """``--dt-alpha``'s fraction, read as ``DynamicThresholds`` reads a string alpha
-    (through ``core.read_number``), else a ConfigError that names the flag."""
-    try:
-        return DynamicThresholds(text).alpha
-    except ZeroDivisionError:
-        raise ConfigError(f"bad --dt-alpha {text!r}: zero denominator") from None
-    except ValueError as exc:
-        raise ConfigError(f"bad --dt-alpha {text!r}: {exc}") from None
-
-
 class Setting(NamedTuple):
-    """One flag: its INI ``section.key``, the function that converts its text
-    (or a number's Bound), its value when neither a flag nor the config file
+    """One flag: its INI ``section.key``, a number's Bound (None for a
+    setting kept as text), its value when neither a flag nor the config file
     sets it, its help line, the values it may take when they are a fixed set,
     and, for a flag that names an output, the suffix that each file it
     writes adds to that name."""
 
     key: str
-    type: Union[Callable, Bound] = str
+    type: Optional[Bound] = None
     default: object = None
     help: str = ""
     choices: Optional[tuple[str, ...]] = None
@@ -144,7 +134,7 @@ SETTINGS = {
     ),
     "load": Setting("workload.load", workloads.LOAD, help="per-port arrival probability for uniform_random"),
     "policy": Setting("policy.name", default="lqd", help="buffer-sharing policy", choices=tuple(_POLICIES)),
-    "dt_alpha": Setting("policy.dt_alpha", _dt_alpha, Fraction(1, 2), "rational alpha for dynamic_thresholds"),
+    "dt_alpha": Setting("policy.dt_alpha", policies.ALPHA, Fraction(1, 2), "rational alpha for dynamic_thresholds"),
     "oracle": Setting("oracle.kind", default="perfect", help="credence's drop predictor", choices=ORACLE_NAMES),
     "flip_p": Setting("oracle.flip_p", oracles.FLIP_PROBABILITY, 0.0, "flip probability for --oracle flip"),
     "model": Setting("oracle.model", help="forest model file"),
@@ -227,22 +217,20 @@ def _setting(command: str, name: str, text: Optional[str]):
 
     This is the only place a setting's text is converted and checked, whether
     a flag or the config file gave it, and whether or not the run reads it.
-    An error names both the flag and the key, except a converter's own
-    ConfigError and a number out of its range, which name the flag as the
-    library names its parameter.
+    A number is read through ``core.read_number`` as its Bound's kind. An
+    error names both the flag and the key, except a number out of its range,
+    which names the flag as the library names its parameter.
     """
     setting = SETTINGS[name]
     if text is None:
         return setting.default
     where = f"{_flag(name)} ({_ini_key(command, name)})"
-    bound = setting.type if isinstance(setting.type, Bound) else None
-    try:
-        value = setting.type(text) if bound is None else read_number(text, bound.kind)
-    except ConfigError:
-        raise  # a converter's own message, which names the flag
-    except ValueError as exc:
-        raise ConfigError(f"bad {where} {text!r}: {exc}") from None
+    bound, value = setting.type, text
     if bound is not None:
+        try:
+            value = read_number(text, bound.kind)
+        except ValueError as exc:
+            raise ConfigError(f"bad {where} {text!r}: {exc}") from None
         with _as_config_error():
             bound.check(value, _flag(name))
     if setting.choices is not None and value not in setting.choices:
@@ -565,6 +553,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InstanceTooLarge as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
+    except MemoryError:
+        # raised before the sidecar, which is written last
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -31,7 +31,9 @@ parsers and the generators build it so, without a list per arrival-free
 slot. Its summary (packets, widest row, port range) is computed on first
 use, so validating a sequence and counting its packets cost O(1) per run
 after the first, and every run costs O(arrivals + slots with arrivals) on
-top of the drains, whatever the horizon.
+top of the drains, whatever the horizon. Every number read from text is
+read by ``read_number``, which makes a zero denominator a ValueError, and
+each numeric parameter's type and range is one ``Bound``.
 """
 
 from __future__ import annotations
@@ -89,21 +91,24 @@ def read_number(text: str, kind: type):
     letters, digits, '.', '+' and '-', so ``nan``, ``inf`` and ``1e-05`` read,
     and a range check rejects them where it must. A Fraction is what
     ``Fraction()`` makes of ASCII digits, '.', '+', '/' and '-', such as
-    ``3/4`` or ``0.75``, and ``1/0`` raises its ZeroDivisionError; it takes
-    no exponent, since ``Fraction('1e999999999')`` computes 10**999999999.
-    Python's ``int()``, ``float()`` and ``Fraction()`` would also take '_',
-    non-ASCII digits and surrounding spaces.
+    ``3/4`` or ``0.75``; a zero denominator, as in ``1/0``, is a ValueError
+    too. It takes no exponent, since ``Fraction('1e999999999')`` computes
+    10**999999999. Python's ``int()``, ``float()`` and ``Fraction()`` would
+    also take '_', non-ASCII digits and surrounding spaces.
     """
     if _GRAMMAR[kind].fullmatch(text) is None:
         raise ValueError(f"could not convert string to {kind.__name__}: {text!r}")
-    return kind(text)
+    try:
+        return kind(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 class Bound(NamedTuple):
-    """The range of numeric parameter ``name``, declared once beside the library code
-    that takes it: ``low <= value <= high``, or ``low < value < high`` when ``strict``,
-    which without a ``high`` is the positive and finite numbers. NaN is never in range.
-    The CLI reads the parameter's setting as a ``kind`` and checks it here too."""
+    """The type and range of numeric parameter ``name``, declared once beside the library
+    code that takes it: ``low <= value <= high``, or ``low < value < high`` when ``strict``,
+    which without a ``high`` is the positive and finite numbers. NaN is never in range, and
+    an int takes only an ``int``, not a bool. The CLI reads its setting as a ``kind`` and checks it here."""
 
     name: str
     kind: type
@@ -115,7 +120,9 @@ class Bound(NamedTuple):
         return self.low < value < self.high if self.strict else self.low <= value <= self.high
 
     def check(self, value, name: Optional[str] = None) -> None:
-        """Raise a ValueError naming ``name``, or else the parameter, if ``value`` is out of range."""
+        """Raise a ValueError naming ``name``, or else the parameter, unless ``value`` is of its type and range."""
+        if self.kind is int and type(value) is not int:
+            raise ValueError(f"{name or self.name} must be an integer, got {value!r}")
         if not self.holds(value):
             if not self.strict:
                 rule = f">= {self.low}" if self.high == math.inf else f"in [{self.low}, {self.high}]"
@@ -138,10 +145,8 @@ class SwitchConfig:
     buffer_size: int
 
     def __post_init__(self) -> None:
-        for bound, size in ((NUM_PORTS, self.num_ports), (BUFFER_SIZE, self.buffer_size)):
-            if type(size) is not int:
-                raise ValueError(f"{bound.name} must be an int, got {size!r}")
-            bound.check(size)
+        NUM_PORTS.check(self.num_ports)
+        BUFFER_SIZE.check(self.buffer_size)
 
 
 # the largest slot a sequence holds: ``arrival_slots`` stores each as a C unsigned int

@@ -391,8 +391,8 @@ def train_forest(
     """
     if not examples:
         raise ValueError("cannot train on an empty example list")
-    TREES.check(_integer("trees", trees))
-    MAX_DEPTH.check(_integer("max_depth", max_depth))
+    TREES.check(trees)
+    MAX_DEPTH.check(max_depth)
     import numpy as np
 
     columns, y = _as_arrays(examples)
@@ -513,15 +513,16 @@ def tree_count_sweep(
     split: float = 0.6,
     seed: int = 0,
 ) -> list[tuple[int, EvalMetrics]]:
-    """Train one forest per tree count on a shared split and score each on the held-out part."""
+    """Score each count's forest, trained on a shared split, on the held-out part. A forest of
+    ``count`` trees is the first ``count`` of a larger one, so only the largest is trained."""
     train, test = split_examples(examples, split, seed)
     if not train or not test:
         raise ValueError("split leaves an empty train or test part")
-    rows = []
     for count in counts:
-        model = train_forest(train, trees=count, max_depth=max_depth, seed=seed)
-        rows.append((count, evaluate_on(model, test)))
-    return rows
+        TREES.check(count)
+    forest = train_forest(train, trees=max(counts, default=1), max_depth=max_depth, seed=seed)
+    return [(count, evaluate_on(ForestModel(forest.trees[:count], max_depth, forest.feature_count), test))
+            for count in counts]
 
 
 # --- files --------------------------------------------------------------------
@@ -552,13 +553,6 @@ def _node_from_obj(obj) -> Union[TreeNode, int]:
     )
 
 
-def _integer(name: str, value) -> int:
-    """``value`` if it is exactly an ``int`` (a bool is not), else a ValueError naming ``name``."""
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
 def save_forest(model: ForestModel, path) -> None:
     payload = {
         "format_version": MODEL_FORMAT_VERSION,
@@ -580,10 +574,10 @@ def load_forest(path) -> ForestModel:
         version = payload.get("format_version")
         if type(version) is not int or version != MODEL_FORMAT_VERSION:
             raise ValueError(f"unsupported model format_version {version!r}")
-        feature_count = _integer("feature_count", payload["feature_count"])
-        max_depth = _integer("max_depth", payload["max_depth"])
-        if feature_count != _FEATURE_COUNT:
-            raise ValueError(f"feature_count must be {_FEATURE_COUNT}, got {feature_count}")
+        feature_count, max_depth = payload["feature_count"], payload["max_depth"]
+        if type(feature_count) is not int or feature_count != _FEATURE_COUNT:
+            raise ValueError(f"feature_count must be {_FEATURE_COUNT}, got {feature_count!r}")
+        MAX_DEPTH.check(max_depth)
         trees = [_node_from_obj(obj) for obj in payload["trees"]]
         if not TREES.holds(len(trees)):
             raise ValueError(f"a model holds {TREES.low} to {TREES.high} trees, got {len(trees)}")

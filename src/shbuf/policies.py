@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Protocol, Sequence, Union
 
-from .core import ArrivalSequence, SwitchConfig, SwitchState, read_number, run_slots
+from .core import ArrivalSequence, Bound, SwitchConfig, SwitchState, read_number, run_slots
 from .oracles import _POSITIVE, FeatureTracker, Oracle
 
 __all__ = [
@@ -47,6 +47,7 @@ __all__ = [
     "DROP",
     "Policy",
     "CompleteSharing",
+    "ALPHA",
     "DynamicThresholds",
     "LongestQueueDrop",
     "ThresholdState",
@@ -109,20 +110,23 @@ class CompleteSharing:
         pass  # kept for bench/tracing.py, which wraps it by name
 
 
+ALPHA = Bound("alpha", Fraction, 0, strict=True)
+
+
 class DynamicThresholds:
     """Accept while the arriving queue is below ``alpha`` times the free space.
 
     The comparison ``q < alpha * (B - Q)`` is evaluated in exact rational
     arithmetic; ``alpha`` may be given as a ``Fraction``, an int or a string
-    that ``core.read_number`` reads as a Fraction, such as ``3/4``.
+    that ``core.read_number`` reads as a Fraction, such as ``3/4``, and must
+    be positive (``ALPHA``).
     """
 
     name = "dynamic_thresholds"
 
     def __init__(self, alpha: Union[Fraction, str, int] = Fraction(1, 2)) -> None:
         self.alpha = read_number(alpha, Fraction) if isinstance(alpha, str) else Fraction(alpha)
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        ALPHA.check(self.alpha)
 
     def reset(self, config: SwitchConfig, sequence: ArrivalSequence) -> None:
         self._buffer = config.buffer_size

@@ -133,9 +133,8 @@ def followlqd_adversary(config: SwitchConfig, cycles: int) -> ArrivalSequence:
     packets per cycle while a clairvoyant schedule accepts ``num_ports + 1``.
     """
     CYCLES.check(cycles)
-    fill = followlqd_adversary_fill(config)
     n = config.num_ports
-    slots = fill.slots
+    slots = [[0] * n for _ in range(adversary_fill_slot_count(config))]
     for _ in range(cycles):
         slots.append(list(range(n)))
         slots.append([0] * n)

@@ -135,7 +135,7 @@ BAD_MODELS = {
     "string_threshold": (_stump(threshold="0.5"), "threshold must be a number, got '0.5'"),
     "float_feature_index": (_stump(feature_index=1.7), "feature_index must be an integer, got 1.7"),
     "bool_feature_index": (_stump(feature_index=True), "feature_index must be an integer, got True"),
-    "float_feature_count": ({**GOOD_MODEL, "feature_count": 4.0}, "feature_count must be an integer, got 4.0"),
+    "float_feature_count": ({**GOOD_MODEL, "feature_count": 4.0}, "feature_count must be 4, got 4.0"),
     "bool_max_depth": ({**GOOD_MODEL, "max_depth": True}, "max_depth must be an integer, got True"),
     "string_max_depth": ({**GOOD_MODEL, "max_depth": "1"}, "max_depth must be an integer, got '1'"),
 }

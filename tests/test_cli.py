@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shbuf import SwitchConfig, workloads
+from shbuf import SwitchConfig, cli, workloads
 from shbuf.analysis import competitive_sweep
 from shbuf.cli import COMMANDS, EXIT_CONFIG, EXIT_OK, EXIT_REFUSED, SETTINGS, ConfigError, _setting, main
 from shbuf.core import save_sequence
@@ -332,6 +332,16 @@ def test_a_file_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys, command, fl
     assert capsys.readouterr().err == f"error: {message}: {bad}: not UTF-8 text (invalid start byte)\n"
 
 
+@pytest.mark.parametrize("command", ["gen", "simulate"])
+def test_running_out_of_memory_exits_2_with_one_line_and_writes_nothing(tmp_path, capsys, monkeypatch, command):
+    def out_of_memory(*args):
+        raise MemoryError
+    monkeypatch.setattr(cli, "generate", out_of_memory)
+    assert main([command, *BURST, "--out", str(tmp_path / "out.csv")]) == EXIT_CONFIG
+    assert capsys.readouterr() == ("", "error: out of memory\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("chart", [False, True])
 def test_sweep_empty_p_list_exits_2(tmp_path, capsys, chart):
     out = tmp_path / "sweep.csv"
@@ -368,11 +378,13 @@ BAD_SETTINGS = {
     "zero_short_burst": (["gen", "--ports", "8", "--buffer", "16", "--workload", "multi_burst_then_shorts",
                           "--short-burst", "0", "--out", "{dir}/t.csv"], {}, None, "--short-burst must be >= 1, got 0"),
     "zero_burst": (["gen", *BURST[:-1], "0", "--out", "{dir}/t.csv"], {}, None, "--burst must be >= 1, got 0"),
-    "sweep_alpha_not_a_fraction": ([*SWEEP, "--dt-alpha", "abc"], {}, None, "bad --dt-alpha 'abc': "),
-    "sweep_zero_alpha": ([*SWEEP, "--dt-alpha", "0"], {}, None, "bad --dt-alpha '0': alpha must be positive"),
-    "sweep_zero_denominator": ([*SWEEP, "--dt-alpha", "1/0"], {}, None, "bad --dt-alpha '1/0': zero denominator"),
+    "sweep_alpha_not_a_fraction": ([*SWEEP, "--dt-alpha", "abc"], {}, None, "bad --dt-alpha (policy.dt_alpha) 'abc': "),
+    "sweep_zero_alpha": ([*SWEEP, "--dt-alpha", "0"], {}, None, "--dt-alpha must be positive and finite, got 0"),
+    "sweep_zero_denominator": ([*SWEEP, "--dt-alpha", "1/0"], {}, None,
+                               "bad --dt-alpha (policy.dt_alpha) '1/0': zero denominator"),
     "simulate_zero_denominator": (["simulate", *BURST, "--policy", "dynamic_thresholds", "--dt-alpha", "1/0",
-                                   "--out", "{dir}/o.csv"], {}, None, "bad --dt-alpha '1/0': zero denominator"),
+                                   "--out", "{dir}/o.csv"], {}, None,
+                                  "bad --dt-alpha (policy.dt_alpha) '1/0': zero denominator"),
     "sweep_negative_rate": (["sweep", "--ports", "4", "--buffer", "8", "--rate", "-1", "--horizon", "50",
                              "--out", "{dir}/s.csv"], {}, None, "--rate must be positive and finite, got -1.0"),
     "sweep_zero_horizon": (["sweep", "--ports", "4", "--buffer", "8", "--rate", "0.05", "--horizon", "0",
@@ -386,22 +398,23 @@ BAD_SETTINGS = {
                     "--out", "{dir}/o.csv"], {}, None, "--flip-p must be in [0, 1], got nan"),
     # a setting the run does not read is checked all the same, from a flag or the config file
     "unread_flip_p": (["simulate", *BURST, "--flip-p", "5"], {}, None, "--flip-p must be in [0, 1], got 5.0"),
-    "unread_dt_alpha": (["simulate", *BURST, "--flip-p", "5", "--dt-alpha", "abc"], {}, None, "bad --dt-alpha 'abc': "),
+    "unread_dt_alpha": (["simulate", *BURST, "--flip-p", "5", "--dt-alpha", "abc"], {}, None,
+                        "bad --dt-alpha (policy.dt_alpha) 'abc': "),
     # --dt-alpha's fraction is read in the one grammar too
     "dt_alpha_with_an_underscore_and_spaces": (["simulate", *BURST, "--dt-alpha", " 1_0 "], {}, None,
-                                               "bad --dt-alpha ' 1_0 ': "),
+                                               "bad --dt-alpha (policy.dt_alpha) ' 1_0 ': "),
     "dt_alpha_in_arabic_indic_digits": (["simulate", *BURST, "--dt-alpha", "\u0663/4"], {}, None,
-                                        "bad --dt-alpha '\u0663/4': "),
+                                        "bad --dt-alpha (policy.dt_alpha) '\u0663/4': "),
     # an exponent would make Fraction() compute 10**999999999
     "dt_alpha_with_an_exponent": (["simulate", *BURST, "--dt-alpha", "1e999999999"], {}, None,
-                                  "bad --dt-alpha '1e999999999': "),
+                                  "bad --dt-alpha (policy.dt_alpha) '1e999999999': "),
     # a generator that would need a slot past the last a sequence holds
     "burst_past_the_last_slot": (["gen", *BURST[:4], "--workload", "poisson_bursts", "--rate", "1e-10",
                                   "--horizon", "10000000000000", "--out", "{dir}/t.csv"], {}, None,
                                  "a sequence holds slots up to 4294967295"),
     "ini_unread_flip_p": (["simulate", *BURST], {}, "[oracle]\nflip_p = 2\n", "--flip-p must be in [0, 1], got 2.0"),
     "ini_unread_dt_alpha": (["simulate", *BURST], {}, "[policy]\ndt_alpha = 1/0\n",
-                            "bad --dt-alpha '1/0': zero denominator"),
+                            "bad --dt-alpha (policy.dt_alpha) '1/0': zero denominator"),
     "label_without_out": (["label", *BURST], {}, None, "--out"),
     "ports_not_an_int": (["simulate", *BURST[2:]], {}, "[switch]\nports = four\n", "ports"),
     "unknown_policy": (["simulate", *BURST], {}, "[policy]\nname = nope\n", "policy"),

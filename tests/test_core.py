@@ -38,10 +38,10 @@ from shbuf.analysis import (
     throughput,
 )
 from shbuf.core import PolicyError, Simulation
-from shbuf.learner import collect_trace, load_examples, load_forest
+from shbuf.learner import ConfusionCounts, collect_trace, load_examples, load_forest, train_forest
 from shbuf.oracles import ConstantOracle, FeatureSampler, FlipOracle, PredictionLabel, ground_truth_from_run
 from shbuf.policies import Decision
-from shbuf.workloads import poisson_bursts, single_burst, uniform_random
+from shbuf.workloads import followlqd_adversary, multi_burst_then_shorts, poisson_bursts, single_burst, uniform_random
 
 from conftest import LiveCredence, LiveFollowLqd, depart_every_port, random_sequence, visit_every_port
 
@@ -65,8 +65,33 @@ def test_config_validation():
     ids=["bool_ports", "float_buffer", "fractional_ports", "str_buffer"],
 )
 def test_config_sizes_must_be_ints(ports, buffer_size, field):
-    with pytest.raises(ValueError, match=f"^{field} must be an int, got "):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
         SwitchConfig(ports, buffer_size)
+
+
+_EXAMPLES = collect_trace(SwitchConfig(4, 16), single_burst(SwitchConfig(4, 16), 40))
+# every library entry that takes an int parameter: the parameter's name and a call passing it ``value``
+INT_PARAMETERS = {
+    "switch_ports": ("num_ports", lambda value: SwitchConfig(value, 8)),
+    "switch_buffer": ("buffer_size", lambda value: SwitchConfig(5, value)),
+    "single_burst": ("burst", lambda value: single_burst(SwitchConfig(5, 8), value)),
+    "multi_burst_then_shorts": ("short_burst", lambda value: multi_burst_then_shorts(SwitchConfig(5, 8), value)),
+    "followlqd_adversary": ("cycles", lambda value: followlqd_adversary(SwitchConfig(5, 8), value)),
+    "poisson_bursts": ("horizon", lambda value: poisson_bursts(SwitchConfig(5, 8), 0.1, value, 1)),
+    "uniform_random": ("horizon", lambda value: uniform_random(SwitchConfig(5, 8), 0.5, value, 1)),
+    "eta_upper_bound": ("num_ports", lambda value: analysis.eta_upper_bound(ConfusionCounts(1, 1, 4, 1), value)),
+    "train_forest_trees": ("trees", lambda value: train_forest(_EXAMPLES, trees=value)),
+    "train_forest_max_depth": ("max_depth", lambda value: train_forest(_EXAMPLES, max_depth=value)),
+}
+
+
+@pytest.mark.parametrize("value", [2.0, True, "2"], ids=["float", "bool", "str"])
+@pytest.mark.parametrize("entry", INT_PARAMETERS)
+def test_an_int_parameter_refuses_anything_but_an_int(entry, value):
+    name, call = INT_PARAMETERS[entry]
+    call(2)
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {re.escape(repr(value))}$"):
+        call(value)
 
 
 def test_empty_sequence_any_policy():

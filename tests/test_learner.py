@@ -683,6 +683,20 @@ def test_tree_count_sweep_schema():
         assert 0.0 <= metrics.accuracy <= 1.0
 
 
+def test_a_forest_of_k_trees_is_the_first_k_of_sixteen_and_the_sweep_scores_each_prefix():
+    # tree_count_sweep trains only its largest forest, so each smaller one must be a prefix of it
+    config = SwitchConfig(8, 32)
+    examples = collect_trace(config, poisson_bursts(config, 0.03, 2000, 7))
+    assert len(examples) == 2304
+    train, test = split_examples(examples, 0.6, 7)
+    counts = list(range(1, 17))
+    forests = [train_forest(train, trees=count, max_depth=4, seed=7) for count in counts]
+    for count, forest in zip(counts, forests):
+        assert forest.trees == forests[-1].trees[:count]
+    expected = [(count, evaluate_on(forest, test)) for count, forest in zip(counts, forests)]
+    assert tree_count_sweep(examples, counts, max_depth=4, split=0.6, seed=7) == expected
+
+
 def test_importing_the_package_does_not_load_numpy():
     # numpy is imported by the training path only, so start-up does not pay for it
     src = Path(shbuf.__file__).resolve().parent.parent

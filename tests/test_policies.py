@@ -87,6 +87,11 @@ def test_dynamic_thresholds_accepts_string_alpha():
         DynamicThresholds(Fraction(0))
 
 
+def test_dynamic_thresholds_reads_a_zero_denominator_as_a_value_error():
+    with pytest.raises(ValueError, match=r"^zero denominator in '1/0'$"):
+        DynamicThresholds("1/0")
+
+
 # --- LongestQueueDrop --------------------------------------------------------
 
 
