@@ -107,8 +107,13 @@ def simulate_with_prediction_log(
     Credence asks only about packets its thresholds would admit; every other
     packet is labelled after the run from the features it arrived with, so
     the oracle is asked once per arrival and the log holds one label per
-    arrival, in arrival order, and can feed the error ratio directly.
+    arrival, in arrival order, and can feed the error ratio directly. An
+    oracle that reads no features is not asked: its log is its drop column.
     """
+    if not oracle.reads_features:
+        positive, negative = PredictionLabel.POSITIVE, PredictionLabel.NEGATIVE
+        log = [positive if dropped else negative for dropped in oracle.drops(sequence.total_packets)]
+        return run_simulation(config, sequence, Credence(oracle)), log
     recorder = _LabelRecorder(oracle)
     sampler = FeatureSampler(Credence(recorder))
     result = run_simulation(config, sequence, sampler)

@@ -8,6 +8,12 @@ arrival order). Oracles are pure: predicting never mutates simulation state,
 and two queries for the same packet and features return the same label.
 ``FeatureSampler`` records the features an oracle would see for every
 arrival, under any policy.
+
+An oracle that reads no features (``ConstantOracle``, ``PerfectOracle`` and
+a ``FlipOracle`` of either) knows its whole answer before the run: a pure
+function of the arrival index. It also gives that answer as one column,
+``drops(count)``, a drop flag per arrival built with C-level iterators, and
+``Credence`` reads the column instead of calling ``predict`` per arrival.
 """
 
 from __future__ import annotations
@@ -16,8 +22,8 @@ import struct
 from enum import Enum
 from functools import partial
 from itertools import repeat
-from operator import gt, is_not, mul
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Optional, Protocol
+from operator import gt, is_not, mul, ne
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Optional, Protocol, Sequence, Union
 
 from .core import ArrivalSequence, Bound, RunResult, Verdict
 
@@ -139,8 +145,11 @@ class Oracle(Protocol):
     """Contract shared by every oracle.
 
     ``reads_features`` says whether ``predict`` looks at its ``features``
-    argument. When it is False, callers may pass None instead, and
-    ``Credence`` builds no features for the oracle.
+    argument. When it is False, callers may pass None instead, and the
+    oracle also has ``drops(count)``: the list of ``count`` drop flags whose
+    entry ``i`` is True exactly when ``predict(i, None)`` is ``POSITIVE``.
+    ``Credence`` builds no features for such an oracle and reads that column
+    instead of asking ``predict``.
     """
 
     reads_features: bool
@@ -160,33 +169,67 @@ class ConstantOracle:
     def predict(self, index: int, features: Optional[FeatureVector]) -> PredictionLabel:
         return self.label
 
+    def drops(self, count: int) -> list[bool]:
+        return [self.label is _POSITIVE] * count
+
 
 def ground_truth_from_run(result: RunResult) -> dict[int, bool]:
     """Map every arrival index of a finished run to True when the packet was dropped or pushed out."""
-    return dict(enumerate(map(is_not, result.verdicts, repeat(Verdict.TRANSMITTED))))
+    return dict(enumerate(_dropped(result)))
+
+
+def _dropped(result: RunResult) -> Iterator[bool]:
+    return map(is_not, result.verdicts, repeat(Verdict.TRANSMITTED))
+
+
+def _uncovered(index: int) -> ValueError:
+    return ValueError(
+        f"packet {index} is not covered by the ground-truth trace; trace and arrival sequence do not match"
+    )
 
 
 class PerfectOracle:
-    """Replays recorded per-packet outcomes, usually from a LongestQueueDrop run."""
+    """Replays recorded per-packet outcomes, usually from a LongestQueueDrop run.
+
+    ``truth`` holds one bool per arrival, True when the packet was dropped:
+    a list indexed by arrival index, as ``from_run`` keeps it, or a mapping
+    from arrival index, such as ``ground_truth_from_run``'s. ``drops(count)``
+    is the list itself when it holds exactly ``count`` entries. Both queries
+    raise ``packet N is not covered ...`` for an arrival the truth lacks,
+    ``drops`` for the first such one, and a negative index is never covered.
+    """
 
     reads_features = False
 
-    def __init__(self, truth: Mapping[int, bool]) -> None:
+    def __init__(self, truth: Union[Sequence[bool], Mapping[int, bool]]) -> None:
         self.truth = truth
 
     @classmethod
     def from_run(cls, result: RunResult) -> "PerfectOracle":
-        return cls(ground_truth_from_run(result))
+        # a list costs about 10 ns a packet to build, ``ground_truth_from_run``'s dict 53
+        return cls(list(_dropped(result)))
 
     def predict(self, index: int, features: Optional[FeatureVector]) -> PredictionLabel:
-        try:
-            dropped = self.truth[index]
-        except KeyError:
-            raise ValueError(
-                f"packet {index} is not covered by the ground-truth trace; "
-                "trace and arrival sequence do not match"
-            ) from None
-        return _POSITIVE if dropped else _NEGATIVE
+        # a list would wrap a negative index
+        if index >= 0:
+            try:
+                dropped = self.truth[index]
+            except (KeyError, IndexError):
+                pass
+            else:
+                return _POSITIVE if dropped else _NEGATIVE
+        raise _uncovered(index)
+
+    def drops(self, count: int) -> Sequence[bool]:
+        truth = self.truth
+        if isinstance(truth, Mapping):
+            try:
+                return list(map(truth.__getitem__, range(count)))
+            except KeyError:
+                raise _uncovered(next(index for index in range(count) if index not in truth)) from None
+        if len(truth) < count:
+            raise _uncovered(len(truth))
+        return truth if len(truth) == count else truth[:count]
 
 
 _MASK64 = (1 << 64) - 1
@@ -277,7 +320,9 @@ class FlipOracle:
     ``(seed, slot, pos)``, tossed up front into ``flips[i]`` for arrival
     ``i``, so the set of flipped packets does not depend on query order or
     on how often a packet is queried, and sweeps over ``p`` stay comparable
-    across policies. It reads features when ``base`` does. The coins are
+    across policies. It reads features when ``base`` does; when it does not,
+    ``drops(count)`` gives its whole answer as the base's column with every
+    flipped entry inverted, and ``Credence`` reads that column. The coins are
     ``_flip_draws``': a chunk of slots at a time, each splitmix64 step is a
     few operations on one int packing a 64-bit lane per packet, so tossing
     costs about a third of a per-packet loop and loads no numpy.
@@ -310,6 +355,11 @@ class FlipOracle:
         if self.flips[index]:
             return _NEGATIVE if label is _POSITIVE else _POSITIVE
         return label
+
+    def drops(self, count: int) -> list[bool]:
+        """The base's column with each flipped entry inverted; shorter than
+        ``count`` when ``flips`` is, which ``Credence`` refuses."""
+        return list(map(ne, self.base.drops(count), self.flips))
 
 
 class ForestOracle:

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 from typing import Optional, Protocol, Sequence, Union
 
 from .core import ArrivalSequence, Bound, SwitchConfig, SwitchState, read_number, run_slots
@@ -117,16 +118,22 @@ class DynamicThresholds:
     """Accept while the arriving queue is below ``alpha`` times the free space.
 
     The comparison ``q < alpha * (B - Q)`` is evaluated in exact rational
-    arithmetic; ``alpha`` may be given as a ``Fraction``, an int or a string
-    that ``core.read_number`` reads as a Fraction, such as ``3/4``, and must
-    be positive (``ALPHA``).
+    arithmetic; ``alpha`` may be given as a ``Fraction``, an int, a finite
+    float (read exactly) or a string that ``core.read_number`` reads as a
+    Fraction, such as ``3/4``, and must be positive (``ALPHA``). A bool is
+    not taken for an int.
     """
 
     name = "dynamic_thresholds"
 
     def __init__(self, alpha: Union[Fraction, str, int] = Fraction(1, 2)) -> None:
-        self.alpha = read_number(alpha, Fraction) if isinstance(alpha, str) else Fraction(alpha)
-        ALPHA.check(self.alpha)
+        if isinstance(alpha, str):
+            alpha = read_number(alpha, Fraction)
+        elif isinstance(alpha, bool) or not isinstance(alpha, (Rational, float)):
+            raise ValueError(f"alpha must be a Fraction, an int or a string, got {alpha!r}")
+        # before converting: ``Fraction`` cannot take inf or nan
+        ALPHA.check(alpha)
+        self.alpha = Fraction(alpha)
 
     def reset(self, config: SwitchConfig, sequence: ArrivalSequence) -> None:
         self._buffer = config.buffer_size
@@ -322,6 +329,11 @@ class Credence:
     Step 1 reads arrival ``index``'s entry of a ``threshold_levels`` column:
     ``levels`` when given, which must be the column of the config and
     sequence the policy runs on, or else the one ``reset`` records.
+
+    Step 3 asks ``oracle.predict`` with the arrival's features only when
+    the oracle reads them. An oracle that reads none knows its answer before
+    the run, so ``reset`` takes it as one column, ``oracle.drops(count)``,
+    and step 3 reads arrival ``index``'s flag from it without a call.
     """
 
     name = "credence"
@@ -331,25 +343,35 @@ class Credence:
         self.levels = levels
 
     def reset(self, config: SwitchConfig, sequence: ArrivalSequence) -> None:
+        total = sequence.total_packets
         levels = self.levels
         if levels is None:
             levels = threshold_levels(config, sequence)
-        elif len(levels) != sequence.total_packets:
-            raise ValueError(f"levels holds {len(levels)} entries for a sequence of {sequence.total_packets} packets")
+        elif len(levels) != total:
+            raise ValueError(f"levels holds {len(levels)} entries for a sequence of {total} packets")
         self._levels = levels
         self._buffer = config.buffer_size
-        # bound once: the oracle is asked on every admitted arrival past the safeguard
-        self._predict = self.oracle.predict
         # the safeguard accepts while the longest queue is below ``_safe``
         self._safe = -(-config.buffer_size // config.num_ports)
         # by pigeonhole, an occupancy above ``_crowded`` puts some queue at ``_safe``
         self._crowded = config.num_ports * (self._safe - 1)
-        # None when the oracle ignores features: nothing is built for it
-        self.features = FeatureTracker(config.num_ports) if self.oracle.reads_features else None
+        oracle = self.oracle
+        if oracle.reads_features:
+            self.features = FeatureTracker(config.num_ports)
+            # bound once: the oracle is asked on every admitted arrival past the safeguard
+            self._predict = oracle.predict
+        else:
+            # None: no features are built for an oracle that ignores them
+            self.features = None
+            drops = oracle.drops(total)
+            if len(drops) != total:
+                raise ValueError(f"the oracle's drop column holds {len(drops)} entries for a sequence of {total} packets")
+            self._drops = drops
 
     def on_arrival(self, port: int, index: int, state: SwitchState) -> Decision:
         tracker = self.features
-        features = tracker.on_arrival(port, state) if tracker is not None else None
+        if tracker is not None:
+            features = tracker.on_arrival(port, state)
         level = self._levels[index]
         occupancy = state.occupancy
         lengths = state.queue_len
@@ -359,6 +381,8 @@ class Credence:
         if occupancy < safe or (queue < safe and occupancy <= self._crowded and max(lengths) < safe):
             return ACCEPT
         if queue < level and occupancy < self._buffer:
+            if tracker is None:
+                return DROP if self._drops[index] else ACCEPT
             return DROP if self._predict(index, features) is _POSITIVE else ACCEPT
         return DROP
 

@@ -29,7 +29,7 @@ from shbuf.oracles import (
     ground_truth_from_run,
 )
 
-from conftest import random_sequence
+from conftest import LiveCredence, contended_instance, random_sequence, visit_every_port
 
 FEATURES = FeatureVector(0, 0.0, 0, 0.0)
 
@@ -434,3 +434,108 @@ def test_sampler_records_the_same_features_whoever_builds_them():
     assert own.policy.features is None and shared.policy.features is not None
     assert len(own.features) == seq.total_packets
     assert own.features == shared.features
+
+
+# --- drop columns ----------------------------------------------------------------
+
+
+class _PositiveCounter:
+    """Asks ``oracle.predict`` and counts the POSITIVE labels handed out."""
+
+    reads_features = False
+
+    def __init__(self, oracle) -> None:
+        self.oracle = oracle
+        self.positives = 0
+
+    def predict(self, index, features):
+        label = self.oracle.predict(index, features)
+        self.positives += label is PredictionLabel.POSITIVE
+        return label
+
+
+@st.composite
+def column_instances(draw):
+    # switches with N > B, where random arrivals fill the buffer, or the contended
+    # N=16, B=32 instance; a base oracle of every feature-free kind, flipped or not
+    if draw(st.integers(0, 4)) == 0:
+        config, sequence = contended_instance()
+    else:
+        num_ports = draw(st.integers(3, 10))
+        config = SwitchConfig(num_ports, draw(st.integers(1, num_ports - 1)))
+        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+        sequence = random_sequence(rng, num_ports, draw(st.integers(5, 60)), draw(st.sampled_from((0.3, 0.6, 0.9))))
+    total = sequence.total_packets
+    kind = draw(st.sampled_from(("accept", "drop", "run", "dict", "list")))
+    if kind in ("accept", "drop"):
+        base = ConstantOracle(PredictionLabel.POSITIVE if kind == "drop" else PredictionLabel.NEGATIVE)
+    elif kind == "run":
+        base = PerfectOracle.from_run(run_simulation(config, sequence, LongestQueueDrop()))
+    else:
+        # any truth, not only LQD's; it may cover arrivals past the sequence
+        truth = draw(st.lists(st.booleans(), min_size=total, max_size=total + 3))
+        base = PerfectOracle(dict(enumerate(truth)) if kind == "dict" else truth)
+    p = draw(st.sampled_from((None, 0.0, 1.0, draw(st.floats(0.05, 0.95)))))
+    oracle = base if p is None else FlipOracle(base, p, draw(st.integers(0, 2**64 - 1)), sequence)
+    return config, sequence, oracle, draw(st.integers(0, total))
+
+
+# arrivals that reached Credence's oracle step with their drop flag set, summed over the
+# property's examples: 5,542 when it was written
+_FLAGGED_AT_STEP_3 = 4000
+
+
+def test_drop_column_is_the_predictions_and_credence_reads_it_as_the_live_reference_asks():
+    from shbuf import Credence
+
+    flagged = []
+
+    @settings(derandomize=True, max_examples=250, deadline=None)
+    @given(column_instances())
+    def check(instance):
+        config, sequence, oracle, count = instance
+        total = sequence.total_packets
+        for n in (count, total):
+            column = oracle.drops(n)
+            assert len(column) == n
+            assert list(column) == [oracle.predict(i, None) is PredictionLabel.POSITIVE for i in range(n)]
+        asked = _PositiveCounter(oracle)
+        expected = visit_every_port(config, sequence, LiveCredence(asked)).verdicts
+        assert run_simulation(config, sequence, Credence(oracle)).verdicts == expected
+        flagged.append(asked.positives)
+
+    check()
+    assert sum(flagged) >= _FLAGGED_AT_STEP_3, sum(flagged)
+
+
+def test_a_perfect_truth_that_misses_an_arrival_is_refused_when_the_run_starts():
+    from shbuf import Credence
+
+    # five packets to an empty 2x8 switch: the safeguard accepts every one, so
+    # no packet is ever asked about, yet the column must cover them all
+    config, sequence = SwitchConfig(2, 8), ArrivalSequence([[0, 1], [0], [1, 0]])
+    for truth, first in (([False, True], 2), ({0: False, 1: False, 3: True, 4: False}, 2), ({}, 0)):
+        oracle = PerfectOracle(truth)
+        with pytest.raises(ValueError, match=f"^packet {first} is not covered by the ground-truth trace"):
+            Credence(oracle).reset(config, sequence)
+        with pytest.raises(ValueError, match=f"^packet {first} is not covered"):
+            run_simulation(config, sequence, Credence(FlipOracle(oracle, 0.5, 3, sequence)))
+
+
+def test_a_list_truth_never_wraps_a_negative_index():
+    oracle = PerfectOracle([True, False])
+    assert oracle.predict(0, None) is PredictionLabel.POSITIVE
+    for index in (-1, -2, 2):
+        with pytest.raises(ValueError, match=f"^packet {index} is not covered by the ground-truth trace"):
+            oracle.predict(index, None)
+    assert oracle.drops(2) is oracle.truth
+    assert oracle.drops(1) == [True]
+
+
+def test_a_flip_oracle_with_fewer_coins_than_arrivals_is_refused_when_the_run_starts():
+    from shbuf import Credence
+
+    config, sequence = SwitchConfig(2, 4), ArrivalSequence([[0, 1], [1]])
+    short = FlipOracle.from_draws(ConstantOracle(PredictionLabel.NEGATIVE), 0.5, [0.1, 0.9])
+    with pytest.raises(ValueError, match="^the oracle's drop column holds 2 entries for a sequence of 3 packets$"):
+        run_simulation(config, sequence, Credence(short))

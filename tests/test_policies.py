@@ -1,4 +1,6 @@
+import math
 import random
+import re
 from collections import deque
 from fractions import Fraction
 
@@ -20,7 +22,7 @@ from shbuf import (
     Verdict,
     run_simulation,
 )
-from shbuf.analysis import find_threshold_divergence, throughput
+from shbuf.analysis import competitive_sweep, find_threshold_divergence, throughput
 from shbuf.core import Simulation
 from shbuf.oracles import ConstantOracle, FlipOracle, PredictionLabel
 from shbuf.policies import threshold_levels
@@ -90,6 +92,44 @@ def test_dynamic_thresholds_accepts_string_alpha():
 def test_dynamic_thresholds_reads_a_zero_denominator_as_a_value_error():
     with pytest.raises(ValueError, match=r"^zero denominator in '1/0'$"):
         DynamicThresholds("1/0")
+
+
+@pytest.mark.parametrize(
+    "alpha, message",
+    [
+        (True, "alpha must be a Fraction, an int or a string, got True"),
+        (False, "alpha must be a Fraction, an int or a string, got False"),
+        (None, "alpha must be a Fraction, an int or a string, got None"),
+        (b"1/2", "alpha must be a Fraction, an int or a string, got b'1/2'"),
+        (math.inf, "alpha must be positive and finite, got inf"),
+        (-math.inf, "alpha must be positive and finite, got -inf"),
+        (math.nan, "alpha must be positive and finite, got nan"),
+        (0.0, "alpha must be positive and finite, got 0.0"),
+        (-0.5, "alpha must be positive and finite, got -0.5"),
+    ],
+    ids=["true", "false", "none", "bytes", "inf", "minus_inf", "nan", "zero_float", "negative_float"],
+)
+def test_dynamic_thresholds_checks_alpha_before_converting_it(alpha, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        DynamicThresholds(alpha)
+    # the sweep passes its ``dt_alpha`` straight through
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        competitive_sweep(SwitchConfig(2, 4), [0.0], [1], 0.1, 10, dt_alpha=alpha)
+
+
+@pytest.mark.parametrize(
+    "alpha, expected",
+    [
+        (0.75, Fraction(3, 4)),
+        (0.1, Fraction(3602879701896397, 36028797018963968)),
+        (2, Fraction(2)),
+        (Fraction(1, 3), Fraction(1, 3)),
+        ("3/4", Fraction(3, 4)),
+        ("0.1", Fraction(1, 10)),
+    ],
+)
+def test_dynamic_thresholds_reads_finite_floats_ints_fractions_and_strings_exactly(alpha, expected):
+    assert DynamicThresholds(alpha).alpha == expected
 
 
 # --- LongestQueueDrop --------------------------------------------------------

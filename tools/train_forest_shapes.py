@@ -13,10 +13,9 @@ quartiles in ms of each side, and how many rounds the change won.
 from __future__ import annotations
 
 import argparse
-import importlib.util
+import importlib
 import json
 import random
-import statistics
 import sys
 import time
 from pathlib import Path
@@ -24,23 +23,12 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import shbuf  # noqa: E402  (this checkout)
+from _checkouts import load_other, quartiles  # noqa: E402
 from shbuf.learner import collect_trace, split_examples  # noqa: E402
 from shbuf.oracles import PredictionLabel  # noqa: E402
 from shbuf.workloads import poisson_bursts  # noqa: E402
 
 SEED = 1
-
-
-def _load_other(src: str):
-    """The ``shbuf`` package under ``src``, imported as ``shbuf_parent``."""
-    package = Path(src) / "shbuf"
-    spec = importlib.util.spec_from_file_location(
-        "shbuf_parent", package / "__init__.py", submodule_search_locations=[str(package)]
-    )
-    module = importlib.util.module_from_spec(spec)
-    sys.modules["shbuf_parent"] = module
-    spec.loader.exec_module(module)
-    return module
 
 
 def _shapes() -> dict:
@@ -80,11 +68,6 @@ def _model_text(learner, examples, trees, depth) -> str:
     return json.dumps([learner._node_to_obj(tree) for tree in model.trees])
 
 
-def _quartiles(times: list[float]) -> dict:
-    q1, median, q3 = statistics.quantiles(times, n=4)
-    return {"median": round(median, 2), "q1": round(q1, 2), "q3": round(q3, 2)}
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="the src directory of the checkout to compare with")
@@ -92,7 +75,7 @@ def main() -> None:
     args = parser.parse_args()
     learners = {
         side: importlib.import_module(package.__name__ + ".learner")
-        for side, package in (("parent", _load_other(args.parent)), ("change", shbuf))
+        for side, package in (("parent", load_other(args.parent)), ("change", shbuf))
     }
     table = {}
     for name, (rows, trees, depth) in _shapes().items():
@@ -110,8 +93,8 @@ def main() -> None:
         table[name] = {
             "examples": len(rows),
             "identical_trees": True,
-            "parent_ms": _quartiles(times["parent"]),
-            "change_ms": _quartiles(times["change"]),
+            "parent_ms": quartiles(times["parent"]),
+            "change_ms": quartiles(times["change"]),
             "change_wins": f"{wins}/{args.rounds}",
         }
         print(json.dumps({name: table[name]}), file=sys.stderr, flush=True)
