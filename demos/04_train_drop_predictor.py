@@ -17,13 +17,12 @@ from shbuf.learner import (
     train_forest,
     tree_count_sweep,
 )
-from shbuf.oracles import PredictionLabel
 from shbuf.workloads import poisson_bursts
 
 config = SwitchConfig(num_ports=8, buffer_size=32)
 sequence = poisson_bursts(config, rate=1 / 32, horizon=4000, seed=101)
 examples = collect_trace(config, sequence)
-positives = sum(1 for e in examples if e.label is PredictionLabel.POSITIVE)
+positives = sum(example.label for example in examples)  # a label is a drop flag
 print(
     f"trace: {len(examples)} packets, {positives} dropped by the reference "
     f"policy ({positives / len(examples):.1%})"

@@ -2,7 +2,8 @@
 
 Provides the error ratio relating push-out LongestQueueDrop throughput to
 FollowLqd throughput on the prediction-reduced sequence, its closed-form
-upper bound from the confusion counts, the exact offline optimum over a
+upper bound from the confusion counts (``ConfusionCounts.count`` of the
+forecast and truth drop flags), the exact offline optimum over a
 frontier of drop-tail queue vectors pruned against LQD, flip-probability
 sweeps with their CSV and SVG chart, and an event-by-event check that the
 threshold mirror, drained port by port and in bulk as FollowLqd's and
@@ -18,8 +19,8 @@ import math
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
-from operator import ne
+from itertools import compress, islice
+from operator import ne, not_
 from typing import Mapping, Optional, Sequence, Union
 
 from .core import (
@@ -40,7 +41,6 @@ from .oracles import (
     FlipOracle,
     Oracle,
     PerfectOracle,
-    PredictionLabel,
     _flip_draws,
 )
 from .policies import (
@@ -87,32 +87,32 @@ def throughput(config: SwitchConfig, sequence: ArrivalSequence, policy: Policy) 
 
 
 class _LabelRecorder:
-    """Oracle wrapper that keeps every label it hands out, by arrival index."""
+    """Oracle wrapper that keeps every forecast it hands out, by arrival index."""
 
     def __init__(self, oracle: Oracle) -> None:
         self.oracle = oracle
         self.reads_features = oracle.reads_features
-        self.labels: dict[int, PredictionLabel] = {}
+        self.labels: dict[int, bool] = {}
 
-    def predict(self, index: int, features: Optional[FeatureVector]) -> PredictionLabel:
+    def predict(self, index: int, features: Optional[FeatureVector]) -> bool:
         label = self.labels[index] = self.oracle.predict(index, features)
         return label
 
 
 def simulate_with_prediction_log(
     config: SwitchConfig, sequence: ArrivalSequence, oracle: Oracle
-) -> tuple[RunResult, list[PredictionLabel]]:
-    """Run Credence while recording the oracle's label for every packet.
+) -> tuple[RunResult, list[bool]]:
+    """Run Credence while recording the oracle's drop flag for every packet.
 
     Credence asks only about packets its thresholds would admit; every other
-    packet is labelled after the run from the features it arrived with, so
-    the oracle is asked once per arrival and the log holds one label per
+    packet is forecast after the run from the features it arrived with, so
+    the oracle is asked once per arrival and the log holds one flag per
     arrival, in arrival order, and can feed the error ratio directly. An
-    oracle that reads no features is not asked: its log is its drop column.
+    oracle that reads no features is not asked: its log is a copy of its
+    drop column.
     """
     if not oracle.reads_features:
-        positive, negative = PredictionLabel.POSITIVE, PredictionLabel.NEGATIVE
-        log = [positive if dropped else negative for dropped in oracle.drops(sequence.total_packets)]
+        log = list(oracle.drops(sequence.total_packets))
         return run_simulation(config, sequence, Credence(oracle)), log
     recorder = _LabelRecorder(oracle)
     sampler = FeatureSampler(Credence(recorder))
@@ -139,19 +139,20 @@ class ErrorReport:
 def compute_eta(
     config: SwitchConfig,
     sequence: ArrivalSequence,
-    predictions: Union[Sequence[PredictionLabel], Mapping[int, PredictionLabel]],
+    predictions: Union[Sequence[bool], Mapping[int, bool]],
     truth: Union[Sequence[bool], Mapping[int, bool]],
 ) -> ErrorReport:
     """Measure prediction error as LQD(sequence) / FollowLqd(reduced sequence).
 
-    ``predictions`` and ``truth`` are indexed by arrival index, as lists or
-    mappings. ``truth`` must be LongestQueueDrop's outcomes on ``sequence``
-    (``True`` = dropped): LQD's throughput is then the count of packets it
-    marks transmitted, so LQD is not run again. The reduced sequence deletes
-    every packet with a POSITIVE prediction (true or false) while preserving
-    slot timing and the within-slot order of the survivors. Corner cases: 0/0
-    is reported as 1 (a drop-free sequence, where every policy here
-    coincides) and x/0 as +inf.
+    ``predictions`` and ``truth`` hold one drop flag (``True`` = dropped) per
+    arrival index, as lists or mappings; an entry that is not a flag is
+    refused with a ValueError. ``truth`` must be LongestQueueDrop's outcomes
+    on ``sequence``: LQD's throughput is then the count of packets it marks
+    transmitted, so LQD is not run again. The reduced sequence deletes every
+    packet forecast to drop (rightly or not) while preserving slot timing and
+    the within-slot order of the survivors. Corner cases: 0/0 is reported as
+    1 (a drop-free sequence, where every policy here coincides) and x/0 as
+    +inf.
     """
     confusion, reduced = _classify_and_reduce(sequence, predictions, truth)
     lqd_tx = confusion.tn + confusion.fp
@@ -162,41 +163,33 @@ def compute_eta(
 
 def _classify_and_reduce(
     sequence: ArrivalSequence,
-    predictions: Union[Sequence[PredictionLabel], Mapping[int, PredictionLabel]],
+    predictions: Union[Sequence[bool], Mapping[int, bool]],
     truth: Union[Sequence[bool], Mapping[int, bool]],
 ) -> tuple[ConfusionCounts, ArrivalSequence]:
-    tp = fp = tn = fn = 0
+    indices = range(sequence.total_packets)
+    try:
+        forecasts = list(map(predictions.__getitem__, indices))
+        dropped = list(map(truth.__getitem__, indices))
+    except (KeyError, IndexError):
+        missing = next(index for index in indices if not (_covers(predictions, index) and _covers(truth, index)))
+        raise ValueError(
+            f"packet {missing} missing from predictions or ground truth; coverage must be total"
+        ) from None
+    confusion = ConfusionCounts.count(forecasts, dropped)
+    kept = map(not_, forecasts)
     reduced_slots = array("I")
     reduced_rows: list[list[int]] = []
-    index = 0
     for slot_index, row in zip(sequence.arrival_slots, sequence.rows):
-        survivors: list[int] = []
-        for port in row:
-            try:
-                label = predictions[index]
-                dropped = truth[index]
-            except (KeyError, IndexError):
-                raise ValueError(
-                    f"packet {index} missing from predictions or ground truth; "
-                    "coverage must be total"
-                ) from None
-            index += 1
-            if label is PredictionLabel.POSITIVE:
-                if dropped:
-                    tp += 1
-                else:
-                    fp += 1
-            else:
-                survivors.append(port)
-                if dropped:
-                    fn += 1
-                else:
-                    tn += 1
+        survivors = list(compress(row, islice(kept, len(row))))
         if survivors:
             reduced_slots.append(slot_index)
             reduced_rows.append(survivors)
     reduced = ArrivalSequence._from_rows(sequence.num_slots, reduced_slots, reduced_rows)
-    return ConfusionCounts(tp, fp, tn, fn), reduced
+    return confusion, reduced
+
+
+def _covers(entries: Union[Sequence[bool], Mapping[int, bool]], index: int) -> bool:
+    return index in entries if isinstance(entries, Mapping) else index < len(entries)
 
 
 def eta_upper_bound(confusion: ConfusionCounts, num_ports: int) -> float:

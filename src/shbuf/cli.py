@@ -69,7 +69,6 @@ from .oracles import (
     FlipOracle,
     ForestOracle,
     PerfectOracle,
-    PredictionLabel,
     ground_truth_from_run,
 )
 from .policies import (
@@ -328,9 +327,9 @@ def _build_policy(values: dict, config: SwitchConfig, sequence: ArrivalSequence,
 def _build_oracle(values: dict, config: SwitchConfig, sequence: ArrivalSequence, seed: int):
     kind = values["oracle"]
     if kind == "constant_accept":
-        return ConstantOracle(PredictionLabel.NEGATIVE)
+        return ConstantOracle(False)
     if kind == "constant_drop":
-        return ConstantOracle(PredictionLabel.POSITIVE)
+        return ConstantOracle(True)
     if kind == "forest":
         _require(values, "model", needed_by="--oracle forest")
         with _as_config_error("cannot load model: ", (OSError, ValueError)):
@@ -377,7 +376,7 @@ def _cmd_label(values: dict, seed: int) -> int:
     _require(values, "out")
     examples = collect_trace(config, _sequence_for(values, config, seed))
     save_examples(examples, values["out"])
-    drops = sum(label is PredictionLabel.POSITIVE for _, label in examples)
+    drops = sum(label for _, label in examples)
     print(f"examples={len(examples)} drops={drops} out={values['out']}")
     return EXIT_OK
 

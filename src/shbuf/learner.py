@@ -19,22 +19,27 @@ against float thresholds compare two floats; such ints are exact as floats,
 and the result is the same as comparing the int. numpy is imported only by
 the functions that train and split, so importing the package does not load
 it.
+
+A label, like every forecast, is a drop flag (``True`` = dropped), and
+``ConfusionCounts.count`` is the one tally of forecasts against labels,
+here and in the error ratio (``analysis.compute_eta``).
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, repeat
-from operator import is_, itemgetter
-from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence, Union
+from itertools import chain
+from operator import itemgetter
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .core import (
-    ArrivalSequence, Bound, SwitchConfig, Verdict, _utf8_errors_name, _write_lines, read_number, run_simulation,
+    ArrivalSequence, Bound, SwitchConfig, _utf8_errors_name, _write_lines, read_number, run_simulation,
 )
-from .oracles import FeatureSampler, FeatureVector, PredictionLabel
+from .oracles import FeatureSampler, FeatureVector, _drop_flag, _dropped
 from .policies import LongestQueueDrop
 
 if TYPE_CHECKING:
@@ -73,15 +78,11 @@ _FEATURE_COUNT = len(FeatureVector._fields)
 
 class LabeledExample(NamedTuple):
     features: FeatureVector
-    label: PredictionLabel
+    label: bool  # True when LQD dropped the packet
 
 
 # builds a LabeledExample from one (features, label) pair without the Python-level __new__
 _new_example = partial(tuple.__new__, LabeledExample)
-_LABEL_OF_VERDICT = {
-    verdict: PredictionLabel.NEGATIVE if verdict is Verdict.TRANSMITTED else PredictionLabel.POSITIVE
-    for verdict in Verdict
-}
 
 
 def collect_trace(config: SwitchConfig, sequence: ArrivalSequence) -> list[LabeledExample]:
@@ -93,8 +94,7 @@ def collect_trace(config: SwitchConfig, sequence: ArrivalSequence) -> list[Label
     """
     sampler = FeatureSampler(LongestQueueDrop())
     result = run_simulation(config, sequence, sampler)
-    labels = map(_LABEL_OF_VERDICT.__getitem__, result.verdicts)
-    return list(map(_new_example, zip(sampler.features, labels)))
+    return list(map(_new_example, zip(sampler.features, _dropped(result))))
 
 
 # --- decision trees ----------------------------------------------------------
@@ -281,8 +281,8 @@ class _TreeSource:
 _EXACT_INT = 2**53
 
 
-def _compile_decide(trees: Sequence[Union[TreeNode, int]], feature_count: int) -> Callable[[Sequence[float]], int]:
-    """Compile ``decide(features)``: 1 when a strict majority of ``trees`` predicts a drop, else 0.
+def _compile_decide(trees: Sequence[Union[TreeNode, int]], feature_count: int) -> Callable[[Sequence[float]], bool]:
+    """Compile ``decide(features)``: True when a strict majority of ``trees`` predicts a drop.
 
     Each tree becomes its own small function of nested ``if`` tests, compiled
     separately so that the compiler never holds the whole forest at once.
@@ -314,10 +314,10 @@ def _compile_decide(trees: Sequence[Union[TreeNode, int]], feature_count: int) -
         # drop once a strict majority is in; accept once the trees left cannot make one
         done, left = index + 1, count - index - 1
         if done > half:
-            lines.append(f"    if votes > {half}:\n        return 1")
+            lines.append(f"    if votes > {half}:\n        return True")
         if left <= half:
-            lines.append(f"    if votes <= {half - left}:\n        return 0")
-    lines.append("    return 0")
+            lines.append(f"    if votes <= {half - left}:\n        return False")
+    lines.append("    return False")
     exec(compile("\n".join(lines) + "\n", "<forest decide>", "exec"), namespace)
     return namespace.pop("decide")
 
@@ -342,7 +342,7 @@ class ForestModel:
     trees: tuple[Union[TreeNode, int], ...]
     max_depth: int
     feature_count: int
-    _decide: Callable[[Sequence[float]], int] = field(init=False, repr=False, compare=False)
+    _decide: Callable[[Sequence[float]], bool] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         trees = tuple(self.trees)
@@ -353,8 +353,8 @@ class ForestModel:
         # a compiled function does not pickle; the trees do, and compile again on load
         return (ForestModel, (self.trees, self.max_depth, self.feature_count))
 
-    def predict_one(self, features: Sequence[float]) -> int:
-        """1 when a strict majority of the trees predicts a drop for ``features``, else 0."""
+    def predict_one(self, features: Sequence[float]) -> bool:
+        """True when a strict majority of the trees predicts a drop for ``features``."""
         if len(features) != self.feature_count:
             raise ValueError(
                 f"expected {self.feature_count} features, got {len(features)}"
@@ -363,7 +363,7 @@ class ForestModel:
 
 
 def _as_arrays(examples: Sequence[LabeledExample]) -> tuple[np.ndarray, np.ndarray]:
-    """The examples as a (features x examples) float64 block and an int8 label per example."""
+    """The examples as a (features x examples) float64 block and an int8 label (1 = drop) per example."""
     import numpy as np
 
     features = list(map(itemgetter(0), examples))
@@ -371,8 +371,7 @@ def _as_arrays(examples: Sequence[LabeledExample]) -> tuple[np.ndarray, np.ndarr
     if set(map(len, features)) != {width}:
         raise ValueError("examples have inconsistent feature arity")
     X = np.fromiter(chain.from_iterable(features), dtype=np.float64, count=len(features) * width)
-    drops = map(is_, map(itemgetter(1), examples), repeat(PredictionLabel.POSITIVE))
-    y = np.fromiter(drops, dtype=np.int8, count=len(examples))
+    y = np.fromiter(map(itemgetter(1), examples), dtype=np.int8, count=len(examples))
     return X.reshape(len(features), width).T.copy(), y
 
 
@@ -424,7 +423,7 @@ def train_forest(
 
 @dataclass(frozen=True)
 class ConfusionCounts:
-    """Binary confusion counts with POSITIVE = predicted drop."""
+    """Binary confusion counts; positive means a drop."""
 
     tp: int
     fp: int
@@ -434,6 +433,17 @@ class ConfusionCounts:
     @property
     def total(self) -> int:
         return self.tp + self.fp + self.tn + self.fn
+
+    @classmethod
+    def count(cls, predicted: Iterable[bool], actual: Iterable[bool]) -> "ConfusionCounts":
+        """Tally forecasts against the truth, pair by pair; an entry that is not a drop flag is refused."""
+        pairs = Counter(zip(predicted, actual))
+        counts = cls(pairs[True, True], pairs[True, False], pairs[False, False], pairs[False, True])
+        if counts.total != sum(pairs.values()):
+            # checked in a fixed order, so the same entry is named on every run
+            for value in sorted(chain.from_iterable(pairs), key=repr):
+                _drop_flag(value)
+        return counts
 
 
 @dataclass(frozen=True)
@@ -478,19 +488,8 @@ def evaluate_on(model: ForestModel, examples: Sequence[LabeledExample]) -> EvalM
     """Score ``model`` on an explicit example set."""
     if not examples:
         raise ValueError("cannot evaluate on an empty example list")
-    tp = fp = tn = fn = 0
-    for features, label in examples:
-        predicted_drop = model.predict_one(features)
-        actual_drop = label is PredictionLabel.POSITIVE
-        if predicted_drop and actual_drop:
-            tp += 1
-        elif predicted_drop:
-            fp += 1
-        elif actual_drop:
-            fn += 1
-        else:
-            tn += 1
-    return metrics_from_confusion(ConfusionCounts(tp, fp, tn, fn))
+    predicted = map(model.predict_one, map(itemgetter(0), examples))
+    return metrics_from_confusion(ConfusionCounts.count(predicted, map(itemgetter(1), examples)))
 
 
 def evaluate(
@@ -602,10 +601,9 @@ _EXAMPLES_HEADER = "q,q_ewma,Q,Q_ewma,label"
 def save_examples(examples: Sequence[LabeledExample], path) -> None:
     lines = [_EXAMPLES_HEADER]
     for features, label in examples:
-        flag = 1 if label is PredictionLabel.POSITIVE else 0
         lines.append(
             f"{features.queue_len},{features.queue_len_avg!r},"
-            f"{features.occupancy},{features.occupancy_avg!r},{flag}"
+            f"{features.occupancy},{features.occupancy_avg!r},{label:d}"
         )
     _write_lines(path, lines)
 
@@ -632,6 +630,5 @@ def load_examples(path) -> list[LabeledExample]:
                 raise ValueError(f"{path}:{line_no}: non-finite feature in {line!r}")
             if parts[4] not in ("0", "1"):
                 raise ValueError(f"{path}:{line_no}: label must be 0 or 1, got {parts[4]!r}")
-            label = PredictionLabel.POSITIVE if parts[4] == "1" else PredictionLabel.NEGATIVE
-            examples.append(LabeledExample(features, label))
+            examples.append(LabeledExample(features, parts[4] == "1"))
     return examples

@@ -2,10 +2,12 @@
 
 An oracle forecasts, for each arriving packet, whether a push-out
 LongestQueueDrop instance serving the same arrival sequence would eventually
-drop it (label ``POSITIVE``) or transmit it (label ``NEGATIVE``); push-outs
-count as drops. Packets are named by their arrival index (0, 1, 2, ... in
-arrival order). Oracles are pure: predicting never mutates simulation state,
-and two queries for the same packet and features return the same label.
+drop it; push-outs count as drops. A forecast is a drop flag, ``True`` for
+dropped, as LQD's outcomes (``ground_truth_from_run``) and the learner's
+labels are; ``PredictionLabel`` names the two flags. Packets are named by
+their arrival index (0, 1, 2, ... in arrival order). Oracles are pure:
+predicting never mutates simulation state, and two queries for the same
+packet and features return the same flag.
 ``FeatureSampler`` records the features an oracle would see for every
 arrival, under any policy.
 
@@ -19,7 +21,6 @@ function of the arrival index. It also gives that answer as one column,
 from __future__ import annotations
 
 import struct
-from enum import Enum
 from functools import partial
 from itertools import repeat
 from operator import gt, is_not, mul, ne
@@ -47,16 +48,21 @@ __all__ = [
 ]
 
 
-class PredictionLabel(Enum):
-    """Binary forecast: POSITIVE means "this packet will be dropped"."""
+class PredictionLabel:
+    """The two forecasts by name: ``POSITIVE``, "this packet will be dropped", is True.
 
-    POSITIVE = "drop"
-    NEGATIVE = "accept"
+    Kept for ``bench/shapes.py``, which builds ``ConstantOracle(PredictionLabel.NEGATIVE)``.
+    """
+
+    POSITIVE = True
+    NEGATIVE = False
 
 
-# enum member lookups cost ~0.1 us each on the query path
-_POSITIVE = PredictionLabel.POSITIVE
-_NEGATIVE = PredictionLabel.NEGATIVE
+def _drop_flag(value) -> bool:
+    """``value`` as a bool when it is a drop flag (True, False, 1 or 0); otherwise a ValueError."""
+    if value not in (False, True):
+        raise ValueError(f"a drop flag is True or False, got {value!r}")
+    return bool(value)
 
 
 class FeatureVector(NamedTuple):
@@ -147,34 +153,35 @@ class Oracle(Protocol):
     ``reads_features`` says whether ``predict`` looks at its ``features``
     argument. When it is False, callers may pass None instead, and the
     oracle also has ``drops(count)``: the list of ``count`` drop flags whose
-    entry ``i`` is True exactly when ``predict(i, None)`` is ``POSITIVE``.
+    entry ``i`` is ``predict(i, None)``.
     ``Credence`` builds no features for such an oracle and reads that column
     instead of asking ``predict``.
     """
 
     reads_features: bool
 
-    def predict(self, index: int, features: Optional[FeatureVector]) -> PredictionLabel:
-        """Label one arriving packet."""
+    def predict(self, index: int, features: Optional[FeatureVector]) -> bool:
+        """True when one arriving packet is forecast to be dropped."""
 
 
 class ConstantOracle:
-    """Always returns the same label; the degenerate ends of the error spectrum."""
+    """Always returns the same drop flag; the degenerate ends of the error spectrum."""
 
     reads_features = False
 
-    def __init__(self, label: PredictionLabel) -> None:
-        self.label = label
+    def __init__(self, label: bool) -> None:
+        self.label = _drop_flag(label)
 
-    def predict(self, index: int, features: Optional[FeatureVector]) -> PredictionLabel:
+    def predict(self, index: int, features: Optional[FeatureVector]) -> bool:
         return self.label
 
     def drops(self, count: int) -> list[bool]:
-        return [self.label is _POSITIVE] * count
+        return [self.label] * count
 
 
 def ground_truth_from_run(result: RunResult) -> dict[int, bool]:
     """Map every arrival index of a finished run to True when the packet was dropped or pushed out."""
+    # a dict, not a list: bench/shapes.py's learn_n8 check calls ``.values()`` on it
     return dict(enumerate(_dropped(result)))
 
 
@@ -191,10 +198,11 @@ def _uncovered(index: int) -> ValueError:
 class PerfectOracle:
     """Replays recorded per-packet outcomes, usually from a LongestQueueDrop run.
 
-    ``truth`` holds one bool per arrival, True when the packet was dropped:
-    a list indexed by arrival index, as ``from_run`` keeps it, or a mapping
-    from arrival index, such as ``ground_truth_from_run``'s. ``drops(count)``
-    is the list itself when it holds exactly ``count`` entries. Both queries
+    ``truth`` holds one drop flag per arrival: a list indexed by arrival
+    index, as ``from_run`` keeps it, or a mapping from arrival index, such
+    as ``ground_truth_from_run``'s. ``predict`` returns the entry, and
+    ``drops(count)`` is the list itself when it holds exactly ``count``
+    entries. Both queries
     raise ``packet N is not covered ...`` for an arrival the truth lacks,
     ``drops`` for the first such one, and a negative index is never covered.
     """
@@ -209,15 +217,13 @@ class PerfectOracle:
         # a list costs about 10 ns a packet to build, ``ground_truth_from_run``'s dict 53
         return cls(list(_dropped(result)))
 
-    def predict(self, index: int, features: Optional[FeatureVector]) -> PredictionLabel:
+    def predict(self, index: int, features: Optional[FeatureVector]) -> bool:
         # a list would wrap a negative index
         if index >= 0:
             try:
-                dropped = self.truth[index]
+                return self.truth[index]
             except (KeyError, IndexError):
                 pass
-            else:
-                return _POSITIVE if dropped else _NEGATIVE
         raise _uncovered(index)
 
     def drops(self, count: int) -> Sequence[bool]:
@@ -314,7 +320,7 @@ FLIP_PROBABILITY = Bound("flip probability", float, 0, 1)
 
 
 class FlipOracle:
-    """Inverts a base oracle's label with probability ``p``, per packet.
+    """Inverts a base oracle's forecast with probability ``p``, per packet.
 
     The coin for each packet of ``sequence`` is a pure function of
     ``(seed, slot, pos)``, tossed up front into ``flips[i]`` for arrival
@@ -325,7 +331,9 @@ class FlipOracle:
     flipped entry inverted, and ``Credence`` reads that column. The coins are
     ``_flip_draws``': a chunk of slots at a time, each splitmix64 step is a
     few operations on one int packing a 64-bit lane per packet, so tossing
-    costs about a third of a per-packet loop and loads no numpy.
+    costs about a third of a per-packet loop and loads no numpy. ``predict``
+    raises ``packet N is not covered ...`` for an arrival without a coin, a
+    negative index included.
 
     ``FlipOracle.from_draws(base, p, draws)`` builds the same oracle from
     the coins' uniform draws (``list(oracles._flip_draws(seed, sequence))``),
@@ -350,11 +358,10 @@ class FlipOracle:
         self._base_predict = base.predict
         self.flips: list[bool] = list(map(gt, repeat(p), draws))
 
-    def predict(self, index: int, features: Optional[FeatureVector]) -> PredictionLabel:
-        label = self._base_predict(index, features)
-        if self.flips[index]:
-            return _NEGATIVE if label is _POSITIVE else _POSITIVE
-        return label
+    def predict(self, index: int, features: Optional[FeatureVector]) -> bool:
+        if 0 <= index < len(self.flips):
+            return self._base_predict(index, features) != self.flips[index]
+        raise _uncovered(index)
 
     def drops(self, count: int) -> list[bool]:
         """The base's column with each flipped entry inverted; shorter than
@@ -363,7 +370,7 @@ class FlipOracle:
 
 
 class ForestOracle:
-    """Labels packets with a trained decision-tree ensemble over the features."""
+    """Forecasts drops with a trained decision-tree ensemble over the features."""
 
     reads_features = True
 
@@ -372,5 +379,5 @@ class ForestOracle:
         # bound once: the model is asked on every query
         self._predict_one = model.predict_one
 
-    def predict(self, index: int, features: FeatureVector) -> PredictionLabel:
-        return _POSITIVE if self._predict_one(features) else _NEGATIVE
+    def predict(self, index: int, features: FeatureVector) -> bool:
+        return self._predict_one(features)

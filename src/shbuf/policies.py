@@ -40,7 +40,7 @@ from numbers import Rational
 from typing import Optional, Protocol, Sequence, Union
 
 from .core import ArrivalSequence, Bound, SwitchConfig, SwitchState, read_number, run_slots
-from .oracles import _POSITIVE, FeatureTracker, Oracle
+from .oracles import FeatureTracker, Oracle
 
 __all__ = [
     "Decision",
@@ -383,7 +383,7 @@ class Credence:
         if queue < level and occupancy < self._buffer:
             if tracker is None:
                 return DROP if self._drops[index] else ACCEPT
-            return DROP if self._predict(index, features) is _POSITIVE else ACCEPT
+            return DROP if self._predict(index, features) else ACCEPT
         return DROP
 
     def on_departure(self, port: int, state: SwitchState) -> None:

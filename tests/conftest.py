@@ -5,8 +5,24 @@ import pytest
 
 from shbuf import ArrivalSequence, SwitchConfig, ThresholdState
 from shbuf.core import Simulation
+from shbuf.learner import ConfusionCounts
 from shbuf.oracles import FeatureTracker, PredictionLabel
 from shbuf.policies import ACCEPT, DROP
+
+
+def four_way_confusion(predicted, actual) -> ConfusionCounts:
+    """The reference tally of forecasts against the truth: one branch per cell of the matrix."""
+    tp = fp = tn = fn = 0
+    for predicted_drop, actual_drop in zip(predicted, actual):
+        if predicted_drop and actual_drop:
+            tp += 1
+        elif predicted_drop:
+            fp += 1
+        elif actual_drop:
+            fn += 1
+        else:
+            tn += 1
+    return ConfusionCounts(tp, fp, tn, fn)
 
 
 def random_sequence(rng: random.Random, num_ports: int, num_slots: int, load: float) -> ArrivalSequence:

@@ -52,7 +52,9 @@ from shbuf.workloads import (
     uniform_random,
 )
 
-from conftest import LiveCredence, contended_instance, random_sequence, random_tiny_sequence, visit_every_port
+from conftest import (
+    LiveCredence, contended_instance, four_way_confusion, random_sequence, random_tiny_sequence, visit_every_port,
+)
 
 POS = PredictionLabel.POSITIVE
 NEG = PredictionLabel.NEGATIVE
@@ -121,6 +123,49 @@ def test_eta_requires_total_coverage():
     truth = ground_truth_from_run(lqd)
     with pytest.raises(ValueError, match="coverage"):
         compute_eta(cfg, seq, {}, truth)
+
+
+def test_eta_names_the_first_packet_either_input_misses():
+    cfg = SwitchConfig(2, 4)
+    seq = ArrivalSequence([[0, 1], [0, 1]])
+    for predictions, truth, missing in (
+        ([NEG] * 4, [False, True], 2),
+        ({0: NEG, 1: NEG, 3: NEG}, [False] * 4, 2),
+        ([NEG], {0: False, 2: True}, 1),
+        ([NEG] * 4, {index: False for index in range(4) if index != 3}, 3),
+    ):
+        with pytest.raises(ValueError, match=f"^packet {missing} missing from predictions or ground truth; coverage must be total$"):
+            compute_eta(cfg, seq, predictions, truth)
+
+
+def test_eta_refuses_a_forecast_that_is_not_a_drop_flag():
+    cfg, seq = SwitchConfig(2, 2), ArrivalSequence([[0, 1], [1]])
+    with pytest.raises(ValueError, match="^a drop flag is True or False, got 'drop'$"):
+        compute_eta(cfg, seq, ["drop"] * 3, [True, False, False])
+    with pytest.raises(ValueError, match="^a drop flag is True or False, got None$"):
+        compute_eta(cfg, seq, [False] * 3, {0: True, 1: None, 2: False})
+    # the ints 1 and 0 are drop flags
+    assert compute_eta(cfg, seq, [1, 0, 0], [1, 0, 0]) == compute_eta(cfg, seq, [True, False, False], [True, False, False])
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.data())
+def test_eta_reads_list_and_mapping_inputs_alike_and_counts_as_a_four_way_loop_does(data):
+    num_ports = data.draw(st.integers(1, 4))
+    config = SwitchConfig(num_ports, data.draw(st.integers(1, 6)))
+    rows = data.draw(st.lists(st.lists(st.integers(0, num_ports - 1), max_size=num_ports), max_size=12))
+    sequence = ArrivalSequence(rows)
+    flags = st.sampled_from([True, False, 1, 0])
+    predictions = data.draw(st.lists(flags, min_size=sequence.total_packets, max_size=sequence.total_packets))
+    truth = data.draw(st.lists(flags, min_size=sequence.total_packets, max_size=sequence.total_packets))
+    report = compute_eta(config, sequence, predictions, truth)
+    for forecasts in (predictions, dict(enumerate(predictions))):
+        assert compute_eta(config, sequence, forecasts, dict(enumerate(truth))) == report
+    assert report.confusion == four_way_confusion(predictions, truth)
+    assert report.lqd_transmitted == report.confusion.tn + report.confusion.fp
+    kept = iter(predictions)
+    survivors = ArrivalSequence([[port for port in row if not next(kept)] for row in rows])
+    assert report.reduced_transmitted == throughput(config, survivors, FollowLqd())
 
 
 def test_eta_empty_sequence_is_one():

@@ -603,7 +603,7 @@ def test_every_way_to_make_a_sequence_stores_only_its_slots_with_arrivals(rows, 
     assert canonical == lines == trimmed
     config = SwitchConfig(ports, buffer)
     rng = random.Random(seed)
-    predictions = [rng.choice(list(PredictionLabel)) for _ in range(dense.total_packets)]
+    predictions = [rng.choice([PredictionLabel.POSITIVE, PredictionLabel.NEGATIVE]) for _ in range(dense.total_packets)]
     truth = [rng.random() < 0.5 for _ in range(dense.total_packets)]
     _, reduced = analysis._classify_and_reduce(dense, predictions, truth)
     labels = iter(predictions)

@@ -45,7 +45,7 @@ from shbuf.learner import (
 from shbuf.oracles import PredictionLabel
 from shbuf.workloads import followlqd_adversary, poisson_bursts, uniform_random
 
-from conftest import BAD_EXAMPLE_ROWS, BAD_MODELS
+from conftest import BAD_EXAMPLE_ROWS, BAD_MODELS, four_way_confusion
 
 POS = PredictionLabel.POSITIVE
 NEG = PredictionLabel.NEGATIVE
@@ -449,6 +449,27 @@ def test_examples_file_round_trip(tmp_path):
     assert load_examples(path) == examples
 
 
+finite_features = st.builds(
+    FeatureVector,
+    st.integers(-(2**63), 2**63),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(2**63), 2**63),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(st.builds(LabeledExample, finite_features, st.booleans()), max_size=8))
+def test_examples_round_trip_through_a_file(examples):
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "examples.csv"
+        save_examples(examples, path)
+        loaded = load_examples(path)
+    assert loaded == examples
+    assert [type(label) for _, label in loaded] == [bool] * len(examples)
+    assert [tuple(map(type, features)) for features, _ in loaded] == [(int, float, int, float)] * len(examples)
+
+
 @pytest.mark.parametrize("case", sorted(BAD_MODELS))
 def test_load_forest_rejects_malformed_models(tmp_path, case):
     payload, message = BAD_MODELS[case]
@@ -588,6 +609,38 @@ def test_load_examples_returns_examples_or_raises_a_value_error_naming_the_file(
 
 
 # --- metrics ------------------------------------------------------------------
+
+
+drop_flags = st.sampled_from([True, False, 1, 0])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.tuples(drop_flags, drop_flags), max_size=40))
+def test_the_confusion_tally_counts_mixed_drop_flags_as_a_four_way_loop_does(pairs):
+    predicted = [forecast for forecast, _ in pairs]
+    actual = [dropped for _, dropped in pairs]
+    counts = ConfusionCounts.count(predicted, actual)
+    assert counts == four_way_confusion(predicted, actual)
+    assert all(type(value) is int for value in dataclasses.astuple(counts))
+    # any iterables: a truth mapping's values in arrival order count the same
+    assert ConfusionCounts.count(iter(predicted), dict(enumerate(actual)).values()) == counts
+
+
+@pytest.mark.parametrize("bad", ["drop", None, 2, "1"])
+def test_the_confusion_tally_refuses_an_entry_that_is_not_a_drop_flag(bad):
+    message = f"^a drop flag is True or False, got {re.escape(repr(bad))}$"
+    with pytest.raises(ValueError, match=message):
+        ConfusionCounts.count([True, bad, False], [True, False, False])
+    with pytest.raises(ValueError, match=message):
+        ConfusionCounts.count([True, False], [bad, True])
+
+
+def test_evaluate_on_refuses_a_label_that_is_not_a_drop_flag():
+    model = train_forest(_toy_examples(), trees=1, max_depth=2)
+    examples = _toy_examples(n=4)
+    examples[2] = LabeledExample(examples[2].features, "drop")
+    with pytest.raises(ValueError, match="^a drop flag is True or False, got 'drop'$"):
+        evaluate_on(model, examples)
 
 
 def test_precision_from_confusion_counts():

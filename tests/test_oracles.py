@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from array import array
 from typing import NamedTuple
 
@@ -86,7 +87,7 @@ def test_flip_oracle_total_inversion_at_one():
         assert flip.predict(i, FEATURES) is PredictionLabel.POSITIVE
 
 
-@pytest.mark.parametrize("label", list(PredictionLabel), ids=lambda label: label.value)
+@pytest.mark.parametrize("label", [PredictionLabel.POSITIVE, PredictionLabel.NEGATIVE], ids=["drop", "accept"])
 def test_flip_oracle_inverts_each_label_at_one_and_keeps_it_at_zero(label):
     seq = ArrivalSequence([[0, 1], [], [1]])
     perfect = PerfectOracle({index: label is PredictionLabel.POSITIVE for index in range(2)})
@@ -539,3 +540,28 @@ def test_a_flip_oracle_with_fewer_coins_than_arrivals_is_refused_when_the_run_st
     short = FlipOracle.from_draws(ConstantOracle(PredictionLabel.NEGATIVE), 0.5, [0.1, 0.9])
     with pytest.raises(ValueError, match="^the oracle's drop column holds 2 entries for a sequence of 3 packets$"):
         run_simulation(config, sequence, Credence(short))
+
+
+def test_a_flip_oracle_covers_only_the_arrivals_it_has_coins_for():
+    sequence = ArrivalSequence([[0, 1], [1]])
+    for base in (ConstantOracle(PredictionLabel.NEGATIVE), PerfectOracle([False, True, False])):
+        flip = FlipOracle(base, 1.0, 3, sequence)
+        assert [flip.predict(index, None) for index in range(3)] == [not base.predict(index, None) for index in range(3)]
+        # a negative index does not wrap, and one past the coins is no IndexError
+        for index in (-1, -3, 3):
+            with pytest.raises(ValueError, match=f"^packet {index} is not covered by the ground-truth trace"):
+                flip.predict(index, None)
+
+
+@pytest.mark.parametrize("label", ["drop", "accept", None, 2, -1, 0.5])
+def test_a_constant_oracle_refuses_a_label_that_is_not_a_drop_flag(label):
+    with pytest.raises(ValueError, match=f"^a drop flag is True or False, got {re.escape(repr(label))}$"):
+        ConstantOracle(label)
+
+
+def test_a_constant_oracle_takes_bools_and_the_ints_1_and_0_as_drop_flags():
+    for label, flag in ((True, True), (1, True), (False, False), (0, False)):
+        oracle = ConstantOracle(label)
+        assert oracle.predict(0, None) is flag
+        assert oracle.drops(2) == [flag, flag]
+        assert all(type(dropped) is bool for dropped in oracle.drops(2))
