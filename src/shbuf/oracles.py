@@ -65,6 +65,9 @@ def _drop_flag(value) -> bool:
     return bool(value)
 
 
+_DROP_FLAGS = frozenset((False, True))
+
+
 class FeatureVector(NamedTuple):
     """Switch statistics visible to a predictor at one arrival.
 
@@ -205,11 +208,22 @@ class PerfectOracle:
     entries. Both queries
     raise ``packet N is not covered ...`` for an arrival the truth lacks,
     ``drops`` for the first such one, and a negative index is never covered.
+    The constructor refuses a truth with an entry that is not a drop flag,
+    naming the first in index order, so no query ever reads one.
     """
 
     reads_features = False
 
     def __init__(self, truth: Union[Sequence[bool], Mapping[int, bool]]) -> None:
+        is_mapping = isinstance(truth, Mapping)
+        try:
+            # one C-level pass; the loop below runs only to name an offender
+            flags = _DROP_FLAGS.issuperset(truth.values() if is_mapping else truth)
+        except TypeError:  # an unhashable entry
+            flags = False
+        if not flags:
+            for index in sorted(truth) if is_mapping else range(len(truth)):
+                _drop_flag(truth[index])
         self.truth = truth
 
     @classmethod

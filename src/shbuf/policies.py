@@ -14,10 +14,11 @@ Five policies over the shared-buffer model:
                              drop-prediction oracle consulted when the
                              thresholds would permit the packet.
 
-Policies see each arrival's index (its position in arrival order) but never
-touch the queues (which hold those indices); they return a ``Decision`` and
-the simulator applies it. All tie-breaking (longest queue, largest threshold)
-is toward the lowest port index so that runs are exactly reproducible.
+Each policy subclasses ``Policy`` and states only its admission rule,
+``on_arrival``: it sees each arrival's index (its position in arrival order)
+but never touches the queues (which hold those indices), and returns a
+``Decision`` that the simulator applies. All tie-breaking (longest queue,
+largest threshold) is toward the lowest port index, so runs reproduce exactly.
 
 The mirrored thresholds of FollowLqd and Credence depend on the switch
 config and the arrival sequence alone, not on what the policy admits or what
@@ -37,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
+from types import SimpleNamespace
 from typing import Optional, Protocol, Sequence, Union
 
 from .core import ArrivalSequence, Bound, SwitchConfig, SwitchState, read_number, run_slots
@@ -75,13 +77,19 @@ DROP = Decision(False)
 
 
 class Policy(Protocol):
-    """Contract shared by every buffer-sharing policy."""
+    """Contract shared by every buffer-sharing policy, with default bodies.
+
+    A protocol, so a wrapper such as ``FeatureSampler`` conforms without
+    subclassing it; a policy with run state of its own binds it in ``reset``
+    after ``super().reset``.
+    """
 
     name: str
 
     def reset(self, config: SwitchConfig, sequence: ArrivalSequence) -> None:
         """Forget all run state and bind to a switch configuration and to the
-        arrival sequence the run will feed ``on_arrival``."""
+        arrival sequence the run will feed ``on_arrival``; binds ``_buffer``."""
+        self._buffer = config.buffer_size
 
     def on_arrival(self, port: int, index: int, state: SwitchState) -> Decision:
         """Decide the fate of arrival ``index``, bound for ``port``."""
@@ -91,30 +99,23 @@ class Policy(Protocol):
 
         Only the per-port route, ``Simulation.depart_port``, calls it; runs
         drain in bulk. It must change nothing a later decision reads, so
-        that both routes reach the same state. Every policy here keeps it
-        as a no-op, because ``bench/tracing.py`` wraps it by name.
-        """
+        both routes reach the same state. Every policy here inherits this
+        no-op, which ``bench/tracing.py`` wraps by name on each class."""
 
 
-class CompleteSharing:
+class CompleteSharing(Policy):
     """Accept if and only if the buffer is not full."""
 
     name = "complete_sharing"
 
-    def reset(self, config: SwitchConfig, sequence: ArrivalSequence) -> None:
-        self._buffer = config.buffer_size
-
     def on_arrival(self, port: int, index: int, state: SwitchState) -> Decision:
         return ACCEPT if state.occupancy < self._buffer else DROP
-
-    def on_departure(self, port: int, state: SwitchState) -> None:
-        pass  # kept for bench/tracing.py, which wraps it by name
 
 
 ALPHA = Bound("alpha", Fraction, 0, strict=True)
 
 
-class DynamicThresholds:
+class DynamicThresholds(Policy):
     """Accept while the arriving queue is below ``alpha`` times the free space.
 
     The comparison ``q < alpha * (B - Q)`` is evaluated in exact rational
@@ -136,7 +137,7 @@ class DynamicThresholds:
         self.alpha = Fraction(alpha)
 
     def reset(self, config: SwitchConfig, sequence: ArrivalSequence) -> None:
-        self._buffer = config.buffer_size
+        super().reset(config, sequence)
         # ``Fraction`` properties cost a call each; read them once per run
         self._numerator = self.alpha.numerator
         self._denominator = self.alpha.denominator
@@ -150,11 +151,8 @@ class DynamicThresholds:
             return ACCEPT
         return DROP
 
-    def on_departure(self, port: int, state: SwitchState) -> None:
-        pass  # kept for bench/tracing.py, which wraps it by name
 
-
-class LongestQueueDrop:
+class LongestQueueDrop(Policy):
     """Preemptive policy: a full buffer evicts from the longest queue.
 
     While the buffer has room every packet is accepted. On a full buffer the
@@ -165,9 +163,6 @@ class LongestQueueDrop:
 
     name = "lqd"
 
-    def reset(self, config: SwitchConfig, sequence: ArrivalSequence) -> None:
-        self._buffer = config.buffer_size
-
     def on_arrival(self, port: int, index: int, state: SwitchState) -> Decision:
         if state.occupancy < self._buffer:
             return ACCEPT
@@ -176,9 +171,6 @@ class LongestQueueDrop:
         if longest == port:
             return DROP
         return Decision(True, longest)
-
-    def on_departure(self, port: int, state: SwitchState) -> None:
-        pass  # kept for bench/tracing.py, which wraps it by name
 
 
 class ThresholdState:
@@ -259,43 +251,27 @@ class ThresholdState:
             self._largest -= slots
 
 
-class _LevelRecorder(ThresholdState):
-    """A ``ThresholdState`` stepped by ``run_slots`` like a simulation."""
-
-    __slots__ = ("config",)
-    backlog = 0  # drains after the last arrival change no recorded level
-
-    def __init__(self, config: SwitchConfig) -> None:
-        super().__init__(config.num_ports, config.buffer_size)
-        self.config = config
-
-    @property
-    def arrive(self):
-        # ``on_arrival`` itself, so each arrival is one call; a property, not
-        # an attribute, so the recorder holds no reference cycle to outlive its run
-        return self.on_arrival
-
-
 def threshold_levels(config: SwitchConfig, sequence: ArrivalSequence) -> list[int]:
     """The mirrored threshold of each arrival's port right after its mirror
     step, in arrival order: the column FollowLqd and Credence replay.
 
-    One ``ThresholdState`` pass through ``run_slots``, draining in bulk.
-    The column is valid only for this ``config`` and ``sequence``.
+    One ``ThresholdState`` pass through ``run_slots``, draining in bulk and
+    not after the last arrival, which would change no recorded level. The
+    column is valid only for this ``config`` and ``sequence``.
     """
-    recorder = _LevelRecorder(config)
-    run_slots(recorder, sequence)
-    return recorder.levels
+    mirror = ThresholdState(config.num_ports, config.buffer_size)
+    run_slots(SimpleNamespace(config=config, arrive=mirror.on_arrival, drain=mirror.drain, backlog=0), sequence)
+    return mirror.levels
 
 
-class FollowLqd:
+class FollowLqd(Policy):
     """Drop-tail policy accepting while the queue is under its mirrored
     threshold, read from the column ``threshold_levels`` records in ``reset``."""
 
     name = "follow_lqd"
 
     def reset(self, config: SwitchConfig, sequence: ArrivalSequence) -> None:
-        self._buffer = config.buffer_size
+        super().reset(config, sequence)
         self._levels = threshold_levels(config, sequence)
 
     def on_arrival(self, port: int, index: int, state: SwitchState) -> Decision:
@@ -303,11 +279,8 @@ class FollowLqd:
             return ACCEPT
         return DROP
 
-    def on_departure(self, port: int, state: SwitchState) -> None:
-        pass  # kept for bench/tracing.py, which wraps it by name
 
-
-class Credence:
+class Credence(Policy):
     """FollowLqd with a robustness safeguard and a drop-prediction oracle.
 
     Arrival handling, in order:
@@ -343,6 +316,7 @@ class Credence:
         self.levels = levels
 
     def reset(self, config: SwitchConfig, sequence: ArrivalSequence) -> None:
+        super().reset(config, sequence)
         total = sequence.total_packets
         levels = self.levels
         if levels is None:
@@ -350,7 +324,6 @@ class Credence:
         elif len(levels) != total:
             raise ValueError(f"levels holds {len(levels)} entries for a sequence of {total} packets")
         self._levels = levels
-        self._buffer = config.buffer_size
         # the safeguard accepts while the longest queue is below ``_safe``
         self._safe = -(-config.buffer_size // config.num_ports)
         # by pigeonhole, an occupancy above ``_crowded`` puts some queue at ``_safe``
@@ -385,6 +358,3 @@ class Credence:
                 return DROP if self._drops[index] else ACCEPT
             return DROP if self._predict(index, features) else ACCEPT
         return DROP
-
-    def on_departure(self, port: int, state: SwitchState) -> None:
-        pass  # kept for bench/tracing.py, which wraps it by name

@@ -4,7 +4,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from shbuf import (
@@ -425,6 +425,40 @@ def test_lqd_within_literature_ratio_on_tiny_instances():
         opt = brute_force_opt(cfg, seq)
         lqd_tx = throughput(cfg, seq, LongestQueueDrop())
         assert Fraction(opt) <= LQD_COMPETITIVE_RATIO * lqd_tx
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(opt_instances(), st.integers(0, 2**64 - 1))
+def test_opt_bounds_hold_for_lqd_and_credence_under_any_oracle(instance, seed):
+    config, sequence = instance
+    n = config.num_ports
+    opt = Fraction(brute_force_opt(config, sequence))
+    lqd = run_simulation(config, sequence, LongestQueueDrop())
+    lqd_tx = lqd.transmitted_count
+    if lqd.dropped_count:
+        event("LQD drops")
+    assert lqd_tx <= opt <= LQD_COMPETITIVE_RATIO * lqd_tx
+    truth = ground_truth_from_run(lqd)
+    perfect = PerfectOracle(truth)
+    oracles = {"perfect": perfect, "always drop": ConstantOracle(POS), "never drop": ConstantOracle(NEG)}
+    for p in (0.1, 0.5, 1.0):
+        oracles[f"flip {p}"] = FlipOracle(perfect, p, seed, sequence)
+    for name, oracle in oracles.items():
+        result, predictions = simulate_with_prediction_log(config, sequence, oracle)
+        tx = result.transmitted_count
+        if oracle is perfect:
+            assert tx >= lqd_tx
+        assert opt <= n * tx
+        # the error ratio, as test_robustness_and_smoothness_bounds_hold computes it
+        report = compute_eta(config, sequence, predictions, truth)
+        if report.confusion.fn:
+            event(f"fn > 0 under {name}")
+        if report.reduced_transmitted > 0:
+            eta = Fraction(report.lqd_transmitted, report.reduced_transmitted)
+            bound = min(LQD_COMPETITIVE_RATIO * eta, Fraction(n))
+        else:
+            bound = Fraction(n)
+        assert opt <= bound * tx, name
 
 
 # --- sweep ---------------------------------------------------------------------

@@ -565,3 +565,27 @@ def test_a_constant_oracle_takes_bools_and_the_ints_1_and_0_as_drop_flags():
         assert oracle.predict(0, None) is flag
         assert oracle.drops(2) == [flag, flag]
         assert all(type(dropped) is bool for dropped in oracle.drops(2))
+
+
+@pytest.mark.parametrize(
+    "truth, bad",
+    [
+        (["drop", "accept", "accept"], "drop"),
+        ([True, False, "accept"], "accept"),
+        ([False, 2, None], 2),
+        ([True, 0.5], 0.5),
+        ([False, [1], "drop"], [1]),
+        ({2: "drop", 0: True, 1: "accept"}, "accept"),
+        ({1: None, 0: {}}, {}),
+    ],
+    ids=["words", "last_word", "two", "half", "unhashable", "mapping_in_index_order", "mapping_unhashable"],
+)
+def test_a_perfect_oracle_refuses_a_truth_entry_that_is_not_a_drop_flag(truth, bad):
+    with pytest.raises(ValueError, match=f"^a drop flag is True or False, got {re.escape(repr(bad))}$"):
+        PerfectOracle(truth)
+
+
+def test_a_perfect_oracle_takes_bools_and_the_ints_1_and_0_as_drop_flags():
+    for truth in ([True, False, 1, 0], {0: 1, 1: False, 2: True, 3: 0}, [], {}):
+        oracle = PerfectOracle(truth)
+        assert [bool(flag) for flag in oracle.drops(len(truth))] == [True, False, True, False][:len(truth)]
