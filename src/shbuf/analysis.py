@@ -178,12 +178,13 @@ def _classify_and_reduce(
     confusion = ConfusionCounts.count(forecasts, dropped)
     kept = map(not_, forecasts)
     reduced_slots = array("I")
-    reduced_rows: list[list[int]] = []
+    reduced_rows: list[tuple[int, ...]] = []
     for slot_index, row in zip(sequence.arrival_slots, sequence.rows):
+        # a list: tuple() of an iterator over-allocates, and the shrunk tuples pile up on its free lists
         survivors = list(compress(row, islice(kept, len(row))))
         if survivors:
             reduced_slots.append(slot_index)
-            reduced_rows.append(survivors)
+            reduced_rows.append(row if len(survivors) == len(row) else tuple(survivors))
     reduced = ArrivalSequence._from_rows(sequence.num_slots, reduced_slots, reduced_rows)
     return confusion, reduced
 

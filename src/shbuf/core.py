@@ -28,7 +28,8 @@ arrival-free slots after it, and one after the last, which empties the
 buffer. An ``ArrivalSequence`` stores only those slots: their indices
 (``arrival_slots``) and their rows, beside the slot count; the trace
 parsers and the generators build it so, without a list per arrival-free
-slot. Its summary (packets, widest row, port range) is computed on first
+slot. Its rows are tuples, which no one can change and so many slots may
+share. Its summary (packets, widest row, port range) is computed on first
 use, so validating a sequence and counting its packets cost O(1) per run
 after the first, and every run costs O(arrivals + slots with arrivals) on
 top of the drains, whatever the horizon. Every number read from text is
@@ -48,10 +49,10 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, compress, count, islice, repeat
+from itertools import chain, compress, count, islice
 from operator import attrgetter, lt, ne
 from stat import S_ISREG
-from typing import TYPE_CHECKING, Deque, NamedTuple, Optional
+from typing import TYPE_CHECKING, Deque, Iterable, NamedTuple, Optional, Sequence
 
 if TYPE_CHECKING:
     from .policies import Policy
@@ -163,43 +164,35 @@ class ArrivalSequence:
     slot is arrival-free, so a sequence holds O(slots with arrivals +
     packets) whatever its horizon.
 
-    ``ArrivalSequence(slots)`` makes one from one list of ports per slot, and
-    ``slots`` rebuilds that dense view, a fresh list per slot; no library
-    path reads it. A sequence is a value: no field can be reassigned, and its
-    rows must not be changed after it is made. Its packet count, widest row
-    and lowest and highest port are computed once, on first use; after that
-    ``total_packets`` and a passing ``validate`` cost O(1). Two sequences are
-    equal when their ``slots`` are.
+    ``ArrivalSequence(slots)`` makes one from one row of ports per slot,
+    empty for an arrival-free one. ``rows`` is a tuple of tuples, which may
+    share a row: a list row is copied, a tuple row kept. A sequence is a
+    value: no field can be reassigned and no row changed. Its packet count,
+    widest row and lowest and highest port are computed once, on first use;
+    after that ``total_packets`` and a passing ``validate`` cost O(1). Two
+    sequences are equal when their slot counts, arrival slots and rows are.
     """
 
     num_slots: int
     arrival_slots: array
-    rows: list[list[int]]
+    rows: tuple[tuple[int, ...], ...]
 
-    def __init__(self, slots: list[list[int]]) -> None:
-        self._store(len(slots), array("I", compress(count(), slots)), list(map(list, filter(None, slots))))
+    def __init__(self, slots: Sequence[Sequence[int]]) -> None:
+        self._store(len(slots), array("I", compress(count(), slots)), tuple(map(tuple, filter(None, slots))))
 
     @classmethod
-    def _from_rows(cls, num_slots: int, arrival_slots: array, rows: list[list[int]]) -> "ArrivalSequence":
-        """The sequence the fields describe, made without a list per slot: ``arrival_slots``
-        ascending and below ``num_slots``, and ``rows`` one non-empty row each, not shared."""
+    def _from_rows(cls, num_slots: int, arrival_slots: array, rows: Iterable[tuple[int, ...]]) -> "ArrivalSequence":
+        """The sequence the fields describe, made without a row per slot: ``arrival_slots``
+        ascending and below ``num_slots``, and ``rows`` one non-empty tuple each, which may be shared."""
         sequence = cls.__new__(cls)
-        sequence._store(num_slots, arrival_slots, rows)
+        sequence._store(num_slots, arrival_slots, tuple(rows))
         return sequence
 
-    def _store(self, num_slots: int, arrival_slots: array, rows: list[list[int]]) -> None:
+    def _store(self, num_slots: int, arrival_slots: array, rows: tuple[tuple[int, ...], ...]) -> None:
         # a frozen dataclass's own __setattr__ refuses every assignment
         object.__setattr__(self, "num_slots", num_slots)
         object.__setattr__(self, "arrival_slots", arrival_slots)
         object.__setattr__(self, "rows", rows)
-
-    @property
-    def slots(self) -> list[list[int]]:
-        """One list of ports per slot, [] for an arrival-free one, each made afresh."""
-        slots: list[list[int]] = [[] for _ in repeat(None, self.num_slots)]
-        for slot_index, row in zip(self.arrival_slots, self.rows):
-            slots[slot_index] = list(row)
-        return slots
 
     @cached_property
     def _summary(self) -> tuple[int, int, int, int, bool]:
@@ -562,7 +555,7 @@ def _parse_canonical(text: str) -> Optional[ArrivalSequence]:
     if not all(map(lt, row_slots, islice(row_slots, 1, None))):
         return None
     row_starts.append(len(ports))
-    rows = list(map(ports.__getitem__, map(slice, row_starts, islice(row_starts, 1, None))))
+    rows = map(tuple(ports).__getitem__, map(slice, row_starts, islice(row_starts, 1, None)))
     return ArrivalSequence._from_rows(row_slots[-1] + 1 if row_slots else 0, row_slots, rows)
 
 
@@ -600,7 +593,7 @@ def _parse_lines(path, text: str) -> ArrivalSequence:
             rows.append([port])
     if not header_seen:
         raise ValueError(f"{path}: missing {_SEQUENCE_HEADER!r} header")
-    return ArrivalSequence._from_rows(arrival_slots[-1] + 1 if rows else 0, arrival_slots, rows)
+    return ArrivalSequence._from_rows(arrival_slots[-1] + 1 if rows else 0, arrival_slots, map(tuple, rows))
 
 
 _OUTCOMES_HEADER = "packet_slot,packet_pos,port,verdict"

@@ -209,7 +209,8 @@ class PerfectOracle:
     raise ``packet N is not covered ...`` for an arrival the truth lacks,
     ``drops`` for the first such one, and a negative index is never covered.
     The constructor refuses a truth with an entry that is not a drop flag,
-    naming the first in index order, so no query ever reads one.
+    naming the first in index order (int keys, then others by ``repr``), so
+    no query ever reads one; ``from_run`` binds LQD's outcomes, bools, as is.
     """
 
     reads_features = False
@@ -222,14 +223,19 @@ class PerfectOracle:
         except TypeError:  # an unhashable entry
             flags = False
         if not flags:
-            for index in sorted(truth) if is_mapping else range(len(truth)):
+            indices = range(len(truth))
+            if is_mapping:  # int keys ascending, then any others by repr: mixed keys need not sort
+                indices = sorted(truth, key=lambda key: (0, key) if type(key) is int else (1, repr(key)))
+            for index in indices:
                 _drop_flag(truth[index])
         self.truth = truth
 
     @classmethod
     def from_run(cls, result: RunResult) -> "PerfectOracle":
+        oracle = cls.__new__(cls)
         # a list costs about 10 ns a packet to build, ``ground_truth_from_run``'s dict 53
-        return cls(list(_dropped(result)))
+        oracle.truth = list(_dropped(result))
+        return oracle
 
     def predict(self, index: int, features: Optional[FeatureVector]) -> bool:
         # a list would wrap a negative index

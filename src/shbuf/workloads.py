@@ -161,7 +161,7 @@ def poisson_bursts(config: SwitchConfig, rate: float, horizon: int, seed: int) -
         t += rng.expovariate(rate)
 
     arrival_slots = array("I")
-    rows: list[list[int]] = []
+    rows: list[tuple[int, ...]] = []
     slot = 0  # the first slot not yet filled
     runs: deque[list[int]] = deque()  # pending bursts as [port, packets left], first come first served
     while bursts or runs:
@@ -171,9 +171,9 @@ def poisson_bursts(config: SwitchConfig, rate: float, horizon: int, seed: int) -
             runs.append([bursts.popleft()[1], b])
         head = runs[0]
         if head[1] >= n:
-            # the head burst fills whole rows whatever starts behind it
+            # the head burst fills whole rows whatever starts behind it, all one tuple
             filled, head[1] = divmod(head[1], n)
-            new_rows = map(list, repeat([head[0]] * n, filled))
+            new_rows = repeat((head[0],) * n, filled)
             if not head[1]:
                 runs.popleft()
         else:
@@ -185,7 +185,7 @@ def poisson_bursts(config: SwitchConfig, rate: float, horizon: int, seed: int) -
                 run[1] -= take
                 if not run[1]:
                     runs.popleft()
-            filled, new_rows = 1, (row,)
+            filled, new_rows = 1, (tuple(row),)
         if not SLOT.holds(slot + filled - 1):
             raise ValueError(f"poisson_bursts needs slot {slot + filled - 1}; a sequence holds slots up to {SLOT.high}")
         arrival_slots.extend(range(slot, slot + filled))
@@ -203,7 +203,7 @@ def uniform_random(config: SwitchConfig, load: float, horizon: int, seed: int) -
     # ``load > draw`` is ``draw < load`` for a float, int or Fraction load
     hits = map(gt, repeat(load), starmap(rng.random, repeat((), n * horizon)))
     # each slot's n-tuple of hits to its ports, made once per distinct tuple;
-    # the sequence copies only the non-empty ones into rows
+    # the sequence keeps the non-empty ones as its rows, shared, not copied
     ports = _Memo(lambda mask: tuple(compress(range(n), mask)))
     return ArrivalSequence(list(map(ports.__getitem__, zip(*[hits] * n))))
 

@@ -25,6 +25,14 @@ def four_way_confusion(predicted, actual) -> ConfusionCounts:
     return ConfusionCounts(tp, fp, tn, fn)
 
 
+def dense_slots(sequence: ArrivalSequence) -> list[list[int]]:
+    """The sequence's dense view: one fresh list of ports per slot, [] for an arrival-free one."""
+    slots: list[list[int]] = [[] for _ in range(sequence.num_slots)]
+    for slot_index, row in zip(sequence.arrival_slots, sequence.rows):
+        slots[slot_index] = list(row)
+    return slots
+
+
 def random_sequence(rng: random.Random, num_ports: int, num_slots: int, load: float) -> ArrivalSequence:
     """Independent per-port arrivals, like workloads.uniform_random but inline-seeded."""
     slots = [
@@ -110,7 +118,7 @@ def visit_every_port(config, sequence, policy):
     """Reference schedule: ``depart_port`` for every port in every slot, and
     after the last until the buffer is empty; returns the ``Simulation``."""
     sim = Simulation(config, policy, sequence)
-    for row in sequence.slots:
+    for row in dense_slots(sequence):
         for port in row:
             sim.arrive(port)
         depart_every_port(sim)

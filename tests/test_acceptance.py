@@ -54,6 +54,8 @@ from shbuf.workloads import (
     uniform_random,
 )
 
+from conftest import dense_slots
+
 POS = PredictionLabel.POSITIVE
 NEG = PredictionLabel.NEGATIVE
 
@@ -135,7 +137,7 @@ def test_criterion_03_robust_against_any_oracle():
         for oracle in oracles:
             tx = throughput(config, sequence, Credence(oracle))
             assert opt <= config.num_ports * tx, (
-                f"N={config.num_ports} B={config.buffer_size} slots={sequence.slots}: "
+                f"N={config.num_ports} B={config.buffer_size} slots={dense_slots(sequence)}: "
                 f"OPT {opt} > N * {tx}"
             )
             checked += 1
@@ -163,7 +165,7 @@ def test_criterion_04_error_scaled_bound_holds():
             else:
                 bound = Fraction(config.num_ports)
             assert Fraction(opt) <= bound * result.transmitted_count, (
-                f"N={config.num_ports} B={config.buffer_size} slots={sequence.slots}: "
+                f"N={config.num_ports} B={config.buffer_size} slots={dense_slots(sequence)}: "
                 f"OPT {opt} > {bound} * {result.transmitted_count}"
             )
             checked += 1

@@ -53,7 +53,8 @@ from shbuf.workloads import (
 )
 
 from conftest import (
-    LiveCredence, contended_instance, four_way_confusion, random_sequence, random_tiny_sequence, visit_every_port,
+    LiveCredence, contended_instance, dense_slots, four_way_confusion, random_sequence, random_tiny_sequence,
+    visit_every_port,
 )
 
 POS = PredictionLabel.POSITIVE
@@ -272,7 +273,7 @@ def _branch_and_bound_opt(config, sequence):
     """The optimum by exhaustive branch-and-bound over drop-tail decision
     vectors, with the bound ``transmitted + buffered + remaining arrivals``
     and its own departure phases: the reference for ``brute_force_opt``."""
-    slots = sequence.slots
+    slots = dense_slots(sequence)
     num_slots = len(slots)
     n = config.num_ports
     best = max(throughput(config, sequence, CompleteSharing()), throughput(config, sequence, LongestQueueDrop()))

@@ -43,7 +43,7 @@ from shbuf.oracles import ConstantOracle, FeatureSampler, FlipOracle, Prediction
 from shbuf.policies import Decision
 from shbuf.workloads import followlqd_adversary, multi_burst_then_shorts, poisson_bursts, single_burst, uniform_random
 
-from conftest import LiveCredence, LiveFollowLqd, depart_every_port, random_sequence, visit_every_port
+from conftest import LiveCredence, LiveFollowLqd, dense_slots, depart_every_port, random_sequence, visit_every_port
 
 
 def test_config_validation():
@@ -208,7 +208,7 @@ def test_a_sequence_is_a_value():
     slots = [[0, 1], [], [1]]
     sequence = ArrivalSequence(slots)
     with pytest.raises(dataclasses.FrozenInstanceError):
-        sequence.slots = [[0]]
+        sequence.rows = ((0,),)
     twin = ArrivalSequence(copy.deepcopy(slots))
     assert sequence == twin
     # equality compares slots only, whether or not either side has its summary
@@ -223,7 +223,7 @@ def test_a_sequence_is_a_value():
 def test_no_entry_point_changes_the_rows_it_is_given():
     config = SwitchConfig(3, 3)
     sequence = ArrivalSequence([[], [0, 0, 1], [], [2, 2], [], [], [0, 1, 2], [0], []])
-    before = copy.deepcopy(sequence.slots)
+    before = copy.deepcopy(dense_slots(sequence))
     lqd = run_simulation(config, sequence, LongestQueueDrop())
     oracle = PerfectOracle.from_run(lqd)
     flip = FlipOracle(oracle, 0.5, 3, sequence)
@@ -239,7 +239,7 @@ def test_no_entry_point_changes_the_rows_it_is_given():
     ]
     for name, call in entry_points:
         call()
-        assert sequence.slots == before, name
+        assert dense_slots(sequence) == before, name
 
 
 def test_occupancy_bound_after_every_event(small_config):
@@ -247,7 +247,7 @@ def test_occupancy_bound_after_every_event(small_config):
     for policy in (CompleteSharing(), LongestQueueDrop(), FollowLqd(), DynamicThresholds()):
         seq = random_sequence(rng, small_config.num_ports, 80, 0.8)
         sim = Simulation(small_config, policy, seq)
-        for row in seq.slots:
+        for row in dense_slots(seq):
             for port in row:
                 sim.arrive(port)
                 assert 0 <= sim.state.occupancy <= small_config.buffer_size
@@ -281,7 +281,7 @@ def test_work_conservation(small_config):
     rng = random.Random(17)
     seq = random_sequence(rng, small_config.num_ports, 50, 0.8)
     sim = Simulation(small_config, LongestQueueDrop(), seq)
-    for row in seq.slots:
+    for row in dense_slots(seq):
         for port in row:
             sim.arrive(port)
         nonempty = sum(1 for q in sim.state.queue_len if q)
@@ -318,7 +318,7 @@ def test_sequence_file_round_trip(tmp_path):
     text = path.read_text()
     assert text.startswith("# spec: kind=test\nslot,port\n")
     loaded = load_sequence(path)
-    assert loaded.slots == seq.slots
+    assert dense_slots(loaded) == dense_slots(seq)
 
 
 def test_sequence_file_rejects_malformed(tmp_path):
@@ -403,7 +403,7 @@ def _reference_load_sequence(path) -> ArrivalSequence:
 def _loaded(load, path):
     """What ``load`` makes of ``path``: the rows, or the ValueError's message."""
     try:
-        return load(path).slots
+        return dense_slots(load(path))
     except ValueError as exc:
         return str(exc)
 
@@ -484,8 +484,8 @@ def test_load_sequence_reads_back_what_save_sequence_writes(tmp_path, rows, comm
     with mock.patch.object(core, "_BLOCK_CHARS", block):
         loaded = load_sequence(path)
     assert loaded == sequence
-    # no two rows share one list
-    assert len(set(map(id, loaded.slots))) == len(loaded.slots)
+    # every row is a tuple, so none can change
+    assert type(loaded.rows) is tuple and all(type(row) is tuple for row in loaded.rows)
 
 
 @settings(derandomize=True, max_examples=500, deadline=None)
@@ -533,7 +533,7 @@ def test_a_packet_at_the_last_slot_a_sequence_holds_loads_runs_and_saves(tmp_pat
     path = tmp_path / "trace.csv"
     path.write_text(_ONE_PACKET_TRACES[form].format(slot=2**32 - 1))
     sequence = load_sequence(path)
-    assert (sequence.num_slots, list(sequence.arrival_slots), sequence.rows) == (2**32, [2**32 - 1], [[0]])
+    assert (sequence.num_slots, list(sequence.arrival_slots), sequence.rows) == (2**32, [2**32 - 1], ((0,),))
     save_outcomes(tmp_path / "out.csv", run_simulation(SwitchConfig(1, 1), sequence, LongestQueueDrop()))
     assert (tmp_path / "out.csv").read_text().splitlines()[1] == "4294967295,0,0,transmitted"
     save_sequence(tmp_path / "again.csv", sequence)
@@ -567,19 +567,17 @@ def dense_rows(draw):
 
 
 def _assert_stores_only_its_slots_with_arrivals(sequence, others):
-    slots = sequence.slots
+    slots = dense_slots(sequence)
     arrival_slots = sequence.arrival_slots
     assert arrival_slots.typecode == "I"
     assert all(map(lt, arrival_slots, islice(arrival_slots, 1, None)))
-    assert len(arrival_slots) == len(sequence.rows) and all(type(row) is list and row for row in sequence.rows)
+    assert len(arrival_slots) == len(sequence.rows) and all(type(row) is tuple and row for row in sequence.rows)
     assert sequence.num_slots == len(slots) and all(slot < sequence.num_slots for slot in arrival_slots)
     assert ArrivalSequence(slots) == sequence
     for other in others:
-        assert (sequence == other) == (slots == other.slots)
-    # ``slots`` makes a fresh list per slot; no two stored rows share one list either
-    assert len(set(map(id, slots))) == len(slots)
-    assert not set(map(id, slots)) & set(map(id, sequence.rows))
-    assert len(set(map(id, sequence.rows))) == len(sequence.rows)
+        assert (sequence == other) == (slots == dense_slots(other))
+    # the rows are a tuple of tuples, so no row can change and two slots may share one
+    assert type(sequence.rows) is tuple
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -594,7 +592,7 @@ def _assert_stores_only_its_slots_with_arrivals(sequence, others):
 )
 def test_every_way_to_make_a_sequence_stores_only_its_slots_with_arrivals(rows, ports, buffer, rate, load, horizon, seed):
     dense = ArrivalSequence(rows)
-    assert dense.slots == rows
+    assert dense_slots(dense) == rows
     text = "slot,port\n" + "".join(f"{slot},{port}\n" for slot, row in enumerate(rows) for port in row)
     canonical = core._parse_canonical(text)
     lines = core._parse_lines("trace.csv", text)
@@ -607,11 +605,32 @@ def test_every_way_to_make_a_sequence_stores_only_its_slots_with_arrivals(rows, 
     truth = [rng.random() < 0.5 for _ in range(dense.total_packets)]
     _, reduced = analysis._classify_and_reduce(dense, predictions, truth)
     labels = iter(predictions)
-    assert reduced.slots == [[port for port in row if next(labels) is PredictionLabel.NEGATIVE] for row in rows]
+    assert dense_slots(reduced) == [[port for port in row if next(labels) is PredictionLabel.NEGATIVE] for row in rows]
     made = [dense, canonical, lines, reduced, poisson_bursts(config, rate, horizon, seed),
             uniform_random(config, load, horizon, seed), ArrivalSequence(rows + [[]])]
     for sequence in made:
         _assert_stores_only_its_slots_with_arrivals(sequence, made)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(rows=dense_rows(), port=st.integers(0, 5))
+def test_a_sequence_is_not_changed_through_the_lists_it_was_made_from_or_its_rows(rows, port):
+    before = copy.deepcopy(rows)
+    sequence = ArrivalSequence(rows)
+    config = SwitchConfig(6, 4)
+    sequence.validate(config)
+    for row in rows:
+        row.append(port)
+    rows.append([port])
+    assert type(sequence.rows) is tuple and all(type(row) is tuple for row in sequence.rows)
+    assert dense_slots(sequence) == before and sequence == ArrivalSequence(before)
+    if sequence.rows:
+        # a validated sequence's summary is cached; a row that could grow
+        # past it would pass validation and fail mid-run with an IndexError
+        with pytest.raises(AttributeError):
+            sequence.rows[0].append(7)
+    result = run_simulation(config, sequence, LongestQueueDrop())
+    assert result.transmitted_count + result.dropped_count == sum(map(len, before))
 
 
 def _reference_save_sequence(path, sequence, comment=None) -> None:
@@ -620,7 +639,7 @@ def _reference_save_sequence(path, sequence, comment=None) -> None:
     if comment is not None:
         lines.append(f"# {comment}")
     lines.append("slot,port")
-    for slot_index, row in enumerate(sequence.slots):
+    for slot_index, row in enumerate(dense_slots(sequence)):
         for port in row:
             lines.append(f"{slot_index},{port}")
     with open(path, "w") as fh:
@@ -659,7 +678,7 @@ def test_a_file_that_is_not_utf8_is_an_error_naming_it(tmp_path, load):
 _TRACE_ROUND_TRIP = (
     "import locale, sys; from shbuf import ArrivalSequence, load_sequence, save_sequence; "
     "save_sequence(sys.argv[1], ArrivalSequence([[0]]), comment='caf\\u00e9 run'); "
-    "print(locale.getpreferredencoding(False), load_sequence(sys.argv[1]).slots)"
+    "print(locale.getpreferredencoding(False), list(map(list, load_sequence(sys.argv[1]).rows)))"
 )
 
 
@@ -680,7 +699,7 @@ def _reference_save_outcomes(path, result) -> None:
     """The per-packet outcome writer that ``save_outcomes`` must match byte for byte."""
     lines = ["packet_slot,packet_pos,port,verdict"]
     verdicts = iter(result.verdicts)
-    for slot_index, row in enumerate(result.sequence.slots):
+    for slot_index, row in enumerate(dense_slots(result.sequence)):
         for pos, port in enumerate(row):
             lines.append(f"{slot_index},{pos},{port},{next(verdicts).value}")
     with open(path, "w") as fh:
@@ -956,7 +975,7 @@ def test_drain_equals_that_many_departure_phases(instance):
     for name, make in makers.items():
         bulk, stepped = Simulation(config, make(), prefix), Simulation(config, make(), prefix)
         for sim in (bulk, stepped):
-            for row in prefix.slots:
+            for row in dense_slots(prefix):
                 for port in row:
                     sim.arrive(port)
                 depart_every_port(sim)

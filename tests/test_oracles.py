@@ -3,6 +3,7 @@ import random
 import re
 from array import array
 from typing import NamedTuple
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -577,12 +578,25 @@ def test_a_constant_oracle_takes_bools_and_the_ints_1_and_0_as_drop_flags():
         ([False, [1], "drop"], [1]),
         ({2: "drop", 0: True, 1: "accept"}, "accept"),
         ({1: None, 0: {}}, {}),
+        ({0: "x", "a": True}, "x"),
     ],
-    ids=["words", "last_word", "two", "half", "unhashable", "mapping_in_index_order", "mapping_unhashable"],
+    ids=["words", "last_word", "two", "half", "unhashable", "mapping_in_index_order", "mapping_unhashable",
+         "mapping_keys_that_do_not_sort"],
 )
 def test_a_perfect_oracle_refuses_a_truth_entry_that_is_not_a_drop_flag(truth, bad):
     with pytest.raises(ValueError, match=f"^a drop flag is True or False, got {re.escape(repr(bad))}$"):
         PerfectOracle(truth)
+
+
+def test_a_perfect_oracle_from_a_run_binds_the_list_of_flags_it_builds():
+    config, sequence = contended_instance()
+    result = run_simulation(config, sequence, LongestQueueDrop())
+    # the flags are bools by construction, so the constructor's drop-flag pass is skipped
+    with mock.patch.object(PerfectOracle, "__init__", side_effect=AssertionError("from_run checked its own flags")):
+        oracle = PerfectOracle.from_run(result)
+    assert oracle.drops(sequence.total_packets) is oracle.truth
+    assert oracle.truth == list(ground_truth_from_run(result).values()) and any(oracle.truth)
+    assert all(type(flag) is bool for flag in oracle.truth)
 
 
 def test_a_perfect_oracle_takes_bools_and_the_ints_1_and_0_as_drop_flags():

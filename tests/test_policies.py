@@ -28,7 +28,7 @@ from shbuf.oracles import ConstantOracle, FlipOracle, PredictionLabel
 from shbuf.policies import threshold_levels
 from shbuf.workloads import followlqd_adversary, followlqd_adversary_fill, poisson_bursts
 
-from conftest import LiveCredence, LiveFollowLqd, random_sequence, visit_every_port
+from conftest import LiveCredence, LiveFollowLqd, dense_slots, random_sequence, visit_every_port
 
 
 def _state_with(lengths):
@@ -147,7 +147,7 @@ def test_lqd_pushes_out_tail_of_longest_queue():
     # fill queues to [3, 1], then a packet to port 1 displaces queue 0's tail
     seq = ArrivalSequence([[0, 0], [0, 1], [1]])
     sim = Simulation(cfg, LongestQueueDrop(), seq)
-    for row in seq.slots[:2]:
+    for row in dense_slots(seq)[:2]:
         for port in row:
             sim.arrive(port)
     assert sim.state.queue_len == [3, 1]
@@ -302,9 +302,9 @@ def test_follow_lqd_adversary_step_drops_behind_threshold():
     # B - N + 1 while the real queue still holds B - 1 packets
     cfg = SwitchConfig(4, 16)
     fill = followlqd_adversary_fill(cfg)
-    sequence = ArrivalSequence(fill.slots + [list(range(4)), [0]])
+    sequence = ArrivalSequence(dense_slots(fill) + [list(range(4)), [0]])
     sim = Simulation(cfg, FollowLqd(), sequence)
-    for row in fill.slots:
+    for row in dense_slots(fill):
         for port in row:
             sim.arrive(port)
         sim.drain(1)

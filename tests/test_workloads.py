@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from collections import deque
 from fractions import Fraction
 from unittest import mock
@@ -32,12 +33,14 @@ from shbuf.workloads import (
     uniform_random,
 )
 
+from conftest import dense_slots
+
 
 def test_single_burst_shape():
     cfg = SwitchConfig(4, 16)
     seq = single_burst(cfg, 16)
-    assert seq.slots == [[0, 0, 0, 0]] * 4
-    assert single_burst(cfg, 1).slots == [[0]]
+    assert dense_slots(seq) == [[0, 0, 0, 0]] * 4
+    assert dense_slots(single_burst(cfg, 1)) == [[0]]
     with pytest.raises(ValueError):
         single_burst(cfg, 0)
 
@@ -81,8 +84,8 @@ def test_adversary_cycle_structure():
     seq = followlqd_adversary(cfg, 2)
     fill_slots = adversary_fill_slot_count(cfg)
     assert seq.num_slots == fill_slots + 4
-    assert seq.slots[fill_slots] == [0, 1, 2, 3]
-    assert seq.slots[fill_slots + 1] == [0, 0, 0, 0]
+    assert dense_slots(seq)[fill_slots] == [0, 1, 2, 3]
+    assert dense_slots(seq)[fill_slots + 1] == [0, 0, 0, 0]
     with pytest.raises(ValueError):
         followlqd_adversary(cfg, 0)
 
@@ -99,8 +102,8 @@ def test_poisson_bursts_determinism_and_congestion():
     cfg = SwitchConfig(8, 32)
     a = poisson_bursts(cfg, 1 / 32, 1000, seed=9)
     b = poisson_bursts(cfg, 1 / 32, 1000, seed=9)
-    assert a.slots == b.slots
-    assert poisson_bursts(cfg, 1 / 32, 1000, seed=10).slots != a.slots
+    assert dense_slots(a) == dense_slots(b)
+    assert dense_slots(poisson_bursts(cfg, 1 / 32, 1000, seed=10)) != dense_slots(a)
     # moderate rate keeps the reference policy busy enough to drop
     result = run_simulation(cfg, a, LongestQueueDrop())
     assert result.dropped_count > 0
@@ -112,18 +115,18 @@ def test_poisson_bursts_determinism_and_congestion():
 def test_poisson_bursts_defers_excess_to_next_slot():
     cfg = SwitchConfig(4, 16)
     seq = poisson_bursts(cfg, 0.01, 400, seed=11)
-    assert all(len(row) <= cfg.num_ports for row in seq.slots)
+    assert all(len(row) <= cfg.num_ports for row in dense_slots(seq))
     # a full burst is 16 packets at 4 per slot: once it starts, four full rows follow
-    first = next(i for i, row in enumerate(seq.slots) if row)
-    assert [len(row) for row in seq.slots[first : first + 4]] == [4, 4, 4, 4]
+    first = next(i for i, row in enumerate(dense_slots(seq)) if row)
+    assert [len(row) for row in dense_slots(seq)[first : first + 4]] == [4, 4, 4, 4]
 
 
 def test_uniform_random_edges():
     cfg = SwitchConfig(4, 8)
     assert uniform_random(cfg, 0.0, 50, seed=1).total_packets == 0
     full = uniform_random(cfg, 1.0, 50, seed=1)
-    assert all(row == [0, 1, 2, 3] for row in full.slots)
-    assert uniform_random(cfg, 0.5, 50, seed=4).slots == uniform_random(cfg, 0.5, 50, seed=4).slots
+    assert all(row == [0, 1, 2, 3] for row in dense_slots(full))
+    assert dense_slots(uniform_random(cfg, 0.5, 50, seed=4)) == dense_slots(uniform_random(cfg, 0.5, 50, seed=4))
 
 
 def test_multi_burst_then_shorts_shape():
@@ -132,8 +135,8 @@ def test_multi_burst_then_shorts_shape():
     seq.validate(cfg)
     # the four big bursts come first, then the short bursts to ports 4..7
     big_phase = (4 * cfg.buffer_size + cfg.num_ports - 1) // cfg.num_ports
-    assert all(set(row) <= {0, 1, 2, 3} for row in seq.slots[:big_phase])
-    assert all(set(row) == {4, 5, 6, 7} for row in seq.slots[big_phase:])
+    assert all(set(row) <= {0, 1, 2, 3} for row in dense_slots(seq)[:big_phase])
+    assert all(set(row) == {4, 5, 6, 7} for row in dense_slots(seq)[big_phase:])
     with pytest.raises(ValueError):
         multi_burst_then_shorts(SwitchConfig(4, 16))
 
@@ -165,10 +168,10 @@ def test_trace_round_trip_with_spec_header(tmp_path):
     assert first == "# spec: kind=poisson_bursts ports=8 buffer=32 horizon=200 rate=0.02 seed=5"
     loaded = load_sequence(path)
     # trailing arrival-free slots are not representable in the file format
-    trimmed = list(seq.slots)
+    trimmed = dense_slots(seq)
     while trimmed and not trimmed[-1]:
         trimmed.pop()
-    assert loaded.slots == trimmed
+    assert dense_slots(loaded) == trimmed
 
 
 def test_workload_spec_rejects_unknown_kind():
@@ -221,8 +224,8 @@ def _reference_poisson_bursts(config, rate, horizon, seed):
     return slots
 
 
-def _rows_are_distinct_lists(sequence):
-    return len(set(map(id, sequence.slots))) == len(sequence.slots)
+def _rows_are_tuples(sequence):
+    return type(sequence.rows) is tuple and all(type(row) is tuple for row in sequence.rows)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -236,8 +239,8 @@ def _rows_are_distinct_lists(sequence):
 def test_uniform_random_matches_the_reference(n, load, horizon, seed):
     config = SwitchConfig(n, 4)
     sequence = uniform_random(config, load, horizon, seed)
-    assert sequence.slots == _reference_uniform_random(config, load, horizon, seed)
-    assert _rows_are_distinct_lists(sequence)
+    assert dense_slots(sequence) == _reference_uniform_random(config, load, horizon, seed)
+    assert _rows_are_tuples(sequence)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -255,14 +258,36 @@ def test_uniform_random_matches_the_reference(n, load, horizon, seed):
 def test_poisson_bursts_matches_the_reference(n, b, rate, horizon, seed):
     config = SwitchConfig(n, b)
     sequence = poisson_bursts(config, rate, horizon, seed)
-    assert sequence.slots == _reference_poisson_bursts(config, rate, horizon, seed)
-    assert _rows_are_distinct_lists(sequence)
+    assert dense_slots(sequence) == _reference_poisson_bursts(config, rate, horizon, seed)
+    assert _rows_are_tuples(sequence)
 
 
 def test_poisson_bursts_refuses_a_burst_that_starts_past_the_last_slot_a_sequence_holds():
     # one burst per 2**33 slots on average, over 2**40 slots: the first starts past 2**32 - 1
     with pytest.raises(ValueError, match="^poisson_bursts needs slot [0-9]+; a sequence holds slots up to 4294967295$"):
         poisson_bursts(SwitchConfig(2, 4), 2.0**-33, 2**40, seed=1)
+
+
+@pytest.mark.parametrize(
+    "make, distinct, bound",
+    [
+        # at most 2**4 - 1 distinct non-empty rows; a list per row peaked at 18.5 MB
+        (lambda: uniform_random(SwitchConfig(4, 8), 0.5, 200_000, seed=1), 15, 6 << 20),
+        # each 32-packet burst fills four rows of eight; a list per row peaked at 3.4 MB
+        (lambda: poisson_bursts(SwitchConfig(8, 32), 0.03, 200_000, seed=1), 6_500, 2 << 20),
+    ],
+    ids=["uniform_random", "poisson_bursts"],
+)
+def test_a_generated_sequence_shares_the_rows_it_repeats(make, distinct, bound):
+    tracemalloc.start()
+    try:
+        sequence = make()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(sequence.rows) > 20_000
+    assert len(set(map(id, sequence.rows))) <= distinct
+    assert peak < bound, peak
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -283,4 +308,4 @@ def test_poisson_bursts_refuses_exactly_the_sequences_that_need_a_slot_past_the_
             with pytest.raises(ValueError, match=f"a sequence holds slots up to {last}$"):
                 poisson_bursts(config, rate, horizon, seed)
         else:
-            assert poisson_bursts(config, rate, horizon, seed).slots == expected
+            assert dense_slots(poisson_bursts(config, rate, horizon, seed)) == expected
