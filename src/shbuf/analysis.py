@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, islice
 from operator import ne, not_
-from typing import Mapping, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .core import (
     NUM_PORTS,
@@ -41,6 +41,8 @@ from .oracles import (
     FlipOracle,
     Oracle,
     PerfectOracle,
+    _Column,
+    _column,
     _flip_draws,
 )
 from .policies import (
@@ -136,23 +138,19 @@ class ErrorReport:
     reduced_transmitted: int
 
 
-def compute_eta(
-    config: SwitchConfig,
-    sequence: ArrivalSequence,
-    predictions: Union[Sequence[bool], Mapping[int, bool]],
-    truth: Union[Sequence[bool], Mapping[int, bool]],
-) -> ErrorReport:
+def compute_eta(config: SwitchConfig, sequence: ArrivalSequence, predictions: _Column, truth: _Column) -> ErrorReport:
     """Measure prediction error as LQD(sequence) / FollowLqd(reduced sequence).
 
     ``predictions`` and ``truth`` hold one drop flag (``True`` = dropped) per
-    arrival index, as lists or mappings; an entry that is not a flag is
-    refused with a ValueError. ``truth`` must be LongestQueueDrop's outcomes
-    on ``sequence``: LQD's throughput is then the count of packets it marks
-    transmitted, so LQD is not run again. The reduced sequence deletes every
-    packet forecast to drop (rightly or not) while preserving slot timing and
-    the within-slot order of the survivors. Corner cases: 0/0 is reported as
-    1 (a drop-free sequence, where every policy here coincides) and x/0 as
-    +inf.
+    arrival index, as sequences or as mappings read up to their first gap
+    (``oracles._column``); the first arrival either lacks, or an entry that
+    is not a flag, is refused with a ValueError. ``truth`` must be
+    LongestQueueDrop's outcomes on ``sequence``: LQD's throughput is then the
+    count of packets it marks transmitted, so LQD is not run again. The
+    reduced sequence deletes every packet forecast to drop (rightly or not)
+    while preserving slot timing and the within-slot order of the survivors.
+    Corner cases: 0/0 is reported as 1 (a drop-free sequence, where every
+    policy here coincides) and x/0 as +inf.
     """
     confusion, reduced = _classify_and_reduce(sequence, predictions, truth)
     lqd_tx = confusion.tn + confusion.fp
@@ -162,20 +160,14 @@ def compute_eta(
 
 
 def _classify_and_reduce(
-    sequence: ArrivalSequence,
-    predictions: Union[Sequence[bool], Mapping[int, bool]],
-    truth: Union[Sequence[bool], Mapping[int, bool]],
+    sequence: ArrivalSequence, predictions: _Column, truth: _Column
 ) -> tuple[ConfusionCounts, ArrivalSequence]:
-    indices = range(sequence.total_packets)
-    try:
-        forecasts = list(map(predictions.__getitem__, indices))
-        dropped = list(map(truth.__getitem__, indices))
-    except (KeyError, IndexError):
-        missing = next(index for index in indices if not (_covers(predictions, index) and _covers(truth, index)))
-        raise ValueError(
-            f"packet {missing} missing from predictions or ground truth; coverage must be total"
-        ) from None
-    confusion = ConfusionCounts.count(forecasts, dropped)
+    total = sequence.total_packets
+    forecasts, dropped = _column(predictions), _column(truth)
+    covered = min(len(forecasts), len(dropped))
+    if covered < total:
+        raise ValueError(f"packet {covered} missing from predictions or ground truth; coverage must be total")
+    confusion = ConfusionCounts.count(islice(forecasts, total), islice(dropped, total))
     kept = map(not_, forecasts)
     reduced_slots = array("I")
     reduced_rows: list[tuple[int, ...]] = []
@@ -187,10 +179,6 @@ def _classify_and_reduce(
             reduced_rows.append(row if len(survivors) == len(row) else tuple(survivors))
     reduced = ArrivalSequence._from_rows(sequence.num_slots, reduced_slots, reduced_rows)
     return confusion, reduced
-
-
-def _covers(entries: Union[Sequence[bool], Mapping[int, bool]], index: int) -> bool:
-    return index in entries if isinstance(entries, Mapping) else index < len(entries)
 
 
 def eta_upper_bound(confusion: ConfusionCounts, num_ports: int) -> float:

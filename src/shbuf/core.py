@@ -29,12 +29,13 @@ buffer. An ``ArrivalSequence`` stores only those slots: their indices
 (``arrival_slots``) and their rows, beside the slot count; the trace
 parsers and the generators build it so, without a list per arrival-free
 slot. Its rows are tuples, which no one can change and so many slots may
-share. Its summary (packets, widest row, port range) is computed on first
-use, so validating a sequence and counting its packets cost O(1) per run
-after the first, and every run costs O(arrivals + slots with arrivals) on
-top of the drains, whatever the horizon. Every number read from text is
-read by ``read_number``, which makes a zero denominator a ValueError, and
-each numeric parameter's type and range is one ``Bound``.
+share, and its slot indices a read-only array. Its summary (packets, widest
+row, port range) is computed on first use, so validating a sequence and
+counting its packets cost O(1) per run after the first, and every run costs
+O(arrivals + slots with arrivals) on top of the drains, whatever the
+horizon. Every number read from text is read by ``read_number``, which
+makes a zero denominator a ValueError, and each numeric parameter's type and
+range is one ``Bound``.
 """
 
 from __future__ import annotations
@@ -154,6 +155,22 @@ class SwitchConfig:
 SLOT = Bound("slot", int, 0, 2 ** (8 * array("I").itemsize) - 1)
 
 
+class _ReadOnlySlots(array):
+    """A sequence's ``arrival_slots``: an ``array('I')`` whose methods refuse every change."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args) -> None:
+        raise TypeError("a sequence's arrival slots cannot change")
+
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = append = extend = insert = _refuse
+    # ``clear`` is an array method from Python 3.13 on
+    clear = pop = remove = reverse = byteswap = frombytes = fromfile = fromlist = fromunicode = _refuse
+
+    def __deepcopy__(self, memo: dict) -> "_ReadOnlySlots":
+        return self  # as a tuple's: it cannot change
+
+
 @dataclass(frozen=True, init=False)
 class ArrivalSequence:
     """Arrivals slot by slot, stored only where there are any.
@@ -167,10 +184,11 @@ class ArrivalSequence:
     ``ArrivalSequence(slots)`` makes one from one row of ports per slot,
     empty for an arrival-free one. ``rows`` is a tuple of tuples, which may
     share a row: a list row is copied, a tuple row kept. A sequence is a
-    value: no field can be reassigned and no row changed. Its packet count,
-    widest row and lowest and highest port are computed once, on first use;
-    after that ``total_packets`` and a passing ``validate`` cost O(1). Two
-    sequences are equal when their slot counts, arrival slots and rows are.
+    value: no field, row or arrival slot (a read-only ``array('I')``) can
+    change. Its packet count, widest row and lowest and highest port are
+    computed once, on first use; after that ``total_packets`` and a passing
+    ``validate`` cost O(1). Two sequences are equal when their slot counts,
+    arrival slots and rows are.
     """
 
     num_slots: int
@@ -178,7 +196,7 @@ class ArrivalSequence:
     rows: tuple[tuple[int, ...], ...]
 
     def __init__(self, slots: Sequence[Sequence[int]]) -> None:
-        self._store(len(slots), array("I", compress(count(), slots)), tuple(map(tuple, filter(None, slots))))
+        self._store(len(slots), compress(count(), slots), tuple(map(tuple, filter(None, slots))))
 
     @classmethod
     def _from_rows(cls, num_slots: int, arrival_slots: array, rows: Iterable[tuple[int, ...]]) -> "ArrivalSequence":
@@ -188,10 +206,11 @@ class ArrivalSequence:
         sequence._store(num_slots, arrival_slots, tuple(rows))
         return sequence
 
-    def _store(self, num_slots: int, arrival_slots: array, rows: tuple[tuple[int, ...], ...]) -> None:
-        # a frozen dataclass's own __setattr__ refuses every assignment
+    def _store(self, num_slots: int, arrival_slots: Iterable[int], rows: tuple[tuple[int, ...], ...]) -> None:
+        # a frozen dataclass's own __setattr__ refuses every assignment; the slots are
+        # copied, so no array a caller keeps can change them
         object.__setattr__(self, "num_slots", num_slots)
-        object.__setattr__(self, "arrival_slots", arrival_slots)
+        object.__setattr__(self, "arrival_slots", _ReadOnlySlots("I", arrival_slots))
         object.__setattr__(self, "rows", rows)
 
     @cached_property
@@ -268,7 +287,7 @@ class PolicyError(RuntimeError):
 
 
 class SwitchState(object):
-    """Queue lengths, total occupancy, and per-port FIFOs of arrival indices."""
+    """Queue lengths, total occupancy, and per-port FIFOs of arrival indices; only ``Simulation`` changes them."""
 
     __slots__ = ("queue_len", "occupancy", "queues")
 
@@ -276,17 +295,6 @@ class SwitchState(object):
         self.queue_len: list[int] = [0] * num_ports
         self.occupancy: int = 0
         self.queues: list[Deque[int]] = [deque() for _ in range(num_ports)]
-
-    def pop_head(self, port: int) -> None:
-        self.queues[port].popleft()
-        self.queue_len[port] -= 1
-        self.occupancy -= 1
-
-    def pop_tail(self, port: int) -> int:
-        index = self.queues[port].pop()
-        self.queue_len[port] -= 1
-        self.occupancy -= 1
-        return index
 
 
 class Simulation:
@@ -332,7 +340,9 @@ class Simulation:
                 raise PolicyError("push-out is only legal when the buffer is full")
             if not state.queue_len[victim_port]:
                 raise PolicyError(f"push-out victim queue {victim_port} is empty")
-            verdicts[state.pop_tail(victim_port)] = _PUSHED_OUT
+            verdicts[state.queues[victim_port].pop()] = _PUSHED_OUT
+            state.queue_len[victim_port] -= 1
+            state.occupancy -= 1
             self.dropped += 1
         elif state.occupancy >= self._buffer:
             raise PolicyError("accept would overflow the buffer")
@@ -350,7 +360,9 @@ class Simulation:
         per-port route it is checked against."""
         state = self.state
         if state.queue_len[port]:
-            state.pop_head(port)
+            state.queues[port].popleft()
+            state.queue_len[port] -= 1
+            state.occupancy -= 1
             self.transmitted += 1
         self.policy.on_departure(port, state)
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import struct
 from functools import partial
-from itertools import repeat
+from itertools import count, repeat, takewhile
 from operator import gt, is_not, mul, ne
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Optional, Protocol, Sequence, Union
 
@@ -66,6 +66,7 @@ def _drop_flag(value) -> bool:
 
 
 _DROP_FLAGS = frozenset((False, True))
+_Column = Union[Sequence[bool], Mapping[int, bool]]
 
 
 class FeatureVector(NamedTuple):
@@ -192,6 +193,14 @@ def _dropped(result: RunResult) -> Iterator[bool]:
     return map(is_not, result.verdicts, repeat(Verdict.TRANSMITTED))
 
 
+def _column(entries: _Column) -> Sequence[bool]:
+    """``entries`` as a sequence: a mapping as its entries for arrivals 0, 1, 2, ... up to its first gap."""
+    # the one mapping branch left: ``ground_truth_from_run`` returns a dict for bench/shapes.py
+    if isinstance(entries, Mapping):
+        return list(map(entries.__getitem__, takewhile(entries.__contains__, count())))
+    return entries
+
+
 def _uncovered(index: int) -> ValueError:
     return ValueError(
         f"packet {index} is not covered by the ground-truth trace; trace and arrival sequence do not match"
@@ -201,33 +210,30 @@ def _uncovered(index: int) -> ValueError:
 class PerfectOracle:
     """Replays recorded per-packet outcomes, usually from a LongestQueueDrop run.
 
-    ``truth`` holds one drop flag per arrival: a list indexed by arrival
+    ``truth`` holds one drop flag per arrival: a sequence indexed by arrival
     index, as ``from_run`` keeps it, or a mapping from arrival index, such
-    as ``ground_truth_from_run``'s. ``predict`` returns the entry, and
-    ``drops(count)`` is the list itself when it holds exactly ``count``
-    entries. Both queries
+    as ``ground_truth_from_run``'s, read once through ``_column``: up to its
+    first gap. ``predict`` returns the entry, and ``drops(count)`` is the
+    sequence itself when it holds exactly ``count`` entries. Both queries
     raise ``packet N is not covered ...`` for an arrival the truth lacks,
     ``drops`` for the first such one, and a negative index is never covered.
     The constructor refuses a truth with an entry that is not a drop flag,
-    naming the first in index order (int keys, then others by ``repr``), so
-    no query ever reads one; ``from_run`` binds LQD's outcomes, bools, as is.
+    naming the first in arrival order, so no query ever reads one;
+    ``from_run`` binds LQD's outcomes, bools, as is.
     """
 
     reads_features = False
 
-    def __init__(self, truth: Union[Sequence[bool], Mapping[int, bool]]) -> None:
-        is_mapping = isinstance(truth, Mapping)
+    def __init__(self, truth: _Column) -> None:
+        truth = _column(truth)
         try:
             # one C-level pass; the loop below runs only to name an offender
-            flags = _DROP_FLAGS.issuperset(truth.values() if is_mapping else truth)
+            flags = _DROP_FLAGS.issuperset(truth)
         except TypeError:  # an unhashable entry
             flags = False
         if not flags:
-            indices = range(len(truth))
-            if is_mapping:  # int keys ascending, then any others by repr: mixed keys need not sort
-                indices = sorted(truth, key=lambda key: (0, key) if type(key) is int else (1, repr(key)))
-            for index in indices:
-                _drop_flag(truth[index])
+            for flag in truth:
+                _drop_flag(flag)
         self.truth = truth
 
     @classmethod
@@ -238,21 +244,13 @@ class PerfectOracle:
         return oracle
 
     def predict(self, index: int, features: Optional[FeatureVector]) -> bool:
-        # a list would wrap a negative index
-        if index >= 0:
-            try:
-                return self.truth[index]
-            except (KeyError, IndexError):
-                pass
+        # a sequence would wrap a negative index
+        if 0 <= index < len(self.truth):
+            return self.truth[index]
         raise _uncovered(index)
 
     def drops(self, count: int) -> Sequence[bool]:
         truth = self.truth
-        if isinstance(truth, Mapping):
-            try:
-                return list(map(truth.__getitem__, range(count)))
-            except KeyError:
-                raise _uncovered(next(index for index in range(count) if index not in truth)) from None
         if len(truth) < count:
             raise _uncovered(len(truth))
         return truth if len(truth) == count else truth[:count]

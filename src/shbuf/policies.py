@@ -144,9 +144,7 @@ class DynamicThresholds(Policy):
 
     def on_arrival(self, port: int, index: int, state: SwitchState) -> Decision:
         free = self._buffer - state.occupancy
-        if free <= 0:
-            return DROP
-        # cross-multiplied: q * denominator < numerator * free
+        # cross-multiplied: q * denominator < numerator * free, which a full buffer fails (``alpha`` > 0)
         if state.queue_len[port] * self._denominator < self._numerator * free:
             return ACCEPT
         return DROP

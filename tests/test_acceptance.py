@@ -2,8 +2,15 @@
 
 One test per promised behavior, each printing a summary line with the
 measured numbers (visible with ``pytest -s`` or in the captured output).
-The heavyweight corpora are regenerated deterministically inside each test,
-so every criterion stands alone.
+Criteria 01, 02 and 11 share the 1000-sequence corpus, built once for the
+module by the ``corpus`` fixture instead of once per criterion. The
+trade-off: the criteria no longer stand alone, the corpus (0.6-1 s to
+build, about 18 MB) is held until the module's last test ends, and
+criterion 11, which reads only the first 108 sequences, builds all 1000
+when run by itself. Sharing is safe because a sequence cannot change: its
+rows are tuples and its arrival slots a read-only array, so no run in one
+criterion can alter what another reads. The other corpora are regenerated
+deterministically inside each test.
 """
 
 import math
@@ -65,8 +72,10 @@ CORPUS_HORIZON = 2000
 LOADS = (0.3, 0.6, 0.9)
 
 
+@pytest.fixture(scope="module")
 def corpus():
     """The shared 1000-sequence corpus: every (N, B) cell, both generators, mixed loads."""
+    entries = []
     for i in range(CORPUS_SIZE):
         n, b = GRID[i % len(GRID)]
         config = SwitchConfig(n, b)
@@ -75,7 +84,8 @@ def corpus():
             sequence = uniform_random(config, LOADS[(i // 18) % 3], CORPUS_HORIZON, seed)
         else:
             sequence = poisson_bursts(config, 1.0 / (2 * b), CORPUS_HORIZON, seed)
-        yield i, config, sequence
+        entries.append((i, config, sequence))
+    return entries
 
 
 def tiny_instances(count=500):
@@ -95,19 +105,19 @@ def tiny_instances(count=500):
         yield SwitchConfig(n, b), ArrivalSequence(slots)
 
 
-def test_criterion_01_threshold_mirror_is_exact():
+def test_criterion_01_threshold_mirror_is_exact(corpus):
     checked = 0
-    for i, config, sequence in corpus():
+    for i, config, sequence in corpus:
         divergence = find_threshold_divergence(config, sequence)
         assert divergence is None, f"sequence {i}: {divergence}"
         checked += 1
     print(f"criterion 1: PASS - per-port and bulk thresholds equal shadow LQD queues on {checked} sequences")
 
 
-def test_criterion_02_perfect_predictions_match_lqd():
+def test_criterion_02_perfect_predictions_match_lqd(corpus):
     strict = 0
     total = 0
-    for i, config, sequence in corpus():
+    for i, config, sequence in corpus:
         lqd = run_simulation(config, sequence, LongestQueueDrop())
         credence_tx = throughput(config, sequence, Credence(PerfectOracle.from_run(lqd)))
         assert credence_tx >= lqd.transmitted_count, (
@@ -232,12 +242,12 @@ def test_criterion_06_threshold_follower_lower_bound():
     )
 
 
-def test_criterion_11_opt_bounds_at_corpus_scale():
+def test_criterion_11_opt_bounds_at_corpus_scale(corpus):
     # both OPT bounds of criteria 03 and 04, with exact OPT, on the full-horizon
     # poisson_bursts sequences among the first 108 of the corpus
     checked = sequences = 0
     opt_beats_lqd = []
-    for i, config, sequence in corpus():
+    for i, config, sequence in corpus:
         if i == 108:
             break
         if (i // len(GRID)) % 2 == 0:

@@ -1,11 +1,13 @@
 import copy
 import dataclasses
 import os
+import pickle
 import random
 import re
 import subprocess
 import sys
 import tracemalloc
+from array import array
 from itertools import islice
 from operator import lt
 from unittest import mock
@@ -631,6 +633,48 @@ def test_a_sequence_is_not_changed_through_the_lists_it_was_made_from_or_its_row
             sequence.rows[0].append(7)
     result = run_simulation(config, sequence, LongestQueueDrop())
     assert result.transmitted_count + result.dropped_count == sum(map(len, before))
+
+
+def test_a_sequences_arrival_slots_refuse_every_change_and_stay_read_only_through_a_copy():
+    config = SwitchConfig(2, 4)
+    text = "slot,port\n0,0\n0,0\n1,0\n2,1\n"
+    made = [
+        ArrivalSequence([[0, 0], [0], [1]]),
+        core._parse_canonical(text),
+        core._parse_lines("trace.csv", text),
+        # arrival 3, port 1 of slot 1, is forecast to drop
+        analysis._classify_and_reduce(ArrivalSequence([[0, 0], [0, 1], [1]]), [0, 0, 0, 1, 0], [0] * 5)[1],
+    ]
+    expected = run_simulation(config, made[0], LongestQueueDrop()).verdicts
+    changes = [
+        lambda slots: slots.__setitem__(2, 0),
+        lambda slots: slots.__setitem__(slice(0, 2), array("I", [1, 2])),
+        lambda slots: slots.__delitem__(0),
+        lambda slots: slots.__iadd__(array("I", [3])),
+        lambda slots: slots.__imul__(2),
+        lambda slots: slots.append(3),
+        lambda slots: slots.extend([3]),
+        lambda slots: slots.insert(0, 0),
+        lambda slots: slots.pop(),
+        lambda slots: slots.remove(0),
+        lambda slots: slots.reverse(),
+        lambda slots: slots.byteswap(),
+        lambda slots: slots.frombytes(bytes(4)),
+        lambda slots: slots.fromlist([3]),
+        lambda slots: slots.clear(),
+    ]
+    for sequence in made:
+        sequence.validate(config)
+        assert sequence == made[0]
+        for copied in (sequence, copy.deepcopy(sequence), pickle.loads(pickle.dumps(sequence))):
+            assert copied == made[0] and copied.arrival_slots.typecode == "I"
+            for change in changes:
+                with pytest.raises(TypeError, match="^a sequence's arrival slots cannot change$"):
+                    change(copied.arrival_slots)
+            with pytest.raises(TypeError, match="^a sequence's arrival slots cannot change$"):
+                copied.arrival_slots[2] = 0
+            assert list(copied.arrival_slots) == [0, 1, 2]
+            assert run_simulation(config, copied, LongestQueueDrop()).verdicts == expected
 
 
 def _reference_save_sequence(path, sequence, comment=None) -> None:

@@ -20,6 +20,7 @@ from shbuf import (
     SwitchState,
     run_simulation,
 )
+from shbuf.analysis import compute_eta
 from shbuf.learner import ForestModel, TreeNode
 from shbuf.oracles import (
     ConstantOracle,
@@ -603,3 +604,47 @@ def test_a_perfect_oracle_takes_bools_and_the_ints_1_and_0_as_drop_flags():
     for truth in ([True, False, 1, 0], {0: 1, 1: False, 2: True, 3: 0}, [], {}):
         oracle = PerfectOracle(truth)
         assert [bool(flag) for flag in oracle.drops(len(truth))] == [True, False, True, False][:len(truth)]
+
+
+
+def _answer(query):
+    """What a query returns, or the message of the ValueError it raises."""
+    try:
+        return query()
+    except ValueError as error:
+        return f"ValueError: {error}"
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    # keys that are not arrival indices, under entries that are not drop flags
+    extra=st.dictionaries(st.one_of(st.text(max_size=2), st.integers(-3, -1)), st.sampled_from(["drop", None, 2])),
+)
+def test_a_mapping_column_is_read_as_the_list_of_its_entries_up_to_its_first_gap(data, extra):
+    num_ports = data.draw(st.integers(1, 3))
+    config = SwitchConfig(num_ports, data.draw(st.integers(1, 4)))
+    rows = data.draw(st.lists(st.lists(st.integers(0, num_ports - 1), max_size=num_ports), max_size=8))
+    sequence = ArrivalSequence(rows)
+    total = sequence.total_packets
+    flags = st.lists(st.booleans(), min_size=total, max_size=total)
+    truth, predictions = data.draw(flags), data.draw(flags)
+    # a gap at ``total`` leaves every arrival covered
+    gap = data.draw(st.integers(0, total))
+    gapped, short = {index: flag for index, flag in enumerate(truth) if index != gap} | extra, truth[:gap]
+    oracle, listed = PerfectOracle(gapped), PerfectOracle(short)
+    for index in range(-2, total + 2):
+        assert _answer(lambda: oracle.predict(index, None)) == _answer(lambda: listed.predict(index, None))
+    for count in range(total + 2):
+        assert _answer(lambda: oracle.drops(count)) == _answer(lambda: listed.drops(count))
+    report = compute_eta(config, sequence, predictions, truth)
+    assert compute_eta(config, sequence, dict(enumerate(predictions)) | extra, dict(enumerate(truth)) | extra) == report
+    assert _answer(lambda: compute_eta(config, sequence, predictions, gapped)) == _answer(
+        lambda: compute_eta(config, sequence, predictions, short)
+    )
+    assert _answer(lambda: compute_eta(config, sequence, gapped, truth)) == _answer(
+        lambda: compute_eta(config, sequence, short, truth)
+    )
+    if gap < total:
+        with pytest.raises(ValueError, match=f"^packet {gap} missing from predictions or ground truth; coverage must be total$"):
+            compute_eta(config, sequence, predictions, gapped)
