@@ -209,11 +209,12 @@ _MAX_VECTORS = 1 << 17
 class _Frontier:
     """The drop-tail queue-length vectors a run can reach, each with the most
     packets accepted on the way to it, stepped by ``run_slots`` like a
-    simulation: ``arrive`` branches every vector, and ``drain(k)`` runs ``k``
-    departure phases on each. Unit packets and work-conserving departures
-    make a run's future depend on that vector alone. A vector whose count plus the
-    arrivals still to come cannot exceed a known throughput, the floor, is
-    discarded, and more than ``_MAX_VECTORS`` raise ``InstanceTooLarge``.
+    simulation: ``arrive(row)`` branches every vector on each of the row's
+    packets in turn, and ``drain(k)`` runs ``k`` departure phases on each.
+    Unit packets and work-conserving departures make a run's future depend
+    on that vector alone. A vector whose count plus the arrivals still to
+    come cannot exceed a known throughput, the floor, is discarded, and more
+    than ``_MAX_VECTORS`` raise ``InstanceTooLarge``.
     """
 
     backlog = 0
@@ -223,22 +224,23 @@ class _Frontier:
         self.floor, self.total, self.left = floor, total, total  # left: the arrivals still to come
         self.vectors = {(0,) * config.num_ports: 0}
 
-    def arrive(self, port: int) -> None:
-        self.left -= 1
-        least = self.floor - self.left
+    def arrive(self, row: Sequence[int]) -> None:
         room = self.config.buffer_size
-        vectors = self.vectors
-        # the drop branch of each vector, then the accept branch where there is room
-        after = {vector: accepted for vector, accepted in vectors.items() if accepted > least}
-        for vector, accepted in vectors.items():
-            if accepted >= least and sum(vector) < room:
-                grown = vector[:port] + (vector[port] + 1,) + vector[port + 1 :]
-                if after.get(grown, -1) <= accepted:
-                    after[grown] = accepted + 1
-        if len(after) > _MAX_VECTORS:
-            arrival = f"arrival {self.total - self.left} of {self.total} packets"
-            raise InstanceTooLarge(f"{len(after)} queue vectors after {arrival}; exact OPT refuses above {_MAX_VECTORS}")
-        self.vectors = after
+        for port in row:
+            self.left -= 1
+            least = self.floor - self.left
+            vectors = self.vectors
+            # the drop branch of each vector, then the accept branch where there is room
+            after = {vector: accepted for vector, accepted in vectors.items() if accepted > least}
+            for vector, accepted in vectors.items():
+                if accepted >= least and sum(vector) < room:
+                    grown = vector[:port] + (vector[port] + 1,) + vector[port + 1 :]
+                    if after.get(grown, -1) <= accepted:
+                        after[grown] = accepted + 1
+            if len(after) > _MAX_VECTORS:
+                arrival = f"arrival {self.total - self.left} of {self.total} packets"
+                raise InstanceTooLarge(f"{len(after)} queue vectors after {arrival}; exact OPT refuses above {_MAX_VECTORS}")
+            self.vectors = after
 
     def drain(self, slots: int) -> None:
         after: dict[tuple[int, ...], int] = {}
@@ -421,13 +423,15 @@ class _Diverged(Exception):
 class _Lockstep:
     """A LongestQueueDrop simulation and two threshold mirrors stepped as one.
 
-    ``run_slots`` drives it like a single simulation. Each arrival goes to
-    the simulation and to both mirrors, which are then compared with its
-    queue lengths. The simulation departs port by port, through
-    ``depart_port``: a ``drain`` of ``k`` slots is ``k`` departure phases,
-    each visiting, in ascending order, the ports with a queued packet, until
-    the buffer is empty; the slots left are counted without being visited.
-    The per-port mirror follows each port's departure with ``on_departure``
+    ``run_slots`` drives it like a single simulation. ``arrive(row)`` hands
+    the row to them one packet at a time: each arrival goes to the
+    simulation, as a one-packet row, and to both mirrors, which are then
+    compared with its queue lengths, so a mismatch is named by its arrival.
+    The simulation departs port by port, through ``depart_port``: a
+    ``drain`` of ``k`` slots is ``k`` departure phases, each visiting, in
+    ascending order, the ports with a queued packet, until the buffer is
+    empty; the slots left are counted without being visited. The per-port
+    mirror follows each port's departure with ``on_departure``
     and is compared after it, so its mismatch is named by slot and port. The
     bulk mirror takes the ``drain(k)`` whole, as ``threshold_levels`` does,
     and is compared after the ``k`` phases; its mismatch is named by the
@@ -441,19 +445,23 @@ class _Lockstep:
         self.per_port = ThresholdState(config.num_ports, config.buffer_size)
         self.bulk = ThresholdState(config.num_ports, config.buffer_size)
         self._ports = range(config.num_ports)
+        # each port's one-packet row, made once: the simulation takes one packet at a time
+        self._one = [(port,) for port in self._ports]
         self.slot = 0
 
     @property
     def backlog(self) -> int:
         return self.lqd.backlog
 
-    def arrive(self, port: int) -> None:
-        self.lqd.arrive(port)
-        self.per_port.on_arrival(port)
-        self.bulk.on_arrival(port)
-        queues = self.lqd.state.queue_len
-        if self.per_port.thresholds != queues or self.bulk.thresholds != queues:
-            self._diverged("arrival", self.slot, len(self.lqd.verdicts) - 1)
+    def arrive(self, row: Sequence[int]) -> None:
+        lqd, per_port, bulk = self.lqd, self.per_port, self.bulk
+        queues = lqd.state.queue_len
+        for port in row:
+            lqd.arrive(self._one[port])
+            per_port.on_arrival(port)
+            bulk.on_arrival(port)
+            if per_port.thresholds != queues or bulk.thresholds != queues:
+                self._diverged("arrival", self.slot, len(lqd.verdicts) - 1)
 
     def drain(self, slots: int) -> None:
         # the simulation and the mirrors update these lists in place

@@ -69,7 +69,6 @@ from .oracles import (
     FlipOracle,
     ForestOracle,
     PerfectOracle,
-    ground_truth_from_run,
 )
 from .policies import (
     CompleteSharing,
@@ -430,7 +429,8 @@ def _cmd_evaluate(values: dict, seed: int) -> int:
         with _as_config_error("cannot load --eta-trace: ", (OSError, ValueError)):
             sequence = load_sequence(eta_trace)
             sequence.validate(config)
-        truth = ground_truth_from_run(run_simulation(config, sequence, LongestQueueDrop()))
+        # LQD's drop flags as the list ``from_run`` builds, which ``compute_eta`` reads as is
+        truth = PerfectOracle.from_run(run_simulation(config, sequence, LongestQueueDrop())).truth
         _, predictions = simulate_with_prediction_log(config, sequence, ForestOracle(model))
         report = compute_eta(config, sequence, predictions, truth)
         inv_eta = f"{1.0 / report.eta:.6f}" if report.eta > 0 else "0.000000"

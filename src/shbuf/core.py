@@ -9,8 +9,10 @@ buffer is empty, so every accepted packet is eventually transmitted and
 throughput comparisons are exact.
 
 ``run_slots`` is the one loop that schedules these events; every run in the
-library goes through it. A packet's identity is its arrival index (0, 1, 2,
-... in arrival order), and a run's record is one ``Verdict`` per arrival.
+library goes through it. It hands each slot's arrivals over as one row, and
+``Simulation.arrive(row)`` admits the row's packets in row order, in one call.
+A packet's identity is its arrival index (0, 1, 2, ... in arrival order),
+and a run's record is one ``Verdict`` per arrival.
 
 Every departure phase of a run is applied by ``Simulation.drain``: ``k``
 phases in one step, in which each queue sends ``min(length, k)`` packets, in
@@ -324,35 +326,43 @@ class Simulation:
         """Departure-only slots left until the buffer is empty: the longest queue."""
         return max(self.state.queue_len)
 
-    def arrive(self, port: int) -> None:
-        """Process arrival ``len(verdicts)``: ask the policy, then apply its decision."""
+    def arrive(self, row: Sequence[int]) -> None:
+        """Process one slot's arrivals, ``row``'s ports in order, the first being
+        arrival ``len(verdicts)``: for each, ask the policy, then apply its decision."""
+        policy = self.policy
         state = self.state
         verdicts = self.verdicts
+        queue_len = state.queue_len
+        queues = state.queues
+        buffer = self._buffer
         index = len(verdicts)
-        decision = self.policy.on_arrival(port, index, state)
-        if not decision.accept:
-            self.dropped += 1
-            verdicts.append(_DROPPED_ON_ARRIVAL)
-            return
-        victim_port = decision.pushout_victim
-        if victim_port is not None:
-            if state.occupancy != self._buffer:
-                raise PolicyError("push-out is only legal when the buffer is full")
-            if not state.queue_len[victim_port]:
-                raise PolicyError(f"push-out victim queue {victim_port} is empty")
-            verdicts[state.queues[victim_port].pop()] = _PUSHED_OUT
-            state.queue_len[victim_port] -= 1
-            state.occupancy -= 1
-            self.dropped += 1
-        elif state.occupancy >= self._buffer:
-            raise PolicyError("accept would overflow the buffer")
-        # queue the packet at its port's tail: this runs once per accepted packet
-        state.queues[port].append(index)
-        state.queue_len[port] += 1
-        occupancy = state.occupancy = state.occupancy + 1
-        verdicts.append(_TRANSMITTED)
-        if occupancy > self.peak_occupancy:
-            self.peak_occupancy = occupancy
+        for port in row:
+            decision = policy.on_arrival(port, index, state)
+            if not decision.accept:
+                self.dropped += 1
+                verdicts.append(_DROPPED_ON_ARRIVAL)
+                index += 1
+                continue
+            victim_port = decision.pushout_victim
+            if victim_port is not None:
+                if state.occupancy != buffer:
+                    raise PolicyError("push-out is only legal when the buffer is full")
+                if not queue_len[victim_port]:
+                    raise PolicyError(f"push-out victim queue {victim_port} is empty")
+                verdicts[queues[victim_port].pop()] = _PUSHED_OUT
+                queue_len[victim_port] -= 1
+                state.occupancy -= 1
+                self.dropped += 1
+            elif state.occupancy >= buffer:
+                raise PolicyError("accept would overflow the buffer")
+            # queue the packet at its port's tail: this runs once per accepted packet
+            queues[port].append(index)
+            queue_len[port] += 1
+            occupancy = state.occupancy = state.occupancy + 1
+            verdicts.append(_TRANSMITTED)
+            index += 1
+            if occupancy > self.peak_occupancy:
+                self.peak_occupancy = occupancy
 
     def depart_port(self, port: int) -> None:
         """One port's share of one departure phase, step by step: drain one
@@ -400,14 +410,15 @@ def run_slots(sim, sequence: ArrivalSequence) -> None:
     """Feed every event of ``sequence`` to ``sim``, slot by slot.
 
     The only loop that schedules events. It visits only the slots with
-    arrivals and runs each one's arrivals in row order. Before each, one
-    ``sim.drain`` runs the departure phases not yet run: the previous
-    visited slot's and those of the arrival-free slots after it, or the
-    leading arrival-free slots. After the last, a final ``sim.drain`` runs
-    the ``sim.backlog`` phases that empty the buffer; the trailing
-    arrival-free slots after that change nothing. ``sim`` is a
-    ``Simulation`` or any object with the same ``config``, ``arrive``,
-    ``drain`` and ``backlog``. The sequence is validated first.
+    arrivals and hands each one's row to one ``sim.arrive(row)``, which
+    admits its packets in row order. Before each, one ``sim.drain`` runs the
+    departure phases not yet run: the previous visited slot's and those of
+    the arrival-free slots after it, or the leading arrival-free slots.
+    After the last, a final ``sim.drain`` runs the ``sim.backlog`` phases
+    that empty the buffer; the trailing arrival-free slots after that change
+    nothing. ``sim`` is a ``Simulation`` or any object with the same
+    ``config``, ``arrive(row)``, ``drain(k)`` and ``backlog``. The sequence
+    is validated first.
     """
     sequence.validate(sim.config)
     arrive = sim.arrive
@@ -415,8 +426,7 @@ def run_slots(sim, sequence: ArrivalSequence) -> None:
     done = 0  # the slots whose departure phase has run
     for slot_index, row in zip(sequence.arrival_slots, sequence.rows):
         drain(slot_index - done)
-        for port in row:
-            arrive(port)
+        arrive(row)
         done = slot_index
     drain(sim.backlog)
 

@@ -161,6 +161,12 @@ class LongestQueueDrop(Policy):
 
     name = "lqd"
 
+    def reset(self, config: SwitchConfig, sequence: ArrivalSequence) -> None:
+        super().reset(config, sequence)
+        # one push-out decision per victim port, made once per run, not once per push-out; a
+        # list: tuple() of a generator over-allocates, and the shrunk tuples pile up on the free lists
+        self._pushouts = [Decision(True, port) for port in range(config.num_ports)]
+
     def on_arrival(self, port: int, index: int, state: SwitchState) -> Decision:
         if state.occupancy < self._buffer:
             return ACCEPT
@@ -168,7 +174,7 @@ class LongestQueueDrop(Policy):
         longest = lengths.index(max(lengths))
         if longest == port:
             return DROP
-        return Decision(True, longest)
+        return self._pushouts[longest]
 
 
 class ThresholdState:
@@ -253,12 +259,19 @@ def threshold_levels(config: SwitchConfig, sequence: ArrivalSequence) -> list[in
     """The mirrored threshold of each arrival's port right after its mirror
     step, in arrival order: the column FollowLqd and Credence replay.
 
-    One ``ThresholdState`` pass through ``run_slots``, draining in bulk and
-    not after the last arrival, which would change no recorded level. The
+    One ``ThresholdState`` pass through ``run_slots``, stepping the mirror's
+    ``on_arrival`` once per packet of each row, draining in bulk and not
+    after the last arrival, which would change no recorded level. The
     column is valid only for this ``config`` and ``sequence``.
     """
     mirror = ThresholdState(config.num_ports, config.buffer_size)
-    run_slots(SimpleNamespace(config=config, arrive=mirror.on_arrival, drain=mirror.drain, backlog=0), sequence)
+    on_arrival = mirror.on_arrival
+
+    def arrive(row: Sequence[int]) -> None:
+        for port in row:
+            on_arrival(port)
+
+    run_slots(SimpleNamespace(config=config, arrive=arrive, drain=mirror.drain, backlog=0), sequence)
     return mirror.levels
 
 

@@ -119,8 +119,7 @@ def visit_every_port(config, sequence, policy):
     after the last until the buffer is empty; returns the ``Simulation``."""
     sim = Simulation(config, policy, sequence)
     for row in dense_slots(sequence):
-        for port in row:
-            sim.arrive(port)
+        sim.arrive(row)
         depart_every_port(sim)
     while sim.state.occupancy:
         depart_every_port(sim)

@@ -251,7 +251,7 @@ def test_occupancy_bound_after_every_event(small_config):
         sim = Simulation(small_config, policy, seq)
         for row in dense_slots(seq):
             for port in row:
-                sim.arrive(port)
+                sim.arrive((port,))
                 assert 0 <= sim.state.occupancy <= small_config.buffer_size
                 assert sim.state.occupancy == sum(sim.state.queue_len)
             sim.drain(1)
@@ -284,8 +284,7 @@ def test_work_conservation(small_config):
     seq = random_sequence(rng, small_config.num_ports, 50, 0.8)
     sim = Simulation(small_config, LongestQueueDrop(), seq)
     for row in dense_slots(seq):
-        for port in row:
-            sim.arrive(port)
+        sim.arrive(row)
         nonempty = sum(1 for q in sim.state.queue_len if q)
         before = sim.transmitted
         sim.drain(1)
@@ -837,6 +836,92 @@ def test_simulator_rejects_illegal_decisions():
         run_simulation(cfg, ArrivalSequence([[0]]), _BadPushout())
 
 
+class _SecondPacketDecides:
+    """Accepts arrival 0 and answers every later one with ``decision``."""
+
+    name = "second_packet_decides"
+
+    def __init__(self, decision):
+        self.decision = decision
+
+    def reset(self, config, sequence):
+        pass
+
+    def on_arrival(self, port, index, state):
+        return Decision(True) if index == 0 else self.decision
+
+
+@pytest.mark.parametrize(
+    "config, decision, message",
+    [
+        (SwitchConfig(2, 1), Decision(True), "accept would overflow the buffer"),
+        (SwitchConfig(2, 2), Decision(True, 0), "push-out is only legal when the buffer is full"),
+        (SwitchConfig(2, 1), Decision(True, 1), "push-out victim queue 1 is empty"),
+    ],
+)
+def test_an_illegal_decision_mid_row_raises_its_message_after_the_packets_before_it(config, decision, message):
+    sim = Simulation(config, _SecondPacketDecides(decision), ArrivalSequence([[0, 1]]))
+    with pytest.raises(PolicyError) as raised:
+        sim.arrive((0, 1))
+    assert str(raised.value) == message
+    # the row's first packet was admitted before the second one's decision was refused
+    assert sim.verdicts == [Verdict.TRANSMITTED]
+    assert sim.state.queue_len == [1, 0] and sim.state.occupancy == 1
+
+
+class _OnePacketRows:
+    """A ``Simulation`` as ``run_slots`` drives it, but fed each row as one-packet rows."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.config = sim.config
+        self.drain = sim.drain
+
+    @property
+    def backlog(self):
+        return self.sim.backlog
+
+    def arrive(self, row):
+        for port in row:
+            self.sim.arrive((port,))
+
+
+@st.composite
+def contended_instances(draw):
+    # more ports than buffer slots and rows up to every port wide, so one row can fill the
+    # buffer and the rest of it is dropped or pushes out
+    buffer_size = draw(st.integers(1, 6))
+    num_ports = draw(st.integers(buffer_size + 1, buffer_size + 4))
+    row = st.lists(st.integers(0, num_ports - 1), min_size=buffer_size + 1, max_size=num_ports)
+    slots = draw(st.lists(st.one_of(row, st.just([])), min_size=1, max_size=10))
+    return SwitchConfig(num_ports, buffer_size), ArrivalSequence(slots), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(contended_instances())
+def test_a_row_admits_as_its_packets_do_one_row_each(instance):
+    config, sequence, seed = instance
+    lqd = run_simulation(config, sequence, LongestQueueDrop())
+    oracle = FlipOracle(PerfectOracle.from_run(lqd), 0.3, seed, sequence)
+    makers = {
+        "complete_sharing": CompleteSharing,
+        "dynamic_thresholds": DynamicThresholds,
+        "lqd": LongestQueueDrop,
+        "follow_lqd": FollowLqd,
+        "credence": lambda: Credence(oracle),
+        "sampler(credence)": lambda: FeatureSampler(Credence(oracle)),
+    }
+    for name, make in makers.items():
+        rows, packets = Simulation(config, make(), sequence), Simulation(config, make(), sequence)
+        core.run_slots(rows, sequence)
+        core.run_slots(_OnePacketRows(packets), sequence)
+        assert rows.verdicts == packets.verdicts, name
+        assert (rows.transmitted, rows.dropped, rows.peak_occupancy) == (
+            packets.transmitted, packets.dropped, packets.peak_occupancy), name
+        if name == "sampler(credence)":
+            assert rows.policy.features == packets.policy.features, name
+
+
 def test_no_policy_keeps_a_mirror_of_its_own():
     # FollowLqd and Credence replay a recorded column, so a run drains only its queues
     config, sequence = SwitchConfig(2, 4), ArrivalSequence([[0, 1], [0]])
@@ -1020,8 +1105,7 @@ def test_drain_equals_that_many_departure_phases(instance):
         bulk, stepped = Simulation(config, make(), prefix), Simulation(config, make(), prefix)
         for sim in (bulk, stepped):
             for row in dense_slots(prefix):
-                for port in row:
-                    sim.arrive(port)
+                sim.arrive(row)
                 depart_every_port(sim)
         bulk.drain(slots)
         for _ in range(slots):

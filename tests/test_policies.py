@@ -148,11 +148,10 @@ def test_lqd_pushes_out_tail_of_longest_queue():
     seq = ArrivalSequence([[0, 0], [0, 1], [1]])
     sim = Simulation(cfg, LongestQueueDrop(), seq)
     for row in dense_slots(seq)[:2]:
-        for port in row:
-            sim.arrive(port)
+        sim.arrive(row)
     assert sim.state.queue_len == [3, 1]
     tail_before = sim.state.queues[0][-1]
-    sim.arrive(1)
+    sim.arrive((1,))
     assert sim.state.queue_len == [2, 2]
     assert tail_before not in sim.state.queues[0]
 
@@ -305,13 +304,11 @@ def test_follow_lqd_adversary_step_drops_behind_threshold():
     sequence = ArrivalSequence(dense_slots(fill) + [list(range(4)), [0]])
     sim = Simulation(cfg, FollowLqd(), sequence)
     for row in dense_slots(fill):
-        for port in row:
-            sim.arrive(port)
+        sim.arrive(row)
         sim.drain(1)
     assert sim.state.queue_len[0] == cfg.buffer_size - 1
     accepted_before = sim.state.occupancy + sim.transmitted
-    for port in range(4):
-        sim.arrive(port)
+    sim.arrive((0, 1, 2, 3))
     accepted = sim.state.occupancy + sim.transmitted - accepted_before
     assert accepted == 1  # only one of the N incoming packets fits
     # one slot later port 0's threshold, drained and stepped once, is still
@@ -319,7 +316,7 @@ def test_follow_lqd_adversary_step_drops_behind_threshold():
     sim.drain(1)
     assert threshold_levels(cfg, sequence)[-1] == cfg.buffer_size - cfg.num_ports + 1
     assert sim.state.queue_len[0] > cfg.buffer_size - cfg.num_ports + 1
-    sim.arrive(0)
+    sim.arrive((0,))
     assert sim.verdicts[-1] is Verdict.DROPPED_ON_ARRIVAL
 
 
