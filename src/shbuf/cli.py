@@ -29,6 +29,7 @@ import math
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import core, learner, oracles, policies, workloads
@@ -513,8 +514,10 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(" ".join(message.split()))
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
-    """A parser that splits a command line into the text of each flag; ``_setting`` converts it."""
+    """The parser that splits a command line into the text of each flag; ``_setting`` converts it.
+    It is built once, on first use, and holds no state between parses."""
     parser = _Parser(prog="shbuf", description=__doc__)
     parser.add_argument("--config", help="INI config file; flags override its values")
     sub = parser.add_subparsers(dest="command", required=True)

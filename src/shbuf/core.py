@@ -31,13 +31,13 @@ buffer. An ``ArrivalSequence`` stores only those slots: their indices
 (``arrival_slots``) and their rows, beside the slot count; the trace
 parsers and the generators build it so, without a list per arrival-free
 slot. Its rows are tuples, which no one can change and so many slots may
-share, and its slot indices a read-only array. Its summary (packets, widest
-row, port range) is computed on first use, so validating a sequence and
-counting its packets cost O(1) per run after the first, and every run costs
-O(arrivals + slots with arrivals) on top of the drains, whatever the
-horizon. Every number read from text is read by ``read_number``, which
-makes a zero denominator a ValueError, and each numeric parameter's type and
-range is one ``Bound``.
+share, and its slot indices ``bytes`` behind a read-only view. Its summary
+(packets, widest row, port range) is computed on first use, so validating a
+sequence and counting its packets cost O(1) per run after the first, and
+every run costs O(arrivals + slots with arrivals) on top of the drains,
+whatever the horizon. Every number read from text is read by
+``read_number``, which makes a zero denominator a ValueError, and each
+numeric parameter's type and range is one ``Bound``.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ import re
 from array import array
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -157,22 +157,6 @@ class SwitchConfig:
 SLOT = Bound("slot", int, 0, 2 ** (8 * array("I").itemsize) - 1)
 
 
-class _ReadOnlySlots(array):
-    """A sequence's ``arrival_slots``: an ``array('I')`` whose methods refuse every change."""
-
-    __slots__ = ()
-
-    def _refuse(self, *args) -> None:
-        raise TypeError("a sequence's arrival slots cannot change")
-
-    __setitem__ = __delitem__ = __iadd__ = __imul__ = append = extend = insert = _refuse
-    # ``clear`` is an array method from Python 3.13 on
-    clear = pop = remove = reverse = byteswap = frombytes = fromfile = fromlist = fromunicode = _refuse
-
-    def __deepcopy__(self, memo: dict) -> "_ReadOnlySlots":
-        return self  # as a tuple's: it cannot change
-
-
 @dataclass(frozen=True, init=False)
 class ArrivalSequence:
     """Arrivals slot by slot, stored only where there are any.
@@ -186,15 +170,17 @@ class ArrivalSequence:
     ``ArrivalSequence(slots)`` makes one from one row of ports per slot,
     empty for an arrival-free one. ``rows`` is a tuple of tuples, which may
     share a row: a list row is copied, a tuple row kept. A sequence is a
-    value: no field, row or arrival slot (a read-only ``array('I')``) can
-    change. Its packet count, widest row and lowest and highest port are
-    computed once, on first use; after that ``total_packets`` and a passing
-    ``validate`` cost O(1). Two sequences are equal when their slot counts,
-    arrival slots and rows are.
+    value: no field, row or arrival slot can change. The slots are stored as
+    one ``bytes`` object, and ``arrival_slots`` is a new read-only
+    ``memoryview`` of format ``'I'`` over it on each access. Its packet
+    count, widest row and lowest and highest port are computed once, on
+    first use; after that ``total_packets`` and a passing ``validate`` cost
+    O(1). Two sequences are equal when their slot counts, arrival slots and
+    rows are.
     """
 
     num_slots: int
-    arrival_slots: array
+    _slots: bytes = field(repr=False)
     rows: tuple[tuple[int, ...], ...]
 
     def __init__(self, slots: Sequence[Sequence[int]]) -> None:
@@ -212,8 +198,12 @@ class ArrivalSequence:
         # a frozen dataclass's own __setattr__ refuses every assignment; the slots are
         # copied, so no array a caller keeps can change them
         object.__setattr__(self, "num_slots", num_slots)
-        object.__setattr__(self, "arrival_slots", _ReadOnlySlots("I", arrival_slots))
+        object.__setattr__(self, "_slots", array("I", arrival_slots).tobytes())
         object.__setattr__(self, "rows", rows)
+
+    @property
+    def arrival_slots(self) -> memoryview:
+        return memoryview(self._slots).cast("I")
 
     @cached_property
     def _summary(self) -> tuple[int, int, int, int, bool]:

@@ -543,10 +543,9 @@ def _node_from_obj(obj) -> Union[TreeNode, int]:
     if not isinstance(obj, dict):
         return obj
     threshold = obj["threshold"]
-    if isinstance(threshold, (int, float)) and not isinstance(threshold, bool):
-        threshold = float(threshold)
-        if math.isnan(threshold):
-            raise ValueError("threshold must not be NaN")
+    # a JSON int stays the int it is, which ForestModel compiles exactly
+    if type(threshold) is float and math.isnan(threshold):
+        raise ValueError("threshold must not be NaN")
     return TreeNode(
         obj["feature_index"], threshold, _node_from_obj(obj["left"]), _node_from_obj(obj["right"])
     )

@@ -8,9 +8,9 @@ trade-off: the criteria no longer stand alone, the corpus (0.6-1 s to
 build, about 18 MB) is held until the module's last test ends, and
 criterion 11, which reads only the first 108 sequences, builds all 1000
 when run by itself. Sharing is safe because a sequence cannot change: its
-rows are tuples and its arrival slots a read-only array, so no run in one
-criterion can alter what another reads. The other corpora are regenerated
-deterministically inside each test.
+rows are tuples and its arrival slots ``bytes`` behind a read-only view, so
+no run in one criterion can alter what another reads. The other corpora
+are regenerated deterministically inside each test.
 """
 
 import math

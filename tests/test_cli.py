@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -61,6 +62,23 @@ def test_gen_and_simulate_single_burst(tmp_path, capsys):
     assert "transmitted=16" in summary and "dropped=0" in summary
     assert out.exists()
     assert (tmp_path / "outcomes.csv.config.txt").exists()
+
+
+def test_a_second_identical_call_leaves_no_argparse_object_for_the_collector(tmp_path):
+    argv = ["gen", "--ports", "4", "--buffer", "16", "--workload", "single_burst", "--burst", "16",
+            "--out", str(tmp_path / "burst.csv")]
+    assert main(argv) == EXIT_OK
+    flags, saved = gc.get_debug(), len(gc.garbage)
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert main(argv) == EXIT_OK
+        gc.collect()
+        left = [obj for obj in gc.garbage[saved:] if any(cls.__module__ == "argparse" for cls in type(obj).__mro__)]
+    finally:
+        gc.set_debug(flags)
+        del gc.garbage[saved:]
+    assert left == []
 
 
 def test_simulate_credence_perfect_at_least_lqd(tmp_path, capsys):

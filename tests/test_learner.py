@@ -11,7 +11,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import shbuf
@@ -539,6 +539,32 @@ def test_infinite_thresholds_round_trip(tmp_path):
     assert loaded == model
     for probe in [(0, -math.inf, 0, 0.0), (5, 0.0, 1, 0.0), (math.inf, 1.0, 0, 0.0)]:
         assert loaded.predict_one(probe) == _reference_predict(model.trees, probe)
+
+
+def _without_nan_thresholds(tree) -> bool:
+    return not isinstance(tree, TreeNode) or (
+        not (isinstance(tree.threshold, float) and math.isnan(tree.threshold))
+        and _without_nan_thresholds(tree.left) and _without_nan_thresholds(tree.right)
+    )
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(forests_and_probes().filter(lambda case: all(map(_without_nan_thresholds, case[0]))))
+@example(([TreeNode(0, 2**53 + 1, 1, 0)], 1, [(2**53 + 1, 0.0, 0, 0.0)]))
+@example(([TreeNode(0, 10**400, 1, 0)], 1, [(10**400, 0.0, 0, 0.0), (10**400 + 1, 0.0, 0, 0.0)]))
+def test_a_model_file_loads_back_as_the_model_it_was_saved_from(case):
+    # every threshold but NaN, which load_forest refuses: ints past 2**53 stay ints
+    trees, depth, probes = case
+    model = ForestModel(trees, max(depth, 1), 4)
+    with tempfile.TemporaryDirectory() as folder:
+        path, again = Path(folder) / "model.json", Path(folder) / "again.json"
+        save_forest(model, path)
+        loaded = load_forest(path)
+        save_forest(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+    assert loaded == model
+    for probe in probes:
+        assert loaded.predict_one(probe) == model.predict_one(probe)
 
 
 def test_load_examples_rejects_labels_other_than_0_and_1(tmp_path):
