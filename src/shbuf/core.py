@@ -14,9 +14,11 @@ library goes through it. It hands each slot's arrivals over as one row, and
 A packet's identity is its arrival index (0, 1, 2, ... in arrival order),
 and a run's record is one ``Verdict`` per arrival.
 
-Every departure phase of a run is applied by ``Simulation.drain``: ``k``
-phases in one step, in which each queue sends ``min(length, k)`` packets, in
-O(N + packets sent). A policy keeps no departure state, so a run never calls
+A queue is a length: no departure touches a packet, and each port keeps only
+the arrival indices a push-out reads (``SwitchState.tails``). Every departure
+phase of a run is applied by ``Simulation.drain``: ``k`` phases in one step,
+in which each queue sends ``min(length, k)`` packets, in O(ports with a
+queued packet). A policy keeps no departure state, so a run never calls
 ``on_departure``: FollowLqd and Credence replay mirrored thresholds recorded
 from the sequence before the run (``policies.threshold_levels``), which is
 why a ``Simulation`` binds its policy to the sequence it will run.
@@ -27,16 +29,10 @@ against.
 A run visits only the slots with arrivals. ``run_slots`` calls one ``drain``
 before each of them, covering the previous slot's departure phase and the
 arrival-free slots after it, and one after the last, which empties the
-buffer. An ``ArrivalSequence`` stores only those slots: their indices
-(``arrival_slots``) and their rows, beside the slot count; the trace
-parsers and the generators build it so, without a list per arrival-free
-slot. Its rows are tuples, which no one can change and so many slots may
-share, and its slot indices ``bytes`` behind a read-only view. Its summary
-(packets, widest row, port range) is computed on first use, so validating a
-sequence and counting its packets cost O(1) per run after the first, and
-every run costs O(arrivals + slots with arrivals) on top of the drains,
-whatever the horizon. Every number read from text is read by
-``read_number``, which makes a zero denominator a ValueError, and each
+buffer. An ``ArrivalSequence`` stores only those slots and summarises its
+packets once, so every run costs O(arrivals + slots with arrivals) on top
+of the drains, whatever the horizon. Every number read from text is read
+by ``read_number``, which makes a zero denominator a ValueError, and each
 numeric parameter's type and range is one ``Bound``.
 """
 
@@ -46,7 +42,6 @@ import math
 import os
 import re
 from array import array
-from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
@@ -55,7 +50,7 @@ from functools import cached_property
 from itertools import chain, compress, count, islice
 from operator import attrgetter, lt, ne
 from stat import S_ISREG
-from typing import TYPE_CHECKING, Deque, Iterable, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 
 if TYPE_CHECKING:
     from .policies import Policy
@@ -279,24 +274,24 @@ class PolicyError(RuntimeError):
 
 
 class SwitchState(object):
-    """Queue lengths, total occupancy, and per-port FIFOs of arrival indices; only ``Simulation`` changes them."""
+    """Queue lengths, total occupancy, and per-port arrival indices; only ``Simulation`` changes them:
+    port ``p``'s queue is the last ``queue_len[p]`` entries of ``tails[p]``, its accepted arrivals in
+    order, and the departed ones before them are deleted once they outnumber them."""
 
-    __slots__ = ("queue_len", "occupancy", "queues")
+    __slots__ = ("queue_len", "occupancy", "tails")
 
     def __init__(self, num_ports: int) -> None:
         self.queue_len: list[int] = [0] * num_ports
         self.occupancy: int = 0
-        self.queues: list[Deque[int]] = [deque() for _ in range(num_ports)]
+        self.tails: list[list[int]] = [[] for _ in range(num_ports)]
 
 
 class Simulation:
     """One switch under one policy, stepped event by event (``run_slots`` drives it).
 
-    Queues hold arrival indices; ``verdicts[i]`` is the fate of arrival ``i``.
-    An accepted packet reads ``TRANSMITTED`` unless a push-out overwrites it.
-    ``policy.reset`` binds the policy to ``config`` and to ``sequence``, the
-    arrivals the simulation will be fed.
-    """
+    ``verdicts[i]`` is the fate of arrival ``i``: an accepted packet reads ``TRANSMITTED``
+    unless a push-out, which takes its queue's tail, overwrites it. ``policy.reset`` binds
+    the policy to ``config`` and to ``sequence``, the arrivals the simulation will be fed."""
 
     __slots__ = ("config", "policy", "state", "transmitted", "dropped", "verdicts", "peak_occupancy", "_buffer")
 
@@ -323,7 +318,7 @@ class Simulation:
         state = self.state
         verdicts = self.verdicts
         queue_len = state.queue_len
-        queues = state.queues
+        tails = state.tails
         buffer = self._buffer
         index = len(verdicts)
         for port in row:
@@ -337,16 +332,18 @@ class Simulation:
             if victim_port is not None:
                 if state.occupancy != buffer:
                     raise PolicyError("push-out is only legal when the buffer is full")
+                if not 0 <= victim_port < len(queue_len):
+                    raise PolicyError(f"push-out victim queue {victim_port} is not a port")
                 if not queue_len[victim_port]:
                     raise PolicyError(f"push-out victim queue {victim_port} is empty")
-                verdicts[queues[victim_port].pop()] = _PUSHED_OUT
+                verdicts[tails[victim_port].pop()] = _PUSHED_OUT
                 queue_len[victim_port] -= 1
                 state.occupancy -= 1
                 self.dropped += 1
             elif state.occupancy >= buffer:
                 raise PolicyError("accept would overflow the buffer")
             # queue the packet at its port's tail: this runs once per accepted packet
-            queues[port].append(index)
+            tails[port].append(index)
             queue_len[port] += 1
             occupancy = state.occupancy = state.occupancy + 1
             verdicts.append(_TRANSMITTED)
@@ -355,13 +352,17 @@ class Simulation:
                 self.peak_occupancy = occupancy
 
     def depart_port(self, port: int) -> None:
-        """One port's share of one departure phase, step by step: drain one
-        packet, then notify the policy. Runs use ``drain``; this is the
-        per-port route it is checked against."""
+        """One port's share of one departure phase, step by step, under ``drain``'s rule for
+        its list; then ``on_departure``. Runs use ``drain``; this is the route it is checked against."""
         state = self.state
-        if state.queue_len[port]:
-            state.queues[port].popleft()
-            state.queue_len[port] -= 1
+        length = state.queue_len[port]
+        if length:
+            length = state.queue_len[port] = length - 1
+            tail = state.tails[port]
+            if not length:
+                tail.clear()
+            elif len(tail) > 2 * length:
+                del tail[:-length]
             state.occupancy -= 1
             self.transmitted += 1
         self.policy.on_departure(port, state)
@@ -370,27 +371,26 @@ class Simulation:
         """``slots`` departure phases in one step, the first right after the
         arrivals of the slot before, if any, and the rest arrival-free.
 
-        Each queue sends ``min(length, slots)`` packets from its head, in O(N +
-        packets sent), without calling ``on_departure``. It is ``depart_port``
-        at every port, ``slots`` times over.
-        """
+        Each queue sends ``min(length, slots)`` packets from its head without
+        calling ``on_departure``, in O(ports with a queued packet): lengths fall,
+        and a list is cleared when its queue empties or trimmed as ``SwitchState``
+        says. It is ``depart_port`` at every port, ``slots`` times over."""
         state = self.state
         if state.occupancy:
             queue_len = state.queue_len
-            queues = state.queues
+            tails = state.tails
             sent = 0
             for port in compress(count(), queue_len):  # the ports with a queued packet
                 length = queue_len[port]
-                queue = queues[port]
                 if length <= slots:
-                    queue.clear()
+                    tails[port].clear()
                     queue_len[port] = 0
                     sent += length
                 else:
-                    popleft = queue.popleft
-                    for _ in range(slots):
-                        popleft()
-                    queue_len[port] = length - slots
+                    length = queue_len[port] = length - slots
+                    tail = tails[port]
+                    if len(tail) > 2 * length:
+                        del tail[:-length]
                     sent += slots
             state.occupancy -= sent
             self.transmitted += sent

@@ -16,9 +16,9 @@ Five policies over the shared-buffer model:
 
 Each policy subclasses ``Policy`` and states only its admission rule,
 ``on_arrival``: it sees each arrival's index (its position in arrival order)
-but never touches the queues (which hold those indices), and returns a
-``Decision`` that the simulator applies. All tie-breaking (longest queue,
-largest threshold) is toward the lowest port index, so runs reproduce exactly.
+and the queue lengths, never the lists of indices a push-out reads, and
+returns a ``Decision`` that the simulator applies. All tie-breaking (longest
+queue, largest threshold) is toward the lowest port index, so runs reproduce exactly.
 
 The mirrored thresholds of FollowLqd and Credence depend on the switch
 config and the arrival sequence alone, not on what the policy admits or what

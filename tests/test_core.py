@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 from array import array
+from collections import deque
 from itertools import islice
 from operator import lt
 from unittest import mock
@@ -866,6 +867,10 @@ class _SecondPacketDecides:
         (SwitchConfig(2, 1), Decision(True), "accept would overflow the buffer"),
         (SwitchConfig(2, 2), Decision(True, 0), "push-out is only legal when the buffer is full"),
         (SwitchConfig(2, 1), Decision(True, 1), "push-out victim queue 1 is empty"),
+        # -2 and -1 would index port 0's and port 1's queue, and 2 no queue
+        (SwitchConfig(2, 1), Decision(True, -2), "push-out victim queue -2 is not a port"),
+        (SwitchConfig(2, 1), Decision(True, -1), "push-out victim queue -1 is not a port"),
+        (SwitchConfig(2, 1), Decision(True, 2), "push-out victim queue 2 is not a port"),
     ],
 )
 def test_an_illegal_decision_mid_row_raises_its_message_after_the_packets_before_it(config, decision, message):
@@ -1082,41 +1087,168 @@ def test_the_last_drain_runs_until_the_buffer_is_empty_and_no_further():
 
 @st.composite
 def drain_instances(draw):
-    # a state reached by a random arrival prefix, and a number of slots to drain from it
+    # a state reached by a random arrival prefix, and a number of slots to drain from it; a
+    # packet goes to a hot port or, one time in three, to a random one, and a drain is often
+    # short, so that a queue outlives it with more departed entries in its list than queued ones
     num_ports = draw(st.integers(1, 6))
     buffer_size = draw(st.integers(1, 12))
-    row = st.lists(st.integers(0, num_ports - 1), max_size=num_ports)
+    port = st.integers(0, num_ports - 1)
+    hot = st.just(draw(port))
+    row = st.lists(st.one_of(hot, hot, port), min_size=1, max_size=num_ports)
     prefix = ArrivalSequence(draw(st.lists(row, max_size=12)))
-    return SwitchConfig(num_ports, buffer_size), prefix, draw(st.integers(0, 16)), draw(st.integers(0, 2**32 - 1))
+    slots = st.one_of(st.integers(1, 4), st.integers(0, 16))
+    return SwitchConfig(num_ports, buffer_size), prefix, draw(slots), draw(st.integers(0, 2**32 - 1))
 
 
 def _drain_state(sim):
-    return [list(queue) for queue in sim.state.queues], list(sim.state.queue_len), sim.state.occupancy, sim.transmitted
+    # a list's departed entries may differ between the routes; its queued ones may not
+    live = [tail[len(tail) - length:] for tail, length in zip(sim.state.tails, sim.state.queue_len)]
+    return live, list(sim.state.queue_len), sim.state.occupancy, sim.transmitted
+
+
+def test_drain_equals_that_many_departure_phases():
+    trimmed = 0  # the examples in which a drain deletes a queue's departed entries
+
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(drain_instances())
+    def check(instance):
+        nonlocal trimmed
+        config, prefix, slots, seed = instance
+        lqd = run_simulation(config, prefix, LongestQueueDrop())
+        oracle = FlipOracle(PerfectOracle.from_run(lqd), 0.3, seed, prefix)
+        makers = {
+            "complete_sharing": CompleteSharing,
+            "dynamic_thresholds": DynamicThresholds,
+            "lqd": LongestQueueDrop,
+            "follow_lqd": FollowLqd,
+            "credence": lambda: Credence(oracle),
+            "sampler(credence)": lambda: FeatureSampler(Credence(oracle)),
+            "spy(follow_lqd)": lambda: _Spy(FollowLqd()),
+            "spy(credence)": lambda: _Spy(Credence(oracle)),
+        }
+        trims = False
+        for name, make in makers.items():
+            bulk, stepped = Simulation(config, make(), prefix), Simulation(config, make(), prefix)
+            for sim in (bulk, stepped):
+                for row in dense_slots(prefix):
+                    sim.arrive(row)
+                    depart_every_port(sim)
+            before = list(map(len, bulk.state.tails))
+            bulk.drain(slots)
+            for _ in range(slots):
+                depart_every_port(stepped)
+            assert _drain_state(bulk) == _drain_state(stepped), name
+            state = bulk.state
+            trims |= any(length and len(tail) != size for tail, length, size in zip(state.tails, state.queue_len, before))
+        trimmed += trims
+
+    check()
+    assert trimmed >= 50, trimmed  # 73 of the 500
+
+
+@st.composite
+def hot_port_instances(draw):
+    """N in 2..5, B in 2..16 and 1 to 60 slots of up to N packets each, which
+    go to one hot port or, one time in three, to a random one: the hot queue
+    outlives many departures, and LQD pushes its tail out. The rows come from
+    a drawn seed, since drawing each port costs Hypothesis far more."""
+    num_ports = draw(st.integers(2, 5))
+    buffer_size = draw(st.integers(2, 16))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    hot = rng.randrange(num_ports)
+    rows = [
+        [hot if rng.random() < 2 / 3 else rng.randrange(num_ports) for _ in range(rng.randint(0, num_ports))]
+        for _ in range(rng.randint(1, 60))
+    ]
+    return SwitchConfig(num_ports, buffer_size), ArrivalSequence(rows)
+
+
+def _lqd_by_fifos(config, sequence):
+    """LongestQueueDrop's verdicts by a FIFO of arrival indices per port: a push-out
+    evicts the tail of the first longest queue, the arriving port's own longest
+    queue means a drop, and each non-empty queue sends its head once per slot."""
+    queues = [deque() for _ in range(config.num_ports)]
+    verdicts = []
+    for row in dense_slots(sequence):
+        for port in row:
+            lengths = list(map(len, queues))
+            longest = lengths.index(max(lengths))
+            if sum(lengths) < config.buffer_size or longest != port:
+                if sum(lengths) == config.buffer_size:
+                    verdicts[queues[longest].pop()] = Verdict.PUSHED_OUT
+                queues[port].append(len(verdicts))
+                verdicts.append(Verdict.TRANSMITTED)
+            else:
+                verdicts.append(Verdict.DROPPED_ON_ARRIVAL)
+        for queue in queues:
+            if queue:
+                queue.popleft()
+    return verdicts
+
+
+def test_lqd_verdicts_equal_a_fifo_per_port():
+    pushed = 0  # the examples in which a packet is pushed out
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(hot_port_instances())
+    # a port whose list keeps one entry too few runs out of tails to push out in slot 4
+    @example((SwitchConfig(4, 4), ArrivalSequence([[0, 0, 0, 0], [0], [0], [0], [2, 3, 1, 2]])))
+    def check(instance):
+        nonlocal pushed
+        config, sequence = instance
+        verdicts = run_simulation(config, sequence, LongestQueueDrop()).verdicts
+        assert verdicts == _lqd_by_fifos(config, sequence)
+        assert visit_every_port(config, sequence, LongestQueueDrop()).verdicts == verdicts
+        pushed += Verdict.PUSHED_OUT in verdicts
+
+    check()
+    assert pushed >= 150, pushed  # 207 of the 401
+
+
+class _BoundCheck:
+    """A ``Simulation``, driven by ``run_slots`` or phase by phase, that checks
+    after every arrival, every drain and every ``depart_port`` that each port's
+    list holds its queue and at most ``buffer_size`` departed entries before it."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.config = sim.config
+
+    @property
+    def backlog(self):
+        return self.sim.backlog
+
+    def check(self):
+        state, buffer = self.sim.state, self.config.buffer_size
+        for tail, length in zip(state.tails, state.queue_len):
+            assert length <= len(tail) <= length + buffer, (len(tail), length, buffer)
+
+    def arrive(self, row):
+        for port in row:
+            self.sim.arrive((port,))
+            self.check()
+
+    def drain(self, slots):
+        self.sim.drain(slots)
+        self.check()
+
+    def phase(self):
+        for port in range(self.config.num_ports):
+            self.sim.depart_port(port)
+            self.check()
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
-@given(drain_instances())
-def test_drain_equals_that_many_departure_phases(instance):
-    config, prefix, slots, seed = instance
-    lqd = run_simulation(config, prefix, LongestQueueDrop())
-    oracle = FlipOracle(PerfectOracle.from_run(lqd), 0.3, seed, prefix)
-    makers = {
-        "complete_sharing": CompleteSharing,
-        "dynamic_thresholds": DynamicThresholds,
-        "lqd": LongestQueueDrop,
-        "follow_lqd": FollowLqd,
-        "credence": lambda: Credence(oracle),
-        "sampler(credence)": lambda: FeatureSampler(Credence(oracle)),
-        "spy(follow_lqd)": lambda: _Spy(FollowLqd()),
-        "spy(credence)": lambda: _Spy(Credence(oracle)),
-    }
-    for name, make in makers.items():
-        bulk, stepped = Simulation(config, make(), prefix), Simulation(config, make(), prefix)
-        for sim in (bulk, stepped):
-            for row in dense_slots(prefix):
-                sim.arrive(row)
-                depart_every_port(sim)
-        bulk.drain(slots)
-        for _ in range(slots):
-            depart_every_port(stepped)
-        assert _drain_state(bulk) == _drain_state(stepped), name
+@given(hot_port_instances())
+def test_a_ports_list_holds_its_queue_and_at_most_a_buffer_of_departed_entries(instance):
+    config, sequence = instance
+    for make in (CompleteSharing, LongestQueueDrop, FollowLqd):
+        bulk = _BoundCheck(Simulation(config, make(), sequence))
+        core.run_slots(bulk, sequence)
+        stepped = _BoundCheck(Simulation(config, make(), sequence))
+        for row in dense_slots(sequence):
+            stepped.arrive(row)
+            stepped.phase()
+        while stepped.sim.state.occupancy:
+            stepped.phase()
+        assert bulk.sim.verdicts == stepped.sim.verdicts

@@ -1,7 +1,6 @@
 import math
 import random
 import re
-from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -33,7 +32,6 @@ from conftest import LiveCredence, LiveFollowLqd, dense_slots, random_sequence, 
 
 def _state_with(lengths):
     state = SwitchState(len(lengths))
-    state.queues = [deque(range(port * 100, port * 100 + length)) for port, length in enumerate(lengths)]
     state.queue_len = list(lengths)
     state.occupancy = sum(lengths)
     return state
@@ -150,10 +148,11 @@ def test_lqd_pushes_out_tail_of_longest_queue():
     for row in dense_slots(seq)[:2]:
         sim.arrive(row)
     assert sim.state.queue_len == [3, 1]
-    tail_before = sim.state.queues[0][-1]
+    tail_before = sim.state.tails[0][-1]
     sim.arrive((1,))
     assert sim.state.queue_len == [2, 2]
-    assert tail_before not in sim.state.queues[0]
+    assert tail_before not in sim.state.tails[0]
+    assert sim.verdicts[tail_before] is Verdict.PUSHED_OUT
 
 
 def test_lqd_drops_arrival_to_its_own_longest_queue():
