@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shbuf import SwitchConfig, cli, workloads
+from shbuf import SwitchConfig, cli, learner, workloads
 from shbuf.analysis import competitive_sweep
 from shbuf.cli import COMMANDS, EXIT_CONFIG, EXIT_OK, EXIT_REFUSED, SETTINGS, ConfigError, _setting, main
 from shbuf.core import save_sequence
@@ -358,6 +358,27 @@ def test_running_out_of_memory_exits_2_with_one_line_and_writes_nothing(tmp_path
     assert main([command, *BURST, "--out", str(tmp_path / "out.csv")]) == EXIT_CONFIG
     assert capsys.readouterr() == ("", "error: out of memory\n")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2,
+                    reason="the trainer forks only where this process may run on two CPUs")
+def test_a_training_child_that_runs_out_of_memory_exits_2_with_one_line(tmp_path, trace_csv, capsys, monkeypatch):
+    # the odd-indexed trees grow in a forked child, whose MemoryError comes back as one
+    parent, grow = os.getpid(), learner._grow_tree
+
+    def out_of_memory_in_the_child(*args):
+        if os.getpid() != parent:
+            raise MemoryError
+        return grow(*args)
+
+    monkeypatch.setattr(learner, "_FORK_BREAK_EVEN", 0)
+    monkeypatch.setattr(learner, "_grow_tree", out_of_memory_in_the_child)
+    model = tmp_path / "model.json"
+    assert main(["train", "--data", str(trace_csv), "--trees", "4", "--out", str(model)]) == EXIT_CONFIG
+    assert capsys.readouterr() == ("", "error: out of memory\n")
+    assert not model.exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("chart", [False, True])

@@ -1087,17 +1087,22 @@ def test_the_last_drain_runs_until_the_buffer_is_empty_and_no_further():
 
 @st.composite
 def drain_instances(draw):
-    # a state reached by a random arrival prefix, and a number of slots to drain from it; a
-    # packet goes to a hot port or, one time in three, to a random one, and a drain is often
-    # short, so that a queue outlives it with more departed entries in its list than queued ones
+    """A state reached by a random arrival prefix, and a number of slots to drain
+    from it. The prefix's rows come from a drawn seed, as in ``hot_port_instances``:
+    a packet goes to a hot port or, one time in three, to a random one. The
+    prefix ends after its last arrivals, before their departure phase, and a
+    drain is often short, so that a queue outlives it with more departed entries
+    in its list than queued ones."""
     num_ports = draw(st.integers(1, 6))
     buffer_size = draw(st.integers(1, 12))
-    port = st.integers(0, num_ports - 1)
-    hot = st.just(draw(port))
-    row = st.lists(st.one_of(hot, hot, port), min_size=1, max_size=num_ports)
-    prefix = ArrivalSequence(draw(st.lists(row, max_size=12)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    hot = rng.randrange(num_ports)
+    rows = [
+        [hot if rng.random() < 2 / 3 else rng.randrange(num_ports) for _ in range(rng.randint(1, num_ports))]
+        for _ in range(rng.randint(0, 24))
+    ]
     slots = st.one_of(st.integers(1, 4), st.integers(0, 16))
-    return SwitchConfig(num_ports, buffer_size), prefix, draw(slots), draw(st.integers(0, 2**32 - 1))
+    return SwitchConfig(num_ports, buffer_size), ArrivalSequence(rows), draw(slots), draw(st.integers(0, 2**32 - 1))
 
 
 def _drain_state(sim):
@@ -1108,11 +1113,12 @@ def _drain_state(sim):
 
 def test_drain_equals_that_many_departure_phases():
     trimmed = 0  # the examples in which a drain deletes a queue's departed entries
+    loaded = 0  # the examples in which a drain starts with packets in the buffer
 
     @settings(derandomize=True, max_examples=500, deadline=None)
     @given(drain_instances())
     def check(instance):
-        nonlocal trimmed
+        nonlocal trimmed, loaded
         config, prefix, slots, seed = instance
         lqd = run_simulation(config, prefix, LongestQueueDrop())
         oracle = FlipOracle(PerfectOracle.from_run(lqd), 0.3, seed, prefix)
@@ -1126,14 +1132,16 @@ def test_drain_equals_that_many_departure_phases():
             "spy(follow_lqd)": lambda: _Spy(FollowLqd()),
             "spy(credence)": lambda: _Spy(Credence(oracle)),
         }
-        trims = False
+        trims = starts_loaded = False
         for name, make in makers.items():
             bulk, stepped = Simulation(config, make(), prefix), Simulation(config, make(), prefix)
             for sim in (bulk, stepped):
-                for row in dense_slots(prefix):
+                for index, row in enumerate(dense_slots(prefix)):
+                    if index:
+                        depart_every_port(sim)
                     sim.arrive(row)
-                    depart_every_port(sim)
             before = list(map(len, bulk.state.tails))
+            starts_loaded |= bulk.state.occupancy > 0
             bulk.drain(slots)
             for _ in range(slots):
                 depart_every_port(stepped)
@@ -1141,9 +1149,11 @@ def test_drain_equals_that_many_departure_phases():
             state = bulk.state
             trims |= any(length and len(tail) != size for tail, length, size in zip(state.tails, state.queue_len, before))
         trimmed += trims
+        loaded += starts_loaded
 
     check()
-    assert trimmed >= 50, trimmed  # 73 of the 500
+    assert trimmed >= 50, trimmed  # 77 of the 500
+    assert loaded >= 400, loaded  # 485 of the 500
 
 
 @st.composite

@@ -5,9 +5,14 @@ import os
 import pickle
 import random
 import re
+import signal
 import subprocess
 import sys
 import tempfile
+import threading
+import time
+import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -23,6 +28,7 @@ from shbuf import (
     Verdict,
     run_simulation,
 )
+from shbuf import learner
 from shbuf.learner import (
     ConfusionCounts,
     ForestModel,
@@ -253,6 +259,56 @@ def tied_example_sets(draw):
     return draw(st.lists(example, min_size=1, max_size=80))
 
 
+# --- the two routes: every tree grown here, or the odd-indexed ones in a forked child ---
+
+
+_TWO_CPUS = len(getattr(os, "sched_getaffinity", lambda _: ())(0)) >= 2
+FORKS = pytest.mark.skipif(not _TWO_CPUS, reason="the trainer forks only where this process may run on two CPUs")
+ROUTES = pytest.mark.parametrize("route", ["in_process", pytest.param("two_processes", marks=FORKS)])
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextmanager
+def _route(route):
+    """Force ``train_forest``'s route through its private break-even, and record the
+    children it forks and the statuses they were reaped with."""
+    forks, statuses = [], []
+    fork, waitpid = os.fork, os.waitpid
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    def recorded_waitpid(pid, options):
+        reaped = waitpid(pid, options)
+        statuses.append(reaped[1])
+        return reaped
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(learner, "_FORK_BREAK_EVEN", 0 if route == "two_processes" else math.inf)
+        patch.setattr(os, "fork", counted_fork)
+        patch.setattr(os, "waitpid", recorded_waitpid)
+        try:
+            yield forks, statuses
+        finally:
+            _assert_no_child_left()
+    assert len(statuses) == len(forks)
+
+
+def _train_by_route(route, examples, trees, depth, seed):
+    with _route(route) as (forks, _):
+        model = train_forest(examples, trees=trees, max_depth=depth, seed=seed)
+    assert len(forks) == (route == "two_processes" and trees >= 2)
+    return model
+
+
+@ROUTES
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(
     tied_example_sets(),
@@ -260,20 +316,24 @@ def tied_example_sets(draw):
     st.integers(1, 6),
     st.integers(0, 2**32 - 1),
 )
-def test_trainer_matches_the_per_node_argsort_reference(examples, trees, depth, seed):
-    model = train_forest(examples, trees=trees, max_depth=depth, seed=seed)
+def test_trainer_matches_the_per_node_argsort_reference(route, examples, trees, depth, seed):
+    model = _train_by_route(route, examples, trees, depth, seed)
     _assert_same_forest(model, _reference_forest(examples, trees, depth, seed))
 
 
-def test_trainer_matches_the_reference_on_a_congested_trace():
+@ROUTES
+@pytest.mark.parametrize("trees", [2, 3, 16])
+def test_trainer_matches_the_reference_on_a_congested_trace(route, trees):
+    # 2 trees give the child one; 3 leave it fewer than this process
     cfg = SwitchConfig(8, 32)
     examples = collect_trace(cfg, poisson_bursts(cfg, 1 / 32, 1500, seed=9))
-    model = train_forest(examples, trees=16, max_depth=8, seed=3)
-    _assert_same_forest(model, _reference_forest(examples, 16, 8, seed=3))
+    model = _train_by_route(route, examples, trees, 8, seed=3)
+    _assert_same_forest(model, _reference_forest(examples, trees, 8, seed=3))
     assert any(_tree_depth(tree) == 8 for tree in model.trees)
 
 
-def test_trainer_matches_the_reference_beyond_16_bit_ranks():
+@ROUTES
+def test_trainer_matches_the_reference_beyond_16_bit_ranks(route):
     # more examples than a 16-bit rank can number, so the presort takes wider ranks
     rng = random.Random(12)
     examples = [
@@ -283,7 +343,146 @@ def test_trainer_matches_the_reference_beyond_16_bit_ranks():
         )
         for _ in range(70_000)
     ]
-    _assert_same_forest(train_forest(examples, trees=1, max_depth=3, seed=4), _reference_forest(examples, 1, 3, 4))
+    model = _train_by_route(route, examples, 2, 3, seed=4)
+    _assert_same_forest(model, _reference_forest(examples, 2, 3, 4))
+
+
+def _fail_in(side, error, stall=0.0):
+    """A ``_grow_tree`` that raises ``error`` in this process (``side="parent"``) or in the
+    forked child (``side="child"``); the other process sleeps ``stall`` seconds once, then grows."""
+    parent, grow = os.getpid(), learner._grow_tree
+    stalls = [stall]
+
+    def failing(*args):
+        if (os.getpid() == parent) == (side == "parent"):
+            raise error
+        time.sleep(stalls.pop() if stalls else 0)
+        return grow(*args)
+
+    return failing
+
+
+def _congested_examples():
+    cfg = SwitchConfig(8, 32)
+    return collect_trace(cfg, poisson_bursts(cfg, 1 / 32, 600, seed=9))
+
+
+@FORKS
+def test_a_child_that_runs_out_of_memory_makes_train_forest_raise_memory_error(monkeypatch):
+    with _route("two_processes") as (forks, statuses):
+        monkeypatch.setattr(learner, "_grow_tree", _fail_in("child", MemoryError()))
+        with pytest.raises(MemoryError):
+            train_forest(_congested_examples(), trees=4, max_depth=4, seed=0)
+    assert len(forks) == 1 and os.WIFEXITED(statuses[0]) and os.WEXITSTATUS(statuses[0]) == 0
+
+
+@FORKS
+def test_an_exception_the_child_cannot_send_back_raises_child_process_error(monkeypatch):
+    class Unpicklable(Exception):  # a local class pickles by a name that cannot be found
+        pass
+
+    with _route("two_processes") as (forks, statuses):
+        monkeypatch.setattr(learner, "_grow_tree", _fail_in("child", Unpicklable()))
+        with pytest.raises(ChildProcessError, match="ended with status"):
+            train_forest(_congested_examples(), trees=2, max_depth=4, seed=0)
+    assert len(forks) == 1 and os.WIFEXITED(statuses[0]) and os.WEXITSTATUS(statuses[0]) == 1
+
+
+@FORKS
+def test_a_parent_whose_half_raises_kills_and_reaps_the_child(monkeypatch):
+    # the child would sleep for a minute before growing; the parent's error must not wait for it
+    started = time.monotonic()
+    with _route("two_processes") as (forks, statuses):
+        monkeypatch.setattr(learner, "_grow_tree", _fail_in("parent", ValueError("boom"), stall=60))
+        with pytest.raises(ValueError, match="boom"):
+            train_forest(_congested_examples(), trees=4, max_depth=4, seed=0)
+    assert time.monotonic() - started < 30
+    assert len(forks) == 1 and os.WIFSIGNALED(statuses[0]) and os.WTERMSIG(statuses[0]) == signal.SIGKILL
+
+
+@FORKS
+@pytest.mark.parametrize("fork_warns", [False, True])
+def test_the_two_process_route_warns_about_nothing(monkeypatch, fork_warns):
+    # Python 3.12+ warns when a process with more than one OS thread forks, as
+    # one that has imported numpy may; the trainer silences that one warning,
+    # here also on a Python that does not give it
+    if fork_warns:
+        fork = os.fork
+
+        def warning_fork():
+            warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of fork() may lead to "
+                          "deadlocks in the child.", DeprecationWarning, stacklevel=2)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with _route("two_processes") as (forks, _):
+            train_forest(_congested_examples(), trees=4, max_depth=4, seed=0)
+    assert len(forks) == 1
+    assert [str(warning.message) for warning in caught] == []
+
+
+@FORKS
+def test_a_tree_deeper_than_pickle_nests_comes_back_from_the_child_whole():
+    # pickling 400 nested nodes overflows the recursion limit; the child sends each tree as a flat list
+    def spine(depth):
+        tree = 1
+        for level in range(depth):
+            tree = TreeNode(level % 4, level + 0.5, tree, TreeNode(3, -0.0, 0, 1))
+        return tree
+
+    def same_tree(a, b):
+        # node by node from a stack: comparing the dataclasses recurses as deep as the tree
+        pairs = [(a, b)]
+        while pairs:
+            x, y = pairs.pop()
+            if not isinstance(x, TreeNode) or not isinstance(y, TreeNode):
+                if (type(x), x) != (type(y), y):
+                    return False
+            elif (x.feature_index, repr(x.threshold)) != (y.feature_index, repr(y.threshold)):
+                return False
+            else:
+                pairs += ((x.left, y.left), (x.right, y.right))
+        return True
+
+    depths = [1, 600, 0, 400, 7]
+    with _route("two_processes") as (forks, _):
+        grown = learner._grow_in_two_processes(spine, depths)
+    assert len(forks) == 1 and len(grown) == len(depths)
+    assert all(same_tree(tree, spine(depth)) for tree, depth in zip(grown, depths))
+    assert not same_tree(grown[1], spine(599))
+
+
+@FORKS
+def test_a_fork_that_fails_grows_every_tree_in_this_process(monkeypatch):
+    attempts = []
+
+    def no_fork():
+        attempts.append(1)
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    examples = _congested_examples()
+    expected = _train_by_route("in_process", examples, 4, 4, seed=0)
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(learner, "_FORK_BREAK_EVEN", 0)
+    assert train_forest(examples, trees=4, max_depth=4, seed=0) == expected
+    assert attempts == [1]
+    _assert_no_child_left()
+
+
+def test_the_trainer_forks_only_where_it_pays(monkeypatch):
+    monkeypatch.setattr(learner, "_FORK_BREAK_EVEN", 100)
+    assert learner._forks(2, 50) == _TWO_CPUS
+    assert not learner._forks(2, 49)
+    assert not learner._forks(1, 10_000)
+    monkeypatch.setattr(threading, "active_count", lambda: 2)
+    assert not learner._forks(2, 50)
+    monkeypatch.setattr(threading, "active_count", lambda: 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert not learner._forks(2, 50)
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert not learner._forks(2, 50)
 
 
 def test_a_cost_tie_between_features_goes_to_the_lower_feature_index():

@@ -7,7 +7,9 @@ a ``git archive`` of the parent commit) side by side in one process, trains
 both on the same examples at each shape, fails unless the two model files
 are byte-identical, and then times ``rounds`` trainings of each, alternating
 which goes first. It prints one JSON object: per shape, the median and
-quartiles in ms of each side, and how many rounds the change won.
+quartiles in ms of each side, how many rounds the change won, and the peak
+RSS in MB of any process a side's training forked (0 when it forked none;
+pages the child shares copy-on-write with its parent count in full).
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ from __future__ import annotations
 import argparse
 import importlib
 import json
+import os
 import random
+import resource
 import sys
 import time
 from pathlib import Path
@@ -68,6 +72,26 @@ def _model_text(learner, examples, trees, depth) -> str:
     return json.dumps([learner._node_to_obj(tree) for tree in model.trees])
 
 
+def _peak_child_rss_mb(learner, examples, trees, depth) -> float:
+    """Train once in a forked probe, whose own children are only the trainer's, and read their peak RSS."""
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read_end)
+            learner.train_forest(examples, trees=trees, max_depth=depth, seed=SEED)
+            os.write(write_end, str(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss).encode())
+        finally:
+            os._exit(0)
+    os.close(write_end)
+    with open(read_end, "rb") as pipe:
+        kilobytes = pipe.read()
+    os.waitpid(pid, 0)
+    if not kilobytes:
+        raise SystemExit("the probe training a forest failed")
+    return round(int(kilobytes) / 1024, 2)
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="the src directory of the checkout to compare with")
@@ -96,6 +120,9 @@ def main() -> None:
             "parent_ms": quartiles(times["parent"]),
             "change_ms": quartiles(times["change"]),
             "change_wins": f"{wins}/{args.rounds}",
+            "peak_child_rss_mb": {
+                side: _peak_child_rss_mb(learner, examples[side], trees, depth) for side, learner in learners.items()
+            },
         }
         print(json.dumps({name: table[name]}), file=sys.stderr, flush=True)
     print(json.dumps(table, indent=1))
