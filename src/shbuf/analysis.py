@@ -19,10 +19,12 @@ import math
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import compress, islice
 from operator import ne, not_
 from typing import Optional, Sequence, Union
 
+from . import _fork
 from .core import (
     NUM_PORTS,
     ArrivalSequence,
@@ -54,7 +56,7 @@ from .policies import (
     ThresholdState,
     threshold_levels,
 )
-from .workloads import poisson_bursts
+from .workloads import HORIZON, RATE, poisson_bursts
 
 __all__ = [
     "ErrorReport",
@@ -295,6 +297,14 @@ def _ratio(reference: int, achieved: int) -> float:
     return 1.0 if reference == 0 else math.inf
 
 
+# expected packet-runs from which running every second seed in a forked child
+# pays for the fork (see ``competitive_sweep``). On a shared 2-CPU host (31
+# alternating rounds each, in a process holding the benchmark's 120 sequences)
+# two processes won 8 of 31 rounds at 9,600 packet-runs and 21 to 31 of 31 from
+# 12,800 on at N=B=48, and 25 to 31 of 31 from 9,600 on at N=8, B=32
+_SWEEP_BREAK_EVEN = 2**14
+
+
 def competitive_sweep(
     config: SwitchConfig,
     p_values: Sequence[float],
@@ -311,31 +321,54 @@ def competitive_sweep(
     at each probability in ``p_values``. Each seed's flip coins are drawn
     once and shared by every ``p``, and so is its threshold trajectory
     (``threshold_levels``), which depends on the sequence alone: every
-    Credence run of a seed replays one recorded column. A seed's runs finish
-    before the next seed's sequence is generated. Rows are ordered by (p,
-    seed).
+    Credence run of a seed replays one recorded column. Rows are ordered by
+    (p, seed).
+
+    The seeds are independent, and every argument is checked before any of
+    them runs. Where Linux lets this process run on two CPUs, no other
+    Python thread exists, and the expected packet-runs (seeds x ``rate`` x
+    ``horizon`` x buffer size x the ``len(p_values) + 3`` runs of a seed)
+    reach a measured break-even, a forked child runs the odd-indexed seeds
+    while this process runs the even-indexed ones. The rows are the same on
+    either route.
     """
     for p in p_values:
         FLIP_PROBABILITY.check(p)
-    per_seed: dict[int, tuple[int, list[int], int]] = {}
-    for seed in seeds:
-        sequence = poisson_bursts(config, rate, horizon, seed)
-        lqd_result = run_simulation(config, sequence, LongestQueueDrop())
-        oracle = PerfectOracle.from_run(lqd_result)
-        dt_tx = throughput(config, sequence, DynamicThresholds(dt_alpha))
-        draws = list(_flip_draws(seed, sequence))
-        levels = threshold_levels(config, sequence)
-        credence_tx = [
-            throughput(config, sequence, Credence(FlipOracle.from_draws(oracle, p, draws), levels))
-            for p in p_values
-        ]
-        per_seed[seed] = (lqd_result.transmitted_count, credence_tx, dt_tx)
-    rows = []
-    for column, p in enumerate(p_values):
-        for seed in seeds:
-            lqd_tx, credence_tx, dt_tx = per_seed[seed]
-            rows.append(SweepRow(p, seed, lqd_tx, credence_tx[column], dt_tx))
-    return rows
+    RATE.check(rate)
+    HORIZON.check(horizon)
+    run_seed = partial(_sweep_seed, config, p_values, rate, horizon, DynamicThresholds(dt_alpha))
+    work = len(seeds) * rate * horizon * config.buffer_size * (len(p_values) + 3)
+    if _fork.forks(work, _SWEEP_BREAK_EVEN):
+        per_seed = _fork.map_in_two_processes(run_seed, seeds)
+    else:
+        per_seed = list(map(run_seed, seeds))
+    return [
+        SweepRow(p, seed, lqd_tx, credence_tx[column], dt_tx)
+        for column, p in enumerate(p_values)
+        for seed, (lqd_tx, credence_tx, dt_tx) in zip(seeds, per_seed)
+    ]
+
+
+def _sweep_seed(
+    config: SwitchConfig,
+    p_values: Sequence[float],
+    rate: float,
+    horizon: int,
+    dynamic_thresholds: DynamicThresholds,
+    seed: int,
+) -> tuple[int, list[int], int]:
+    """One seed's LQD throughput, Credence throughput at each ``p`` and DynamicThresholds throughput."""
+    sequence = poisson_bursts(config, rate, horizon, seed)
+    lqd_result = run_simulation(config, sequence, LongestQueueDrop())
+    oracle = PerfectOracle.from_run(lqd_result)
+    dt_tx = throughput(config, sequence, dynamic_thresholds)
+    draws = list(_flip_draws(seed, sequence))
+    levels = threshold_levels(config, sequence)
+    credence_tx = [
+        throughput(config, sequence, Credence(FlipOracle.from_draws(oracle, p, draws), levels))
+        for p in p_values
+    ]
+    return lqd_result.transmitted_count, credence_tx, dt_tx
 
 
 def write_sweep_rows(path, rows: Sequence[SweepRow]) -> None:

@@ -548,6 +548,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except ChildProcessError as exc:
+        # an OSError, but not an output's: a forked child ended without sending its results, killed by the kernel, say
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except OSError as exc:
         # every input file is read under _as_config_error, so this is an output
         print(f"error: cannot write output: {exc}", file=sys.stderr)

@@ -22,10 +22,10 @@ it.
 
 The trees of a forest are independent once their bootstrap samples are
 drawn, so a large enough training on a Linux host that offers this process
-two CPUs grows them in two processes: a forked child grows the odd-indexed
-trees and sends them back pickled, while the parent grows the even-indexed
-ones. Processes, not threads, because the per-node numpy calls are small and
-the interpreter lock would serialise them. The model is the same either way.
+two CPUs grows them in two processes (``_fork.map_in_two_processes``): a
+forked child grows the odd-indexed trees and sends each back as its nodes in
+preorder, while the parent grows the even-indexed ones. The model is the
+same either way.
 
 A label, like every forecast, is a drop flag (``True`` = dropped), and
 ``ConfusionCounts.count`` is the one tally of forecasts against labels,
@@ -36,9 +36,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import threading
-import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
@@ -46,6 +43,7 @@ from itertools import chain
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
+from . import _fork
 from .core import (
     ArrivalSequence, Bound, SwitchConfig, _utf8_errors_name, _write_lines, read_number, run_simulation,
 )
@@ -248,43 +246,48 @@ class _TreeSource:
 
     The left branch of each test returns, so the right one follows it
     unindented; only left turns nest, and a spine deeper than
-    ``_MAX_NESTING`` continues in a helper function.
+    ``_MAX_NESTING`` continues in a helper function. The nodes are visited
+    in preorder from a stack, so a tree of any depth is written without
+    recursion; ``functions`` holds each function's lines, the tree's first.
     """
 
     def __init__(self, name: str, feature_count: int) -> None:
         self.name = name
         self.feature_count = feature_count
         self.params = ", ".join(f"x{index}" for index in range(feature_count))
-        self.functions: list[str] = []
+        self.functions: list[list[str]] = []
 
-    def function(self, name: str, root: Union[TreeNode, int]) -> None:
-        slot = len(self.functions)
-        self.functions.append("")
+    def function(self, name: str) -> list[str]:
         lines = [f"def {name}({self.params}):"]
-        self.node(root, 1, lines)
-        self.functions[slot] = "\n".join(lines)
+        self.functions.append(lines)
+        return lines
 
-    def node(self, node: Union[TreeNode, int], depth: int, lines: list[str]) -> None:
-        pad = "    " * depth
-        if not isinstance(node, TreeNode):
-            if isinstance(node, bool) or not isinstance(node, int) or node not in (0, 1):
-                raise ValueError(f"leaf label must be the integer 0 or 1, got {node!r}")
-            lines.append(f"{pad}return {int(node)}")
-        elif depth > _MAX_NESTING:
-            helper = f"{self.name}_{len(self.functions)}"
-            self.function(helper, node)
-            lines.append(f"{pad}return {helper}({self.params})")
-        else:
-            feature = node.feature_index
-            if isinstance(feature, bool) or not isinstance(feature, int):
-                raise ValueError(f"feature_index must be an integer, got {feature!r}")
-            if not 0 <= feature < self.feature_count:
-                raise ValueError(f"feature_index {feature} outside [0, {self.feature_count})")
-            bound = _threshold_source(node.threshold)
-            if bound is not None:
-                lines.append(f"{pad}if x{int(feature)} <= {bound}:")
-                self.node(node.left, depth + 1, lines)
-            self.node(node.right, depth, lines)
+    def write(self, root: Union[TreeNode, int]) -> str:
+        stack = [(root, 1, self.function(self.name))]
+        while stack:
+            node, depth, lines = stack.pop()
+            pad = "    " * depth
+            if not isinstance(node, TreeNode):
+                if isinstance(node, bool) or not isinstance(node, int) or node not in (0, 1):
+                    raise ValueError(f"leaf label must be the integer 0 or 1, got {node!r}")
+                lines.append(f"{pad}return {int(node)}")
+            elif depth > _MAX_NESTING:
+                helper = f"{self.name}_{len(self.functions)}"
+                lines.append(f"{pad}return {helper}({self.params})")
+                stack.append((node, 1, self.function(helper)))
+            else:
+                feature = node.feature_index
+                if isinstance(feature, bool) or not isinstance(feature, int):
+                    raise ValueError(f"feature_index must be an integer, got {feature!r}")
+                if not 0 <= feature < self.feature_count:
+                    raise ValueError(f"feature_index {feature} outside [0, {self.feature_count})")
+                bound = _threshold_source(node.threshold)
+                # the left subtree's lines come first, so it is pushed last
+                stack.append((node.right, depth, lines))
+                if bound is not None:
+                    lines.append(f"{pad}if x{int(feature)} <= {bound}:")
+                    stack.append((node.left, depth + 1, lines))
+        return "\n\n".join(map("\n".join, self.functions))
 
 
 # ints in [-2**53, 2**53] are exact as floats, so converting them changes no comparison
@@ -304,11 +307,10 @@ def _compile_decide(trees: Sequence[Union[TreeNode, int]], feature_count: int) -
     """
     namespace: dict = {}
     for index, tree in enumerate(trees):
-        writer = _TreeSource(f"tree{index}", feature_count)
-        writer.function(writer.name, tree)
+        name = f"tree{index}"
         scope: dict = {}
-        exec(compile("\n\n".join(writer.functions), f"<forest tree {index}>", "exec"), scope)
-        namespace[writer.name] = scope.pop(writer.name)
+        exec(compile(_TreeSource(name, feature_count).write(tree), f"<forest tree {index}>", "exec"), scope)
+        namespace[name] = scope.pop(name)
     params = ", ".join(f"x{index}" for index in range(feature_count))
     lines = ["def decide(features):"]
     if feature_count:
@@ -360,8 +362,18 @@ class ForestModel:
         object.__setattr__(self, "_decide", _compile_decide(trees, self.feature_count))
 
     def __reduce__(self):
-        # a compiled function does not pickle; the trees do, and compile again on load
-        return (ForestModel, (self.trees, self.max_depth, self.feature_count))
+        # a compiled function does not pickle, and nested nodes pickle by
+        # recursion, so the trees go as flat preorder lists and compile again on load
+        return (_forest_from_preorder, self._flat())
+
+    def __eq__(self, other):
+        # compared flat, as the dataclass's nested comparison would recurse as deep as the trees
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._flat() == other._flat()
+
+    def _flat(self) -> tuple:
+        return tuple(map(_preorder, self.trees)), self.max_depth, self.feature_count
 
     def predict_one(self, features: Sequence[float]) -> bool:
         """True when a strict majority of the trees predicts a drop for ``features``."""
@@ -403,7 +415,7 @@ def train_forest(
     no other Python thread exists, and there are at least two trees and
     enough examples x trees to pay for a fork, a forked child grows the
     odd-indexed trees while this process grows the even-indexed ones; the
-    child's trees come back pickled and are put back in index order. Each
+    child's trees come back flat and are put back in index order. Each
     tree is grown by the same code from the same sample on either route, so
     the model is the same.
     """
@@ -436,10 +448,11 @@ def train_forest(
         positives = int(y.take(sample).sum(dtype=np.int64))
         return _grow_tree((ids, values, labels), 0, len(sample), positives, max_depth, goes_left)
 
-    if _forks(trees, len(y)):
-        grown = _grow_in_two_processes(grow, samples)
+    if _fork.forks(trees * len(y), _FORK_BREAK_EVEN):
+        # the child sends each tree as its nodes in preorder, a flat list
+        grown = map(_from_preorder, _fork.map_in_two_processes(lambda sample: _preorder(grow(sample)), samples))
     else:
-        grown = list(map(grow, samples))
+        grown = map(grow, samples)
     return ForestModel(grown, max_depth, len(columns))
 
 
@@ -449,88 +462,6 @@ def train_forest(
 # 15 rounds up to 8,000 examples x trees, 5 to 13 of 15 from 16,000 to 32,000, and
 # at least 13 of 15 from 64,000
 _FORK_BREAK_EVEN = 2**16
-
-
-def _forks(trees: int, examples: int) -> bool:
-    """Whether ``train_forest`` grows its trees in two processes.
-
-    Only where the host lets this process run on two CPUs, no other Python
-    thread exists (a forked child holds a copy of every lock another thread
-    held, and no thread to release it), there are two trees to share, and the
-    work pays for the fork.
-    """
-    affinity = getattr(os, "sched_getaffinity", None)
-    return (
-        trees >= 2
-        and examples * trees >= _FORK_BREAK_EVEN
-        and affinity is not None
-        and len(affinity(0)) >= 2
-        and threading.active_count() == 1
-    )
-
-
-def _grow_in_two_processes(grow: Callable, samples: list) -> list:
-    """``[grow(sample) for sample in samples]``, with the odd-indexed samples grown in a forked child.
-
-    The child grows its trees while this process grows the even-indexed
-    ones, sends them back pickled through a pipe, each as its nodes in
-    preorder (pickling nested nodes recurses, and fails on a tree a few
-    hundred levels deep), and leaves through ``os._exit``, so it never
-    returns into its caller's frames or flushes the stdio buffers it
-    inherited. An exception in the child comes back pickled and is raised
-    here as the same type; one in this process kills the child first.
-    Either way the child is reaped before this returns.
-
-    Python 3.12+ warns about forking a process with more than one OS thread.
-    Importing numpy starts a BLAS thread pool, but the child calls no BLAS
-    routine (only sorts, gathers and cumulative sums), and ``_forks`` allows
-    no other Python thread, so no lock the child needs can be held by a
-    thread it lacks; the warning is silenced for that one call.
-    """
-    import pickle
-    import signal
-
-    read_end, write_end = os.pipe()
-    try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "This process .*is multi-threaded", DeprecationWarning)
-            pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        return list(map(grow, samples))
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read_end)
-            try:
-                payload = pickle.dumps([_preorder(grow(sample)) for sample in samples[1::2]], pickle.HIGHEST_PROTOCOL)
-            except BaseException as exc:  # sent back and raised in the parent
-                payload = pickle.dumps(exc, pickle.HIGHEST_PROTOCOL)
-            with open(write_end, "wb") as pipe:
-                pipe.write(payload)
-            code = 0
-        finally:
-            os._exit(code)
-    try:
-        os.close(write_end)
-        even = list(map(grow, samples[::2]))
-        with open(read_end, "rb", closefd=False) as pipe:
-            payload = pipe.read()
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        os.close(read_end)
-        _, status = os.waitpid(pid, 0)
-    if not payload:
-        raise ChildProcessError(f"the process growing the odd-indexed trees ended with status {status}")
-    odd = pickle.loads(payload)
-    if isinstance(odd, BaseException):
-        raise odd
-    grown = [None] * len(samples)
-    grown[::2], grown[1::2] = even, map(_from_preorder, odd)
-    return grown
 
 
 def _preorder(tree: Union[TreeNode, int]) -> list:
@@ -553,6 +484,11 @@ def _from_preorder(nodes: list) -> Union[TreeNode, int]:
         # a split's left subtree was built last, so it is on top, its right one below it
         built.append(TreeNode(*node, built.pop(), built.pop()) if isinstance(node, tuple) else node)
     return built.pop()
+
+
+def _forest_from_preorder(trees: tuple, max_depth: int, feature_count: int) -> ForestModel:
+    """The model ``ForestModel._flat`` described."""
+    return ForestModel(map(_from_preorder, trees), max_depth, feature_count)
 
 
 # --- evaluation ---------------------------------------------------------------

@@ -1,9 +1,11 @@
 import math
+import os
 import random
+from contextlib import contextmanager
 
 import pytest
 
-from shbuf import ArrivalSequence, SwitchConfig, ThresholdState
+from shbuf import ArrivalSequence, SwitchConfig, ThresholdState, _fork
 from shbuf.core import Simulation
 from shbuf.learner import ConfusionCounts
 from shbuf.oracles import FeatureTracker, PredictionLabel
@@ -176,3 +178,45 @@ BAD_EXAMPLE_ROWS = {
 @pytest.fixture
 def small_config() -> SwitchConfig:
     return SwitchConfig(num_ports=4, buffer_size=8)
+
+
+# --- the two routes of a forking call: everything here, or every second item in a forked child ---
+
+
+TWO_CPUS = len(getattr(os, "sched_getaffinity", lambda _: ())(0)) >= 2
+FORKS = pytest.mark.skipif(not TWO_CPUS, reason="the library forks only where this process may run on two CPUs")
+ROUTES = pytest.mark.parametrize("route", ["in_process", pytest.param("two_processes", marks=FORKS)])
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextmanager
+def forced_route(route):
+    """Force the gate the trainer and the sweep share (``_fork.forks``) to ``route``,
+    and record the children forked and the statuses they were reaped with."""
+    forks, statuses = [], []
+    fork, waitpid = os.fork, os.waitpid
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    def recorded_waitpid(pid, options):
+        reaped = waitpid(pid, options)
+        statuses.append(reaped[1])
+        return reaped
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_fork, "forks", lambda work, break_even: route == "two_processes")
+        patch.setattr(os, "fork", counted_fork)
+        patch.setattr(os, "waitpid", recorded_waitpid)
+        try:
+            yield forks, statuses
+        finally:
+            assert_no_child_left()
+    assert len(statuses) == len(forks)

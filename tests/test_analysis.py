@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import signal
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -19,7 +22,7 @@ from shbuf import (
     ThresholdState,
     run_simulation,
 )
-from shbuf import analysis, oracles
+from shbuf import _fork, analysis, oracles
 from shbuf.core import run_slots
 from shbuf.analysis import (
     InstanceTooLarge,
@@ -53,8 +56,8 @@ from shbuf.workloads import (
 )
 
 from conftest import (
-    LiveCredence, contended_instance, dense_slots, four_way_confusion, random_sequence, random_tiny_sequence,
-    visit_every_port,
+    FORKS, ROUTES, LiveCredence, contended_instance, dense_slots, forced_route, four_way_confusion, random_sequence,
+    random_tiny_sequence, visit_every_port,
 )
 
 POS = PredictionLabel.POSITIVE
@@ -492,7 +495,9 @@ def test_sweep_draws_each_seeds_coins_once_and_matches_a_flip_oracle_per_row(mon
     monkeypatch.setattr(analysis, "_flip_draws", counting_draws)
     monkeypatch.setattr(oracles, "_flip_draws", counting_draws)
     monkeypatch.setattr(analysis, "threshold_levels", counting_levels)
-    rows = competitive_sweep(cfg, p_values, seeds, rate=1 / 64, horizon=300)
+    # the counters see only this process, so every seed runs here
+    with forced_route("in_process"):
+        rows = competitive_sweep(cfg, p_values, seeds, rate=1 / 64, horizon=300)
     assert drawn == seeds
     # one threshold trajectory per seed, shared by its Credence runs
     assert recorded == [poisson_bursts(cfg, 1 / 64, 300, seed) for seed in seeds]
@@ -520,6 +525,99 @@ def test_sweep_rows_and_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "p,lqd_throughput,credence_throughput,dt_throughput,ratio_credence,ratio_dt,seed"
     assert len(lines) == 1 + len(rows)
+
+
+# --- the sweep's two routes: every seed here, or every second seed in a forked child ---
+
+
+SWEEP_SHAPE = dict(config=SwitchConfig(8, 32), rate=1 / 64, horizon=300)
+
+
+@ROUTES
+@pytest.mark.parametrize(
+    "p_values, seeds",
+    [
+        ([0.0, 0.5], [3]),  # one seed: nothing to share, so no fork
+        ([0.0, 0.1, 0.7], [5, 1, 8, 2]),
+        ([0.0, 0.3, 1.0], [4, 0, 9, 6, 11]),
+        ([0.2, 0.0], [2, 7, 2, 2]),  # a repeated seed gives the same row each time
+        ([0.3], range(3)),
+    ],
+    ids=["one_seed", "even_seeds", "odd_seeds", "repeated_seeds", "one_p"],
+)
+def test_the_sweep_gives_the_same_rows_on_both_routes(route, p_values, seeds):
+    with forced_route("in_process") as (forks, _):
+        expected = competitive_sweep(p_values=p_values, seeds=seeds, **SWEEP_SHAPE)
+    assert forks == []
+    with forced_route(route) as (forks, statuses):
+        rows = competitive_sweep(p_values=p_values, seeds=seeds, **SWEEP_SHAPE)
+    assert len(forks) == (route == "two_processes" and len(seeds) >= 2)
+    assert all(os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0 for status in statuses)
+    assert rows == expected
+    assert [(row.p, row.seed) for row in rows] == [(p, seed) for p in p_values for seed in seeds]
+
+
+def _levels_failing_in(side, error, stall=0.0):
+    """A ``threshold_levels`` that raises ``error`` in this process (``side="parent"``) or in
+    the forked child (``side="child"``); the other process sleeps ``stall`` seconds once, then runs."""
+    parent, stalls = os.getpid(), [stall]
+
+    def failing(config, sequence):
+        if (os.getpid() == parent) == (side == "parent"):
+            raise error
+        time.sleep(stalls.pop() if stalls else 0)
+        return threshold_levels(config, sequence)
+
+    return failing
+
+
+@FORKS
+@pytest.mark.parametrize("error", [MemoryError(), ValueError("a child's error")], ids=["memory", "value"])
+def test_an_error_in_the_sweeps_child_is_raised_here_as_its_type(monkeypatch, error):
+    with forced_route("two_processes") as (forks, statuses):
+        monkeypatch.setattr(analysis, "threshold_levels", _levels_failing_in("child", error))
+        with pytest.raises(type(error)) as raised:
+            competitive_sweep(p_values=[0.0, 0.5], seeds=range(4), **SWEEP_SHAPE)
+    assert raised.value.args == error.args
+    # the child sent its error back and exited normally
+    assert len(forks) == 1 and os.WIFEXITED(statuses[0]) and os.WEXITSTATUS(statuses[0]) == 0
+
+
+@FORKS
+def test_an_error_in_the_sweeps_parent_kills_and_reaps_the_child(monkeypatch):
+    # the child would sleep for a minute before its first seed; the parent's error must not wait for it
+    started = time.monotonic()
+    with forced_route("two_processes") as (forks, statuses):
+        monkeypatch.setattr(analysis, "threshold_levels", _levels_failing_in("parent", KeyError("boom"), stall=60))
+        with pytest.raises(KeyError, match="boom"):
+            competitive_sweep(p_values=[0.0], seeds=range(4), **SWEEP_SHAPE)
+    assert time.monotonic() - started < 30
+    assert len(forks) == 1 and os.WIFSIGNALED(statuses[0]) and os.WTERMSIG(statuses[0]) == signal.SIGKILL
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [dict(p_values=[0.0, 1.5]), dict(p_values=[math.nan]), dict(rate=0.0), dict(rate=-1.0), dict(horizon=0),
+     dict(dt_alpha=Fraction(0))],
+    ids=["p_above_one", "p_nan", "zero_rate", "negative_rate", "zero_horizon", "zero_alpha"],
+)
+def test_a_bad_sweep_argument_is_raised_before_any_fork(bad):
+    arguments = dict(p_values=[0.0], seeds=range(6), **SWEEP_SHAPE) | bad
+    with forced_route("two_processes") as (forks, _):
+        with pytest.raises(ValueError):
+            competitive_sweep(**arguments)
+    assert forks == []
+
+
+def test_the_sweep_forks_only_where_it_pays(monkeypatch):
+    asked = []
+    monkeypatch.setattr(_fork, "forks", lambda work, break_even: asked.append((work, break_even)) and False)
+    competitive_sweep(p_values=[0.0, 0.5], seeds=[1, 2, 3], **SWEEP_SHAPE)
+    # packet-runs: seeds x rate x horizon x buffer size x (LQD, DT, the mirror and one Credence run per p)
+    assert asked == [(3 * (1 / 64) * 300 * 32 * 5, analysis._SWEEP_BREAK_EVEN)]
+    # README's sweep and a ten-seed chunk of it pay for a fork; CI's small sweep does not
+    readme = 20 * 0.00833 * 1000 * 48 * 8
+    assert readme / 2 >= analysis._SWEEP_BREAK_EVEN > 2 * 0.05 * 200 * 8 * 5
 
 
 @pytest.mark.parametrize(

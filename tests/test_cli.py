@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shbuf import SwitchConfig, cli, learner, workloads
+from shbuf import SwitchConfig, analysis, cli, learner, workloads
 from shbuf.analysis import competitive_sweep
 from shbuf.cli import COMMANDS, EXIT_CONFIG, EXIT_OK, EXIT_REFUSED, SETTINGS, ConfigError, _setting, main
 from shbuf.core import save_sequence
@@ -32,7 +33,7 @@ from shbuf.learner import (
 from shbuf.oracles import ConstantOracle, FeatureVector, FlipOracle, PredictionLabel
 from shbuf.workloads import poisson_bursts
 
-from conftest import BAD_EXAMPLE_ROWS, BAD_MODELS, contended_instance
+from conftest import BAD_EXAMPLE_ROWS, BAD_MODELS, FORKS, contended_instance, forced_route
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -379,6 +380,35 @@ def test_a_training_child_that_runs_out_of_memory_exits_2_with_one_line(tmp_path
     assert not model.exists()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def _die_of_memory():
+    raise MemoryError
+
+
+@FORKS
+@pytest.mark.parametrize("failure, message", [
+    # the MemoryError of every second seed's forked child comes back as one
+    (_die_of_memory, "error: out of memory\n"),
+    # as the kernel kills a process that takes too much memory: no result and no exception come back
+    (lambda: os.kill(os.getpid(), signal.SIGKILL),
+     f"error: the process mapping the odd-indexed items ended with status {int(signal.SIGKILL)}\n"),
+], ids=["out_of_memory", "killed"])
+def test_a_sweep_child_that_fails_exits_2_with_one_line(tmp_path, capsys, monkeypatch, failure, message):
+    parent, levels = os.getpid(), analysis.threshold_levels
+
+    def failing_in_the_child(*args):
+        if os.getpid() != parent:
+            failure()
+        return levels(*args)
+
+    monkeypatch.setattr(analysis, "threshold_levels", failing_in_the_child)
+    out, chart = tmp_path / "sweep.csv", tmp_path / "sweep.svg"
+    with forced_route("two_processes") as (forks, _):
+        assert main(["sweep", "--ports", "8", "--buffer", "32", "--rate", "0.0156", "--horizon", "300",
+                     "--p-list", "0,0.5", "--seeds", "4", "--out", str(out), "--chart", str(chart)]) == EXIT_CONFIG
+    assert capsys.readouterr() == ("", message)
+    assert len(forks) == 1 and list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("chart", [False, True])

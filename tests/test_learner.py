@@ -12,7 +12,6 @@ import tempfile
 import threading
 import time
 import warnings
-from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -28,7 +27,7 @@ from shbuf import (
     Verdict,
     run_simulation,
 )
-from shbuf import learner
+from shbuf import _fork, learner
 from shbuf.learner import (
     ConfusionCounts,
     ForestModel,
@@ -51,7 +50,9 @@ from shbuf.learner import (
 from shbuf.oracles import PredictionLabel
 from shbuf.workloads import followlqd_adversary, poisson_bursts, uniform_random
 
-from conftest import BAD_EXAMPLE_ROWS, BAD_MODELS, four_way_confusion
+from conftest import (
+    BAD_EXAMPLE_ROWS, BAD_MODELS, FORKS, ROUTES, TWO_CPUS, assert_no_child_left, forced_route, four_way_confusion,
+)
 
 POS = PredictionLabel.POSITIVE
 NEG = PredictionLabel.NEGATIVE
@@ -262,47 +263,8 @@ def tied_example_sets(draw):
 # --- the two routes: every tree grown here, or the odd-indexed ones in a forked child ---
 
 
-_TWO_CPUS = len(getattr(os, "sched_getaffinity", lambda _: ())(0)) >= 2
-FORKS = pytest.mark.skipif(not _TWO_CPUS, reason="the trainer forks only where this process may run on two CPUs")
-ROUTES = pytest.mark.parametrize("route", ["in_process", pytest.param("two_processes", marks=FORKS)])
-
-
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@contextmanager
-def _route(route):
-    """Force ``train_forest``'s route through its private break-even, and record the
-    children it forks and the statuses they were reaped with."""
-    forks, statuses = [], []
-    fork, waitpid = os.fork, os.waitpid
-
-    def counted_fork():
-        pid = fork()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    def recorded_waitpid(pid, options):
-        reaped = waitpid(pid, options)
-        statuses.append(reaped[1])
-        return reaped
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(learner, "_FORK_BREAK_EVEN", 0 if route == "two_processes" else math.inf)
-        patch.setattr(os, "fork", counted_fork)
-        patch.setattr(os, "waitpid", recorded_waitpid)
-        try:
-            yield forks, statuses
-        finally:
-            _assert_no_child_left()
-    assert len(statuses) == len(forks)
-
-
 def _train_by_route(route, examples, trees, depth, seed):
-    with _route(route) as (forks, _):
+    with forced_route(route) as (forks, _):
         model = train_forest(examples, trees=trees, max_depth=depth, seed=seed)
     assert len(forks) == (route == "two_processes" and trees >= 2)
     return model
@@ -369,7 +331,7 @@ def _congested_examples():
 
 @FORKS
 def test_a_child_that_runs_out_of_memory_makes_train_forest_raise_memory_error(monkeypatch):
-    with _route("two_processes") as (forks, statuses):
+    with forced_route("two_processes") as (forks, statuses):
         monkeypatch.setattr(learner, "_grow_tree", _fail_in("child", MemoryError()))
         with pytest.raises(MemoryError):
             train_forest(_congested_examples(), trees=4, max_depth=4, seed=0)
@@ -381,7 +343,7 @@ def test_an_exception_the_child_cannot_send_back_raises_child_process_error(monk
     class Unpicklable(Exception):  # a local class pickles by a name that cannot be found
         pass
 
-    with _route("two_processes") as (forks, statuses):
+    with forced_route("two_processes") as (forks, statuses):
         monkeypatch.setattr(learner, "_grow_tree", _fail_in("child", Unpicklable()))
         with pytest.raises(ChildProcessError, match="ended with status"):
             train_forest(_congested_examples(), trees=2, max_depth=4, seed=0)
@@ -392,7 +354,7 @@ def test_an_exception_the_child_cannot_send_back_raises_child_process_error(monk
 def test_a_parent_whose_half_raises_kills_and_reaps_the_child(monkeypatch):
     # the child would sleep for a minute before growing; the parent's error must not wait for it
     started = time.monotonic()
-    with _route("two_processes") as (forks, statuses):
+    with forced_route("two_processes") as (forks, statuses):
         monkeypatch.setattr(learner, "_grow_tree", _fail_in("parent", ValueError("boom"), stall=60))
         with pytest.raises(ValueError, match="boom"):
             train_forest(_congested_examples(), trees=4, max_depth=4, seed=0)
@@ -417,41 +379,54 @@ def test_the_two_process_route_warns_about_nothing(monkeypatch, fork_warns):
         monkeypatch.setattr(os, "fork", warning_fork)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        with _route("two_processes") as (forks, _):
+        with forced_route("two_processes") as (forks, _):
             train_forest(_congested_examples(), trees=4, max_depth=4, seed=0)
     assert len(forks) == 1
     assert [str(warning.message) for warning in caught] == []
 
 
+def _spine(depth):
+    """A left spine of ``depth`` splits, each with a one-split right child."""
+    tree = 1
+    for level in range(depth):
+        tree = TreeNode(level % 4, level + 0.5, tree, TreeNode(3, -0.0, 0, 1))
+    return tree
+
+
 @FORKS
-def test_a_tree_deeper_than_pickle_nests_comes_back_from_the_child_whole():
+def test_a_tree_deeper_than_pickle_nests_comes_back_from_the_child_whole(monkeypatch):
     # pickling 400 nested nodes overflows the recursion limit; the child sends each tree as a flat list
-    def spine(depth):
-        tree = 1
-        for level in range(depth):
-            tree = TreeNode(level % 4, level + 0.5, tree, TreeNode(3, -0.0, 0, 1))
-        return tree
-
-    def same_tree(a, b):
-        # node by node from a stack: comparing the dataclasses recurses as deep as the tree
-        pairs = [(a, b)]
-        while pairs:
-            x, y = pairs.pop()
-            if not isinstance(x, TreeNode) or not isinstance(y, TreeNode):
-                if (type(x), x) != (type(y), y):
-                    return False
-            elif (x.feature_index, repr(x.threshold)) != (y.feature_index, repr(y.threshold)):
-                return False
-            else:
-                pairs += ((x.left, y.left), (x.right, y.right))
-        return True
-
     depths = [1, 600, 0, 400, 7]
-    with _route("two_processes") as (forks, _):
-        grown = learner._grow_in_two_processes(spine, depths)
-    assert len(forks) == 1 and len(grown) == len(depths)
-    assert all(same_tree(tree, spine(depth)) for tree, depth in zip(grown, depths))
-    assert not same_tree(grown[1], spine(599))
+    parent, grown = os.getpid(), []
+
+    def grow_spine(*args):
+        # the samples are drawn before the fork, then this process grows trees 0, 2 and 4 and the child 1 and 3
+        index = 2 * len(grown) + (os.getpid() != parent)
+        grown.append(index)
+        return _spine(depths[index])
+
+    monkeypatch.setattr(learner, "_grow_tree", grow_spine)
+    with forced_route("two_processes") as (forks, _):
+        model = train_forest(_toy_examples(), trees=len(depths), max_depth=600, seed=0)
+    assert len(forks) == 1 and grown == [0, 2, 4]
+    # the model compares flat, node by node; the reprs also tell -0.0 from 0.0 and 1 from 1.0
+    expected = ForestModel([_spine(depth) for depth in depths], 600, 4)
+    assert model == expected
+    assert repr(list(map(learner._preorder, model.trees))) == repr(list(map(learner._preorder, expected.trees)))
+    assert model != ForestModel([_spine(depth - (depth == 600)) for depth in depths], 600, 4)
+
+
+def test_a_forest_deeper_than_the_recursion_limit_pickles_and_compares_flat():
+    deep = ForestModel([_spine(1000), 0, _spine(3)], 1000, 4)
+    copied = pickle.loads(pickle.dumps(deep, pickle.HIGHEST_PROTOCOL))
+    assert copied is not deep and copied == deep and copied.trees[1] == 0
+    assert copied != ForestModel([_spine(999), 0, _spine(3)], 1000, 4)
+    assert copied != ForestModel([_spine(1000), 0, _spine(3)], 1001, 4)
+    assert copied != ForestModel([_spine(1000), 1, _spine(3)], 1000, 4)
+    assert deep.__eq__(deep.trees) is NotImplemented
+    for x in range(-1, 1002, 7):
+        probe = (x, x / 2, 0, 0.0)
+        assert copied.predict_one(probe) == deep.predict_one(probe)
 
 
 @FORKS
@@ -465,24 +440,32 @@ def test_a_fork_that_fails_grows_every_tree_in_this_process(monkeypatch):
     examples = _congested_examples()
     expected = _train_by_route("in_process", examples, 4, 4, seed=0)
     monkeypatch.setattr(os, "fork", no_fork)
-    monkeypatch.setattr(learner, "_FORK_BREAK_EVEN", 0)
+    monkeypatch.setattr(_fork, "forks", lambda work, break_even: True)
     assert train_forest(examples, trees=4, max_depth=4, seed=0) == expected
     assert attempts == [1]
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def test_the_trainer_forks_only_where_it_pays(monkeypatch):
-    monkeypatch.setattr(learner, "_FORK_BREAK_EVEN", 100)
-    assert learner._forks(2, 50) == _TWO_CPUS
-    assert not learner._forks(2, 49)
-    assert not learner._forks(1, 10_000)
+    # the gate the trainer and the sweep share
+    assert _fork.forks(100, 100) == TWO_CPUS
+    assert not _fork.forks(99, 100)
     monkeypatch.setattr(threading, "active_count", lambda: 2)
-    assert not learner._forks(2, 50)
+    assert not _fork.forks(100, 100)
     monkeypatch.setattr(threading, "active_count", lambda: 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert not learner._forks(2, 50)
+    assert not _fork.forks(100, 100)
     monkeypatch.delattr(os, "sched_getaffinity")
-    assert not learner._forks(2, 50)
+    assert not _fork.forks(100, 100)
+    # the trainer asks it about examples x trees against its own break-even
+    asked = []
+    monkeypatch.setattr(_fork, "forks", lambda work, break_even: asked.append((work, break_even)) and False)
+    train_forest(_toy_examples(50), trees=3, max_depth=2, seed=0)
+    assert asked == [(150, learner._FORK_BREAK_EVEN)]
+    # and a single tree is never grown in a child, whatever the gate says
+    with forced_route("two_processes") as (forks, _):
+        train_forest(_toy_examples(50), trees=1, max_depth=2, seed=0)
+    assert forks == []
 
 
 def test_a_cost_tie_between_features_goes_to_the_lower_feature_index():
