@@ -396,7 +396,7 @@ def _cmd_train(values: dict, seed: int) -> int:
     with _as_config_error():
         train_part, _ = split_examples(examples, split, seed)
         model = train_forest(train_part, trees=trees, max_depth=depth, seed=seed)
-    save_forest(model, out)
+        save_forest(model, out)
     print(f"trained trees={trees} depth={depth} train_examples={len(train_part)} out={out}")
 
     if sweep_counts is not None:

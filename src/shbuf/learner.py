@@ -5,7 +5,9 @@ small bagged ensemble of depth-limited decision trees on them, and computes
 the usual binary-classification scores. The trainer is written for exact
 reproducibility: given the same examples and seed it produces byte-identical
 model files, with Gini ties broken toward the lower feature index and then
-the lower threshold. Each tree is grown over three (features x examples)
+the lower threshold. A tree is one flat tuple, its nodes in preorder, from
+the trainer to the compiled model; only the model file nests it. Each tree
+is grown over three (features x examples)
 blocks, example indices, values and labels, whose row ``f`` holds the
 bootstrap sample in stable sorted order of feature ``f``. A node owns the
 same column range of every row, and its split is found in one pass over all
@@ -23,8 +25,8 @@ it.
 The trees of a forest are independent once their bootstrap samples are
 drawn, so a large enough training on a Linux host that offers this process
 two CPUs grows them in two processes (``_fork.map_in_two_processes``): a
-forked child grows the odd-indexed trees and sends each back as its nodes in
-preorder, while the parent grows the even-indexed ones. The model is the
+forked child grows the odd-indexed trees and sends back their node lists as
+they are, while the parent grows the even-indexed ones. The model is the
 same either way.
 
 A label, like every forecast, is a drop flag (``True`` = dropped), and
@@ -41,7 +43,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
 from operator import itemgetter
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Sequence
 
 from . import _fork
 from .core import (
@@ -55,7 +57,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "LabeledExample",
-    "TreeNode",
     "ForestModel",
     "ConfusionCounts",
     "EvalMetrics",
@@ -107,21 +108,11 @@ def collect_trace(config: SwitchConfig, sequence: ArrivalSequence) -> list[Label
 
 # --- decision trees ----------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class TreeNode:
-    """Internal split node; leaves are plain ints (1 = predicted drop)."""
-
-    feature_index: int
-    threshold: float
-    left: Union["TreeNode", int]
-    right: Union["TreeNode", int]
-
-
-def _tree_depth(node: Union[TreeNode, int]) -> int:
-    if isinstance(node, int):
-        return 0
-    return 1 + max(_tree_depth(node.left), _tree_depth(node.right))
+# A tree is a tuple of its nodes in preorder. A split is the pair
+# ``(feature_index, threshold)``, followed by its left subtree and then its
+# right one; an example goes left when its feature is <= the threshold. A leaf
+# is the int label, 1 for a predicted drop. The trainer, the compiled model,
+# pickle and equality all read this one list; only the model file nests.
 
 
 def _leaf(positives: int, total: int) -> int:
@@ -199,10 +190,11 @@ def _grow_tree(
     positives: int,
     depth_left: int,
     goes_left: np.ndarray,
-) -> Union[TreeNode, int]:
-    """Grow a subtree over the node that holds columns ``[lo, hi)`` of every row.
+    nodes: list,
+) -> None:
+    """Append, in preorder, a subtree over the node that holds columns ``[lo, hi)`` of every row.
 
-    ``block`` holds one tree's example indices, feature values and labels,
+    ``nodes`` is the tree's node list. ``block`` holds one tree's example indices, feature values and labels,
     each a (features x samples) array whose row ``f`` lists the bootstrap
     sample in stable sorted order of feature ``f``. A split partitions every
     row's range stably, left examples first, which keeps that order, so each
@@ -212,15 +204,16 @@ def _grow_tree(
     reusable mask over the example indices, sends both copies the same way.
     """
     total = hi - lo
-    if positives == 0 or positives == total or depth_left == 0:
-        return _leaf(positives, total)
-    split = _split_node(block, lo, hi, positives, depth_left == 1, goes_left)
+    split = None
+    if positives != 0 and positives != total and depth_left != 0:
+        split = _split_node(block, lo, hi, positives, depth_left == 1, goes_left)
     if split is None:
-        return _leaf(positives, total)
+        nodes.append(_leaf(positives, total))
+        return
     feature, threshold, middle, left_positives = split
-    left = _grow_tree(block, lo, middle, left_positives, depth_left - 1, goes_left)
-    right = _grow_tree(block, middle, hi, positives - left_positives, depth_left - 1, goes_left)
-    return TreeNode(feature, threshold, left, right)
+    nodes.append((feature, threshold))
+    _grow_tree(block, lo, middle, left_positives, depth_left - 1, goes_left, nodes)
+    _grow_tree(block, middle, hi, positives - left_positives, depth_left - 1, goes_left, nodes)
 
 
 # CPython's parser allows 100 indentation levels; deeper left spines move into helper functions
@@ -241,60 +234,68 @@ def _threshold_source(threshold) -> Optional[str]:
     return repr(value)
 
 
-class _TreeSource:
-    """Writes one tree as Python functions of ``x0, x1, ...`` that return its leaf.
+def _tree_source(index: int, tree: tuple, feature_count: int, max_depth: int) -> str:
+    """Tree ``index`` as Python functions of ``x0, x1, ...`` that return its leaf, the first named ``tree<index>``.
 
     The left branch of each test returns, so the right one follows it
     unindented; only left turns nest, and a spine deeper than
-    ``_MAX_NESTING`` continues in a helper function. The nodes are visited
-    in preorder from a stack, so a tree of any depth is written without
-    recursion; ``functions`` holds each function's lines, the tree's first.
+    ``_MAX_NESTING`` continues in a helper function. Each node takes the
+    place of the subtree on top of a stack of pending ones, which holds the
+    indent, the level (splits above it) and the lines it is written to; a
+    NaN test sends nothing left, so its left subtree is checked but not
+    written. Every node, the depth bound and the shape of the list are
+    checked on the way.
     """
+    name = f"tree{index}"
+    params = ", ".join(f"x{feature}" for feature in range(feature_count))
+    functions: list[list[str]] = []
 
-    def __init__(self, name: str, feature_count: int) -> None:
-        self.name = name
-        self.feature_count = feature_count
-        self.params = ", ".join(f"x{index}" for index in range(feature_count))
-        self.functions: list[list[str]] = []
+    def function(function_name: str) -> list[str]:
+        functions.append([f"def {function_name}({params}):"])
+        return functions[-1]
 
-    def function(self, name: str) -> list[str]:
-        lines = [f"def {name}({self.params}):"]
-        self.functions.append(lines)
-        return lines
-
-    def write(self, root: Union[TreeNode, int]) -> str:
-        stack = [(root, 1, self.function(self.name))]
-        while stack:
-            node, depth, lines = stack.pop()
-            pad = "    " * depth
-            if not isinstance(node, TreeNode):
-                if isinstance(node, bool) or not isinstance(node, int) or node not in (0, 1):
-                    raise ValueError(f"leaf label must be the integer 0 or 1, got {node!r}")
-                lines.append(f"{pad}return {int(node)}")
-            elif depth > _MAX_NESTING:
-                helper = f"{self.name}_{len(self.functions)}"
-                lines.append(f"{pad}return {helper}({self.params})")
-                stack.append((node, 1, self.function(helper)))
-            else:
-                feature = node.feature_index
-                if isinstance(feature, bool) or not isinstance(feature, int):
-                    raise ValueError(f"feature_index must be an integer, got {feature!r}")
-                if not 0 <= feature < self.feature_count:
-                    raise ValueError(f"feature_index {feature} outside [0, {self.feature_count})")
-                bound = _threshold_source(node.threshold)
-                # the left subtree's lines come first, so it is pushed last
-                stack.append((node.right, depth, lines))
-                if bound is not None:
-                    lines.append(f"{pad}if x{int(feature)} <= {bound}:")
-                    stack.append((node.left, depth + 1, lines))
-        return "\n\n".join(map("\n".join, self.functions))
+    pending: list = [(1, 0, function(name))]
+    for node in tree:
+        if not pending:
+            raise ValueError(f"tree {index} has nodes past its last leaf")
+        depth, level, lines = pending.pop()
+        if not isinstance(node, tuple):
+            if isinstance(node, bool) or not isinstance(node, int) or node not in (0, 1):
+                raise ValueError(f"leaf label must be the integer 0 or 1, got {node!r}")
+            if lines is not None:
+                lines.append(f"{'    ' * depth}return {int(node)}")
+            continue
+        if len(node) != 2:
+            raise ValueError(f"a split is a (feature_index, threshold) pair, got {node!r}")
+        feature, threshold = node
+        if isinstance(feature, bool) or not isinstance(feature, int):
+            raise ValueError(f"feature_index must be an integer, got {feature!r}")
+        if not 0 <= feature < feature_count:
+            raise ValueError(f"feature_index {feature} outside [0, {feature_count})")
+        bound = _threshold_source(threshold)
+        if level >= max_depth:
+            raise ValueError(f"tree {index} is deeper than max_depth {max_depth}")
+        if lines is not None and depth > _MAX_NESTING:
+            helper = f"{name}_{len(functions)}"
+            lines.append(f"{'    ' * depth}return {helper}({params})")
+            depth, lines = 1, function(helper)
+        # the left subtree's nodes come first, so it goes on top
+        pending.append((depth, level + 1, lines))
+        if bound is not None and lines is not None:
+            lines.append(f"{'    ' * depth}if x{int(feature)} <= {bound}:")
+            pending.append((depth + 1, level + 1, lines))
+        else:
+            pending.append((depth, level + 1, None))
+    if pending:
+        raise ValueError(f"tree {index} ends before its last leaf")
+    return "\n\n".join(map("\n".join, functions))
 
 
 # ints in [-2**53, 2**53] are exact as floats, so converting them changes no comparison
 _EXACT_INT = 2**53
 
 
-def _compile_decide(trees: Sequence[Union[TreeNode, int]], feature_count: int) -> Callable[[Sequence[float]], bool]:
+def _compile_decide(trees: Sequence[tuple], feature_count: int, max_depth: int) -> Callable[[Sequence[float]], bool]:
     """Compile ``decide(features)``: True when a strict majority of ``trees`` predicts a drop.
 
     Each tree becomes its own small function of nested ``if`` tests, compiled
@@ -307,10 +308,9 @@ def _compile_decide(trees: Sequence[Union[TreeNode, int]], feature_count: int) -
     """
     namespace: dict = {}
     for index, tree in enumerate(trees):
-        name = f"tree{index}"
         scope: dict = {}
-        exec(compile(_TreeSource(name, feature_count).write(tree), f"<forest tree {index}>", "exec"), scope)
-        namespace[name] = scope.pop(name)
+        exec(compile(_tree_source(index, tree, feature_count, max_depth), f"<forest tree {index}>", "exec"), scope)
+        namespace[f"tree{index}"] = scope.pop(f"tree{index}")
     params = ", ".join(f"x{index}" for index in range(feature_count))
     lines = ["def decide(features):"]
     if feature_count:
@@ -338,8 +338,12 @@ def _compile_decide(trees: Sequence[Union[TreeNode, int]], feature_count: int) -
 class ForestModel:
     """Bagged ensemble of depth-limited trees over the four switch features.
 
-    ``trees`` is kept as a tuple and compiled into one decision function when
-    the model is made; the model is frozen, so the two never disagree. A
+    ``trees`` is kept as a tuple of trees, each the tuple of its nodes in
+    preorder, so the model hashes, compares, prints and pickles without
+    recursion however deep its trees are. Each tree is checked (its nodes,
+    its shape and its depth against ``max_depth``) and the forest compiled
+    into one decision function when the model is made; the model is frozen,
+    so the two never disagree. A
     strict majority of drop votes predicts a drop and a tie accepts. The
     decision stops at the first tree after which the majority is settled:
     a drop once the drop votes exceed half the trees, an accept once the
@@ -351,29 +355,19 @@ class ForestModel:
     would.
     """
 
-    trees: tuple[Union[TreeNode, int], ...]
+    trees: tuple[tuple, ...]
     max_depth: int
     feature_count: int
     _decide: Callable[[Sequence[float]], bool] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        trees = tuple(self.trees)
+        trees = tuple(map(tuple, self.trees))
         object.__setattr__(self, "trees", trees)
-        object.__setattr__(self, "_decide", _compile_decide(trees, self.feature_count))
+        object.__setattr__(self, "_decide", _compile_decide(trees, self.feature_count, self.max_depth))
 
     def __reduce__(self):
-        # a compiled function does not pickle, and nested nodes pickle by
-        # recursion, so the trees go as flat preorder lists and compile again on load
-        return (_forest_from_preorder, self._flat())
-
-    def __eq__(self, other):
-        # compared flat, as the dataclass's nested comparison would recurse as deep as the trees
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._flat() == other._flat()
-
-    def _flat(self) -> tuple:
-        return tuple(map(_preorder, self.trees)), self.max_depth, self.feature_count
+        # a compiled function does not pickle, so the model is made again on load
+        return (ForestModel, (self.trees, self.max_depth, self.feature_count))
 
     def predict_one(self, features: Sequence[float]) -> bool:
         """True when a strict majority of the trees predicts a drop for ``features``."""
@@ -414,10 +408,10 @@ def train_forest(
     independent after that. Where Linux lets this process run on two CPUs,
     no other Python thread exists, and there are at least two trees and
     enough examples x trees to pay for a fork, a forked child grows the
-    odd-indexed trees while this process grows the even-indexed ones; the
-    child's trees come back flat and are put back in index order. Each
-    tree is grown by the same code from the same sample on either route, so
-    the model is the same.
+    odd-indexed trees while this process grows the even-indexed ones, and
+    its node lists are put back in index order. Each tree is grown by the
+    same code from the same sample on either route, so the model is the
+    same.
     """
     if not examples:
         raise ValueError("cannot train on an empty example list")
@@ -441,16 +435,17 @@ def train_forest(
     samples = [rng.integers(0, len(y), size=len(y)) for _ in range(trees)]
     goes_left = np.zeros(len(y), dtype=bool)
 
-    def grow(sample: np.ndarray) -> Union[TreeNode, int]:
+    def grow(sample: np.ndarray) -> list:
         ids = sample.take(ranks.take(sample, axis=1).argsort(axis=1, kind="stable"))
         labels = y.take(ids)
         values = np.array([column.take(row) for column, row in zip(columns, ids)]).reshape(ids.shape)
         positives = int(y.take(sample).sum(dtype=np.int64))
-        return _grow_tree((ids, values, labels), 0, len(sample), positives, max_depth, goes_left)
+        nodes: list = []
+        _grow_tree((ids, values, labels), 0, len(sample), positives, max_depth, goes_left, nodes)
+        return nodes
 
     if _fork.forks(trees * len(y), _FORK_BREAK_EVEN):
-        # the child sends each tree as its nodes in preorder, a flat list
-        grown = map(_from_preorder, _fork.map_in_two_processes(lambda sample: _preorder(grow(sample)), samples))
+        grown = _fork.map_in_two_processes(grow, samples)
     else:
         grown = map(grow, samples)
     return ForestModel(grown, max_depth, len(columns))
@@ -462,33 +457,6 @@ def train_forest(
 # 15 rounds up to 8,000 examples x trees, 5 to 13 of 15 from 16,000 to 32,000, and
 # at least 13 of 15 from 64,000
 _FORK_BREAK_EVEN = 2**16
-
-
-def _preorder(tree: Union[TreeNode, int]) -> list:
-    """The tree's nodes in preorder: ``(feature_index, threshold)`` for a split, the label for a leaf."""
-    nodes, stack = [], [tree]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, TreeNode):
-            nodes.append((node.feature_index, node.threshold))
-            stack += (node.right, node.left)
-        else:
-            nodes.append(node)
-    return nodes
-
-
-def _from_preorder(nodes: list) -> Union[TreeNode, int]:
-    """The tree whose nodes ``_preorder`` listed, built from the last node back."""
-    built: list = []
-    for node in reversed(nodes):
-        # a split's left subtree was built last, so it is on top, its right one below it
-        built.append(TreeNode(*node, built.pop(), built.pop()) if isinstance(node, tuple) else node)
-    return built.pop()
-
-
-def _forest_from_preorder(trees: tuple, max_depth: int, feature_count: int) -> ForestModel:
-    """The model ``ForestModel._flat`` described."""
-    return ForestModel(map(_from_preorder, trees), max_depth, feature_count)
 
 
 # --- evaluation ---------------------------------------------------------------
@@ -600,38 +568,50 @@ def tree_count_sweep(
 # --- files --------------------------------------------------------------------
 
 
-def _node_to_obj(node: Union[TreeNode, int]):
-    if isinstance(node, int):
-        return node
-    return {
-        "feature_index": node.feature_index,
-        "threshold": node.threshold,
-        "left": _node_to_obj(node.left),
-        "right": _node_to_obj(node.right),
-    }
+def _tree_to_obj(tree: tuple):
+    """The model file's nesting of ``tree``, built from the last node back."""
+    built: list = []
+    for node in reversed(tree):
+        if isinstance(node, tuple):
+            # a split's left subtree was built last, so it is on top, its right one below it
+            feature, threshold = node
+            built.append({"feature_index": feature, "threshold": threshold, "left": built.pop(), "right": built.pop()})
+        else:
+            built.append(node)
+    return built.pop()
 
 
-def _node_from_obj(obj) -> Union[TreeNode, int]:
-    # ForestModel checks the leaves, feature indices and threshold types
-    if not isinstance(obj, dict):
-        return obj
-    threshold = obj["threshold"]
-    # a JSON int stays the int it is, which ForestModel compiles exactly
-    if type(threshold) is float and math.isnan(threshold):
-        raise ValueError("threshold must not be NaN")
-    return TreeNode(
-        obj["feature_index"], threshold, _node_from_obj(obj["left"]), _node_from_obj(obj["right"])
-    )
+def _tree_from_obj(obj) -> list:
+    """The preorder nodes of a model file's tree; ForestModel checks the leaves, feature indices and threshold types."""
+    nodes, stack = [], [obj]
+    while stack:
+        obj = stack.pop()
+        if not isinstance(obj, dict):
+            nodes.append(obj)
+            continue
+        threshold = obj["threshold"]
+        # a JSON int stays the int it is, which ForestModel compiles exactly
+        if type(threshold) is float and math.isnan(threshold):
+            raise ValueError("threshold must not be NaN")
+        nodes.append((obj["feature_index"], threshold))
+        left, right = obj["left"], obj["right"]
+        stack += (right, left)
+    return nodes
 
 
 def save_forest(model: ForestModel, path) -> None:
+    """Write ``model`` as a model file; raise ValueError for trees nested deeper than ``json`` writes."""
     payload = {
         "format_version": MODEL_FORMAT_VERSION,
         "feature_count": model.feature_count,
         "max_depth": model.max_depth,
-        "trees": [_node_to_obj(tree) for tree in model.trees],
+        "trees": list(map(_tree_to_obj, model.trees)),
     }
-    _write_lines(path, [json.dumps(payload, sort_keys=True, separators=(",", ":"))])
+    try:
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    except RecursionError:
+        raise ValueError("model is nested too deeply for a model file") from None
+    _write_lines(path, [text])
 
 
 def load_forest(path) -> ForestModel:
@@ -649,14 +629,10 @@ def load_forest(path) -> ForestModel:
         if type(feature_count) is not int or feature_count != _FEATURE_COUNT:
             raise ValueError(f"feature_count must be {_FEATURE_COUNT}, got {feature_count!r}")
         MAX_DEPTH.check(max_depth)
-        trees = [_node_from_obj(obj) for obj in payload["trees"]]
+        trees = [_tree_from_obj(obj) for obj in payload["trees"]]
         if not TREES.holds(len(trees)):
             raise ValueError(f"a model holds {TREES.low} to {TREES.high} trees, got {len(trees)}")
-        model = ForestModel(trees, max_depth, feature_count)
-        for index, tree in enumerate(model.trees):
-            if _tree_depth(tree) > max_depth:
-                raise ValueError(f"tree {index} is deeper than max_depth {max_depth}")
-        return model
+        return ForestModel(trees, max_depth, feature_count)
     except KeyError as exc:
         raise ValueError(f"{path}: model is missing the {exc.args[0]!r} key") from None
     except (TypeError, OverflowError) as exc:

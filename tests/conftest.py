@@ -128,6 +128,13 @@ def visit_every_port(config, sequence, policy):
     return sim
 
 
+def split(feature_index, threshold, left, right) -> tuple:
+    """The preorder tree (``learner``'s in-memory tree) of one split over ``left`` and ``right``,
+    each a leaf label or such a tree: the pair ``(feature_index, threshold)``, then the left nodes, then the right."""
+    return ((feature_index, threshold), *(left if isinstance(left, tuple) else (left,)),
+            *(right if isinstance(right, tuple) else (right,)))
+
+
 # one stump over feature 0; each case breaks it in one way
 GOOD_MODEL = {
     "format_version": 1,

@@ -382,6 +382,15 @@ def test_a_training_child_that_runs_out_of_memory_exits_2_with_one_line(tmp_path
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_a_model_nested_deeper_than_a_model_file_holds_exits_2_with_one_line(tmp_path, trace_csv, capsys, monkeypatch):
+    # a left spine of 1,000 splits builds and predicts in memory, but json refuses to nest it that deep
+    monkeypatch.setattr(learner, "_grow_tree", lambda *args: args[-1].extend([(0, 0.5)] * 1000 + [0] * 1001))
+    model = tmp_path / "model.json"
+    assert main(["train", "--data", str(trace_csv), "--trees", "1", "--depth", "1000", "--out", str(model)]) == EXIT_CONFIG
+    assert capsys.readouterr() == ("", "error: model is nested too deeply for a model file\n")
+    assert not model.exists()
+
+
 def _die_of_memory():
     raise MemoryError
 

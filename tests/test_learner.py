@@ -32,7 +32,6 @@ from shbuf.learner import (
     ConfusionCounts,
     ForestModel,
     LabeledExample,
-    TreeNode,
     collect_trace,
     evaluate,
     evaluate_on,
@@ -44,14 +43,13 @@ from shbuf.learner import (
     split_examples,
     train_forest,
     tree_count_sweep,
-    _node_to_obj,
-    _tree_depth,
 )
 from shbuf.oracles import PredictionLabel
 from shbuf.workloads import followlqd_adversary, poisson_bursts, uniform_random
 
 from conftest import (
     BAD_EXAMPLE_ROWS, BAD_MODELS, FORKS, ROUTES, TWO_CPUS, assert_no_child_left, forced_route, four_way_confusion,
+    split,
 )
 
 POS = PredictionLabel.POSITIVE
@@ -68,6 +66,18 @@ def _toy_examples(n=200, cutoff=8, seed=0):
         features = FeatureVector(rng.randrange(4), rng.random(), occupancy, rng.random() * 16)
         examples.append(LabeledExample(features, label))
     return examples
+
+
+def _depth(tree):
+    """The most splits above any leaf of a preorder tree, counted without ``ForestModel``'s check."""
+    depth, levels = 0, [0]
+    for node in tree:
+        level = levels.pop()
+        if isinstance(node, tuple):
+            levels += (level + 1, level + 1)
+        else:
+            depth = max(depth, level)
+    return depth
 
 
 # --- trace collection ---------------------------------------------------------
@@ -105,15 +115,15 @@ def test_collect_trace_labels_match_lqd_outcomes():
 def test_all_negative_examples_give_leaf_trees():
     examples = [LabeledExample(FeatureVector(i, 0.0, i, 0.0), NEG) for i in range(10)]
     model = train_forest(examples, trees=3, max_depth=4, seed=1)
-    assert model.trees == (0, 0, 0)
+    assert model.trees == ((0,), (0,), (0,))
 
 
 def test_toy_cutoff_learns_single_split():
     examples = _toy_examples()
     model = train_forest(examples, trees=1, max_depth=1, seed=5)
-    tree = model.trees[0]
-    assert tree.feature_index == 2
-    assert 8.0 < tree.threshold < 9.0
+    (feature_index, threshold), *leaves = model.trees[0]
+    assert feature_index == 2 and leaves == [0, 1]
+    assert 8.0 < threshold < 9.0
     metrics = evaluate_on(model, examples)
     assert metrics.accuracy == 1.0
 
@@ -124,7 +134,7 @@ def test_depth_bound_is_structural():
     examples = collect_trace(cfg, seq)
     model = train_forest(examples, trees=4, max_depth=4, seed=2)
     assert len(model.trees) == 4
-    assert all(_tree_depth(tree) <= 4 for tree in model.trees)
+    assert all(_depth(tree) <= 4 for tree in model.trees)
 
 
 def test_training_is_deterministic(tmp_path):
@@ -159,7 +169,7 @@ def test_examples_without_features_train_one_leaf_trees():
     examples = [LabeledExample((), POS), LabeledExample((), POS), LabeledExample((), NEG)]
     model = train_forest(examples, trees=2, max_depth=3, seed=0)
     assert model.feature_count == 0
-    assert all(tree in (0, 1) for tree in model.trees)
+    assert all(tree in ((0,), (1,)) for tree in model.trees)
     assert model.predict_one(()) == _reference_predict(model.trees, ())
 
 
@@ -174,7 +184,7 @@ def _reference_grow(X, y, indices, depth_left):
     total = len(indices)
     positives = int(labels.sum())
     if positives == 0 or positives == total or depth_left == 0:
-        return 1 if 2 * positives > total else 0
+        return (1 if 2 * positives > total else 0,)
     best_cost = np.inf
     best_feature = -1
     best_threshold = 0.0
@@ -200,11 +210,11 @@ def _reference_grow(X, y, indices, depth_left):
             best_feature = feature
             best_threshold = float((values[boundaries[at]] + values[boundaries[at] + 1]) / 2.0)
     if best_feature < 0:
-        return 1 if 2 * positives > total else 0
+        return (1 if 2 * positives > total else 0,)
     mask = X[indices, best_feature] <= best_threshold
     left = _reference_grow(X, y, indices[mask], depth_left - 1)
     right = _reference_grow(X, y, indices[~mask], depth_left - 1)
-    return TreeNode(best_feature, best_threshold, left, right)
+    return split(best_feature, best_threshold, left, right)
 
 
 def _reference_forest(examples, trees, max_depth, seed):
@@ -222,17 +232,25 @@ def _reference_forest(examples, trees, max_depth, seed):
 
 def _reference_predict(trees, features):
     votes = 0
-    for node in trees:
-        while not isinstance(node, int):
-            node = node.left if features[node.feature_index] <= node.threshold else node.right
-        votes += node
+    for tree in trees:
+        at = 0
+        while isinstance(tree[at], tuple):
+            feature_index, threshold = tree[at]
+            at += 1
+            if not features[feature_index] <= threshold:
+                # skip the left subtree: it ends where its leaves outnumber its splits
+                pending = 1
+                while pending:
+                    pending += 1 if isinstance(tree[at], tuple) else -1
+                    at += 1
+        votes += tree[at]
     return 1 if 2 * votes > len(trees) else 0
 
 
 def _assert_same_forest(model, reference):
-    # compared as model-file JSON, which tells -0.0 from 0.0 and matches NaN thresholds
+    # compared as JSON text, which tells -0.0 from 0.0 and 1 from 1.0 and matches NaN thresholds
     def as_json(forest):
-        return json.dumps([forest.max_depth, forest.feature_count, [_node_to_obj(tree) for tree in forest.trees]])
+        return json.dumps([forest.max_depth, forest.feature_count, forest.trees])
 
     assert as_json(model) == as_json(reference)
 
@@ -291,7 +309,7 @@ def test_trainer_matches_the_reference_on_a_congested_trace(route, trees):
     examples = collect_trace(cfg, poisson_bursts(cfg, 1 / 32, 1500, seed=9))
     model = _train_by_route(route, examples, trees, 8, seed=3)
     _assert_same_forest(model, _reference_forest(examples, trees, 8, seed=3))
-    assert any(_tree_depth(tree) == 8 for tree in model.trees)
+    assert any(_depth(tree) == 8 for tree in model.trees)
 
 
 @ROUTES
@@ -386,16 +404,17 @@ def test_the_two_process_route_warns_about_nothing(monkeypatch, fork_warns):
 
 
 def _spine(depth):
-    """A left spine of ``depth`` splits, each with a one-split right child."""
-    tree = 1
+    """A left spine of ``depth`` splits, each with a one-split right child: ``depth + 1`` levels for ``depth >= 1``."""
+    tree = (1,)
     for level in range(depth):
-        tree = TreeNode(level % 4, level + 0.5, tree, TreeNode(3, -0.0, 0, 1))
+        tree = split(level % 4, level + 0.5, tree, split(3, -0.0, 0, 1))
     return tree
 
 
 @FORKS
 def test_a_tree_deeper_than_pickle_nests_comes_back_from_the_child_whole(monkeypatch):
-    # pickling 400 nested nodes overflows the recursion limit; the child sends each tree as a flat list
+    # nested nodes would overflow the recursion limit when pickled at 400 levels; a tree crosses the pipe
+    # as the flat node list the trainer appends to
     depths = [1, 600, 0, 400, 7]
     parent, grown = os.getpid(), []
 
@@ -403,30 +422,39 @@ def test_a_tree_deeper_than_pickle_nests_comes_back_from_the_child_whole(monkeyp
         # the samples are drawn before the fork, then this process grows trees 0, 2 and 4 and the child 1 and 3
         index = 2 * len(grown) + (os.getpid() != parent)
         grown.append(index)
-        return _spine(depths[index])
+        args[-1].extend(_spine(depths[index]))
 
     monkeypatch.setattr(learner, "_grow_tree", grow_spine)
     with forced_route("two_processes") as (forks, _):
-        model = train_forest(_toy_examples(), trees=len(depths), max_depth=600, seed=0)
+        model = train_forest(_toy_examples(), trees=len(depths), max_depth=601, seed=0)
     assert len(forks) == 1 and grown == [0, 2, 4]
     # the model compares flat, node by node; the reprs also tell -0.0 from 0.0 and 1 from 1.0
-    expected = ForestModel([_spine(depth) for depth in depths], 600, 4)
+    expected = ForestModel([_spine(depth) for depth in depths], 601, 4)
     assert model == expected
-    assert repr(list(map(learner._preorder, model.trees))) == repr(list(map(learner._preorder, expected.trees)))
-    assert model != ForestModel([_spine(depth - (depth == 600)) for depth in depths], 600, 4)
+    assert repr(model.trees) == repr(expected.trees)
+    assert model != ForestModel([_spine(depth - (depth == 600)) for depth in depths], 601, 4)
 
 
-def test_a_forest_deeper_than_the_recursion_limit_pickles_and_compares_flat():
-    deep = ForestModel([_spine(1000), 0, _spine(3)], 1000, 4)
+def test_a_forest_deeper_than_the_recursion_limit_pickles_and_compares_flat(tmp_path):
+    deep = ForestModel([_spine(1000), (0,), _spine(3)], 1001, 4)
     copied = pickle.loads(pickle.dumps(deep, pickle.HIGHEST_PROTOCOL))
-    assert copied is not deep and copied == deep and copied.trees[1] == 0
-    assert copied != ForestModel([_spine(999), 0, _spine(3)], 1000, 4)
-    assert copied != ForestModel([_spine(1000), 0, _spine(3)], 1001, 4)
-    assert copied != ForestModel([_spine(1000), 1, _spine(3)], 1000, 4)
+    assert copied is not deep and copied == deep and copied.trees[1] == (0,)
+    assert hash(copied) == hash(deep)
+    assert repr(copied) == repr(deep)
+    assert repr(deep).startswith("ForestModel(trees=(((3, 999.5), (2, 998.5), ")
+    assert repr(deep).endswith(", 0, 1)), max_depth=1001, feature_count=4)")
+    assert copied != ForestModel([_spine(999), (0,), _spine(3)], 1001, 4)
+    assert copied != ForestModel([_spine(1000), (0,), _spine(3)], 1002, 4)
+    assert copied != ForestModel([_spine(1000), (1,), _spine(3)], 1001, 4)
     assert deep.__eq__(deep.trees) is NotImplemented
     for x in range(-1, 1002, 7):
         probe = (x, x / 2, 0, 0.0)
-        assert copied.predict_one(probe) == deep.predict_one(probe)
+        assert copied.predict_one(probe) == deep.predict_one(probe) == _reference_predict(deep.trees, probe)
+    # json itself refuses to nest this deep, so no model file can hold it: one line, and no file
+    path = tmp_path / "model.json"
+    with pytest.raises(ValueError, match="^model is nested too deeply for a model file$"):
+        save_forest(deep, path)
+    assert not path.exists()
 
 
 @FORKS
@@ -475,7 +503,7 @@ def test_a_cost_tie_between_features_goes_to_the_lower_feature_index():
     drop = LabeledExample(FeatureVector(0, 0.0, 1, 0.0), POS)
     accept = LabeledExample(FeatureVector(1, 0.0, 0, 0.0), NEG)
     model = train_forest([drop] * 150 + [accept] * 50, trees=3, max_depth=2, seed=0)
-    assert model.trees == (TreeNode(0, 0.5, 1, 0),) * 3
+    assert model.trees == (split(0, 0.5, 1, 0),) * 3
 
 
 _SPECIAL_VALUES = (
@@ -498,10 +526,8 @@ def forests_and_probes(draw):
 
     def node(depth):
         if depth == 0 or draw(st.integers(0, 2)) == 0:
-            return draw(st.integers(0, 1))
-        return TreeNode(
-            draw(st.integers(0, 3)), draw(threshold), node(depth - 1), node(depth - 1)
-        )
+            return (draw(st.integers(0, 1)),)
+        return split(draw(st.integers(0, 3)), draw(threshold), node(depth - 1), node(depth - 1))
 
     depth = draw(st.integers(0, 8))
     trees = [node(depth) for _ in range(draw(st.integers(1, 16)))]
@@ -545,9 +571,9 @@ def test_predict_one_matches_the_reference_at_every_vote_count(probe, thresholds
                 feature = rng.randrange(4)
                 threshold = rng.choice(pool)
                 if probe[feature] <= threshold:
-                    trees.append(TreeNode(feature, threshold, vote, 1 - vote))
+                    trees.append(split(feature, threshold, vote, 1 - vote))
                 else:
-                    trees.append(TreeNode(feature, threshold, 1 - vote, vote))
+                    trees.append(split(feature, threshold, 1 - vote, vote))
             model = ForestModel(trees, 1, 4)
             expected = 1 if 2 * votes > count else 0
             assert _reference_predict(trees, probe) == expected
@@ -557,9 +583,9 @@ def test_predict_one_matches_the_reference_at_every_vote_count(probe, thresholds
 
 def test_predict_one_handles_a_left_spine_deeper_than_the_parser_nests():
     # CPython's parser nests at most 100 blocks; a 150-split left spine still compiles
-    tree = 1
+    tree = (1,)
     for level in range(150):
-        tree = TreeNode(0, float(level), tree, level % 2)
+        tree = split(0, float(level), tree, level % 2)
     model = ForestModel([tree], 150, 4)
     for x in range(-1, 152):
         probe = (x, 0.0, 0, 0.0)
@@ -567,14 +593,15 @@ def test_predict_one_handles_a_left_spine_deeper_than_the_parser_nests():
 
 
 def test_forest_model_is_frozen_so_its_compiled_votes_cannot_go_stale():
-    trees = [TreeNode(0, 1.0, 0, 1)]
+    trees = [[(0, 1.0), 0, 1]]
     model = ForestModel(trees, 1, 4)
-    trees[0] = 1  # the model keeps its own tuple
-    assert model.trees == (TreeNode(0, 1.0, 0, 1),)
+    trees[0][0] = 1  # the model keeps its own tuples
+    trees[0] = (1,)
+    assert model.trees == (split(0, 1.0, 0, 1),)
     assert model.predict_one((0, 0, 0, 0)) == 0 and model.predict_one((2, 0, 0, 0)) == 1
     with pytest.raises(dataclasses.FrozenInstanceError):
-        model.trees = (1,)
-    assert model == ForestModel((TreeNode(0, 1.0, 0, 1),), 1, 4)
+        model.trees = ((1,),)
+    assert model == ForestModel((split(0, 1.0, 0, 1),), 1, 4)
     assert "_decide" not in repr(model)
     copied = pickle.loads(pickle.dumps(model))
     assert copied == model and copied.predict_one((2, 0, 0, 0)) == 1
@@ -583,10 +610,18 @@ def test_forest_model_is_frozen_so_its_compiled_votes_cannot_go_stale():
 @pytest.mark.parametrize(
     "tree, message",
     [
-        (TreeNode(4, 1.0, 0, 1), r"feature_index 4 outside \[0, 4\)"),
-        (TreeNode(1.0, 1.0, 0, 1), "feature_index must be an integer, got 1.0"),
-        (TreeNode(0, "1.0", 0, 1), "threshold must be a number, got '1.0'"),
-        (TreeNode(0, 1.0, 0, 2), "leaf label must be the integer 0 or 1, got 2"),
+        (split(4, 1.0, 0, 1), r"feature_index 4 outside \[0, 4\)"),
+        (split(1.0, 1.0, 0, 1), "feature_index must be an integer, got 1.0"),
+        (split(0, "1.0", 0, 1), "threshold must be a number, got '1.0'"),
+        (split(0, 1.0, 0, 2), "leaf label must be the integer 0 or 1, got 2"),
+        # load_forest refused this file as too deep, so the constructor refuses the model that wrote it
+        (split(0, 0.5, split(1, 0.5, 0, 1), 1), "^tree 0 is deeper than max_depth 1$"),
+        (((0, 0.5, 1.0), 0, 1), r"^a split is a \(feature_index, threshold\) pair, got \(0, 0.5, 1.0\)$"),
+        (((0,), 0, 1), r"^a split is a \(feature_index, threshold\) pair, got \(0,\)$"),
+        (split(0, 0.5, 0, 1) + (1,), "^tree 0 has nodes past its last leaf$"),
+        ((1, 0), "^tree 0 has nodes past its last leaf$"),
+        (split(0, 0.5, 0, 1)[:-1], "^tree 0 ends before its last leaf$"),
+        ((), "^tree 0 ends before its last leaf$"),
     ],
 )
 def test_forest_model_rejects_trees_it_cannot_compile(tree, message):
@@ -712,7 +747,7 @@ def test_load_forest_raises_only_value_errors_naming_the_file(payload):
 
 def test_infinite_thresholds_round_trip(tmp_path):
     # a midpoint can overflow to infinity, so save_forest writes it and load_forest reads it back
-    tree = TreeNode(0, math.inf, TreeNode(1, -math.inf, 1, 0), 1)
+    tree = split(0, math.inf, split(1, -math.inf, 1, 0), 1)
     model = ForestModel([tree], 2, 4)
     path = tmp_path / "model.json"
     save_forest(model, path)
@@ -724,16 +759,13 @@ def test_infinite_thresholds_round_trip(tmp_path):
 
 
 def _without_nan_thresholds(tree) -> bool:
-    return not isinstance(tree, TreeNode) or (
-        not (isinstance(tree.threshold, float) and math.isnan(tree.threshold))
-        and _without_nan_thresholds(tree.left) and _without_nan_thresholds(tree.right)
-    )
+    return not any(isinstance(node, tuple) and isinstance(node[1], float) and math.isnan(node[1]) for node in tree)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(forests_and_probes().filter(lambda case: all(map(_without_nan_thresholds, case[0]))))
-@example(([TreeNode(0, 2**53 + 1, 1, 0)], 1, [(2**53 + 1, 0.0, 0, 0.0)]))
-@example(([TreeNode(0, 10**400, 1, 0)], 1, [(10**400, 0.0, 0, 0.0), (10**400 + 1, 0.0, 0, 0.0)]))
+@example(([split(0, 2**53 + 1, 1, 0)], 1, [(2**53 + 1, 0.0, 0, 0.0)]))
+@example(([split(0, 10**400, 1, 0)], 1, [(10**400, 0.0, 0, 0.0), (10**400 + 1, 0.0, 0, 0.0)]))
 def test_a_model_file_loads_back_as_the_model_it_was_saved_from(case):
     # every threshold but NaN, which load_forest refuses: ints past 2**53 stay ints
     trees, depth, probes = case

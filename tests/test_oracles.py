@@ -21,7 +21,7 @@ from shbuf import (
     run_simulation,
 )
 from shbuf.analysis import compute_eta
-from shbuf.learner import ForestModel, TreeNode
+from shbuf.learner import ForestModel
 from shbuf.oracles import (
     ConstantOracle,
     FeatureSampler,
@@ -32,7 +32,7 @@ from shbuf.oracles import (
     ground_truth_from_run,
 )
 
-from conftest import LiveCredence, contended_instance, random_sequence, visit_every_port
+from conftest import LiveCredence, contended_instance, random_sequence, split, visit_every_port
 
 FEATURES = FeatureVector(0, 0.0, 0, 0.0)
 
@@ -259,14 +259,14 @@ def test_feature_tracker_ewma():
 
 
 def test_forest_oracle_single_leaf():
-    model = ForestModel(trees=[0], max_depth=1, feature_count=4)
+    model = ForestModel(trees=[(0,)], max_depth=1, feature_count=4)
     oracle = ForestOracle(model)
     assert oracle.predict(0, FEATURES) is PredictionLabel.NEGATIVE
 
 
 def test_forest_oracle_tie_votes_negative():
-    drop_leaf = 1
-    keep_leaf = 0
+    drop_leaf = (1,)
+    keep_leaf = (0,)
     model = ForestModel(trees=[drop_leaf, drop_leaf, keep_leaf, keep_leaf], max_depth=1, feature_count=4)
     assert ForestOracle(model).predict(0, FEATURES) is PredictionLabel.NEGATIVE
     model = ForestModel(trees=[drop_leaf, drop_leaf, drop_leaf, keep_leaf], max_depth=1, feature_count=4)
@@ -274,14 +274,14 @@ def test_forest_oracle_tie_votes_negative():
 
 
 def test_forest_model_rejects_feature_mismatch():
-    model = ForestModel(trees=[0], max_depth=1, feature_count=4)
+    model = ForestModel(trees=[(0,)], max_depth=1, feature_count=4)
     with pytest.raises(ValueError, match="features"):
         model.predict_one((1.0, 2.0))
 
 
 def test_forest_tree_walk():
     # drop once occupancy (feature 2) exceeds 8
-    tree = TreeNode(feature_index=2, threshold=8.0, left=0, right=1)
+    tree = split(2, 8.0, 0, 1)
     model = ForestModel(trees=[tree], max_depth=1, feature_count=4)
     assert model.predict_one(FeatureVector(0, 0.0, 12, 0.0)) == 1
     assert model.predict_one(FeatureVector(0, 0.0, 3, 0.0)) == 0
@@ -314,7 +314,7 @@ def _oracle(kind, result, sequence):
     if kind == "constant":
         return ConstantOracle(PredictionLabel.POSITIVE)
     # drop once occupancy (feature 2) exceeds 2, unless the port's average queue (feature 1) is short
-    tree = TreeNode(feature_index=2, threshold=2.0, left=0, right=TreeNode(1, 1.5, 0, 1))
+    tree = split(2, 2.0, 0, split(1, 1.5, 0, 1))
     return ForestOracle(ForestModel(trees=[tree], max_depth=2, feature_count=4))
 
 

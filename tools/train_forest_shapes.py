@@ -21,6 +21,7 @@ import os
 import random
 import resource
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -67,9 +68,13 @@ def _examples(learner, rows):
     return [learner.LabeledExample(features, label.POSITIVE if drop else label.NEGATIVE) for features, drop in rows]
 
 
-def _model_text(learner, examples, trees, depth) -> str:
+def _model_bytes(learner, examples, trees, depth) -> bytes:
+    """The model file ``learner.save_forest`` writes for the trained forest, which both checkouts read alike."""
     model = learner.train_forest(examples, trees=trees, max_depth=depth, seed=SEED)
-    return json.dumps([learner._node_to_obj(tree) for tree in model.trees])
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "model.json"
+        learner.save_forest(model, path)
+        return path.read_bytes()
 
 
 def _peak_child_rss_mb(learner, examples, trees, depth) -> float:
@@ -104,8 +109,8 @@ def main() -> None:
     table = {}
     for name, (rows, trees, depth) in _shapes().items():
         examples = {side: _examples(learner, rows) for side, learner in learners.items()}
-        texts = {side: _model_text(learner, examples[side], trees, depth) for side, learner in learners.items()}
-        if texts["parent"] != texts["change"]:
+        files = {side: _model_bytes(learner, examples[side], trees, depth) for side, learner in learners.items()}
+        if files["parent"] != files["change"]:
             raise SystemExit(f"{name}: the two checkouts grow different trees")
         times = {side: [] for side in learners}
         for round_ in range(args.rounds):
